@@ -72,17 +72,22 @@ pub fn time_iss_alone(image: &Image, repeats: u32) -> SimTiming {
 }
 
 /// Times the block simulator alone (Table II row 2): the peripheral graph
-/// driven with a continuous input stream for `cycles` clocks.
+/// driven with a continuous input stream for `cycles` clocks, through
+/// gateway handles resolved once.
+///
+/// # Panics
+/// Panics unless the graph has the standard channel-0 FSL gateways.
 pub fn time_blocks_alone(mut graph: Graph, cycles: u64) -> SimTiming {
-    let data = Fix::from_int(0x1234, FixFmt::INT32);
-    let on = Fix::from_int(1, FixFmt::BOOL);
+    let handle = |name| graph.input_handle(name).expect("standard FSL gateway");
+    let (data, valid, ctrl) = (handle("fsl0_data"), handle("fsl0_valid"), handle("fsl0_ctrl"));
+    let word = Fix::from_int(0x1234, FixFmt::INT32);
+    let (on, off) = (Fix::from_bits(1, FixFmt::BOOL), Fix::zero(FixFmt::BOOL));
     let start = Instant::now();
     for i in 0..cycles {
         // Alternate data/idle to exercise realistic activity.
-        let _ = graph.set_input("fsl0_data", data);
-        let _ =
-            graph.set_input("fsl0_valid", if i % 3 != 0 { on } else { Fix::zero(FixFmt::BOOL) });
-        let _ = graph.set_input("fsl0_ctrl", Fix::zero(FixFmt::BOOL));
+        graph.set_input_fast(data, word);
+        graph.set_input_fast(valid, if i % 3 != 0 { on } else { off });
+        graph.set_input_fast(ctrl, off);
         graph.step();
     }
     SimTiming { wall: start.elapsed(), sim_cycles: cycles }

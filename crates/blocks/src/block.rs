@@ -113,5 +113,5 @@ pub fn bool_of(x: &Fix) -> bool {
 
 /// A one-bit signal value.
 pub fn bit(v: bool) -> Fix {
-    Fix::from_int(v as i64, FixFmt::BOOL)
+    Fix::from_bits(v as u64, FixFmt::BOOL)
 }

@@ -15,6 +15,38 @@
 //! contiguous value array plus resolved source indices) so the per-cycle
 //! cost is a linear scan — this is what makes the high-level simulation
 //! an order of magnitude faster per cycle than event-driven RTL.
+//!
+//! # Sleeping at a fixed point
+//!
+//! Most cycles of a co-simulated peripheral change nothing: no word is
+//! arriving and the pipeline has drained. The graph notices this itself
+//! and stops doing per-cycle work until something can change again.
+//!
+//! * **Wake.** [`Graph::set_input_fast`] stores a gateway value only when
+//!   its bits differ from the held one; a store clears the sleep latch
+//!   and marks the inputs changed. [`Graph::compile`], [`Graph::reset`]
+//!   and [`Graph::load_state`] do the same.
+//! * **Detect.** A normal [`Graph::step`] taken with no input changed
+//!   since the previous step also checks, block by block in schedule
+//!   order, that the freshly evaluated outputs equal the values they
+//!   overwrite (every gateway rewrites the value it already held), and
+//!   asks each sequential block [`Block::is_quiescent`] on the inputs it
+//!   is about to clock from. The first failure ends the checks for that
+//!   step; if every block passes, the latch is set.
+//! * **Skip.** While the latch is set, `step` only advances the cycle
+//!   counter, counts one toggle-free activity cycle and records every
+//!   probe's (unchanged) value.
+//!
+//! Soundness: if every output reproduced its value, each evaluation in
+//! the step read exactly the values of the step before (by induction
+//! along the schedule, even where a sequential block's outputs read a
+//! source settled after it), so the step computed the same values from
+//! the same state; the quiescent blocks' clock edges left that state as
+//! it was. With the gateway inputs held, the next step starts from
+//! identical values, state and inputs, so it is the same identity — and
+//! so is every step after it, until an input store or a state restore
+//! clears the latch. Probes, activity and trace sinks observe exactly
+//! what stepping would have shown them.
 
 use crate::block::Block;
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
@@ -167,6 +199,16 @@ pub struct Graph {
     probes: Vec<(String, usize, Vec<Fix>)>,
     /// Switching-activity measurement, when enabled.
     activity: Option<Activity>,
+    /// Sleep latch: the last step proved the design a fixed point of the
+    /// held gateway inputs, so steps skip evaluation and clocking (see
+    /// the module docs).
+    asleep: bool,
+    /// A gateway input changed (or the state was replaced) since the
+    /// last step; no fixed point can be proven across that step.
+    inputs_changed: bool,
+    /// Output values of the node being evaluated, held for the
+    /// fixed-point comparison.
+    held: Vec<Fix>,
 }
 
 /// Measured switching activity of a design (see
@@ -332,6 +374,7 @@ impl Graph {
             (0..n as u32).filter(|&i| !self.nodes[i as usize].is_combinational()).collect();
         self.schedule = order;
         self.compiled = true;
+        self.wake();
         Ok(())
     }
 
@@ -355,14 +398,30 @@ impl Graph {
     }
 
     /// Sets a `Gateway In` through a resolved handle (no name lookup).
+    /// A value already in the gateway's format is stored as is; storing
+    /// the value the gateway already holds leaves a sleeping design
+    /// asleep.
     #[inline]
     pub fn set_input_fast(&mut self, handle: InputHandle, value: Fix) {
-        match &mut self.nodes[handle.0].kind {
-            Kind::Input { fmt, value: slot } => {
-                *slot = value.convert(*fmt, Overflow::Wrap, Rounding::Truncate);
-            }
-            Kind::Block(_) => unreachable!("gateway registry points at a block"),
+        let Kind::Input { fmt, value: slot } = &mut self.nodes[handle.0].kind else {
+            unreachable!("gateway registry points at a block");
+        };
+        let value = if value.fmt() == *fmt {
+            value
+        } else {
+            value.convert(*fmt, Overflow::Wrap, Rounding::Truncate)
+        };
+        if value != *slot {
+            *slot = value;
+            self.wake();
         }
+    }
+
+    /// Clears the sleep latch and marks the inputs changed, so the next
+    /// step evaluates everything and proves nothing.
+    fn wake(&mut self) {
+        self.asleep = false;
+        self.inputs_changed = true;
     }
 
     /// Reads a `Gateway Out` through a resolved handle (no name lookup).
@@ -388,14 +447,49 @@ impl Graph {
         self.values[self.nodes[node.0].val_off as usize + port]
     }
 
-    /// Advances the design by one clock cycle.
+    /// Advances the design by one clock cycle. A design asleep at a
+    /// proven fixed point only advances its counters and probes (see the
+    /// module docs).
     ///
     /// # Panics
     /// Panics if the graph was modified since the last successful
     /// [`Graph::compile`].
     pub fn step(&mut self) {
         assert!(self.compiled, "Graph::compile must succeed before step");
-        let Graph { nodes, values, schedule, seq_nodes, plan_src, plan_range, scratch, .. } = self;
+        let awake = !self.asleep;
+        if awake {
+            self.eval_and_clock();
+        }
+        if let Some(act) = &mut self.activity {
+            // A sleeping step changes no value, so it toggles nothing.
+            if awake {
+                for (i, node) in self.nodes.iter().enumerate() {
+                    let off = node.val_off as usize;
+                    for s in off..off + node.val_len as usize {
+                        if self.values[s].to_bits() != act.prev[s].to_bits() {
+                            act.node_toggles[i] += 1;
+                            act.toggles += 1;
+                        }
+                        act.prev[s] = self.values[s];
+                    }
+                }
+            }
+            act.cycles += 1;
+        }
+        for (_, idx, samples) in &mut self.probes {
+            samples.push(self.values[*idx]);
+        }
+        self.cycle += 1;
+    }
+
+    /// The two phases of a step; sets the sleep latch when the step
+    /// proves the design a fixed point of unchanged inputs.
+    fn eval_and_clock(&mut self) {
+        let mut fixed = !self.inputs_changed;
+        self.inputs_changed = false;
+        let Graph {
+            nodes, values, schedule, seq_nodes, plan_src, plan_range, scratch, held, ..
+        } = self;
         // Phase 1: settle combinational logic in topological order.
         for &i in schedule.iter() {
             let i = i as usize;
@@ -405,10 +499,17 @@ impl Graph {
             for &src in &plan_src[s as usize..e as usize] {
                 scratch.push(values[src as usize]);
             }
-            let off = node.val_off as usize;
+            let out = &mut values[node.val_off as usize..(node.val_off + node.val_len) as usize];
             match &node.kind {
-                Kind::Block(b) => b.eval(scratch, &mut values[off..off + node.val_len as usize]),
-                Kind::Input { value, .. } => values[off] = *value,
+                Kind::Block(b) if fixed => {
+                    held.clear();
+                    held.extend_from_slice(out);
+                    b.eval(scratch, out);
+                    fixed = out[..] == held[..];
+                }
+                Kind::Block(b) => b.eval(scratch, out),
+                // Unless `inputs_changed`, this rewrites the same value.
+                Kind::Input { value, .. } => out[0] = *value,
             }
         }
         // Phase 2: clock edge — every sequential block latches from the
@@ -421,26 +522,11 @@ impl Graph {
                 scratch.push(values[src as usize]);
             }
             if let Kind::Block(b) = &mut nodes[i].kind {
+                fixed = fixed && b.is_quiescent(scratch);
                 b.clock(scratch);
             }
         }
-        if let Some(act) = &mut self.activity {
-            for (i, node) in self.nodes.iter().enumerate() {
-                let off = node.val_off as usize;
-                for s in off..off + node.val_len as usize {
-                    if self.values[s].to_bits() != act.prev[s].to_bits() {
-                        act.node_toggles[i] += 1;
-                        act.toggles += 1;
-                    }
-                    act.prev[s] = self.values[s];
-                }
-            }
-            act.cycles += 1;
-        }
-        for (_, idx, samples) in &mut self.probes {
-            samples.push(self.values[*idx]);
-        }
-        self.cycle += 1;
+        self.asleep = fixed;
     }
 
     /// Runs `n` cycles.
@@ -461,11 +547,15 @@ impl Graph {
     /// [`Graph::fast_forward`].
     ///
     /// Conservative: `false` only means quiescence could not be proven.
+    /// A design asleep at a fixed point answers `true` at once.
     ///
     /// # Panics
     /// Panics if the graph is not compiled.
     pub fn is_quiescent(&self) -> bool {
         assert!(self.compiled, "Graph::compile must succeed before is_quiescent");
+        if self.asleep {
+            return true;
+        }
         let mut ins: Vec<Fix> = Vec::new();
         let mut outs: Vec<Fix> = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
@@ -578,6 +668,7 @@ impl Graph {
             *v = Fix::zero(v.fmt());
         }
         self.cycle = 0;
+        self.wake();
         if self.activity.is_some() {
             self.enable_activity();
         }
@@ -629,6 +720,7 @@ impl Graph {
             "snapshot span framing inconsistent"
         );
         self.cycle = state.cycle;
+        self.wake();
         for (v, &bits) in self.values.iter_mut().zip(&state.values) {
             *v = Fix::from_bits(bits, v.fmt());
         }

@@ -1,0 +1,557 @@
+//! Sleep-equivalence oracle for the graph's fixed-point latch.
+//!
+//! A graph that sleeps at a proven fixed point must be indistinguishable,
+//! cycle by cycle, from the same design stepped in full. The reference
+//! design here is kept awake by restoring its own snapshot before every
+//! step (`load_state` clears the latch), so the oracle needs no switch in
+//! the graph itself. Every cycle the two must agree on the saved state,
+//! the gateway outputs, the probe samples, the activity counts and the
+//! detected faults.
+
+use softsim_apps::cordic::hardware::{cordic_graph, cordic_graph_tmr};
+use softsim_apps::matmul::hardware::{matmul_graph, matmul_graph_tmr};
+use softsim_blocks::block::Block;
+use softsim_blocks::library::{
+    Accumulator, AddSub, AddSubOp, Constant, Counter, Delay, DownSample, DualPortRam, Mult, Mux,
+    Register, RelOp, Relational, SyncFifo, Tmr, UpSample,
+};
+use softsim_blocks::{gen, Fix, FixFmt, Graph, GraphState, NodeId};
+use softsim_testkit::{cases, Rng};
+use std::cell::Cell;
+use std::rc::Rc;
+
+const I16: FixFmt = FixFmt::INT16;
+const BOOL: FixFmt = FixFmt::BOOL;
+
+/// A source-free combinational node that counts its evaluations: a step
+/// that skips evaluation leaves the count where it was.
+struct Spy(Rc<Cell<u64>>);
+
+impl Block for Spy {
+    fn kind(&self) -> &'static str {
+        "Spy"
+    }
+    fn inputs(&self) -> usize {
+        0
+    }
+    fn outputs(&self) -> usize {
+        1
+    }
+    fn output_fmt(&self, _: usize) -> FixFmt {
+        BOOL
+    }
+    fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
+        self.0.set(self.0.get() + 1);
+        outputs[0] = Fix::zero(BOOL);
+    }
+}
+
+/// A register whose output is its state plus its data input — a Mealy
+/// output of a sequential block, which the `Block` contract allows. Its
+/// evaluation may read a source the schedule settles after it, so only
+/// the graph's output comparison (not block quiescence alone) proves a
+/// design holding one to be at a fixed point.
+#[derive(Clone)]
+struct Mealy(Fix);
+
+impl Block for Mealy {
+    fn kind(&self) -> &'static str {
+        "Mealy"
+    }
+    fn inputs(&self) -> usize {
+        2 // data, enable
+    }
+    fn outputs(&self) -> usize {
+        1
+    }
+    fn output_fmt(&self, _: usize) -> FixFmt {
+        I16
+    }
+    fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
+        outputs[0] = Fix::from_int(self.0.raw().wrapping_add(inputs[0].raw()), I16);
+    }
+    fn clock(&mut self, inputs: &[Fix]) {
+        if !inputs[1].is_zero() {
+            self.0 = inputs[0];
+        }
+    }
+    fn is_combinational(&self) -> bool {
+        false
+    }
+    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
+        inputs[1].is_zero() || inputs[0] == self.0
+    }
+    fn reset(&mut self) {
+        self.0 = Fix::zero(I16);
+    }
+    fn save_state(&self, out: &mut Vec<u64>) {
+        out.push(self.0.to_bits());
+    }
+    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+        self.0 = Fix::from_bits(src.next().unwrap(), I16);
+    }
+}
+
+/// Adds a [`Spy`] to a design and recompiles it; returns its counter.
+fn spy_on(g: &mut Graph) -> Rc<Cell<u64>> {
+    let evals = Rc::new(Cell::new(0));
+    g.add("spy", Spy(evals.clone()));
+    g.compile().expect("a source-free node keeps the design legal");
+    evals
+}
+
+/// A random library design: gateways `x0`, `x1` (16-bit) and `en`, `clr`
+/// (1-bit), structures from [`gen`], feedback through registers (some
+/// with [`Mealy`] outputs), gateway
+/// outputs and probes. The same `rng` state builds the same design.
+fn random_design(mut rng: Rng) -> (Graph, Vec<String>) {
+    let mut g = Graph::new();
+    let mut data: Vec<(NodeId, usize)> =
+        vec![(g.gateway_in("x0", I16), 0), (g.gateway_in("x1", I16), 0)];
+    let mut bits: Vec<(NodeId, usize)> =
+        vec![(g.gateway_in("en", BOOL), 0), (g.gateway_in("clr", BOOL), 0)];
+    // Feedback registers, wired at the end from anything in the design.
+    let feedback: Vec<NodeId> = (0..rng.range_usize(1, 4))
+        .map(|i| match rng.flip() {
+            true => g.add(format!("fb{i}"), Register::zeroed(I16)),
+            false => g.add(format!("fb{i}"), Mealy(Fix::zero(I16))),
+        })
+        .collect();
+    data.extend(feedback.iter().map(|&r| (r, 0)));
+    for k in 0..rng.range_usize(3, 10) {
+        let name = format!("n{k}");
+        let d = |rng: &mut Rng, data: &[(NodeId, usize)]| *rng.pick(data);
+        let b = |rng: &mut Rng, bits: &[(NodeId, usize)]| *rng.pick(bits);
+        match rng.below(16) {
+            0 => {
+                let op = if rng.flip() { AddSubOp::Add } else { AddSubOp::Sub };
+                let n = g.add(name, AddSub::new(op, I16));
+                for port in 0..2 {
+                    let (s, p) = d(&mut rng, &data);
+                    g.connect(s, p, n, port).unwrap();
+                }
+                data.push((n, 0));
+            }
+            1 => {
+                let n = g.add(name, Mult::new(I16, rng.range_usize(0, 2)));
+                for port in 0..2 {
+                    let (s, p) = d(&mut rng, &data);
+                    g.connect(s, p, n, port).unwrap();
+                }
+                data.push((n, 0));
+            }
+            2 => {
+                let n = g.add(name, Delay::new(I16, rng.range_usize(1, 4)));
+                let (s, p) = d(&mut rng, &data);
+                g.connect(s, p, n, 0).unwrap();
+                data.push((n, 0));
+            }
+            3 => {
+                let from = d(&mut rng, &data);
+                let n = gen::delay_line(&mut g, &name, from, I16, rng.range_usize(1, 4)).unwrap();
+                data.push((n, 0));
+            }
+            4 => {
+                let leaves: Vec<_> =
+                    (0..rng.range_usize(2, 5)).map(|_| d(&mut rng, &data)).collect();
+                data.push(gen::adder_tree(&mut g, &name, &leaves, I16).unwrap());
+            }
+            5 => {
+                let a = d(&mut rng, &data);
+                let lanes: Vec<_> =
+                    (0..rng.range_usize(1, 3)).map(|_| d(&mut rng, &data)).collect();
+                let latency = rng.range_usize(0, 2);
+                let mults = gen::mult_bank(&mut g, &name, a, &lanes, I16, latency).unwrap();
+                data.extend(mults.into_iter().map(|m| (m, 0)));
+            }
+            6 => {
+                let stages = gen::linear_pipeline(&mut g, &name, rng.range_usize(1, 4), |_| {
+                    Delay::new(I16, 1)
+                })
+                .unwrap();
+                let (s, p) = d(&mut rng, &data);
+                g.connect(s, p, stages[0], 0).unwrap();
+                data.push((*stages.last().unwrap(), 0));
+            }
+            7 => {
+                let op = *rng.pick(&[RelOp::Eq, RelOp::Ne, RelOp::Lt, RelOp::Gt]);
+                let n = g.add(name, Relational::new(op, 16));
+                for port in 0..2 {
+                    let (s, p) = d(&mut rng, &data);
+                    g.connect(s, p, n, port).unwrap();
+                }
+                bits.push((n, 0));
+            }
+            8 => {
+                let n = g.add(name, Accumulator::new(I16));
+                let (s, p) = d(&mut rng, &data);
+                g.connect(s, p, n, 0).unwrap();
+                for port in 1..3 {
+                    let (s, p) = b(&mut rng, &bits);
+                    g.connect(s, p, n, port).unwrap();
+                }
+                data.push((n, 0));
+            }
+            9 => {
+                let n = g.add(name, SyncFifo::new(I16, rng.range_usize(1, 4)));
+                let (s, p) = d(&mut rng, &data);
+                g.connect(s, p, n, 0).unwrap();
+                for port in 1..3 {
+                    let (s, p) = b(&mut rng, &bits);
+                    g.connect(s, p, n, port).unwrap();
+                }
+                data.push((n, 0));
+                bits.push((n, 1));
+                bits.push((n, 2));
+            }
+            10 => {
+                let n = g.add(name, Mux::new(2, I16));
+                let (s, p) = b(&mut rng, &bits);
+                g.connect(s, p, n, 0).unwrap();
+                for port in 1..3 {
+                    let (s, p) = d(&mut rng, &data);
+                    g.connect(s, p, n, port).unwrap();
+                }
+                data.push((n, 0));
+            }
+            11 => {
+                let n = g.add(name, Counter::new(I16, rng.range_u32(1, 4) as u64));
+                data.push((n, 0));
+            }
+            12 => {
+                let factor = rng.range_u32(1, 4) as u64;
+                let n = if rng.flip() {
+                    g.add(name, DownSample::new(I16, factor))
+                } else {
+                    g.add(name, UpSample::new(I16, factor))
+                };
+                let (s, p) = d(&mut rng, &data);
+                g.connect(s, p, n, 0).unwrap();
+                data.push((n, 0));
+            }
+            13 => {
+                let n = g.add(name, Tmr::new(Register::zeroed(I16)));
+                let (s, p) = d(&mut rng, &data);
+                g.connect(s, p, n, 0).unwrap();
+                let (s, p) = b(&mut rng, &bits);
+                g.connect(s, p, n, 1).unwrap();
+                data.push((n, 0));
+            }
+            14 => {
+                let n = g.add(name, Constant::int(rng.range_i64(-3, 4), I16));
+                data.push((n, 0));
+            }
+            _ => {
+                let n = g.add(name, DualPortRam::new(I16, 4));
+                for port in [0, 1, 3] {
+                    let (s, p) = d(&mut rng, &data);
+                    g.connect(s, p, n, port).unwrap();
+                }
+                let (s, p) = b(&mut rng, &bits);
+                g.connect(s, p, n, 2).unwrap();
+                data.push((n, 0));
+                data.push((n, 1));
+            }
+        }
+    }
+    for &r in &feedback {
+        let (s, p) = *rng.pick(&data);
+        g.connect(s, p, r, 0).unwrap();
+        let (s, p) = *rng.pick(&bits);
+        g.connect(s, p, r, 1).unwrap();
+    }
+    for i in 0..rng.range_usize(1, 4) {
+        let (s, p) = *rng.pick(&data);
+        g.gateway_out(format!("y{i}"), s, p);
+    }
+    let mut probes = Vec::new();
+    for i in 0..rng.range_usize(0, 3) {
+        let (s, p) = *rng.pick(&data);
+        probes.push(format!("p{i}"));
+        g.add_probe(format!("p{i}"), s, p);
+    }
+    g.compile().expect("random design compiles: feedback passes through registers");
+    (g, probes)
+}
+
+/// A design and its always-awake reference, built alike and stepped in
+/// lockstep.
+struct Twin {
+    fast: Graph,
+    reference: Graph,
+    probes: Vec<String>,
+    /// Evaluations the fast design performed (its [`Spy`] count).
+    evals: Rc<Cell<u64>>,
+    /// Evaluations the reference performed: one per step, or the
+    /// reference was not awake.
+    reference_evals: Rc<Cell<u64>>,
+    /// Cycles stepped so far, for the sleep-engagement check.
+    steps: u64,
+}
+
+impl Twin {
+    /// Builds the pair, measuring switching activity when `activity`.
+    fn new(build: impl Fn() -> (Graph, Vec<String>), activity: bool) -> Twin {
+        let (mut fast, probes) = build();
+        let (mut reference, _) = build();
+        let evals = spy_on(&mut fast);
+        let reference_evals = spy_on(&mut reference);
+        if activity {
+            fast.enable_activity();
+            reference.enable_activity();
+        }
+        Twin { fast, reference, probes, evals, reference_evals, steps: 0 }
+    }
+
+    /// Applies the same gateway values to both designs, steps both (the
+    /// reference woken first) and checks that nothing observable differs.
+    fn step(&mut self, stimulus: &[(&str, Fix)], ctx: &str) {
+        let snapshot = self.reference.save_state();
+        self.reference.load_state(&snapshot);
+        for g in [&mut self.fast, &mut self.reference] {
+            for &(name, value) in stimulus {
+                g.set_input(name, value).unwrap();
+            }
+            g.step();
+        }
+        self.steps += 1;
+        assert_eq!(self.reference_evals.get(), self.steps, "{ctx}: the reference slept");
+        self.check(ctx);
+    }
+
+    fn check(&self, ctx: &str) {
+        let (a, b) = (&self.fast, &self.reference);
+        let cycle = a.cycles();
+        assert_eq!(a.save_state(), b.save_state(), "{ctx} cycle {cycle}: state");
+        for name in a.output_names() {
+            assert_eq!(a.output(name), b.output(name), "{ctx} cycle {cycle}: output {name}");
+        }
+        for p in &self.probes {
+            assert_eq!(a.probe_samples(p), b.probe_samples(p), "{ctx} cycle {cycle}: probe {p}");
+        }
+        assert_eq!(a.total_toggles(), b.total_toggles(), "{ctx} cycle {cycle}: toggles");
+        assert_eq!(a.node_activity(), b.node_activity(), "{ctx} cycle {cycle}: node activity");
+        assert_eq!(a.activity_factor(), b.activity_factor(), "{ctx} cycle {cycle}: activity");
+        assert_eq!(a.detected_faults(), b.detected_faults(), "{ctx} cycle {cycle}: faults");
+    }
+
+    /// Applies a state change to both designs and checks them again.
+    fn both(&mut self, f: impl Fn(&mut Graph), ctx: &str) {
+        f(&mut self.fast);
+        f(&mut self.reference);
+        self.check(ctx);
+    }
+
+    /// Cycles the fast design skipped evaluation on.
+    fn slept(&self) -> u64 {
+        self.steps - self.evals.get()
+    }
+}
+
+/// Gateway values that change in short bursts and are then held for long
+/// stretches, re-set every cycle as the co-simulation feed does.
+struct Stimulus {
+    gateways: Vec<(&'static str, FixFmt)>,
+    values: Vec<Fix>,
+    hold: u32,
+}
+
+impl Stimulus {
+    fn new(gateways: &[(&'static str, FixFmt)]) -> Stimulus {
+        let values = gateways.iter().map(|&(_, fmt)| Fix::zero(fmt)).collect();
+        Stimulus { gateways: gateways.to_vec(), values, hold: 0 }
+    }
+
+    /// Zeroes every gateway and holds it there for `cycles` cycles.
+    fn idle(&mut self, cycles: u32) {
+        for v in &mut self.values {
+            *v = Fix::zero(v.fmt());
+        }
+        self.hold = cycles;
+    }
+
+    fn next(&mut self, rng: &mut Rng) -> Vec<(&'static str, Fix)> {
+        if self.hold > 0 {
+            self.hold -= 1;
+        } else if rng.below(4) == 0 {
+            self.hold = rng.range_u32(5, 80);
+        } else {
+            let i = rng.range_usize(0, self.gateways.len());
+            let fmt = self.gateways[i].1;
+            // Small values, so held designs reach fixed points.
+            self.values[i] = Fix::from_int(rng.range_i64(-2, 3), fmt);
+        }
+        self.gateways.iter().map(|g| g.0).zip(self.values.iter().copied()).collect()
+    }
+}
+
+/// Runs a twin for `cycles` cycles under `stimulus`, with occasional
+/// mid-run resets, snapshot restores and activity restarts.
+fn run_twin(twin: &mut Twin, stimulus: &mut Stimulus, rng: &mut Rng, cycles: u64, ctx: &str) {
+    // Resets and restores cover the feed too, so the gateway values set
+    // right after them match the design's and only the restore itself
+    // can wake a sleeping design.
+    let mut saved: Option<(GraphState, Vec<Fix>)> = None;
+    for _ in 0..cycles {
+        match rng.below(200) {
+            0 => {
+                twin.both(|g| g.reset(), &format!("{ctx} reset"));
+                stimulus.idle(0);
+            }
+            1 => saved = Some((twin.fast.save_state(), stimulus.values.clone())),
+            2 => {
+                if let Some((state, values)) = &saved {
+                    twin.both(|g| g.load_state(state), &format!("{ctx} restore"));
+                    stimulus.values.clone_from(values);
+                }
+            }
+            3 => twin.both(|g| g.enable_activity(), &format!("{ctx} activity")),
+            _ => {}
+        }
+        let values = stimulus.next(rng);
+        twin.step(&values, ctx);
+    }
+}
+
+/// A peripheral design by name, built fresh on each call.
+type Peripheral = (&'static str, fn() -> Graph);
+
+const FSL_GATEWAYS: [(&str, FixFmt); 3] =
+    [("fsl0_data", FixFmt::INT32), ("fsl0_valid", BOOL), ("fsl0_ctrl", BOOL)];
+
+#[test]
+fn random_library_designs_sleep_like_they_step() {
+    let (mut slept, mut sleepers) = (0, 0);
+    cases(300, |seed, rng| {
+        let design = rng.clone();
+        rng.next_u64();
+        let mut twin = Twin::new(|| random_design(design.clone()), rng.flip());
+        let mut stimulus = Stimulus::new(&[("x0", I16), ("x1", I16), ("en", BOOL), ("clr", BOOL)]);
+        run_twin(&mut twin, &mut stimulus, rng, 300, &format!("seed {seed}"));
+        slept += twin.slept();
+        sleepers += (twin.slept() > 0) as u32;
+    });
+    // Not vacuous: many designs (those without free-running counters or
+    // unbounded accumulation) reach fixed points in the held stretches.
+    assert!(sleepers >= 60, "only {sleepers} of 300 designs ever slept");
+    assert!(slept >= 15_000, "only {slept} of 90000 cycles slept");
+}
+
+#[test]
+fn peripherals_sleep_like_they_step() {
+    let builds: [Peripheral; 5] = [
+        ("cordic P=4", || cordic_graph(4)),
+        ("cordic P=2 TMR", || cordic_graph_tmr(2)),
+        ("matmul nb=2", || matmul_graph(2)),
+        ("matmul nb=4", || matmul_graph(4)),
+        ("matmul nb=2 TMR", || matmul_graph_tmr(2, 0)),
+    ];
+    for (name, build) in builds {
+        cases(6, |seed, rng| {
+            let mut twin = Twin::new(|| (build(), Vec::new()), seed % 2 == 1);
+            let mut stimulus = Stimulus::new(&FSL_GATEWAYS);
+            run_twin(&mut twin, &mut stimulus, rng, 800, &format!("{name} seed {seed}"));
+            assert!(twin.slept() > 0, "{name} seed {seed}: never slept");
+        });
+    }
+}
+
+/// A TMR design with one replica's state words flipped keeps counting
+/// miscompares each cycle exactly as stepping does: divergent replicas
+/// refuse quiescence, so the design never sleeps through the fault.
+#[test]
+fn upset_tmr_replicas_sleep_like_they_step() {
+    let builds: [Peripheral; 2] = [
+        ("cordic P=2 TMR", || cordic_graph_tmr(2)),
+        ("matmul nb=2 TMR", || matmul_graph_tmr(2, 0)),
+    ];
+    for (name, build) in builds {
+        let mut detected = 0;
+        cases(8, |seed, rng| {
+            let mut twin = Twin::new(|| (build(), Vec::new()), seed % 2 == 1);
+            let mut stimulus = Stimulus::new(&FSL_GATEWAYS);
+            let ctx = format!("{name} seed {seed}");
+            run_twin(&mut twin, &mut stimulus, rng, 200, &ctx);
+            // Drain with idle inputs, so the upset lands on a sleeping
+            // design and only the restore can wake it.
+            stimulus.idle(u32::MAX);
+            let slept = twin.slept();
+            for _ in 0..100 {
+                let values = stimulus.next(rng);
+                twin.step(&values, &format!("{ctx} drain"));
+            }
+            assert!(twin.slept() > slept, "{ctx}: a drained design sleeps");
+            // Flip one bit of replica 1 of a voted block. A `Tmr` frame
+            // is [miscompares, replica 0, replica 1, replica 2].
+            let mut state = twin.fast.save_state();
+            let voted: Vec<usize> =
+                (0..state.spans.len()).filter(|&i| state.spans[i] > 1).collect();
+            let node = *rng.pick(&voted);
+            let start: usize = state.spans[..node].iter().map(|&n| n as usize).sum();
+            let per_replica = (state.spans[node] as usize - 1) / 3;
+            let word = start + 1 + per_replica + rng.range_usize(0, per_replica);
+            state.block_words[word] ^= 1 << rng.range_u32(0, 32);
+            twin.both(|g| g.load_state(&state), &format!("{ctx} upset"));
+            let clean = twin.fast.detected_faults();
+            for i in 0..400 {
+                if i == 100 {
+                    stimulus.hold = 0;
+                }
+                let values = stimulus.next(rng);
+                twin.step(&values, &format!("{ctx} after upset"));
+            }
+            detected += twin.fast.detected_faults() - clean;
+        });
+        assert!(detected > 0, "{name}: no upset was ever detected");
+    }
+}
+
+/// A drained CORDIC pipeline with held inputs stops evaluating; setting
+/// the same value again leaves it asleep, and a changed value wakes it
+/// for exactly the steps it takes to prove the new fixed point.
+#[test]
+fn drained_cordic_sleeps_until_an_input_changes() {
+    let mut g = cordic_graph(4);
+    let evals = spy_on(&mut g);
+    let h = |name| g.input_handle(name).unwrap();
+    let (data, valid, ctrl) = (h("fsl0_data"), h("fsl0_valid"), h("fsl0_ctrl"));
+    let word = |v: u64| Fix::from_bits(v, FixFmt::INT32);
+    let bit = |v: u64| Fix::from_bits(v, BOOL);
+    // A control word, then one (XS, Y, Z) tuple.
+    for (w, c) in [(1 << 20, 1), (1 << 20, 0), (3, 0), (0, 0)] {
+        g.set_input_fast(data, word(w));
+        g.set_input_fast(valid, bit(1));
+        g.set_input_fast(ctrl, bit(c));
+        g.step();
+    }
+    // Idle inputs until the result has drained out.
+    g.set_input_fast(data, word(0));
+    g.set_input_fast(valid, bit(0));
+    g.set_input_fast(ctrl, bit(0));
+    g.run(20);
+    assert!(g.is_quiescent(), "drained pipeline is a fixed point");
+
+    let before = evals.get();
+    for _ in 0..100 {
+        g.set_input_fast(data, word(0));
+        g.set_input_fast(valid, bit(0));
+        g.set_input_fast(ctrl, bit(0));
+        g.step();
+    }
+    assert_eq!(evals.get(), before, "asleep: re-setting held values evaluates nothing");
+    assert_eq!(g.cycles(), 124, "sleeping steps still count cycles");
+
+    // A changed data word with `valid` low wakes the design; the step
+    // after it proves the new fixed point and the design sleeps again.
+    g.set_input_fast(data, word(5));
+    g.run(10);
+    assert_eq!(evals.get(), before + 2, "one step to settle, one to prove the fixed point");
+
+    // Restoring a snapshot and resetting wake it the same way.
+    g.load_state(&g.save_state());
+    g.run(10);
+    assert_eq!(evals.get(), before + 4, "a restore wakes the design");
+    g.reset();
+    g.run(10);
+    assert_eq!(evals.get(), before + 6, "a reset wakes the design");
+}

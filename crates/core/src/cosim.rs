@@ -626,9 +626,9 @@ impl CoSim {
                     None => (0, false, false),
                 };
                 p.graph.set_input_fast(b.data, Fix::from_bits(data as u64, FixFmt::INT32));
-                p.graph.set_input_fast(b.valid, Fix::from_int(valid as i64, FixFmt::BOOL));
+                p.graph.set_input_fast(b.valid, Fix::from_bits(valid as u64, FixFmt::BOOL));
                 if let Some(c) = b.control {
-                    p.graph.set_input_fast(c, Fix::from_int(ctrl as i64, FixFmt::BOOL));
+                    p.graph.set_input_fast(c, Fix::from_bits(ctrl as u64, FixFmt::BOOL));
                 }
             }
             p.graph.step();

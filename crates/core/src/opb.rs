@@ -144,9 +144,9 @@ impl OpbPeripheral for OpbBlockAdapter {
             self.emit(true, data);
         }
         self.graph.set_input_fast(self.h_data, Fix::from_bits(data as u64, FixFmt::INT32));
-        self.graph.set_input_fast(self.h_valid, Fix::from_int(valid as i64, FixFmt::BOOL));
+        self.graph.set_input_fast(self.h_valid, Fix::from_bits(valid as u64, FixFmt::BOOL));
         if let Some(h) = self.h_ctrl {
-            self.graph.set_input_fast(h, Fix::from_int(ctrl as i64, FixFmt::BOOL));
+            self.graph.set_input_fast(h, Fix::from_bits(ctrl as u64, FixFmt::BOOL));
         }
         self.graph.step();
         if !self.graph.output_fast(self.h_out_valid).is_zero() {
