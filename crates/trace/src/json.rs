@@ -2,10 +2,15 @@
 //!
 //! The build environment is fully offline, so the trace exporters are
 //! schema-checked with this small recursive-descent parser instead of an
-//! external JSON crate. It accepts standard JSON (RFC 8259); it is meant
-//! for validating our own exports, not for hostile input.
+//! external JSON crate. It accepts standard JSON (RFC 8259). The
+//! simulation service also parses its network requests with it, so
+//! nesting is capped at [`MAX_DEPTH`]: a deeper document is an `Err`,
+//! not a stack overflow.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +66,7 @@ impl Value {
 /// Parses a complete JSON document.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -74,6 +79,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -121,11 +128,22 @@ impl Parser<'_> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => Ok(Value::String(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
         }
+    }
+
+    /// Parses one array or object with `inner`, one level deeper.
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -259,6 +277,29 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let err = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let doc = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &parse(&doc).expect("at the limit");
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().expect("array")[0];
+        }
+        assert_eq!(v.as_array(), Some(&[Value::Number(1.0)][..]));
+        let over = format!("[{doc}]");
+        assert!(parse(&over).is_err(), "one past the limit");
+        let objects =
+            format!("{}{{}}{}", "{\"a\":".repeat(MAX_DEPTH - 1), "}".repeat(MAX_DEPTH - 1));
+        assert!(parse(&objects).is_ok(), "objects at the limit");
     }
 
     #[test]
