@@ -30,6 +30,13 @@ pub trait Block {
     /// Combinational evaluation: compute `outputs` from `inputs` and the
     /// block's current state. Must be side-effect free with respect to
     /// sequential state.
+    ///
+    /// The outputs must be a function of the block's state and its input
+    /// values only: the same state and the same input bits give the same
+    /// output bits. The graph relies on this to skip a block whose inputs
+    /// and state are unchanged since its last evaluation (see
+    /// [`crate::Graph::step`]); a block that read anything else — a clock,
+    /// a counter of its own calls, shared mutable data — would go stale.
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]);
 
     /// Rising clock edge: latch next state from the settled `inputs`.
@@ -63,6 +70,11 @@ pub trait Block {
     /// graph checks separately), while `true` must be exact — a block
     /// that claims quiescence and then changes state breaks
     /// cycle-accuracy.
+    ///
+    /// Like [`Block::eval`], the answer must be a function of the block's
+    /// state and `inputs` only. The graph does not clock a block whose
+    /// last edge was answered `true` until one of its inputs changes, so
+    /// the answer stands for every later cycle with the same inputs.
     fn is_quiescent(&self, inputs: &[Fix]) -> bool {
         let _ = inputs;
         false

@@ -16,37 +16,52 @@
 //! cost is a linear scan — this is what makes the high-level simulation
 //! an order of magnitude faster per cycle than event-driven RTL.
 //!
-//! # Sleeping at a fixed point
+//! # Evaluating only what can change
 //!
-//! Most cycles of a co-simulated peripheral change nothing: no word is
-//! arriving and the pipeline has drained. The graph notices this itself
-//! and stops doing per-cycle work until something can change again.
+//! Most cycles of a co-simulated peripheral change little or nothing: a
+//! word moves through one or two blocks, or none arrives at all. A step
+//! therefore evaluates and clocks only the nodes that can change, and a
+//! design with nothing left to change costs a counter bump per step.
+//! Each node carries three marks:
+//!
+//! * **eval** — a source value changed since the node last evaluated;
+//! * **clock** — a source value changed since the node last clocked
+//!   (sequential blocks only);
+//! * **unsettled** — the node's last clock edge was not proven an
+//!   identity by [`Block::is_quiescent`] on the inputs it clocked from.
+//!
+//! Marks are set as follows:
 //!
 //! * **Wake.** [`Graph::set_input_fast`] stores a gateway value only when
-//!   its bits differ from the held one; a store clears the sleep latch
-//!   and marks the inputs changed. [`Graph::compile`], [`Graph::reset`]
-//!   and [`Graph::load_state`] do the same.
-//! * **Detect.** A normal [`Graph::step`] taken with no input changed
-//!   since the previous step also checks, block by block in schedule
-//!   order, that the freshly evaluated outputs equal the values they
-//!   overwrite (every gateway rewrites the value it already held), and
-//!   asks each sequential block [`Block::is_quiescent`] on the inputs it
-//!   is about to clock from. The first failure ends the checks for that
-//!   step; if every block passes, the latch is set.
-//! * **Skip.** While the latch is set, `step` only advances the cycle
+//!   its bits differ from the held one, and marks that gateway.
+//!   [`Graph::compile`], [`Graph::reset`] and [`Graph::load_state`] mark
+//!   every node.
+//! * **Evaluate.** [`Graph::step`] walks the schedule and evaluates a
+//!   node only if it has an eval mark or is unsettled. When the fresh
+//!   outputs differ from the values they overwrite, every consumer of
+//!   the node gets an eval and a clock mark. A consumer later in the
+//!   schedule sees the new value in this step; one earlier in the
+//!   schedule (a sequential block on a feedback edge) sees it in the next
+//!   step, just as a full step would show it.
+//! * **Clock.** A sequential block is clocked only if it has a clock
+//!   mark or is unsettled. It is asked [`Block::is_quiescent`] first,
+//!   then clocked, and stays unsettled exactly when the answer was no.
+//! * **Skip.** With no node marked, `step` only advances the cycle
 //!   counter, counts one toggle-free activity cycle and records every
 //!   probe's (unchanged) value.
 //!
-//! Soundness: if every output reproduced its value, each evaluation in
-//! the step read exactly the values of the step before (by induction
-//! along the schedule, even where a sequential block's outputs read a
-//! source settled after it), so the step computed the same values from
-//! the same state; the quiescent blocks' clock edges left that state as
-//! it was. With the gateway inputs held, the next step starts from
-//! identical values, state and inputs, so it is the same identity — and
-//! so is every step after it, until an input store or a state restore
-//! clears the latch. Probes, activity and trace sinks observe exactly
-//! what stepping would have shown them.
+//! Soundness: a block's outputs are a function of its state and input
+//! values, and `is_quiescent` is exact (see [`Block`]). A node that is
+//! skipped reads input values bit-identical to those of its last
+//! evaluation — any change since then would have marked it — and its
+//! state was left alone by its last clock edge, or it would be
+//! unsettled. So it would recompute the outputs it already holds. A
+//! sequential block that is not clocked holds the state and inputs of a
+//! clock edge that was proven an identity, so its next edge would be
+//! that identity again. Every skipped evaluation and clock edge is
+//! therefore one a full step would have spent reproducing what it
+//! already had; probes, activity and trace sinks observe exactly what
+//! full stepping shows them.
 
 use crate::block::Block;
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
@@ -199,17 +214,29 @@ pub struct Graph {
     probes: Vec<(String, usize, Vec<Fix>)>,
     /// Switching-activity measurement, when enabled.
     activity: Option<Activity>,
-    /// Sleep latch: the last step proved the design a fixed point of the
-    /// held gateway inputs, so steps skip evaluation and clocking (see
-    /// the module docs).
-    asleep: bool,
-    /// A gateway input changed (or the state was replaced) since the
-    /// last step; no fixed point can be proven across that step.
-    inputs_changed: bool,
-    /// Output values of the node being evaluated, held for the
-    /// fixed-point comparison.
+    /// Consumers of each node, CSR form: node `i` feeds
+    /// `consumers[consumer_off[i]..consumer_off[i + 1]]`.
+    consumer_off: Vec<u32>,
+    consumers: Vec<u32>,
+    /// Per-node [`EVAL`], [`CLOCK`] and [`UNSETTLED`] marks (see the
+    /// module docs).
+    marks: Vec<u8>,
+    /// The marks a changed source sets on each node: eval, plus clock
+    /// for sequential blocks.
+    touch: Vec<u8>,
+    /// Some node is marked, so the next step has work to do.
+    awake: bool,
+    /// Output values of the node being evaluated, held for the change
+    /// comparison.
     held: Vec<Fix>,
 }
+
+/// Node mark: a source value changed since the node last evaluated.
+const EVAL: u8 = 1;
+/// Node mark: a source value changed since the node last clocked.
+const CLOCK: u8 = 2;
+/// Node mark: the node's last clock edge was not proven an identity.
+const UNSETTLED: u8 = 4;
 
 /// Measured switching activity of a design (see
 /// [`Graph::enable_activity`]): how many output-port values changed,
@@ -370,8 +397,33 @@ impl Graph {
             }
             self.plan_range.push((start, self.plan_src.len() as u32));
         }
-        self.seq_nodes =
-            (0..n as u32).filter(|&i| !self.nodes[i as usize].is_combinational()).collect();
+        // Consumer lists, one entry per (source node, consumer) pair.
+        let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (j, node) in self.nodes.iter().enumerate() {
+            for src in node.sources.iter().flatten() {
+                let list = &mut consumers[src.0 .0];
+                if list.last() != Some(&(j as u32)) {
+                    list.push(j as u32);
+                }
+            }
+        }
+        self.consumer_off.clear();
+        self.consumer_off.push(0);
+        self.consumers.clear();
+        for list in consumers {
+            self.consumers.extend(list);
+            self.consumer_off.push(self.consumers.len() as u32);
+        }
+        self.seq_nodes = (0..n as u32)
+            .filter(|&i| {
+                let node = &self.nodes[i as usize];
+                matches!(node.kind, Kind::Block(_)) && !node.is_combinational()
+            })
+            .collect();
+        self.touch = vec![EVAL; n];
+        for &i in &self.seq_nodes {
+            self.touch[i as usize] |= CLOCK;
+        }
         self.schedule = order;
         self.compiled = true;
         self.wake();
@@ -399,8 +451,7 @@ impl Graph {
 
     /// Sets a `Gateway In` through a resolved handle (no name lookup).
     /// A value already in the gateway's format is stored as is; storing
-    /// the value the gateway already holds leaves a sleeping design
-    /// asleep.
+    /// the value the gateway already holds marks nothing.
     #[inline]
     pub fn set_input_fast(&mut self, handle: InputHandle, value: Fix) {
         let Kind::Input { fmt, value: slot } = &mut self.nodes[handle.0].kind else {
@@ -413,15 +464,19 @@ impl Graph {
         };
         if value != *slot {
             *slot = value;
-            self.wake();
+            // An uncompiled design is marked whole when it compiles.
+            if self.compiled {
+                self.marks[handle.0] |= EVAL;
+                self.awake = true;
+            }
         }
     }
 
-    /// Clears the sleep latch and marks the inputs changed, so the next
-    /// step evaluates everything and proves nothing.
+    /// Marks every node, so the next step evaluates and clocks the whole
+    /// design.
     fn wake(&mut self) {
-        self.asleep = false;
-        self.inputs_changed = true;
+        self.marks.clone_from(&self.touch);
+        self.awake = true;
     }
 
     /// Reads a `Gateway Out` through a resolved handle (no name lookup).
@@ -447,21 +502,22 @@ impl Graph {
         self.values[self.nodes[node.0].val_off as usize + port]
     }
 
-    /// Advances the design by one clock cycle. A design asleep at a
-    /// proven fixed point only advances its counters and probes (see the
-    /// module docs).
+    /// Advances the design by one clock cycle, evaluating and clocking
+    /// only the marked nodes; a design with no node marked only advances
+    /// its counters and probes (see the module docs).
     ///
     /// # Panics
     /// Panics if the graph was modified since the last successful
     /// [`Graph::compile`].
     pub fn step(&mut self) {
         assert!(self.compiled, "Graph::compile must succeed before step");
-        let awake = !self.asleep;
+        let awake = self.awake;
         if awake {
             self.eval_and_clock();
         }
         if let Some(act) = &mut self.activity {
-            // A sleeping step changes no value, so it toggles nothing.
+            // A step with no node marked changes no value, so it toggles
+            // nothing.
             if awake {
                 for (i, node) in self.nodes.iter().enumerate() {
                     let off = node.val_off as usize;
@@ -482,17 +538,31 @@ impl Graph {
         self.cycle += 1;
     }
 
-    /// The two phases of a step; sets the sleep latch when the step
-    /// proves the design a fixed point of unchanged inputs.
+    /// The two phases of a step over the marked nodes; leaves the marks
+    /// the next step needs and clears `awake` when there are none.
     fn eval_and_clock(&mut self) {
-        let mut fixed = !self.inputs_changed;
-        self.inputs_changed = false;
         let Graph {
-            nodes, values, schedule, seq_nodes, plan_src, plan_range, scratch, held, ..
+            nodes,
+            values,
+            schedule,
+            seq_nodes,
+            plan_src,
+            plan_range,
+            scratch,
+            consumer_off,
+            consumers,
+            marks,
+            touch,
+            held,
+            ..
         } = self;
         // Phase 1: settle combinational logic in topological order.
         for &i in schedule.iter() {
             let i = i as usize;
+            if marks[i] & (EVAL | UNSETTLED) == 0 {
+                continue;
+            }
+            marks[i] &= !EVAL;
             let node = &nodes[i];
             let (s, e) = plan_range[i];
             scratch.clear();
@@ -500,33 +570,47 @@ impl Graph {
                 scratch.push(values[src as usize]);
             }
             let out = &mut values[node.val_off as usize..(node.val_off + node.val_len) as usize];
-            match &node.kind {
-                Kind::Block(b) if fixed => {
+            let changed = match &node.kind {
+                Kind::Block(b) => {
                     held.clear();
                     held.extend_from_slice(out);
                     b.eval(scratch, out);
-                    fixed = out[..] == held[..];
+                    out[..] != held[..]
                 }
-                Kind::Block(b) => b.eval(scratch, out),
-                // Unless `inputs_changed`, this rewrites the same value.
-                Kind::Input { value, .. } => out[0] = *value,
+                Kind::Input { value, .. } => {
+                    let changed = out[0] != *value;
+                    out[0] = *value;
+                    changed
+                }
+            };
+            if changed {
+                for &c in &consumers[consumer_off[i] as usize..consumer_off[i + 1] as usize] {
+                    marks[c as usize] |= touch[c as usize];
+                }
             }
         }
-        // Phase 2: clock edge — every sequential block latches from the
-        // settled values.
+        // Phase 2: clock edge — every marked sequential block latches
+        // from the settled values.
         for &i in seq_nodes.iter() {
             let i = i as usize;
+            if marks[i] & (CLOCK | UNSETTLED) == 0 {
+                continue;
+            }
             let (s, e) = plan_range[i];
             scratch.clear();
             for &src in &plan_src[s as usize..e as usize] {
                 scratch.push(values[src as usize]);
             }
             if let Kind::Block(b) = &mut nodes[i].kind {
-                fixed = fixed && b.is_quiescent(scratch);
+                let quiescent = b.is_quiescent(scratch);
                 b.clock(scratch);
+                marks[i] &= !(CLOCK | UNSETTLED);
+                if !quiescent {
+                    marks[i] |= UNSETTLED;
+                }
             }
         }
-        self.asleep = fixed;
+        self.awake = self.marks.iter().any(|&m| m != 0);
     }
 
     /// Runs `n` cycles.
@@ -547,13 +631,15 @@ impl Graph {
     /// [`Graph::fast_forward`].
     ///
     /// Conservative: `false` only means quiescence could not be proven.
-    /// A design asleep at a fixed point answers `true` at once.
+    /// A design with no node marked answers `true` at once: every node
+    /// would reproduce its last evaluation and clock edge (see the module
+    /// docs).
     ///
     /// # Panics
     /// Panics if the graph is not compiled.
     pub fn is_quiescent(&self) -> bool {
         assert!(self.compiled, "Graph::compile must succeed before is_quiescent");
-        if self.asleep {
+        if !self.awake {
             return true;
         }
         let mut ins: Vec<Fix> = Vec::new();

@@ -1,12 +1,13 @@
-//! Sleep-equivalence oracle for the graph's fixed-point latch.
+//! Sleep-equivalence oracle for the graph's per-node marks.
 //!
-//! A graph that sleeps at a proven fixed point must be indistinguishable,
-//! cycle by cycle, from the same design stepped in full. The reference
-//! design here is kept awake by restoring its own snapshot before every
-//! step (`load_state` clears the latch), so the oracle needs no switch in
-//! the graph itself. Every cycle the two must agree on the saved state,
-//! the gateway outputs, the probe samples, the activity counts and the
-//! detected faults.
+//! A graph that evaluates and clocks only the nodes whose inputs or
+//! state changed must be indistinguishable, cycle by cycle, from the same
+//! design stepped in full. The reference design here is kept awake by
+//! restoring its own snapshot before every step (`load_state` marks every
+//! node), so the oracle needs no switch in the graph itself. Every cycle
+//! the two must agree on the saved state, the gateway outputs, the probe
+//! samples, the activity counts, the detected faults and the answer to
+//! `is_quiescent`.
 
 use softsim_apps::cordic::hardware::{cordic_graph, cordic_graph_tmr};
 use softsim_apps::matmul::hardware::{matmul_graph, matmul_graph_tmr};
@@ -18,31 +19,37 @@ use softsim_blocks::library::{
 use softsim_blocks::{gen, Fix, FixFmt, Graph, GraphState, NodeId};
 use softsim_testkit::{cases, Rng};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 const I16: FixFmt = FixFmt::INT16;
 const BOOL: FixFmt = FixFmt::BOOL;
 
-/// A source-free combinational node that counts its evaluations: a step
-/// that skips evaluation leaves the count where it was.
-struct Spy(Rc<Cell<u64>>);
+/// A combinational node that counts its evaluations: a step that skips
+/// it leaves the count where it was. It passes its one input through, or
+/// outputs a constant zero when it has none.
+struct Spy {
+    evals: Rc<Cell<u64>>,
+    fmt: FixFmt,
+    inputs: usize,
+}
 
 impl Block for Spy {
     fn kind(&self) -> &'static str {
         "Spy"
     }
     fn inputs(&self) -> usize {
-        0
+        self.inputs
     }
     fn outputs(&self) -> usize {
         1
     }
     fn output_fmt(&self, _: usize) -> FixFmt {
-        BOOL
+        self.fmt
     }
-    fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
-        self.0.set(self.0.get() + 1);
-        outputs[0] = Fix::zero(BOOL);
+    fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
+        self.evals.set(self.evals.get() + 1);
+        outputs[0] = inputs.first().copied().unwrap_or(Fix::zero(self.fmt));
     }
 }
 
@@ -92,12 +99,23 @@ impl Block for Mealy {
     }
 }
 
-/// Adds a [`Spy`] to a design and recompiles it; returns its counter.
+/// Adds a source-free [`Spy`] to a design and recompiles it; returns its
+/// counter. Nothing can change its inputs, so it is evaluated only when
+/// the whole design is marked: after `compile`, `reset` and `load_state`.
 fn spy_on(g: &mut Graph) -> Rc<Cell<u64>> {
     let evals = Rc::new(Cell::new(0));
-    g.add("spy", Spy(evals.clone()));
+    g.add("spy", Spy { evals: evals.clone(), fmt: BOOL, inputs: 0 });
     g.compile().expect("a source-free node keeps the design legal");
     evals
+}
+
+/// Adds a pass-through [`Spy`] reading port 0 of `from`; returns the node
+/// and its counter.
+fn spy_after(g: &mut Graph, name: &str, from: NodeId) -> (NodeId, Rc<Cell<u64>>) {
+    let evals = Rc::new(Cell::new(0));
+    let n = g.add(name, Spy { evals: evals.clone(), fmt: I16, inputs: 1 });
+    g.wire(from, n, 0).unwrap();
+    (n, evals)
 }
 
 /// A random library design: gateways `x0`, `x1` (16-bit) and `en`, `clr`
@@ -274,19 +292,54 @@ fn random_design(mut rng: Rng) -> (Graph, Vec<String>) {
     (g, probes)
 }
 
+/// A [`random_design`] with a Mealy island beside it: gateway `m` reaches
+/// only the [`Mealy`] register `island`, which is read by the `Mealy`
+/// register `tap`. `tap` is added after `island`, so the schedule runs it
+/// first: a change on `m` reaches `tap`'s evaluation a step after its
+/// clock edge, through the feedback-edge path of the scheduler.
+fn island_design(rng: Rng) -> (Graph, Vec<String>) {
+    let (mut g, probes) = random_design(rng);
+    let m = g.gateway_in("m", I16);
+    let on = g.add("on", Constant::int(1, BOOL));
+    let island = g.add("island", Mealy(Fix::zero(I16)));
+    let tap = g.add("tap", Mealy(Fix::zero(I16)));
+    g.wire(m, island, 0).unwrap();
+    g.wire(on, island, 1).unwrap();
+    g.wire(island, tap, 0).unwrap();
+    g.wire(on, tap, 1).unwrap();
+    g.gateway_out("yisland", island, 0);
+    g.gateway_out("ytap", tap, 0);
+    g.compile().expect("the island passes through registers");
+    (g, probes)
+}
+
 /// A design and its always-awake reference, built alike and stepped in
 /// lockstep.
 struct Twin {
     fast: Graph,
     reference: Graph,
     probes: Vec<String>,
-    /// Evaluations the fast design performed (its [`Spy`] count).
+    /// Evaluations the fast design performed (its source-free [`Spy`]
+    /// count): one per step that follows a whole-design mark.
     evals: Rc<Cell<u64>>,
+    /// Steps of the fast design that followed a whole-design mark.
+    wakes: u64,
+    /// The fast design was marked whole since its last step.
+    marked_whole: bool,
     /// Evaluations the reference performed: one per step, or the
     /// reference was not awake.
     reference_evals: Rc<Cell<u64>>,
-    /// Cycles stepped so far, for the sleep-engagement check.
+    /// Cycles stepped so far.
     steps: u64,
+    /// Steps begun with no node of the fast design marked: its
+    /// `is_quiescent` answered `true` without evaluating a node.
+    slept: u64,
+    /// Steps begun with no node marked that changed exactly one
+    /// gateway, by gateway: each evaluates that gateway's downstream
+    /// nodes only.
+    partial: BTreeMap<&'static str, u64>,
+    /// The gateway values of the previous step.
+    last: Vec<(&'static str, Fix)>,
 }
 
 impl Twin {
@@ -300,22 +353,57 @@ impl Twin {
             fast.enable_activity();
             reference.enable_activity();
         }
-        Twin { fast, reference, probes, evals, reference_evals, steps: 0 }
+        Twin {
+            fast,
+            reference,
+            probes,
+            evals,
+            wakes: 0,
+            marked_whole: true,
+            reference_evals,
+            steps: 0,
+            slept: 0,
+            partial: BTreeMap::new(),
+            last: Vec::new(),
+        }
     }
 
     /// Applies the same gateway values to both designs, steps both (the
     /// reference woken first) and checks that nothing observable differs.
-    fn step(&mut self, stimulus: &[(&str, Fix)], ctx: &str) {
+    fn step(&mut self, stimulus: &[(&'static str, Fix)], ctx: &str) {
         let snapshot = self.reference.save_state();
         self.reference.load_state(&snapshot);
+        // The reference, marked whole, answers `is_quiescent` by the full
+        // scan; the fast design answers at once when nothing is marked.
+        // The scan evaluates every node, the spies included, so the spy
+        // counts are put back after it: they count stepped evaluations.
+        let (evals, reference_evals) = (self.evals.get(), self.reference_evals.get());
+        let quiet = self.fast.is_quiescent();
+        assert_eq!(quiet, self.reference.is_quiescent(), "{ctx}: is_quiescent");
+        if quiet && self.evals.get() == evals {
+            self.slept += 1;
+            let mut changed = stimulus.iter().zip(&self.last).filter(|(a, b)| a != b);
+            if let (Some((a, _)), None) = (changed.next(), changed.next()) {
+                *self.partial.entry(a.0).or_default() += 1;
+            }
+        }
+        self.evals.set(evals);
+        self.reference_evals.set(reference_evals);
         for g in [&mut self.fast, &mut self.reference] {
             for &(name, value) in stimulus {
                 g.set_input(name, value).unwrap();
             }
             g.step();
         }
+        self.last = stimulus.to_vec();
         self.steps += 1;
+        self.wakes += std::mem::take(&mut self.marked_whole) as u64;
         assert_eq!(self.reference_evals.get(), self.steps, "{ctx}: the reference slept");
+        assert_eq!(
+            self.evals.get(),
+            self.wakes,
+            "{ctx}: a source-free node evaluates only after a whole-design mark"
+        );
         self.check(ctx);
     }
 
@@ -336,30 +424,32 @@ impl Twin {
     }
 
     /// Applies a state change to both designs and checks them again.
-    fn both(&mut self, f: impl Fn(&mut Graph), ctx: &str) {
+    /// `marks_whole` says whether the change marks every node (`reset`
+    /// and `load_state` do).
+    fn both(&mut self, f: impl Fn(&mut Graph), marks_whole: bool, ctx: &str) {
         f(&mut self.fast);
         f(&mut self.reference);
+        self.marked_whole |= marks_whole;
         self.check(ctx);
-    }
-
-    /// Cycles the fast design skipped evaluation on.
-    fn slept(&self) -> u64 {
-        self.steps - self.evals.get()
     }
 }
 
 /// Gateway values that change in short bursts and are then held for long
-/// stretches, re-set every cycle as the co-simulation feed does.
+/// stretches, re-set every cycle as the co-simulation feed does. Some
+/// bursts are solo stretches: one gateway changes on every step of the
+/// stretch and every other gateway holds.
 struct Stimulus {
     gateways: Vec<(&'static str, FixFmt)>,
     values: Vec<Fix>,
     hold: u32,
+    /// The gateway of a solo stretch and the steps left in it.
+    solo: Option<(usize, u32)>,
 }
 
 impl Stimulus {
     fn new(gateways: &[(&'static str, FixFmt)]) -> Stimulus {
         let values = gateways.iter().map(|&(_, fmt)| Fix::zero(fmt)).collect();
-        Stimulus { gateways: gateways.to_vec(), values, hold: 0 }
+        Stimulus { gateways: gateways.to_vec(), values, hold: 0, solo: None }
     }
 
     /// Zeroes every gateway and holds it there for `cycles` cycles.
@@ -371,18 +461,29 @@ impl Stimulus {
     }
 
     fn next(&mut self, rng: &mut Rng) -> Vec<(&'static str, Fix)> {
-        if self.hold > 0 {
+        if let Some((i, left)) = self.solo {
+            let old = self.values[i];
+            while self.values[i] == old {
+                self.values[i] = small(rng, self.gateways[i].1);
+            }
+            self.solo = (left > 1).then_some((i, left - 1));
+        } else if self.hold > 0 {
             self.hold -= 1;
-        } else if rng.below(4) == 0 {
-            self.hold = rng.range_u32(5, 80);
         } else {
             let i = rng.range_usize(0, self.gateways.len());
-            let fmt = self.gateways[i].1;
-            // Small values, so held designs reach fixed points.
-            self.values[i] = Fix::from_int(rng.range_i64(-2, 3), fmt);
+            match rng.below(8) {
+                0 | 1 => self.hold = rng.range_u32(5, 80),
+                2 => self.solo = Some((i, rng.range_u32(1, 12))),
+                _ => self.values[i] = small(rng, self.gateways[i].1),
+            }
         }
         self.gateways.iter().map(|g| g.0).zip(self.values.iter().copied()).collect()
     }
+}
+
+/// A small value, so held designs reach fixed points.
+fn small(rng: &mut Rng, fmt: FixFmt) -> Fix {
+    Fix::from_int(rng.range_i64(-2, 3), fmt)
 }
 
 /// Runs a twin for `cycles` cycles under `stimulus`, with occasional
@@ -395,17 +496,17 @@ fn run_twin(twin: &mut Twin, stimulus: &mut Stimulus, rng: &mut Rng, cycles: u64
     for _ in 0..cycles {
         match rng.below(200) {
             0 => {
-                twin.both(|g| g.reset(), &format!("{ctx} reset"));
+                twin.both(|g| g.reset(), true, &format!("{ctx} reset"));
                 stimulus.idle(0);
             }
             1 => saved = Some((twin.fast.save_state(), stimulus.values.clone())),
             2 => {
                 if let Some((state, values)) = &saved {
-                    twin.both(|g| g.load_state(state), &format!("{ctx} restore"));
+                    twin.both(|g| g.load_state(state), true, &format!("{ctx} restore"));
                     stimulus.values.clone_from(values);
                 }
             }
-            3 => twin.both(|g| g.enable_activity(), &format!("{ctx} activity")),
+            3 => twin.both(|g| g.enable_activity(), false, &format!("{ctx} activity")),
             _ => {}
         }
         let values = stimulus.next(rng);
@@ -422,19 +523,30 @@ const FSL_GATEWAYS: [(&str, FixFmt); 3] =
 #[test]
 fn random_library_designs_sleep_like_they_step() {
     let (mut slept, mut sleepers) = (0, 0);
+    let mut partial: BTreeMap<&str, u64> = BTreeMap::new();
     cases(300, |seed, rng| {
         let design = rng.clone();
         rng.next_u64();
-        let mut twin = Twin::new(|| random_design(design.clone()), rng.flip());
-        let mut stimulus = Stimulus::new(&[("x0", I16), ("x1", I16), ("en", BOOL), ("clr", BOOL)]);
+        let mut twin = Twin::new(|| island_design(design.clone()), rng.flip());
+        let mut stimulus =
+            Stimulus::new(&[("x0", I16), ("x1", I16), ("en", BOOL), ("clr", BOOL), ("m", I16)]);
         run_twin(&mut twin, &mut stimulus, rng, 300, &format!("seed {seed}"));
-        slept += twin.slept();
-        sleepers += (twin.slept() > 0) as u32;
+        slept += twin.slept;
+        sleepers += (twin.slept > 0) as u32;
+        for (gateway, n) in twin.partial {
+            *partial.entry(gateway).or_default() += n;
+        }
     });
     // Not vacuous: many designs (those without free-running counters or
-    // unbounded accumulation) reach fixed points in the held stretches.
+    // unbounded accumulation) reach fixed points in the held stretches,
+    // and many steps wake such a design through one gateway only — the
+    // island's `m` among them.
     assert!(sleepers >= 60, "only {sleepers} of 300 designs ever slept");
     assert!(slept >= 15_000, "only {slept} of 90000 cycles slept");
+    for gateway in ["x0", "x1", "en", "clr", "m"] {
+        let n = partial.get(gateway).copied().unwrap_or(0);
+        assert!(n >= 100, "only {n} partial wakes through `{gateway}`");
+    }
 }
 
 #[test]
@@ -451,7 +563,7 @@ fn peripherals_sleep_like_they_step() {
             let mut twin = Twin::new(|| (build(), Vec::new()), seed % 2 == 1);
             let mut stimulus = Stimulus::new(&FSL_GATEWAYS);
             run_twin(&mut twin, &mut stimulus, rng, 800, &format!("{name} seed {seed}"));
-            assert!(twin.slept() > 0, "{name} seed {seed}: never slept");
+            assert!(twin.slept > 0, "{name} seed {seed}: never slept");
         });
     }
 }
@@ -475,12 +587,12 @@ fn upset_tmr_replicas_sleep_like_they_step() {
             // Drain with idle inputs, so the upset lands on a sleeping
             // design and only the restore can wake it.
             stimulus.idle(u32::MAX);
-            let slept = twin.slept();
+            let slept = twin.slept;
             for _ in 0..100 {
                 let values = stimulus.next(rng);
                 twin.step(&values, &format!("{ctx} drain"));
             }
-            assert!(twin.slept() > slept, "{ctx}: a drained design sleeps");
+            assert!(twin.slept > slept, "{ctx}: a drained design sleeps");
             // Flip one bit of replica 1 of a voted block. A `Tmr` frame
             // is [miscompares, replica 0, replica 1, replica 2].
             let mut state = twin.fast.save_state();
@@ -491,7 +603,7 @@ fn upset_tmr_replicas_sleep_like_they_step() {
             let per_replica = (state.spans[node] as usize - 1) / 3;
             let word = start + 1 + per_replica + rng.range_usize(0, per_replica);
             state.block_words[word] ^= 1 << rng.range_u32(0, 32);
-            twin.both(|g| g.load_state(&state), &format!("{ctx} upset"));
+            twin.both(|g| g.load_state(&state), true, &format!("{ctx} upset"));
             let clean = twin.fast.detected_faults();
             for i in 0..400 {
                 if i == 100 {
@@ -507,8 +619,10 @@ fn upset_tmr_replicas_sleep_like_they_step() {
 }
 
 /// A drained CORDIC pipeline with held inputs stops evaluating; setting
-/// the same value again leaves it asleep, and a changed value wakes it
-/// for exactly the steps it takes to prove the new fixed point.
+/// the same value again evaluates nothing. A source-free node has no
+/// input that can change, so it is evaluated only when the whole design
+/// is marked: not for a changed data word, but once for each restore and
+/// each reset.
 #[test]
 fn drained_cordic_sleeps_until_an_input_changes() {
     let mut g = cordic_graph(4);
@@ -530,28 +644,65 @@ fn drained_cordic_sleeps_until_an_input_changes() {
     g.set_input_fast(ctrl, bit(0));
     g.run(20);
     assert!(g.is_quiescent(), "drained pipeline is a fixed point");
+    assert_eq!(evals.get(), 1, "evaluated once, on the first step after compile");
 
-    let before = evals.get();
     for _ in 0..100 {
         g.set_input_fast(data, word(0));
         g.set_input_fast(valid, bit(0));
         g.set_input_fast(ctrl, bit(0));
         g.step();
     }
-    assert_eq!(evals.get(), before, "asleep: re-setting held values evaluates nothing");
-    assert_eq!(g.cycles(), 124, "sleeping steps still count cycles");
+    assert_eq!(evals.get(), 1, "re-setting held values evaluates nothing");
+    assert_eq!(g.cycles(), 124, "skipped steps still count cycles");
 
-    // A changed data word with `valid` low wakes the design; the step
-    // after it proves the new fixed point and the design sleeps again.
+    // A changed data word with `valid` low wakes only the data word's
+    // consumers; the source-free node is not among them.
     g.set_input_fast(data, word(5));
     g.run(10);
-    assert_eq!(evals.get(), before + 2, "one step to settle, one to prove the fixed point");
+    assert_eq!(evals.get(), 1, "a data word does not reach a source-free node");
+    assert!(g.is_quiescent(), "the changed word settles");
 
-    // Restoring a snapshot and resetting wake it the same way.
+    // Restoring a snapshot and resetting mark every node.
     g.load_state(&g.save_state());
     g.run(10);
-    assert_eq!(evals.get(), before + 4, "a restore wakes the design");
+    assert_eq!(evals.get(), 2, "a restore marks every node once");
     g.reset();
     g.run(10);
-    assert_eq!(evals.get(), before + 6, "a reset wakes the design");
+    assert_eq!(evals.get(), 3, "a reset marks every node once");
+}
+
+/// Two disjoint chains, each gateway → spy → delay → spy: a change on one
+/// gateway evaluates that chain's spies once each and leaves the other
+/// chain's alone, and both chains compute what they would when stepped
+/// in full.
+#[test]
+fn a_gateway_change_evaluates_only_its_downstream_nodes() {
+    let mut g = Graph::new();
+    let chain = |g: &mut Graph, name: &str| {
+        let x = g.gateway_in(name, I16);
+        let (head, head_evals) = spy_after(g, &format!("{name}_head"), x);
+        let d = g.add(format!("{name}_delay"), Delay::new(I16, 1));
+        g.wire(head, d, 0).unwrap();
+        let (tail, tail_evals) = spy_after(g, &format!("{name}_tail"), d);
+        g.gateway_out(format!("{name}_y"), tail, 0);
+        [head_evals, tail_evals]
+    };
+    let a = chain(&mut g, "a");
+    let b = chain(&mut g, "b");
+    g.compile().unwrap();
+    let counts = |chain: &[Rc<Cell<u64>>; 2]| chain.each_ref().map(|c| c.get());
+    g.run(5);
+    assert_eq!((counts(&a), counts(&b)), ([1, 1], [1, 1]), "compile marks every node once");
+
+    g.set_input("a", Fix::from_int(3, I16)).unwrap();
+    g.run(5);
+    assert_eq!(counts(&a), [2, 2], "the changed chain evaluates each spy once");
+    assert_eq!(counts(&b), [1, 1], "the other chain is left alone");
+    assert_eq!(g.output("a_y").unwrap().raw(), 3);
+    assert_eq!(g.output("b_y").unwrap().raw(), 0);
+
+    g.set_input("b", Fix::from_int(-4, I16)).unwrap();
+    g.run(5);
+    assert_eq!((counts(&a), counts(&b)), ([2, 2], [2, 2]), "and the other way round");
+    assert_eq!(g.output("b_y").unwrap().raw(), -4);
 }
