@@ -20,7 +20,7 @@ pub use fsl::{
     ecc_decode, ecc_encode, EccVerdict, FslBank, FslBankState, FslFifo, FslFifoState, FslStats,
     FslWord, CHANNELS, DEFAULT_DEPTH,
 };
-pub use lmb::{LmbMemory, MemError, LMB_LATENCY};
+pub use lmb::{LmbMemory, MemError, MemPatch, LMB_LATENCY};
 pub use opb::{OpbBus, OpbFault, OpbPeripheral, RegisterFile, OPB_READ_LATENCY, OPB_WRITE_LATENCY};
 
 #[cfg(test)]

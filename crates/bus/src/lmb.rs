@@ -48,6 +48,25 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// The chunks in which one local-memory image differs from a base
+/// image of the same size (see [`LmbMemory::diff`]). Lets a checkpoint
+/// store only the memory a run has written since the base checkpoint.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemPatch {
+    /// `(byte offset, contents)` of every differing chunk, ascending.
+    chunks: Vec<(u32, Box<[u8]>)>,
+}
+
+impl MemPatch {
+    /// Chunk width in bytes (the last chunk of a memory may be shorter).
+    pub const CHUNK: usize = 256;
+
+    /// Memory bytes the patch carries.
+    pub fn len_bytes(&self) -> usize {
+        self.chunks.iter().map(|(_, c)| c.len()).sum()
+    }
+}
+
 /// Block-RAM local memory behind the two LMB controllers.
 #[derive(Debug, Clone)]
 pub struct LmbMemory {
@@ -145,14 +164,37 @@ impl LmbMemory {
         &self.bytes
     }
 
-    /// Replaces the entire contents from a snapshot image.
+    /// The patch that turns `base` into this memory's contents.
     ///
     /// # Panics
-    /// Panics if `image` is not exactly this memory's size — restoring a
+    /// Panics if `base` is not exactly this memory's size.
+    pub fn diff(&self, base: &[u8]) -> MemPatch {
+        assert_eq!(base.len(), self.bytes.len(), "snapshot/memory size mismatch");
+        let chunks = self
+            .bytes
+            .chunks(MemPatch::CHUNK)
+            .zip(base.chunks(MemPatch::CHUNK))
+            .enumerate()
+            .filter(|(_, (now, then))| now != then)
+            .map(|(i, (now, _))| ((i * MemPatch::CHUNK) as u32, Box::from(now)))
+            .collect();
+        MemPatch { chunks }
+    }
+
+    /// Replaces the entire contents from a snapshot image `base`
+    /// overlaid by `patch` (a [`LmbMemory::diff`] against that same
+    /// base; pass an empty patch to restore `base` as it is).
+    ///
+    /// # Panics
+    /// Panics if `base` is not exactly this memory's size — restoring a
     /// snapshot into a differently-sized memory is a caller bug.
-    pub fn load_bytes(&mut self, image: &[u8]) {
-        assert_eq!(image.len(), self.bytes.len(), "snapshot/memory size mismatch");
-        self.bytes.copy_from_slice(image);
+    pub fn load_patched(&mut self, base: &[u8], patch: &MemPatch) {
+        assert_eq!(base.len(), self.bytes.len(), "snapshot/memory size mismatch");
+        self.bytes.copy_from_slice(base);
+        for (offset, chunk) in &patch.chunks {
+            let at = *offset as usize;
+            self.bytes[at..at + chunk.len()].copy_from_slice(chunk);
+        }
     }
 }
 
@@ -160,6 +202,22 @@ impl LmbMemory {
 mod tests {
     use super::*;
     use softsim_isa::asm::assemble;
+
+    #[test]
+    fn patch_round_trips_against_its_base() {
+        let base = LmbMemory::new(1000);
+        let mut m = base.clone();
+        m.write_u32(4, 0xDEAD_BEEF).unwrap();
+        m.write_u8(999, 7).unwrap();
+        let patch = m.diff(base.bytes());
+        // One full chunk at the start, the short tail chunk at the end.
+        assert_eq!(patch.len_bytes(), MemPatch::CHUNK + 1000 % MemPatch::CHUNK);
+        let mut restored = LmbMemory::new(1000);
+        restored.write_u32(500, 1).unwrap();
+        restored.load_patched(base.bytes(), &patch);
+        assert_eq!(restored.bytes(), m.bytes());
+        assert_eq!(m.diff(m.bytes()), MemPatch::default());
+    }
 
     #[test]
     fn big_endian_like_microblaze() {

@@ -19,7 +19,7 @@
 use crate::binding::{FslFromHw, FslToHw};
 use softsim_blocks::graph::{GraphState, InputHandle, OutputHandle};
 use softsim_blocks::{Fix, FixFmt, Graph};
-use softsim_bus::{FslBank, FslBankState, FslWord};
+use softsim_bus::{FslBank, FslBankState, FslWord, MemPatch};
 use softsim_isa::{CpuConfig, Image};
 use softsim_iss::{Cpu, CpuSnapshot, CpuStats, Event, Fault, FslBlock, TranslatedRun};
 use softsim_trace::{shared, Fanout, FifoDir, GuestProfile, SharedSink, TraceEvent};
@@ -229,6 +229,25 @@ pub struct CoSimState {
     pub peripherals: Vec<GraphState>,
     /// Hardware-side counters.
     pub hw_stats: HwStats,
+}
+
+/// A [`CoSimState`] stored as a delta against a base snapshot (see
+/// [`CoSim::save_state_delta`]): every non-memory part in full, local
+/// memory as the [`MemPatch`] of chunks that differ from the base's.
+/// Many checkpoints of one run then share a single memory image.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StateDelta {
+    /// The snapshot with an empty `cpu.mem`.
+    state: CoSimState,
+    /// The memory chunks that differ from the base snapshot's.
+    mem: MemPatch,
+}
+
+impl StateDelta {
+    /// Memory bytes stored beside the base snapshot's image.
+    pub fn patch_bytes(&self) -> usize {
+        self.mem.len_bytes()
+    }
 }
 
 /// The co-simulator: one soft processor, its FSL channels, and an
@@ -742,8 +761,14 @@ impl CoSim {
     /// Panics if the processor has an OPB bus attached (see
     /// [`Cpu::save_state`]).
     pub fn save_state(&self) -> CoSimState {
+        self.snapshot(self.cpu.save_state())
+    }
+
+    /// The whole-system snapshot around an already-captured processor
+    /// snapshot.
+    fn snapshot(&self, cpu: CpuSnapshot) -> CoSimState {
         CoSimState {
-            cpu: self.cpu.save_state(),
+            cpu,
             fsl: self.fsl.save_state(),
             peripherals: self.peripherals.iter().map(|p| p.graph.save_state()).collect(),
             hw_stats: self.hw_stats,
@@ -762,12 +787,40 @@ impl CoSim {
     /// Panics on a shape mismatch (different peripheral count or
     /// incompatible graph/memory layout).
     pub fn load_state(&mut self, state: &CoSimState) {
+        self.restore(state, &state.cpu.mem, &MemPatch::default());
+    }
+
+    /// [`CoSim::save_state`] with local memory stored as a patch against
+    /// `base`'s: only the memory chunks the run has changed since `base`
+    /// are copied. Restore with [`CoSim::load_state_delta`] and the same
+    /// `base`.
+    ///
+    /// # Panics
+    /// As [`CoSim::save_state`], and on a memory-size mismatch.
+    pub fn save_state_delta(&self, base: &CoSimState) -> StateDelta {
+        let (cpu, mem) = self.cpu.save_state_delta(&base.cpu.mem);
+        StateDelta { state: self.snapshot(cpu), mem }
+    }
+
+    /// Restores a [`StateDelta`] taken against `base`. Leaves exactly
+    /// the state [`CoSim::load_state`] of the full snapshot would, and
+    /// shares its contract (watchdog re-anchoring, shape checks).
+    ///
+    /// # Panics
+    /// As [`CoSim::load_state`].
+    pub fn load_state_delta(&mut self, base: &CoSimState, delta: &StateDelta) {
+        self.restore(&delta.state, &base.cpu.mem, &delta.mem);
+    }
+
+    /// The one restore path: `state` with its local memory replaced by
+    /// `mem` overlaid by `patch`.
+    fn restore(&mut self, state: &CoSimState, mem: &[u8], patch: &MemPatch) {
         assert_eq!(
             state.peripherals.len(),
             self.peripherals.len(),
             "snapshot/peripheral count mismatch"
         );
-        self.cpu.load_state(&state.cpu);
+        self.cpu.load_state_patched(&state.cpu, mem, patch);
         self.fsl.load_state(&state.fsl);
         for (p, s) in self.peripherals.iter_mut().zip(&state.peripherals) {
             p.graph.load_state(s);

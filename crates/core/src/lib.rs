@@ -37,7 +37,9 @@ mod cosim;
 pub mod opb;
 
 pub use binding::{FslFromHw, FslToHw};
-pub use cosim::{CoSim, CoSimState, CoSimStop, DeadlockCause, HwStats, Peripheral, PAPER_CLOCK_HZ};
+pub use cosim::{
+    CoSim, CoSimState, CoSimStop, DeadlockCause, HwStats, Peripheral, StateDelta, PAPER_CLOCK_HZ,
+};
 pub use opb::OpbBlockAdapter;
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 
 use crate::fault::Fault;
 use crate::stats::CpuStats;
-use softsim_bus::{FslBank, LmbMemory};
+use softsim_bus::{FslBank, LmbMemory, MemPatch};
 use softsim_isa::{decode, encode, CpuConfig, Image, Inst, Reg};
 use softsim_trace::{FifoDir, InstClass, SharedSink, StallCause, TraceEvent};
 use std::collections::HashSet;
@@ -597,6 +597,22 @@ impl Cpu {
     /// Panics if an OPB bus is attached — memory-mapped peripherals hold
     /// arbitrary device state outside the snapshot domain.
     pub fn save_state(&self) -> CpuSnapshot {
+        self.snapshot(self.mem.bytes().to_vec())
+    }
+
+    /// [`Cpu::save_state`] with local memory stored as the patch that
+    /// turns `base` (another snapshot's `mem`) into it: the returned
+    /// snapshot's `mem` is empty, so capturing copies only the chunks
+    /// the run has changed. Restore with [`Cpu::load_state_patched`].
+    ///
+    /// # Panics
+    /// As [`Cpu::save_state`], and on a memory-size mismatch.
+    pub fn save_state_delta(&self, base: &[u8]) -> (CpuSnapshot, MemPatch) {
+        (self.snapshot(Vec::new()), self.mem.diff(base))
+    }
+
+    /// A snapshot of everything but local memory, carrying `mem`.
+    fn snapshot(&self, mem: Vec<u8>) -> CpuSnapshot {
         assert!(self.opb.is_none(), "Cpu::save_state does not cover attached OPB peripherals");
         let pipe = match &self.pipe {
             Pipe::Ready => PipeSnapshot::Ready,
@@ -613,7 +629,7 @@ impl Cpu {
             delay_target: self.delay_target,
             in_delay_slot: self.in_delay_slot,
             redirect: self.redirect,
-            mem: self.mem.bytes().to_vec(),
+            mem,
             extra_cycles: self.extra_cycles,
             pipe,
             halted: self.halted,
@@ -630,6 +646,17 @@ impl Cpu {
     /// Panics on a memory-size mismatch or a corrupted in-flight
     /// instruction word.
     pub fn load_state(&mut self, s: &CpuSnapshot) {
+        self.load_state_patched(s, &s.mem, &MemPatch::default());
+    }
+
+    /// Restores a snapshot whose local memory is `base` overlaid by
+    /// `patch` — the pair [`Cpu::save_state_delta`] takes apart (`s.mem`
+    /// is ignored). [`Cpu::load_state`] is this with `s.mem` and no
+    /// patch.
+    ///
+    /// # Panics
+    /// As [`Cpu::load_state`].
+    pub fn load_state_patched(&mut self, s: &CpuSnapshot, base: &[u8], patch: &MemPatch) {
         let decode_pipe = |word: u32| {
             decode(word).unwrap_or_else(|e| panic!("snapshot pipeline word undecodable: {e}"))
         };
@@ -647,7 +674,7 @@ impl Cpu {
         self.delay_target = s.delay_target;
         self.in_delay_slot = s.in_delay_slot;
         self.redirect = s.redirect;
-        self.mem.load_bytes(&s.mem);
+        self.mem.load_patched(base, patch);
         self.extra_cycles = s.extra_cycles;
         self.halted = s.halted;
         self.stats = s.stats;

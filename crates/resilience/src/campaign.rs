@@ -1,13 +1,18 @@
 //! The fault-campaign runner.
 //!
-//! A campaign replays a co-simulation once fault-free (the *golden*
-//! run) and then once per scheduled injection, each trial restored from
-//! the same initial checkpoint so every run starts from byte-identical
-//! state. Outcomes follow the standard SEU classification: *masked*
-//! (program halts with the golden observables), *SDC* (silent data
-//! corruption — halts with different observables), *deadlock* (the
-//! liveness watchdog fired, or the padded cycle budget expired), and
-//! *fault* (the processor trapped).
+//! A campaign replays a co-simulation once fault-free (the *golden* run)
+//! and then once per scheduled injection. The golden run keeps a small
+//! ladder of checkpoints at quantiles of the plan's injection cycles (rung
+//! 0 is the initial state); each trial restores the last rung at or before
+//! its injection cycle and runs only the rest of the fault-free prefix.
+//! `run(a)` then `run(b)` leaves the state `run(a + b)` does, so a trial
+//! started from a rung is byte-identical to one restored from the initial
+//! state and re-simulated from there. Rungs store only the memory chunks
+//! that differ from rung 0 (see [`softsim_cosim::StateDelta`]). Outcomes
+//! follow the standard SEU classification: *masked* (program halts with the
+//! golden observables), *SDC* (silent data corruption — halts with
+//! different observables), *deadlock* (the liveness watchdog fired, or the
+//! padded cycle budget expired), and *fault* (the processor trapped).
 //!
 //! Two further outcomes make long campaigns robust rather than brittle:
 //! *budget* (an explicit per-trial cycle or wall-clock budget cancelled
@@ -18,7 +23,7 @@
 //! tear down a worker thread).
 
 use crate::inject::{Injection, Injector};
-use softsim_cosim::{CoSim, CoSimState, CoSimStop};
+use softsim_cosim::{CoSim, CoSimState, CoSimStop, StateDelta};
 use softsim_iss::CpuStats;
 use softsim_metrics::telemetry::{SpanKind, SpanRecord, Telemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -269,18 +274,19 @@ impl CampaignReport {
 /// Runs a fault-injection campaign.
 ///
 /// `sim` is the system under test, positioned at its initial state (it
-/// is checkpointed immediately, and restored from that checkpoint for
-/// the golden run and before every trial). `observe` extracts the
-/// workload's observable result words from a finished run — typically
-/// the output buffer in local memory.
+/// is checkpointed immediately, and left in that state on return).
+/// `observe` extracts the workload's observable result words from a
+/// finished run — typically the output buffer in local memory.
 ///
-/// Every trial: restore the initial checkpoint, step to the injection
-/// cycle, apply the fault, arm the watchdog, run under the padded
-/// budget, classify. A trial that panics the harness is caught and
-/// classified [`Outcome::HarnessError`] — subsequent trials still run.
-/// The whole procedure is deterministic (wall-clock budgets aside): an
-/// identical `sim`, `plan` and `observe` produce a byte-identical
-/// report.
+/// The golden run keeps up to eight checkpoints at quantiles of the plan's
+/// injection cycles. Every trial: restore the last checkpoint at or before
+/// the injection cycle (the initial state for a cycle before the first),
+/// step to the injection cycle, apply the fault, arm the watchdog, run
+/// under the padded budget, classify. A trial that panics the harness is
+/// caught and classified [`Outcome::HarnessError`] — subsequent trials
+/// still run. The whole procedure is deterministic (wall-clock budgets
+/// aside): an identical `sim`, `plan` and `observe` produce a
+/// byte-identical report.
 ///
 /// # Panics
 /// Panics if the golden run does not halt within the configured budget
@@ -311,45 +317,37 @@ pub fn run_campaign_with_telemetry(
     });
     let prev_fast_forward = sim.fast_forward();
     sim.set_fast_forward(config.fast_forward);
-    let initial = sim.save_state();
-    let initial_cycles = sim.cpu().stats().cycles;
-    let golden_start = telemetry.map(|_| Instant::now());
-    let (golden_cycles, golden_observed, budget) = golden_run(sim, &observe, config);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden_cycles.saturating_sub(initial_cycles);
-        t.record(rec);
-    }
-    let scope = telemetry.map(|t| TrialScope { telemetry: t, worker: 0, initial_cycles });
+    let golden = golden_run(sim, plan, &observe, config, telemetry);
+    let scope = telemetry.map(|t| golden.trial_scope(t, 0));
 
     let mut trials = Vec::with_capacity(plan.len());
     for &injection in plan {
         trials.push(run_trial_guarded(
             sim,
             None,
-            &initial,
+            &golden,
             injection,
-            budget,
-            &golden_observed,
             &observe,
             config,
             scope.as_ref(),
         ));
     }
-    sim.load_state(&initial);
+    sim.load_state(&golden.initial);
     sim.clear_watchdog();
     sim.set_fast_forward(prev_fast_forward);
     if let (Some(t), Some(start)) = (telemetry, campaign_start) {
         t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
     }
-    CampaignReport { golden_cycles, golden_observed, trials }
+    golden.report(trials)
 }
 
 /// Runs a fault-injection campaign on worker threads.
 ///
 /// Byte-identical to [`run_campaign`] with the same plan, configuration
-/// and workload: every trial is independent given the shared initial
-/// checkpoint and the golden reference, each worker runs the same
+/// and workload: every trial is independent given the golden reference
+/// and its checkpoint ladder (built once, read by every worker; which
+/// checkpoint a trial starts from depends only on its injection cycle),
+/// each worker runs the same
 /// per-trial procedure ([`run_trial`] is shared between the serial and
 /// parallel runners), and results are merged in plan order — so the
 /// report, and any text rendered from it, does not depend on `workers`
@@ -395,15 +393,7 @@ pub fn run_campaign_parallel_with_telemetry(
     });
     let mut sim = make_sim();
     sim.set_fast_forward(config.fast_forward);
-    let initial = sim.save_state();
-    let initial_cycles = sim.cpu().stats().cycles;
-    let golden_start = telemetry.map(|_| Instant::now());
-    let (golden_cycles, golden_observed, budget) = golden_run(&mut sim, &observe, config);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden_cycles.saturating_sub(initial_cycles);
-        t.record(rec);
-    }
+    let golden = golden_run(&mut sim, plan, &observe, config, telemetry);
     drop(sim);
 
     let workers = workers.clamp(1, plan.len().max(1));
@@ -415,7 +405,7 @@ pub fn run_campaign_parallel_with_telemetry(
         let chunk = plan.len().div_ceil(workers);
         let mut slots = trials.as_mut_slice();
         let mut rest = plan;
-        let (initial, golden_observed) = (&initial, &golden_observed);
+        let golden = &golden;
         let (make_sim, observe) = (&make_sim, &observe);
         let mut worker_id: u32 = 0;
         while !rest.is_empty() {
@@ -430,16 +420,13 @@ pub fn run_campaign_parallel_with_telemetry(
                 let mut sim = make_sim();
                 sim.set_fast_forward(config.fast_forward);
                 let rebuild: &dyn Fn() -> CoSim = make_sim;
-                let scope_rec =
-                    telemetry.map(|t| TrialScope { telemetry: t, worker, initial_cycles });
+                let scope_rec = telemetry.map(|t| golden.trial_scope(t, worker));
                 for (slot, &injection) in slot_chunk.iter_mut().zip(plan_chunk) {
                     *slot = Some(run_trial_guarded(
                         &mut sim,
                         Some(rebuild),
-                        initial,
+                        golden,
                         injection,
-                        budget,
-                        golden_observed,
                         observe,
                         config,
                         scope_rec.as_ref(),
@@ -452,23 +439,122 @@ pub fn run_campaign_parallel_with_telemetry(
     if let (Some(t), Some(start)) = (telemetry, campaign_start) {
         t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
     }
-    CampaignReport { golden_cycles, golden_observed, trials }
+    golden.report(trials)
 }
 
-/// The golden (fault-free) reference run: returns its cycle count, its
-/// observables and the padded per-trial budget derived from it.
+/// Most golden checkpoints a campaign keeps besides the initial state.
+/// A constant, not a knob: the ladder costs at most this many
+/// non-memory snapshots plus their memory patches, whatever the plan.
+const LADDER_RUNGS: usize = 8;
+
+/// Up to [`LADDER_RUNGS`] rung cycles for `plan`: quantiles of its
+/// sorted, distinct injection cycles strictly between `start` (rung 0)
+/// and `end` (where the golden budget runs out). The smallest
+/// injection cycle is always a rung, so no trial re-runs the prefix
+/// that every trial shares.
+fn rung_cycles(plan: &[Injection], start: u64, end: u64) -> Vec<u64> {
+    let mut cycles: Vec<u64> =
+        plan.iter().map(|i| i.cycle).filter(|&c| c > start && c < end).collect();
+    cycles.sort_unstable();
+    cycles.dedup();
+    let n = cycles.len();
+    if n <= LADDER_RUNGS {
+        return cycles;
+    }
+    (0..LADDER_RUNGS).map(|j| cycles[j * n / LADDER_RUNGS]).collect()
+}
+
+/// Everything trials share: the golden run's cycle count and
+/// observables, the padded per-trial budget derived from them, and the
+/// checkpoint ladder trials start from. Rung 0 of the ladder is the
+/// initial state; the others are golden states at up to
+/// [`LADDER_RUNGS`] of the plan's injection cycles. Every rung is a
+/// [`StateDelta`] against the initial state, so the ladder holds one
+/// full memory image however many rungs it has.
+pub(crate) struct Golden {
+    /// Cycle counter at which the golden run halted.
+    pub cycles: u64,
+    /// Observables of the golden run.
+    pub observed: Vec<u32>,
+    /// Padded absolute-cycle budget of every trial.
+    pub budget: u64,
+    /// The campaign's initial state (rung 0, in full).
+    pub initial: CoSimState,
+    /// `(cycle counter, state)` per rung, ascending; `rungs[0]` is the
+    /// initial state with an empty patch.
+    rungs: Vec<(u64, StateDelta)>,
+}
+
+impl Golden {
+    /// Cycle counter of the initial state.
+    pub fn initial_cycles(&self) -> u64 {
+        self.rungs[0].0
+    }
+
+    /// Restores the last rung at or before `cycle` — rung 0 for a cycle
+    /// at or before the initial state's.
+    fn restore(&self, sim: &mut CoSim, cycle: u64) {
+        let k = self.rungs.partition_point(|(c, _)| *c <= cycle).saturating_sub(1);
+        sim.load_state_delta(&self.initial, &self.rungs[k].1);
+    }
+
+    /// The telemetry context of worker `worker`'s trials.
+    pub fn trial_scope<'a>(&self, telemetry: &'a Telemetry, worker: u32) -> TrialScope<'a> {
+        TrialScope { telemetry, worker, initial_cycles: self.initial_cycles() }
+    }
+
+    /// The campaign report over `trials`.
+    pub fn report(self, trials: Vec<Trial>) -> CampaignReport {
+        CampaignReport { golden_cycles: self.cycles, golden_observed: self.observed, trials }
+    }
+}
+
+/// The golden (fault-free) reference run from `sim`'s current state,
+/// recorded as a golden span when `telemetry` is on. The run is split
+/// into segments ending at [`rung_cycles`] of `plan`, keeping a ladder
+/// rung after each; `run(a)` followed by `run(b)` leaves the state
+/// `run(a + b)` does, so segmenting changes nothing the run computes.
+/// Leaves `sim` halted at the end of the golden run.
+///
+/// # Panics
+/// Panics if the run does not halt within the budget floor times the
+/// factor.
 pub(crate) fn golden_run(
     sim: &mut CoSim,
+    plan: &[Injection],
     observe: &impl Fn(&CoSim) -> Vec<u32>,
     config: CampaignConfig,
-) -> (u64, Vec<u32>, u64) {
-    let golden_budget = config.budget_floor * config.budget_factor.max(1);
-    let stop = sim.run(golden_budget);
+    telemetry: Option<&Telemetry>,
+) -> Golden {
+    let golden_start = telemetry.map(|_| Instant::now());
+    let initial = sim.save_state();
+    let start = initial.cpu.stats.cycles;
+    let end = start.saturating_add(config.budget_floor * config.budget_factor.max(1));
+    let mut rungs = vec![(start, sim.save_state_delta(&initial))];
+    let mut early_stop = None;
+    for c in rung_cycles(plan, start, end) {
+        let stop = sim.run(c - sim.cpu().stats().cycles);
+        if !matches!(stop, CoSimStop::CycleLimit { .. }) || sim.cpu().stats().cycles != c {
+            early_stop = Some(stop);
+            break;
+        }
+        rungs.push((c, sim.save_state_delta(&initial)));
+    }
+    let stop = early_stop.unwrap_or_else(|| sim.run(end - sim.cpu().stats().cycles));
     assert_eq!(stop, CoSimStop::Halted, "golden run must halt, got: {stop}");
-    let golden_cycles = sim.cpu().stats().cycles;
-    let golden_observed = observe(sim);
-    let budget = golden_cycles * config.budget_factor + config.budget_floor;
-    (golden_cycles, golden_observed, budget)
+    let cycles = sim.cpu().stats().cycles;
+    if let Some(t) = telemetry {
+        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
+        rec.sim_cycles = cycles.saturating_sub(start);
+        t.record(rec);
+    }
+    Golden {
+        cycles,
+        observed: observe(sim),
+        budget: cycles * config.budget_factor + config.budget_floor,
+        initial,
+        rungs,
+    }
 }
 
 /// Best-effort string rendering of a caught panic payload.
@@ -491,9 +577,12 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 const WALL_SLICE: u64 = 16_384;
 
 /// Telemetry context one worker threads through its trials: the hub,
-/// the worker's id, and the cycle counter value of the initial
-/// checkpoint (subtracted from a trial's final cycle counter so the
-/// span carries cycles *executed*, matching the report exactly).
+/// the worker's id, and the cycle counter value of the initial state
+/// (subtracted from a trial's final cycle counter). A trial span's
+/// `sim_cycles` is therefore "end counter − initial counter": the
+/// cycles the trial *covers* from the initial state, matching the
+/// report exactly, not the cycles it executed after starting from a
+/// later golden checkpoint.
 pub(crate) struct TrialScope<'a> {
     pub telemetry: &'a Telemetry,
     pub worker: u32,
@@ -538,10 +627,8 @@ impl TrialScope<'_> {
 pub(crate) fn run_trial_guarded(
     sim: &mut CoSim,
     rebuild: Option<&dyn Fn() -> CoSim>,
-    initial: &CoSimState,
+    golden: &Golden,
     injection: Injection,
-    budget: u64,
-    golden_observed: &[u32],
     observe: &(impl Fn(&CoSim) -> Vec<u32> + ?Sized),
     config: CampaignConfig,
     scope: Option<&TrialScope<'_>>,
@@ -552,9 +639,8 @@ pub(crate) fn run_trial_guarded(
     let mut first_attempt_end: Option<Instant> = None;
     let mut attempt = 0u32;
     loop {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_trial(sim, initial, injection, budget, golden_observed, observe, config)
-        }));
+        let result =
+            catch_unwind(AssertUnwindSafe(|| run_trial(sim, golden, injection, observe, config)));
         if scope.is_some() && first_attempt_end.is_none() {
             first_attempt_end = Some(Instant::now());
         }
@@ -613,21 +699,20 @@ pub(crate) fn run_trial_guarded(
     }
 }
 
-/// One injection trial, the procedure both runners share: restore the
-/// initial checkpoint, run to the injection cycle (a fault this early is
-/// impossible fault-free, but cheap to guard), apply the fault, arm the
-/// watchdog, run under the padded budget — tightened by the explicit
-/// per-trial budgets when configured — and classify.
+/// One injection trial, the procedure every runner shares: restore the
+/// last golden rung at or before the injection cycle, run the rest of
+/// the fault-free prefix (at most one rung gap; a fault before the
+/// initial cycle gets none), apply the fault, arm the watchdog, run
+/// under the padded budget — tightened by the explicit per-trial
+/// budgets when configured — and classify.
 fn run_trial(
     sim: &mut CoSim,
-    initial: &CoSimState,
+    golden: &Golden,
     injection: Injection,
-    budget: u64,
-    golden_observed: &[u32],
     observe: &(impl Fn(&CoSim) -> Vec<u32> + ?Sized),
     config: CampaignConfig,
 ) -> Trial {
-    sim.load_state(initial);
+    golden.restore(sim, injection.cycle);
     // The pre-injection prefix must replay the golden prefix exactly, so
     // no watchdog (the previous trial's stays armed across restore) and
     // a budget that stops precisely at the injection cycle.
@@ -645,6 +730,7 @@ fn run_trial(
             let deadline = config.trial_wall_budget.map(|d| Instant::now() + d);
             // Absolute-cycle cap: the padded campaign budget, tightened
             // by the explicit per-trial budget counted from injection.
+            let budget = golden.budget;
             let cap = match config.trial_cycle_budget {
                 Some(tcb) => budget.min(sim.cpu().stats().cycles.saturating_add(tcb)),
                 None => budget,
@@ -654,7 +740,7 @@ fn run_trial(
         }
     };
     let outcome = match &stop {
-        CoSimStop::Halted if observe(sim) == golden_observed => Outcome::Masked,
+        CoSimStop::Halted if observe(sim) == golden.observed => Outcome::Masked,
         CoSimStop::Halted => Outcome::Sdc,
         CoSimStop::CycleLimit { .. } if budget_cancelled => Outcome::Budget,
         CoSimStop::Deadlock { .. } | CoSimStop::CycleLimit { .. } => Outcome::Deadlock,
@@ -711,6 +797,67 @@ fn run_capped(
                 }
             }
             stop => return (stop, false),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::inject::random_plan_hardware;
+    use softsim_apps::cordic::reference::to_fix;
+    use softsim_apps::cordic::software::{hw_program, CordicBatch};
+    use softsim_apps::matmul::reference::Matrix;
+    use softsim_isa::asm::assemble;
+
+    /// The catalog's CORDIC (8 iterations, P = 2) and matmul (N = 4,
+    /// block 2) designs.
+    fn designs() -> Vec<CoSim> {
+        let batch = CordicBatch::new(&[(to_fix(1.5), to_fix(1.2)), (to_fix(2.0), to_fix(-1.0))]);
+        let cordic = assemble(&hw_program(&batch, 8, 2)).unwrap();
+        let (a, b) = (Matrix::test_pattern(4, 7), Matrix::test_pattern(4, 8));
+        let matmul = assemble(&softsim_apps::matmul::software::hw_program(&a, &b, 2)).unwrap();
+        vec![
+            CoSim::with_peripheral(&cordic, softsim_apps::cordic::hardware::cordic_peripheral(2)),
+            CoSim::with_peripheral(&matmul, softsim_apps::matmul::hardware::matmul_peripheral(2)),
+        ]
+    }
+
+    /// A 10,000-trial plan over `sim`'s golden run.
+    fn hostile_plan(sim: &mut CoSim) -> Vec<Injection> {
+        let initial = sim.save_state();
+        assert_eq!(sim.run(1_000_000), CoSimStop::Halted);
+        let end = sim.cpu().stats().cycles;
+        sim.load_state(&initial);
+        random_plan_hardware(11, 10_000, (0, end), 4096, &[0, 1])
+    }
+
+    #[test]
+    fn a_hostile_plan_cannot_grow_the_ladder() {
+        for mut sim in designs() {
+            let plan = hostile_plan(&mut sim);
+            let config = CampaignConfig::default();
+            let golden = golden_run(&mut sim, &plan, &|_| Vec::new(), config, None);
+            let rungs = &golden.rungs;
+            assert_eq!(rungs.len(), LADDER_RUNGS + 1);
+            let patch_bytes: usize = rungs.iter().map(|(_, r)| r.patch_bytes()).sum();
+            assert!(patch_bytes <= 4096, "{patch_bytes} patch bytes");
+        }
+    }
+
+    #[test]
+    fn every_rung_restores_the_golden_state_at_its_cycle() {
+        for mut sim in designs() {
+            let plan = hostile_plan(&mut sim);
+            let config = CampaignConfig::default();
+            let golden = golden_run(&mut sim, &plan, &|_| Vec::new(), config, None);
+            for (cycle, _) in &golden.rungs {
+                sim.load_state(&golden.initial);
+                sim.run(cycle - golden.initial_cycles());
+                let want = sim.save_state();
+                golden.restore(&mut sim, *cycle);
+                assert_eq!(sim.save_state(), want, "rung at {cycle}");
+            }
         }
     }
 }

@@ -54,7 +54,7 @@
 //! isolation: the degradation path stays provable end to end).
 
 use crate::campaign::{
-    golden_run, run_trial_guarded, CampaignConfig, CampaignReport, Outcome, Trial, TrialScope,
+    golden_run, run_trial_guarded, CampaignConfig, CampaignReport, Outcome, Trial,
 };
 use crate::inject::{FaultKind, Injection};
 use crate::recover::{
@@ -1190,8 +1190,10 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// completed trial is appended to `journal` before the campaign moves
 /// on, and with `resume` set a prior journal's trials are loaded
 /// instead of re-executed (after validating the plan hash; the torn
-/// tail of an interrupted run is dropped and re-run). The report is
-/// byte-identical to the plain runner's.
+/// tail of an interrupted run is dropped and re-run). Trials start from
+/// the golden checkpoint ladder exactly as in the plain runner, which
+/// the journal does not record: the report is byte-identical to the
+/// plain runner's, and a journal resumes whichever build wrote it.
 ///
 /// `resume = false` always starts fresh, truncating any existing file;
 /// `resume = true` with no existing journal is also a fresh start.
@@ -1274,20 +1276,12 @@ pub fn run_campaign_durable_with_status(
     let campaign_start = telemetry.map(|_| Instant::now());
     let mut sim = make_sim();
     sim.set_fast_forward(config.fast_forward);
-    let initial = sim.save_state();
-    let initial_cycles = sim.cpu().stats().cycles;
-    let golden_start = telemetry.map(|_| Instant::now());
-    let (golden_cycles, golden_observed, budget) = golden_run(&mut sim, &observe, config);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden_cycles.saturating_sub(initial_cycles);
-        t.record(rec);
-    }
+    let golden = golden_run(&mut sim, plan, &observe, config, telemetry);
     drop(sim);
 
     let header = Header {
         kind: KIND_CAMPAIGN,
-        plan_hash: campaign_plan_hash(plan, config, golden_cycles, &golden_observed),
+        plan_hash: campaign_plan_hash(plan, config, golden.cycles, &golden.observed),
         trials: plan.len() as u32,
     };
     let (file, mut slots, good_bytes) = open_journal(journal, &header, resume, &get_trial)?;
@@ -1305,7 +1299,7 @@ pub fn run_campaign_durable_with_status(
         let chunk = pending.len().div_ceil(workers);
         let mut slot_rest = fresh.as_mut_slice();
         let mut idx_rest = pending.as_slice();
-        let (initial, golden_observed) = (&initial, &golden_observed);
+        let golden = &golden;
         let (make_sim, observe) = (&make_sim, &observe);
         let (appender, hook) = (&appender, &hook);
         let mut worker_id: u32 = 0;
@@ -1321,16 +1315,13 @@ pub fn run_campaign_durable_with_status(
                 let mut sim = make_sim();
                 sim.set_fast_forward(config.fast_forward);
                 let rebuild: &dyn Fn() -> CoSim = make_sim;
-                let scope_rec =
-                    telemetry.map(|t| TrialScope { telemetry: t, worker, initial_cycles });
+                let scope_rec = telemetry.map(|t| golden.trial_scope(t, worker));
                 for (slot, &index) in slot_chunk.iter_mut().zip(idx_chunk) {
                     let trial = run_trial_guarded(
                         &mut sim,
                         Some(rebuild),
-                        initial,
+                        golden,
                         plan[index as usize],
-                        budget,
-                        golden_observed,
                         observe,
                         config,
                         scope_rec.as_ref(),
@@ -1365,7 +1356,7 @@ pub fn run_campaign_durable_with_status(
     if let (Some(t), Some(start)) = (telemetry, campaign_start) {
         t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
     }
-    Ok((CampaignReport { golden_cycles, golden_observed, trials }, status))
+    Ok((golden.report(trials), status))
 }
 
 /// [`crate::recover::run_recovery_campaign`] with a durable journal;

@@ -32,14 +32,29 @@ pub const VERSION: u32 = 2;
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
+
+/// [`crc32`]'s byte-at-a-time table: entry `i` is the CRC register
+/// after shifting the byte value `i` through eight bitwise steps.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
 
 /// Why a checkpoint byte stream could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -459,4 +474,39 @@ fn get_graph(r: &mut Reader) -> Result<GraphState, SnapshotError> {
         return Err(SnapshotError::Corrupt("graph span framing"));
     }
     Ok(GraphState { cycle, values, block_words, spans })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::crc32;
+    use softsim_testkit::Rng;
+
+    /// The bit-at-a-time form the table is derived from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_known_answer() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_form() {
+        let mut rng = Rng::new(0x5EED_C4C3);
+        for _ in 0..200 {
+            let len = rng.range_usize(0, 2048);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len {len}");
+        }
+    }
 }
