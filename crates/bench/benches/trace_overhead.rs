@@ -35,7 +35,7 @@
 //! asserted byte-identical first.
 //!
 //! Campaign journaling gets the same guard: a plain in-memory campaign
-//! (journaling off — the default `run_campaign` path) sweeps the same
+//! (journaling off — an `Exec` without a journal) sweeps the same
 //! seeded plan as the durable journaled runner, which additionally
 //! encodes and appends every trial to an `SSJL` journal. The plain run
 //! does strictly less work and must stay within 2% of the journaled
@@ -50,15 +50,20 @@
 //! same simulation. The served report is asserted equal to the direct
 //! run's first, line for line.
 //!
-//! Samples are interleaved (A,B,A,B,...) so frequency scaling and cache
-//! warm-up hit both configurations equally, and minima are compared
-//! (minimum wall time is the standard low-noise estimator for
+//! Every guard is one `(name, off, on)` row of a table. The report
+//! equality pre-checks run first; then all rows are sampled in one
+//! interleaved loop (off, on, off, on, ... across every row) so
+//! frequency scaling and cache warm-up hit both configurations equally,
+//! and the minima of each row are asserted within the same 2% bound in
+//! one loop (minimum wall time is the standard low-noise estimator for
 //! same-machine A/B timing).
 
 use softsim_bus::FslBank;
 use softsim_cosim::CoSimStop;
 use softsim_iss::{Cpu, StopReason};
+use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
 use softsim_metrics::MetricsCollector;
+use softsim_resilience::{CampaignConfig, Exec};
 use softsim_trace::{shared, NullSink};
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -133,13 +138,19 @@ fn run_cosim_profiling(on: bool) -> Duration {
     wall
 }
 
-fn run_campaign_plain() -> Duration {
-    // Journaling off: the default in-memory campaign over the durable
-    // bench's seeded plan. Plan construction is included on both sides,
-    // so the ratio isolates the journaling delta.
+/// The durable bench's seeded CORDIC campaign under `exec`.
+fn campaign(exec: Exec<'_>) -> softsim_resilience::CampaignReport {
     use softsim_bench::faults::{cordic_campaign, REPORT_SEED};
+    let trials = softsim_bench::durable::DURABLE_TRIALS;
+    cordic_campaign(REPORT_SEED, trials, CampaignConfig::default(), exec)
+}
+
+/// Wall time of one campaign under `exec`. Plan construction is included
+/// on both sides of every campaign row, so the ratio isolates the
+/// feature's delta.
+fn time_campaign(exec: Exec<'_>) -> Duration {
     let start = Instant::now();
-    let report = cordic_campaign(REPORT_SEED, softsim_bench::durable::DURABLE_TRIALS);
+    let report = campaign(exec);
     let wall = start.elapsed();
     black_box(report.trials.len());
     wall
@@ -148,23 +159,9 @@ fn run_campaign_plain() -> Duration {
 fn run_campaign_telemetry() -> Duration {
     // Telemetry on, in-memory only: spans aggregate under a mutex, no
     // heartbeat or snapshot I/O. The report must equal the plain run's.
-    use softsim_bench::faults::{cordic_campaign_telemetry, REPORT_SEED};
-    use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
     let t = Telemetry::new(TelemetryConfig::default());
-    let start = Instant::now();
-    let report =
-        cordic_campaign_telemetry(REPORT_SEED, softsim_bench::durable::DURABLE_TRIALS, Some(&t));
-    let wall = start.elapsed();
-    black_box(report.trials.len());
+    let wall = time_campaign(Exec { telemetry: Some(&t), ..Exec::default() });
     black_box(t.trial_cycles());
-    wall
-}
-
-fn run_campaign_journaled(journal: &std::path::Path) -> Duration {
-    let start = Instant::now();
-    let report = softsim_bench::durable::durable_cordic_campaign(journal, false, 1);
-    let wall = start.elapsed();
-    black_box(report.trials.len());
     wall
 }
 
@@ -191,17 +188,18 @@ fn serve_off_campaign() -> softsim_resilience::CampaignReport {
     let spec = serve_spec();
     let plan = catalog::campaign_plan(spec.workload, spec.seed, spec.trials);
     let (base, n) = catalog::observe_window(spec.workload);
-    softsim_resilience::run_campaign_parallel_with_telemetry(
-        || catalog::build_sim(spec.workload, false),
+    let make_sim = || catalog::build_sim(spec.workload, false);
+    let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
+    let config = CampaignConfig { fast_forward: true, ..CampaignConfig::default() };
+    let (report, _) = softsim_resilience::run(
+        softsim_resilience::Sims::Build(&make_sim),
         &plan,
-        move |s| catalog::observe_words(s, base, n),
-        softsim_resilience::CampaignConfig {
-            fast_forward: true,
-            ..softsim_resilience::CampaignConfig::default()
-        },
-        1,
-        None,
+        &observe,
+        &config,
+        Exec::default(),
     )
+    .expect("no journal");
+    report
 }
 
 fn run_serve_off() -> Duration {
@@ -221,29 +219,19 @@ fn run_serve_on(server: &softsim_serve::Server) -> Duration {
     wall
 }
 
+/// One overhead guard: the feature off must stay within 2% of it on.
+type Guard<'a> = (&'static str, Box<dyn Fn() -> Duration + 'a>, Box<dyn Fn() -> Duration + 'a>);
+
 fn main() {
     let img = softsim_bench::workloads::cordic_sw_image(24);
     let journal =
         std::env::temp_dir().join(format!("softsim_overhead_{}.ssjl", std::process::id()));
-    // Warm-up all paths.
-    run_untraced(&img);
-    run_null_traced(&img);
-    run_metrics_off(&img);
-    run_cosim_ecc(false);
-    run_cosim_ecc(true);
-    run_cosim_profiling(false);
-    run_cosim_profiling(true);
-    run_campaign_plain();
-    run_campaign_telemetry();
-    run_campaign_journaled(&journal);
+    let journaled = || softsim_bench::durable::journaled(&journal, false, 1);
     // The journaled report must be the plain report, byte for byte —
     // the overhead comparison is only meaningful between equal runs.
     assert_eq!(
-        softsim_bench::faults::cordic_campaign(
-            softsim_bench::faults::REPORT_SEED,
-            softsim_bench::durable::DURABLE_TRIALS,
-        ),
-        softsim_bench::durable::durable_cordic_campaign(&journal, false, 1),
+        campaign(Exec::default()),
+        campaign(journaled()),
         "plain and journaled campaigns must agree bit for bit"
     );
     // The served campaign must be the direct campaign, line for line —
@@ -282,135 +270,58 @@ fn main() {
     // Same for the instrumented run — telemetry must never leak into
     // the deterministic report.
     {
-        use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
         let t = Telemetry::new(TelemetryConfig::default());
         assert_eq!(
-            softsim_bench::faults::cordic_campaign(
-                softsim_bench::faults::REPORT_SEED,
-                softsim_bench::durable::DURABLE_TRIALS,
-            ),
-            softsim_bench::faults::cordic_campaign_telemetry(
-                softsim_bench::faults::REPORT_SEED,
-                softsim_bench::durable::DURABLE_TRIALS,
-                Some(&t),
-            ),
+            campaign(Exec::default()),
+            campaign(Exec { telemetry: Some(&t), ..Exec::default() }),
             "plain and instrumented campaigns must agree bit for bit"
         );
     }
-    let mut untraced = Vec::with_capacity(SAMPLES);
-    let mut nulled = Vec::with_capacity(SAMPLES);
-    let mut metrics_off = Vec::with_capacity(SAMPLES);
-    let mut ecc_off = Vec::with_capacity(SAMPLES);
-    let mut ecc_on = Vec::with_capacity(SAMPLES);
-    let mut prof_off = Vec::with_capacity(SAMPLES);
-    let mut prof_on = Vec::with_capacity(SAMPLES);
-    let mut journal_off = Vec::with_capacity(SAMPLES);
-    let mut journal_on = Vec::with_capacity(SAMPLES);
-    let mut telemetry_on = Vec::with_capacity(SAMPLES);
-    let mut serve_off = Vec::with_capacity(SAMPLES);
-    let mut serve_on = Vec::with_capacity(SAMPLES);
+
+    let guards: Vec<Guard> = vec![
+        ("tracing", Box::new(|| run_untraced(&img)), Box::new(|| run_null_traced(&img))),
+        ("metrics", Box::new(|| run_metrics_off(&img)), Box::new(|| run_null_traced(&img))),
+        ("hardening", Box::new(|| run_cosim_ecc(false)), Box::new(|| run_cosim_ecc(true))),
+        (
+            "profiler",
+            Box::new(|| run_cosim_profiling(false)),
+            Box::new(|| run_cosim_profiling(true)),
+        ),
+        (
+            "telemetry",
+            Box::new(|| time_campaign(Exec::default())),
+            Box::new(run_campaign_telemetry),
+        ),
+        (
+            "journaling",
+            Box::new(|| time_campaign(Exec::default())),
+            Box::new(|| time_campaign(journaled())),
+        ),
+        ("serve", Box::new(run_serve_off), Box::new(|| run_serve_on(&serve_server))),
+    ];
+    // Warm-up all paths.
+    for (_, off, on) in &guards {
+        off();
+        on();
+    }
+    let mut samples = vec![(Duration::MAX, Duration::MAX); guards.len()];
     for _ in 0..SAMPLES {
-        untraced.push(run_untraced(&img));
-        nulled.push(run_null_traced(&img));
-        metrics_off.push(run_metrics_off(&img));
-        ecc_off.push(run_cosim_ecc(false));
-        ecc_on.push(run_cosim_ecc(true));
-        prof_off.push(run_cosim_profiling(false));
-        prof_on.push(run_cosim_profiling(true));
-        journal_off.push(run_campaign_plain());
-        telemetry_on.push(run_campaign_telemetry());
-        journal_on.push(run_campaign_journaled(&journal));
-        serve_off.push(run_serve_off());
-        serve_on.push(run_serve_on(&serve_server));
+        for ((_, off, on), (best_off, best_on)) in guards.iter().zip(&mut samples) {
+            *best_off = (*best_off).min(off());
+            *best_on = (*best_on).min(on());
+        }
     }
     let _ = std::fs::remove_file(&journal);
-    let best_untraced = *untraced.iter().min().unwrap();
-    let best_nulled = *nulled.iter().min().unwrap();
-    let best_metrics_off = *metrics_off.iter().min().unwrap();
-    let ratio = best_untraced.as_secs_f64() / best_nulled.as_secs_f64();
-    println!(
-        "trace overhead guard: untraced {best_untraced:?}, null-sink {best_nulled:?}, \
-         untraced/null ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "tracing-off path must stay within 2% of the null-sink path \
-         (untraced {best_untraced:?} vs null {best_nulled:?}, ratio {ratio:.4})"
-    );
-    println!("ok: tracing-off overhead within 2%");
-    let ratio = best_metrics_off.as_secs_f64() / best_nulled.as_secs_f64();
-    println!(
-        "metrics overhead guard: metrics-off {best_metrics_off:?}, null-sink {best_nulled:?}, \
-         metrics-off/null ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "metrics-off path must stay within 2% of the null-sink path \
-         (metrics-off {best_metrics_off:?} vs null {best_nulled:?}, ratio {ratio:.4})"
-    );
-    println!("ok: metrics-off overhead within 2%");
-    let best_ecc_off = *ecc_off.iter().min().unwrap();
-    let best_ecc_on = *ecc_on.iter().min().unwrap();
-    let ratio = best_ecc_off.as_secs_f64() / best_ecc_on.as_secs_f64();
-    println!(
-        "hardening overhead guard: ecc-off {best_ecc_off:?}, ecc-on {best_ecc_on:?}, \
-         off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "hardening-off co-simulation must stay within 2% of the ECC-on run \
-         (ecc-off {best_ecc_off:?} vs ecc-on {best_ecc_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: hardening-off overhead within 2%");
-    let best_prof_off = *prof_off.iter().min().unwrap();
-    let best_prof_on = *prof_on.iter().min().unwrap();
-    let ratio = best_prof_off.as_secs_f64() / best_prof_on.as_secs_f64();
-    println!(
-        "profiler overhead guard: profiler-off {best_prof_off:?}, profiler-on {best_prof_on:?}, \
-         off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "profiler-off co-simulation must stay within 2% of the profiler-on run \
-         (off {best_prof_off:?} vs on {best_prof_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: profiler-off overhead within 2%");
-    let best_journal_off = *journal_off.iter().min().unwrap();
-    let best_telemetry_on = *telemetry_on.iter().min().unwrap();
-    let ratio = best_journal_off.as_secs_f64() / best_telemetry_on.as_secs_f64();
-    println!(
-        "telemetry overhead guard: telemetry-off {best_journal_off:?}, \
-         telemetry-on {best_telemetry_on:?}, off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "telemetry-off campaign must stay within 2% of the instrumented run \
-         (off {best_journal_off:?} vs on {best_telemetry_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: telemetry-off overhead within 2%");
-    let best_journal_on = *journal_on.iter().min().unwrap();
-    let ratio = best_journal_off.as_secs_f64() / best_journal_on.as_secs_f64();
-    println!(
-        "journaling overhead guard: journaling-off {best_journal_off:?}, \
-         journaled {best_journal_on:?}, off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "journaling-off campaign must stay within 2% of the journaled run \
-         (off {best_journal_off:?} vs journaled {best_journal_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: journaling-off overhead within 2%");
-    let best_serve_off = *serve_off.iter().min().unwrap();
-    let best_serve_on = *serve_on.iter().min().unwrap();
-    let ratio = best_serve_off.as_secs_f64() / best_serve_on.as_secs_f64();
-    println!(
-        "serve overhead guard: serve-off {best_serve_off:?}, served {best_serve_on:?}, \
-         off/on ratio {ratio:.4}"
-    );
-    assert!(
-        ratio <= 1.02,
-        "direct campaign must stay within 2% of the served run \
-         (off {best_serve_off:?} vs served {best_serve_on:?}, ratio {ratio:.4})"
-    );
-    println!("ok: serve-off overhead within 2%");
+    for ((name, _, _), (off, on)) in guards.iter().zip(samples) {
+        let ratio = off.as_secs_f64() / on.as_secs_f64();
+        println!(
+            "{name} overhead guard: {name}-off {off:?}, {name}-on {on:?}, off/on ratio {ratio:.4}"
+        );
+        assert!(
+            ratio <= 1.02,
+            "{name}-off path must stay within 2% of the {name}-on path \
+             (off {off:?} vs on {on:?}, ratio {ratio:.4})"
+        );
+        println!("ok: {name}-off overhead within 2%");
+    }
 }

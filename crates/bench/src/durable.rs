@@ -11,12 +11,13 @@
 //! the plan hash), so the record is byte-reproducible and CI can `cmp`
 //! it across `SOFTSIM_SWEEP_WORKERS` values.
 
-use crate::faults::{default_workers, observe_words, CORDIC_ITERS, CORDIC_P, REPORT_SEED};
-use crate::recover::{cordic_sim, report_policy, HARDENINGS};
+use crate::faults::{
+    cordic_campaign, default_workers, run_design, CORDIC_ITERS, CORDIC_P, REPORT_SEED,
+};
+use crate::recover::{cordic_recovery, report_policy};
 use softsim_resilience::{
-    resume_from_journal, resume_recovery_from_journal, run_campaign_durable_parallel,
-    run_recovery_campaign_durable_parallel, CampaignConfig, CampaignReport, FaultKind, Injection,
-    RecoveryReport,
+    resume_from_journal, CampaignConfig, CampaignReport, Exec, FaultKind, Injection, JournalSpec,
+    RecoveryPolicy, RecoveryReport, TrialKind,
 };
 use std::path::{Path, PathBuf};
 
@@ -35,38 +36,22 @@ const INTERRUPT_AT: usize = DURABLE_TRIALS / 3;
 /// + plan hash + trial count + CRC), used to walk record frames.
 const HEADER_LEN: usize = 25;
 
-/// Runs the seeded CORDIC fault campaign durably, journaling to
-/// `journal`. With `resume` set, trials already in the journal are
-/// loaded instead of re-run.
-pub fn durable_cordic_campaign(journal: &Path, resume: bool, workers: usize) -> CampaignReport {
-    let (plan, base, n) = crate::faults::cordic_plan(REPORT_SEED, DURABLE_TRIALS);
-    run_campaign_durable_parallel(
-        || crate::workloads::cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)),
-        &plan,
-        move |s| observe_words(s, base, n),
-        CampaignConfig::default(),
-        journal,
-        resume,
-        workers,
-    )
-    .expect("durable campaign journal I/O")
+/// A run on `workers` workers, journaled to `journal`; with `resume`,
+/// trials already in the journal are loaded instead of re-run.
+pub fn journaled(journal: &Path, resume: bool, workers: usize) -> Exec<'_> {
+    let journal = JournalSpec { path: journal, resume, fault: None };
+    Exec { workers, telemetry: None, journal: Some(journal) }
 }
 
-/// Runs the seeded fully-hardened (ecc+tmr) CORDIC recovery campaign
-/// durably, journaling to `journal`.
-pub fn durable_cordic_recovery(journal: &Path, resume: bool, workers: usize) -> RecoveryReport {
-    let (plan, base, n) = crate::recover::cordic_plan(REPORT_SEED, DURABLE_RECOVERY_TRIALS);
-    let h = HARDENINGS[3];
-    run_recovery_campaign_durable_parallel(
-        || cordic_sim(h),
-        &plan,
-        move |s| observe_words(s, base, n),
-        report_policy(),
-        journal,
-        resume,
-        workers,
-    )
-    .expect("durable recovery journal I/O")
+/// The seeded CORDIC fault campaign of this record.
+fn durable_campaign(exec: Exec<'_>) -> CampaignReport {
+    cordic_campaign(REPORT_SEED, DURABLE_TRIALS, CampaignConfig::default(), exec)
+}
+
+/// The seeded fully-hardened (ecc+tmr) CORDIC recovery campaign of this
+/// record.
+fn durable_recovery(exec: Exec<'_>) -> RecoveryReport {
+    cordic_recovery(REPORT_SEED, DURABLE_RECOVERY_TRIALS, report_policy(), exec)
 }
 
 /// Byte offsets of every record frame in a journal (walking the
@@ -127,21 +112,21 @@ fn run_durable() -> DurableRun {
 
     // Uninterrupted durable run.
     let journal = scratch_journal("durable_faults");
-    let report = durable_cordic_campaign(&journal, false, workers);
-    let scan = resume_from_journal(&journal).expect("journal scans");
+    let report = durable_campaign(journaled(&journal, false, workers));
+    let scan = resume_from_journal::<CampaignConfig>(&journal).expect("journal scans");
     assert_eq!(scan.done(), DURABLE_TRIALS, "every trial journaled");
     let journal_bytes = std::fs::metadata(&journal).expect("journal exists").len();
     let (records, plan_hash) = (scan.records, scan.plan_hash);
 
     // Interrupt at a record boundary + torn tail, then resume.
     let (resumed_records, torn_bytes) = interrupt_journal(&journal, INTERRUPT_AT);
-    let resumed = durable_cordic_campaign(&journal, true, workers);
+    let resumed = durable_campaign(journaled(&journal, true, workers));
     let resumed_identical = resumed == report;
     assert!(resumed_identical, "resumed report must be byte-identical to the uninterrupted run");
 
     // Worker invariance: a fresh serial run agrees with the pool run.
     let serial_journal = scratch_journal("durable_faults_serial");
-    let serial = durable_cordic_campaign(&serial_journal, false, 1);
+    let serial = durable_campaign(journaled(&serial_journal, false, 1));
     let workers_invariant = serial == report;
     assert!(workers_invariant, "durable report must not depend on the worker count");
 
@@ -152,25 +137,23 @@ fn run_durable() -> DurableRun {
     let (mut plan, base, n) = crate::faults::cordic_plan(REPORT_SEED, 23);
     plan.push(Injection { cycle: plan[0].cycle, kind: FaultKind::HarnessPanic });
     let demo_journal = scratch_journal("durable_demo");
-    let demo = run_campaign_durable_parallel(
+    let demo = run_design(
         || crate::workloads::cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)),
         &plan,
-        move |s| observe_words(s, base, n),
-        CampaignConfig { trial_cycle_budget: Some(64), ..CampaignConfig::default() },
-        &demo_journal,
-        false,
-        workers,
-    )
-    .expect("durable demo journal I/O");
+        (base, n),
+        &CampaignConfig { trial_cycle_budget: Some(64), ..CampaignConfig::default() },
+        journaled(&demo_journal, false, workers),
+    );
     assert_eq!(demo.trials.len(), 24, "sibling trials all completed");
 
     // Recovery-side resume over the supervised campaign.
     let rec_journal = scratch_journal("durable_recovery");
-    let recovery = durable_cordic_recovery(&rec_journal, false, workers);
-    let rec_scan = resume_recovery_from_journal(&rec_journal).expect("recovery journal scans");
+    let recovery = durable_recovery(journaled(&rec_journal, false, workers));
+    let rec_scan =
+        resume_from_journal::<RecoveryPolicy>(&rec_journal).expect("recovery journal scans");
     let recovery_records = rec_scan.records;
     interrupt_journal(&rec_journal, DURABLE_RECOVERY_TRIALS / 2);
-    let rec_resumed = durable_cordic_recovery(&rec_journal, true, workers);
+    let rec_resumed = durable_recovery(journaled(&rec_journal, true, workers));
     let recovery_resumed_identical = rec_resumed == recovery;
     assert!(recovery_resumed_identical, "resumed recovery report must be byte-identical");
 
@@ -303,59 +286,49 @@ pub fn write_durable_json(path: &Path) -> std::io::Result<()> {
 /// already journaled are loaded; the trailing lines account for what
 /// the journal contributed.
 pub fn durable_faults_text(journal: &Path, resume: bool) -> String {
-    use std::fmt::Write;
-    let prior = if resume {
-        resume_from_journal(journal).ok().map(|scan| (scan.done(), scan.torn_bytes))
-    } else {
-        None
-    };
-    let report = durable_cordic_campaign(journal, resume, default_workers());
-    let mut s = report.text(&format!(
-        "cordic divider, P={CORDIC_P}, {CORDIC_ITERS} iterations \
-         (seed {REPORT_SEED:#x}, journaled)"
-    ));
-    match prior {
-        Some((done, torn)) => {
-            let _ = writeln!(
-                s,
-                "  journal: resumed with {done} of {DURABLE_TRIALS} trials on file \
-                 ({torn} torn bytes dropped), {} re-run",
-                DURABLE_TRIALS - done
-            );
-        }
-        None => {
-            let _ = writeln!(s, "  journal: fresh run, {DURABLE_TRIALS} trials appended");
-        }
-    }
-    let _ = writeln!(s, "  journal file: {}", journal.display());
-    s
+    journaled_text::<CampaignConfig>(journal, resume, DURABLE_TRIALS, |exec| {
+        durable_campaign(exec).text(&format!(
+            "cordic divider, P={CORDIC_P}, {CORDIC_ITERS} iterations \
+             (seed {REPORT_SEED:#x}, journaled)"
+        ))
+    })
 }
 
 /// The `--recovery --journal PATH` report: the fully-hardened CORDIC
 /// recovery campaign run durably against a user-supplied journal.
 pub fn durable_recovery_text(journal: &Path, resume: bool) -> String {
+    journaled_text::<RecoveryPolicy>(journal, resume, DURABLE_RECOVERY_TRIALS, |exec| {
+        durable_recovery(exec).text(&format!(
+            "cordic divider, ecc+tmr, P={CORDIC_P}, {CORDIC_ITERS} iterations \
+             (seed {REPORT_SEED:#x}, journaled)"
+        ))
+    })
+}
+
+/// The text of a `K` campaign of `trials` that `campaign` runs journaled
+/// to `journal`, plus lines accounting for what the journal contributed.
+fn journaled_text<K: TrialKind>(
+    journal: &Path,
+    resume: bool,
+    trials: usize,
+    campaign: impl FnOnce(Exec<'_>) -> String,
+) -> String {
     use std::fmt::Write;
-    let prior = if resume {
-        resume_recovery_from_journal(journal).ok().map(|scan| (scan.done(), scan.torn_bytes))
-    } else {
-        None
-    };
-    let report = durable_cordic_recovery(journal, resume, default_workers());
-    let mut s = report.text(&format!(
-        "cordic divider, ecc+tmr, P={CORDIC_P}, {CORDIC_ITERS} iterations \
-         (seed {REPORT_SEED:#x}, journaled)"
-    ));
+    let prior = resume
+        .then(|| resume_from_journal::<K>(journal).ok().map(|scan| (scan.done(), scan.torn_bytes)))
+        .flatten();
+    let mut s = campaign(journaled(journal, resume, default_workers()));
     match prior {
         Some((done, torn)) => {
             let _ = writeln!(
                 s,
-                "  journal: resumed with {done} of {DURABLE_RECOVERY_TRIALS} trials on file \
+                "  journal: resumed with {done} of {trials} trials on file \
                  ({torn} torn bytes dropped), {} re-run",
-                DURABLE_RECOVERY_TRIALS - done
+                trials - done
             );
         }
         None => {
-            let _ = writeln!(s, "  journal: fresh run, {DURABLE_RECOVERY_TRIALS} trials appended");
+            let _ = writeln!(s, "  journal: fresh run, {trials} trials appended");
         }
     }
     let _ = writeln!(s, "  journal file: {}", journal.display());

@@ -10,8 +10,7 @@ use crate::workloads::{cordic_cosim, cordic_hw_image, matmul_cosim, matmul_image
 use softsim_cosim::CoSim;
 use softsim_metrics::telemetry::Telemetry;
 use softsim_resilience::{
-    random_plan, run_campaign, run_campaign_parallel, run_campaign_parallel_with_telemetry,
-    run_campaign_with_telemetry, CampaignConfig, CampaignReport, FaultKind, Injection,
+    random_plan, run, CampaignConfig, CampaignReport, Exec, FaultKind, Injection, Sims, TrialKind,
 };
 
 /// CORDIC iterations used by the fault campaigns (Figure 5's short
@@ -38,73 +37,56 @@ pub(crate) fn golden_cycles(mut sim: CoSim) -> u64 {
     sim.cpu().stats().cycles
 }
 
+/// The observable window of the CORDIC campaign image `img`: result
+/// base address and word count.
+fn cordic_window(img: &softsim_isa::Image) -> (u32, usize) {
+    (img.symbol("z_data").expect("cordic result label"), crate::workloads::cordic_batch().len())
+}
+
 /// The CORDIC campaign's injection plan plus the observable window
-/// (result base address, word count) — shared by the serial and
-/// parallel runners so both sweep the identical schedule.
+/// (result base address, word count) — shared by every execution shape
+/// so all sweep the identical schedule.
 pub(crate) fn cordic_plan(seed: u64, trials: usize) -> (Vec<Injection>, u32, usize) {
     let img = cordic_hw_image(CORDIC_ITERS, CORDIC_P);
-    let base = img.symbol("z_data").expect("cordic result label");
-    let n = crate::workloads::cordic_batch().len();
+    let (base, n) = cordic_window(&img);
     let golden = golden_cycles(cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)));
     let plan = random_plan(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0, 1]);
     (plan, base, n)
 }
 
+/// Runs `kind` over `plan` under `exec`, on simulators from `make_sim`,
+/// observing the `n` result words at `base`. A degraded journal's
+/// warning goes to stderr; the report is the same either way.
+///
+/// # Panics
+/// Panics on a journal error (the benches own their journal files).
+pub(crate) fn run_design<K: TrialKind>(
+    make_sim: impl Fn() -> CoSim + Sync,
+    plan: &[Injection],
+    (base, n): (u32, usize),
+    kind: &K,
+    exec: Exec<'_>,
+) -> K::Report {
+    let observe = move |s: &CoSim| observe_words(s, base, n);
+    let (report, status) =
+        run(Sims::Build(&make_sim), plan, &observe, kind, exec).expect("campaign journal I/O");
+    if let Some(w) = &status.warning {
+        eprintln!("warning: {w}");
+    }
+    report
+}
+
 /// Runs a seeded fault campaign over the CORDIC divider (P =
-/// [`CORDIC_P`], hardware-accelerated) with `trials` injections.
-pub fn cordic_campaign(seed: u64, trials: usize) -> CampaignReport {
-    cordic_campaign_with(seed, trials, CampaignConfig::default())
-}
-
-/// [`cordic_campaign`] with explicit tuning knobs — the speedup bench
-/// uses this to compare fast-forwarding on against off.
-pub fn cordic_campaign_with(seed: u64, trials: usize, config: CampaignConfig) -> CampaignReport {
-    let (plan, base, n) = cordic_plan(seed, trials);
-    let mut sim = cordic_cosim(CORDIC_ITERS, Some(CORDIC_P));
-    run_campaign(&mut sim, &plan, |s| observe_words(s, base, n), config)
-}
-
-/// [`cordic_campaign`] with optional harness telemetry — byte-identical
-/// report either way (the overhead guard in `trace_overhead` times this
-/// against the plain runner).
-pub fn cordic_campaign_telemetry(
+/// [`CORDIC_P`], hardware-accelerated) with `trials` injections, under
+/// `config` and `exec`. The report does not depend on `exec`.
+pub fn cordic_campaign(
     seed: u64,
     trials: usize,
-    telemetry: Option<&Telemetry>,
+    config: CampaignConfig,
+    exec: Exec<'_>,
 ) -> CampaignReport {
     let (plan, base, n) = cordic_plan(seed, trials);
-    let mut sim = cordic_cosim(CORDIC_ITERS, Some(CORDIC_P));
-    run_campaign_with_telemetry(
-        &mut sim,
-        &plan,
-        |s| observe_words(s, base, n),
-        CampaignConfig::default(),
-        telemetry,
-    )
-}
-
-/// The CORDIC campaign on `workers` threads. Byte-identical report to
-/// [`cordic_campaign`] with the same seed and trial count.
-pub fn cordic_campaign_parallel(seed: u64, trials: usize, workers: usize) -> CampaignReport {
-    cordic_campaign_parallel_telemetry(seed, trials, workers, None)
-}
-
-/// [`cordic_campaign_parallel`] with optional harness telemetry.
-pub fn cordic_campaign_parallel_telemetry(
-    seed: u64,
-    trials: usize,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-) -> CampaignReport {
-    let (plan, base, n) = cordic_plan(seed, trials);
-    run_campaign_parallel_with_telemetry(
-        || cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)),
-        &plan,
-        move |s| observe_words(s, base, n),
-        CampaignConfig::default(),
-        workers,
-        telemetry,
-    )
+    run_design(|| cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)), &plan, (base, n), &config, exec)
 }
 
 pub use crate::sweep::default_workers;
@@ -133,30 +115,15 @@ pub fn cordic_stuck_plan(trials: usize) -> Vec<Injection> {
         .collect()
 }
 
-/// Runs [`cordic_stuck_plan`] serially under `config`.
-pub fn cordic_stuck_campaign(trials: usize, config: CampaignConfig) -> CampaignReport {
-    let img = cordic_hw_image(CORDIC_ITERS, CORDIC_P);
-    let base = img.symbol("z_data").expect("cordic result label");
-    let n = crate::workloads::cordic_batch().len();
+/// Runs [`cordic_stuck_plan`] under `config` and `exec`.
+pub fn cordic_stuck_campaign(
+    trials: usize,
+    config: CampaignConfig,
+    exec: Exec<'_>,
+) -> CampaignReport {
     let plan = cordic_stuck_plan(trials);
-    let mut sim = cordic_cosim(CORDIC_ITERS, Some(CORDIC_P));
-    run_campaign(&mut sim, &plan, |s| observe_words(s, base, n), config)
-}
-
-/// Runs [`cordic_stuck_plan`] on `workers` threads with the default
-/// configuration. Byte-identical report to the serial runner's.
-pub fn cordic_stuck_campaign_parallel(trials: usize, workers: usize) -> CampaignReport {
-    let img = cordic_hw_image(CORDIC_ITERS, CORDIC_P);
-    let base = img.symbol("z_data").expect("cordic result label");
-    let n = crate::workloads::cordic_batch().len();
-    let plan = cordic_stuck_plan(trials);
-    run_campaign_parallel(
-        || cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)),
-        &plan,
-        move |s| observe_words(s, base, n),
-        CampaignConfig::default(),
-        workers,
-    )
+    let window = cordic_window(&cordic_hw_image(CORDIC_ITERS, CORDIC_P));
+    run_design(|| cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)), &plan, window, &config, exec)
 }
 
 /// Runs a seeded fault campaign over the block matmul (N =
@@ -166,13 +133,9 @@ pub fn matmul_campaign(seed: u64, trials: usize) -> CampaignReport {
     let base = img.symbol("c_data").expect("matmul result label");
     let golden = golden_cycles(matmul_cosim(MATMUL_N, Some(MATMUL_NB)));
     let plan = random_plan(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0, 1]);
-    let mut sim = matmul_cosim(MATMUL_N, Some(MATMUL_NB));
-    run_campaign(
-        &mut sim,
-        &plan,
-        |s| observe_words(s, base, MATMUL_N * MATMUL_N),
-        CampaignConfig::default(),
-    )
+    let window = (base, MATMUL_N * MATMUL_N);
+    let make_sim = || matmul_cosim(MATMUL_N, Some(MATMUL_NB));
+    run_design(make_sim, &plan, window, &CampaignConfig::default(), Exec::default())
 }
 
 /// Seed used by the `--faults` report and the CI smoke job.
@@ -198,13 +161,10 @@ pub fn faults_text() -> String {
 /// instrumented-parallel reports agree bit for bit — is the live proof
 /// that telemetry never touches the deterministic record.
 pub fn faults_text_with_telemetry(telemetry: Option<&Telemetry>) -> String {
-    let cordic_a = cordic_campaign(REPORT_SEED, REPORT_TRIALS);
-    let cordic_b = cordic_campaign_parallel_telemetry(
-        REPORT_SEED,
-        REPORT_TRIALS,
-        default_workers(),
-        telemetry,
-    );
+    let config = CampaignConfig::default();
+    let cordic_a = cordic_campaign(REPORT_SEED, REPORT_TRIALS, config, Exec::default());
+    let parallel = Exec { workers: default_workers(), telemetry, journal: None };
+    let cordic_b = cordic_campaign(REPORT_SEED, REPORT_TRIALS, config, parallel);
     assert_eq!(cordic_a, cordic_b, "serial and parallel campaigns must agree bit for bit");
     let matmul = matmul_campaign(REPORT_SEED, REPORT_TRIALS);
     let mut s = String::new();
@@ -225,9 +185,14 @@ mod tests {
     use super::*;
     use softsim_resilience::Outcome;
 
+    /// The CORDIC campaign under the default configuration, serial.
+    fn serial(seed: u64, trials: usize) -> CampaignReport {
+        cordic_campaign(seed, trials, CampaignConfig::default(), Exec::default())
+    }
+
     #[test]
     fn cordic_campaign_classifies_every_trial() {
-        let report = cordic_campaign(7, 24);
+        let report = serial(7, 24);
         assert_eq!(report.trials.len(), 24);
         for t in &report.trials {
             // Every stop maps to exactly one class; a bare CycleLimit
@@ -240,28 +205,26 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic() {
-        let a = cordic_campaign(3, 12);
-        let b = cordic_campaign(3, 12);
+        let a = serial(3, 12);
+        let b = serial(3, 12);
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_campaign_matches_serial() {
-        let serial = cordic_campaign(5, 16);
+        let reference = serial(5, 16);
         for workers in [1, 3, 8] {
-            let parallel = cordic_campaign_parallel(5, 16, workers);
-            assert_eq!(serial, parallel, "workers={workers}");
+            let exec = Exec { workers, ..Exec::default() };
+            let parallel = cordic_campaign(5, 16, CampaignConfig::default(), exec);
+            assert_eq!(reference, parallel, "workers={workers}");
         }
     }
 
     #[test]
     fn fast_forward_off_matches_on() {
-        let on = cordic_campaign(9, 12);
-        let off = cordic_campaign_with(
-            9,
-            12,
-            CampaignConfig { fast_forward: false, ..CampaignConfig::default() },
-        );
+        let on = serial(9, 12);
+        let stepped = CampaignConfig { fast_forward: false, ..CampaignConfig::default() };
+        let off = cordic_campaign(9, 12, stepped, Exec::default());
         assert_eq!(on, off);
     }
 

@@ -6,10 +6,10 @@
 //! for the CORDIC divider and the block matmul. Each workload ×
 //! hardening pair is run twice over the identical plan:
 //!
-//! 1. **unsupervised** ([`run_campaign`]): classifies what every fault
+//! 1. **unsupervised** ([`CampaignConfig`]): classifies what every fault
 //!    *does* — masked, silent data corruption, deadlock, or an
 //!    architectural fault;
-//! 2. **supervised** ([`run_recovery_campaign`]): measures what the
+//! 2. **supervised** ([`RecoveryPolicy`]): measures what the
 //!    rollback supervisor *undoes* — clean, recovered (with detection
 //!    latency and replayed work), or unrecoverable.
 //!
@@ -21,15 +21,14 @@
 //! reports agree bit for bit — the same check CI gates on.
 
 use crate::faults::{
-    default_workers, golden_cycles, observe_words, CORDIC_ITERS, CORDIC_P, MATMUL_N, MATMUL_NB,
+    default_workers, golden_cycles, run_design, CORDIC_ITERS, CORDIC_P, MATMUL_N, MATMUL_NB,
     REPORT_SEED,
 };
 use crate::tables::json_f64;
 use softsim_cosim::CoSim;
 use softsim_resilience::{
-    random_plan_hardware, run_campaign, run_recovery_campaign, run_recovery_campaign_parallel,
-    CampaignConfig, CampaignReport, Injection, Outcome, RecoveryOutcome, RecoveryPolicy,
-    RecoveryReport,
+    random_plan_hardware, CampaignConfig, CampaignReport, Exec, Injection, Outcome,
+    RecoveryOutcome, RecoveryPolicy, RecoveryReport,
 };
 
 /// One hardening configuration of the recovery matrix.
@@ -158,17 +157,14 @@ fn matmul_plan(seed: u64, trials: usize) -> (Vec<Injection>, u32, usize) {
 fn run_row(
     workload: &'static str,
     h: Hardening,
-    make_sim: impl Fn() -> CoSim,
+    make_sim: impl Fn() -> CoSim + Sync,
     plan: &[Injection],
     base: u32,
     n: usize,
 ) -> RecoveryRow {
-    let mut sim = make_sim();
-    let baseline =
-        run_campaign(&mut sim, plan, |s| observe_words(s, base, n), CampaignConfig::default());
-    let mut sim = make_sim();
-    let supervised =
-        run_recovery_campaign(&mut sim, plan, |s| observe_words(s, base, n), report_policy());
+    let (window, serial) = ((base, n), Exec::default());
+    let baseline = run_design(&make_sim, plan, window, &CampaignConfig::default(), serial);
+    let supervised = run_design(&make_sim, plan, window, &report_policy(), serial);
     RecoveryRow { workload, hardening: h, baseline, supervised }
 }
 
@@ -184,20 +180,36 @@ pub fn matmul_recovery_rows(seed: u64, trials: usize) -> Vec<RecoveryRow> {
     HARDENINGS.iter().map(|&h| run_row("matmul", h, || matmul_sim(h), &plan, base, n)).collect()
 }
 
-/// The supervised fully-hardened (ecc+tmr) CORDIC campaign on `workers`
-/// threads. Byte-identical to the corresponding serial row with the
-/// same seed and trial count — the determinism check the report and CI
-/// gate on.
-pub fn cordic_recovery_parallel(seed: u64, trials: usize, workers: usize) -> RecoveryReport {
+/// The supervised fully-hardened (ecc+tmr) CORDIC campaign under
+/// `policy` and `exec`. Byte-identical to the corresponding serial row
+/// with the same seed and trial count, at any worker count and with or
+/// without a journal — the determinism check the report and CI gate on.
+pub fn cordic_recovery(
+    seed: u64,
+    trials: usize,
+    policy: RecoveryPolicy,
+    exec: Exec<'_>,
+) -> RecoveryReport {
     let (plan, base, n) = cordic_plan(seed, trials);
     let h = HARDENINGS[3];
-    run_recovery_campaign_parallel(
-        || cordic_sim(h),
-        &plan,
-        move |s| observe_words(s, base, n),
-        report_policy(),
-        workers,
-    )
+    run_design(|| cordic_sim(h), &plan, (base, n), &policy, exec)
+}
+
+/// The full matrix of both workloads, `(cordic, matmul)`, with the
+/// fully-hardened CORDIC row re-run on the default worker count.
+///
+/// # Panics
+/// Panics if the serial and parallel supervised runs disagree anywhere.
+fn checked_matrix() -> (Vec<RecoveryRow>, Vec<RecoveryRow>) {
+    let cordic = cordic_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
+    let matmul = matmul_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
+    let exec = Exec { workers: default_workers(), ..Exec::default() };
+    let par = cordic_recovery(REPORT_SEED, RECOVERY_TRIALS, report_policy(), exec);
+    assert_eq!(
+        cordic[3].supervised, par,
+        "serial and parallel recovery campaigns must agree bit for bit"
+    );
+    (cordic, matmul)
 }
 
 /// Formats the matrix rows of one workload as an aligned table body.
@@ -240,13 +252,7 @@ fn rows_text(rows: &[RecoveryRow]) -> String {
 /// Panics if the serial and parallel supervised runs disagree anywhere.
 pub fn recovery_text() -> String {
     use std::fmt::Write;
-    let cordic = cordic_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
-    let matmul = matmul_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
-    let par = cordic_recovery_parallel(REPORT_SEED, RECOVERY_TRIALS, default_workers());
-    assert_eq!(
-        cordic[3].supervised, par,
-        "serial and parallel recovery campaigns must agree bit for bit"
-    );
+    let (cordic, matmul) = checked_matrix();
 
     let mut s = String::new();
     let _ = writeln!(
@@ -311,14 +317,7 @@ fn row_json(row: &RecoveryRow) -> String {
 /// # Panics
 /// Panics if the serial and parallel supervised CORDIC runs disagree.
 pub fn recovery_json() -> String {
-    let workers = default_workers();
-    let cordic = cordic_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
-    let matmul = matmul_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
-    let par = cordic_recovery_parallel(REPORT_SEED, RECOVERY_TRIALS, workers);
-    assert_eq!(
-        cordic[3].supervised, par,
-        "serial and parallel recovery campaigns must agree bit for bit"
-    );
+    let (cordic, matmul) = checked_matrix();
     let rows: Vec<String> = cordic.iter().chain(&matmul).map(row_json).collect();
     // No worker count in the record: the report is independent of the
     // thread pool, and CI proves it by byte-diffing this file across
@@ -378,7 +377,7 @@ mod tests {
     fn parallel_supervised_campaign_matches_serial() {
         let rows = cordic_recovery_rows(13, 9);
         for workers in [1, 3, 8] {
-            let par = cordic_recovery_parallel(13, 9, workers);
+            let par = cordic_recovery(13, 9, report_policy(), Exec { workers, ..Exec::default() });
             assert_eq!(rows[3].supervised, par, "workers={workers}");
         }
     }

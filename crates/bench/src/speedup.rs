@@ -13,11 +13,10 @@
 //! equality is not.
 
 use crate::faults::{
-    cordic_campaign_parallel, cordic_campaign_with, cordic_stuck_campaign,
-    cordic_stuck_campaign_parallel, default_workers, REPORT_SEED, REPORT_TRIALS,
+    cordic_campaign, cordic_stuck_campaign, default_workers, REPORT_SEED, REPORT_TRIALS,
 };
 use crate::tables::{figure5_with, json_f64};
-use softsim_resilience::CampaignConfig;
+use softsim_resilience::{CampaignConfig, Exec};
 use std::time::Instant;
 
 /// Wall-clock seconds `f` takes, with its result.
@@ -35,17 +34,22 @@ fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
 pub fn speedup_json() -> String {
     let workers = default_workers();
     let stepped = CampaignConfig { fast_forward: false, ..CampaignConfig::default() };
-    let (serial_s, serial) = timed(|| cordic_campaign_with(REPORT_SEED, REPORT_TRIALS, stepped));
-    let (ff_s, ff) =
-        timed(|| cordic_campaign_with(REPORT_SEED, REPORT_TRIALS, CampaignConfig::default()));
-    let (par_s, par) = timed(|| cordic_campaign_parallel(REPORT_SEED, REPORT_TRIALS, workers));
-    assert_eq!(serial, ff, "fast-forwarding must not change the campaign report");
-    assert_eq!(serial, par, "the parallel runner must not change the campaign report");
+    let ff = CampaignConfig::default();
+    let (serial, parallel) = (Exec::default(), Exec { workers, ..Exec::default() });
+    let campaign = |config, exec| cordic_campaign(REPORT_SEED, REPORT_TRIALS, config, exec);
+    let (serial_s, serial_report) = timed(|| campaign(stepped, serial));
+    let (ff_s, ff_report) = timed(|| campaign(ff, serial));
+    let (par_s, par_report) = timed(|| campaign(ff, parallel));
+    assert_eq!(serial_report, ff_report, "fast-forwarding must not change the campaign report");
+    assert_eq!(
+        serial_report, par_report,
+        "the parallel runner must not change the campaign report"
+    );
 
-    let (stuck_serial_s, stuck_serial) = timed(|| cordic_stuck_campaign(REPORT_TRIALS, stepped));
-    let (stuck_ff_s, stuck_ff) =
-        timed(|| cordic_stuck_campaign(REPORT_TRIALS, CampaignConfig::default()));
-    let (stuck_par_s, stuck_par) = timed(|| cordic_stuck_campaign_parallel(REPORT_TRIALS, workers));
+    let (stuck_serial_s, stuck_serial) =
+        timed(|| cordic_stuck_campaign(REPORT_TRIALS, stepped, serial));
+    let (stuck_ff_s, stuck_ff) = timed(|| cordic_stuck_campaign(REPORT_TRIALS, ff, serial));
+    let (stuck_par_s, stuck_par) = timed(|| cordic_stuck_campaign(REPORT_TRIALS, ff, parallel));
     assert_eq!(stuck_serial, stuck_ff, "fast-forwarding must not change the stuck-fault report");
     assert_eq!(
         stuck_serial, stuck_par,

@@ -18,15 +18,21 @@
 //! *budget* (an explicit per-trial cycle or wall-clock budget cancelled
 //! a runaway trial — graceful degradation instead of an unbounded run)
 //! and *harness-error* (the harness itself panicked inside the trial;
-//! the panic is caught, optionally retried with exponential backoff,
-//! and recorded — one bad trial can no longer poison a campaign or
-//! tear down a worker thread).
+//! the panic is caught, retried once, and recorded — one bad trial can
+//! no longer poison a campaign or tear down a worker thread).
+//!
+//! [`CampaignConfig`] is the fault-classification [`crate::TrialKind`]:
+//! [`crate::run`] drives it at any worker count, with telemetry and an
+//! optional journal; [`run_campaign`] is the serial shorthand.
 
+use crate::driver::{drive, Exec, Kind};
+use crate::durable::{
+    decode_all, get_trial, put_bool, put_trial, put_u64, put_u8, JournalError, KIND_CAMPAIGN,
+};
 use crate::inject::{Injection, Injector};
 use softsim_cosim::{CoSim, CoSimState, CoSimStop, StateDelta};
 use softsim_iss::CpuStats;
-use softsim_metrics::telemetry::{SpanKind, SpanRecord, Telemetry};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use softsim_metrics::telemetry::SpanRecord;
 use std::time::{Duration, Instant};
 
 /// SEU outcome classification of one fault-injection trial.
@@ -49,9 +55,9 @@ pub enum Outcome {
     Budget,
     /// The harness itself panicked while running the trial (not the
     /// design under test — the simulated program trapping is
-    /// [`Outcome::Fault`]). The panic was caught, the configured
-    /// retries were exhausted, and the trial was abandoned; sibling
-    /// trials are unaffected.
+    /// [`Outcome::Fault`]). The panic was caught, the harness retry
+    /// panicked too, and the trial was abandoned; sibling trials are
+    /// unaffected.
     HarnessError {
         /// The panic payload, when it was a string (the common case).
         panic_msg: String,
@@ -140,16 +146,6 @@ pub struct CampaignConfig {
     /// leave `None` (the default) for byte-reproducible reports; the
     /// deterministic alternative is [`CampaignConfig::trial_cycle_budget`].
     pub trial_wall_budget: Option<Duration>,
-    /// Harness-panic retries per trial before the trial is abandoned as
-    /// [`Outcome::HarnessError`]. Retries target *transient* harness
-    /// failures; a deterministic panic (e.g.
-    /// [`crate::FaultKind::HarnessPanic`]) fails every attempt and is
-    /// abandoned after this many extra tries.
-    pub max_trial_retries: u32,
-    /// Base delay of the bounded exponential backoff between harness
-    /// retries (doubled per attempt). `Duration::ZERO` (the default)
-    /// retries immediately.
-    pub retry_backoff: Duration,
 }
 
 impl Default for CampaignConfig {
@@ -161,8 +157,6 @@ impl Default for CampaignConfig {
             fast_forward: true,
             trial_cycle_budget: None,
             trial_wall_budget: None,
-            max_trial_retries: 1,
-            retry_backoff: Duration::ZERO,
         }
     }
 }
@@ -271,22 +265,17 @@ impl CampaignReport {
     }
 }
 
-/// Runs a fault-injection campaign.
+/// Runs a fault-injection campaign serially on `sim`: [`crate::run`]
+/// with [`crate::Sims::Borrowed`] and no telemetry or journal.
 ///
 /// `sim` is the system under test, positioned at its initial state (it
 /// is checkpointed immediately, and left in that state on return).
 /// `observe` extracts the workload's observable result words from a
-/// finished run — typically the output buffer in local memory.
-///
-/// The golden run keeps up to eight checkpoints at quantiles of the plan's
-/// injection cycles. Every trial: restore the last checkpoint at or before
-/// the injection cycle (the initial state for a cycle before the first),
-/// step to the injection cycle, apply the fault, arm the watchdog, run
-/// under the padded budget, classify. A trial that panics the harness is
-/// caught and classified [`Outcome::HarnessError`] — subsequent trials
-/// still run. The whole procedure is deterministic (wall-clock budgets
-/// aside): an identical `sim`, `plan` and `observe` produce a
-/// byte-identical report.
+/// finished run — typically the output buffer in local memory. Each
+/// trial restores the last golden checkpoint at or before its injection
+/// cycle, steps to that cycle, applies the fault, arms the watchdog and
+/// runs under the padded budget; the report is byte-identical to any
+/// other execution shape's.
 ///
 /// # Panics
 /// Panics if the golden run does not halt within the configured budget
@@ -297,149 +286,9 @@ pub fn run_campaign(
     observe: impl Fn(&CoSim) -> Vec<u32>,
     config: CampaignConfig,
 ) -> CampaignReport {
-    run_campaign_with_telemetry(sim, plan, observe, config, None)
-}
-
-/// [`run_campaign`] with optional harness telemetry. The report is
-/// byte-identical whether `telemetry` is `None` or `Some` — spans carry
-/// wall-clock data out-of-band (golden span, one trial span per
-/// injection, one campaign span), never into the report.
-pub fn run_campaign_with_telemetry(
-    sim: &mut CoSim,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32>,
-    config: CampaignConfig,
-    telemetry: Option<&Telemetry>,
-) -> CampaignReport {
-    let campaign_start = telemetry.map(|t| {
-        t.expect_trials(plan.len() as u64);
-        Instant::now()
-    });
-    let prev_fast_forward = sim.fast_forward();
-    sim.set_fast_forward(config.fast_forward);
-    let golden = golden_run(sim, plan, &observe, config, telemetry);
-    let scope = telemetry.map(|t| golden.trial_scope(t, 0));
-
-    let mut trials = Vec::with_capacity(plan.len());
-    for &injection in plan {
-        trials.push(run_trial_guarded(
-            sim,
-            None,
-            &golden,
-            injection,
-            &observe,
-            config,
-            scope.as_ref(),
-        ));
-    }
-    sim.load_state(&golden.initial);
-    sim.clear_watchdog();
-    sim.set_fast_forward(prev_fast_forward);
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
-    }
-    golden.report(trials)
-}
-
-/// Runs a fault-injection campaign on worker threads.
-///
-/// Byte-identical to [`run_campaign`] with the same plan, configuration
-/// and workload: every trial is independent given the golden reference
-/// and its checkpoint ladder (built once, read by every worker; which
-/// checkpoint a trial starts from depends only on its injection cycle),
-/// each worker runs the same
-/// per-trial procedure ([`run_trial`] is shared between the serial and
-/// parallel runners), and results are merged in plan order — so the
-/// report, and any text rendered from it, does not depend on `workers`
-/// or on thread scheduling.
-///
-/// `make_sim` builds one fresh co-simulator per worker (a [`CoSim`]
-/// holds non-`Send` observers, so simulators cannot migrate across
-/// threads); each must have the same image and peripheral shape. The
-/// golden run executes once, on the calling thread. A trial that
-/// panics the harness is caught inside the worker and classified
-/// [`Outcome::HarnessError`] — the worker rebuilds its simulator via
-/// `make_sim` and keeps draining its share of the plan.
-///
-/// # Panics
-/// Panics if the golden run does not halt within the configured budget
-/// floor times the factor, or if `make_sim` builds a simulator whose
-/// shape does not match the checkpoint.
-pub fn run_campaign_parallel(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    workers: usize,
-) -> CampaignReport {
-    run_campaign_parallel_with_telemetry(make_sim, plan, observe, config, workers, None)
-}
-
-/// [`run_campaign_parallel`] with optional harness telemetry: each
-/// worker records one trial span per plan entry it drains (worker ids
-/// follow chunk order, so worker `w` covers `plan[w*chunk..]`). The
-/// report stays byte-identical for any `telemetry`/`workers` choice.
-pub fn run_campaign_parallel_with_telemetry(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-) -> CampaignReport {
-    let campaign_start = telemetry.map(|t| {
-        t.expect_trials(plan.len() as u64);
-        Instant::now()
-    });
-    let mut sim = make_sim();
-    sim.set_fast_forward(config.fast_forward);
-    let golden = golden_run(&mut sim, plan, &observe, config, telemetry);
-    drop(sim);
-
-    let workers = workers.clamp(1, plan.len().max(1));
-    let mut trials: Vec<Option<Trial>> = vec![None; plan.len()];
-    std::thread::scope(|scope| {
-        // Contiguous chunks: worker w gets plan[w*chunk .. (w+1)*chunk]
-        // and writes into the matching result slots, so the merge below
-        // is a plain unwrap in plan order.
-        let chunk = plan.len().div_ceil(workers);
-        let mut slots = trials.as_mut_slice();
-        let mut rest = plan;
-        let golden = &golden;
-        let (make_sim, observe) = (&make_sim, &observe);
-        let mut worker_id: u32 = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (plan_chunk, plan_rest) = rest.split_at(take);
-            let (slot_chunk, slot_rest) = slots.split_at_mut(take);
-            rest = plan_rest;
-            slots = slot_rest;
-            let worker = worker_id;
-            worker_id += 1;
-            scope.spawn(move || {
-                let mut sim = make_sim();
-                sim.set_fast_forward(config.fast_forward);
-                let rebuild: &dyn Fn() -> CoSim = make_sim;
-                let scope_rec = telemetry.map(|t| golden.trial_scope(t, worker));
-                for (slot, &injection) in slot_chunk.iter_mut().zip(plan_chunk) {
-                    *slot = Some(run_trial_guarded(
-                        &mut sim,
-                        Some(rebuild),
-                        golden,
-                        injection,
-                        observe,
-                        config,
-                        scope_rec.as_ref(),
-                    ));
-                }
-            });
-        }
-    });
-    let trials = trials.into_iter().map(|t| t.expect("worker filled every slot")).collect();
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
-    }
-    golden.report(trials)
+    let (report, _) = drive(sim, None, plan, &observe, &config, Exec::default())
+        .expect("a run without a journal has no journal to fail");
+    report
 }
 
 /// Most golden checkpoints a campaign keeps besides the initial state.
@@ -467,11 +316,12 @@ fn rung_cycles(plan: &[Injection], start: u64, end: u64) -> Vec<u64> {
 /// Everything trials share: the golden run's cycle count and
 /// observables, the padded per-trial budget derived from them, and the
 /// checkpoint ladder trials start from. Rung 0 of the ladder is the
-/// initial state; the others are golden states at up to
-/// [`LADDER_RUNGS`] of the plan's injection cycles. Every rung is a
+/// initial state; the others are golden states at up to eight of the
+/// plan's injection cycles. Every rung is a
 /// [`StateDelta`] against the initial state, so the ladder holds one
-/// full memory image however many rungs it has.
-pub(crate) struct Golden {
+/// full memory image however many rungs it has. This is the golden
+/// reference of the [`CampaignConfig`] trial kind.
+pub struct Golden {
     /// Cycle counter at which the golden run halted.
     pub cycles: u64,
     /// Observables of the golden run.
@@ -497,36 +347,23 @@ impl Golden {
         let k = self.rungs.partition_point(|(c, _)| *c <= cycle).saturating_sub(1);
         sim.load_state_delta(&self.initial, &self.rungs[k].1);
     }
-
-    /// The telemetry context of worker `worker`'s trials.
-    pub fn trial_scope<'a>(&self, telemetry: &'a Telemetry, worker: u32) -> TrialScope<'a> {
-        TrialScope { telemetry, worker, initial_cycles: self.initial_cycles() }
-    }
-
-    /// The campaign report over `trials`.
-    pub fn report(self, trials: Vec<Trial>) -> CampaignReport {
-        CampaignReport { golden_cycles: self.cycles, golden_observed: self.observed, trials }
-    }
 }
 
-/// The golden (fault-free) reference run from `sim`'s current state,
-/// recorded as a golden span when `telemetry` is on. The run is split
-/// into segments ending at [`rung_cycles`] of `plan`, keeping a ladder
-/// rung after each; `run(a)` followed by `run(b)` leaves the state
+/// The golden (fault-free) reference run from `sim`'s current state.
+/// The run is split into segments ending at [`rung_cycles`] of `plan`,
+/// keeping a ladder rung after each; `run(a)` followed by `run(b)` leaves the state
 /// `run(a + b)` does, so segmenting changes nothing the run computes.
 /// Leaves `sim` halted at the end of the golden run.
 ///
 /// # Panics
 /// Panics if the run does not halt within the budget floor times the
 /// factor.
-pub(crate) fn golden_run(
+fn golden_run(
     sim: &mut CoSim,
     plan: &[Injection],
-    observe: &impl Fn(&CoSim) -> Vec<u32>,
+    observe: &dyn Fn(&CoSim) -> Vec<u32>,
     config: CampaignConfig,
-    telemetry: Option<&Telemetry>,
 ) -> Golden {
-    let golden_start = telemetry.map(|_| Instant::now());
     let initial = sim.save_state();
     let start = initial.cpu.stats.cycles;
     let end = start.saturating_add(config.budget_floor * config.budget_factor.max(1));
@@ -543,28 +380,12 @@ pub(crate) fn golden_run(
     let stop = early_stop.unwrap_or_else(|| sim.run(end - sim.cpu().stats().cycles));
     assert_eq!(stop, CoSimStop::Halted, "golden run must halt, got: {stop}");
     let cycles = sim.cpu().stats().cycles;
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = cycles.saturating_sub(start);
-        t.record(rec);
-    }
     Golden {
         cycles,
         observed: observe(sim),
         budget: cycles * config.budget_factor + config.budget_floor,
         initial,
         rungs,
-    }
-}
-
-/// Best-effort string rendering of a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -576,130 +397,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// that finishes in time computes.
 const WALL_SLICE: u64 = 16_384;
 
-/// Telemetry context one worker threads through its trials: the hub,
-/// the worker's id, and the cycle counter value of the initial state
-/// (subtracted from a trial's final cycle counter). A trial span's
-/// `sim_cycles` is therefore "end counter − initial counter": the
-/// cycles the trial *covers* from the initial state, matching the
-/// report exactly, not the cycles it executed after starting from a
-/// later golden checkpoint.
-pub(crate) struct TrialScope<'a> {
-    pub telemetry: &'a Telemetry,
-    pub worker: u32,
-    pub initial_cycles: u64,
-}
-
-impl TrialScope<'_> {
-    /// Closes one trial span. `first_attempt_end` marks the end of the
-    /// first attempt, so everything after it — backoff sleeps included —
-    /// is retry wall-time. Fast-forward counters are deltas against the
-    /// worker's simulator (saturating: a rebuild after a panic resets
-    /// them).
-    fn record_trial(
-        &self,
-        sim: &CoSim,
-        trial: &Trial,
-        start: Instant,
-        first_attempt_end: Instant,
-        ff0: u64,
-        ffc0: u64,
-    ) {
-        let mut rec = SpanRecord::new(SpanKind::Trial, self.worker, start.elapsed());
-        rec.sim_cycles = trial.cpu_stats.cycles.saturating_sub(self.initial_cycles);
-        rec.retries = trial.retries as u64;
-        rec.retry_wall =
-            if trial.retries > 0 { first_attempt_end.elapsed() } else { Duration::ZERO };
-        rec.budget_cancelled = matches!(trial.outcome, Outcome::Budget) as u64;
-        rec.abandoned = matches!(trial.outcome, Outcome::HarnessError { .. }) as u64;
-        rec.ff_engagements = sim.ff_engagements().saturating_sub(ff0);
-        rec.ff_skipped_cycles = sim.ff_skipped_cycles().saturating_sub(ffc0);
-        self.telemetry.record(rec);
-    }
-}
-
-/// [`run_trial`] wrapped in [`catch_unwind`]: a panicking trial is
-/// retried up to `config.max_trial_retries` times with bounded
-/// exponential backoff, then abandoned as [`Outcome::HarnessError`].
-/// `rebuild` (the parallel runners' `make_sim`) replaces a simulator
-/// the panic may have left inconsistent; the serial runner passes
-/// `None` and relies on the next trial's checkpoint restore.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_trial_guarded(
-    sim: &mut CoSim,
-    rebuild: Option<&dyn Fn() -> CoSim>,
-    golden: &Golden,
-    injection: Injection,
-    observe: &(impl Fn(&CoSim) -> Vec<u32> + ?Sized),
-    config: CampaignConfig,
-    scope: Option<&TrialScope<'_>>,
-) -> Trial {
-    let start = scope.map(|_| Instant::now());
-    let ff0 = sim.ff_engagements();
-    let ffc0 = sim.ff_skipped_cycles();
-    let mut first_attempt_end: Option<Instant> = None;
-    let mut attempt = 0u32;
-    loop {
-        let result =
-            catch_unwind(AssertUnwindSafe(|| run_trial(sim, golden, injection, observe, config)));
-        if scope.is_some() && first_attempt_end.is_none() {
-            first_attempt_end = Some(Instant::now());
-        }
-        match result {
-            Ok(mut trial) => {
-                trial.retries = attempt;
-                if let Some(sc) = scope {
-                    sc.record_trial(
-                        sim,
-                        &trial,
-                        start.unwrap(),
-                        first_attempt_end.unwrap(),
-                        ff0,
-                        ffc0,
-                    );
-                }
-                return trial;
-            }
-            Err(payload) => {
-                let panic_msg = panic_message(payload);
-                if let Some(make) = rebuild {
-                    // The panic may have unwound mid-step; a fresh
-                    // simulator is the only state guaranteed clean.
-                    *sim = make();
-                    sim.set_fast_forward(config.fast_forward);
-                }
-                if attempt >= config.max_trial_retries {
-                    let trial = Trial {
-                        injection,
-                        applied: false,
-                        stop: CoSimStop::CycleLimit { blocked: None },
-                        outcome: Outcome::HarnessError { panic_msg },
-                        retries: attempt,
-                        cpu_stats: CpuStats::default(),
-                        hw_stats: softsim_cosim::HwStats::default(),
-                    };
-                    if let Some(sc) = scope {
-                        sc.record_trial(
-                            sim,
-                            &trial,
-                            start.unwrap(),
-                            first_attempt_end.unwrap(),
-                            ff0,
-                            ffc0,
-                        );
-                    }
-                    return trial;
-                }
-                let backoff = config.retry_backoff.saturating_mul(1u32 << attempt.min(16));
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                attempt += 1;
-            }
-        }
-    }
-}
-
-/// One injection trial, the procedure every runner shares: restore the
+/// One injection trial, the procedure every run shares: restore the
 /// last golden rung at or before the injection cycle, run the rest of
 /// the fault-free prefix (at most one rung gap; a fault before the
 /// initial cycle gets none), apply the fault, arm the watchdog, run
@@ -709,7 +407,7 @@ fn run_trial(
     sim: &mut CoSim,
     golden: &Golden,
     injection: Injection,
-    observe: &(impl Fn(&CoSim) -> Vec<u32> + ?Sized),
+    observe: &dyn Fn(&CoSim) -> Vec<u32>,
     config: CampaignConfig,
 ) -> Trial {
     golden.restore(sim, injection.cycle);
@@ -801,6 +499,101 @@ fn run_capped(
     }
 }
 
+impl Kind for CampaignConfig {
+    type Golden = Golden;
+    type Trial = Trial;
+    type Report = CampaignReport;
+    const JOURNAL_KIND: u8 = KIND_CAMPAIGN;
+
+    fn prepare(&self, sim: &mut CoSim) {
+        sim.set_fast_forward(self.fast_forward);
+    }
+
+    fn golden(
+        &self,
+        sim: &mut CoSim,
+        plan: &[Injection],
+        observe: &dyn Fn(&CoSim) -> Vec<u32>,
+    ) -> Golden {
+        golden_run(sim, plan, observe, *self)
+    }
+
+    fn initial(golden: &Golden) -> &CoSimState {
+        &golden.initial
+    }
+
+    fn golden_span_cycles(golden: &Golden) -> u64 {
+        golden.cycles.saturating_sub(golden.initial_cycles())
+    }
+
+    fn golden_result(golden: &Golden) -> (u64, &[u32]) {
+        (golden.cycles, &golden.observed)
+    }
+
+    fn trial(
+        &self,
+        sim: &mut CoSim,
+        golden: &Golden,
+        injection: Injection,
+        observe: &dyn Fn(&CoSim) -> Vec<u32>,
+        attempt: u32,
+    ) -> Trial {
+        Trial { retries: attempt, ..run_trial(sim, golden, injection, observe, *self) }
+    }
+
+    fn abandoned(injection: Injection, panic_msg: String, retries: u32) -> Trial {
+        Trial {
+            injection,
+            applied: false,
+            stop: CoSimStop::CycleLimit { blocked: None },
+            outcome: Outcome::HarnessError { panic_msg },
+            retries,
+            cpu_stats: CpuStats::default(),
+            hw_stats: softsim_cosim::HwStats::default(),
+        }
+    }
+
+    /// A trial span's `sim_cycles` is "end counter − initial counter":
+    /// the cycles the trial *covers* from the initial state, matching the
+    /// report, not the cycles it executed after starting from a later
+    /// golden checkpoint.
+    fn trial_span(golden: &Golden, trial: &Trial, retry_wall: Duration, rec: &mut SpanRecord) {
+        rec.sim_cycles = trial.cpu_stats.cycles.saturating_sub(golden.initial_cycles());
+        rec.retries = trial.retries as u64;
+        rec.retry_wall = if trial.retries > 0 { retry_wall } else { Duration::ZERO };
+        rec.budget_cancelled = matches!(trial.outcome, Outcome::Budget) as u64;
+        rec.abandoned = matches!(trial.outcome, Outcome::HarnessError { .. }) as u64;
+    }
+
+    /// The wall-clock budget is machine-local tuning, not part of what
+    /// the campaign computes, so it stays out of the hash.
+    fn hash_config(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.watchdog_threshold);
+        put_u64(out, self.budget_factor);
+        put_u64(out, self.budget_floor);
+        put_bool(out, self.fast_forward);
+        match self.trial_cycle_budget {
+            None => put_u8(out, 0),
+            Some(v) => {
+                put_u8(out, 1);
+                put_u64(out, v);
+            }
+        }
+    }
+
+    fn encode(trial: &Trial, out: &mut Vec<u8>) {
+        put_trial(out, trial);
+    }
+
+    fn decode(body: &[u8]) -> Result<Trial, JournalError> {
+        decode_all(body, get_trial)
+    }
+
+    fn report(golden: Golden, trials: Vec<Trial>) -> CampaignReport {
+        CampaignReport { golden_cycles: golden.cycles, golden_observed: golden.observed, trials }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,7 +630,7 @@ mod tests {
         for mut sim in designs() {
             let plan = hostile_plan(&mut sim);
             let config = CampaignConfig::default();
-            let golden = golden_run(&mut sim, &plan, &|_| Vec::new(), config, None);
+            let golden = golden_run(&mut sim, &plan, &|_| Vec::new(), config);
             let rungs = &golden.rungs;
             assert_eq!(rungs.len(), LADDER_RUNGS + 1);
             let patch_bytes: usize = rungs.iter().map(|(_, r)| r.patch_bytes()).sum();
@@ -850,7 +643,7 @@ mod tests {
         for mut sim in designs() {
             let plan = hostile_plan(&mut sim);
             let config = CampaignConfig::default();
-            let golden = golden_run(&mut sim, &plan, &|_| Vec::new(), config, None);
+            let golden = golden_run(&mut sim, &plan, &|_| Vec::new(), config);
             for (cycle, _) in &golden.rungs {
                 sim.load_state(&golden.initial);
                 sim.run(cycle - golden.initial_cycles());

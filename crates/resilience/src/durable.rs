@@ -47,20 +47,16 @@
 //! and must not leave a corrupt frame for the next resume to trip on.
 //! So the append path *degrades*: on the first failed append the file
 //! is truncated back to the last good frame, journaling stops, the
-//! campaign finishes in memory, and the `_with_status` runners report a
+//! campaign finishes in memory, and [`crate::run`] reports a
 //! [`DurabilityStatus`] with `durable = false` and a warning naming the
 //! failure. [`AppendFaultPlan`] injects exactly these failures in tests
 //! (the same philosophy as [`FaultKind::HarnessPanic`] for trial
 //! isolation: the degradation path stays provable end to end).
 
-use crate::campaign::{
-    golden_run, run_trial_guarded, CampaignConfig, CampaignReport, Outcome, Trial,
-};
+use crate::campaign::{CampaignConfig, CampaignReport, Outcome, Trial};
+use crate::driver::{run, Exec, JournalSpec, Sims, TrialKind};
 use crate::inject::{FaultKind, Injection};
-use crate::recover::{
-    run_recovery_trial_guarded, RecoveryOutcome, RecoveryPolicy, RecoveryReport, RecoveryTrial,
-    Supervisor,
-};
+use crate::recover::{RecoveryOutcome, RecoveryTrial};
 use crate::snapshot::crc32;
 use softsim_bus::MemError;
 use softsim_cosim::{CoSim, CoSimStop, DeadlockCause, HwStats};
@@ -71,7 +67,6 @@ use softsim_trace::{DetectorKind, FifoDir};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -81,9 +76,9 @@ pub const MAGIC: [u8; 4] = *b"SSJL";
 pub const VERSION: u32 = 1;
 
 /// Header `kind` byte of a fault-campaign journal.
-const KIND_CAMPAIGN: u8 = 0;
+pub(crate) const KIND_CAMPAIGN: u8 = 0;
 /// Header `kind` byte of a recovery-campaign journal.
-const KIND_RECOVERY: u8 = 1;
+pub(crate) const KIND_RECOVERY: u8 = 1;
 
 /// Fixed header size: magic + version + kind + plan hash + trial count
 /// + CRC trailer.
@@ -103,7 +98,7 @@ const MAX_PANIC_MSG: usize = 4096;
 /// count must fail typed instead of attempting a huge allocation.
 const MAX_TRIALS: usize = 1 << 22;
 
-/// Environment variable read by the durable runners: when set to `N`,
+/// Environment variable read by journaled runs: when set to `N`,
 /// the process exits with status 3 immediately after the `N`-th record
 /// append of this run. A crash-test hook for interrupt-and-resume
 /// testing (CI kills a campaign "partway" deterministically with it) —
@@ -136,9 +131,10 @@ impl std::error::Error for EnvConfigError {}
 
 /// Strictly parses [`ABORT_ENV`]: unset → `None`, a positive integer →
 /// `Some(n)`, anything else (including `0`) → a typed
-/// [`EnvConfigError`]. The durable runners call this on entry, so an
-/// invalid value surfaces as [`JournalError::Config`] before any trial
-/// runs; CLIs should call it eagerly for a clearer message.
+/// [`EnvConfigError`]. A journaled run calls this when it opens its
+/// journal, so an invalid value surfaces as [`JournalError::Config`]
+/// before any trial runs; CLIs should call it eagerly for a clearer
+/// message.
 pub fn abort_after_trials_from_env() -> Result<Option<u64>, EnvConfigError> {
     match std::env::var(ABORT_ENV) {
         Err(_) => Ok(None),
@@ -185,13 +181,14 @@ pub struct AppendFaultPlan {
     pub after_appends: u32,
 }
 
-/// How durable a journaled run actually was, reported by the
-/// `_with_status` runners. The campaign report itself is byte-identical
-/// either way — only the journal's fate differs.
+/// How durable a run actually was, reported by [`crate::run`]. The
+/// campaign report itself is byte-identical either way — only the
+/// journal's fate differs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityStatus {
     /// `true` when every completed trial reached the journal; `false`
-    /// when an append failed and journaling stopped.
+    /// when the run kept no journal, or an append failed and journaling
+    /// stopped.
     pub durable: bool,
     /// Records appended by this run (not counting resumed ones).
     pub appended: u32,
@@ -240,7 +237,7 @@ pub enum JournalError {
     },
     /// A field held a value that cannot occur in a real journal.
     Corrupt(&'static str),
-    /// An environment knob the durable runners read was set to an
+    /// An environment knob journaled runs read was set to an
     /// unusable value (see [`abort_after_trials_from_env`]).
     Config(EnvConfigError),
 }
@@ -334,29 +331,29 @@ impl<T> JournalScan<T> {
 
 // ------------------------------------------------------------ byte helpers
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
+pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bool(out: &mut Vec<u8>, v: bool) {
+pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
     out.push(v as u8);
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
 
 /// Bounded little-endian reader over one record payload.
-struct Rd<'a> {
+pub(crate) struct Rd<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -723,7 +720,7 @@ fn get_outcome(r: &mut Rd) -> Result<Outcome, JournalError> {
     })
 }
 
-fn put_trial(out: &mut Vec<u8>, t: &Trial) {
+pub(crate) fn put_trial(out: &mut Vec<u8>, t: &Trial) {
     put_injection(out, &t.injection);
     put_bool(out, t.applied);
     put_stop(out, &t.stop);
@@ -733,7 +730,7 @@ fn put_trial(out: &mut Vec<u8>, t: &Trial) {
     put_hw_stats(out, &t.hw_stats);
 }
 
-fn get_trial(r: &mut Rd) -> Result<Trial, JournalError> {
+pub(crate) fn get_trial(r: &mut Rd) -> Result<Trial, JournalError> {
     Ok(Trial {
         injection: get_injection(r)?,
         applied: r.bool()?,
@@ -806,7 +803,7 @@ fn get_detector(r: &mut Rd) -> Result<Option<DetectorKind>, JournalError> {
     })
 }
 
-fn put_recovery_trial(out: &mut Vec<u8>, t: &RecoveryTrial) {
+pub(crate) fn put_recovery_trial(out: &mut Vec<u8>, t: &RecoveryTrial) {
     put_injection(out, &t.injection);
     put_bool(out, t.applied);
     put_recovery_outcome(out, &t.outcome);
@@ -815,7 +812,7 @@ fn put_recovery_trial(out: &mut Vec<u8>, t: &RecoveryTrial) {
     put_u64(out, t.work_cycles);
 }
 
-fn get_recovery_trial(r: &mut Rd) -> Result<RecoveryTrial, JournalError> {
+pub(crate) fn get_recovery_trial(r: &mut Rd) -> Result<RecoveryTrial, JournalError> {
     Ok(RecoveryTrial {
         injection: get_injection(r)?,
         applied: r.bool()?,
@@ -838,29 +835,19 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Hash of a fault campaign's deterministic identity: the
-/// classification-relevant configuration knobs, the full plan, and the
-/// golden reference. The wall-clock budget and retry backoff are
-/// deliberately excluded — they are machine-local tuning, not part of
-/// what the campaign computes.
-fn campaign_plan_hash(
+/// Hash of a campaign's deterministic identity: the kind's
+/// classification-relevant configuration (written by `config`), the full
+/// plan, and the golden reference. Machine-local tuning (wall-clock
+/// budgets) is left out by the kinds — it is not part of what the
+/// campaign computes.
+pub(crate) fn plan_hash(
     plan: &[Injection],
-    config: CampaignConfig,
     golden_cycles: u64,
     golden_observed: &[u32],
+    config: impl FnOnce(&mut Vec<u8>),
 ) -> u64 {
     let mut buf = Vec::with_capacity(64 + plan.len() * 16 + golden_observed.len() * 4);
-    put_u64(&mut buf, config.watchdog_threshold);
-    put_u64(&mut buf, config.budget_factor);
-    put_u64(&mut buf, config.budget_floor);
-    put_bool(&mut buf, config.fast_forward);
-    match config.trial_cycle_budget {
-        None => put_u8(&mut buf, 0),
-        Some(v) => {
-            put_u8(&mut buf, 1);
-            put_u64(&mut buf, v);
-        }
-    }
+    config(&mut buf);
     put_u32(&mut buf, plan.len() as u32);
     for inj in plan {
         put_injection(&mut buf, inj);
@@ -873,32 +860,18 @@ fn campaign_plan_hash(
     fnv1a64(&buf)
 }
 
-/// Hash of a recovery campaign's deterministic identity (policy knobs,
-/// plan, golden reference).
-fn recovery_plan_hash(
-    plan: &[Injection],
-    policy: RecoveryPolicy,
-    golden_cycles: u64,
-    golden_observed: &[u32],
-) -> u64 {
-    let mut buf = Vec::with_capacity(64 + plan.len() * 16 + golden_observed.len() * 4);
-    put_u64(&mut buf, policy.checkpoint_every);
-    put_u32(&mut buf, policy.max_retries);
-    put_u64(&mut buf, policy.watchdog_threshold);
-    put_u64(&mut buf, policy.budget_factor);
-    put_u64(&mut buf, policy.budget_floor);
-    put_bool(&mut buf, policy.signature_windows);
-    put_u64(&mut buf, policy.max_kept_checkpoints as u64);
-    put_u32(&mut buf, plan.len() as u32);
-    for inj in plan {
-        put_injection(&mut buf, inj);
+/// Decodes one whole record body with `get`; bytes left over mean the
+/// record is damaged.
+pub(crate) fn decode_all<T>(
+    bytes: &[u8],
+    get: fn(&mut Rd) -> Result<T, JournalError>,
+) -> Result<T, JournalError> {
+    let mut r = Rd { bytes, pos: 0 };
+    let value = get(&mut r)?;
+    if r.pos != bytes.len() {
+        return Err(JournalError::Corrupt("trailing bytes in record"));
     }
-    put_u64(&mut buf, golden_cycles);
-    put_u32(&mut buf, golden_observed.len() as u32);
-    for &w in golden_observed {
-        put_u32(&mut buf, w);
-    }
-    fnv1a64(&buf)
+    Ok(value)
 }
 
 // --------------------------------------------------------- header and scan
@@ -930,8 +903,11 @@ impl Header {
 fn scan_bytes<T: Clone>(
     bytes: &[u8],
     expected_kind: u8,
-    decode: &dyn Fn(&mut Rd) -> Result<T, JournalError>,
+    decode: fn(&[u8]) -> Result<T, JournalError>,
 ) -> Result<JournalScan<T>, JournalError> {
+    // Every read below follows the length check that keeps it in bounds.
+    let le32 =
+        |at: usize| u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
     if bytes.len() < 4 {
         return Err(JournalError::Truncated);
     }
@@ -941,27 +917,21 @@ fn scan_bytes<T: Clone>(
     if bytes.len() < 8 {
         return Err(JournalError::Truncated);
     }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != VERSION {
-        return Err(JournalError::VersionUnsupported(version));
+    if le32(4) != VERSION {
+        return Err(JournalError::VersionUnsupported(le32(4)));
     }
     if bytes.len() < HEADER_LEN {
         return Err(JournalError::Truncated);
     }
-    let body = HEADER_LEN - 4;
-    let stored =
-        u32::from_le_bytes([bytes[body], bytes[body + 1], bytes[body + 2], bytes[body + 3]]);
-    if crc32(&bytes[..body]) != stored {
+    if crc32(&bytes[..HEADER_LEN - 4]) != le32(HEADER_LEN - 4) {
         return Err(JournalError::ChecksumMismatch);
     }
     let kind = bytes[8];
     if kind != expected_kind {
         return Err(JournalError::KindMismatch { expected: expected_kind, found: kind });
     }
-    let plan_hash = u64::from_le_bytes([
-        bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15], bytes[16],
-    ]);
-    let trials = u32::from_le_bytes([bytes[17], bytes[18], bytes[19], bytes[20]]) as usize;
+    let plan_hash = u64::from(le32(9)) | u64::from(le32(13)) << 32;
+    let trials = le32(17) as usize;
     // The slot table is allocated from the header before any record is
     // decoded, so clamp hostile counts (a CRC-colliding corruption)
     // rather than attempting a multi-gigabyte allocation.
@@ -976,27 +946,19 @@ fn scan_bytes<T: Clone>(
         if rest < 4 {
             break;
         }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
+        let len = le32(pos) as usize;
         // A payload is at least the 4-byte trial index.
         if !(4..=MAX_RECORD).contains(&len) || rest < 4 + len + 4 {
             break;
         }
         let payload = &bytes[pos + 4..pos + 4 + len];
         let crc_at = pos + 4 + len;
-        let stored = u32::from_le_bytes([
-            bytes[crc_at],
-            bytes[crc_at + 1],
-            bytes[crc_at + 2],
-            bytes[crc_at + 3],
-        ]);
-        if crc32(payload) != stored {
+        if crc32(payload) != le32(crc_at) {
             break;
         }
-        let mut r = Rd { bytes: payload, pos: 0 };
-        let Ok(index) = r.u32() else { break };
-        let Ok(trial) = decode(&mut r) else { break };
-        if r.pos != payload.len() || index as usize >= trials {
+        let index = le32(pos + 4);
+        let Ok(trial) = decode(&payload[4..]) else { break };
+        if index as usize >= trials {
             break;
         }
         // Duplicate indices resolve last-wins; trials are deterministic
@@ -1015,63 +977,125 @@ fn scan_bytes<T: Clone>(
     })
 }
 
-/// Reads a fault-campaign journal: which trials completed, under what
-/// plan hash, and how much of the file survived. Pure inspection — the
-/// file is not modified (resume truncates; this does not).
-pub fn resume_from_journal(path: &Path) -> Result<JournalScan<Trial>, JournalError> {
-    let bytes = std::fs::read(path)?;
-    scan_bytes(&bytes, KIND_CAMPAIGN, &get_trial)
-}
-
-/// Reads a recovery-campaign journal; see [`resume_from_journal`].
-pub fn resume_recovery_from_journal(
+/// Reads the journal of a `K` campaign (`CampaignConfig` or
+/// `RecoveryPolicy`): which trials completed, under what plan hash, and
+/// how much of the file survived. Pure inspection — the file is not
+/// modified (resume truncates; this does not).
+pub fn resume_from_journal<K: TrialKind>(
     path: &Path,
-) -> Result<JournalScan<RecoveryTrial>, JournalError> {
+) -> Result<JournalScan<K::Trial>, JournalError> {
     let bytes = std::fs::read(path)?;
-    scan_bytes(&bytes, KIND_RECOVERY, &get_recovery_trial)
+    scan_bytes(&bytes, K::JOURNAL_KIND, K::decode)
 }
 
 // ---------------------------------------------------------------- appends
 
-/// Opens the journal for a run: on resume, scan + validate + truncate
-/// the torn tail and return the already-completed slots; otherwise (or
-/// when the file is missing/empty) start fresh with a new header.
-fn open_journal<T: Clone>(
-    path: &Path,
-    header: &Header,
-    resume: bool,
-    decode: &dyn Fn(&mut Rd) -> Result<T, JournalError>,
-) -> Result<(File, Vec<Option<T>>, u64), JournalError> {
-    if resume {
-        match std::fs::read(path) {
-            Ok(bytes) if bytes.is_empty() => {} // crash before the header: fresh start
-            Ok(bytes) => {
-                let scan = scan_bytes(&bytes, header.kind, decode)?;
-                if scan.plan_hash != header.plan_hash {
-                    return Err(JournalError::PlanMismatch {
-                        expected: header.plan_hash,
-                        found: scan.plan_hash,
-                    });
-                }
-                if scan.trials != header.trials as usize {
-                    return Err(JournalError::TrialCountMismatch {
-                        expected: header.trials,
-                        found: scan.trials as u32,
-                    });
-                }
-                let mut file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(scan.good_bytes)?;
-                file.seek(SeekFrom::End(0))?;
-                return Ok((file, scan.completed, scan.good_bytes));
+/// A run's open journal: the framed append side plus the [`ABORT_ENV`]
+/// crash-test hook. Shared by every worker of the run.
+pub(crate) struct Journal {
+    appender: Mutex<Appender>,
+    /// Exit the process with status 3 once this many appends of this run
+    /// succeeded ([`ABORT_ENV`]).
+    abort_after: Option<u64>,
+}
+
+impl Journal {
+    /// Opens the journal for a run: on resume, scan + validate + truncate
+    /// the torn tail and return the already-completed slots; otherwise
+    /// (or when the file is missing/empty) start fresh with a new header.
+    pub(crate) fn open<T: Clone>(
+        spec: JournalSpec<'_>,
+        kind: u8,
+        plan_hash: u64,
+        trials: usize,
+        decode: fn(&[u8]) -> Result<T, JournalError>,
+    ) -> Result<(Journal, Vec<Option<T>>), JournalError> {
+        let header = Header { kind, plan_hash, trials: trials as u32 };
+        let resumed = if spec.resume { resume_file(spec.path, &header, decode)? } else { None };
+        let (file, slots, good_bytes) = match resumed {
+            Some(resumed) => resumed,
+            None => {
+                let mut file = File::create(spec.path)?;
+                file.write_all(&header.encode())?;
+                file.flush()?;
+                (file, vec![None; trials], HEADER_LEN as u64)
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {} // fresh start
-            Err(e) => return Err(e.into()),
+        };
+        let journal = Journal {
+            appender: Mutex::new(Appender::new(file, good_bytes, spec.fault)),
+            abort_after: abort_after_trials_from_env()?,
+        };
+        Ok((journal, slots))
+    }
+
+    /// Appends trial `index`, whose record body `encode` writes,
+    /// recording a journal-append span when `telemetry` is on.
+    pub(crate) fn append(
+        &self,
+        index: u32,
+        encode: impl FnOnce(&mut Vec<u8>),
+        worker: u32,
+        telemetry: Option<&Telemetry>,
+    ) {
+        let mut payload = Vec::with_capacity(256);
+        put_u32(&mut payload, index);
+        encode(&mut payload);
+        let start = telemetry.map(|_| Instant::now());
+        let mut appender = lock(&self.appender);
+        let appended = appender.append(&payload);
+        if appended && self.abort_after.is_some_and(|n| u64::from(appender.appended) >= n) {
+            // Simulates a hard kill mid-campaign; the journal holds
+            // everything appended so far.
+            std::process::exit(3);
+        }
+        drop(appender);
+        if let Some((t, start)) = telemetry.zip(start) {
+            let mut rec = SpanRecord::new(SpanKind::JournalAppend, worker, start.elapsed());
+            rec.journal_bytes = if appended { 8 + payload.len() as u64 } else { 0 };
+            t.record(rec);
         }
     }
-    let mut file = File::create(path)?;
-    file.write_all(&header.encode())?;
-    file.flush()?;
-    Ok((file, vec![None; header.trials as usize], HEADER_LEN as u64))
+
+    /// Whether every append so far reached the file.
+    pub(crate) fn status(&self) -> DurabilityStatus {
+        lock(&self.appender).status()
+    }
+}
+
+/// An open journal file, its completed slots, and its valid length.
+type Opened<T> = (File, Vec<Option<T>>, u64);
+
+/// Scans a journal to resume: validates it against `header` and cuts
+/// the torn tail. `None` when there is nothing to resume (no file, or a
+/// crash before the header was written).
+fn resume_file<T: Clone>(
+    path: &Path,
+    header: &Header,
+    decode: fn(&[u8]) -> Result<T, JournalError>,
+) -> Result<Option<Opened<T>>, JournalError> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) if bytes.is_empty() => return Ok(None),
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let scan = scan_bytes(&bytes, header.kind, decode)?;
+    if scan.plan_hash != header.plan_hash {
+        return Err(JournalError::PlanMismatch {
+            expected: header.plan_hash,
+            found: scan.plan_hash,
+        });
+    }
+    if scan.trials != header.trials as usize {
+        return Err(JournalError::TrialCountMismatch {
+            expected: header.trials,
+            found: scan.trials as u32,
+        });
+    }
+    let mut file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(scan.good_bytes)?;
+    file.seek(SeekFrom::End(0))?;
+    Ok(Some((file, scan.completed, scan.good_bytes)))
 }
 
 /// The journal's write side: frames appends, tracks the last good byte
@@ -1156,47 +1180,17 @@ impl Appender {
     }
 }
 
-/// The [`ABORT_ENV`] crash-test hook: exits the process with status 3
-/// after the configured number of record appends.
-struct AbortHook {
-    after: Option<u64>,
-    appended: AtomicU64,
-}
-
-impl AbortHook {
-    fn from_env() -> Result<AbortHook, EnvConfigError> {
-        let after = abort_after_trials_from_env()?;
-        Ok(AbortHook { after, appended: AtomicU64::new(0) })
-    }
-
-    fn on_append(&self) {
-        if let Some(n) = self.after {
-            if self.appended.fetch_add(1, Ordering::SeqCst) + 1 >= n {
-                // Simulates a hard kill mid-campaign; the journal holds
-                // everything appended so far.
-                std::process::exit(3);
-            }
-        }
-    }
-}
-
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-// ---------------------------------------------------------------- runners
+// ---------------------------------------------------------------- runner
 
-/// [`crate::campaign::run_campaign`] with a durable journal: every
-/// completed trial is appended to `journal` before the campaign moves
-/// on, and with `resume` set a prior journal's trials are loaded
-/// instead of re-executed (after validating the plan hash; the torn
-/// tail of an interrupted run is dropped and re-run). Trials start from
-/// the golden checkpoint ladder exactly as in the plain runner, which
-/// the journal does not record: the report is byte-identical to the
-/// plain runner's, and a journal resumes whichever build wrote it.
-///
-/// `resume = false` always starts fresh, truncating any existing file;
-/// `resume = true` with no existing journal is also a fresh start.
+/// [`crate::run_campaign`] with a durable journal, on one worker:
+/// [`crate::run`] with [`Sims::Build`] and a [`JournalSpec`] without an
+/// injected fault. A degraded (non-durable) run's warning goes to
+/// stderr; the report is byte-identical either way, and to the plain
+/// runner's.
 pub fn run_campaign_durable(
     make_sim: impl Fn() -> CoSim + Sync,
     plan: &[Injection],
@@ -1205,325 +1199,19 @@ pub fn run_campaign_durable(
     journal: &Path,
     resume: bool,
 ) -> Result<CampaignReport, JournalError> {
-    run_campaign_durable_parallel(make_sim, plan, observe, config, journal, resume, 1)
-}
-
-/// [`run_campaign_durable`] on worker threads. Workers append records
-/// in completion order, but resume keys on trial indices and results
-/// merge in plan order — the report (and the resumability of the
-/// journal) is independent of `workers` and of where a previous run was
-/// interrupted.
-pub fn run_campaign_durable_parallel(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-) -> Result<CampaignReport, JournalError> {
-    run_campaign_durable_parallel_with_telemetry(
-        make_sim, plan, observe, config, journal, resume, workers, None,
-    )
-}
-
-/// [`run_campaign_durable_parallel`] with optional harness telemetry:
-/// besides the campaign/golden/trial spans of the plain runners, every
-/// journal record append is its own span carrying the frame bytes
-/// written. On resume, only the missing trials are announced as
-/// expected work. The report and the journal bytes are byte-identical
-/// whether `telemetry` is `None` or `Some`, at any worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_durable_parallel_with_telemetry(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignReport, JournalError> {
-    let (report, status) = run_campaign_durable_with_status(
-        make_sim, plan, observe, config, journal, resume, workers, telemetry, None,
-    )?;
+    let journal = JournalSpec { path: journal, resume, fault: None };
+    let exec = Exec { journal: Some(journal), ..Exec::default() };
+    let (report, status) = run(Sims::Build(&make_sim), plan, &observe, &config, exec)?;
     if let Some(w) = &status.warning {
         eprintln!("warning: {w}");
     }
     Ok(report)
-}
-
-/// [`run_campaign_durable_parallel_with_telemetry`] plus the write-side
-/// degradation contract: the returned [`DurabilityStatus`] reports
-/// whether every completed trial reached the journal, and `fault`
-/// injects an [`AppendFaultPlan`] into the write path (tests and
-/// fault-shim callers only — pass `None` in production). A failed
-/// append never fails the campaign: the journal is truncated to its
-/// last good frame and the run continues non-durable, so the report is
-/// byte-identical to the healthy run's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_durable_with_status(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    config: CampaignConfig,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-    fault: Option<AppendFaultPlan>,
-) -> Result<(CampaignReport, DurabilityStatus), JournalError> {
-    let campaign_start = telemetry.map(|_| Instant::now());
-    let mut sim = make_sim();
-    sim.set_fast_forward(config.fast_forward);
-    let golden = golden_run(&mut sim, plan, &observe, config, telemetry);
-    drop(sim);
-
-    let header = Header {
-        kind: KIND_CAMPAIGN,
-        plan_hash: campaign_plan_hash(plan, config, golden.cycles, &golden.observed),
-        trials: plan.len() as u32,
-    };
-    let (file, mut slots, good_bytes) = open_journal(journal, &header, resume, &get_trial)?;
-    let pending: Vec<u32> =
-        (0..plan.len() as u32).filter(|&i| slots[i as usize].is_none()).collect();
-    if let Some(t) = telemetry {
-        t.expect_trials(pending.len() as u64);
-    }
-
-    let appender = Mutex::new(Appender::new(file, good_bytes, fault));
-    let hook = AbortHook::from_env()?;
-    let workers = workers.clamp(1, pending.len().max(1));
-    let mut fresh: Vec<Option<Trial>> = vec![None; pending.len()];
-    std::thread::scope(|scope| {
-        let chunk = pending.len().div_ceil(workers);
-        let mut slot_rest = fresh.as_mut_slice();
-        let mut idx_rest = pending.as_slice();
-        let golden = &golden;
-        let (make_sim, observe) = (&make_sim, &observe);
-        let (appender, hook) = (&appender, &hook);
-        let mut worker_id: u32 = 0;
-        while !idx_rest.is_empty() {
-            let take = chunk.min(idx_rest.len());
-            let (idx_chunk, idx_next) = idx_rest.split_at(take);
-            let (slot_chunk, slot_next) = slot_rest.split_at_mut(take);
-            idx_rest = idx_next;
-            slot_rest = slot_next;
-            let worker = worker_id;
-            worker_id += 1;
-            scope.spawn(move || {
-                let mut sim = make_sim();
-                sim.set_fast_forward(config.fast_forward);
-                let rebuild: &dyn Fn() -> CoSim = make_sim;
-                let scope_rec = telemetry.map(|t| golden.trial_scope(t, worker));
-                for (slot, &index) in slot_chunk.iter_mut().zip(idx_chunk) {
-                    let trial = run_trial_guarded(
-                        &mut sim,
-                        Some(rebuild),
-                        golden,
-                        plan[index as usize],
-                        observe,
-                        config,
-                        scope_rec.as_ref(),
-                    );
-                    let mut payload = Vec::with_capacity(256);
-                    put_u32(&mut payload, index);
-                    put_trial(&mut payload, &trial);
-                    let append_start = telemetry.map(|_| Instant::now());
-                    let appended = lock(appender).append(&payload);
-                    if let Some(t) = telemetry {
-                        let mut rec = SpanRecord::new(
-                            SpanKind::JournalAppend,
-                            worker,
-                            append_start.unwrap().elapsed(),
-                        );
-                        rec.journal_bytes = if appended { 8 + payload.len() as u64 } else { 0 };
-                        t.record(rec);
-                    }
-                    if appended {
-                        hook.on_append();
-                    }
-                    *slot = Some(trial);
-                }
-            });
-        }
-    });
-    let status = lock(&appender).status();
-    for (&index, trial) in pending.iter().zip(fresh) {
-        slots[index as usize] = trial;
-    }
-    let trials = slots.into_iter().map(|t| t.expect("worker filled every slot")).collect();
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
-    }
-    Ok((golden.report(trials), status))
-}
-
-/// [`crate::recover::run_recovery_campaign`] with a durable journal;
-/// see [`run_campaign_durable`] for the journal and resume semantics.
-pub fn run_recovery_campaign_durable(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    journal: &Path,
-    resume: bool,
-) -> Result<RecoveryReport, JournalError> {
-    run_recovery_campaign_durable_parallel(make_sim, plan, observe, policy, journal, resume, 1)
-}
-
-/// [`run_recovery_campaign_durable`] on worker threads; see
-/// [`run_campaign_durable_parallel`].
-pub fn run_recovery_campaign_durable_parallel(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-) -> Result<RecoveryReport, JournalError> {
-    run_recovery_campaign_durable_parallel_with_telemetry(
-        make_sim, plan, observe, policy, journal, resume, workers, None,
-    )
-}
-
-/// [`run_recovery_campaign_durable_parallel`] with optional harness
-/// telemetry; see [`run_campaign_durable_parallel_with_telemetry`] for
-/// the span set and the determinism contract.
-#[allow(clippy::too_many_arguments)]
-pub fn run_recovery_campaign_durable_parallel_with_telemetry(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-) -> Result<RecoveryReport, JournalError> {
-    let (report, status) = run_recovery_campaign_durable_with_status(
-        make_sim, plan, observe, policy, journal, resume, workers, telemetry, None,
-    )?;
-    if let Some(w) = &status.warning {
-        eprintln!("warning: {w}");
-    }
-    Ok(report)
-}
-
-/// [`run_campaign_durable_with_status`] for recovery campaigns: same
-/// degrade-on-append-failure contract and injectable write faults.
-#[allow(clippy::too_many_arguments)]
-pub fn run_recovery_campaign_durable_with_status(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    journal: &Path,
-    resume: bool,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-    fault: Option<AppendFaultPlan>,
-) -> Result<(RecoveryReport, DurabilityStatus), JournalError> {
-    let campaign_start = telemetry.map(|_| Instant::now());
-    let supervisor = Supervisor::new(policy);
-    let mut sim = make_sim();
-    let golden_start = telemetry.map(|_| Instant::now());
-    let golden = supervisor.capture_golden(&mut sim, &observe);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden.cycles;
-        t.record(rec);
-    }
-    drop(sim);
-
-    let header = Header {
-        kind: KIND_RECOVERY,
-        plan_hash: recovery_plan_hash(plan, policy, golden.cycles, &golden.observed),
-        trials: plan.len() as u32,
-    };
-    let (file, mut slots, good_bytes) =
-        open_journal(journal, &header, resume, &get_recovery_trial)?;
-    let pending: Vec<u32> =
-        (0..plan.len() as u32).filter(|&i| slots[i as usize].is_none()).collect();
-    if let Some(t) = telemetry {
-        t.expect_trials(pending.len() as u64);
-    }
-
-    let appender = Mutex::new(Appender::new(file, good_bytes, fault));
-    let hook = AbortHook::from_env()?;
-    let workers = workers.clamp(1, pending.len().max(1));
-    let mut fresh: Vec<Option<RecoveryTrial>> = vec![None; pending.len()];
-    std::thread::scope(|scope| {
-        let chunk = pending.len().div_ceil(workers);
-        let mut slot_rest = fresh.as_mut_slice();
-        let mut idx_rest = pending.as_slice();
-        let golden = &golden;
-        let (make_sim, observe) = (&make_sim, &observe);
-        let (appender, hook) = (&appender, &hook);
-        let mut worker_id: u32 = 0;
-        while !idx_rest.is_empty() {
-            let take = chunk.min(idx_rest.len());
-            let (idx_chunk, idx_next) = idx_rest.split_at(take);
-            let (slot_chunk, slot_next) = slot_rest.split_at_mut(take);
-            idx_rest = idx_next;
-            slot_rest = slot_next;
-            let worker = worker_id;
-            worker_id += 1;
-            scope.spawn(move || {
-                let supervisor = Supervisor::new(policy);
-                let mut sim = make_sim();
-                let rebuild: &dyn Fn() -> CoSim = make_sim;
-                for (slot, &index) in slot_chunk.iter_mut().zip(idx_chunk) {
-                    let trial = run_recovery_trial_guarded(
-                        &supervisor,
-                        &mut sim,
-                        Some(rebuild),
-                        golden,
-                        plan[index as usize],
-                        observe,
-                        telemetry,
-                        worker,
-                    );
-                    let mut payload = Vec::with_capacity(256);
-                    put_u32(&mut payload, index);
-                    put_recovery_trial(&mut payload, &trial);
-                    let append_start = telemetry.map(|_| Instant::now());
-                    let appended = lock(appender).append(&payload);
-                    if let Some(t) = telemetry {
-                        let mut rec = SpanRecord::new(
-                            SpanKind::JournalAppend,
-                            worker,
-                            append_start.unwrap().elapsed(),
-                        );
-                        rec.journal_bytes = if appended { 8 + payload.len() as u64 } else { 0 };
-                        t.record(rec);
-                    }
-                    if appended {
-                        hook.on_append();
-                    }
-                    *slot = Some(trial);
-                }
-            });
-        }
-    });
-    let status = lock(&appender).status();
-    for (&index, trial) in pending.iter().zip(fresh) {
-        slots[index as usize] = trial;
-    }
-    let trials = slots.into_iter().map(|t| t.expect("worker filled every slot")).collect();
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
-    }
-    Ok((
-        RecoveryReport { golden_cycles: golden.cycles, golden_observed: golden.observed, trials },
-        status,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Kind;
 
     /// One test owns every `ABORT_ENV` mutation (parallel tests in this
     /// binary never set it), covering unset, valid, zero, and garbage.
@@ -1653,7 +1341,8 @@ mod tests {
         let full_len = bytes.len();
         // Tear the final record mid-frame.
         bytes.truncate(full_len - 5);
-        let scan = scan_bytes(&bytes, KIND_CAMPAIGN, &get_trial).expect("header intact");
+        let scan =
+            scan_bytes(&bytes, KIND_CAMPAIGN, CampaignConfig::decode).expect("header intact");
         assert_eq!(scan.plan_hash, 0xDEAD_BEEF);
         assert_eq!(scan.done(), 3);
         assert_eq!(scan.pending(), 1);
@@ -1667,24 +1356,30 @@ mod tests {
         let header = Header { kind: KIND_CAMPAIGN, plan_hash: 1, trials: 2 };
         let good = header.encode();
 
-        assert_eq!(scan_bytes(&good[..3], KIND_CAMPAIGN, &get_trial), Err(JournalError::Truncated));
+        assert_eq!(
+            scan_bytes(&good[..3], KIND_CAMPAIGN, CampaignConfig::decode),
+            Err(JournalError::Truncated)
+        );
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert_eq!(scan_bytes(&bad, KIND_CAMPAIGN, &get_trial), Err(JournalError::BadMagic));
+        assert_eq!(
+            scan_bytes(&bad, KIND_CAMPAIGN, CampaignConfig::decode),
+            Err(JournalError::BadMagic)
+        );
         let mut bad = good.clone();
         bad[4] = 99;
         assert_eq!(
-            scan_bytes(&bad, KIND_CAMPAIGN, &get_trial),
+            scan_bytes(&bad, KIND_CAMPAIGN, CampaignConfig::decode),
             Err(JournalError::VersionUnsupported(99))
         );
         let mut bad = good.clone();
         bad[10] ^= 0x01; // plan hash byte: header CRC no longer matches
         assert_eq!(
-            scan_bytes(&bad, KIND_CAMPAIGN, &get_trial),
+            scan_bytes(&bad, KIND_CAMPAIGN, CampaignConfig::decode),
             Err(JournalError::ChecksumMismatch)
         );
         assert_eq!(
-            scan_bytes(&good, KIND_RECOVERY, &get_trial),
+            scan_bytes(&good, KIND_RECOVERY, CampaignConfig::decode),
             Err(JournalError::KindMismatch { expected: KIND_RECOVERY, found: KIND_CAMPAIGN })
         );
     }
@@ -1708,7 +1403,8 @@ mod tests {
         // are dropped (append-only means nothing after a bad frame can
         // be trusted to be framed correctly).
         bytes[record_starts[1] + 6] ^= 0x10;
-        let scan = scan_bytes(&bytes, KIND_CAMPAIGN, &get_trial).expect("header intact");
+        let scan =
+            scan_bytes(&bytes, KIND_CAMPAIGN, CampaignConfig::decode).expect("header intact");
         assert_eq!(scan.done(), 1);
         assert_eq!(scan.good_bytes, record_starts[1] as u64);
         assert_eq!(scan.completed[0].as_ref(), Some(&trials[0]));

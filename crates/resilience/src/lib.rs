@@ -16,10 +16,7 @@
 //!   per fault, each classified masked / SDC / deadlock / fault, with
 //!   the co-simulator's liveness watchdog guaranteeing hung trials end
 //!   in a diagnosed [`softsim_cosim::CoSimStop::Deadlock`] rather than a
-//!   silent cycle-limit timeout. Trials are independent, so
-//!   [`campaign::run_campaign_parallel`] spreads them over worker
-//!   threads and merges in plan order — the report is byte-identical to
-//!   the serial runner's.
+//!   silent cycle-limit timeout.
 //! * **Localization** ([`localize`]) — instrumented golden/trial
 //!   re-runs diffed by `softsim-metrics`, upgrading an SDC verdict with
 //!   the first cycle window and the first architectural event (register
@@ -30,6 +27,13 @@
 //!   signature diff, observable backstop), and automatic rollback +
 //!   replay with exponential backoff, classifying each trial clean /
 //!   recovered / unrecoverable.
+//! * **One driver** ([`run`]) — both kinds of trial ([`TrialKind`]:
+//!   [`CampaignConfig`] and [`RecoveryPolicy`]) run through the same
+//!   golden step, worker loop and `catch_unwind` retry loop. An [`Exec`]
+//!   picks the worker count, harness telemetry and an optional journal;
+//!   trials are independent and merge in plan order, so the report is
+//!   byte-identical for every choice. [`run_campaign`] and
+//!   [`run_campaign_durable`] are the two fault-campaign shorthands.
 //! * **Durability** ([`durable`]) — crash-resumable campaign execution:
 //!   every completed trial is appended to a CRC32-framed `SSJL` journal
 //!   keyed by `(plan_hash, trial_index)`, so an interrupted campaign
@@ -37,7 +41,8 @@
 //!   an uninterrupted run at any worker count. Together with trial
 //!   isolation (`catch_unwind` per trial) and per-trial cycle /
 //!   wall-clock budgets in [`campaign`], this is the fault-tolerant
-//!   execution layer long campaigns run on.
+//!   execution layer long campaigns run on. [`resume_from_journal`]
+//!   inspects a journal of either kind.
 //!
 //! Everything is seeded through [`softsim_testkit::Rng`]: the same seed
 //! and schedule reproduce the same report, bit for bit — the property CI
@@ -46,30 +51,22 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+mod driver;
 pub mod durable;
 pub mod inject;
 pub mod localize;
 pub mod recover;
 pub mod snapshot;
 
-pub use campaign::{
-    run_campaign, run_campaign_parallel, run_campaign_parallel_with_telemetry,
-    run_campaign_with_telemetry, CampaignConfig, CampaignReport, Coverage, Outcome, Trial,
-};
+pub use campaign::{run_campaign, CampaignConfig, CampaignReport, Coverage, Outcome, Trial};
+pub use driver::{run, Exec, JournalSpec, Sims, TrialKind};
 pub use durable::{
-    abort_after_trials_from_env, resume_from_journal, resume_recovery_from_journal,
-    run_campaign_durable, run_campaign_durable_parallel,
-    run_campaign_durable_parallel_with_telemetry, run_campaign_durable_with_status,
-    run_recovery_campaign_durable, run_recovery_campaign_durable_parallel,
-    run_recovery_campaign_durable_parallel_with_telemetry,
-    run_recovery_campaign_durable_with_status, AppendFault, AppendFaultPlan, DurabilityStatus,
-    EnvConfigError, JournalError, JournalScan,
+    abort_after_trials_from_env, resume_from_journal, run_campaign_durable, AppendFault,
+    AppendFaultPlan, DurabilityStatus, EnvConfigError, JournalError, JournalScan,
 };
 pub use inject::{random_plan, random_plan_hardware, FaultKind, Injection, Injector};
 pub use localize::{capture_golden, localize_trial, DivergenceReport, GoldenRun, LocalizeConfig};
 pub use recover::{
-    run_recovery_campaign, run_recovery_campaign_parallel,
-    run_recovery_campaign_parallel_with_telemetry, run_recovery_campaign_with_telemetry,
     RecoveryGolden, RecoveryOutcome, RecoveryPolicy, RecoveryReport, RecoveryTrial, Supervisor,
 };
 pub use snapshot::{crc32, from_bytes, to_bytes, SnapshotError};

@@ -26,15 +26,24 @@
 //! checkpoint. A bounded retry budget converts pathological cases into
 //! a graceful [`RecoveryOutcome::Unrecoverable`] instead of an endless
 //! loop.
+//!
+//! [`RecoveryPolicy`] is the rollback-recovery [`crate::TrialKind`]:
+//! [`crate::run`] drives a whole recovery campaign — one golden capture,
+//! then one supervised trial per injection — at any worker count.
 
+use crate::driver::Kind;
+use crate::durable::{
+    decode_all, get_recovery_trial, put_bool, put_recovery_trial, put_u32, put_u64, JournalError,
+    KIND_RECOVERY,
+};
 use crate::inject::{Injection, Injector};
 use softsim_cosim::{CoSim, CoSimState, CoSimStop};
-use softsim_metrics::telemetry::{SpanKind, SpanRecord, Telemetry};
+use softsim_metrics::telemetry::SpanRecord;
 use softsim_metrics::MetricsCollector;
 use softsim_trace::{shared, DetectorKind, SharedSink, TraceEvent};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Tuning knobs of the rollback-recovery supervisor.
 #[derive(Debug, Clone, Copy)]
@@ -571,209 +580,93 @@ impl Supervisor {
     }
 }
 
-/// One retry after a harness panic before a supervised trial is
-/// abandoned as [`RecoveryOutcome::HarnessError`] (the supervisor's own
-/// `max_retries` governs *rollbacks*, a different budget).
-const HARNESS_RETRIES: u32 = 1;
+impl Kind for RecoveryPolicy {
+    type Golden = RecoveryGolden;
+    type Trial = RecoveryTrial;
+    type Report = RecoveryReport;
+    const JOURNAL_KIND: u8 = KIND_RECOVERY;
 
-/// [`Supervisor::run_trial`] wrapped in `catch_unwind`: a panicking
-/// trial is retried [`HARNESS_RETRIES`] times, then abandoned as
-/// [`RecoveryOutcome::HarnessError`] — the campaign (and any worker
-/// thread) survives and keeps draining the plan. `rebuild` replaces a
-/// simulator the panic may have left inconsistent; the serial runner
-/// passes `None` and relies on the next trial's checkpoint restore.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_recovery_trial_guarded(
-    supervisor: &Supervisor,
-    sim: &mut CoSim,
-    rebuild: Option<&dyn Fn() -> CoSim>,
-    golden: &RecoveryGolden,
-    injection: Injection,
-    observe: &(impl Fn(&CoSim) -> Vec<u32> + ?Sized),
-    telemetry: Option<&Telemetry>,
-    worker: u32,
-) -> RecoveryTrial {
-    let start = telemetry.map(|_| Instant::now());
-    let ff0 = sim.ff_engagements();
-    let ffc0 = sim.ff_skipped_cycles();
-    let mut attempt = 0u32;
-    let trial = loop {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            supervisor.run_trial(sim, golden, injection, observe)
-        }));
-        match result {
-            Ok(trial) => break trial,
-            Err(payload) => {
-                let panic_msg = crate::campaign::panic_message(payload);
-                if let Some(make) = rebuild {
-                    *sim = make();
-                }
-                if attempt >= HARNESS_RETRIES {
-                    break RecoveryTrial {
-                        injection,
-                        applied: false,
-                        outcome: RecoveryOutcome::HarnessError { panic_msg },
-                        stop: CoSimStop::CycleLimit { blocked: None },
-                        detector: None,
-                        work_cycles: 0,
-                    };
-                }
-                attempt += 1;
-            }
+    fn prepare(&self, _sim: &mut CoSim) {}
+
+    fn golden(
+        &self,
+        sim: &mut CoSim,
+        _plan: &[Injection],
+        observe: &dyn Fn(&CoSim) -> Vec<u32>,
+    ) -> RecoveryGolden {
+        Supervisor::new(*self).capture_golden(sim, observe)
+    }
+
+    fn initial(golden: &RecoveryGolden) -> &CoSimState {
+        &golden.initial
+    }
+
+    fn golden_span_cycles(golden: &RecoveryGolden) -> u64 {
+        golden.cycles
+    }
+
+    fn golden_result(golden: &RecoveryGolden) -> (u64, &[u32]) {
+        (golden.cycles, &golden.observed)
+    }
+
+    fn trial(
+        &self,
+        sim: &mut CoSim,
+        golden: &RecoveryGolden,
+        injection: Injection,
+        observe: &dyn Fn(&CoSim) -> Vec<u32>,
+        _attempt: u32,
+    ) -> RecoveryTrial {
+        Supervisor::new(*self).run_trial(sim, golden, injection, observe)
+    }
+
+    fn abandoned(injection: Injection, panic_msg: String, _retries: u32) -> RecoveryTrial {
+        RecoveryTrial {
+            injection,
+            applied: false,
+            outcome: RecoveryOutcome::HarnessError { panic_msg },
+            stop: CoSimStop::CycleLimit { blocked: None },
+            detector: None,
+            work_cycles: 0,
         }
-    };
-    if let Some(t) = telemetry {
-        // `work_cycles` already counts every executed cycle including
-        // rollback replays, so it is the span's sim-cycle cost exactly.
-        let mut rec = SpanRecord::new(SpanKind::Trial, worker, start.unwrap().elapsed());
+    }
+
+    /// `work_cycles` already counts every executed cycle including
+    /// rollback replays, so it is the span's sim-cycle cost exactly; the
+    /// span's retries are rollbacks, not harness retries.
+    fn trial_span(
+        _golden: &RecoveryGolden,
+        trial: &RecoveryTrial,
+        _retry_wall: Duration,
+        rec: &mut SpanRecord,
+    ) {
         rec.sim_cycles = trial.work_cycles;
         rec.retries = match trial.outcome {
             RecoveryOutcome::Recovered { retries, .. } => retries as u64,
             _ => 0,
         };
         rec.abandoned = matches!(trial.outcome, RecoveryOutcome::HarnessError { .. }) as u64;
-        rec.ff_engagements = sim.ff_engagements().saturating_sub(ff0);
-        rec.ff_skipped_cycles = sim.ff_skipped_cycles().saturating_sub(ffc0);
-        t.record(rec);
     }
-    trial
-}
 
-/// Runs a recovery campaign serially: one golden capture, then one
-/// supervised trial per scheduled injection. Deterministic — identical
-/// `sim`, `plan`, `observe` and `policy` produce a byte-identical
-/// report. A trial that panics the harness is caught and classified
-/// [`RecoveryOutcome::HarnessError`] — subsequent trials still run.
-pub fn run_recovery_campaign(
-    sim: &mut CoSim,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32>,
-    policy: RecoveryPolicy,
-) -> RecoveryReport {
-    run_recovery_campaign_with_telemetry(sim, plan, observe, policy, None)
-}
-
-/// [`run_recovery_campaign`] with optional harness telemetry (golden
-/// span, one trial span per injection, one campaign span). The report
-/// is byte-identical whether `telemetry` is `None` or `Some`.
-pub fn run_recovery_campaign_with_telemetry(
-    sim: &mut CoSim,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32>,
-    policy: RecoveryPolicy,
-    telemetry: Option<&Telemetry>,
-) -> RecoveryReport {
-    let campaign_start = telemetry.map(|t| {
-        t.expect_trials(plan.len() as u64);
-        Instant::now()
-    });
-    let supervisor = Supervisor::new(policy);
-    let golden_start = telemetry.map(|_| Instant::now());
-    let golden = supervisor.capture_golden(sim, &observe);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden.cycles;
-        t.record(rec);
+    fn hash_config(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.checkpoint_every);
+        put_u32(out, self.max_retries);
+        put_u64(out, self.watchdog_threshold);
+        put_u64(out, self.budget_factor);
+        put_u64(out, self.budget_floor);
+        put_bool(out, self.signature_windows);
+        put_u64(out, self.max_kept_checkpoints as u64);
     }
-    let trials = plan
-        .iter()
-        .map(|&inj| {
-            run_recovery_trial_guarded(&supervisor, sim, None, &golden, inj, &observe, telemetry, 0)
-        })
-        .collect();
-    sim.load_state(&golden.initial);
-    sim.clear_watchdog();
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
-    }
-    RecoveryReport { golden_cycles: golden.cycles, golden_observed: golden.observed, trials }
-}
 
-/// Runs a recovery campaign on worker threads. Byte-identical to
-/// [`run_recovery_campaign`] with the same plan, policy and workload:
-/// trials are independent given the shared golden reference, every
-/// worker runs the same per-trial procedure, and results merge in plan
-/// order — the report does not depend on `workers` or scheduling.
-///
-/// `make_sim` builds one fresh co-simulator per worker (a [`CoSim`]
-/// holds non-`Send` observers); each must have the same image and
-/// peripheral shape. The golden capture runs once, on the calling
-/// thread.
-pub fn run_recovery_campaign_parallel(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    workers: usize,
-) -> RecoveryReport {
-    run_recovery_campaign_parallel_with_telemetry(make_sim, plan, observe, policy, workers, None)
-}
-
-/// [`run_recovery_campaign_parallel`] with optional harness telemetry;
-/// worker ids follow chunk order. The report stays byte-identical for
-/// any `telemetry`/`workers` choice.
-pub fn run_recovery_campaign_parallel_with_telemetry(
-    make_sim: impl Fn() -> CoSim + Sync,
-    plan: &[Injection],
-    observe: impl Fn(&CoSim) -> Vec<u32> + Sync,
-    policy: RecoveryPolicy,
-    workers: usize,
-    telemetry: Option<&Telemetry>,
-) -> RecoveryReport {
-    let campaign_start = telemetry.map(|t| {
-        t.expect_trials(plan.len() as u64);
-        Instant::now()
-    });
-    let supervisor = Supervisor::new(policy);
-    let mut sim = make_sim();
-    let golden_start = telemetry.map(|_| Instant::now());
-    let golden = supervisor.capture_golden(&mut sim, &observe);
-    if let Some(t) = telemetry {
-        let mut rec = SpanRecord::new(SpanKind::Golden, 0, golden_start.unwrap().elapsed());
-        rec.sim_cycles = golden.cycles;
-        t.record(rec);
+    fn encode(trial: &RecoveryTrial, out: &mut Vec<u8>) {
+        put_recovery_trial(out, trial);
     }
-    drop(sim);
 
-    let workers = workers.clamp(1, plan.len().max(1));
-    let mut trials: Vec<Option<RecoveryTrial>> = vec![None; plan.len()];
-    std::thread::scope(|scope| {
-        let chunk = plan.len().div_ceil(workers);
-        let mut slots = trials.as_mut_slice();
-        let mut rest = plan;
-        let golden = &golden;
-        let (make_sim, observe) = (&make_sim, &observe);
-        let mut worker_id: u32 = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (plan_chunk, plan_rest) = rest.split_at(take);
-            let (slot_chunk, slot_rest) = slots.split_at_mut(take);
-            rest = plan_rest;
-            slots = slot_rest;
-            let worker = worker_id;
-            worker_id += 1;
-            scope.spawn(move || {
-                let supervisor = Supervisor::new(policy);
-                let mut sim = make_sim();
-                let rebuild: &dyn Fn() -> CoSim = make_sim;
-                for (slot, &injection) in slot_chunk.iter_mut().zip(plan_chunk) {
-                    *slot = Some(run_recovery_trial_guarded(
-                        &supervisor,
-                        &mut sim,
-                        Some(rebuild),
-                        golden,
-                        injection,
-                        observe,
-                        telemetry,
-                        worker,
-                    ));
-                }
-            });
-        }
-    });
-    let trials = trials.into_iter().map(|t| t.expect("worker filled every slot")).collect();
-    if let (Some(t), Some(start)) = (telemetry, campaign_start) {
-        t.record(SpanRecord::new(SpanKind::Campaign, 0, start.elapsed()));
+    fn decode(body: &[u8]) -> Result<RecoveryTrial, JournalError> {
+        decode_all(body, get_recovery_trial)
     }
-    RecoveryReport { golden_cycles: golden.cycles, golden_observed: golden.observed, trials }
+
+    fn report(golden: RecoveryGolden, trials: Vec<RecoveryTrial>) -> RecoveryReport {
+        RecoveryReport { golden_cycles: golden.cycles, golden_observed: golden.observed, trials }
+    }
 }

@@ -10,12 +10,12 @@ use softsim_cosim::{CoSim, CoSimStop, FslFromHw, FslToHw, Peripheral};
 use softsim_isa::asm::assemble;
 use softsim_isa::reg::r;
 use softsim_resilience::{
-    from_bytes, resume_from_journal, run_campaign, run_campaign_durable,
-    run_campaign_durable_parallel, run_campaign_durable_with_status, to_bytes, AppendFault,
-    AppendFaultPlan, CampaignConfig, FaultKind, Injection, JournalError, Outcome,
+    from_bytes, run, run_campaign, run_campaign_durable, to_bytes, AppendFault, AppendFaultPlan,
+    CampaignConfig, CampaignReport, DurabilityStatus, Exec, FaultKind, Injection, JournalError,
+    JournalScan, JournalSpec, Outcome, Sims, Trial,
 };
 use softsim_testkit::Rng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// A peripheral that adds 100 to every word on FSL0, one cycle later.
@@ -88,6 +88,25 @@ fn mixed_plan() -> Vec<Injection> {
     ]
 }
 
+/// The FSL workload's campaign on `workers` workers, journaled to
+/// `journal` (optionally with an injected append fault).
+fn run_durable(
+    plan: &[Injection],
+    journal: &Path,
+    resume: bool,
+    workers: usize,
+    fault: Option<AppendFaultPlan>,
+) -> Result<(CampaignReport, DurabilityStatus), JournalError> {
+    let journal = JournalSpec { path: journal, resume, fault };
+    let exec = Exec { workers, telemetry: None, journal: Some(journal) };
+    run(Sims::Build(&fsl_sim), plan, &observe, &quick_config(), exec)
+}
+
+/// Reads a fault-campaign journal.
+fn resume_from_journal(journal: &Path) -> Result<JournalScan<Trial>, JournalError> {
+    softsim_resilience::resume_from_journal::<CampaignConfig>(journal)
+}
+
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("softsim_it_{}_{}.ssjl", tag, std::process::id()))
 }
@@ -99,16 +118,7 @@ fn harness_panic_is_isolated_and_siblings_complete() {
     for workers in [1, 3] {
         let journal = scratch(&format!("isolation_{workers}"));
         let _ = std::fs::remove_file(&journal);
-        let report = run_campaign_durable_parallel(
-            fsl_sim,
-            &plan,
-            observe,
-            quick_config(),
-            &journal,
-            false,
-            workers,
-        )
-        .expect("journal I/O");
+        let (report, _) = run_durable(&plan, &journal, false, workers, None).expect("journal I/O");
         assert_eq!(report.trials.len(), plan.len(), "no trial dropped, workers={workers}");
         let cov = report.coverage();
         assert_eq!(cov.abandoned, 1, "exactly the deliberate panic is abandoned");
@@ -184,9 +194,7 @@ fn interrupt_and_resume_is_byte_identical_at_any_worker_count() {
     let plan = mixed_plan();
     let journal = scratch("resume");
     let _ = std::fs::remove_file(&journal);
-    let reference =
-        run_campaign_durable_parallel(fsl_sim, &plan, observe, quick_config(), &journal, false, 2)
-            .expect("journal I/O");
+    let (reference, _) = run_durable(&plan, &journal, false, 2, None).expect("journal I/O");
     let full = std::fs::read(&journal).expect("journal readable");
 
     // Every interesting interruption point: header only (crash before
@@ -206,16 +214,8 @@ fn interrupt_and_resume_is_byte_identical_at_any_worker_count() {
     for cut in [HEADER_LEN, torn_cut, full.len()] {
         for workers in [1, 2, 5] {
             std::fs::write(&journal, &full[..cut]).expect("journal writable");
-            let resumed = run_campaign_durable_parallel(
-                fsl_sim,
-                &plan,
-                observe,
-                quick_config(),
-                &journal,
-                true,
-                workers,
-            )
-            .expect("journal I/O");
+            let (resumed, _) =
+                run_durable(&plan, &journal, true, workers, None).expect("journal I/O");
             assert_eq!(
                 resumed, reference,
                 "resume from {cut} bytes at {workers} workers reproduces the report"
@@ -242,18 +242,9 @@ fn append_fault_degrades_to_non_durable_with_a_clean_tail() {
         let _ = std::fs::remove_file(&journal);
         // The 4th append fails: the run must finish with the same
         // report, flagged non-durable with a warning — never a panic.
-        let (report, status) = run_campaign_durable_with_status(
-            fsl_sim,
-            &plan,
-            observe,
-            quick_config(),
-            &journal,
-            false,
-            1,
-            None,
-            Some(AppendFaultPlan { kind: fault, after_appends: 3 }),
-        )
-        .expect("an append failure must not fail the campaign");
+        let injected = Some(AppendFaultPlan { kind: fault, after_appends: 3 });
+        let (report, status) = run_durable(&plan, &journal, false, 1, injected)
+            .expect("an append failure must not fail the campaign");
         assert_eq!(report, reference, "report unaffected by {fault}");
         assert!(!status.durable, "{fault} must degrade the run");
         assert_eq!(status.appended, 3, "{fault}");
@@ -269,18 +260,7 @@ fn append_fault_degrades_to_non_durable_with_a_clean_tail() {
 
         // And it resumes: only the five missing trials re-run, to the
         // byte-identical report.
-        let (resumed, status) = run_campaign_durable_with_status(
-            fsl_sim,
-            &plan,
-            observe,
-            quick_config(),
-            &journal,
-            true,
-            2,
-            None,
-            None,
-        )
-        .expect("journal I/O");
+        let (resumed, status) = run_durable(&plan, &journal, true, 2, None).expect("journal I/O");
         assert_eq!(resumed, reference, "resume after {fault} degrade");
         assert!(status.durable);
         assert_eq!(status.appended as usize, plan.len() - 3);

@@ -1,9 +1,14 @@
-//! The checkpoint-ladder oracle. Campaign trials start from the last
-//! golden checkpoint at or before their injection cycle; this suite
-//! checks every campaign runner against a reference trial loop, written
-//! here from the public API only, that restores the *initial* state
-//! and re-simulates the whole fault-free prefix for every trial. The
-//! reports must be equal trial for trial.
+//! The oracle of the campaign driver. Campaign trials start from the
+//! last golden checkpoint at or before their injection cycle; this suite
+//! checks every execution shape of the driver against a reference trial
+//! loop, written here from the public API only, that restores the
+//! *initial* state and re-simulates the whole fault-free prefix for
+//! every trial. Recovery trials are checked the same way against a plain
+//! loop of `Supervisor::capture_golden` plus one `Supervisor::run_trial`
+//! per injection. The shapes are a borrowed simulator, 1 and 3 workers,
+//! a journal at 2 workers, and a resume from a journal cut mid-record,
+//! each with telemetry off and on. The reports must be equal trial for
+//! trial.
 
 use softsim_apps::cordic::hardware::cordic_peripheral;
 use softsim_apps::cordic::reference::to_fix;
@@ -17,14 +22,20 @@ use softsim_cosim::{CoSim, CoSimStop, FslFromHw, FslToHw, Peripheral};
 use softsim_isa::asm::assemble;
 use softsim_isa::Image;
 use softsim_iss::CpuStats;
+use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
 use softsim_resilience::{
-    run_campaign, run_campaign_durable_parallel, run_campaign_parallel, CampaignConfig,
-    CampaignReport, FaultKind, Injection, Injector, Outcome, Trial,
+    resume_from_journal, run, run_campaign, CampaignConfig, CampaignReport, Exec, FaultKind,
+    Injection, Injector, JournalSpec, Outcome, RecoveryOutcome, RecoveryPolicy, RecoveryReport,
+    RecoveryTrial, Sims, Supervisor, Trial, TrialKind,
 };
 use softsim_testkit::Rng;
 use softsim_trace::FifoDir;
+use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// The panic message of [`FaultKind::HarnessPanic`].
+const HARNESS_PANIC: &str = "deliberate harness panic (FaultKind::HarnessPanic)";
 
 /// A design under test: how to build a fresh simulator and what to
 /// observe once it halts.
@@ -240,14 +251,13 @@ fn reference(
                 let applied =
                     catch_unwind(AssertUnwindSafe(|| Injector::apply(&mut sim, injection.kind)));
                 let Ok(applied) = applied else {
-                    let retries = config.max_trial_retries;
+                    // The driver retries a panicking trial once.
+                    let retries = 1;
                     trials.push(Trial {
                         injection,
                         applied: false,
                         stop: CoSimStop::CycleLimit { blocked: None },
-                        outcome: Outcome::HarnessError {
-                            panic_msg: "deliberate harness panic (FaultKind::HarnessPanic)".into(),
-                        },
+                        outcome: Outcome::HarnessError { panic_msg: HARNESS_PANIC.into() },
                         retries,
                         cpu_stats: CpuStats::default(),
                         hw_stats: Default::default(),
@@ -278,38 +288,134 @@ fn reference(
     CampaignReport { golden_cycles, golden_observed, trials }
 }
 
+/// Short checkpoint cadence, watchdog and padded budget for the small
+/// designs here, so recovery trials roll back and hung ones end quickly.
+fn policy() -> RecoveryPolicy {
+    RecoveryPolicy {
+        checkpoint_every: 256,
+        watchdog_threshold: 1_500,
+        budget_floor: 4_000,
+        ..RecoveryPolicy::default()
+    }
+}
+
+/// The reference recovery campaign: one golden capture, then one
+/// supervised trial per injection, each restoring the initial state.
+fn recovery_reference(
+    design: &Design,
+    translation: bool,
+    plan: &[Injection],
+    policy: RecoveryPolicy,
+) -> RecoveryReport {
+    let supervisor = Supervisor::new(policy);
+    let mut sim = design.sim(translation);
+    let golden = supervisor.capture_golden(&mut sim, |s| design.observe(s));
+    let mut trials = Vec::new();
+    for &injection in plan {
+        let trial = catch_unwind(AssertUnwindSafe(|| {
+            supervisor.run_trial(&mut sim, &golden, injection, |s| design.observe(s))
+        }));
+        trials.push(trial.unwrap_or_else(|_| RecoveryTrial {
+            injection,
+            applied: false,
+            outcome: RecoveryOutcome::HarnessError { panic_msg: HARNESS_PANIC.into() },
+            stop: CoSimStop::CycleLimit { blocked: None },
+            detector: None,
+            work_cycles: 0,
+        }));
+    }
+    RecoveryReport { golden_cycles: golden.cycles, golden_observed: golden.observed, trials }
+}
+
 fn journal(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("softsim_ladder_{tag}_{}.ssjl", std::process::id()))
 }
 
-/// Every runner's report equals the reference on `plan`.
+/// `workers` workers, journaled to `path` when given.
+fn exec(workers: usize, path: Option<&Path>, resume: bool) -> Exec<'_> {
+    let journal = path.map(|path| JournalSpec { path, resume, fault: None });
+    Exec { workers, telemetry: None, journal }
+}
+
+/// One run of `kind` under `exec`, with a fresh telemetry hub when
+/// `telemetry` is set. The hub must then count one trial span per trial
+/// the run executed, `executed` of them.
+fn run_shape<K: TrialKind>(
+    sims: Sims<'_>,
+    plan: &[Injection],
+    observe: &(dyn Fn(&CoSim) -> Vec<u32> + Sync),
+    kind: &K,
+    exec: Exec<'_>,
+    telemetry: bool,
+    executed: usize,
+) -> K::Report {
+    let t = Telemetry::new(TelemetryConfig::default());
+    let exec = Exec { telemetry: telemetry.then_some(&t), ..exec };
+    let (report, status) = run(sims, plan, observe, kind, exec).expect("journal I/O");
+    assert_eq!(status.durable, exec.journal.is_some(), "journal kept");
+    if telemetry {
+        assert_eq!(t.trial_count(), executed as u64, "one trial span per executed trial");
+    }
+    report
+}
+
+/// Every execution shape's report of `kind` equals `want`. `tag` keeps
+/// the journal files of concurrent checks apart.
+fn check_shapes<K: TrialKind>(
+    design: &Design,
+    translation: bool,
+    plan: &[Injection],
+    kind: &K,
+    want: &K::Report,
+    tag: &str,
+) where
+    K::Report: PartialEq + Debug,
+{
+    let observe = |sim: &CoSim| design.observe(sim);
+    let make_sim = || design.sim(translation);
+    let n = plan.len();
+    for telemetry in [false, true] {
+        let ctx = format!("{} {tag} translation={translation} telemetry={telemetry}", design.name);
+        let mut sim = make_sim();
+        let before = sim.save_state();
+        let borrowed = Sims::Borrowed(&mut sim);
+        let got = run_shape(borrowed, plan, &observe, kind, exec(1, None, false), telemetry, n);
+        assert_eq!(&got, want, "serial, {ctx}");
+        assert_eq!(sim.save_state(), before, "serial run leaves the initial state, {ctx}");
+        for workers in [1, 3] {
+            let built = Sims::Build(&make_sim);
+            let got =
+                run_shape(built, plan, &observe, kind, exec(workers, None, false), telemetry, n);
+            assert_eq!(&got, want, "parallel x{workers}, {ctx}");
+        }
+
+        let path = journal(&format!("{}_{tag}_{translation}_{telemetry}", design.name));
+        let _ = std::fs::remove_file(&path);
+        let durable = exec(2, Some(&path), false);
+        let got = run_shape(Sims::Build(&make_sim), plan, &observe, kind, durable, telemetry, n);
+        assert_eq!(&got, want, "durable x2, {ctx}");
+        // Cut the journal mid-record and resume: the torn tail re-runs.
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len / 2 + 3).unwrap();
+        let done = resume_from_journal::<K>(&path).expect("a cut journal scans").done();
+        let resumed = exec(2, Some(&path), true);
+        let got =
+            run_shape(Sims::Build(&make_sim), plan, &observe, kind, resumed, telemetry, n - done);
+        assert_eq!(&got, want, "durable resumed from a truncated journal, {ctx}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Every shape of the campaign driver equals the reference on `plan`.
 fn check_runners(design: &Design, translation: bool, plan: &[Injection], config: CampaignConfig) {
     let want = reference(design, translation, plan, config);
     let ctx = format!("{} translation={translation} ff={}", design.name, config.fast_forward);
     let observe = |sim: &CoSim| design.observe(sim);
-    let make_sim = || design.sim(translation);
-
-    let mut sim = make_sim();
+    let mut sim = design.sim(translation);
     let before = sim.save_state();
-    assert_eq!(run_campaign(&mut sim, plan, observe, config), want, "serial, {ctx}");
-    assert_eq!(sim.save_state(), before, "serial run leaves the initial state, {ctx}");
-    for workers in [1, 3] {
-        let got = run_campaign_parallel(make_sim, plan, observe, config, workers);
-        assert_eq!(got, want, "parallel x{workers}, {ctx}");
-    }
-
-    let path = journal(&format!("{}_{translation}_{}", design.name, config.fast_forward));
-    let _ = std::fs::remove_file(&path);
-    let got = run_campaign_durable_parallel(make_sim, plan, observe, config, &path, false, 2)
-        .expect("journal I/O");
-    assert_eq!(got, want, "durable x2, {ctx}");
-    // Cut the journal mid-record and resume: the torn tail re-runs.
-    let len = std::fs::metadata(&path).unwrap().len();
-    std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len / 2 + 3).unwrap();
-    let got = run_campaign_durable_parallel(make_sim, plan, observe, config, &path, true, 2)
-        .expect("journal I/O");
-    assert_eq!(got, want, "durable resumed from a truncated journal, {ctx}");
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(run_campaign(&mut sim, plan, observe, config), want, "run_campaign, {ctx}");
+    assert_eq!(sim.save_state(), before, "run_campaign leaves the initial state, {ctx}");
+    check_shapes(design, translation, plan, &config, &want, &format!("ff={}", config.fast_forward));
 }
 
 #[test]
@@ -332,6 +438,29 @@ fn every_runner_matches_restore_from_initial() {
         }
         let report = reference(design, false, &plans[0], config(true));
         assert_eq!(report.coverage().abandoned, 1, "{}", design.name);
+    }
+}
+
+#[test]
+fn every_recovery_shape_matches_capture_then_run_trial() {
+    for (d, design) in [cordic(), matmul(), fsl_deadlock()].iter().enumerate() {
+        let end = golden_end(design);
+        let seed = d as u64 * 37;
+        let plans = [hostile_plan(seed + 1, 48, end), hostile_plan(seed + 2, 48, end)];
+        for plan in plans.iter().chain([&rung_plan(seed + 3, end)]) {
+            for translation in [false, true] {
+                let want = recovery_reference(design, translation, plan, policy());
+                check_shapes(design, translation, plan, &policy(), &want, "recovery");
+            }
+        }
+        // The plans reach past clean trials, and the panic is abandoned.
+        let report = recovery_reference(design, false, &plans[0], policy());
+        assert!(
+            report.trials.iter().any(|t| t.outcome != RecoveryOutcome::Clean),
+            "{}",
+            design.name
+        );
+        assert_eq!(report.abandoned(), 1, "{}", design.name);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Integration tests for harness telemetry: the instrumented runners
-//! must leave every deterministic artifact — campaign reports, recovery
+//! Integration tests for harness telemetry: instrumented runs must
+//! leave every deterministic artifact — campaign reports, recovery
 //! reports, durable reports, and journal bytes — byte-identical to the
 //! uninstrumented ones at any worker count, while the span rollups
 //! reconcile exactly with what the reports say happened.
@@ -11,12 +11,10 @@ use softsim_isa::asm::assemble;
 use softsim_isa::reg::r;
 use softsim_metrics::telemetry::{SpanKind, Telemetry, TelemetryConfig};
 use softsim_resilience::{
-    run_campaign, run_campaign_durable_parallel, run_campaign_durable_parallel_with_telemetry,
-    run_campaign_parallel_with_telemetry, run_campaign_with_telemetry, run_recovery_campaign,
-    run_recovery_campaign_parallel_with_telemetry, CampaignConfig, FaultKind, Injection,
-    RecoveryPolicy,
+    run, run_campaign, CampaignConfig, Exec, FaultKind, Injection, JournalSpec, RecoveryPolicy,
+    Sims, TrialKind,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A peripheral that adds 100 to every word on FSL0, one cycle later.
 fn adder_peripheral() -> Peripheral {
@@ -90,6 +88,28 @@ fn mixed_plan() -> Vec<Injection> {
     ]
 }
 
+/// `workers` workers, `telemetry`, and a `(path, resume)` journal.
+fn exec<'a>(
+    workers: usize,
+    telemetry: Option<&'a Telemetry>,
+    journal: Option<(&'a Path, bool)>,
+) -> Exec<'a> {
+    let journal = journal.map(|(path, resume)| JournalSpec { path, resume, fault: None });
+    Exec { workers, telemetry, journal }
+}
+
+/// A serial run of `kind` on one borrowed FSL simulator.
+fn serial<K: TrialKind>(plan: &[Injection], kind: &K, telemetry: Option<&Telemetry>) -> K::Report {
+    let mut sim = fsl_sim();
+    let exec = exec(1, telemetry, None);
+    run(Sims::Borrowed(&mut sim), plan, &observe, kind, exec).expect("journal I/O").0
+}
+
+/// A run of `kind` on fresh FSL simulators under `exec`.
+fn built<K: TrialKind>(plan: &[Injection], kind: &K, exec: Exec<'_>) -> K::Report {
+    run(Sims::Build(&fsl_sim), plan, &observe, kind, exec).expect("journal I/O").0
+}
+
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("softsim_tel_{}_{}.ssjl", tag, std::process::id()))
 }
@@ -102,21 +122,13 @@ fn campaign_report_is_byte_identical_with_telemetry_at_any_worker_count() {
 
     // Serial instrumented run.
     let t = Telemetry::new(TelemetryConfig::default());
-    let mut sim = fsl_sim();
-    let serial = run_campaign_with_telemetry(&mut sim, &plan, observe, quick_config(), Some(&t));
+    let serial = serial(&plan, &quick_config(), Some(&t));
     assert_eq!(serial, reference, "serial telemetry run must not perturb the report");
 
     // Parallel instrumented runs at several worker counts.
     for workers in [1, 2, 5] {
         let t = Telemetry::new(TelemetryConfig::default());
-        let parallel = run_campaign_parallel_with_telemetry(
-            fsl_sim,
-            &plan,
-            observe,
-            quick_config(),
-            workers,
-            Some(&t),
-        );
+        let parallel = built(&plan, &quick_config(), exec(workers, Some(&t), None));
         assert_eq!(parallel, reference, "workers={workers}");
         assert_eq!(t.trial_count(), plan.len() as u64, "one trial span per injection");
     }
@@ -126,8 +138,7 @@ fn campaign_report_is_byte_identical_with_telemetry_at_any_worker_count() {
 fn campaign_span_rollups_reconcile_with_the_report() {
     let plan = mixed_plan();
     let t = Telemetry::new(TelemetryConfig::default());
-    let mut sim = fsl_sim();
-    let report = run_campaign_with_telemetry(&mut sim, &plan, observe, quick_config(), Some(&t));
+    let report = serial(&plan, &quick_config(), Some(&t));
 
     // Exactly one trial span per injection; sim-cycle rollup equals the
     // report's per-trial cycle sum, and the golden span carries the
@@ -154,8 +165,7 @@ fn campaign_span_rollups_reconcile_with_the_report() {
 fn parallel_worker_rollups_cover_all_trials() {
     let plan = mixed_plan();
     let t = Telemetry::new(TelemetryConfig::default());
-    let report =
-        run_campaign_parallel_with_telemetry(fsl_sim, &plan, observe, quick_config(), 3, Some(&t));
+    let report = built(&plan, &quick_config(), exec(3, Some(&t), None));
     let workers = t.worker_stats();
     assert!(workers.len() >= 2, "three chunks spread over at least two worker slots");
     let span_total: u64 = workers.iter().map(|w| w.spans).sum();
@@ -170,19 +180,12 @@ fn parallel_worker_rollups_cover_all_trials() {
 #[test]
 fn recovery_report_is_byte_identical_with_telemetry_and_rollups_reconcile() {
     let plan = mixed_plan();
-    let mut sim = fsl_sim();
-    let reference = run_recovery_campaign(&mut sim, &plan, observe, RecoveryPolicy::default());
+    let policy = RecoveryPolicy::default();
+    let reference = serial(&plan, &policy, None);
 
     for workers in [1, 2, 5] {
         let t = Telemetry::new(TelemetryConfig::default());
-        let report = run_recovery_campaign_parallel_with_telemetry(
-            fsl_sim,
-            &plan,
-            observe,
-            RecoveryPolicy::default(),
-            workers,
-            Some(&t),
-        );
+        let report = built(&plan, &policy, exec(workers, Some(&t), None));
         assert_eq!(report, reference, "workers={workers}");
         assert_eq!(t.trial_count(), plan.len() as u64);
         // Recovery trial spans carry work_cycles (rollback replays
@@ -198,16 +201,7 @@ fn durable_report_and_journal_bytes_are_byte_identical_with_telemetry() {
     let plan = mixed_plan();
     let reference_journal = scratch("ref");
     let _ = std::fs::remove_file(&reference_journal);
-    let reference = run_campaign_durable_parallel(
-        fsl_sim,
-        &plan,
-        observe,
-        quick_config(),
-        &reference_journal,
-        false,
-        1,
-    )
-    .expect("journal I/O");
+    let reference = built(&plan, &quick_config(), exec(1, None, Some((&reference_journal, false))));
     let reference_bytes = std::fs::read(&reference_journal).expect("journal readable");
     let _ = std::fs::remove_file(&reference_journal);
 
@@ -216,17 +210,8 @@ fn durable_report_and_journal_bytes_are_byte_identical_with_telemetry() {
         let journal = scratch(&format!("tel_{workers}"));
         let _ = std::fs::remove_file(&journal);
         let t = Telemetry::new(TelemetryConfig::default());
-        let report = run_campaign_durable_parallel_with_telemetry(
-            fsl_sim,
-            &plan,
-            observe,
-            quick_config(),
-            &journal,
-            false,
-            workers,
-            Some(&t),
-        )
-        .expect("journal I/O");
+        let report =
+            built(&plan, &quick_config(), exec(workers, Some(&t), Some((&journal, false))));
         assert_eq!(report, reference, "workers={workers}");
         let bytes = std::fs::read(&journal).expect("journal readable");
         if workers == 1 {
@@ -260,9 +245,7 @@ fn resume_announces_only_the_missing_trials() {
     let plan = mixed_plan();
     let journal = scratch("resume");
     let _ = std::fs::remove_file(&journal);
-    let reference =
-        run_campaign_durable_parallel(fsl_sim, &plan, observe, quick_config(), &journal, false, 1)
-            .expect("journal I/O");
+    let reference = built(&plan, &quick_config(), exec(1, None, Some((&journal, false))));
     let full = std::fs::read(&journal).expect("journal readable");
 
     // Truncate to the header plus the first three complete records.
@@ -276,17 +259,7 @@ fn resume_announces_only_the_missing_trials() {
     std::fs::write(&journal, &full[..pos]).expect("journal writable");
 
     let t = Telemetry::new(TelemetryConfig::default());
-    let resumed = run_campaign_durable_parallel_with_telemetry(
-        fsl_sim,
-        &plan,
-        observe,
-        quick_config(),
-        &journal,
-        true,
-        2,
-        Some(&t),
-    )
-    .expect("journal I/O");
+    let resumed = built(&plan, &quick_config(), exec(2, Some(&t), Some((&journal, true))));
     assert_eq!(resumed, reference, "resume reproduces the full report");
     // Only the re-run trials show up as spans and expected work.
     assert_eq!(t.trial_count(), (plan.len() - 3) as u64);
@@ -297,8 +270,7 @@ fn resume_announces_only_the_missing_trials() {
 fn exposition_reflects_the_run_and_escapes_correctly() {
     let plan = mixed_plan();
     let t = Telemetry::new(TelemetryConfig::default());
-    let mut sim = fsl_sim();
-    let _ = run_campaign_with_telemetry(&mut sim, &plan, observe, quick_config(), Some(&t));
+    let _ = serial(&plan, &quick_config(), Some(&t));
 
     let prom = t.to_prometheus();
     assert!(prom.contains(&format!(

@@ -26,10 +26,8 @@ use crate::catalog::{self, JobKind, JobSpec, Workload};
 use crate::queue::{Admission, BoundedQueue, QueueConfig};
 use softsim_metrics::telemetry::{ServeEvent, SpanKind, SpanRecord, Telemetry};
 use softsim_resilience::{
-    resume_from_journal, resume_recovery_from_journal, run_campaign_durable_with_status,
-    run_campaign_parallel_with_telemetry, run_recovery_campaign_durable_with_status,
-    run_recovery_campaign_parallel_with_telemetry, CampaignConfig, CampaignReport, JournalError,
-    RecoveryReport,
+    resume_from_journal, run, CampaignConfig, CampaignReport, Exec, Injection, JournalError,
+    JournalSpec, RecoveryReport, Sims, TrialKind,
 };
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,7 +133,7 @@ impl std::error::Error for Shed {}
 pub enum JobState {
     /// Ran to completion (possibly after retries, possibly degraded).
     Done,
-    /// Never ran; see [`JobResult::shed`].
+    /// Never ran; the reason is in the `shed` field of [`JobResult`].
     Shed,
     /// Exhausted its retries (or failed validation); see
     /// [`JobResult::error`].
@@ -734,13 +732,6 @@ struct ExecOutput {
 /// builds and journal errors) unwind to the retry loop above.
 fn execute(inner: &Inner, spec: &JobSpec, degraded: bool) -> ExecOutput {
     let workload = spec.workload;
-    let telemetry = Some(&*inner.telemetry);
-    let config = CampaignConfig {
-        trial_cycle_budget: spec.trial_cycle_budget,
-        trial_wall_budget: spec.trial_wall_budget_ms.map(Duration::from_millis),
-        fast_forward: true,
-        ..CampaignConfig::default()
-    };
     match spec.kind {
         JobKind::Simulate => {
             let (base, n) = catalog::observe_window(workload);
@@ -787,134 +778,75 @@ fn execute(inner: &Inner, spec: &JobSpec, degraded: bool) -> ExecOutput {
         }
         JobKind::Campaign => {
             let plan = catalog::campaign_plan(workload, spec.seed, spec.trials);
-            let (base, n) = catalog::observe_window(workload);
-            let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
-            let make_sim = || catalog::build_sim(workload, degraded);
-            if !spec.durable {
-                let report = run_campaign_parallel_with_telemetry(
-                    make_sim,
-                    &plan,
-                    observe,
-                    config,
-                    inner.config.campaign_workers.max(1),
-                    telemetry,
-                );
-                return ExecOutput {
-                    report: render_campaign(spec, &report),
-                    durable: false,
-                    executed_trials: spec.trials,
-                    resumed_trials: 0,
-                    warning: None,
-                };
-            }
-            let journal = journal_path(&inner.config.spool, spec);
-            let mut resumed = match resume_from_journal(&journal) {
-                Ok(scan) => scan.done() as u32,
-                Err(_) => {
-                    // Missing file is a fresh start; an unreadable
-                    // journal is discarded the same way.
-                    let _ = std::fs::remove_file(&journal);
-                    0
-                }
+            let config = CampaignConfig {
+                trial_cycle_budget: spec.trial_cycle_budget,
+                trial_wall_budget: spec.trial_wall_budget_ms.map(Duration::from_millis),
+                fast_forward: true,
+                ..CampaignConfig::default()
             };
-            let workers = inner.config.campaign_workers.max(1);
-            let mut outcome = run_campaign_durable_with_status(
-                make_sim,
-                &plan,
-                observe,
-                config,
-                &journal,
-                resumed > 0,
-                workers,
-                telemetry,
-                None,
-            );
-            if matches!(
-                outcome,
-                Err(JournalError::PlanMismatch { .. } | JournalError::TrialCountMismatch { .. })
-            ) {
-                // A stale journal for a different plan (e.g. a hash
-                // collision in the spool) self-heals: discard and run
-                // fresh rather than quarantining the job.
-                let _ = std::fs::remove_file(&journal);
-                resumed = 0;
-                outcome = run_campaign_durable_with_status(
-                    make_sim, &plan, observe, config, &journal, false, workers, telemetry, None,
-                );
-            }
-            let (report, status) =
-                outcome.unwrap_or_else(|e| panic!("durable campaign failed: {e}"));
-            ExecOutput {
-                report: render_campaign(spec, &report),
-                durable: status.durable,
-                executed_trials: spec.trials.saturating_sub(resumed),
-                resumed_trials: resumed,
-                warning: status.warning,
-            }
+            execute_trials(inner, spec, degraded, &plan, &config, render_campaign)
         }
         JobKind::Recovery => {
             let plan = catalog::recovery_plan(workload, spec.seed, spec.trials);
-            let (base, n) = catalog::observe_window(workload);
-            let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
-            let make_sim = || catalog::build_sim(workload, degraded);
             let policy = catalog::recovery_policy();
-            if !spec.durable {
-                let report = run_recovery_campaign_parallel_with_telemetry(
-                    make_sim,
-                    &plan,
-                    observe,
-                    policy,
-                    inner.config.campaign_workers.max(1),
-                    telemetry,
-                );
-                return ExecOutput {
-                    report: render_recovery(spec, &report),
-                    durable: false,
-                    executed_trials: spec.trials,
-                    resumed_trials: 0,
-                    warning: None,
-                };
-            }
-            let journal = journal_path(&inner.config.spool, spec);
-            let mut resumed = match resume_recovery_from_journal(&journal) {
-                Ok(scan) => scan.done() as u32,
-                Err(_) => {
-                    let _ = std::fs::remove_file(&journal);
-                    0
-                }
-            };
-            let workers = inner.config.campaign_workers.max(1);
-            let mut outcome = run_recovery_campaign_durable_with_status(
-                make_sim,
-                &plan,
-                observe,
-                policy,
-                &journal,
-                resumed > 0,
-                workers,
-                telemetry,
-                None,
-            );
-            if matches!(
-                outcome,
-                Err(JournalError::PlanMismatch { .. } | JournalError::TrialCountMismatch { .. })
-            ) {
-                let _ = std::fs::remove_file(&journal);
-                resumed = 0;
-                outcome = run_recovery_campaign_durable_with_status(
-                    make_sim, &plan, observe, policy, &journal, false, workers, telemetry, None,
-                );
-            }
-            let (report, status) =
-                outcome.unwrap_or_else(|e| panic!("durable recovery campaign failed: {e}"));
-            ExecOutput {
-                report: render_recovery(spec, &report),
-                durable: status.durable,
-                executed_trials: spec.trials.saturating_sub(resumed),
-                resumed_trials: resumed,
-                warning: status.warning,
-            }
+            execute_trials(inner, spec, degraded, &plan, &policy, render_recovery)
         }
+    }
+}
+
+/// Runs a campaign or recovery job's trials, journaled when the spec is
+/// durable. A journal already in the spool resumes; one that does not
+/// scan, or was written for a different plan (e.g. a hash collision in
+/// the spool), is discarded and the job runs fresh rather than being
+/// quarantined.
+fn execute_trials<K: TrialKind>(
+    inner: &Inner,
+    spec: &JobSpec,
+    degraded: bool,
+    plan: &[Injection],
+    kind: &K,
+    render: fn(&JobSpec, &K::Report) -> String,
+) -> ExecOutput {
+    let workload = spec.workload;
+    let (base, n) = catalog::observe_window(workload);
+    let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
+    let make_sim = || catalog::build_sim(workload, degraded);
+    let journal = spec.durable.then(|| journal_path(&inner.config.spool, spec));
+    let mut resumed = match &journal {
+        None => 0,
+        Some(path) => resume_from_journal::<K>(path).map_or_else(
+            |_| {
+                // Missing file is a fresh start; an unreadable journal
+                // is discarded the same way.
+                let _ = std::fs::remove_file(path);
+                0
+            },
+            |scan| scan.done() as u32,
+        ),
+    };
+    let exec = |resume| Exec {
+        workers: inner.config.campaign_workers.max(1),
+        telemetry: Some(&*inner.telemetry),
+        journal: journal.as_deref().map(|path| JournalSpec { path, resume, fault: None }),
+    };
+    let mut outcome = run(Sims::Build(&make_sim), plan, &observe, kind, exec(resumed > 0));
+    if let (
+        Some(path),
+        Err(JournalError::PlanMismatch { .. } | JournalError::TrialCountMismatch { .. }),
+    ) = (&journal, &outcome)
+    {
+        let _ = std::fs::remove_file(path);
+        resumed = 0;
+        outcome = run(Sims::Build(&make_sim), plan, &observe, kind, exec(false));
+    }
+    let (report, status) =
+        outcome.unwrap_or_else(|e| panic!("durable {} failed: {e}", spec.kind.label()));
+    ExecOutput {
+        report: render(spec, &report),
+        durable: status.durable,
+        executed_trials: spec.trials.saturating_sub(resumed),
+        resumed_trials: resumed,
+        warning: status.warning,
     }
 }
 

@@ -1,5 +1,5 @@
-//! Harness telemetry live: a seeded CORDIC fault campaign on the
-//! parallel runner with the span instrumentation turned on — a stderr
+//! Harness telemetry live: a seeded CORDIC fault campaign on worker
+//! threads with the span instrumentation turned on — a stderr
 //! progress/ETA heartbeat while it runs, a periodically refreshed
 //! Prometheus snapshot you can point a scraper (or `watch cat`) at, and
 //! a final per-worker utilization summary. The campaign report itself
@@ -14,9 +14,7 @@ use softsim::apps::cordic::software::{hw_program, CordicBatch};
 use softsim::cosim::{CoSim, CoSimStop};
 use softsim::isa::asm::assemble;
 use softsim::metrics::telemetry::{Telemetry, TelemetryConfig};
-use softsim::resilience::{
-    random_plan, run_campaign_parallel, run_campaign_parallel_with_telemetry, CampaignConfig,
-};
+use softsim::resilience::{random_plan, run, CampaignConfig, Exec, Sims};
 use std::time::Duration;
 
 fn main() {
@@ -35,7 +33,7 @@ fn main() {
     let base = image.symbol("z_data").expect("cordic result label");
     let n = pairs.len();
     let make_sim = || CoSim::with_peripheral(&image, cordic_peripheral(p));
-    let observe = move |s: &CoSim| {
+    let observe = move |s: &CoSim| -> Vec<u32> {
         (0..n).map(|i| s.cpu().mem().read_u32(base + 4 * i as u32).unwrap()).collect()
     };
 
@@ -64,14 +62,10 @@ fn main() {
         "CORDIC fault campaign: {trials} trials, {workers} workers, seed {seed:#x} \
          (golden run {golden} cycles)\n"
     );
-    let report = run_campaign_parallel_with_telemetry(
-        make_sim,
-        &plan,
-        observe,
-        CampaignConfig::default(),
-        workers,
-        Some(&telemetry),
-    );
+    let config = CampaignConfig::default();
+    let live = Exec { workers, telemetry: Some(&telemetry), journal: None };
+    let (report, _) =
+        run(Sims::Build(&make_sim), &plan, &observe, &config, live).expect("no journal to fail");
     telemetry.finish();
 
     let (masked, sdc, deadlock, fault) = report.counts();
@@ -95,11 +89,9 @@ fn main() {
 
     // The proof the instrumentation is inert: the identical campaign
     // without telemetry produces the identical report, byte for byte.
-    let make_sim = || CoSim::with_peripheral(&image, cordic_peripheral(p));
-    let observe = move |s: &CoSim| {
-        (0..n).map(|i| s.cpu().mem().read_u32(base + 4 * i as u32).unwrap()).collect()
-    };
-    let plain = run_campaign_parallel(make_sim, &plan, observe, CampaignConfig::default(), workers);
+    let plain_exec = Exec { workers, ..Exec::default() };
+    let (plain, _) = run(Sims::Build(&make_sim), &plan, &observe, &config, plain_exec)
+        .expect("no journal to fail");
     assert_eq!(report, plain, "telemetry must not perturb the report");
     println!("\nverified: report is byte-identical to an uninstrumented run");
 }

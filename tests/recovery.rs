@@ -10,8 +10,8 @@ use softsim::cosim::{CoSim, CoSimStop};
 use softsim::isa::asm::assemble;
 use softsim::isa::Image;
 use softsim::resilience::{
-    random_plan_hardware, run_campaign, run_recovery_campaign, run_recovery_campaign_parallel,
-    CampaignConfig, FaultKind, Injection, Outcome, RecoveryOutcome, RecoveryPolicy, Supervisor,
+    random_plan_hardware, run, run_campaign, CampaignConfig, Exec, FaultKind, Injection, Outcome,
+    RecoveryOutcome, RecoveryPolicy, RecoveryReport, Sims, Supervisor,
 };
 use softsim::trace::{shared, DetectorKind, FifoDir, Profile, Recorder, TraceEvent};
 use std::cell::RefCell;
@@ -244,6 +244,17 @@ fn supervisor_emits_detection_and_recovery_events() {
     }
 }
 
+/// A serial recovery campaign on a borrowed simulator.
+fn recovery_campaign(
+    sim: &mut CoSim,
+    plan: &[Injection],
+    img: &Image,
+    policy: RecoveryPolicy,
+) -> RecoveryReport {
+    let observe = |s: &CoSim| observe(s, img);
+    run(Sims::Borrowed(sim), plan, &observe, &policy, Exec::default()).expect("no journal").0
+}
+
 /// Same seed, same plan: the serial report and the parallel report are
 /// identical — at any worker count.
 #[test]
@@ -252,15 +263,16 @@ fn recovery_campaign_serial_equals_parallel() {
     let plan = random_plan_hardware(0x5EED_0005, 18, (50, 550), img.bytes().len() as u32, &[0]);
     let policy = test_policy();
     let mut sim = cordic_sim(&img);
-    let serial = run_recovery_campaign(&mut sim, &plan, |s| observe(s, &img), policy);
+    let serial = recovery_campaign(&mut sim, &plan, &img, policy);
     for workers in [1usize, 3, 8] {
-        let parallel = run_recovery_campaign_parallel(
-            || cordic_sim(&img),
+        let (parallel, _) = run(
+            Sims::Build(&|| cordic_sim(&img)),
             &plan,
-            |s| observe(s, &img),
-            policy,
-            workers,
-        );
+            &|s| observe(s, &img),
+            &policy,
+            Exec { workers, ..Exec::default() },
+        )
+        .expect("no journal");
         assert_eq!(serial, parallel, "parallel report diverged at {workers} workers");
     }
     let (clean, recovered, unrecoverable) = serial.counts();
@@ -282,7 +294,7 @@ fn hardened_supervisor_converts_sdc_and_hangs_to_recovered() {
     let baseline = run_campaign(&mut sim, &plan, |s| observe(s, &img), CampaignConfig::default());
 
     let mut sim = hardened_sim(&img);
-    let report = run_recovery_campaign(&mut sim, &plan, |s| observe(s, &img), test_policy());
+    let report = recovery_campaign(&mut sim, &plan, &img, test_policy());
     assert_eq!(report.trials.len(), baseline.trials.len());
 
     let mut bad = 0usize;
