@@ -50,13 +50,18 @@
 //! same simulation. The served report is asserted equal to the direct
 //! run's first, line for line.
 //!
-//! Every guard is one `(name, off, on)` row of a table. The report
-//! equality pre-checks run first; then all rows are sampled in one
-//! interleaved loop (off, on, off, on, ... across every row) so
+//! Every guard is one `(name, repeats, off, on)` row of a table. The
+//! report equality pre-checks run first; then all rows are sampled in
+//! one interleaved loop (off, on, off, on, ... across every row) so
 //! frequency scaling and cache warm-up hit both configurations equally,
 //! and the minima of each row are asserted within the same 2% bound in
 //! one loop (minimum wall time is the standard low-noise estimator for
-//! same-machine A/B timing).
+//! same-machine A/B timing). One sample of a row is the summed wall
+//! time of `repeats` runs of each side, the same count on both sides and
+//! the runs alternating off, on, off, on, chosen so that a sample lasts
+//! at least about 50 ms on the off side: a single campaign run takes
+//! about 4 ms, short enough for one scheduler hiccup on a loaded
+//! machine to exceed the 2% bound by itself.
 
 use softsim_bus::FslBank;
 use softsim_cosim::CoSimStop;
@@ -219,8 +224,10 @@ fn run_serve_on(server: &softsim_serve::Server) -> Duration {
     wall
 }
 
-/// One overhead guard: the feature off must stay within 2% of it on.
-type Guard<'a> = (&'static str, Box<dyn Fn() -> Duration + 'a>, Box<dyn Fn() -> Duration + 'a>);
+/// One overhead guard: the feature off must stay within 2% of it on,
+/// each side sampled as the sum of `repeats` runs.
+type Guard<'a> =
+    (&'static str, u32, Box<dyn Fn() -> Duration + 'a>, Box<dyn Fn() -> Duration + 'a>);
 
 fn main() {
     let img = softsim_bench::workloads::cordic_sw_image(24);
@@ -279,40 +286,52 @@ fn main() {
     }
 
     let guards: Vec<Guard> = vec![
-        ("tracing", Box::new(|| run_untraced(&img)), Box::new(|| run_null_traced(&img))),
-        ("metrics", Box::new(|| run_metrics_off(&img)), Box::new(|| run_null_traced(&img))),
-        ("hardening", Box::new(|| run_cosim_ecc(false)), Box::new(|| run_cosim_ecc(true))),
+        ("tracing", 512, Box::new(|| run_untraced(&img)), Box::new(|| run_null_traced(&img))),
+        ("metrics", 512, Box::new(|| run_metrics_off(&img)), Box::new(|| run_null_traced(&img))),
+        ("hardening", 10, Box::new(|| run_cosim_ecc(false)), Box::new(|| run_cosim_ecc(true))),
         (
             "profiler",
+            12,
             Box::new(|| run_cosim_profiling(false)),
             Box::new(|| run_cosim_profiling(true)),
         ),
         (
             "telemetry",
+            14,
             Box::new(|| time_campaign(Exec::default())),
             Box::new(run_campaign_telemetry),
         ),
         (
             "journaling",
+            14,
             Box::new(|| time_campaign(Exec::default())),
             Box::new(|| time_campaign(journaled())),
         ),
-        ("serve", Box::new(run_serve_off), Box::new(|| run_serve_on(&serve_server))),
+        ("serve", 16, Box::new(run_serve_off), Box::new(|| run_serve_on(&serve_server))),
     ];
     // Warm-up all paths.
-    for (_, off, on) in &guards {
+    for (_, _, off, on) in &guards {
         off();
         on();
     }
     let mut samples = vec![(Duration::MAX, Duration::MAX); guards.len()];
     for _ in 0..SAMPLES {
-        for ((_, off, on), (best_off, best_on)) in guards.iter().zip(&mut samples) {
-            *best_off = (*best_off).min(off());
-            *best_on = (*best_on).min(on());
+        for ((_, repeats, off, on), (best_off, best_on)) in guards.iter().zip(&mut samples) {
+            // An untimed pair first: the previous row ran other code,
+            // and a cold first run would land on the off side alone.
+            off();
+            on();
+            let (mut sample_off, mut sample_on) = (Duration::ZERO, Duration::ZERO);
+            for _ in 0..*repeats {
+                sample_off += off();
+                sample_on += on();
+            }
+            *best_off = (*best_off).min(sample_off);
+            *best_on = (*best_on).min(sample_on);
         }
     }
     let _ = std::fs::remove_file(&journal);
-    for ((name, _, _), (off, on)) in guards.iter().zip(samples) {
+    for ((name, _, _, _), (off, on)) in guards.iter().zip(samples) {
         let ratio = off.as_secs_f64() / on.as_secs_f64();
         println!(
             "{name} overhead guard: {name}-off {off:?}, {name}-on {on:?}, off/on ratio {ratio:.4}"

@@ -133,10 +133,7 @@ fn main() {
                 "{}",
                 softsim_bench::durable::durable_faults_text(std::path::Path::new(path), resume)
             ),
-            None => println!(
-                "{}",
-                softsim_bench::faults::faults_text_with_telemetry(telemetry.as_ref())
-            ),
+            None => println!("{}", softsim_bench::faults::faults_text(telemetry.as_ref())),
         }
     }
     if want("--metrics") {

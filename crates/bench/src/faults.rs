@@ -149,18 +149,15 @@ pub const REPORT_TRIALS: usize = 120;
 /// classification of every trial) and that the parallel engine merges
 /// to a byte-identical report.
 ///
+/// `telemetry` instruments the parallel CORDIC sweep. The returned text
+/// — and the assertion that serial and parallel reports agree bit for
+/// bit — is the live proof that telemetry never touches the
+/// deterministic record.
+///
 /// # Panics
 /// Panics if the serial and parallel CORDIC runs disagree anywhere —
 /// the determinism regression CI gates on.
-pub fn faults_text() -> String {
-    faults_text_with_telemetry(None)
-}
-
-/// [`faults_text`] with optional harness telemetry on the parallel
-/// CORDIC sweep. The returned text — and the assertion that serial and
-/// instrumented-parallel reports agree bit for bit — is the live proof
-/// that telemetry never touches the deterministic record.
-pub fn faults_text_with_telemetry(telemetry: Option<&Telemetry>) -> String {
+pub fn faults_text(telemetry: Option<&Telemetry>) -> String {
     let config = CampaignConfig::default();
     let cordic_a = cordic_campaign(REPORT_SEED, REPORT_TRIALS, config, Exec::default());
     let parallel = Exec { workers: default_workers(), telemetry, journal: None };

@@ -717,7 +717,7 @@ pub fn record_text() -> String {
         claims_text(),
         profile_text(),
         crate::hotspots::hotspots_text(),
-        crate::faults::faults_text(),
+        crate::faults::faults_text(None),
         crate::recover::recovery_text(),
         crate::durable::durable_text(),
         ablation_fsl_vs_opb_text(),

@@ -1,5 +1,5 @@
 //! Harness telemetry: span-structured wall-clock instrumentation for
-//! the execution harness (campaigns, sweeps, durable runs).
+//! the execution harness (campaigns, durable runs, served jobs).
 //!
 //! Where the rest of this crate observes the *guest* (cycle-domain
 //! metrics folded from the trace stream), this module observes the
@@ -41,14 +41,10 @@ pub enum SpanKind {
     Golden,
     /// One campaign trial (all retry attempts of one injection).
     Trial,
-    /// A whole `parallel_map`/`parallel_try_map` sweep.
-    Sweep,
-    /// One item of a sweep.
-    SweepItem,
     /// One durable-journal record append (frame build + write).
     JournalAppend,
     /// One `softsim-serve` job, end to end (queue wait excluded; covers
-    /// all retry attempts). Like campaigns and sweeps it nests leaf
+    /// all retry attempts). Like a campaign it nests leaf
     /// spans, so it is excluded from worker occupancy.
     Job,
 }
@@ -60,8 +56,6 @@ impl SpanKind {
             SpanKind::Campaign => "campaign",
             SpanKind::Golden => "golden",
             SpanKind::Trial => "trial",
-            SpanKind::Sweep => "sweep",
-            SpanKind::SweepItem => "sweep_item",
             SpanKind::JournalAppend => "journal_append",
             SpanKind::Job => "job",
         }
@@ -69,15 +63,8 @@ impl SpanKind {
 }
 
 /// All span kinds, in exposition order.
-pub const SPAN_KINDS: [SpanKind; 7] = [
-    SpanKind::Campaign,
-    SpanKind::Golden,
-    SpanKind::Trial,
-    SpanKind::Sweep,
-    SpanKind::SweepItem,
-    SpanKind::JournalAppend,
-    SpanKind::Job,
-];
+pub const SPAN_KINDS: [SpanKind; 5] =
+    [SpanKind::Campaign, SpanKind::Golden, SpanKind::Trial, SpanKind::JournalAppend, SpanKind::Job];
 
 /// A `softsim-serve` lifecycle event, counted by the hub and exposed as
 /// the `softsim_serve_*` Prometheus families once any is recorded.
@@ -284,7 +271,7 @@ impl Inner {
 }
 
 /// The harness-telemetry hub: `Sync`, shared by reference across the
-/// worker threads of a campaign or sweep. See the module docs for the
+/// worker threads of a campaign or service. See the module docs for the
 /// span model and the determinism boundary.
 #[derive(Debug)]
 pub struct Telemetry {
@@ -326,10 +313,10 @@ impl Telemetry {
         if inner.workers.len() <= w {
             inner.workers.resize(w + 1, WorkerStats::default());
         }
-        // Aggregate spans (campaign, sweep, serve job) cover the whole
+        // Aggregate spans (campaign, serve job) cover the whole
         // run and would double-count the leaf spans nested inside them;
         // only leaf spans are worker occupancy.
-        if !matches!(rec.kind, SpanKind::Campaign | SpanKind::Sweep | SpanKind::Job) {
+        if !matches!(rec.kind, SpanKind::Campaign | SpanKind::Job) {
             inner.workers[w].spans += 1;
             inner.workers[w].busy += rec.wall;
         }

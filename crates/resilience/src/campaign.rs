@@ -25,10 +25,9 @@
 //! [`crate::run`] drives it at any worker count, with telemetry and an
 //! optional journal; [`run_campaign`] is the serial shorthand.
 
+use crate::codec::{put_bool, put_u64, put_u8};
 use crate::driver::{drive, Exec, Kind};
-use crate::durable::{
-    decode_all, get_trial, put_bool, put_trial, put_u64, put_u8, JournalError, KIND_CAMPAIGN,
-};
+use crate::durable::{decode_all, get_trial, put_trial, JournalError, KIND_CAMPAIGN};
 use crate::inject::{Injection, Injector};
 use softsim_cosim::{CoSim, CoSimState, CoSimStop, StateDelta};
 use softsim_iss::CpuStats;

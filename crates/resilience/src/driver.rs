@@ -345,8 +345,10 @@ impl<K: Kind> Work<'_, K> {
     }
 }
 
-/// Best-effort string rendering of a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Best-effort string rendering of a caught panic payload: the message
+/// of a `panic!` with a `&str` or `String` payload, or
+/// `"non-string panic payload"`.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

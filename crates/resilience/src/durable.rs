@@ -17,9 +17,10 @@
 //! payload  trial_index u32 | encoded trial
 //! ```
 //!
-//! Everything is little-endian, mirroring the `SSCK` checkpoint format
-//! ([`crate::snapshot`]). `kind` is 0 for fault campaigns
-//! ([`crate::campaign`]) and 1 for recovery campaigns
+//! Everything is little-endian, written and read by the same codec as
+//! the `SSCK` checkpoint format ([`crate::snapshot`]), whose `CpuStats`
+//! and `HwStats` encodings the trial records share. `kind` is 0 for
+//! fault campaigns ([`crate::campaign`]) and 1 for recovery campaigns
 //! ([`crate::recover`]). `plan_hash` is an FNV-1a digest of the
 //! campaign's deterministic inputs — configuration knobs, the full
 //! injection plan, and the golden reference — so a journal can never be
@@ -54,14 +55,17 @@
 //! isolation: the degradation path stays provable end to end).
 
 use crate::campaign::{CampaignConfig, CampaignReport, Outcome, Trial};
+use crate::codec::{
+    check_head, crc32, fnv1a64, get_cpu_stats, get_hw_stats, put_bool, put_cpu_stats, put_hw_stats,
+    put_str, put_u32, put_u64, put_u8, seal, sealed, CodecError, Reader,
+};
 use crate::driver::{run, Exec, JournalSpec, Sims, TrialKind};
 use crate::inject::{FaultKind, Injection};
 use crate::recover::{RecoveryOutcome, RecoveryTrial};
-use crate::snapshot::crc32;
 use softsim_bus::MemError;
-use softsim_cosim::{CoSim, CoSimStop, DeadlockCause, HwStats};
+use softsim_cosim::{CoSim, CoSimStop, DeadlockCause};
 use softsim_isa::DecodeError;
-use softsim_iss::{CpuStats, Fault, FslBlock};
+use softsim_iss::{Fault, FslBlock};
 use softsim_metrics::telemetry::{SpanKind, SpanRecord, Telemetry};
 use softsim_trace::{DetectorKind, FifoDir};
 use std::fs::{File, OpenOptions};
@@ -88,10 +92,6 @@ const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4 + 4;
 /// few hundred bytes; anything bigger is a corrupt length field, and
 /// bounding it keeps a damaged journal from asking for gigabytes.
 const MAX_RECORD: usize = 1 << 24;
-
-/// Upper bound on a decoded panic-message string (matches nothing the
-/// harness itself produces; guards against corrupt length fields).
-const MAX_PANIC_MSG: usize = 4096;
 
 /// Upper bound on the header's trial count. The resume scan allocates
 /// one slot per planned trial before decoding any record, so a corrupt
@@ -129,20 +129,27 @@ impl std::fmt::Display for EnvConfigError {
 
 impl std::error::Error for EnvConfigError {}
 
-/// Strictly parses [`ABORT_ENV`]: unset → `None`, a positive integer →
-/// `Some(n)`, anything else (including `0`) → a typed
-/// [`EnvConfigError`]. A journaled run calls this when it opens its
-/// journal, so an invalid value surfaces as [`JournalError::Config`]
-/// before any trial runs; CLIs should call it eagerly for a clearer
-/// message.
-pub fn abort_after_trials_from_env() -> Result<Option<u64>, EnvConfigError> {
-    match std::env::var(ABORT_ENV) {
+/// Strictly parses the environment variable `var`: unset → `None`, a
+/// positive integer (surrounding whitespace tolerated) → `Some(n)`,
+/// anything else (including `0`) → a typed [`EnvConfigError`] naming
+/// the variable. [`ABORT_ENV`] and the sweep worker count
+/// (`SOFTSIM_SWEEP_WORKERS`) both read through it.
+pub fn positive_int_from_env(var: &'static str) -> Result<Option<u64>, EnvConfigError> {
+    match std::env::var(var) {
         Err(_) => Ok(None),
         Ok(v) => match v.trim().parse::<u64>() {
             Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(EnvConfigError { var: ABORT_ENV, value: v }),
+            _ => Err(EnvConfigError { var, value: v }),
         },
     }
+}
+
+/// Strictly parses [`ABORT_ENV`] with [`positive_int_from_env`]. A
+/// journaled run calls this when it opens its journal, so an invalid
+/// value surfaces as [`JournalError::Config`] before any trial runs;
+/// CLIs should call it eagerly for a clearer message.
+pub fn abort_after_trials_from_env() -> Result<Option<u64>, EnvConfigError> {
+    positive_int_from_env(ABORT_ENV)
 }
 
 /// Which failure an injected journal-append fault simulates.
@@ -281,6 +288,19 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
+/// A read that fails inside a record: running out of bytes there means
+/// the record is damaged, not the header.
+impl From<CodecError> for JournalError {
+    fn from(e: CodecError) -> JournalError {
+        match e {
+            CodecError::Truncated => JournalError::Corrupt("record truncated"),
+            CodecError::BadMagic => JournalError::BadMagic,
+            CodecError::Version(v) => JournalError::VersionUnsupported(v),
+            CodecError::Corrupt(what) => JournalError::Corrupt(what),
+        }
+    }
+}
+
 impl From<EnvConfigError> for JournalError {
     fn from(e: EnvConfigError) -> JournalError {
         JournalError::Config(e)
@@ -329,78 +349,6 @@ impl<T> JournalScan<T> {
     }
 }
 
-// ------------------------------------------------------------ byte helpers
-
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounded little-endian reader over one record payload.
-pub(crate) struct Rd<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        let end = self.pos.checked_add(n).ok_or(JournalError::Corrupt("record truncated"))?;
-        if end > self.bytes.len() {
-            return Err(JournalError::Corrupt("record truncated"));
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, JournalError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, JournalError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, JournalError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn bool(&mut self) -> Result<bool, JournalError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(JournalError::Corrupt("bool out of range")),
-        }
-    }
-
-    fn str(&mut self) -> Result<String, JournalError> {
-        let n = self.u32()? as usize;
-        if n > MAX_PANIC_MSG {
-            return Err(JournalError::Corrupt("string length out of range"));
-        }
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| JournalError::Corrupt("string not UTF-8"))
-    }
-}
-
 // ------------------------------------------------------------ trial codecs
 
 fn put_dir(out: &mut Vec<u8>, dir: FifoDir) {
@@ -413,7 +361,7 @@ fn put_dir(out: &mut Vec<u8>, dir: FifoDir) {
     );
 }
 
-fn get_dir(r: &mut Rd) -> Result<FifoDir, JournalError> {
+fn get_dir(r: &mut Reader) -> Result<FifoDir, JournalError> {
     match r.u8()? {
         0 => Ok(FifoDir::ToHw),
         1 => Ok(FifoDir::FromHw),
@@ -469,7 +417,7 @@ fn put_injection(out: &mut Vec<u8>, inj: &Injection) {
     }
 }
 
-fn get_injection(r: &mut Rd) -> Result<Injection, JournalError> {
+fn get_injection(r: &mut Reader) -> Result<Injection, JournalError> {
     let cycle = r.u64()?;
     let kind = match r.u8()? {
         0 => FaultKind::RegBitFlip { reg: r.u8()?, bit: r.u8()? },
@@ -497,7 +445,7 @@ fn put_block(out: &mut Vec<u8>, b: &FslBlock) {
     put_u32(out, b.pc);
 }
 
-fn get_block(r: &mut Rd) -> Result<FslBlock, JournalError> {
+fn get_block(r: &mut Reader) -> Result<FslBlock, JournalError> {
     Ok(FslBlock { channel: r.u8()?, dir: get_dir(r)?, pc: r.u32()? })
 }
 
@@ -547,7 +495,7 @@ fn put_fault(out: &mut Vec<u8>, fault: &Fault) {
     }
 }
 
-fn get_fault(r: &mut Rd) -> Result<Fault, JournalError> {
+fn get_fault(r: &mut Reader) -> Result<Fault, JournalError> {
     match r.u8()? {
         0 => {
             let pc = r.u32()?;
@@ -615,7 +563,7 @@ fn put_stop(out: &mut Vec<u8>, stop: &CoSimStop) {
     }
 }
 
-fn get_stop(r: &mut Rd) -> Result<CoSimStop, JournalError> {
+fn get_stop(r: &mut Reader) -> Result<CoSimStop, JournalError> {
     match r.u8()? {
         0 => Ok(CoSimStop::Halted),
         1 => {
@@ -640,60 +588,6 @@ fn get_stop(r: &mut Rd) -> Result<CoSimStop, JournalError> {
     }
 }
 
-fn put_cpu_stats(out: &mut Vec<u8>, s: &CpuStats) {
-    for v in [
-        s.cycles,
-        s.instructions,
-        s.fsl_read_stalls,
-        s.fsl_write_stalls,
-        s.fsl_words_sent,
-        s.fsl_words_received,
-        s.fsl_nonblocking_misses,
-        s.fsl_control_mismatches,
-        s.taken_branches,
-        s.mem_reads,
-        s.mem_writes,
-        s.multiplies,
-    ] {
-        put_u64(out, v);
-    }
-}
-
-fn get_cpu_stats(r: &mut Rd) -> Result<CpuStats, JournalError> {
-    Ok(CpuStats {
-        cycles: r.u64()?,
-        instructions: r.u64()?,
-        fsl_read_stalls: r.u64()?,
-        fsl_write_stalls: r.u64()?,
-        fsl_words_sent: r.u64()?,
-        fsl_words_received: r.u64()?,
-        fsl_nonblocking_misses: r.u64()?,
-        fsl_control_mismatches: r.u64()?,
-        taken_branches: r.u64()?,
-        mem_reads: r.u64()?,
-        mem_writes: r.u64()?,
-        multiplies: r.u64()?,
-    })
-}
-
-fn put_hw_stats(out: &mut Vec<u8>, s: &HwStats) {
-    put_u64(out, s.words_to_hw);
-    put_u64(out, s.words_from_hw);
-    put_u64(out, s.output_overflows);
-    put_u64(out, s.max_to_hw_occupancy as u64);
-    put_u64(out, s.max_from_hw_occupancy as u64);
-}
-
-fn get_hw_stats(r: &mut Rd) -> Result<HwStats, JournalError> {
-    Ok(HwStats {
-        words_to_hw: r.u64()?,
-        words_from_hw: r.u64()?,
-        output_overflows: r.u64()?,
-        max_to_hw_occupancy: r.u64()? as usize,
-        max_from_hw_occupancy: r.u64()? as usize,
-    })
-}
-
 fn put_outcome(out: &mut Vec<u8>, outcome: &Outcome) {
     match outcome {
         Outcome::Masked => put_u8(out, 0),
@@ -708,7 +602,7 @@ fn put_outcome(out: &mut Vec<u8>, outcome: &Outcome) {
     }
 }
 
-fn get_outcome(r: &mut Rd) -> Result<Outcome, JournalError> {
+fn get_outcome(r: &mut Reader) -> Result<Outcome, JournalError> {
     Ok(match r.u8()? {
         0 => Outcome::Masked,
         1 => Outcome::Sdc,
@@ -730,7 +624,7 @@ pub(crate) fn put_trial(out: &mut Vec<u8>, t: &Trial) {
     put_hw_stats(out, &t.hw_stats);
 }
 
-pub(crate) fn get_trial(r: &mut Rd) -> Result<Trial, JournalError> {
+pub(crate) fn get_trial(r: &mut Reader) -> Result<Trial, JournalError> {
     Ok(Trial {
         injection: get_injection(r)?,
         applied: r.bool()?,
@@ -759,7 +653,7 @@ fn put_recovery_outcome(out: &mut Vec<u8>, outcome: &RecoveryOutcome) {
     }
 }
 
-fn get_recovery_outcome(r: &mut Rd) -> Result<RecoveryOutcome, JournalError> {
+fn get_recovery_outcome(r: &mut Reader) -> Result<RecoveryOutcome, JournalError> {
     Ok(match r.u8()? {
         0 => RecoveryOutcome::Clean,
         1 => RecoveryOutcome::Recovered {
@@ -790,7 +684,7 @@ fn put_detector(out: &mut Vec<u8>, d: Option<DetectorKind>) {
     }
 }
 
-fn get_detector(r: &mut Rd) -> Result<Option<DetectorKind>, JournalError> {
+fn get_detector(r: &mut Reader) -> Result<Option<DetectorKind>, JournalError> {
     Ok(match r.u8()? {
         0 => None,
         1 => Some(DetectorKind::Watchdog),
@@ -812,7 +706,7 @@ pub(crate) fn put_recovery_trial(out: &mut Vec<u8>, t: &RecoveryTrial) {
     put_u64(out, t.work_cycles);
 }
 
-pub(crate) fn get_recovery_trial(r: &mut Rd) -> Result<RecoveryTrial, JournalError> {
+pub(crate) fn get_recovery_trial(r: &mut Reader) -> Result<RecoveryTrial, JournalError> {
     Ok(RecoveryTrial {
         injection: get_injection(r)?,
         applied: r.bool()?,
@@ -824,16 +718,6 @@ pub(crate) fn get_recovery_trial(r: &mut Rd) -> Result<RecoveryTrial, JournalErr
 }
 
 // ------------------------------------------------------------- plan hashes
-
-/// FNV-1a 64-bit digest.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Hash of a campaign's deterministic identity: the kind's
 /// classification-relevant configuration (written by `config`), the full
@@ -864,13 +748,11 @@ pub(crate) fn plan_hash(
 /// record is damaged.
 pub(crate) fn decode_all<T>(
     bytes: &[u8],
-    get: fn(&mut Rd) -> Result<T, JournalError>,
+    get: fn(&mut Reader) -> Result<T, JournalError>,
 ) -> Result<T, JournalError> {
-    let mut r = Rd { bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     let value = get(&mut r)?;
-    if r.pos != bytes.len() {
-        return Err(JournalError::Corrupt("trailing bytes in record"));
-    }
+    r.finish("trailing bytes in record")?;
     Ok(value)
 }
 
@@ -891,8 +773,7 @@ impl Header {
         put_u8(&mut out, self.kind);
         put_u64(&mut out, self.plan_hash);
         put_u32(&mut out, self.trials);
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
+        seal(&mut out);
         out
     }
 }
@@ -908,22 +789,14 @@ fn scan_bytes<T: Clone>(
     // Every read below follows the length check that keeps it in bounds.
     let le32 =
         |at: usize| u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-    if bytes.len() < 4 {
-        return Err(JournalError::Truncated);
-    }
-    if bytes[..4] != MAGIC {
-        return Err(JournalError::BadMagic);
-    }
-    if bytes.len() < 8 {
-        return Err(JournalError::Truncated);
-    }
-    if le32(4) != VERSION {
-        return Err(JournalError::VersionUnsupported(le32(4)));
-    }
+    check_head(bytes, MAGIC, VERSION).map_err(|e| match e {
+        CodecError::Truncated => JournalError::Truncated,
+        e => e.into(),
+    })?;
     if bytes.len() < HEADER_LEN {
         return Err(JournalError::Truncated);
     }
-    if crc32(&bytes[..HEADER_LEN - 4]) != le32(HEADER_LEN - 4) {
+    if !sealed(&bytes[..HEADER_LEN]) {
         return Err(JournalError::ChecksumMismatch);
     }
     let kind = bytes[8];
@@ -953,7 +826,7 @@ fn scan_bytes<T: Clone>(
         }
         let payload = &bytes[pos + 4..pos + 4 + len];
         let crc_at = pos + 4 + len;
-        if crc32(payload) != le32(crc_at) {
+        if !sealed(&bytes[pos + 4..crc_at + 4]) {
             break;
         }
         let index = le32(pos + 4);
@@ -1212,25 +1085,31 @@ pub fn run_campaign_durable(
 mod tests {
     use super::*;
     use crate::driver::Kind;
+    use softsim_cosim::HwStats;
+    use softsim_iss::CpuStats;
 
-    /// One test owns every `ABORT_ENV` mutation (parallel tests in this
-    /// binary never set it), covering unset, valid, zero, and garbage.
+    /// One test owns every mutation of the integer knobs (parallel
+    /// tests in this binary never set them), covering unset, valid,
+    /// zero, and garbage for [`ABORT_ENV`] and the sweep worker count.
     #[test]
-    fn abort_env_parsing_is_strict() {
-        std::env::remove_var(ABORT_ENV);
-        assert_eq!(abort_after_trials_from_env(), Ok(None));
-        std::env::set_var(ABORT_ENV, " 37 ");
-        assert_eq!(abort_after_trials_from_env(), Ok(Some(37)));
-        for bad in ["0", "banana", "-3", "3.5", ""] {
-            std::env::set_var(ABORT_ENV, bad);
-            let err = abort_after_trials_from_env().expect_err(bad);
-            assert_eq!(err.var, ABORT_ENV);
-            assert_eq!(err.value, bad);
-            let msg = err.to_string();
-            assert!(msg.contains(ABORT_ENV) && msg.contains("positive integer"), "{msg}");
-            assert!(JournalError::from(err).to_string().contains("invalid configuration"));
+    fn positive_int_env_parsing_is_strict() {
+        for var in [ABORT_ENV, "SOFTSIM_SWEEP_WORKERS"] {
+            std::env::remove_var(var);
+            assert_eq!(positive_int_from_env(var), Ok(None));
+            std::env::set_var(var, " 37 ");
+            assert_eq!(positive_int_from_env(var), Ok(Some(37)));
+            for bad in ["0", "banana", "-2", "2.5", ""] {
+                std::env::set_var(var, bad);
+                let err = positive_int_from_env(var).expect_err(bad);
+                assert_eq!(err.var, var);
+                assert_eq!(err.value, bad);
+                let msg = err.to_string();
+                assert!(msg.contains(var) && msg.contains("positive integer"), "{msg}");
+                assert!(JournalError::from(err).to_string().contains("invalid configuration"));
+            }
+            std::env::remove_var(var);
         }
-        std::env::remove_var(ABORT_ENV);
+        assert_eq!(abort_after_trials_from_env(), Ok(None));
     }
 
     fn sample_trials() -> Vec<Trial> {
@@ -1293,9 +1172,7 @@ mod tests {
         for trial in sample_trials() {
             let mut buf = Vec::new();
             put_trial(&mut buf, &trial);
-            let mut r = Rd { bytes: &buf, pos: 0 };
-            let back = get_trial(&mut r).expect("roundtrip decodes");
-            assert_eq!(r.pos, buf.len(), "decode consumes every byte");
+            let back = decode_all(&buf, get_trial).expect("roundtrip decodes every byte");
             assert_eq!(back, trial);
         }
     }
@@ -1319,9 +1196,7 @@ mod tests {
         };
         let mut buf = Vec::new();
         put_recovery_trial(&mut buf, &trial);
-        let mut r = Rd { bytes: &buf, pos: 0 };
-        let back = get_recovery_trial(&mut r).expect("roundtrip decodes");
-        assert_eq!(r.pos, buf.len());
+        let back = decode_all(&buf, get_recovery_trial).expect("roundtrip decodes every byte");
         assert_eq!(back, trial);
     }
 

@@ -43,6 +43,13 @@
 //!   wall-clock budgets in [`campaign`], this is the fault-tolerant
 //!   execution layer long campaigns run on. [`resume_from_journal`]
 //!   inspects a journal of either kind.
+//! * **One codec** — checkpoints, journals and hashes share a single
+//!   private codec module: the little-endian writers and bounded reader,
+//!   the `CpuStats`/`HwStats` encodings both formats embed, the
+//!   magic/version and trailing-bytes checks, and the two digests,
+//!   [`crc32`] and [`fnv1a64`] (the plan hash, and `softsim-serve`'s job
+//!   content hash). A statistics field is encoded in one place, so the
+//!   `SSCK` and `SSJL` formats cannot drift apart.
 //!
 //! Everything is seeded through [`softsim_testkit::Rng`]: the same seed
 //! and schedule reproduce the same report, bit for bit — the property CI
@@ -51,6 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+mod codec;
 mod driver;
 pub mod durable;
 pub mod inject;
@@ -59,10 +67,11 @@ pub mod recover;
 pub mod snapshot;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport, Coverage, Outcome, Trial};
-pub use driver::{run, Exec, JournalSpec, Sims, TrialKind};
+pub use codec::fnv1a64;
+pub use driver::{panic_message, run, Exec, JournalSpec, Sims, TrialKind};
 pub use durable::{
-    abort_after_trials_from_env, resume_from_journal, run_campaign_durable, AppendFault,
-    AppendFaultPlan, DurabilityStatus, EnvConfigError, JournalError, JournalScan,
+    abort_after_trials_from_env, positive_int_from_env, resume_from_journal, run_campaign_durable,
+    AppendFault, AppendFaultPlan, DurabilityStatus, EnvConfigError, JournalError, JournalScan,
 };
 pub use inject::{random_plan, random_plan_hardware, FaultKind, Injection, Injector};
 pub use localize::{capture_golden, localize_trial, DivergenceReport, GoldenRun, LocalizeConfig};

@@ -31,10 +31,10 @@
 //! [`crate::run`] drives a whole recovery campaign — one golden capture,
 //! then one supervised trial per injection — at any worker count.
 
+use crate::codec::{put_bool, put_u32, put_u64};
 use crate::driver::Kind;
 use crate::durable::{
-    decode_all, get_recovery_trial, put_bool, put_recovery_trial, put_u32, put_u64, JournalError,
-    KIND_RECOVERY,
+    decode_all, get_recovery_trial, put_recovery_trial, JournalError, KIND_RECOVERY,
 };
 use crate::inject::{Injection, Injector};
 use softsim_cosim::{CoSim, CoSimState, CoSimStop};

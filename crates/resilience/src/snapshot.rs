@@ -14,10 +14,15 @@
 //! [`SnapshotError::ChecksumMismatch`] instead of being silently
 //! restored into a diverged system.
 
+pub use crate::codec::crc32;
+use crate::codec::{
+    check_head, get_cpu_stats, get_hw_stats, put_bool, put_cpu_stats, put_hw_stats, put_opt_u16,
+    put_opt_u32, put_u32, put_u64, seal, sealed, CodecError, Reader,
+};
 use softsim_blocks::GraphState;
 use softsim_bus::{FslBankState, FslFifoState, FslStats, FslWord};
 use softsim_cosim::CoSimState;
-use softsim_iss::{CpuSnapshot, CpuStats, PipeSnapshot};
+use softsim_iss::{CpuSnapshot, PipeSnapshot};
 
 /// Magic bytes at the head of every checkpoint ("SoftSim ChecKpoint").
 pub const MAGIC: [u8; 4] = *b"SSCK";
@@ -25,36 +30,6 @@ pub const MAGIC: [u8; 4] = *b"SSCK";
 /// trailer, FSL ECC state and counters, and per-node span framing for
 /// graph block state.
 pub const VERSION: u32 = 2;
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB8_8320`) over
-/// `bytes`. Public because corruption tests and external checkpoint
-/// tooling need to recompute the trailer after editing a payload.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// [`crc32`]'s byte-at-a-time table: entry `i` is the CRC register
-/// after shifting the byte value `i` through eight bitwise steps.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
 
 /// Why a checkpoint byte stream could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +65,17 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> SnapshotError {
+        match e {
+            CodecError::Truncated => SnapshotError::Truncated,
+            CodecError::BadMagic => SnapshotError::BadMagic,
+            CodecError::Version(v) => SnapshotError::VersionUnsupported(v),
+            CodecError::Corrupt(what) => SnapshotError::Corrupt(what),
+        }
+    }
+}
+
 /// Serializes a co-simulation checkpoint to bytes.
 pub fn to_bytes(state: &CoSimState) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096 + state.cpu.mem.len());
@@ -101,13 +87,8 @@ pub fn to_bytes(state: &CoSimState) -> Vec<u8> {
     for g in &state.peripherals {
         put_graph(&mut out, g);
     }
-    put_u64(&mut out, state.hw_stats.words_to_hw);
-    put_u64(&mut out, state.hw_stats.words_from_hw);
-    put_u64(&mut out, state.hw_stats.output_overflows);
-    put_u64(&mut out, state.hw_stats.max_to_hw_occupancy as u64);
-    put_u64(&mut out, state.hw_stats.max_from_hw_occupancy as u64);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
+    put_hw_stats(&mut out, &state.hw_stats);
+    seal(&mut out);
     out
 }
 
@@ -115,33 +96,14 @@ pub fn to_bytes(state: &CoSimState) -> Vec<u8> {
 /// magic before version before checksum before structure, so a caller
 /// handed random bytes learns the most specific reason first.
 pub fn from_bytes(bytes: &[u8]) -> Result<CoSimState, SnapshotError> {
-    if bytes.len() < 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..4] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < 8 {
-        return Err(SnapshotError::Truncated);
-    }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != VERSION {
-        return Err(SnapshotError::VersionUnsupported(version));
-    }
+    check_head(bytes, MAGIC, VERSION)?;
     if bytes.len() < 12 {
         return Err(SnapshotError::Truncated);
     }
-    let body_end = bytes.len() - 4;
-    let stored = u32::from_le_bytes([
-        bytes[body_end],
-        bytes[body_end + 1],
-        bytes[body_end + 2],
-        bytes[body_end + 3],
-    ]);
-    if crc32(&bytes[..body_end]) != stored {
+    if !sealed(bytes) {
         return Err(SnapshotError::ChecksumMismatch);
     }
-    let mut r = Reader { bytes: &bytes[..body_end], pos: 8 };
+    let mut r = Reader::new(&bytes[8..bytes.len() - 4]);
     let cpu = get_cpu(&mut r)?;
     let fsl = get_bank(&mut r)?;
     let n = r.u32()? as usize;
@@ -149,52 +111,12 @@ pub fn from_bytes(bytes: &[u8]) -> Result<CoSimState, SnapshotError> {
     for _ in 0..n {
         peripherals.push(get_graph(&mut r)?);
     }
-    let hw_stats = softsim_cosim::HwStats {
-        words_to_hw: r.u64()?,
-        words_from_hw: r.u64()?,
-        output_overflows: r.u64()?,
-        max_to_hw_occupancy: r.u64()? as usize,
-        max_from_hw_occupancy: r.u64()? as usize,
-    };
-    if r.pos != r.bytes.len() {
-        return Err(SnapshotError::Corrupt("trailing bytes"));
-    }
+    let hw_stats = get_hw_stats(&mut r)?;
+    r.finish("trailing bytes")?;
     Ok(CoSimState { cpu, fsl, peripherals, hw_stats })
 }
 
 // ---------------------------------------------------------------- writers
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-fn put_opt_u16(out: &mut Vec<u8>, v: Option<u16>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-}
-
-fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_u32(out, x);
-        }
-    }
-}
 
 fn put_cpu(out: &mut Vec<u8>, s: &CpuSnapshot) {
     for r in s.regs {
@@ -224,27 +146,8 @@ fn put_cpu(out: &mut Vec<u8>, s: &CpuSnapshot) {
         }
     }
     put_bool(out, s.halted);
-    put_stats(out, &s.stats);
+    put_cpu_stats(out, &s.stats);
     put_opt_u32(out, s.bp_skip);
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &CpuStats) {
-    for v in [
-        s.cycles,
-        s.instructions,
-        s.fsl_read_stalls,
-        s.fsl_write_stalls,
-        s.fsl_words_sent,
-        s.fsl_words_received,
-        s.fsl_nonblocking_misses,
-        s.fsl_control_mismatches,
-        s.taken_branches,
-        s.mem_reads,
-        s.mem_writes,
-        s.multiplies,
-    ] {
-        put_u64(out, v);
-    }
 }
 
 fn put_fifo(out: &mut Vec<u8>, s: &FslFifoState) {
@@ -296,66 +199,6 @@ fn put_graph(out: &mut Vec<u8>, g: &GraphState) {
 
 // ---------------------------------------------------------------- readers
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt("bool out of range")),
-        }
-    }
-
-    fn opt_u16(&mut self) -> Result<Option<u16>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u16()?)),
-            _ => Err(SnapshotError::Corrupt("option tag out of range")),
-        }
-    }
-
-    fn opt_u32(&mut self) -> Result<Option<u32>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
-            _ => Err(SnapshotError::Corrupt("option tag out of range")),
-        }
-    }
-}
-
 fn get_cpu(r: &mut Reader) -> Result<CpuSnapshot, SnapshotError> {
     let mut regs = [0u32; 32];
     for reg in &mut regs {
@@ -377,7 +220,7 @@ fn get_cpu(r: &mut Reader) -> Result<CpuSnapshot, SnapshotError> {
         _ => return Err(SnapshotError::Corrupt("pipeline tag out of range")),
     };
     let halted = r.bool()?;
-    let stats = get_stats(r)?;
+    let stats = get_cpu_stats(r)?;
     let bp_skip = r.opt_u32()?;
     Ok(CpuSnapshot {
         regs,
@@ -393,23 +236,6 @@ fn get_cpu(r: &mut Reader) -> Result<CpuSnapshot, SnapshotError> {
         halted,
         stats,
         bp_skip,
-    })
-}
-
-fn get_stats(r: &mut Reader) -> Result<CpuStats, SnapshotError> {
-    Ok(CpuStats {
-        cycles: r.u64()?,
-        instructions: r.u64()?,
-        fsl_read_stalls: r.u64()?,
-        fsl_write_stalls: r.u64()?,
-        fsl_words_sent: r.u64()?,
-        fsl_words_received: r.u64()?,
-        fsl_nonblocking_misses: r.u64()?,
-        fsl_control_mismatches: r.u64()?,
-        taken_branches: r.u64()?,
-        mem_reads: r.u64()?,
-        mem_writes: r.u64()?,
-        multiplies: r.u64()?,
     })
 }
 
@@ -474,39 +300,4 @@ fn get_graph(r: &mut Reader) -> Result<GraphState, SnapshotError> {
         return Err(SnapshotError::Corrupt("graph span framing"));
     }
     Ok(GraphState { cycle, values, block_words, spans })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::crc32;
-    use softsim_testkit::Rng;
-
-    /// The bit-at-a-time form the table is derived from.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut crc: u32 = !0;
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-        !crc
-    }
-
-    #[test]
-    fn crc32_known_answer() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_table_matches_the_bitwise_form() {
-        let mut rng = Rng::new(0x5EED_C4C3);
-        for _ in 0..200 {
-            let len = rng.range_usize(0, 2048);
-            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
-            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len {len}");
-        }
-    }
 }

@@ -14,7 +14,7 @@ use softsim_apps::matmul::software as mm_sw;
 use softsim_cosim::CoSim;
 use softsim_isa::asm::assemble;
 use softsim_isa::Image;
-use softsim_resilience::{random_plan, random_plan_hardware, Injection, RecoveryPolicy};
+use softsim_resilience::{fnv1a64, random_plan, random_plan_hardware, Injection, RecoveryPolicy};
 
 /// What a job asks the service to do with its workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -209,48 +209,18 @@ impl JobSpec {
     /// byte-identical reports, which is what makes the memoization
     /// cache and the spool's journal naming sound.
     pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.byte(self.kind.label().as_bytes()[0]);
-        match self.workload {
-            Workload::Cordic { iterations, p } => {
-                h.byte(1);
-                h.u64(iterations as u64);
-                h.u64(p as u64);
-            }
-            Workload::Matmul { n, nb } => {
-                h.byte(2);
-                h.u64(n as u64);
-                h.u64(nb as u64);
-            }
-            Workload::CrashTest => h.byte(3),
-        }
-        h.u64(self.seed);
-        h.u64(self.trials as u64);
-        h.u64(self.trial_cycle_budget.map_or(u64::MAX, |b| b));
-        h.u64(self.trial_wall_budget_ms.map_or(u64::MAX, |b| b));
-        h.finish()
-    }
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01B3);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+        let (tag, dims) = match self.workload {
+            Workload::Cordic { iterations, p } => (1, Some([iterations as u64, p as u64])),
+            Workload::Matmul { n, nb } => (2, Some([n as u64, nb as u64])),
+            Workload::CrashTest => (3, None),
+        };
+        let budgets =
+            [self.trial_cycle_budget, self.trial_wall_budget_ms].map(|b| b.unwrap_or(u64::MAX));
+        let words =
+            dims.into_iter().flatten().chain([self.seed, self.trials as u64]).chain(budgets);
+        let mut bytes = vec![self.kind.label().as_bytes()[0], tag];
+        bytes.extend(words.flat_map(u64::to_le_bytes));
+        fnv1a64(&bytes)
     }
 }
 

@@ -26,8 +26,8 @@ use crate::catalog::{self, JobKind, JobSpec, Workload};
 use crate::queue::{Admission, BoundedQueue, QueueConfig};
 use softsim_metrics::telemetry::{ServeEvent, SpanKind, SpanRecord, Telemetry};
 use softsim_resilience::{
-    resume_from_journal, run, CampaignConfig, CampaignReport, Exec, Injection, JournalError,
-    JournalSpec, RecoveryReport, Sims, TrialKind,
+    panic_message, resume_from_journal, run, CampaignConfig, CampaignReport, Exec, Injection,
+    JournalError, JournalSpec, RecoveryReport, Sims, TrialKind,
 };
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -910,14 +910,4 @@ fn render_recovery(spec: &JobSpec, report: &RecoveryReport) -> String {
         ));
     }
     out
-}
-
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic of unknown type".to_string()
-    }
 }
