@@ -46,9 +46,12 @@
 //! directly (serve off — the default for everything else in the repo)
 //! must stay within 2% of submitting the identical campaign through an
 //! in-process `softsim_serve::Server` (cache bypassed, non-durable),
-//! whose admission queue, worker hand-off and result plumbing wrap the
-//! same simulation. The served report is asserted equal to the direct
-//! run's first, line for line.
+//! whose admission queue and result plumbing wrap the same simulation.
+//! The served report is asserted equal to the direct run's first, line
+//! for line. The server runs a job on its worker thread, so the direct
+//! campaign runs on a worker thread of its own too, handed each job and
+//! handing back each report through channels: both sides pay a thread
+//! hand-off, and the ratio measures the service's own work.
 //!
 //! Every guard is one `(name, repeats, off, on)` row of a table. The
 //! report equality pre-checks run first; then all rows are sampled in
@@ -73,6 +76,8 @@ use softsim_trace::{shared, NullSink};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::rc::Rc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const SAMPLES: usize = 15;
@@ -207,9 +212,49 @@ fn serve_off_campaign() -> softsim_resilience::CampaignReport {
     report
 }
 
-fn run_serve_off() -> Duration {
+/// A thread that runs [`serve_off_campaign`] once per job it is handed
+/// and sends the report back: the direct side's counterpart of the
+/// server's worker thread.
+struct DirectWorker {
+    jobs: Option<Sender<()>>,
+    reports: Receiver<softsim_resilience::CampaignReport>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl DirectWorker {
+    fn start() -> DirectWorker {
+        let (jobs, job_rx) = channel::<()>();
+        let (report_tx, reports) = channel();
+        let thread = std::thread::spawn(move || {
+            while job_rx.recv().is_ok() {
+                if report_tx.send(serve_off_campaign()).is_err() {
+                    break;
+                }
+            }
+        });
+        DirectWorker { jobs: Some(jobs), reports, thread: Some(thread) }
+    }
+
+    /// Hands the worker one campaign and waits for its report.
+    fn run(&self) -> softsim_resilience::CampaignReport {
+        self.jobs.as_ref().expect("worker running").send(()).expect("worker alive");
+        self.reports.recv().expect("worker answers")
+    }
+}
+
+impl Drop for DirectWorker {
+    fn drop(&mut self) {
+        // Closing the job channel ends the worker's loop.
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+fn run_serve_off(worker: &DirectWorker) -> Duration {
     let start = Instant::now();
-    let report = serve_off_campaign();
+    let report = worker.run();
     let wall = start.elapsed();
     black_box(report.trials.len());
     wall
@@ -249,9 +294,10 @@ fn main() {
         ..softsim_serve::ServeConfig::default()
     })
     .expect("serve starts");
+    let direct_worker = DirectWorker::start();
     {
         let served = serve_server.run(serve_spec()).expect("served campaign");
-        let direct = serve_off_campaign();
+        let direct = direct_worker.run();
         let mut expected = format!(
             "campaign cordic iters=8 p=2 seed={SERVE_SEED:#x} trials={SERVE_TRIALS} \
              golden_cycles={}\n",
@@ -288,26 +334,31 @@ fn main() {
     let guards: Vec<Guard> = vec![
         ("tracing", 512, Box::new(|| run_untraced(&img)), Box::new(|| run_null_traced(&img))),
         ("metrics", 512, Box::new(|| run_metrics_off(&img)), Box::new(|| run_null_traced(&img))),
-        ("hardening", 10, Box::new(|| run_cosim_ecc(false)), Box::new(|| run_cosim_ecc(true))),
+        ("hardening", 12, Box::new(|| run_cosim_ecc(false)), Box::new(|| run_cosim_ecc(true))),
         (
             "profiler",
-            12,
+            14,
             Box::new(|| run_cosim_profiling(false)),
             Box::new(|| run_cosim_profiling(true)),
         ),
         (
             "telemetry",
-            14,
+            16,
             Box::new(|| time_campaign(Exec::default())),
             Box::new(run_campaign_telemetry),
         ),
         (
             "journaling",
-            14,
+            16,
             Box::new(|| time_campaign(Exec::default())),
             Box::new(|| time_campaign(journaled())),
         ),
-        ("serve", 16, Box::new(run_serve_off), Box::new(|| run_serve_on(&serve_server))),
+        (
+            "serve",
+            18,
+            Box::new(|| run_serve_off(&direct_worker)),
+            Box::new(|| run_serve_on(&serve_server)),
+        ),
     ];
     // Warm-up all paths.
     for (_, _, off, on) in &guards {

@@ -85,8 +85,35 @@ pub fn cordic_campaign(
     config: CampaignConfig,
     exec: Exec<'_>,
 ) -> CampaignReport {
+    cordic_campaign_on(cordic_sim, seed, trials, config, exec)
+}
+
+/// [`cordic_campaign`] on simulators built by `make_sim`.
+pub(crate) fn cordic_campaign_on(
+    make_sim: fn() -> CoSim,
+    seed: u64,
+    trials: usize,
+    config: CampaignConfig,
+    exec: Exec<'_>,
+) -> CampaignReport {
     let (plan, base, n) = cordic_plan(seed, trials);
-    run_design(|| cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)), &plan, (base, n), &config, exec)
+    run_design(make_sim, &plan, (base, n), &config, exec)
+}
+
+/// A fresh simulator of the CORDIC campaign design.
+fn cordic_sim() -> CoSim {
+    cordic_cosim(CORDIC_ITERS, Some(CORDIC_P))
+}
+
+/// [`cordic_sim`] on the interpreted ISS (translation off). The
+/// campaign timing record (`BENCH_0004`) compares stall
+/// fast-forwarding alone against stepping on this simulator, as it did
+/// before translation was on by default, and a campaign with
+/// fast-forwarding off on it is the stepped reference.
+pub(crate) fn interpreted_cordic_sim() -> CoSim {
+    let mut sim = cordic_sim();
+    sim.set_translation(false);
+    sim
 }
 
 pub use crate::sweep::default_workers;
@@ -121,9 +148,19 @@ pub fn cordic_stuck_campaign(
     config: CampaignConfig,
     exec: Exec<'_>,
 ) -> CampaignReport {
+    cordic_stuck_campaign_on(cordic_sim, trials, config, exec)
+}
+
+/// [`cordic_stuck_campaign`] on simulators built by `make_sim`.
+pub(crate) fn cordic_stuck_campaign_on(
+    make_sim: fn() -> CoSim,
+    trials: usize,
+    config: CampaignConfig,
+    exec: Exec<'_>,
+) -> CampaignReport {
     let plan = cordic_stuck_plan(trials);
     let window = cordic_window(&cordic_hw_image(CORDIC_ITERS, CORDIC_P));
-    run_design(|| cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)), &plan, window, &config, exec)
+    run_design(make_sim, &plan, window, &config, exec)
 }
 
 /// Runs a seeded fault campaign over the block matmul (N =
@@ -221,7 +258,7 @@ mod tests {
     fn fast_forward_off_matches_on() {
         let on = serial(9, 12);
         let stepped = CampaignConfig { fast_forward: false, ..CampaignConfig::default() };
-        let off = cordic_campaign(9, 12, stepped, Exec::default());
+        let off = cordic_campaign_on(interpreted_cordic_sim, 9, 12, stepped, Exec::default());
         assert_eq!(on, off);
     }
 

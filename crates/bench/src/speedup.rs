@@ -13,7 +13,8 @@
 //! equality is not.
 
 use crate::faults::{
-    cordic_campaign, cordic_stuck_campaign, default_workers, REPORT_SEED, REPORT_TRIALS,
+    cordic_campaign_on, cordic_stuck_campaign_on, default_workers, interpreted_cordic_sim,
+    REPORT_SEED, REPORT_TRIALS,
 };
 use crate::tables::{figure5_with, json_f64};
 use softsim_resilience::{CampaignConfig, Exec};
@@ -36,7 +37,11 @@ pub fn speedup_json() -> String {
     let stepped = CampaignConfig { fast_forward: false, ..CampaignConfig::default() };
     let ff = CampaignConfig::default();
     let (serial, parallel) = (Exec::default(), Exec { workers, ..Exec::default() });
-    let campaign = |config, exec| cordic_campaign(REPORT_SEED, REPORT_TRIALS, config, exec);
+    // Every campaign runs on the interpreted ISS, so the fast-forward
+    // speedups time stall fast-forwarding alone.
+    let sim = interpreted_cordic_sim;
+    let campaign = |config, exec| cordic_campaign_on(sim, REPORT_SEED, REPORT_TRIALS, config, exec);
+    let stuck = |config, exec| cordic_stuck_campaign_on(sim, REPORT_TRIALS, config, exec);
     let (serial_s, serial_report) = timed(|| campaign(stepped, serial));
     let (ff_s, ff_report) = timed(|| campaign(ff, serial));
     let (par_s, par_report) = timed(|| campaign(ff, parallel));
@@ -46,10 +51,9 @@ pub fn speedup_json() -> String {
         "the parallel runner must not change the campaign report"
     );
 
-    let (stuck_serial_s, stuck_serial) =
-        timed(|| cordic_stuck_campaign(REPORT_TRIALS, stepped, serial));
-    let (stuck_ff_s, stuck_ff) = timed(|| cordic_stuck_campaign(REPORT_TRIALS, ff, serial));
-    let (stuck_par_s, stuck_par) = timed(|| cordic_stuck_campaign(REPORT_TRIALS, ff, parallel));
+    let (stuck_serial_s, stuck_serial) = timed(|| stuck(stepped, serial));
+    let (stuck_ff_s, stuck_ff) = timed(|| stuck(ff, serial));
+    let (stuck_par_s, stuck_par) = timed(|| stuck(ff, parallel));
     assert_eq!(stuck_serial, stuck_ff, "fast-forwarding must not change the stuck-fault report");
     assert_eq!(
         stuck_serial, stuck_par,

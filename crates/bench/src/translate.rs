@@ -72,6 +72,7 @@ fn assert_cosim_equivalent(make: impl Fn() -> CoSim) -> u64 {
     let run = |translate: bool| {
         let mut sim = make();
         sim.set_translation(translate);
+        sim.set_fast_forward(false);
         assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
         let dispatches = sim.cpu().translation_stats().block_dispatches;
         (sim.cpu_stats(), sim.hw_stats(), sim.save_state(), dispatches)
@@ -101,18 +102,21 @@ pub fn translate_json() -> String {
     let iss_xlate = time_iss_translated(&iss_image, ISS_REPEATS);
 
     // Co-simulation: the long software CORDIC batch (no peripheral —
-    // the CPU is the bottleneck, which is what translation targets).
+    // the CPU is the bottleneck, which is what translation targets),
+    // with stall fast-forwarding off on both sides so the record times
+    // translation alone.
     let make = || workloads::cordic_cosim_long(24, None);
     let cosim_cycles = assert_cosim_equivalent(make);
-    let cosim_interp = time_cosim(make, COSIM_REPEATS);
-    let cosim_xlate = time_cosim(
-        || {
+    let with_translation = |translate: bool| {
+        move || {
             let mut sim = make();
-            sim.set_translation(true);
+            sim.set_translation(translate);
+            sim.set_fast_forward(false);
             sim
-        },
-        COSIM_REPEATS,
-    );
+        }
+    };
+    let cosim_interp = time_cosim(with_translation(false), COSIM_REPEATS);
+    let cosim_xlate = time_cosim(with_translation(true), COSIM_REPEATS);
 
     let iss_speedup = iss_xlate.cycles_per_sec() / iss_interp.cycles_per_sec().max(1e-12);
     let cosim_speedup = cosim_xlate.cycles_per_sec() / cosim_interp.cycles_per_sec().max(1e-12);

@@ -472,6 +472,26 @@ impl Graph {
         }
     }
 
+    /// The value a `Gateway In` holds for the upcoming cycle, as last
+    /// stored by [`Graph::set_input_fast`] (in the gateway's format).
+    #[inline]
+    pub fn input_value(&self, handle: InputHandle) -> Fix {
+        let Kind::Input { value, .. } = &self.nodes[handle.0].kind else {
+            unreachable!("gateway registry points at a block");
+        };
+        *value
+    }
+
+    /// True when the design is compiled and no node is marked: a step
+    /// that stores no new gateway value evaluates and clocks nothing and
+    /// changes no port value, and so does every step after it (see the
+    /// module docs). One flag read — the cheap half of
+    /// [`Graph::is_quiescent`], which this implies.
+    #[inline]
+    pub fn asleep(&self) -> bool {
+        self.compiled && !self.awake
+    }
+
     /// Marks every node, so the next step evaluates and clocks the whole
     /// design.
     fn wake(&mut self) {
@@ -1119,6 +1139,33 @@ mod tests {
         // Changing the held input breaks quiescence.
         g.set_input("x", Fix::from_int(8, I16)).unwrap();
         assert!(!g.is_quiescent(), "changed gateway input is visible");
+    }
+
+    /// `asleep` is "no node marked": false until the design settles,
+    /// false again once a gateway stores a new value, and untouched by
+    /// storing the value a gateway already holds, which `input_value`
+    /// reads back.
+    #[test]
+    fn asleep_tracks_marks_and_input_value_reads_the_gateway() {
+        let mut g = Graph::new();
+        let x = g.gateway_in("x", I16);
+        let d = g.add("d", Delay::new(I16, 1));
+        g.wire(x, d, 0).unwrap();
+        g.gateway_out("y", d, 0);
+        assert!(!g.asleep(), "an uncompiled design is never asleep");
+        g.compile().unwrap();
+        assert!(!g.asleep(), "compile marks every node");
+        let hx = g.input_handle("x").unwrap();
+        g.run(3);
+        assert!(g.asleep() && g.is_quiescent());
+        g.set_input_fast(hx, Fix::from_int(0, I16));
+        assert!(g.asleep(), "storing the held value marks nothing");
+        g.set_input_fast(hx, Fix::from_int(5, I16));
+        assert!(!g.asleep());
+        assert_eq!(g.input_value(hx).raw(), 5);
+        g.run(3);
+        assert!(g.asleep());
+        assert_eq!(g.output("y").unwrap().raw(), 5);
     }
 
     #[test]

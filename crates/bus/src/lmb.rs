@@ -10,6 +10,7 @@
 
 use softsim_isa::Image;
 use std::fmt;
+use std::ops::Range;
 
 /// Fixed LMB access latency in clock cycles (the paper's configuration).
 pub const LMB_LATENCY: u32 = 1;
@@ -181,6 +182,40 @@ impl LmbMemory {
         MemPatch { chunks }
     }
 
+    /// True when [`LmbMemory::load_patched`] of `base` and `patch` would
+    /// leave the bytes in `range` (clamped to the memory) exactly as
+    /// they are now. False on a size mismatch, which the load rejects.
+    pub fn load_keeps(&self, base: &[u8], patch: &MemPatch, range: Range<usize>) -> bool {
+        if base.len() != self.bytes.len() {
+            return false;
+        }
+        let end = range.end.min(self.bytes.len());
+        // `at` walks `range`: bytes before the next patch chunk come from
+        // `base`, bytes inside a chunk from the chunk.
+        let mut at = range.start.min(end);
+        let same = |from: &[u8], lo: usize, hi: usize| from == &self.bytes[lo..hi];
+        for (offset, chunk) in &patch.chunks {
+            let (lo, hi) = (*offset as usize, *offset as usize + chunk.len());
+            if hi <= at {
+                continue;
+            }
+            if lo >= end {
+                break;
+            }
+            let lo = lo.max(at);
+            let hi = hi.min(end);
+            if !same(&base[at..lo], at, lo) {
+                return false;
+            }
+            let skip = lo - *offset as usize;
+            if !same(&chunk[skip..skip + (hi - lo)], lo, hi) {
+                return false;
+            }
+            at = hi;
+        }
+        same(&base[at..end], at, end)
+    }
+
     /// Replaces the entire contents from a snapshot image `base`
     /// overlaid by `patch` (a [`LmbMemory::diff`] against that same
     /// base; pass an empty patch to restore `base` as it is).
@@ -217,6 +252,29 @@ mod tests {
         restored.load_patched(base.bytes(), &patch);
         assert_eq!(restored.bytes(), m.bytes());
         assert_eq!(m.diff(m.bytes()), MemPatch::default());
+    }
+
+    #[test]
+    fn load_keeps_compares_the_restored_range() {
+        let base = LmbMemory::new(1000);
+        let mut m = base.clone();
+        m.write_u32(300, 0xDEAD_BEEF).unwrap();
+        m.write_u8(999, 7).unwrap();
+        let patch = m.diff(base.bytes());
+        // The patched memory against itself: every range is kept.
+        for range in [0..1000, 296..308, 300..301, 990..2000, 5..5] {
+            assert!(m.load_keeps(base.bytes(), &patch, range.clone()), "{range:?}");
+        }
+        // The base memory: only ranges clear of both writes are kept.
+        assert!(base.load_keeps(base.bytes(), &patch, 0..300));
+        assert!(base.load_keeps(base.bytes(), &patch, 304..999));
+        assert!(!base.load_keeps(base.bytes(), &patch, 0..301));
+        assert!(!base.load_keeps(base.bytes(), &patch, 303..304));
+        assert!(!base.load_keeps(base.bytes(), &patch, 998..1000));
+        // Without the patch the base is restored: the writes are lost.
+        assert!(!m.load_keeps(base.bytes(), &MemPatch::default(), 300..304));
+        assert!(m.load_keeps(base.bytes(), &MemPatch::default(), 304..999));
+        assert!(!m.load_keeps(&[0; 4], &MemPatch::default(), 0..0), "size mismatch");
     }
 
     #[test]

@@ -202,6 +202,149 @@ impl Peripheral {
     pub fn graph_mut(&mut self) -> &mut Graph {
         &mut self.graph
     }
+
+    /// Whether the gateway input `b` consumes a word this cycle if one
+    /// is waiting: the peripheral's `ready` output, settled last cycle.
+    fn ready(&self, b: &ResolvedIn) -> bool {
+        match b.ready {
+            Some(h) => !self.graph.output_fast(h).is_zero(),
+            None => true,
+        }
+    }
+
+    /// The hardware-idle predicate: a clock cycle of this peripheral
+    /// changes nothing but counters, and so does every later one for as
+    /// long as its processor → hardware FIFOs are left alone. It holds
+    /// when the graph has no node marked and no probes, no gateway
+    /// output is valid, every gateway input already holds the idle word
+    /// (data, valid and control all zero) and no ready gateway input has
+    /// a word waiting. A stepped cycle then stores the idle word again
+    /// (marking nothing), steps a sleeping graph, pushes nothing and
+    /// charges one empty rejection per ready input — exactly what
+    /// [`Peripheral::jump`] replays in bulk. Both the stall jump and the
+    /// jump after a translated block rest on this one test.
+    fn idle(&self, fsl: &FslBank) -> bool {
+        let g = &self.graph;
+        g.asleep()
+            && !g.has_probes()
+            && self.outputs.iter().all(|b| g.output_fast(b.valid).is_zero())
+            && self.inputs.iter().all(|b| {
+                g.input_value(b.data).is_zero()
+                    && g.input_value(b.valid).is_zero()
+                    && b.control.is_none_or(|c| g.input_value(c).is_zero())
+                    && !(self.ready(b) && fsl.to_hw_ref(b.channel).exists())
+            })
+    }
+
+    /// Advances an [`idle`](Peripheral::idle) peripheral by `n` cycles in
+    /// one jump, leaving exactly what `n` stepped cycles would: the
+    /// graph's cycle and activity counts, one empty rejection per cycle
+    /// on every ready (hence starved) input FIFO, and the to-hardware
+    /// occupancy high-water mark of FIFOs that cannot change meanwhile.
+    fn jump(&mut self, fsl: &mut FslBank, hw: &mut HwStats, n: u64) {
+        for b in &self.inputs {
+            let ready = self.ready(b);
+            let fifo = fsl.to_hw(b.channel);
+            hw.max_to_hw_occupancy = hw.max_to_hw_occupancy.max(fifo.len());
+            if ready {
+                fifo.add_empty_rejections(n);
+            }
+        }
+        self.graph.fast_forward(n);
+    }
+
+    /// Advances this peripheral — gateways, block graph, return FIFOs —
+    /// by one clock cycle, `cycle` being the clock it models and `pid`
+    /// its attachment index. Inlined into both per-cycle loops that call
+    /// it: as an outlined call the stepped path ran about a fifth slower.
+    #[inline(always)]
+    fn tick(
+        &mut self,
+        pid: usize,
+        fsl: &mut FslBank,
+        hw: &mut HwStats,
+        sink: &Option<SharedSink>,
+        cycle: u64,
+    ) {
+        // Feed gateway inputs from the processor-side FIFOs. The
+        // peripheral's `ready` output (settled last cycle) gates
+        // consumption.
+        for b in &self.inputs {
+            let ready = self.ready(b);
+            let fifo = fsl.to_hw(b.channel);
+            let occupancy = fifo.len();
+            if occupancy > hw.max_to_hw_occupancy {
+                hw.max_to_hw_occupancy = occupancy;
+            }
+            let word = if ready { fifo.try_pop() } else { None };
+            let (data, valid, ctrl) = match word {
+                Some(w) => {
+                    hw.words_to_hw += 1;
+                    if let Some(sink) = sink {
+                        sink.borrow_mut().event(&TraceEvent::GatewayWord {
+                            cycle,
+                            peripheral: pid as u8,
+                            to_hw: true,
+                            data: w.data,
+                        });
+                    }
+                    (w.data, true, w.control)
+                }
+                None => (0, false, false),
+            };
+            let g = &mut self.graph;
+            g.set_input_fast(b.data, Fix::from_bits(data as u64, FixFmt::INT32));
+            g.set_input_fast(b.valid, Fix::from_bits(valid as u64, FixFmt::BOOL));
+            if let Some(c) = b.control {
+                g.set_input_fast(c, Fix::from_bits(ctrl as u64, FixFmt::BOOL));
+            }
+        }
+        self.graph.step();
+        // Publish switching activity while it is being measured — one
+        // event per peripheral per cycle keeps the untraced and
+        // unmeasured paths free of extra work.
+        if let Some(sink) = sink {
+            if self.graph.activity_enabled() {
+                let total = self.graph.total_toggles();
+                let toggles = (total - self.last_toggles) as u32;
+                self.last_toggles = total;
+                sink.borrow_mut().event(&TraceEvent::BlockActivity {
+                    cycle,
+                    peripheral: pid as u8,
+                    firings: self.graph.len() as u32,
+                    toggles,
+                });
+            }
+        }
+        // Drain gateway outputs into the return FIFOs.
+        for b in &self.outputs {
+            if self.graph.output_fast(b.valid).is_zero() {
+                continue;
+            }
+            let data = self.graph.output_fast(b.data).to_bits() as u32;
+            let control = match b.control {
+                Some(c) => !self.graph.output_fast(c).is_zero(),
+                None => false,
+            };
+            if fsl.from_hw(b.channel).try_push(FslWord { data, control }) {
+                hw.words_from_hw += 1;
+                if let Some(sink) = sink {
+                    sink.borrow_mut().event(&TraceEvent::GatewayWord {
+                        cycle,
+                        peripheral: pid as u8,
+                        to_hw: false,
+                        data,
+                    });
+                }
+            } else {
+                hw.output_overflows += 1;
+            }
+            let occupancy = fsl.from_hw(b.channel).len();
+            if occupancy > hw.max_from_hw_occupancy {
+                hw.max_from_hw_occupancy = occupancy;
+            }
+        }
+    }
 }
 
 /// Liveness bookkeeping: progress counters as of the last observed
@@ -269,7 +412,7 @@ pub struct CoSim {
     profiler: Option<Rc<RefCell<GuestProfile>>>,
     /// Liveness watchdog, when armed (see [`CoSim::set_watchdog`]).
     watchdog: Option<Watchdog>,
-    /// Opt-in stall fast-forwarding (see [`CoSim::set_fast_forward`]).
+    /// Stall fast-forwarding, on by default (see [`CoSim::set_fast_forward`]).
     fast_forward: bool,
     /// Absolute-cycle ceiling no `run` call may pass (see
     /// [`CoSim::set_run_horizon`]).
@@ -287,8 +430,15 @@ impl CoSim {
     /// A co-simulator running `image` with no hardware peripheral
     /// ("pure software" configurations in the paper's figures).
     pub fn software_only(image: &Image) -> CoSim {
+        CoSim::with_cpu(Cpu::with_default_memory(image))
+    }
+
+    /// The one constructor body: `cpu` with no peripheral, and both
+    /// exact fast paths — translated blocks and stall fast-forward — on.
+    fn with_cpu(mut cpu: Cpu) -> CoSim {
+        cpu.set_translation(true);
         CoSim {
-            cpu: Cpu::with_default_memory(image),
+            cpu,
             fsl: FslBank::default(),
             peripherals: Vec::new(),
             hw_stats: HwStats::default(),
@@ -297,7 +447,7 @@ impl CoSim {
             user_sink: None,
             profiler: None,
             watchdog: None,
-            fast_forward: false,
+            fast_forward: true,
             run_horizon: None,
             ff_engagements: 0,
             ff_skipped_cycles: 0,
@@ -315,21 +465,7 @@ impl CoSim {
     /// barrel shifter / multiplier / divider — the soft-processor
     /// configuration dimension of the design space).
     pub fn with_config(image: &Image, config: CpuConfig, peripheral: Option<Peripheral>) -> CoSim {
-        let mut sim = CoSim {
-            cpu: Cpu::with_config(image, config),
-            fsl: FslBank::default(),
-            peripherals: Vec::new(),
-            hw_stats: HwStats::default(),
-            clock_hz: PAPER_CLOCK_HZ,
-            sink: None,
-            user_sink: None,
-            profiler: None,
-            watchdog: None,
-            fast_forward: false,
-            run_horizon: None,
-            ff_engagements: 0,
-            ff_skipped_cycles: 0,
-        };
+        let mut sim = CoSim::with_cpu(Cpu::with_config(image, config));
         if let Some(p) = peripheral {
             sim.add_peripheral(p);
         }
@@ -366,7 +502,9 @@ impl CoSim {
         self.clock_hz = hz;
     }
 
-    /// Enables or disables stall fast-forwarding (off by default).
+    /// Enables or disables stall fast-forwarding (on from construction;
+    /// turn it off only to get the stepped reference an equivalence
+    /// check compares against).
     ///
     /// When enabled, [`CoSim::run`] detects stretches where the
     /// processor is blocked on an FSL transfer and every attached
@@ -391,17 +529,20 @@ impl CoSim {
     }
 
     /// Enables or disables translated basic-block execution on the
-    /// processor (off by default; see `softsim-iss`'s `translate`
-    /// module). When on, [`CoSim::run`] executes straight-line guest
-    /// code through the ISS's pre-decoded block cache and replays the
-    /// hardware side's cycles in bulk afterwards — bit-identical to
-    /// stepping, because a translated block never touches an FSL
-    /// channel. The fast path silently disengages whenever finer
-    /// observation is attached (trace sink, profiler, breakpoints, an
-    /// OPB bus) and composes with [`CoSim::set_fast_forward`] (blocks
-    /// accelerate the *computing* stretches, fast-forward the *stalled*
-    /// ones) and [`CoSim::set_run_horizon`] (a block is only dispatched
-    /// when its worst-case cycles fit the remaining budget).
+    /// processor (on from construction; turn it off only to get the
+    /// stepped reference an equivalence check compares against; see
+    /// `softsim-iss`'s `translate` module). When on, [`CoSim::run`]
+    /// executes straight-line guest code through the ISS's pre-decoded
+    /// block cache and replays the hardware side's cycles afterwards,
+    /// stepping each peripheral only until it goes idle and jumping the
+    /// rest of the block in one step — bit-identical to stepping,
+    /// because a translated block never touches an FSL channel. The
+    /// fast path silently disengages whenever finer observation is
+    /// attached (trace sink, profiler, breakpoints, an OPB bus) and
+    /// composes with [`CoSim::set_fast_forward`] (blocks accelerate the
+    /// *computing* stretches, fast-forward the *stalled* ones) and
+    /// [`CoSim::set_run_horizon`] (a block is only dispatched when its
+    /// worst-case cycles fit the remaining budget).
     pub fn set_translation(&mut self, enabled: bool) {
         self.cpu.set_translation(enabled);
     }
@@ -607,93 +748,32 @@ impl CoSim {
 
     /// Advances the hardware side — gateways, peripheral graphs, return
     /// FIFOs — by one clock cycle, `cycle` being the clock it models.
-    /// Split out of [`CoSim::step`] so the translated-block fast path
-    /// can replay the hardware's cycles after a CPU block executes in
-    /// bulk: while the processor runs a translated block it touches no
-    /// FSL channel (FSL instructions terminate blocks), so stepping the
-    /// CPU `n` cycles and then the peripherals `n` cycles is
-    /// bit-identical to interleaving them.
     fn tick_peripherals(&mut self, cycle: u64) {
-        for (pid, p) in self.peripherals.iter_mut().enumerate() {
-            // Feed gateway inputs from the processor-side FIFOs. The
-            // peripheral's `ready` output (settled last cycle) gates
-            // consumption.
-            for b in &p.inputs {
-                let ready = match b.ready {
-                    Some(h) => !p.graph.output_fast(h).is_zero(),
-                    None => true,
-                };
-                let fifo = self.fsl.to_hw(b.channel);
-                let occupancy = fifo.len();
-                if occupancy > self.hw_stats.max_to_hw_occupancy {
-                    self.hw_stats.max_to_hw_occupancy = occupancy;
+        let CoSim { peripherals, fsl, hw_stats, sink, .. } = self;
+        for (pid, p) in peripherals.iter_mut().enumerate() {
+            p.tick(pid, fsl, hw_stats, sink, cycle);
+        }
+    }
+
+    /// Replays the hardware side's `cycles` cycles from clock `start`
+    /// after the processor ran them alone in a translated block. A block
+    /// touches no FSL channel (FSL instructions end blocks), so stepping
+    /// the CPU `n` cycles and then the peripherals `n` cycles is
+    /// bit-identical to interleaving them; and because each peripheral
+    /// owns its channels, the peripherals replay one after another. Each
+    /// is stepped only until it goes [`idle`](Peripheral::idle): with
+    /// its input FIFOs frozen for the rest of the block it stays idle,
+    /// so the remaining cycles are one [`Peripheral::jump`]. Runs only
+    /// untraced (the translated path requires it).
+    fn replay_peripherals(&mut self, start: u64, cycles: u64) {
+        let CoSim { peripherals, fsl, hw_stats, sink, .. } = self;
+        for (pid, p) in peripherals.iter_mut().enumerate() {
+            for i in 0..cycles {
+                if p.idle(fsl) {
+                    p.jump(fsl, hw_stats, cycles - i);
+                    break;
                 }
-                let word = if ready { fifo.try_pop() } else { None };
-                let (data, valid, ctrl) = match word {
-                    Some(w) => {
-                        self.hw_stats.words_to_hw += 1;
-                        if let Some(sink) = &self.sink {
-                            sink.borrow_mut().event(&TraceEvent::GatewayWord {
-                                cycle,
-                                peripheral: pid as u8,
-                                to_hw: true,
-                                data: w.data,
-                            });
-                        }
-                        (w.data, true, w.control)
-                    }
-                    None => (0, false, false),
-                };
-                p.graph.set_input_fast(b.data, Fix::from_bits(data as u64, FixFmt::INT32));
-                p.graph.set_input_fast(b.valid, Fix::from_bits(valid as u64, FixFmt::BOOL));
-                if let Some(c) = b.control {
-                    p.graph.set_input_fast(c, Fix::from_bits(ctrl as u64, FixFmt::BOOL));
-                }
-            }
-            p.graph.step();
-            // Publish switching activity while it is being measured —
-            // one event per peripheral per cycle keeps the untraced and
-            // unmeasured paths free of extra work.
-            if self.sink.is_some() && p.graph.activity_enabled() {
-                let total = p.graph.total_toggles();
-                let toggles = (total - p.last_toggles) as u32;
-                p.last_toggles = total;
-                if let Some(sink) = &self.sink {
-                    sink.borrow_mut().event(&TraceEvent::BlockActivity {
-                        cycle,
-                        peripheral: pid as u8,
-                        firings: p.graph.len() as u32,
-                        toggles,
-                    });
-                }
-            }
-            // Drain gateway outputs into the return FIFOs.
-            for b in &p.outputs {
-                if p.graph.output_fast(b.valid).is_zero() {
-                    continue;
-                }
-                let data = p.graph.output_fast(b.data).to_bits() as u32;
-                let control = match b.control {
-                    Some(c) => !p.graph.output_fast(c).is_zero(),
-                    None => false,
-                };
-                if self.fsl.from_hw(b.channel).try_push(FslWord { data, control }) {
-                    self.hw_stats.words_from_hw += 1;
-                    if let Some(sink) = &self.sink {
-                        sink.borrow_mut().event(&TraceEvent::GatewayWord {
-                            cycle,
-                            peripheral: pid as u8,
-                            to_hw: false,
-                            data,
-                        });
-                    }
-                } else {
-                    self.hw_stats.output_overflows += 1;
-                }
-                let occupancy = self.fsl.from_hw(b.channel).len();
-                if occupancy > self.hw_stats.max_from_hw_occupancy {
-                    self.hw_stats.max_from_hw_occupancy = occupancy;
-                }
+                p.tick(pid, fsl, hw_stats, sink, start + i);
             }
         }
     }
@@ -842,16 +922,13 @@ impl CoSim {
     /// Eligibility (all conservative — any doubt falls back to
     /// stepping): no trace sink, no OPB bus, the processor blocked on an
     /// FSL transfer whose FIFO flag is frozen (`get` from a channel with
-    /// no word to take, `put` into a full channel), no probes on any
-    /// peripheral graph, no gateway output about to push a word, no
-    /// gateway input about to consume a word, and every peripheral graph
-    /// reporting [`Graph::is_quiescent`]. Under those conditions a step
+    /// no word to take, `put` into a full channel), and every peripheral
+    /// [`idle`](Peripheral::idle). Under those conditions a step
     /// changes nothing but counters, so `n` steps are replayed as bulk
     /// counter updates: CPU stall attribution, rejection statistics on
-    /// the blocked FIFO and on every ready-but-starved gateway input,
-    /// per-graph cycle/activity counts, and watchdog progress. The jump
-    /// is capped so an armed watchdog fires at exactly the cycle the
-    /// stepped path would have fired at.
+    /// the blocked FIFO, each peripheral's [`Peripheral::jump`], and
+    /// watchdog progress. The jump is capped so an armed watchdog fires
+    /// at exactly the cycle the stepped path would have fired at.
     fn try_fast_forward(&mut self, budget: u64) -> Option<u64> {
         if self.sink.is_some() || self.cpu.opb().is_some() {
             return None;
@@ -864,36 +941,8 @@ impl CoSim {
             FifoDir::FromHw => !self.fsl.from_hw_ref(ch).exists(),
             FifoDir::ToHw => self.fsl.to_hw_ref(ch).full(),
         };
-        if !frozen {
+        if !frozen || !self.peripherals.iter().all(|p| p.idle(&self.fsl)) {
             return None;
-        }
-        // Gateway inputs whose `try_pop` would reject on empty — their
-        // per-cycle rejection counts are replayed in bulk below.
-        let mut starved: Vec<usize> = Vec::new();
-        for p in &self.peripherals {
-            if p.graph.has_probes() {
-                return None;
-            }
-            for b in &p.inputs {
-                let ready = match b.ready {
-                    Some(h) => !p.graph.output_fast(h).is_zero(),
-                    None => true,
-                };
-                if ready {
-                    if self.fsl.to_hw_ref(b.channel).exists() {
-                        return None;
-                    }
-                    starved.push(b.channel);
-                }
-            }
-            for b in &p.outputs {
-                if !p.graph.output_fast(b.valid).is_zero() {
-                    return None;
-                }
-            }
-            if !p.graph.is_quiescent() {
-                return None;
-            }
         }
         let n = match &self.watchdog {
             Some(wd) => budget.min(wd.threshold - wd.stalled_cycles).max(1),
@@ -906,11 +955,8 @@ impl CoSim {
             FifoDir::FromHw => self.fsl.from_hw(ch).add_empty_rejections(n),
             FifoDir::ToHw => self.fsl.to_hw(ch).add_full_rejections(n),
         }
-        for ch in starved {
-            self.fsl.to_hw(ch).add_empty_rejections(n);
-        }
         for p in &mut self.peripherals {
-            p.graph.fast_forward(n);
+            p.jump(&mut self.fsl, &mut self.hw_stats, n);
         }
         if let Some(wd) = &mut self.watchdog {
             wd.stalled_cycles += n;
@@ -933,13 +979,17 @@ impl CoSim {
             None => max_cycles,
         };
         let mut executed: u64 = 0;
+        // Fast-forward engagement: consecutive stalled cycles in which no
+        // FIFO word moved, and the FIFO progress count at the last
+        // stalled cycle (`None` after any cycle that did not stall).
         let mut streak: u64 = 0;
         let mut cooldown: u64 = 0;
-        let mut last_ops = if self.fast_forward { self.fsl.total_ops() } else { 0 };
+        let mut last_ops: Option<u64> = None;
         while executed < max_cycles {
             // Translated-block fast path: run straight-line guest code
             // through the ISS block cache, then replay the hardware
-            // side's cycles in bulk (see `tick_peripherals`). The block
+            // side's cycles, jumping each peripheral once it goes idle
+            // (see `replay_peripherals`). The block
             // is capped below the watchdog's remaining headroom so a
             // deadlock the stepped path would detect mid-block keeps the
             // fast path out entirely — and since every block ends with a
@@ -954,21 +1004,17 @@ impl CoSim {
                 let start_cycle = self.cpu.stats().cycles;
                 match self.cpu.run_translated_block(&mut self.fsl, cap) {
                     TranslatedRun::Ran { cycles } => {
-                        // With no peripherals attached each replayed
-                        // cycle is a no-op — skip the loop entirely.
+                        // Software-only runs skip even the call.
                         if !self.peripherals.is_empty() {
-                            for i in 0..cycles {
-                                self.tick_peripherals(start_cycle + i);
-                            }
+                            self.replay_peripherals(start_cycle, cycles);
                         }
                         executed += cycles;
-                        if self.fast_forward {
-                            // What the per-step bookkeeping below leaves
-                            // after any cycle that retires/progresses.
-                            streak = 0;
-                            cooldown = 0;
-                            last_ops = self.fsl.total_ops();
-                        }
+                        // The block ended on a retired instruction, so
+                        // the processor is not stalled: what the per-step
+                        // bookkeeping below leaves after such a cycle.
+                        streak = 0;
+                        cooldown = 0;
+                        last_ops = None;
                         if let Some(wd) = &mut self.watchdog {
                             wd.last_instructions = self.cpu.stats().instructions;
                             wd.last_fsl_ops = self.fsl.total_ops();
@@ -980,11 +1026,7 @@ impl CoSim {
                         continue;
                     }
                     TranslatedRun::Faulted { cycles, fault } => {
-                        if !self.peripherals.is_empty() {
-                            for i in 0..cycles {
-                                self.tick_peripherals(start_cycle + i);
-                            }
-                        }
+                        self.replay_peripherals(start_cycle, cycles);
                         return CoSimStop::Fault(fault);
                     }
                     TranslatedRun::NotRun => {}
@@ -1017,15 +1059,20 @@ impl CoSim {
                     cooldown -= 1;
                 }
             }
-            match self.step() {
+            let event = self.step();
+            match event {
                 e if e.is_halt() => return CoSimStop::Halted,
                 Event::Fault(f) => return CoSimStop::Fault(f),
                 _ => {}
             }
             executed += 1;
             if self.fast_forward {
-                let ops = self.fsl.total_ops();
-                if self.cpu.fsl_block().is_some() && ops == last_ops {
+                // Only a stalled cycle (one that retired nothing) can
+                // start or extend a streak, so only a stalled cycle pays
+                // for the FIFO progress sum.
+                let stalled = matches!(event, Event::Busy) && self.cpu.fsl_block().is_some();
+                let ops = stalled.then(|| self.fsl.total_ops());
+                if ops.is_some() && ops == last_ops {
                     streak += 1;
                 } else {
                     streak = 0;

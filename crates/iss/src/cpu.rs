@@ -331,7 +331,9 @@ impl Cpu {
             inst_start: 0,
             inst_read_stalls: 0,
             inst_write_stalls: 0,
-            translator: crate::translate::Translator::default(),
+            translator: crate::translate::Translator::new(
+                image.base()..image.base() + image.len_bytes(),
+            ),
         }
     }
 
@@ -674,6 +676,10 @@ impl Cpu {
         self.delay_target = s.delay_target;
         self.in_delay_slot = s.in_delay_slot;
         self.redirect = s.redirect;
+        // Cached blocks stay valid exactly when the bytes they were
+        // decoded from come back unchanged; checked before the load
+        // overwrites them.
+        let keep_cache = self.mem.load_keeps(base, patch, self.translator.code_range());
         self.mem.load_patched(base, patch);
         self.extra_cycles = s.extra_cycles;
         self.halted = s.halted;
@@ -684,9 +690,11 @@ impl Cpu {
         self.inst_start = s.stats.cycles;
         self.inst_read_stalls = 0;
         self.inst_write_stalls = 0;
-        // The snapshot replaced the whole memory image: every cached
-        // block may now describe stale instructions.
-        self.translator.flush();
+        // The snapshot changed cached code: every cached block may now
+        // describe stale instructions.
+        if !keep_cache {
+            self.translator.flush();
+        }
     }
 
     /// Advances the processor by exactly one clock cycle.

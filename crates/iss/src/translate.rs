@@ -21,8 +21,9 @@
 //!   semantics need the per-cycle retry loop of [`Cpu::tick`];
 //! * an **`imm` prefix** — excluded: the prefixed pair executes
 //!   interpreted so the latch never spans a dispatch boundary;
-//! * **`halt`**, an undecodable word, or the end of mapped memory —
-//!   excluded (the interpreter raises the identical fault/halt);
+//! * **`halt`**, an undecodable word, or the end of the loaded program
+//!   image — excluded (the interpreter raises the identical fault/halt,
+//!   and code outside the image always runs interpreted);
 //! * [`MAX_BLOCK_LEN`] instructions (a translation-size bound).
 //!
 //! # Determinism boundary
@@ -35,13 +36,17 @@
 //! remaining budget (the interpreter then single-steps to the exact
 //! mid-instruction stop state). Stores into cached code invalidate the
 //! covering blocks and stop the current block at the next step, so
-//! self-modifying programs re-translate and stay bit-exact.
+//! self-modifying programs re-translate and stay bit-exact. A snapshot
+//! restore keeps every cached block when the restored bytes of the
+//! cached code range equal the current ones, and flushes the cache
+//! otherwise.
 
 use crate::cpu::{Cpu, ExecOutcome, Pipe};
 use crate::fault::Fault;
 use softsim_bus::FslBank;
 use softsim_isa::{decode, Inst};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Upper bound on instructions per translated block.
@@ -117,9 +122,15 @@ struct Block {
 #[derive(Debug)]
 pub(crate) struct Translator {
     pub(crate) enabled: bool,
+    /// The loaded program's bytes, `[base, base + len)`. Only code in
+    /// it is translated: a run that strays past it (a corrupted jump
+    /// sliding through zeroed memory, which decodes as `add r0, r0, r0`
+    /// to the end of memory) is interpreted, so code that runs once
+    /// leaves no blocks, and the cache never outgrows the program.
+    image: Range<u32>,
     /// Direct-mapped block cache indexed by word address (`pc >> 2`),
-    /// sized to guest memory on first use — a dispatch lookup is one
-    /// bounds-checked index, no hashing.
+    /// grown up to the highest entry PC translated so far — a dispatch
+    /// lookup is one bounds-checked index, no hashing.
     slots: Vec<Option<Rc<Block>>>,
     /// Number of `Some` slots (so flushing an already-empty cache stays
     /// free for the translation-off path).
@@ -142,10 +153,12 @@ pub(crate) struct Translator {
     stats: TranslationStats,
 }
 
-impl Default for Translator {
-    fn default() -> Translator {
+impl Translator {
+    /// An empty cache, off, for a program loaded at `image`.
+    pub(crate) fn new(image: Range<u32>) -> Translator {
         Translator {
             enabled: false,
+            image,
             slots: Vec::new(),
             cached: 0,
             by_page: HashMap::new(),
@@ -155,12 +168,11 @@ impl Default for Translator {
             stats: TranslationStats::default(),
         }
     }
-}
 
-impl Translator {
-    /// Drops every cached block (memory replaced wholesale: snapshot
-    /// restore, debugger writes). Clearing the slot vector (rather than
-    /// refilling it) lets a later guest-memory size change re-size it.
+    /// Drops every cached block (memory replaced wholesale: a snapshot
+    /// restore that changes cached code, debugger writes). Clearing the
+    /// slot vector (rather than refilling it) lets a later guest-memory
+    /// size change re-size it.
     pub(crate) fn flush(&mut self) {
         if self.cached == 0 {
             return;
@@ -171,6 +183,13 @@ impl Translator {
         self.code_lo = u32::MAX;
         self.code_hi = 0;
         self.generation += 1;
+    }
+
+    /// The byte range `[code_lo, code_hi)` every cached block was
+    /// decoded from (empty when no block covers code). A restore that
+    /// leaves these bytes as they are leaves every cached block valid.
+    pub(crate) fn code_range(&self) -> std::ops::Range<usize> {
+        self.code_lo.min(self.code_hi) as usize..self.code_hi as usize
     }
 
     /// The cached block entered at `pc`, if any.
@@ -221,8 +240,9 @@ impl Translator {
 }
 
 impl Cpu {
-    /// Enables or disables translated basic-block execution (off by
-    /// default). Turning it off keeps the cache (blocks stay valid —
+    /// Enables or disables translated basic-block execution (off on a
+    /// bare [`Cpu`]; every co-simulator built by `softsim-cosim` turns
+    /// it on). Turning it off keeps the cache (blocks stay valid —
     /// every store still invalidates); turning it on costs nothing
     /// until [`Cpu::run`] dispatches a block.
     pub fn set_translation(&mut self, enabled: bool) {
@@ -257,6 +277,7 @@ impl Cpu {
             // The slot cache is direct-mapped by word index; an
             // unaligned PC would alias the aligned word's slot.
             && self.pc & 3 == 0
+            && self.translator.image.contains(&self.pc)
     }
 
     /// Decodes the basic block starting at `pc` into the cache. Returns
@@ -264,16 +285,17 @@ impl Cpu {
     /// boundary instruction — cached anyway so repeat dispatches don't
     /// re-decode).
     fn translate_block(&mut self, pc: u32) -> Rc<Block> {
-        // Size the direct-mapped slot table to the guest memory once;
+        // Grow the direct-mapped slot table up to the highest entry PC
+        // translated (inside the program, so inside guest memory);
         // `flush` drops it, so re-grow lazily here.
-        let words = self.mem.bytes().len() / 4;
-        if self.translator.slots.len() != words {
-            self.translator.slots.resize(words, None);
+        let index = (pc >> 2) as usize;
+        if index >= self.translator.slots.len() {
+            self.translator.slots.resize(index + 1, None);
         }
         let mut steps = Vec::new();
         let mut at = pc;
         let mut worst: u64 = 0;
-        while steps.len() < MAX_BLOCK_LEN {
+        while steps.len() < MAX_BLOCK_LEN && self.translator.image.contains(&at) {
             let Ok(word) = self.mem.read_u32(at) else { break };
             let Ok(inst) = decode(word) else { break };
             if matches!(inst, Inst::Get { .. } | Inst::Put { .. } | Inst::Imm { .. } | Inst::Halt) {
@@ -555,6 +577,168 @@ mod tests {
             (xlated.0, xlated.1, xlated.2, xlated.3)
         );
         assert!(xlated.4.block_dispatches > 0, "fast path never engaged: {:?}", xlated.4);
+    }
+
+    /// Everything a restore test compares: stats, PC, carry, registers
+    /// and memory.
+    fn observe(c: &Cpu) -> (crate::CpuStats, u32, bool, Vec<u32>, Vec<u8>) {
+        let regs = (0..32).map(|r| c.reg(softsim_isa::Reg::new(r))).collect();
+        (c.stats(), c.pc(), c.carry(), regs, c.mem().bytes().to_vec())
+    }
+
+    /// A loop that stores into its data words on every pass.
+    const DATA_LOOP: &str = "
+            addik r4, r0, 20
+        loop:
+            addik r3, r3, 7
+            swi   r3, r0, data
+            addik r4, r4, -1
+            bneid r4, loop
+            addik r5, r5, 1
+            halt
+        data:
+            .word 0
+        ";
+
+    #[test]
+    fn restore_with_unchanged_code_keeps_translated_blocks() {
+        let (mut c, mut f) = cpu(DATA_LOOP);
+        c.set_translation(true);
+        let start = c.save_state();
+        assert_eq!(c.run(&mut f, 10_000), crate::StopReason::Halted);
+        let first = observe(&c);
+        let translated = c.translation_stats().blocks_translated;
+        assert!(translated > 0);
+        // The snapshot's data word differs from memory now; its code
+        // does not, so every cached block survives the restore.
+        c.load_state(&start);
+        assert_eq!(c.run(&mut f, 10_000), crate::StopReason::Halted);
+        assert_eq!(observe(&c), first, "the re-run must repeat the first run");
+        let stats = c.translation_stats();
+        assert_eq!(stats.blocks_translated, translated, "re-run translated again: {stats:?}");
+        assert!(stats.block_dispatches > 0);
+    }
+
+    /// One action of [`assert_steps_equivalent`]'s script.
+    type Action<'a> = &'a dyn Fn(&mut Cpu, &mut FslBank);
+
+    /// Runs `steps` on an interpreted and a translated processor of
+    /// `src` side by side and asserts every observable agrees after
+    /// each step.
+    fn assert_steps_equivalent(src: &str, steps: &[Action<'_>]) {
+        let (mut a, mut fa) = cpu(src);
+        let (mut b, mut fb) = cpu(src);
+        b.set_translation(true);
+        for (i, step) in steps.iter().enumerate() {
+            step(&mut a, &mut fa);
+            step(&mut b, &mut fb);
+            assert_eq!(observe(&a), observe(&b), "diverged after step {i}");
+        }
+        assert!(b.translation_stats().block_dispatches > 0, "fast path never engaged");
+    }
+
+    #[test]
+    fn restore_with_changed_code_is_bit_exact() {
+        use softsim_isa::{encode, ArithFlags, Reg};
+        // The loop patches its own body on the fifth pass: the
+        // increment becomes 99. Snapshots before and after the patch
+        // differ in their code bytes, so each restore must drop the
+        // blocks decoded from the other's code.
+        let patch = encode(&Inst::AddI {
+            rd: Reg::new(3),
+            ra: Reg::new(3),
+            imm: 99,
+            flags: ArithFlags::KEEP,
+        });
+        let src = format!(
+            "   addik r4, r0, 12
+                li    r7, {patch:#010x}
+                li    r8, body
+            loop:
+            body:
+                addik r3, r3, 1
+                xori  r6, r4, 7
+                bneid r6, skip
+                addik r9, r9, 1
+                sw    r7, r8, r0
+            skip:
+                addik r4, r4, -1
+                bneid r4, loop
+                addik r5, r5, 1
+                halt
+            "
+        );
+        let cell: std::cell::RefCell<Vec<crate::CpuSnapshot>> = Default::default();
+        let snaps = &cell;
+        let save = |c: &mut Cpu, _: &mut FslBank| snaps.borrow_mut().push(c.save_state());
+        let run = |budget: u64| {
+            move |c: &mut Cpu, f: &mut FslBank| {
+                c.run(f, budget);
+            }
+        };
+        // Each side keeps its own snapshots: even indices interpreted,
+        // odd translated (the steps run on both in turn).
+        let restore = |k: usize| {
+            move |c: &mut Cpu, _: &mut FslBank| {
+                let i = 2 * k + usize::from(c.translation());
+                let snap = snaps.borrow()[i].clone();
+                c.load_state(&snap);
+            }
+        };
+        let (early, late, to_end) = (run(30), run(150), run(10_000));
+        let (back_to_0, back_to_1) = (restore(0), restore(1));
+        assert_steps_equivalent(
+            &src,
+            &[&save, &early, &save, &late, &to_end, &back_to_0, &to_end, &back_to_1, &to_end],
+        );
+        assert_eq!(cell.borrow().len(), 4);
+    }
+
+    #[test]
+    fn code_bit_flip_after_a_restore_is_bit_exact() {
+        let snaps: std::cell::RefCell<Vec<crate::CpuSnapshot>> = Default::default();
+        let save = |c: &mut Cpu, _: &mut FslBank| snaps.borrow_mut().push(c.save_state());
+        let to_end = |c: &mut Cpu, f: &mut FslBank| {
+            c.run(f, 10_000);
+        };
+        let restore = |c: &mut Cpu, _: &mut FslBank| {
+            let snap = snaps.borrow()[usize::from(c.translation())].clone();
+            c.load_state(&snap);
+        };
+        // What a `MemBitFlip` fault does: flip one bit of a code word
+        // (the loop's `addik r3, r3, 7` becomes `addik r3, r3, 5`)
+        // through the debugger's memory access.
+        let flip = |c: &mut Cpu, _: &mut FslBank| {
+            let word = c.mem().read_u32(4).unwrap();
+            c.mem_mut().write_u32(4, word ^ 2).unwrap();
+        };
+        assert_steps_equivalent(DATA_LOOP, &[&save, &to_end, &restore, &flip, &to_end]);
+    }
+
+    /// A jump past the loaded program into zeroed memory slides through
+    /// `add r0, r0, r0` words to the end of memory and faults there. The
+    /// slide runs interpreted: bit-exact, and it leaves no blocks.
+    #[test]
+    fn code_outside_the_image_runs_interpreted() {
+        let src = "
+                addik r4, r0, 3
+            loop:
+                addik r4, r4, -1
+                bneid r4, loop
+                nop
+                li    r3, 0x8000
+                bra   r3
+            ";
+        assert_equivalent(src, 1_000_000);
+        let (mut c, mut f) = cpu(src);
+        c.set_translation(true);
+        let stop = c.run(&mut f, 1_000_000);
+        assert!(matches!(stop, crate::StopReason::Fault(_)), "{stop:?}");
+        assert!(c.stats().instructions > 8_000, "the slide ran: {:?}", c.stats());
+        let stats = c.translation_stats();
+        assert!(stats.block_dispatches > 0, "{stats:?}");
+        // The program has five blocks; the slide alone would add 128.
+        assert!(stats.blocks_translated <= 5, "the slide was translated: {stats:?}");
     }
 
     #[test]

@@ -51,9 +51,13 @@ struct Design {
 }
 
 impl Design {
+    /// A fresh simulator, warmed up. Without `translation` it is the
+    /// stepped reference: stall fast-forwarding goes off too (a
+    /// campaign's `CampaignConfig::fast_forward` then sets its own).
     fn sim(&self, translation: bool) -> CoSim {
         let mut sim = (self.build)(&self.image);
         sim.set_translation(translation);
+        sim.set_fast_forward(translation);
         if self.warmup > 0 {
             let stop = sim.run(self.warmup);
             assert!(matches!(stop, CoSimStop::CycleLimit { .. }), "{}: {stop}", self.name);

@@ -256,13 +256,13 @@ pub fn image(workload: Workload) -> Image {
     }
 }
 
-/// A fresh co-simulator for `workload`. `degraded` arms the
-/// reduced-fidelity knobs (stall fast-forward + block translation) —
-/// both are bit-exact accelerations, so a degraded job's report equals
-/// the full-fidelity one; only the wall-clock drops.
-pub fn build_sim(workload: Workload, degraded: bool) -> CoSim {
+/// A fresh co-simulator for `workload`, with the co-simulator's exact
+/// fast paths (translated blocks, stall fast-forward) on as built.
+/// `_degraded` no longer changes the simulator: both fast paths are on
+/// for every job, and degraded admission is a flag in the job's status.
+pub fn build_sim(workload: Workload, _degraded: bool) -> CoSim {
     let img = image(workload);
-    let mut sim = match workload {
+    match workload {
         Workload::Cordic { p, .. } => {
             CoSim::with_peripheral(&img, softsim_apps::cordic::hardware::cordic_peripheral(p))
         }
@@ -270,12 +270,7 @@ pub fn build_sim(workload: Workload, degraded: bool) -> CoSim {
             CoSim::with_peripheral(&img, softsim_apps::matmul::hardware::matmul_peripheral(nb))
         }
         Workload::CrashTest => unreachable!("image() panicked first"),
-    };
-    if degraded {
-        sim.set_fast_forward(true);
-        sim.set_translation(true);
     }
-    sim
 }
 
 /// The observable window of `workload`: result base address and word
@@ -365,11 +360,16 @@ mod tests {
     fn degraded_sim_is_bit_exact() {
         let w = Workload::Cordic { iterations: 8, p: 2 };
         let (base, n) = observe_window(w);
+        // The stepped reference against the default build.
         let mut full = build_sim(w, false);
+        full.set_translation(false);
+        full.set_fast_forward(false);
         let mut degraded = build_sim(w, true);
         assert_eq!(full.run(10_000_000), softsim_cosim::CoSimStop::Halted);
         assert_eq!(degraded.run(10_000_000), softsim_cosim::CoSimStop::Halted);
         assert_eq!(full.cpu().stats().cycles, degraded.cpu().stats().cycles);
         assert_eq!(observe_words(&full, base, n), observe_words(&degraded, base, n));
+        assert_eq!(full.save_state(), degraded.save_state());
+        assert_eq!(full.hw_stats(), degraded.hw_stats());
     }
 }

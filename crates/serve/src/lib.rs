@@ -19,9 +19,9 @@
 //!   a restart re-runs only the missing trials, and the merged report
 //!   is byte-identical to an uninterrupted run at any worker count.
 //! * **Graceful degradation** — above a queue watermark, new jobs are
-//!   admitted in reduced-fidelity mode (stall fast-forward + block
-//!   translation on — bit-exact, just cheaper) and the downgrade is
-//!   recorded in the job result.
+//!   admitted flagged as degraded and the flag is recorded in the job
+//!   result. It no longer changes the simulation: every job runs with
+//!   stall fast-forward and block translation on, both bit-exact.
 //! * **Memoization** — a content-addressed cache keyed by the FNV-1a
 //!   hash of (program, config, seed), CRC-verified on every read with
 //!   corrupt-entry eviction; a repeated identical request is a cache

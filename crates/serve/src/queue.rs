@@ -15,8 +15,8 @@ use std::collections::VecDeque;
 pub struct QueueConfig {
     /// Maximum jobs waiting across all classes.
     pub capacity: usize,
-    /// Queue depth at or above which new jobs are admitted in
-    /// reduced-fidelity (degraded) mode.
+    /// Queue depth at or above which new jobs are admitted flagged as
+    /// degraded.
     pub degrade_watermark: usize,
 }
 

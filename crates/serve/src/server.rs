@@ -184,7 +184,8 @@ pub struct JobResult {
     pub shed: Option<ShedReason>,
     /// Cache participation.
     pub cache: CacheStatus,
-    /// The job ran in reduced-fidelity mode (bit-exact, flagged).
+    /// The job was admitted above the queue's degrade watermark
+    /// (flagged only: its simulation is the same as any other job's).
     pub degraded: bool,
     /// Every completed trial reached the journal (durable jobs only;
     /// `false` after a write-side degrade or for non-durable jobs).

@@ -49,6 +49,9 @@ fn drive(
     watchdog: Option<u64>,
     budget: u64,
 ) -> (CoSimStop, u64, softsim::iss::CpuStats, softsim::cosim::HwStats, softsim::cosim::CoSimState) {
+    // The reference steps every cycle: translation, on by default, goes
+    // off with fast-forwarding.
+    sim.set_translation(fast_forward);
     sim.set_fast_forward(fast_forward);
     let mut remaining = budget;
     if let Some((cycle, kind)) = fault {
@@ -123,6 +126,7 @@ fn stuck_fault_runs_are_identical() {
 fn traced_runs_are_identical_with_fast_forward_enabled() {
     let run = |fast_forward: bool| {
         let mut sim = cordic_sim(8, 2);
+        sim.set_translation(fast_forward);
         sim.set_fast_forward(fast_forward);
         let collector = Rc::new(RefCell::new(MetricsCollector::new(256)));
         let recorder = Rc::new(RefCell::new(Recorder::new(1 << 16)));
@@ -207,6 +211,7 @@ fn run_horizon_clamps_stepped_and_fast_forwarded_runs() {
 
     // Stepped: same contract without fast-forwarding.
     let mut sim = cordic_sim(8, 2);
+    sim.set_translation(false);
     sim.set_fast_forward(false);
     sim.set_run_horizon(Some(300));
     assert_eq!(sim.run(1_000_000), CoSimStop::CycleLimit { blocked: None });
@@ -227,6 +232,7 @@ fn run_horizon_clamps_stepped_and_fast_forwarded_runs() {
 fn watchdog_restore_horizon_and_fast_forward_compose() {
     let reference = {
         let mut sim = cordic_sim(8, 2);
+        sim.set_translation(false);
         sim.set_fast_forward(false);
         sim.run(400);
         Injector::apply(&mut sim, FaultKind::StuckEmpty { channel: 0 });

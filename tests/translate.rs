@@ -65,7 +65,10 @@ fn drive(
     translate: bool,
     budget: u64,
 ) -> (CoSimStop, u64, softsim::iss::CpuStats, softsim::cosim::HwStats, softsim::cosim::CoSimState) {
+    // The reference steps every cycle: stall fast-forwarding, on by
+    // default, goes off with translation.
     sim.set_translation(translate);
+    sim.set_fast_forward(translate);
     let stop = sim.run(budget);
     if translate {
         let stats = sim.cpu().translation_stats();
@@ -121,10 +124,12 @@ fn mid_run_checkpoint_round_trips_are_identical() {
         let round_trip = |before: bool, after: bool| {
             let mut sim = workload(name);
             sim.set_translation(before);
+            sim.set_fast_forward(before);
             sim.run(pause);
             let checkpoint = sim.save_state();
             let mut resumed = workload(name);
             resumed.set_translation(after);
+            resumed.set_fast_forward(after);
             resumed.load_state(&checkpoint);
             let stop = resumed.run(budget - pause);
             let state = resumed.save_state();
@@ -150,6 +155,7 @@ fn traced_runs_are_identical_with_translation_enabled() {
     let run = |translate: bool| {
         let mut sim = workload("cordic");
         sim.set_translation(translate);
+        sim.set_fast_forward(translate);
         let collector = Rc::new(RefCell::new(MetricsCollector::new(256)));
         let recorder = Rc::new(RefCell::new(Recorder::new(1 << 16)));
         let fanout = Fanout::new().with(shared(collector.clone())).with(shared(recorder.clone()));
@@ -270,6 +276,7 @@ fn self_modifying_programs_stay_bit_exact() {
             let img = assemble(&src).expect("assembles");
             let mut sim = CoSim::software_only(&img);
             sim.set_translation(translate);
+            sim.set_fast_forward(translate);
             let stop = sim.run(1_000_000);
             (stop, sim.cpu().stats(), sim.save_state(), sim.cpu().translation_stats())
         };
