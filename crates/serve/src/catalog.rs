@@ -156,6 +156,9 @@ impl Workload {
     }
 }
 
+/// Most trials one campaign, recovery or sweep job may ask for.
+pub const MAX_TRIALS: u32 = 100_000;
+
 /// A fully-specified job: what to run and under which robustness knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobSpec {
@@ -202,6 +205,16 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
+    /// Rejects a spec the service will not run: an invalid workload (see
+    /// [`Workload::validate`]) or more than [`MAX_TRIALS`] trials.
+    pub fn validate(&self) -> Result<(), String> {
+        self.workload.validate().map_err(|msg| format!("invalid workload: {msg}"))?;
+        if self.trials > MAX_TRIALS {
+            return Err(format!("trials {} above {MAX_TRIALS}", self.trials));
+        }
+        Ok(())
+    }
+
     /// Content address of this job's *result*: an FNV-1a hash over
     /// every field that affects the output bytes (kind, workload,
     /// seed, trials, budgets) and none that don't (priority, deadline,
@@ -258,8 +271,9 @@ pub fn image(workload: Workload) -> Image {
 
 /// A fresh co-simulator for `workload`, with the co-simulator's exact
 /// fast paths (translated blocks, stall fast-forward) on as built.
-/// `_degraded` no longer changes the simulator: both fast paths are on
-/// for every job, and degraded admission is a flag in the job's status.
+/// The second argument is ignored: every job runs both fast paths, and
+/// degraded admission is only a flag in the job's status. The service
+/// passes `false`.
 pub fn build_sim(workload: Workload, _degraded: bool) -> CoSim {
     let img = image(workload);
     match workload {
@@ -357,19 +371,18 @@ mod tests {
     }
 
     #[test]
-    fn degraded_sim_is_bit_exact() {
-        let w = Workload::Cordic { iterations: 8, p: 2 };
-        let (base, n) = observe_window(w);
-        // The stepped reference against the default build.
-        let mut full = build_sim(w, false);
-        full.set_translation(false);
-        full.set_fast_forward(false);
-        let mut degraded = build_sim(w, true);
-        assert_eq!(full.run(10_000_000), softsim_cosim::CoSimStop::Halted);
-        assert_eq!(degraded.run(10_000_000), softsim_cosim::CoSimStop::Halted);
-        assert_eq!(full.cpu().stats().cycles, degraded.cpu().stats().cycles);
-        assert_eq!(observe_words(&full, base, n), observe_words(&degraded, base, n));
-        assert_eq!(full.save_state(), degraded.save_state());
-        assert_eq!(full.hw_stats(), degraded.hw_stats());
+    fn catalog_sims_match_the_stepped_reference() {
+        for w in [Workload::Cordic { iterations: 8, p: 2 }, Workload::Matmul { n: 4, nb: 2 }] {
+            let (base, n) = observe_window(w);
+            let built = build_sim(w, false);
+            let mut stepped = build_sim(w, false);
+            stepped.set_translation(false);
+            stepped.set_fast_forward(false);
+            let ran = [built, stepped].map(|mut sim| {
+                assert_eq!(sim.run(10_000_000), softsim_cosim::CoSimStop::Halted, "{w:?}");
+                (observe_words(&sim, base, n), sim.save_state(), sim.hw_stats())
+            });
+            assert!(ran[0] == ran[1], "{w:?}: as built differs from the stepped reference");
+        }
     }
 }

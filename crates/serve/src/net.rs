@@ -19,17 +19,25 @@
 //!
 //! A request line is read through a cap of [`MAX_LINE`] bytes. A longer
 //! one is answered with `{"error":"request too large: …"}` and its
-//! connection is closed; other connections are unaffected.
+//! connection is closed; other connections are unaffected. So is a
+//! connection that leaves a request line incomplete for
+//! [`LINE_DEADLINE`], counted from when the server starts waiting for
+//! it: `{"error":"request timed out: …"}`. A kept-alive connection that
+//! sends no byte of a next request within that deadline is closed
+//! without an answer. At most [`MAX_CONNECTIONS`]
+//! connections are served at once; one more is answered with one
+//! `{"shed":"connection limit reached (…)"}` line
+//! ([`ShedReason::ConnectionLimit`]) and closed unread.
 //!
 //! [`request`] is the matching one-shot client used by the CLI's
 //! `--request` mode and by CI smoke checks.
 
-use crate::protocol::{error_line, handle_line, Disposition};
-use crate::server::Server;
+use crate::protocol::{error_line, handle_line, shed_line, Disposition};
+use crate::server::{Server, ShedReason};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// How often the shutdown watcher and idle connections re-check
 /// readiness (connections every 20 ticks, through their read timeout).
@@ -39,6 +47,14 @@ const POLL: Duration = Duration::from_millis(25);
 /// included.
 pub const MAX_LINE: usize = 1 << 20;
 
+/// Longest a connection may take to complete a request line, counted
+/// from when it opened or from its previous response (a blank line
+/// does not count as a request). A connection idle that long is closed.
+pub const LINE_DEADLINE: Duration = Duration::from_secs(3);
+
+/// Most connections served at once.
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// Serves `server` on `listener` until shutdown. Blocks the caller;
 /// returns once the accept loop has exited and every connection thread
 /// has joined.
@@ -46,6 +62,7 @@ pub fn serve(server: &Server, listener: TcpListener) -> std::io::Result<()> {
     listener.set_nonblocking(false)?;
     let wake = loopback_if_unspecified(listener.local_addr()?);
     let accepting = AtomicBool::new(true);
+    let open = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             while accepting.load(Ordering::SeqCst) && server.health().ready {
@@ -65,7 +82,16 @@ pub fn serve(server: &Server, listener: TcpListener) -> std::io::Result<()> {
                 // Readiness is re-checked first: this may be the
                 // watcher's wake-up connection.
                 Ok((stream, _peer)) if server.health().ready => {
+                    // Only this loop adds connections, so the count
+                    // cannot rise between the check and the add.
+                    if open.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                        refuse(stream, &ShedReason::ConnectionLimit);
+                        continue;
+                    }
+                    open.fetch_add(1, Ordering::SeqCst);
+                    let open = &open;
                     scope.spawn(move || {
+                        let _slot = Slot(open);
                         if let Err(e) = handle_connection(server, stream) {
                             eprintln!("warning: connection error: {e}");
                         }
@@ -80,6 +106,30 @@ pub fn serve(server: &Server, listener: TcpListener) -> std::io::Result<()> {
     })
 }
 
+/// A connection's place in the open count, given back when the
+/// connection thread ends, also by unwinding.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers a connection the accept loop will not serve with `reason`
+/// and closes it. Runs on the accept loop, so nothing here may wait: the
+/// write goes into an empty socket buffer, and only input that has
+/// already arrived is drained (closing a socket with unread input resets
+/// the connection, which can destroy the answer).
+fn refuse(mut stream: TcpStream, reason: &ShedReason) {
+    let _ = stream.set_nodelay(true);
+    let _ = send_line(&mut stream, shed_line(reason));
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = std::io::copy(&mut stream.take(MAX_LINE as u64), &mut std::io::sink());
+    }
+}
+
 /// `addr`, with an unspecified IP (`0.0.0.0`, `::`) replaced by the
 /// loopback address of the same family.
 fn loopback_if_unspecified(mut addr: SocketAddr) -> SocketAddr {
@@ -92,11 +142,29 @@ fn loopback_if_unspecified(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
+/// The reading half of a connection. Its reads fail with `TimedOut`
+/// from `deadline` on, however the bytes before it arrived, so a client
+/// that trickles bytes cannot outlast a deadline either.
+struct LineReader {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for LineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if Instant::now() >= self.deadline {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.read(buf)
+    }
+}
+
 fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL * 20))?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let deadline = Instant::now() + LINE_DEADLINE;
+    let mut reader = BufReader::new(LineReader { stream, deadline });
     let mut line = Vec::new();
     loop {
         // After a read timeout `line` may hold a partial request; read
@@ -120,12 +188,26 @@ fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> 
                 if let Disposition::Shutdown = disposition {
                     return Ok(());
                 }
+                reader.get_mut().deadline = Instant::now() + LINE_DEADLINE;
             }
             // Read timeout: keep the partial request and keep waiting
-            // while the server is up; bail out once it is draining.
+            // while the server is up and the line is within its
+            // deadline; bail out once the server is draining.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if !server.health().ready {
                     return Ok(());
+                }
+                if Instant::now() >= reader.get_ref().deadline {
+                    // An idle connection, with no byte of a request
+                    // sent, is closed silently: an answer here would be
+                    // read as the answer to the client's next request.
+                    if line.is_empty() {
+                        return Ok(());
+                    }
+                    let secs = LINE_DEADLINE.as_secs();
+                    let msg = format!("request timed out: no complete line within {secs} s");
+                    send_line(&mut writer, error_line(&msg))?;
+                    return close_unread(&writer, reader);
                 }
             }
             Err(e) => return Err(e),
@@ -140,12 +222,15 @@ fn send_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
 }
 
 /// Ends a connection whose input is refused: stops sending, then reads
-/// and discards up to another [`MAX_LINE`] bytes (until end of input or
-/// a read timeout). Closing a socket with unread input resets the
-/// connection, which can destroy the answer before the client reads it.
-fn close_unread(writer: &TcpStream, reader: BufReader<TcpStream>) -> std::io::Result<()> {
+/// and discards up to another [`MAX_LINE`] bytes, for at most one read
+/// timeout (until end of input, a quiet read timeout, or that deadline).
+/// Closing a socket with unread input resets the connection, which can
+/// destroy the answer before the client reads it.
+fn close_unread(writer: &TcpStream, reader: BufReader<LineReader>) -> std::io::Result<()> {
     writer.shutdown(Shutdown::Write)?;
-    let _ = std::io::copy(&mut reader.take(MAX_LINE as u64), &mut std::io::sink());
+    let mut rest = reader.into_inner();
+    rest.deadline = Instant::now() + POLL * 20;
+    let _ = std::io::copy(&mut rest.take(MAX_LINE as u64), &mut std::io::sink());
     Ok(())
 }
 
@@ -287,6 +372,90 @@ mod tests {
             // bytes with its newline.
             let line = HEALTH.to_string() + &" ".repeat(MAX_LINE - 1 - HEALTH.len());
             let health = request(addr, &line).expect("health");
+            assert!(health.contains("\"ready\":true"), "{health}");
+        });
+    }
+
+    #[test]
+    fn a_line_trickled_past_its_deadline_is_cut() {
+        with_server("deadline", |addr| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut writer = stream.try_clone().expect("clone");
+            let start = Instant::now();
+            // One byte of a request that never ends, every 100 ms: no
+            // read ever waits long enough to time out.
+            let trickle = std::thread::spawn(move || {
+                while start.elapsed() < LINE_DEADLINE * 2 && writer.write_all(b" ").is_ok() {
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            });
+            let mut answer = String::new();
+            stream.read_to_string(&mut answer).expect("answer, then end of stream");
+            let elapsed = start.elapsed();
+            let secs = LINE_DEADLINE.as_secs();
+            let want = format!("request timed out: no complete line within {secs} s");
+            assert_eq!(answer, format!("{}\n", error_line(&want)));
+            assert!(elapsed >= LINE_DEADLINE, "cut after {elapsed:?}");
+            assert!(elapsed < LINE_DEADLINE + Duration::from_secs(2), "cut after {elapsed:?}");
+            drop(stream);
+            trickle.join().expect("trickle");
+            let health = request(addr, HEALTH).expect("health");
+            assert!(health.contains("\"ready\":true"), "{health}");
+        });
+    }
+
+    #[test]
+    fn an_idle_connection_is_closed_without_an_answer() {
+        with_server("idle", |addr| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = BufReader::new(stream);
+            writer.write_all(format!("{HEALTH}\n").as_bytes()).expect("write");
+            let mut health = String::new();
+            reader.read_line(&mut health).expect("health");
+            assert!(health.contains("\"ready\":true"), "{health}");
+            let start = Instant::now();
+            let mut rest = String::new();
+            reader.read_to_string(&mut rest).expect("end of stream");
+            let elapsed = start.elapsed();
+            assert_eq!(rest, "", "an idle connection must get no unasked-for line");
+            assert!(elapsed >= LINE_DEADLINE, "closed after {elapsed:?}");
+            assert!(elapsed < LINE_DEADLINE + Duration::from_secs(2), "closed after {elapsed:?}");
+        });
+    }
+
+    #[test]
+    fn a_connection_past_the_cap_is_shed_typed() {
+        with_server("cap", |addr| {
+            // Every slot held by a served connection: each answers.
+            let held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+                .map(|_| {
+                    let stream = TcpStream::connect(addr).expect("connect");
+                    let mut writer = stream.try_clone().expect("clone");
+                    writer.write_all(format!("{HEALTH}\n").as_bytes()).expect("write");
+                    let mut health = String::new();
+                    BufReader::new(&stream).read_line(&mut health).expect("health");
+                    assert!(health.contains("\"ready\":true"), "{health}");
+                    stream
+                })
+                .collect();
+            let mut refused = TcpStream::connect(addr).expect("connect");
+            let mut answer = String::new();
+            refused.read_to_string(&mut answer).expect("answer, then end of stream");
+            let reason = ShedReason::ConnectionLimit;
+            assert_eq!(answer, format!("{}\n", shed_line(&reason)));
+            // A slot comes free when its connection closes.
+            drop(held);
+            let start = Instant::now();
+            let health = loop {
+                match request(addr, HEALTH) {
+                    Ok(h) if h.contains("\"ready\"") => break h,
+                    _ if start.elapsed() < Duration::from_secs(2) => {
+                        std::thread::sleep(Duration::from_millis(10))
+                    }
+                    other => panic!("no slot came free: {other:?}"),
+                }
+            };
             assert!(health.contains("\"ready\":true"), "{health}");
         });
     }

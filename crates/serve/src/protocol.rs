@@ -5,7 +5,7 @@
 //! longer one is answered `request too large` and its connection
 //! closed. Arrays and objects may nest at most
 //! [`softsim_trace::json::MAX_DEPTH`] deep: a deeper request is a
-//! `bad request`. Ops:
+//! `bad request`, and so is one that is not a JSON object. Ops:
 //!
 //! * `{"op":"run", ...spec}` — submit and block for the result.
 //! * `{"op":"submit", ...spec}` — submit, return `{"id":N}`.
@@ -26,13 +26,19 @@
 //! values): `kind`, `workload`, `iterations`, `p`, `n`, `nb`, `seed`,
 //! `trials`, `priority`, `cycle_budget`, `wall_budget_ms`,
 //! `deadline_ms`, `durable`, `cache` (`"use"` or `"bypass"`).
+//! Each is typed: a number field must hold a whole number in range, a
+//! name field a string, `durable` a boolean. A field present with
+//! anything else is an error, never its default. A spec that parses but
+//! that the service will not run ([`crate::JobSpec::validate`]: an
+//! invalid workload, more than [`crate::catalog::MAX_TRIALS`] trials)
+//! comes back as a quarantined job.
 //!
 //! Responses are deterministic functions of deterministic state: a
 //! `run` response for a given spec byte-diffs clean across runs,
 //! restarts and worker counts — CI's resume check relies on it.
 
 use crate::catalog::{JobKind, JobSpec, Priority, Workload};
-use crate::server::{Health, JobResult, JobStatus, Server};
+use crate::server::{Health, JobResult, JobStatus, Server, ShedReason};
 use softsim_trace::json::{parse, Value};
 use std::time::Duration;
 
@@ -53,52 +59,73 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-fn field_u64(v: &Value, key: &str) -> Option<u64> {
-    v.get(key).and_then(|x| x.as_f64()).map(|f| f as u64)
+/// 2^64, the first whole number a `u64` cannot hold.
+const TWO_TO_64: f64 = 18_446_744_073_709_551_616.0;
+
+/// A whole-number field of at most `max`: `None` when absent, an error
+/// when present as anything else (another JSON type, a fraction, a
+/// negative or larger number).
+fn field_u64(v: &Value, key: &str, max: u64) -> Result<Option<u64>, String> {
+    let Some(x) = v.get(key) else { return Ok(None) };
+    match x.as_f64() {
+        // `max as f64` can round up (`u64::MAX` to 2^64), so the range
+        // is checked on the integer, once `f` is known to fit one.
+        Some(f) if f >= 0.0 && f.fract() == 0.0 && f < TWO_TO_64 && f as u64 <= max => {
+            Ok(Some(f as u64))
+        }
+        _ => Err(format!("{key} must be a whole number in 0..={max}")),
+    }
 }
 
-fn field_bool(v: &Value, key: &str) -> Option<bool> {
+fn field_bool(v: &Value, key: &str) -> Result<Option<bool>, String> {
     match v.get(key) {
-        Some(Value::Bool(b)) => Some(*b),
-        _ => None,
+        None => Ok(None),
+        Some(Value::Bool(b)) => Ok(Some(*b)),
+        Some(_) => Err(format!("{key} must be true or false")),
+    }
+}
+
+fn field_str<'a>(v: &'a Value, key: &str) -> Result<Option<&'a str>, String> {
+    match v.get(key) {
+        None => Ok(None),
+        Some(x) => x.as_str().map(Some).ok_or_else(|| format!("{key} must be a string")),
     }
 }
 
 /// Parses a job spec out of a request object, starting from defaults.
+/// A spec field of the wrong type or out of range is an error, never a
+/// default; other fields are ignored.
 pub fn parse_spec(v: &Value) -> Result<JobSpec, String> {
+    const U32: u64 = u32::MAX as u64;
     let mut spec = JobSpec::default();
-    if let Some(kind) = v.get("kind").and_then(|x| x.as_str()) {
+    if let Some(kind) = field_str(v, "kind")? {
         spec.kind = JobKind::parse(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?;
     }
-    let workload = v.get("workload").and_then(|x| x.as_str()).unwrap_or("cordic");
-    spec.workload = match workload {
-        "cordic" => Workload::Cordic {
-            iterations: field_u64(v, "iterations").unwrap_or(8) as u32,
-            p: field_u64(v, "p").unwrap_or(2) as usize,
-        },
-        "matmul" => Workload::Matmul {
-            n: field_u64(v, "n").unwrap_or(4) as usize,
-            nb: field_u64(v, "nb").unwrap_or(2) as usize,
-        },
+    // Every dimension is checked, also those the workload ignores.
+    let dim = |key, default| Ok::<_, String>(field_u64(v, key, U32)?.unwrap_or(default));
+    let (iterations, p, n, nb) = (dim("iterations", 8)?, dim("p", 2)?, dim("n", 4)?, dim("nb", 2)?);
+    spec.workload = match field_str(v, "workload")?.unwrap_or("cordic") {
+        "cordic" => Workload::Cordic { iterations: iterations as u32, p: p as usize },
+        "matmul" => Workload::Matmul { n: n as usize, nb: nb as usize },
         "crash_test" => Workload::CrashTest,
         other => return Err(format!("unknown workload {other:?}")),
     };
-    if let Some(seed) = field_u64(v, "seed") {
+    if let Some(seed) = field_u64(v, "seed", u64::MAX)? {
         spec.seed = seed;
     }
-    if let Some(trials) = field_u64(v, "trials") {
+    if let Some(trials) = field_u64(v, "trials", U32)? {
         spec.trials = trials as u32;
     }
-    if let Some(p) = v.get("priority").and_then(|x| x.as_str()) {
+    if let Some(p) = field_str(v, "priority")? {
         spec.priority = Priority::parse(p).ok_or_else(|| format!("unknown priority {p:?}"))?;
     }
-    spec.trial_cycle_budget = field_u64(v, "cycle_budget");
-    spec.trial_wall_budget_ms = field_u64(v, "wall_budget_ms");
-    spec.deadline_ms = field_u64(v, "deadline_ms");
-    if let Some(durable) = field_bool(v, "durable") {
+    spec.trial_cycle_budget = field_u64(v, "cycle_budget", u64::MAX)?;
+    spec.trial_wall_budget_ms = field_u64(v, "wall_budget_ms", u64::MAX)?;
+    spec.deadline_ms = field_u64(v, "deadline_ms", u64::MAX)?;
+    if let Some(durable) = field_bool(v, "durable")? {
         spec.durable = durable;
     }
-    if let Some(cache) = v.get("cache").and_then(|x| x.as_str()) {
+    if let Some(cache) = field_str(v, "cache")? {
         spec.use_cache = match cache {
             "use" => true,
             "bypass" => false,
@@ -147,6 +174,11 @@ pub(crate) fn error_line(msg: &str) -> String {
     format!("{{\"error\":\"{}\"}}", escape_json(msg))
 }
 
+/// A `{"shed":…}` response line.
+pub(crate) fn shed_line(reason: &ShedReason) -> String {
+    format!("{{\"shed\":\"{}\"}}", escape_json(&reason.to_string()))
+}
+
 /// Whether [`handle_line`]'s response means the connection (and for
 /// `shutdown`, the server) should close.
 pub enum Disposition {
@@ -160,61 +192,56 @@ pub enum Disposition {
 /// line (no trailing newline) and what to do next.
 pub fn handle_line(server: &Server, line: &str) -> (String, Disposition) {
     let v = match parse(line) {
-        Ok(v) => v,
+        Ok(v @ Value::Object(_)) => v,
+        Ok(_) => return (error_line("bad request: not a JSON object"), Disposition::Continue),
         Err(e) => return (error_line(&format!("bad request: {e}")), Disposition::Continue),
     };
-    let op = v.get("op").and_then(|x| x.as_str()).unwrap_or("run");
-    match op {
-        "run" => match parse_spec(&v) {
-            Err(e) => (error_line(&e), Disposition::Continue),
-            Ok(spec) => match server.run(spec) {
-                Ok(result) => (render_result(&result), Disposition::Continue),
-                Err(shed) => (
-                    format!("{{\"shed\":\"{}\"}}", escape_json(&shed.reason.to_string())),
-                    Disposition::Continue,
-                ),
-            },
-        },
-        "submit" => match parse_spec(&v) {
-            Err(e) => (error_line(&e), Disposition::Continue),
-            Ok(spec) => match server.submit(spec) {
-                Ok(id) => (format!("{{\"id\":{id}}}"), Disposition::Continue),
-                Err(shed) => (
-                    format!("{{\"shed\":\"{}\"}}", escape_json(&shed.reason.to_string())),
-                    Disposition::Continue,
-                ),
-            },
-        },
-        "wait" => match field_u64(&v, "id") {
-            None => (error_line("wait needs an id"), Disposition::Continue),
-            Some(id) => match server.wait(id, Duration::from_secs(600)) {
-                Some(result) => (render_result(&result), Disposition::Continue),
-                None => (error_line(&format!("unknown job {id}")), Disposition::Continue),
-            },
-        },
-        "status" => match field_u64(&v, "id") {
-            None => (error_line("status needs an id"), Disposition::Continue),
-            Some(id) => {
-                let line = match server.status(id) {
-                    None => error_line(&format!("unknown job {id}")),
-                    Some(JobStatus::Queued) => format!("{{\"id\":{id},\"status\":\"queued\"}}"),
-                    Some(JobStatus::Running) => format!("{{\"id\":{id},\"status\":\"running\"}}"),
-                    Some(JobStatus::Finished(r)) => render_result(&r),
-                };
-                (line, Disposition::Continue)
+    let response = match field_str(&v, "op") {
+        Err(e) => error_line(&e),
+        Ok(op) => match op.unwrap_or("run") {
+            "shutdown" => {
+                server.shutdown();
+                return ("{\"ok\":\"shutting down\"}".to_string(), Disposition::Shutdown);
             }
+            op => handle_op(server, op, &v).unwrap_or_else(|e| error_line(&e)),
         },
-        "health" => (render_health(&server.health()), Disposition::Continue),
-        "metrics" => (
-            format!("{{\"metrics\":\"{}\"}}", escape_json(&server.metrics())),
-            Disposition::Continue,
-        ),
-        "shutdown" => {
-            server.shutdown();
-            ("{\"ok\":\"shutting down\"}".to_string(), Disposition::Shutdown)
+    };
+    (response, Disposition::Continue)
+}
+
+/// The response to every op but `shutdown`, or the error message of a
+/// malformed request.
+fn handle_op(server: &Server, op: &str, v: &Value) -> Result<String, String> {
+    let id = || field_u64(v, "id", u64::MAX)?.ok_or_else(|| format!("{op} needs an id"));
+    Ok(match op {
+        "run" => match server.run(parse_spec(v)?) {
+            Ok(result) => render_result(&result),
+            Err(shed) => shed_line(&shed.reason),
+        },
+        "submit" => match server.submit(parse_spec(v)?) {
+            Ok(id) => format!("{{\"id\":{id}}}"),
+            Err(shed) => shed_line(&shed.reason),
+        },
+        "wait" => {
+            let id = id()?;
+            match server.wait(id, Duration::from_secs(600)) {
+                Some(result) => render_result(&result),
+                None => error_line(&format!("unknown job {id}")),
+            }
         }
-        other => (error_line(&format!("unknown op {other:?}")), Disposition::Continue),
-    }
+        "status" => {
+            let id = id()?;
+            match server.status(id) {
+                None => error_line(&format!("unknown job {id}")),
+                Some(JobStatus::Queued) => format!("{{\"id\":{id},\"status\":\"queued\"}}"),
+                Some(JobStatus::Running) => format!("{{\"id\":{id},\"status\":\"running\"}}"),
+                Some(JobStatus::Finished(r)) => render_result(&r),
+            }
+        }
+        "health" => render_health(&server.health()),
+        "metrics" => format!("{{\"metrics\":\"{}\"}}", escape_json(&server.metrics())),
+        other => return Err(format!("unknown op {other:?}")),
+    })
 }
 
 #[cfg(test)]
@@ -251,6 +278,13 @@ mod tests {
             ("{\"workload\":\"quux\"}", "unknown workload"),
             ("{\"priority\":\"urgent\"}", "unknown priority"),
             ("{\"cache\":\"maybe\"}", "cache must be"),
+            ("{\"kind\":7}", "kind must be a string"),
+            ("{\"trials\":\"5\"}", "trials must be a whole number"),
+            ("{\"trials\":4294967296}", "trials must be a whole number"),
+            ("{\"seed\":-1}", "seed must be a whole number"),
+            ("{\"seed\":18446744073709551616}", "seed must be a whole number"),
+            ("{\"workload\":\"cordic\",\"n\":0.5}", "n must be a whole number"),
+            ("{\"durable\":1}", "durable must be true or false"),
         ] {
             let v = parse(req).unwrap();
             let err = parse_spec(&v).expect_err(req);

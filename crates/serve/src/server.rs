@@ -96,6 +96,10 @@ pub enum ShedReason {
     },
     /// The server was shutting down.
     ShuttingDown,
+    /// A connection arrived while the TCP front-end already served its
+    /// limit of `net::MAX_CONNECTIONS`; it is answered with this reason
+    /// and closed, no request read.
+    ConnectionLimit,
 }
 
 impl std::fmt::Display for ShedReason {
@@ -109,6 +113,9 @@ impl std::fmt::Display for ShedReason {
                 write!(f, "deadline expired after {waited_ms}ms queued")
             }
             ShedReason::ShuttingDown => write!(f, "server shutting down"),
+            ShedReason::ConnectionLimit => {
+                write!(f, "connection limit reached ({} open)", crate::net::MAX_CONNECTIONS)
+            }
         }
     }
 }
@@ -335,9 +342,9 @@ impl Server {
     }
 
     /// Submits a job, returning its id or a typed [`Shed`] rejection.
-    /// An invalid workload is admitted and immediately quarantined so
-    /// the caller gets a structured result rather than an admission
-    /// error.
+    /// An invalid spec ([`JobSpec::validate`]) is admitted and
+    /// immediately quarantined so the caller gets a structured result
+    /// rather than an admission error.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, Shed> {
         self.admit(spec, false)
     }
@@ -356,11 +363,11 @@ impl Server {
         if for_run {
             state.runs.insert(id);
         }
-        if let Err(msg) = spec.workload.validate() {
+        if let Err(msg) = spec.validate() {
             let mut result = JobResult::shed(id, ShedReason::ShuttingDown);
             result.state = JobState::Quarantined;
             result.shed = None;
-            result.error = Some(format!("invalid workload: {msg}"));
+            result.error = Some(msg);
             state.jobs.insert(id, JobStatus::Finished(result));
             inner.telemetry.serve_event(ServeEvent::Quarantined);
             drop(state);
@@ -667,7 +674,7 @@ fn run_entry(inner: &Inner, job: QueuedJob, _worker: u32) -> JobResult {
     let mut retries = 0;
     let mut last_panic = String::new();
     while retries <= inner.config.max_job_retries {
-        let attempt = catch_unwind(AssertUnwindSafe(|| execute(inner, &spec, degraded)));
+        let attempt = catch_unwind(AssertUnwindSafe(|| execute(inner, &spec)));
         match attempt {
             Ok(exec) => {
                 inner.telemetry.serve_event(ServeEvent::Completed);
@@ -731,12 +738,12 @@ struct ExecOutput {
 
 /// Runs the spec's work. Panics (including deliberate crash-test
 /// builds and journal errors) unwind to the retry loop above.
-fn execute(inner: &Inner, spec: &JobSpec, degraded: bool) -> ExecOutput {
+fn execute(inner: &Inner, spec: &JobSpec) -> ExecOutput {
     let workload = spec.workload;
     match spec.kind {
         JobKind::Simulate => {
             let (base, n) = catalog::observe_window(workload);
-            let mut sim = catalog::build_sim(workload, degraded);
+            let mut sim = catalog::build_sim(workload, false);
             let stop = sim.run(10_000_000);
             assert_eq!(stop, softsim_cosim::CoSimStop::Halted, "simulate must halt: {stop}");
             let cycles = sim.cpu().stats().cycles;
@@ -759,7 +766,7 @@ fn execute(inner: &Inner, spec: &JobSpec, degraded: bool) -> ExecOutput {
                     }
                     other => other,
                 };
-                let mut sim = catalog::build_sim(point, degraded);
+                let mut sim = catalog::build_sim(point, false);
                 let stop = sim.run(10_000_000);
                 assert_eq!(stop, softsim_cosim::CoSimStop::Halted, "sweep point halts: {stop}");
                 out.push_str(&format!(
@@ -785,12 +792,12 @@ fn execute(inner: &Inner, spec: &JobSpec, degraded: bool) -> ExecOutput {
                 fast_forward: true,
                 ..CampaignConfig::default()
             };
-            execute_trials(inner, spec, degraded, &plan, &config, render_campaign)
+            execute_trials(inner, spec, &plan, &config, render_campaign)
         }
         JobKind::Recovery => {
             let plan = catalog::recovery_plan(workload, spec.seed, spec.trials);
             let policy = catalog::recovery_policy();
-            execute_trials(inner, spec, degraded, &plan, &policy, render_recovery)
+            execute_trials(inner, spec, &plan, &policy, render_recovery)
         }
     }
 }
@@ -803,7 +810,6 @@ fn execute(inner: &Inner, spec: &JobSpec, degraded: bool) -> ExecOutput {
 fn execute_trials<K: TrialKind>(
     inner: &Inner,
     spec: &JobSpec,
-    degraded: bool,
     plan: &[Injection],
     kind: &K,
     render: fn(&JobSpec, &K::Report) -> String,
@@ -811,7 +817,7 @@ fn execute_trials<K: TrialKind>(
     let workload = spec.workload;
     let (base, n) = catalog::observe_window(workload);
     let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
-    let make_sim = || catalog::build_sim(workload, degraded);
+    let make_sim = || catalog::build_sim(workload, false);
     let journal = spec.durable.then(|| journal_path(&inner.config.spool, spec));
     let mut resumed = match &journal {
         None => 0,

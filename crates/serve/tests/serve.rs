@@ -3,6 +3,7 @@
 //! cache hits and corrupt-entry eviction, and crash-resume
 //! byte-identity across worker counts.
 
+use softsim_serve::catalog::MAX_TRIALS;
 use softsim_serve::protocol::handle_line;
 use softsim_serve::{
     CacheStatus, JobKind, JobSpec, JobState, JobStatus, Priority, QueueConfig, ServeConfig, Server,
@@ -142,12 +143,17 @@ fn crash_test_workload_is_quarantined_after_retries() {
 }
 
 #[test]
-fn invalid_workload_quarantines_with_a_structured_result() {
+fn invalid_specs_quarantine_with_a_structured_result() {
     let server = quick_server("invalid", ServeConfig { workers: 1, ..ServeConfig::default() });
-    let spec = JobSpec { workload: Workload::Cordic { iterations: 0, p: 2 }, ..JobSpec::default() };
-    let r = server.run(spec).expect("admission still succeeds");
-    assert_eq!(r.state, JobState::Quarantined);
-    assert!(r.error.as_deref().unwrap_or("").contains("invalid workload"), "{r:?}");
+    let bad_workload = Workload::Cordic { iterations: 0, p: 2 };
+    for (spec, why) in [
+        (JobSpec { workload: bad_workload, ..JobSpec::default() }, "invalid workload"),
+        (JobSpec { trials: MAX_TRIALS + 1, ..JobSpec::default() }, "trials 100001 above"),
+    ] {
+        let r = server.run(spec).expect("admission still succeeds");
+        assert_eq!(r.state, JobState::Quarantined);
+        assert!(r.error.as_deref().unwrap_or("").contains(why), "{r:?}");
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Integration tests for the resilience layer: checkpoint → inject →
-//! resume determinism, deadlock detection on mis-sized FIFOs, the
-//! checkpoint byte format, stuck-flag protocol faults, and a full
-//! seeded CORDIC fault campaign.
+//! Integration tests for the resilience layer: deadlock detection on
+//! mis-sized FIFOs, the checkpoint byte format, stuck-flag protocol
+//! faults, and a full seeded CORDIC fault campaign. Restored runs are
+//! checked against uninterrupted ones in every execution mode by
+//! `tests/horizon.rs`.
 
 use softsim::apps::cordic::hardware::cordic_peripheral;
 use softsim::apps::cordic::reference::to_fix;
@@ -36,61 +37,6 @@ fn cordic_sim() -> CoSim {
 fn observe(sim: &CoSim, img: &Image) -> Vec<u32> {
     let base = img.symbol("z_data").expect("result label");
     (0..4).map(|i| sim.cpu().mem().read_u32(base + 4 * i).unwrap()).collect()
-}
-
-/// Runs to `checkpoint` cycles, snapshots, injects `kind`, resumes to
-/// completion; returns everything an identical replay must reproduce.
-fn checkpoint_inject_resume(
-    checkpoint: u64,
-    kind: FaultKind,
-) -> (Vec<u8>, CoSimStop, Vec<u32>, softsim::iss::CpuStats) {
-    let img = cordic_image();
-    let mut sim = CoSim::with_peripheral(&img, cordic_peripheral(2));
-    while sim.cpu().stats().cycles < checkpoint {
-        sim.step();
-    }
-    let state = sim.save_state();
-    let bytes = snapshot::to_bytes(&state);
-
-    // Restore into a *fresh* co-simulator, as a checkpoint file would be.
-    let mut sim2 = CoSim::with_peripheral(&img, cordic_peripheral(2));
-    sim2.load_state(&from_bytes(&bytes).expect("decodes"));
-    Injector::apply(&mut sim2, kind);
-    sim2.set_watchdog(5_000);
-    let stop = sim2.run(100_000);
-    (bytes, stop, observe(&sim2, &img), sim2.cpu().stats())
-}
-
-#[test]
-fn checkpoint_inject_resume_is_deterministic() {
-    let kind = FaultKind::RegBitFlip { reg: 3, bit: 17 };
-    let (bytes_a, stop_a, obs_a, stats_a) = checkpoint_inject_resume(200, kind);
-    let (bytes_b, stop_b, obs_b, stats_b) = checkpoint_inject_resume(200, kind);
-    assert_eq!(bytes_a, bytes_b, "checkpoint bytes must be identical");
-    assert_eq!(stop_a, stop_b);
-    assert_eq!(obs_a, obs_b);
-    assert_eq!(stats_a, stats_b, "replayed CpuStats must be byte-identical");
-}
-
-#[test]
-fn restored_run_matches_uninterrupted_run() {
-    let img = cordic_image();
-    // Uninterrupted reference.
-    let mut gold = CoSim::with_peripheral(&img, cordic_peripheral(2));
-    assert_eq!(gold.run(100_000), CoSimStop::Halted);
-
-    // Same run, but checkpointed and restored halfway through.
-    let mut sim = CoSim::with_peripheral(&img, cordic_peripheral(2));
-    while sim.cpu().stats().cycles < 300 {
-        sim.step();
-    }
-    let state = sim.save_state();
-    let mut resumed = CoSim::with_peripheral(&img, cordic_peripheral(2));
-    resumed.load_state(&state);
-    assert_eq!(resumed.run(100_000), CoSimStop::Halted);
-    assert_eq!(resumed.cpu().stats(), gold.cpu().stats());
-    assert_eq!(resumed.hw_stats(), gold.hw_stats());
-    assert_eq!(observe(&resumed, &img), observe(&gold, &img));
 }
 
 #[test]
