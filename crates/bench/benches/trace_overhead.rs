@@ -200,12 +200,11 @@ fn serve_off_campaign() -> softsim_resilience::CampaignReport {
     let (base, n) = catalog::observe_window(spec.workload);
     let make_sim = || catalog::build_sim(spec.workload, false);
     let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
-    let config = CampaignConfig { fast_forward: true, ..CampaignConfig::default() };
     let (report, _) = softsim_resilience::run(
         softsim_resilience::Sims::Build(&make_sim),
         &plan,
         &observe,
-        &config,
+        &CampaignConfig::default(),
         Exec::default(),
     )
     .expect("no journal");

@@ -2,20 +2,14 @@
 //!
 //! Usage: `tables [--fig5] [--fig7] [--table1] [--table2] [--claims]
 //! [--ablation] [--profile] [--faults] [--metrics] [--all]
-//! [--csv [DIR]] [--bench-json [PATH]] [--speedup-json [PATH]]
-//! [--recovery [PATH]] [--hotspots [PATH]] [--durable-json [PATH]]
-//! [--journal [PATH]] [--resume] [--record [PATH]]`
+//! [--csv [DIR]] [--recovery [PATH]] [--hotspots [PATH]]
+//! [--durable-json [PATH]] [--journal [PATH]] [--resume]
+//! [--record [PATH]]`
 //!
-//! Run in release mode — the Table I / Table II rows, `--bench-json`
-//! and `--speedup-json` measure wall-clock simulation speed.
+//! Run in release mode — the Table I / Table II rows measure wall-clock
+//! simulation speed. The repository's performance record is the
+//! `cosimbench` benchmark (`cosimbench/README.md`), not this binary.
 //!
-//! * `--bench-json` writes the machine-readable benchmark record
-//!   (`BENCH_0003.json` by default) — wall times, cycles/sec and
-//!   co-sim-vs-RTL speedups.
-//! * `--speedup-json` writes the fast-forward / parallel-runner record
-//!   (`BENCH_0004.json` by default) — the serial stepped campaign vs
-//!   stall fast-forwarding vs the parallel sweep engine, with report
-//!   equality asserted before any number is written.
 //! * `--recovery` writes the rollback-recovery record
 //!   (`BENCH_0005.json` by default) — the hardening matrix (unhardened
 //!   / ECC / TMR / both) with per-row recovery rates, cycle-exact and
@@ -45,20 +39,6 @@
 //!   snapshot file, and a final per-worker utilization summary on
 //!   stderr. stdout is untouched — CI byte-diffs it against a
 //!   telemetry-off run.
-//! * `--translate-json` writes the translated-execution record
-//!   (`BENCH_0009.json` by default) — the basic-block ISS fast path vs
-//!   the stepped interpreter on compute-heavy software workloads, with
-//!   result equality asserted before any number is written.
-//! * `--serve-json` writes the simulation-service record
-//!   (`BENCH_0010.json` by default) — jobs/sec, cache hit rate and shed
-//!   rate under a synthetic overload burst, with cached-report
-//!   byte-identity asserted before any number is written.
-//! * `--trajectory [PATH]` aggregates the BENCH_0003–0010 records in
-//!   the current directory into the committed trajectory record
-//!   (`BENCH_TRAJECTORY.json` by default).
-//! * `--trajectory-gate [COMMITTED]` re-extracts the same series and
-//!   fails (exit 1) if any floor/ceiling-gated series regresses past
-//!   its factor vs the committed record.
 
 use softsim_bench::tables;
 use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
@@ -149,15 +129,6 @@ fn main() {
         tables::write_csvs(std::path::Path::new(&dir)).expect("write CSVs");
         println!("wrote {dir}/fig5_cordic.csv and {dir}/fig7_matmul.csv");
     }
-    if let Some(path) = operand("--bench-json", "BENCH_0003.json") {
-        tables::write_bench_json(std::path::Path::new(&path), 3).expect("write bench JSON");
-        println!("wrote {path}");
-    }
-    if let Some(path) = operand("--speedup-json", "BENCH_0004.json") {
-        softsim_bench::speedup::write_speedup_json(std::path::Path::new(&path))
-            .expect("write speedup JSON");
-        println!("wrote {path}");
-    }
     if let Some(path) = operand("--recovery", "BENCH_0005.json") {
         match &journal {
             Some(j) => {
@@ -187,41 +158,9 @@ fn main() {
             .expect("write durable JSON");
         println!("wrote {path}");
     }
-    if let Some(path) = operand("--translate-json", "BENCH_0009.json") {
-        softsim_bench::translate::write_translate_json(std::path::Path::new(&path))
-            .expect("write translate JSON");
-        println!("wrote {path}");
-    }
-    if let Some(path) = operand("--serve-json", "BENCH_0010.json") {
-        softsim_bench::serve::write_serve_json(std::path::Path::new(&path))
-            .expect("write serve JSON");
-        println!("wrote {path}");
-    }
     if let Some(path) = operand("--record", "tables_output.txt") {
         std::fs::write(&path, tables::record_text()).expect("write record");
         println!("wrote {path}");
-    }
-    if let Some(path) = operand("--trajectory", softsim_bench::trajectory::TRAJECTORY_FILE) {
-        softsim_bench::trajectory::write_trajectory(
-            std::path::Path::new("."),
-            std::path::Path::new(&path),
-        )
-        .expect("write trajectory record");
-        println!("wrote {path}");
-    }
-    if let Some(committed) =
-        operand("--trajectory-gate", softsim_bench::trajectory::TRAJECTORY_FILE)
-    {
-        match softsim_bench::trajectory::gate(
-            std::path::Path::new("."),
-            std::path::Path::new(&committed),
-        ) {
-            Ok(report) => print!("{report}"),
-            Err(report) => {
-                eprint!("{report}");
-                std::process::exit(1);
-            }
-        }
     }
     if let Some(t) = &telemetry {
         t.finish();

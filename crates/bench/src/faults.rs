@@ -85,35 +85,13 @@ pub fn cordic_campaign(
     config: CampaignConfig,
     exec: Exec<'_>,
 ) -> CampaignReport {
-    cordic_campaign_on(cordic_sim, seed, trials, config, exec)
-}
-
-/// [`cordic_campaign`] on simulators built by `make_sim`.
-pub(crate) fn cordic_campaign_on(
-    make_sim: fn() -> CoSim,
-    seed: u64,
-    trials: usize,
-    config: CampaignConfig,
-    exec: Exec<'_>,
-) -> CampaignReport {
     let (plan, base, n) = cordic_plan(seed, trials);
-    run_design(make_sim, &plan, (base, n), &config, exec)
+    run_design(cordic_sim, &plan, (base, n), &config, exec)
 }
 
 /// A fresh simulator of the CORDIC campaign design.
 fn cordic_sim() -> CoSim {
     cordic_cosim(CORDIC_ITERS, Some(CORDIC_P))
-}
-
-/// [`cordic_sim`] on the interpreted ISS (translation off). The
-/// campaign timing record (`BENCH_0004`) compares stall
-/// fast-forwarding alone against stepping on this simulator, as it did
-/// before translation was on by default, and a campaign with
-/// fast-forwarding off on it is the stepped reference.
-pub(crate) fn interpreted_cordic_sim() -> CoSim {
-    let mut sim = cordic_sim();
-    sim.set_translation(false);
-    sim
 }
 
 pub use crate::sweep::default_workers;
@@ -148,19 +126,9 @@ pub fn cordic_stuck_campaign(
     config: CampaignConfig,
     exec: Exec<'_>,
 ) -> CampaignReport {
-    cordic_stuck_campaign_on(cordic_sim, trials, config, exec)
-}
-
-/// [`cordic_stuck_campaign`] on simulators built by `make_sim`.
-pub(crate) fn cordic_stuck_campaign_on(
-    make_sim: fn() -> CoSim,
-    trials: usize,
-    config: CampaignConfig,
-    exec: Exec<'_>,
-) -> CampaignReport {
     let plan = cordic_stuck_plan(trials);
     let window = cordic_window(&cordic_hw_image(CORDIC_ITERS, CORDIC_P));
-    run_design(make_sim, &plan, window, &config, exec)
+    run_design(cordic_sim, &plan, window, &config, exec)
 }
 
 /// Runs a seeded fault campaign over the block matmul (N =
@@ -254,12 +222,42 @@ mod tests {
         }
     }
 
+    /// The stepped reference: the campaign design on the interpreted
+    /// ISS, with stall fast-forwarding off.
+    fn stepped(plan: &[Injection], window: (u32, usize)) -> CampaignReport {
+        let interpreted = || {
+            let mut sim = cordic_sim();
+            sim.set_translation(false);
+            sim
+        };
+        let config = CampaignConfig { fast_forward: false, ..CampaignConfig::default() };
+        run_design(interpreted, plan, window, &config, Exec::default())
+    }
+
     #[test]
     fn fast_forward_off_matches_on() {
-        let on = serial(9, 12);
-        let stepped = CampaignConfig { fast_forward: false, ..CampaignConfig::default() };
-        let off = cordic_campaign_on(interpreted_cordic_sim, 9, 12, stepped, Exec::default());
-        assert_eq!(on, off);
+        let (plan, base, n) = cordic_plan(9, 12);
+        assert_eq!(serial(9, 12), stepped(&plan, (base, n)));
+    }
+
+    /// Every stuck-flag trial stalls for good, so the default build must
+    /// cover each one with a single stall jump — and still report
+    /// exactly what the stepped reference reports.
+    #[test]
+    fn stuck_campaign_jumps_every_stall_exactly() {
+        let trials = REPORT_TRIALS;
+        let telemetry = Telemetry::default();
+        let exec = Exec { telemetry: Some(&telemetry), ..Exec::default() };
+        let fast = cordic_stuck_campaign(trials, CampaignConfig::default(), exec);
+        let window = cordic_window(&cordic_hw_image(CORDIC_ITERS, CORDIC_P));
+        assert_eq!(stepped(&cordic_stuck_plan(trials), window), fast);
+        assert_eq!(telemetry.trial_count(), trials as u64);
+        assert_eq!(telemetry.ff_engagements(), trials as u64, "one jump per trial");
+        let (skipped, cycles) = (telemetry.ff_skipped_cycles(), telemetry.trial_cycles());
+        assert!(
+            skipped * 100 >= cycles * 95,
+            "jumps covered {skipped} of {cycles} trial cycles, under 95%"
+        );
     }
 
     #[test]

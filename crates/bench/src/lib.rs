@@ -19,10 +19,6 @@ pub mod harness;
 pub mod hotspots;
 pub mod measure;
 pub mod recover;
-pub mod serve;
-pub mod speedup;
 pub mod sweep;
 pub mod tables;
-pub mod trajectory;
-pub mod translate;
 pub mod workloads;

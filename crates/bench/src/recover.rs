@@ -310,9 +310,8 @@ fn row_json(row: &RecoveryRow) -> String {
 
 /// The machine-readable `BENCH_0005` record as a JSON string: the full
 /// hardening matrix, with the serial-vs-parallel equivalence asserted
-/// before anything is emitted. Unlike `BENCH_0003`/`BENCH_0004` every
-/// number here is cycle-exact and machine-independent — the record is
-/// byte-reproducible.
+/// before anything is emitted. Every number here is cycle-exact and
+/// machine-independent — the record is byte-reproducible.
 ///
 /// # Panics
 /// Panics if the serial and parallel supervised CORDIC runs disagree.

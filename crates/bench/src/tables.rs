@@ -5,6 +5,7 @@
 //! measured values.
 
 use crate::measure::{self, SimTiming};
+use crate::sweep::{default_workers, parallel_map};
 use crate::workloads::{self, CORDIC_ITERS, CORDIC_PS, MATMUL_NS, MATMUL_TABLE_N};
 use softsim_apps::cordic::hardware::pipeline_resources;
 use softsim_apps::matmul::hardware::unit_resources;
@@ -31,19 +32,13 @@ pub struct Fig5Point {
 /// (see [`crate::sweep::parallel_map`]); the result order — and hence
 /// the rendered text — matches the serial sweep exactly.
 pub fn figure5() -> Vec<Fig5Point> {
-    figure5_with(crate::sweep::default_workers())
-}
-
-/// [`figure5`] with an explicit worker-thread count (1 = serial); the
-/// speedup bench compares the two.
-pub fn figure5_with(workers: usize) -> Vec<Fig5Point> {
     let mut grid = Vec::new();
     for &iters in &CORDIC_ITERS {
         for p in std::iter::once(0).chain(CORDIC_PS) {
             grid.push((iters, p));
         }
     }
-    crate::sweep::parallel_map(grid, workers, |(iters, p)| {
+    parallel_map(grid, default_workers(), |(iters, p)| {
         let mut sim = workloads::cordic_cosim(iters, (p > 0).then_some(p));
         assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
         let cycles = sim.cpu_stats().cycles;
@@ -91,11 +86,6 @@ pub struct Fig7Point {
 /// Regenerates Figure 7: block matmul time vs N for pure SW / 2×2 /
 /// 4×4, swept on worker threads in input order like [`figure5`].
 pub fn figure7() -> Vec<Fig7Point> {
-    figure7_with(crate::sweep::default_workers())
-}
-
-/// [`figure7`] with an explicit worker-thread count (1 = serial).
-pub fn figure7_with(workers: usize) -> Vec<Fig7Point> {
     let mut grid = Vec::new();
     for &n in &MATMUL_NS {
         for nb in [0usize, 2, 4] {
@@ -105,7 +95,7 @@ pub fn figure7_with(workers: usize) -> Vec<Fig7Point> {
             grid.push((n, nb));
         }
     }
-    crate::sweep::parallel_map(grid, workers, |(n, nb)| {
+    parallel_map(grid, default_workers(), |(n, nb)| {
         let mut sim = workloads::matmul_cosim(n, (nb > 0).then_some(nb));
         assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
         let cycles = sim.cpu_stats().cycles;
@@ -626,90 +616,20 @@ pub(crate) fn json_f64(v: f64) -> String {
     }
 }
 
-fn json_timing(t: &SimTiming) -> String {
-    format!(
-        "{{\"wall_seconds\":{},\"sim_cycles\":{},\"cycles_per_sec\":{}}}",
-        json_f64(t.seconds()),
-        t.sim_cycles,
-        json_f64(t.cycles_per_sec())
-    )
-}
-
-/// The machine-readable benchmark record (`BENCH_0003.json`): wall
-/// time, simulated cycles and cycles/sec for the co-simulator vs the
-/// RTL baseline on the Table I workloads, plus the Table II component
-/// speeds. The schema (key set) is stable; the numbers are wall-clock
-/// and therefore machine-dependent.
-///
-/// `repeats` scales each timed workload, exactly as in [`table1`].
-pub fn bench_json(repeats: u32) -> String {
-    let mut workload_rows = Vec::new();
-    let mut add = |name: &str, cosim: SimTiming, rtl: SimTiming| {
-        workload_rows.push(format!(
-            "{{\"name\":\"{name}\",\"cosim\":{},\"rtl\":{},\"speedup_vs_rtl\":{}}}",
-            json_timing(&cosim),
-            json_timing(&rtl),
-            json_f64(rtl.seconds() / cosim.seconds().max(1e-12))
-        ));
-    };
-    for &p in &CORDIC_PS {
-        add(
-            &format!("cordic_24iter_p{p}"),
-            measure::time_cosim(|| workloads::cordic_cosim_long(24, Some(p)), repeats),
-            measure::time_rtl(|| workloads::cordic_rtl_long(24, Some(p)), repeats),
-        );
-    }
-    for nb in [2usize, 4] {
-        let n = MATMUL_TABLE_N;
-        add(
-            &format!("matmul_{n}x{n}_nb{nb}"),
-            measure::time_cosim(|| workloads::matmul_cosim(n, Some(nb)), repeats),
-            measure::time_rtl(|| workloads::matmul_rtl_sys(n, Some(nb)), repeats),
-        );
-    }
-
-    let img = workloads::cordic_sw_image(24);
-    let iss = measure::time_iss_alone(&img, 20 * repeats);
-    let blocks =
-        measure::time_blocks_alone(softsim_apps::cordic::hardware::cordic_graph(4), 100_000);
-    let components =
-        [("iss_alone", iss.cycles_per_sec()), ("blocks_alone", blocks.cycles_per_sec())]
-            .iter()
-            .map(|(name, cps)| {
-                format!("{{\"name\":\"{name}\",\"cycles_per_sec\":{}}}", json_f64(*cps))
-            })
-            .collect::<Vec<_>>();
-
-    format!(
-        "{{\"schema\":\"softsim-bench/1\",\"bench_id\":\"BENCH_0003\",\
-         \"description\":\"co-simulation vs RTL wall-clock speed (Ou & Prasanna, IPDPS 2005, Tables I-II)\",\
-         \"clock_hz\":{},\"repeats\":{repeats},\
-         \"workloads\":[{}],\"components\":[{}]}}\n",
-        json_f64(PAPER_CLOCK_HZ),
-        workload_rows.join(","),
-        components.join(",")
-    )
-}
-
-/// Writes [`bench_json`] to `path`.
-pub fn write_bench_json(path: &std::path::Path, repeats: u32) -> std::io::Result<()> {
-    std::fs::write(path, bench_json(repeats))
-}
-
 /// The deterministic record committed as `tables_output.txt`: every
 /// cycle-exact section of the evaluation, and nothing wall-clock.
 /// Table I's simulation times and Table II's simulator speeds are
-/// machine-dependent, so they are deliberately excluded here and live
-/// in `BENCH_0003.json` (`tables --bench-json`) instead; a CI test
-/// asserts the committed file matches this function's output byte for
-/// byte.
+/// machine-dependent, so they are deliberately excluded here (`tables
+/// --table1 --table2` prints them, and the `cosimbench` benchmark is
+/// the timed record); a CI test asserts the committed file matches this
+/// function's output byte for byte.
 pub fn record_text() -> String {
     let mut out = String::from(
         "softsim deterministic record — regenerate with\n\
          `cargo run --release -p softsim-bench --bin tables -- --record`\n\
          Cycle-exact sections only: the wall-clock tables (Table I\n\
          simulation times, Table II simulator speeds) are machine-dependent\n\
-         and are recorded in BENCH_0003.json (`tables --bench-json`).\n\n",
+         and are printed by `tables --table1 --table2`; see cosimbench/.\n\n",
     );
     for section in [
         figure5_text(),
@@ -806,26 +726,5 @@ mod tests {
         assert!(a.contains("softsim_iss_instructions_total"));
         assert!(a.contains("softsim_fsl_occupancy_bucket{le=\"+Inf\"}"));
         assert!(a.contains("softsim_trace_dropped_events 0"));
-    }
-
-    #[test]
-    fn bench_json_is_well_formed_with_required_keys() {
-        let text = bench_json(1);
-        let doc = softsim_trace::json::parse(&text).expect("BENCH_0003 must be valid JSON");
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("softsim-bench/1"));
-        assert_eq!(doc.get("bench_id").unwrap().as_str(), Some("BENCH_0003"));
-        let workloads = doc.get("workloads").unwrap().as_array().unwrap();
-        assert_eq!(workloads.len(), 6, "four CORDIC configs + two matmul configs");
-        for w in workloads {
-            assert!(w.get("name").unwrap().as_str().is_some());
-            for sim in ["cosim", "rtl"] {
-                let t = w.get(sim).unwrap();
-                assert!(t.get("wall_seconds").unwrap().as_f64().unwrap() > 0.0);
-                assert!(t.get("sim_cycles").unwrap().as_f64().unwrap() > 0.0);
-                assert!(t.get("cycles_per_sec").unwrap().as_f64().unwrap() > 0.0);
-            }
-            assert!(w.get("speedup_vs_rtl").unwrap().as_f64().is_some());
-        }
-        assert!(!doc.get("components").unwrap().as_array().unwrap().is_empty());
     }
 }

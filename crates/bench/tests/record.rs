@@ -32,10 +32,9 @@ fn committed_record_matches_fresh_output() {
     }
 }
 
-/// `BENCH_0006.json` is the one committed benchmark record whose every
-/// number is cycle-exact (no wall clock anywhere), so — unlike
-/// `BENCH_0003`/`BENCH_0004` — it must match a fresh derivation byte
-/// for byte on any machine.
+/// Every number in `BENCH_0006.json` is cycle-exact (no wall clock
+/// anywhere), so it must match a fresh derivation byte for byte on any
+/// machine.
 #[test]
 fn committed_hotspot_record_matches_fresh_output() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_0006.json");

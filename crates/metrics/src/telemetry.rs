@@ -416,6 +416,11 @@ impl Telemetry {
         self.lock().ff_engagements
     }
 
+    /// Sim-cycles covered by fast-forward jumps so far.
+    pub fn ff_skipped_cycles(&self) -> u64 {
+        self.lock().ff_skipped_cycles
+    }
+
     /// Per-worker rollups, indexed by worker id.
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
         self.lock().workers.clone()

@@ -233,16 +233,33 @@ pub(crate) fn get_hw_stats(r: &mut Reader) -> Result<HwStats, CodecError> {
 /// tooling need to recompute the trailer after editing a payload.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        // Slicing-by-8: fold the register into the first four bytes,
+        // then look all eight up at once, each in the table that shifts
+        // it through the zeros that follow it in the chunk.
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let t = &CRC32_TABLES;
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-/// [`crc32`]'s byte-at-a-time table: entry `i` is the CRC register
-/// after shifting the byte value `i` through eight bitwise steps.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// [`crc32`]'s tables. Entry `i` of table 0 is the CRC register after
+/// shifting the byte value `i` through eight bitwise steps; entry `i` of
+/// table `k` is that register shifted on through `k` more zero bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -252,10 +269,20 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Appends the [`crc32`] of everything in `out` so far: the trailer that
@@ -314,6 +341,15 @@ mod tests {
             let len = rng.range_usize(0, 2048);
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
             assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "len {len}");
+        }
+        // Every split between eight-byte chunks and the byte-wise tail,
+        // at every alignment of the start.
+        let bytes: Vec<u8> = (0..40).map(|_| rng.next_u32() as u8).collect();
+        for start in 0..8 {
+            for len in 0..=16 {
+                let s = &bytes[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 //!
 //! The recipes reproduce the canonical configurations of
 //! `softsim-bench` (the dependency points the other way — bench's
-//! `--serve-json` drives this crate), so a campaign served here is
-//! byte-identical to the same campaign run by `tables`.
+//! `trace_overhead` guard and `cosimbench`'s `serve_campaign` workload
+//! drive this crate), so a campaign served here is byte-identical to
+//! the same campaign run by `tables`.
 
 use softsim_apps::cordic::reference as cordic_ref;
 use softsim_apps::cordic::software::{hw_program, CordicBatch};

@@ -789,7 +789,6 @@ fn execute(inner: &Inner, spec: &JobSpec) -> ExecOutput {
             let config = CampaignConfig {
                 trial_cycle_budget: spec.trial_cycle_budget,
                 trial_wall_budget: spec.trial_wall_budget_ms.map(Duration::from_millis),
-                fast_forward: true,
                 ..CampaignConfig::default()
             };
             execute_trials(inner, spec, &plan, &config, render_campaign)

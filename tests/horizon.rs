@@ -540,6 +540,8 @@ fn fast_forward_engages_on_stuck_systems() {
     assert_eq!(stop, CoSimStop::CycleLimit { blocked: sim.cpu().fsl_block() });
     assert!(sim.cpu().fsl_block().is_some(), "system must be stuck on the FSL");
     assert_eq!(sim.cpu().stats().cycles, 200_000_000, "the whole budget must elapse");
+    assert_eq!(sim.ff_engagements(), 1, "one stall, one jump");
+    assert!(sim.ff_skipped_cycles() >= 199_999_000, "jumped {} cycles", sim.ff_skipped_cycles());
     let elapsed = start.elapsed();
     assert!(elapsed.as_secs() < 5, "200M stalled cycles took {elapsed:?}: no jump");
 }
