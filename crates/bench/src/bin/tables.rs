@@ -4,7 +4,10 @@
 //! [--ablation] [--profile] [--faults] [--metrics] [--all]
 //! [--csv [DIR]] [--recovery [PATH]] [--hotspots [PATH]]
 //! [--durable-json [PATH]] [--journal [PATH]] [--resume]
-//! [--record [PATH]]`
+//! [--record [PATH]] [--telemetry [SNAPSHOT]]`
+//!
+//! Any other argument is a configuration error (exit 2), as is a
+//! malformed `SOFTSIM_SWEEP_WORKERS` or `SOFTSIM_ABORT_AFTER_TRIALS`.
 //!
 //! Run in release mode — the Table I / Table II rows measure wall-clock
 //! simulation speed. The repository's performance record is the
@@ -44,20 +47,55 @@ use softsim_bench::tables;
 use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
 use std::time::Duration;
 
-fn main() {
-    // Environment is validated eagerly: a malformed override is a
-    // configuration error (exit 2) before any table is computed, not a
-    // silent fallback mid-run.
-    if let Err(e) = softsim_bench::sweep::sweep_workers_from_env() {
-        eprintln!("configuration error: {e}");
-        std::process::exit(2);
+/// The flags `tables` reads that take no operand.
+const FLAGS: [&str; 11] = [
+    "--fig5",
+    "--fig7",
+    "--table1",
+    "--table2",
+    "--claims",
+    "--ablation",
+    "--profile",
+    "--faults",
+    "--metrics",
+    "--all",
+    "--resume",
+];
+
+/// The flags that take an optional operand (`--flag [PATH]`).
+const WITH_OPERAND: [&str; 7] =
+    ["--csv", "--recovery", "--hotspots", "--durable-json", "--journal", "--record", "--telemetry"];
+
+/// Rejects an unknown flag, and an operand that follows no flag taking
+/// one, so a mistyped or retired flag fails instead of doing nothing.
+fn check_args(args: &[String]) -> Result<(), String> {
+    for (i, arg) in args.iter().enumerate() {
+        if arg.starts_with("--") {
+            if !FLAGS.contains(&arg.as_str()) && !WITH_OPERAND.contains(&arg.as_str()) {
+                return Err(format!("unknown flag {arg}"));
+            }
+        } else if i == 0 || !WITH_OPERAND.contains(&args[i - 1].as_str()) {
+            return Err(format!("unexpected argument {arg}"));
+        }
     }
-    if let Err(e) = softsim_resilience::abort_after_trials_from_env() {
+    Ok(())
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // Arguments and environment are validated eagerly: an unknown flag
+    // or a malformed override is a configuration error (exit 2) before
+    // any table is computed, not a silent fallback mid-run.
+    let checks = [
+        check_args(&args),
+        softsim_bench::sweep::sweep_workers_from_env().map(drop).map_err(|e| e.to_string()),
+        softsim_resilience::abort_after_trials_from_env().map(drop).map_err(|e| e.to_string()),
+    ];
+    if let Some(e) = checks.into_iter().find_map(Result::err) {
         eprintln!("configuration error: {e}");
         std::process::exit(2);
     }
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let all = args.is_empty() || args.iter().any(|a| a == "--all");
     let want = |flag: &str| all || args.iter().any(|a| a == flag);
     // `--flag [PATH]`: an optional operand that is not itself a flag.
@@ -165,5 +203,34 @@ fn main() {
     if let Some(t) = &telemetry {
         t.finish();
         eprintln!("{}", t.summary());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_args;
+
+    fn check(args: &[&str]) -> Result<(), String> {
+        check_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_operands_are_rejected() {
+        assert_eq!(check(&["--bench-json"]), Err("unknown flag --bench-json".into()));
+        assert_eq!(check(&["--fig5", "--trajectory"]), Err("unknown flag --trajectory".into()));
+        assert_eq!(check(&["out.txt"]), Err("unexpected argument out.txt".into()));
+        assert_eq!(check(&["--fig5", "out.txt"]), Err("unexpected argument out.txt".into()));
+        assert_eq!(check(&["--record", "a", "b"]), Err("unexpected argument b".into()));
+    }
+
+    #[test]
+    fn known_flags_and_their_operands_are_accepted() {
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(check(&["--all", "--ablation"]), Ok(()));
+        assert_eq!(check(&["--faults", "--journal", "j.ssjl", "--resume"]), Ok(()));
+        assert_eq!(check(&["--record", "--csv", "figs", "--telemetry", "t.prom"]), Ok(()));
+        for flag in super::WITH_OPERAND {
+            assert_eq!(check(&[flag, "PATH"]), Ok(()), "{flag}");
+        }
     }
 }

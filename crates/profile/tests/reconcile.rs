@@ -11,7 +11,7 @@ use softsim_cosim::{CoSim, CoSimStop};
 use softsim_isa::asm::assemble;
 use softsim_isa::Image;
 use softsim_profile::{advise, advise_text, GuestReport};
-use softsim_trace::{shared, Profile};
+use softsim_trace::{shared, GuestProfile};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -87,26 +87,34 @@ fn hardware_profile_reconciles_with_fsl_stalls() {
 
 #[test]
 fn cycle_limited_run_still_reconciles_via_in_flight_attribution() {
-    // Deliberately cut the run mid-flight (likely inside an FSL stall on
-    // this program, which blocks on `get` with no peripheral attached).
+    // Deliberately cut the run inside an FSL stall: this program blocks
+    // on `get` with no peripheral attached.
     let image = cordic_hw_image(4);
     let mut sim = CoSim::software_only(&image);
     sim.set_profiling(true);
     let stop = sim.run(500);
     assert!(matches!(stop, CoSimStop::CycleLimit { .. }));
+    let in_flight = sim.cpu().in_flight().expect("the run stops mid-instruction");
+    assert!(in_flight.read_stalls > 0, "the run stops mid-stall");
     let profile = sim.guest_profile().unwrap();
+    let stats = sim.cpu_stats();
     assert_eq!(
         profile.total_cycles(),
-        sim.cpu_stats().cycles,
+        stats.cycles,
         "in-flight attribution closes the books on cycle-limited runs"
     );
+    // The breakdown counts the in-flight instruction's stall cycles too.
+    let b = profile.breakdown();
+    assert_eq!(b.total, stats.cycles);
+    assert_eq!(b.fsl_read_stall, stats.fsl_read_stalls);
+    assert_eq!(b.fsl_write_stall, stats.fsl_write_stalls);
 }
 
 #[test]
 fn profiling_composes_with_a_user_trace_sink() {
     let image = cordic_sw_image();
     let mut sim = CoSim::software_only(&image);
-    let user = Rc::new(RefCell::new(Profile::new()));
+    let user = Rc::new(RefCell::new(GuestProfile::new()));
     sim.attach_trace(shared(user.clone()));
     sim.set_profiling(true);
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);

@@ -1,15 +1,19 @@
-//! Guest-program profiling: exact per-PC cycle attribution and FSL
-//! channel utilization, collected from the cycle-domain event stream.
+//! Guest-program profiling: exact per-PC and per-class cycle
+//! attribution, the stall breakdown and FSL channel utilization,
+//! collected from the cycle-domain event stream.
 //!
-//! [`crate::Profile`] aggregates by instruction *class*; [`GuestProfile`]
+//! [`GuestProfile`] is the one collector that folds `Retire` events: it
 //! keeps the per-address resolution the paper's partitioning question
-//! needs ("which software regions should move into FPGA peripherals?").
-//! The analysis layers — basic-block discovery, label rollup, flamegraph
-//! export, the partition advisor — live in `softsim-profile`, which
-//! consumes this collector; this crate stays dependency-free and knows
-//! nothing about images or ISAs.
+//! needs ("which software regions should move into FPGA peripherals?")
+//! and the per-class mix and cycle breakdown of its communication-
+//! overhead analysis. Event counters (faults, detections, recoveries,
+//! register writes, kernel activity) belong to `softsim-metrics`'
+//! `MetricsCollector`. The analysis layers — basic-block discovery,
+//! label rollup, flamegraph export, the partition advisor — live in
+//! `softsim-profile`, which consumes this collector; this crate stays
+//! dependency-free and knows nothing about images or ISAs.
 
-use crate::event::{FifoDir, TraceEvent};
+use crate::event::{BusKind, FifoDir, InstClass, TraceEvent};
 use crate::sink::TraceSink;
 use std::collections::BTreeMap;
 
@@ -54,15 +58,43 @@ impl PcAttribution {
     }
 }
 
-/// Per-PC cycle attribution plus windowed FSL utilization, collected
-/// live from the trace stream.
+/// Where a run's cycles went. `compute` is everything that is not an
+/// FSL stall (memory cycles are a subset of compute, broken out
+/// separately), so
+/// `compute + fsl_read_stall + fsl_write_stall == total` always holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CycleBreakdown {
+    /// Total cycles attributed to the run's instructions.
+    pub total: u64,
+    /// Non-stall cycles.
+    pub compute: u64,
+    /// Cycles stalled on blocking FSL reads.
+    pub fsl_read_stall: u64,
+    /// Cycles stalled on blocking FSL writes.
+    pub fsl_write_stall: u64,
+    /// Cycles of retired load/store instructions (subset of `compute`).
+    pub memory: u64,
+}
+
+/// Per-PC and per-class cycle attribution plus windowed FSL
+/// utilization, collected live from the trace stream.
 ///
-/// All internal maps are ordered, so iteration — and everything derived
-/// from it — is deterministic across runs.
+/// Every retire event carries its instruction's full cycle occupancy,
+/// so for a run that executed to `halt` the profile's
+/// [`total_cycles`](GuestProfile::total_cycles) equals the processor's
+/// own cycle counter *exactly*. All internal maps are ordered, so
+/// iteration — and everything derived from it — is deterministic
+/// across runs.
 #[derive(Debug, Clone)]
 pub struct GuestProfile {
     /// Per-PC attribution, keyed by instruction address.
     pcs: BTreeMap<u32, PcAttribution>,
+    /// Retires per instruction class, indexed by [`InstClass::index`].
+    /// Exact even when self-modifying code retires several classes at
+    /// one PC.
+    class_retires: [u64; InstClass::ALL.len()],
+    /// Cycles per instruction class, indexed by [`InstClass::index`].
+    class_cycles: [u64; InstClass::ALL.len()],
     /// (direction index, channel) → cycle-window index → words pushed.
     fsl_windows: BTreeMap<(u8, u8), BTreeMap<u64, u64>>,
     /// Cycle-window size for the FSL utilization heatmap.
@@ -70,7 +102,14 @@ pub struct GuestProfile {
     /// Highest window index observed on any channel.
     last_window: u64,
     total_cycles: u64,
-    total_retires: u64,
+    fifo_pops: u64,
+    fifo_full_rejections: u64,
+    fifo_empty_rejections: u64,
+    gateway_to_hw: u64,
+    gateway_from_hw: u64,
+    lmb_transfers: u64,
+    opb_transfers: u64,
+    opb_wait_cycles: u64,
 }
 
 /// Default FSL heatmap window: 1024 cycles ≈ 20 µs at the paper's 50 MHz.
@@ -96,11 +135,20 @@ impl GuestProfile {
         assert!(window > 0, "FSL heatmap window must be non-zero");
         GuestProfile {
             pcs: BTreeMap::new(),
+            class_retires: [0; InstClass::ALL.len()],
+            class_cycles: [0; InstClass::ALL.len()],
             fsl_windows: BTreeMap::new(),
             window,
             last_window: 0,
             total_cycles: 0,
-            total_retires: 0,
+            fifo_pops: 0,
+            fifo_full_rejections: 0,
+            fifo_empty_rejections: 0,
+            gateway_to_hw: 0,
+            gateway_from_hw: 0,
+            lmb_transfers: 0,
+            opb_transfers: 0,
+            opb_wait_cycles: 0,
         }
     }
 
@@ -121,7 +169,124 @@ impl GuestProfile {
 
     /// Total instructions retired.
     pub fn total_retires(&self) -> u64 {
-        self.total_retires
+        self.class_retires.iter().sum()
+    }
+
+    /// The cycle breakdown. The stall totals are summed over the per-PC
+    /// attribution, so an instruction folded in by
+    /// [`add_in_flight`](GuestProfile::add_in_flight) counts too.
+    pub fn breakdown(&self) -> CycleBreakdown {
+        let (read, write) =
+            self.pcs.values().fold((0, 0), |(r, w), s| (r + s.read_stalls, w + s.write_stalls));
+        CycleBreakdown {
+            total: self.total_cycles,
+            compute: self.total_cycles - read - write,
+            fsl_read_stall: read,
+            fsl_write_stall: write,
+            memory: self.class_cycles[InstClass::Load.index()]
+                + self.class_cycles[InstClass::Store.index()],
+        }
+    }
+
+    /// The instruction mix as `(class, retires, cycles)`, sorted by
+    /// retire count, descending; classes that never retired are absent.
+    pub fn mix(&self) -> Vec<(InstClass, u64, u64)> {
+        let mut v: Vec<(InstClass, u64, u64)> = InstClass::ALL
+            .iter()
+            .map(|&c| (c, self.class_retires[c.index()], self.class_cycles[c.index()]))
+            .filter(|&(_, retires, _)| retires > 0)
+            .collect();
+        v.sort_by_key(|&(c, retires, _)| (std::cmp::Reverse(retires), c.index()));
+        v
+    }
+
+    /// The `n` hottest PCs by attributed cycles, descending (PC breaks
+    /// ties so the order is deterministic).
+    fn hot_pcs(&self, n: usize) -> Vec<(u32, PcAttribution)> {
+        let mut v: Vec<(u32, PcAttribution)> = self.pcs.iter().map(|(&pc, &s)| (pc, s)).collect();
+        v.sort_by_key(|&(pc, s)| (std::cmp::Reverse(s.cycles), pc));
+        v.truncate(n);
+        v
+    }
+
+    /// Renders the textual profile report: cycle breakdown, FSL, gateway
+    /// and bus traffic, top-`top_n` instruction mix and hot-PC histogram.
+    pub fn report(&self, top_n: usize) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let b = self.breakdown();
+        let pct = |part: u64| {
+            if b.total == 0 {
+                0.0
+            } else {
+                100.0 * part as f64 / b.total as f64
+            }
+        };
+        let _ = writeln!(
+            out,
+            "cycle breakdown ({} cycles, {} instructions)",
+            b.total,
+            self.total_retires()
+        );
+        let _ = writeln!(out, "  compute          {:>10}  {:5.1}%", b.compute, pct(b.compute));
+        let _ = writeln!(out, "    of which mem   {:>10}  {:5.1}%", b.memory, pct(b.memory));
+        let _ = writeln!(
+            out,
+            "  fsl read stall   {:>10}  {:5.1}%",
+            b.fsl_read_stall,
+            pct(b.fsl_read_stall)
+        );
+        let _ = writeln!(
+            out,
+            "  fsl write stall  {:>10}  {:5.1}%",
+            b.fsl_write_stall,
+            pct(b.fsl_write_stall)
+        );
+        let pushes: u64 = self.fsl_windows.values().flat_map(|m| m.values()).sum();
+        if pushes + self.fifo_pops > 0 {
+            let _ = writeln!(
+                out,
+                "fsl traffic: {} pushes, {} pops, {} full-rejects, {} empty-rejects",
+                pushes, self.fifo_pops, self.fifo_full_rejections, self.fifo_empty_rejections
+            );
+        }
+        if self.gateway_to_hw + self.gateway_from_hw > 0 {
+            let _ = writeln!(
+                out,
+                "gateway words: {} to hw, {} from hw",
+                self.gateway_to_hw, self.gateway_from_hw
+            );
+        }
+        if self.opb_transfers + self.lmb_transfers > 0 {
+            let _ = writeln!(
+                out,
+                "bus traffic: {} lmb transfers, {} opb transfers ({} wait cycles)",
+                self.lmb_transfers, self.opb_transfers, self.opb_wait_cycles
+            );
+        }
+        let _ = writeln!(out, "instruction mix (top {top_n}):");
+        for (class, retires, cycles) in self.mix().into_iter().take(top_n) {
+            let _ = writeln!(
+                out,
+                "  {:<9} {:>10} retired  {:>10} cycles  {:5.1}%",
+                class.label(),
+                retires,
+                cycles,
+                pct(cycles)
+            );
+        }
+        let _ = writeln!(out, "hot PCs (top {top_n}):");
+        for (pc, s) in self.hot_pcs(top_n) {
+            let _ = writeln!(
+                out,
+                "  {:#010x} {:>10} cycles  {:>10} retires  {:5.1}%",
+                pc,
+                s.cycles,
+                s.retires,
+                pct(s.cycles)
+            );
+        }
+        out
     }
 
     /// The heatmap window size in cycles.
@@ -208,14 +373,15 @@ fn dir_index(dir: FifoDir) -> u8 {
 impl TraceSink for GuestProfile {
     fn event(&mut self, e: &TraceEvent) {
         match *e {
-            TraceEvent::Retire { pc, cycles, read_stalls, write_stalls, .. } => {
+            TraceEvent::Retire { pc, class, cycles, read_stalls, write_stalls, .. } => {
                 let s = self.pcs.entry(pc).or_default();
                 s.retires += 1;
                 s.cycles += cycles as u64;
                 s.read_stalls += read_stalls as u64;
                 s.write_stalls += write_stalls as u64;
+                self.class_retires[class.index()] += 1;
+                self.class_cycles[class.index()] += cycles as u64;
                 self.total_cycles += cycles as u64;
-                self.total_retires += 1;
             }
             TraceEvent::FifoPush { cycle, dir, channel, .. } => {
                 let w = cycle / self.window;
@@ -227,6 +393,16 @@ impl TraceSink for GuestProfile {
                     .entry(w)
                     .or_default() += 1;
             }
+            TraceEvent::FifoPop { .. } => self.fifo_pops += 1,
+            TraceEvent::FifoFull { .. } => self.fifo_full_rejections += 1,
+            TraceEvent::FifoEmpty { .. } => self.fifo_empty_rejections += 1,
+            TraceEvent::GatewayWord { to_hw: true, .. } => self.gateway_to_hw += 1,
+            TraceEvent::GatewayWord { to_hw: false, .. } => self.gateway_from_hw += 1,
+            TraceEvent::BusTransfer { bus: BusKind::Lmb, .. } => self.lmb_transfers += 1,
+            TraceEvent::BusTransfer { bus: BusKind::Opb, wait, .. } => {
+                self.opb_transfers += 1;
+                self.opb_wait_cycles += wait as u64;
+            }
             _ => {}
         }
     }
@@ -237,15 +413,68 @@ mod tests {
     use super::*;
 
     fn retire(pc: u32, cycles: u32, read: u32, write: u32) -> TraceEvent {
+        retire_as(pc, InstClass::Alu, cycles, read, write)
+    }
+
+    fn retire_as(pc: u32, class: InstClass, cycles: u32, read: u32, write: u32) -> TraceEvent {
         TraceEvent::Retire {
             cycle: 0,
             pc,
             word: 0,
-            class: crate::event::InstClass::Alu,
+            class,
             cycles,
             read_stalls: read,
             write_stalls: write,
         }
+    }
+
+    #[test]
+    fn breakdown_reconciles_by_construction() {
+        let mut g = GuestProfile::new();
+        g.event(&retire_as(0x0, InstClass::Alu, 1, 0, 0));
+        g.event(&retire_as(0x4, InstClass::FslGet, 7, 5, 0));
+        g.event(&retire_as(0x8, InstClass::FslPut, 4, 0, 2));
+        g.event(&retire_as(0xC, InstClass::Load, 2, 0, 0));
+        let b = g.breakdown();
+        assert_eq!(b.total, 14);
+        assert_eq!(b.compute + b.fsl_read_stall + b.fsl_write_stall, b.total);
+        assert_eq!(b.fsl_read_stall, 5);
+        assert_eq!(b.fsl_write_stall, 2);
+        assert_eq!(b.memory, 2);
+    }
+
+    #[test]
+    fn class_mix_stays_exact_when_one_pc_retires_two_classes() {
+        // Self-modifying code: the word at 0x8 is a multiply, then a store.
+        let mut g = GuestProfile::new();
+        g.event(&retire_as(0x8, InstClass::Mul, 3, 0, 0));
+        g.event(&retire_as(0x8, InstClass::Store, 2, 0, 0));
+        g.event(&retire_as(0x8, InstClass::Store, 2, 0, 0));
+        assert_eq!(g.mix(), vec![(InstClass::Store, 2, 4), (InstClass::Mul, 1, 3)]);
+        assert_eq!(g.total_retires(), 3);
+        assert_eq!(g.breakdown().memory, 4);
+    }
+
+    #[test]
+    fn hot_pcs_sorted_by_cycles() {
+        let mut g = GuestProfile::new();
+        g.event(&retire_as(0x10, InstClass::Alu, 1, 0, 0));
+        g.event(&retire_as(0x20, InstClass::Mul, 3, 0, 0));
+        g.event(&retire_as(0x20, InstClass::Mul, 3, 0, 0));
+        let hot = g.hot_pcs(2);
+        assert_eq!(hot[0].0, 0x20);
+        assert_eq!(hot[0].1.cycles, 6);
+        assert_eq!(hot[1].0, 0x10);
+    }
+
+    #[test]
+    fn report_mentions_every_section() {
+        let mut g = GuestProfile::new();
+        g.event(&retire(0x0, 1, 0, 0));
+        let r = g.report(5);
+        assert!(r.contains("cycle breakdown"));
+        assert!(r.contains("instruction mix"));
+        assert!(r.contains("hot PCs"));
     }
 
     #[test]
@@ -289,5 +518,8 @@ mod tests {
         let s = g.pc_stat(0x4).unwrap();
         assert_eq!(s.retires, 0, "in-flight instruction has not retired");
         assert_eq!(s.cycles, 9);
+        let b = g.breakdown();
+        assert_eq!((b.total, b.fsl_read_stall, b.compute), (12, 9, 3));
+        assert_eq!(g.total_retires(), 1);
     }
 }

@@ -16,13 +16,16 @@
 //! * [`Recorder`] — a bounded ring buffer of raw events;
 //! * [`Timeline`] — per-channel FIFO occupancy time series with
 //!   high-water marks, exported as CSV;
-//! * [`Profile`] — hot-PC histogram, instruction mix and the
-//!   compute / FSL-read-stall / FSL-write-stall / memory cycle
-//!   breakdown, with totals that reconcile *exactly* against the
-//!   processor's own [`cycles`](Profile::total_cycles) counter;
-//! * [`GuestProfile`] — per-PC cycle and stall attribution plus windowed
-//!   FSL channel utilization, the raw material for basic-block hotspot
-//!   analysis and flamegraphs (the analysis lives in `softsim-profile`);
+//! * [`GuestProfile`] — the one per-PC collector: per-PC cycle and
+//!   stall attribution, instruction mix, hot-PC histogram, the
+//!   compute / FSL-read-stall / FSL-write-stall / memory
+//!   [`CycleBreakdown`] and windowed FSL channel utilization, with
+//!   totals that reconcile *exactly* against the processor's own
+//!   [`cycles`](GuestProfile::total_cycles) counter; the raw material
+//!   for basic-block hotspot analysis and flamegraphs (the analysis
+//!   lives in `softsim-profile`). Event counters — faults, detections,
+//!   recoveries, register writes — are `softsim-metrics`'
+//!   `MetricsCollector`'s job;
 //! * [`chrome`] — Chrome trace-event JSON (loadable in Perfetto /
 //!   `chrome://tracing`);
 //! * [`json`] — a minimal JSON reader so exports can be schema-checked
@@ -37,19 +40,22 @@
 //! co-simulator through [`SharedSink`] (`Rc<RefCell<dyn TraceSink>>`):
 //!
 //! ```
-//! use softsim_trace::{Profile, SharedSink, TraceEvent, TraceSink};
+//! use softsim_trace::{GuestProfile, InstClass, SharedSink, TraceEvent, TraceSink};
 //! use std::cell::RefCell;
 //! use std::rc::Rc;
 //!
-//! let profile = Rc::new(RefCell::new(Profile::new()));
+//! let profile = Rc::new(RefCell::new(GuestProfile::new()));
 //! let sink: SharedSink = profile.clone();
-//! sink.borrow_mut().event(&TraceEvent::GatewayWord {
+//! sink.borrow_mut().event(&TraceEvent::Retire {
 //!     cycle: 3,
-//!     peripheral: 0,
-//!     to_hw: true,
-//!     data: 42,
+//!     pc: 0x40,
+//!     word: 0,
+//!     class: InstClass::FslGet,
+//!     cycles: 5,
+//!     read_stalls: 3,
+//!     write_stalls: 0,
 //! });
-//! assert_eq!(profile.borrow().gateway_words_to_hw(), 1);
+//! assert_eq!(profile.borrow().breakdown().fsl_read_stall, 3);
 //! ```
 
 #![warn(missing_docs)]
@@ -58,14 +64,12 @@ pub mod chrome;
 mod event;
 mod guest;
 pub mod json;
-mod profile;
 mod recorder;
 mod sink;
 mod timeline;
 
 pub use event::{BusKind, DetectorKind, FifoDir, InjectionSite, InstClass, StallCause, TraceEvent};
-pub use guest::{GuestProfile, PcAttribution, DEFAULT_FSL_WINDOW};
-pub use profile::{CycleBreakdown, PcStat, Profile};
+pub use guest::{CycleBreakdown, GuestProfile, PcAttribution, DEFAULT_FSL_WINDOW};
 pub use recorder::Recorder;
 pub use sink::{shared, Fanout, NullSink, SharedSink, TraceSink};
 pub use timeline::Timeline;

@@ -23,14 +23,14 @@ pub type SharedSink = Rc<RefCell<dyn TraceSink>>;
 /// concrete type to read results back after the run:
 ///
 /// ```
-/// use softsim_trace::{shared, Profile};
+/// use softsim_trace::{shared, GuestProfile};
 /// use std::cell::RefCell;
 /// use std::rc::Rc;
 ///
-/// let profile = Rc::new(RefCell::new(Profile::new()));
+/// let profile = Rc::new(RefCell::new(GuestProfile::new()));
 /// let sink = shared(profile.clone());
 /// drop(sink); // would be attached to a Cpu / CoSim
-/// assert_eq!(profile.borrow().total_instructions(), 0);
+/// assert_eq!(profile.borrow().total_retires(), 0);
 /// ```
 pub fn shared<S: TraceSink + 'static>(sink: Rc<RefCell<S>>) -> SharedSink {
     sink
@@ -46,7 +46,8 @@ impl TraceSink for NullSink {
 }
 
 /// Broadcasts every event to several sinks (e.g. a [`crate::Recorder`]
-/// for raw export plus a [`crate::Profile`] for the report, in one run).
+/// for raw export plus a [`crate::Timeline`] for FIFO occupancy, in one
+/// run).
 #[derive(Default)]
 pub struct Fanout {
     sinks: Vec<SharedSink>,

@@ -17,7 +17,7 @@ use softsim::cosim::{CoSim, CoSimStop};
 use softsim::isa::asm::assemble;
 use softsim::isa::Image;
 use softsim::profile::{advise, advise_text, GuestReport};
-use softsim::trace::{chrome, shared, Fanout, FifoDir, Profile, Recorder, Timeline};
+use softsim::trace::{chrome, shared, Fanout, FifoDir, Recorder, Timeline};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -67,23 +67,20 @@ fn main() {
     let batch = CordicBatch::new(&pairs);
     let image = assemble(&hw_program(&batch, iterations, p)).expect("assembles");
 
-    // Attach the full observability stack: a profile (aggregates), a
+    // Attach the full observability stack: the profiler (aggregates), a
     // timeline (FIFO occupancy series) and a recorder (raw events for
     // the Chrome export).
-    let profile = Rc::new(RefCell::new(Profile::new()));
     let timeline = Rc::new(RefCell::new(Timeline::new()));
     let recorder = Rc::new(RefCell::new(Recorder::new(1 << 16)));
-    let fanout = Fanout::new()
-        .with(shared(profile.clone()))
-        .with(shared(timeline.clone()))
-        .with(shared(recorder.clone()));
+    let fanout = Fanout::new().with(shared(timeline.clone())).with(shared(recorder.clone()));
 
     let mut sim = CoSim::with_peripheral(&image, cordic_peripheral(p));
+    sim.set_profiling(true);
     sim.attach_trace(shared(Rc::new(RefCell::new(fanout))));
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
 
     let stats = sim.cpu_stats();
-    let profile = profile.borrow();
+    let profile = sim.guest_profile().expect("profiling on");
     let timeline = timeline.borrow();
 
     println!("CORDIC division, {iterations} iterations, P = {p} pipeline\n");

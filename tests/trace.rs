@@ -7,7 +7,7 @@ use softsim::bus::{FslBank, FslWord};
 use softsim::cosim::{CoSim, CoSimStop};
 use softsim::isa::asm::assemble;
 use softsim::iss::{Cpu, Event, StopReason};
-use softsim::trace::{chrome, json, shared, Profile, Recorder};
+use softsim::trace::{chrome, json, shared, GuestProfile, Recorder};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -53,7 +53,7 @@ fn profile_reconciles_exactly_with_cpu_stats() {
     let img = assemble(&stall_program()).unwrap();
     let mut cpu = Cpu::with_default_memory(&img);
     let mut fsl = FslBank::default();
-    let profile = Rc::new(RefCell::new(Profile::new()));
+    let profile = Rc::new(RefCell::new(GuestProfile::new()));
     cpu.attach_trace(shared(profile.clone()));
     fsl.attach_trace(shared(profile.clone()));
     run_stalling(&mut cpu, &mut fsl);
@@ -71,7 +71,9 @@ fn profile_reconciles_exactly_with_cpu_stats() {
     assert_eq!(b.fsl_read_stall, stats.fsl_read_stalls);
     assert_eq!(b.fsl_write_stall, stats.fsl_write_stalls);
     assert_eq!(b.compute + b.fsl_read_stall + b.fsl_write_stall, b.total);
-    assert_eq!(p.total_instructions(), stats.instructions);
+    assert_eq!(p.total_retires(), stats.instructions);
+    let mix_retires: u64 = p.mix().iter().map(|&(_, retires, _)| retires).sum();
+    assert_eq!(mix_retires, stats.instructions, "class mix covers every retire");
 }
 
 /// Builds the CORDIC `P = 4` co-simulation with a recorder of the given
