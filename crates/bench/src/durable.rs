@@ -12,13 +12,15 @@
 //! it across `SOFTSIM_SWEEP_WORKERS` values.
 
 use crate::faults::{
-    cordic_campaign, default_workers, run_design, CORDIC_ITERS, CORDIC_P, REPORT_SEED,
+    cordic_campaign, cordic_sim, default_workers, run_design, CORDIC, CORDIC_ITERS, CORDIC_P,
+    REPORT_SEED,
 };
-use crate::recover::{cordic_recovery, report_policy};
+use crate::recover::cordic_recovery;
 use softsim_resilience::{
     resume_from_journal, CampaignConfig, CampaignReport, Exec, FaultKind, Injection, JournalSpec,
     RecoveryPolicy, RecoveryReport, TrialKind,
 };
+use softsim_serve::catalog;
 use std::path::{Path, PathBuf};
 
 /// Trials in the durable fault campaign (smaller than the `--faults`
@@ -51,7 +53,7 @@ fn durable_campaign(exec: Exec<'_>) -> CampaignReport {
 /// The seeded fully-hardened (ecc+tmr) CORDIC recovery campaign of this
 /// record.
 fn durable_recovery(exec: Exec<'_>) -> RecoveryReport {
-    cordic_recovery(REPORT_SEED, DURABLE_RECOVERY_TRIALS, report_policy(), exec)
+    cordic_recovery(REPORT_SEED, DURABLE_RECOVERY_TRIALS, exec)
 }
 
 /// Byte offsets of every record frame in a journal (walking the
@@ -134,13 +136,13 @@ fn run_durable() -> DurableRun {
     // harness panic and a tight per-trial cycle budget — the panic is
     // caught ([`HarnessError`]), runaway trials are cancelled
     // ([`Budget`]), and every sibling still classifies.
-    let (mut plan, base, n) = crate::faults::cordic_plan(REPORT_SEED, 23);
+    let mut plan = catalog::campaign_plan(CORDIC, REPORT_SEED, 23);
     plan.push(Injection { cycle: plan[0].cycle, kind: FaultKind::HarnessPanic });
     let demo_journal = scratch_journal("durable_demo");
     let demo = run_design(
-        || crate::workloads::cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)),
+        cordic_sim,
+        CORDIC,
         &plan,
-        (base, n),
         &CampaignConfig { trial_cycle_budget: Some(64), ..CampaignConfig::default() },
         journaled(&demo_journal, false, workers),
     );

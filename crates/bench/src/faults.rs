@@ -6,12 +6,13 @@
 //! `tables --faults` runs the CORDIC sweep twice and asserts the two
 //! reports agree bit for bit, the same check CI gates on.
 
-use crate::workloads::{cordic_cosim, cordic_hw_image, matmul_cosim, matmul_image};
+use crate::workloads::{cordic_cosim, matmul_cosim};
 use softsim_cosim::CoSim;
 use softsim_metrics::telemetry::Telemetry;
 use softsim_resilience::{
-    random_plan, run, CampaignConfig, CampaignReport, Exec, FaultKind, Injection, Sims, TrialKind,
+    run, CampaignConfig, CampaignReport, Exec, FaultKind, Injection, Sims, TrialKind,
 };
+use softsim_serve::catalog::{self, Workload};
 
 /// CORDIC iterations used by the fault campaigns (Figure 5's short
 /// configuration — enough cycles for a meaningful injection window).
@@ -23,51 +24,26 @@ pub const MATMUL_N: usize = 4;
 /// Matmul block size used by the fault campaigns.
 pub const MATMUL_NB: usize = 2;
 
-/// Reads `n` observable result words starting at `label` in `sim`'s
-/// local memory.
-pub(crate) fn observe_words(sim: &CoSim, base: u32, n: usize) -> Vec<u32> {
-    (0..n).map(|i| sim.cpu().mem().read_u32(base + 4 * i as u32).unwrap()).collect()
-}
-
-/// Cycles the fault-free workload takes to halt (used to place the
-/// injection window inside the live part of the run).
-pub(crate) fn golden_cycles(mut sim: CoSim) -> u64 {
-    let stop = sim.run(10_000_000);
-    assert_eq!(stop, softsim_cosim::CoSimStop::Halted, "workload must halt: {stop}");
-    sim.cpu().stats().cycles
-}
-
-/// The observable window of the CORDIC campaign image `img`: result
-/// base address and word count.
-fn cordic_window(img: &softsim_isa::Image) -> (u32, usize) {
-    (img.symbol("z_data").expect("cordic result label"), crate::workloads::cordic_batch().len())
-}
-
-/// The CORDIC campaign's injection plan plus the observable window
-/// (result base address, word count) — shared by every execution shape
-/// so all sweep the identical schedule.
-pub(crate) fn cordic_plan(seed: u64, trials: usize) -> (Vec<Injection>, u32, usize) {
-    let img = cordic_hw_image(CORDIC_ITERS, CORDIC_P);
-    let (base, n) = cordic_window(&img);
-    let golden = golden_cycles(cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)));
-    let plan = random_plan(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0, 1]);
-    (plan, base, n)
-}
+/// The catalog workload of the CORDIC campaigns.
+pub(crate) const CORDIC: Workload = Workload::Cordic { iterations: CORDIC_ITERS, p: CORDIC_P };
+/// The catalog workload of the matmul campaigns.
+pub(crate) const MATMUL: Workload = Workload::Matmul { n: MATMUL_N, nb: MATMUL_NB };
 
 /// Runs `kind` over `plan` under `exec`, on simulators from `make_sim`,
-/// observing the `n` result words at `base`. A degraded journal's
-/// warning goes to stderr; the report is the same either way.
+/// observing `workload`'s catalog window. A degraded journal's warning
+/// goes to stderr; the report is the same either way.
 ///
 /// # Panics
 /// Panics on a journal error (the benches own their journal files).
 pub(crate) fn run_design<K: TrialKind>(
     make_sim: impl Fn() -> CoSim + Sync,
+    workload: Workload,
     plan: &[Injection],
-    (base, n): (u32, usize),
     kind: &K,
     exec: Exec<'_>,
 ) -> K::Report {
-    let observe = move |s: &CoSim| observe_words(s, base, n);
+    let (base, n) = catalog::observe_window(workload);
+    let observe = move |s: &CoSim| catalog::observe_words(s, base, n);
     let (report, status) =
         run(Sims::Build(&make_sim), plan, &observe, kind, exec).expect("campaign journal I/O");
     if let Some(w) = &status.warning {
@@ -85,12 +61,12 @@ pub fn cordic_campaign(
     config: CampaignConfig,
     exec: Exec<'_>,
 ) -> CampaignReport {
-    let (plan, base, n) = cordic_plan(seed, trials);
-    run_design(cordic_sim, &plan, (base, n), &config, exec)
+    let plan = catalog::campaign_plan(CORDIC, seed, trials as u32);
+    run_design(cordic_sim, CORDIC, &plan, &config, exec)
 }
 
 /// A fresh simulator of the CORDIC campaign design.
-fn cordic_sim() -> CoSim {
+pub(crate) fn cordic_sim() -> CoSim {
     cordic_cosim(CORDIC_ITERS, Some(CORDIC_P))
 }
 
@@ -104,7 +80,7 @@ pub use crate::sweep::default_workers;
 /// wall-clock goes into stepping stalled cycles in which nothing can
 /// change. The plan is a fixed deterministic stride, no RNG needed.
 pub fn cordic_stuck_plan(trials: usize) -> Vec<Injection> {
-    let golden = golden_cycles(cordic_cosim(CORDIC_ITERS, Some(CORDIC_P)));
+    let golden = catalog::golden_cycles(CORDIC);
     let lo = golden / 10;
     let span = (golden / 2).saturating_sub(lo).max(1);
     (0..trials)
@@ -126,21 +102,15 @@ pub fn cordic_stuck_campaign(
     config: CampaignConfig,
     exec: Exec<'_>,
 ) -> CampaignReport {
-    let plan = cordic_stuck_plan(trials);
-    let window = cordic_window(&cordic_hw_image(CORDIC_ITERS, CORDIC_P));
-    run_design(cordic_sim, &plan, window, &config, exec)
+    run_design(cordic_sim, CORDIC, &cordic_stuck_plan(trials), &config, exec)
 }
 
 /// Runs a seeded fault campaign over the block matmul (N =
 /// [`MATMUL_N`], NB = [`MATMUL_NB`]) with `trials` injections.
 pub fn matmul_campaign(seed: u64, trials: usize) -> CampaignReport {
-    let img = matmul_image(MATMUL_N, Some(MATMUL_NB));
-    let base = img.symbol("c_data").expect("matmul result label");
-    let golden = golden_cycles(matmul_cosim(MATMUL_N, Some(MATMUL_NB)));
-    let plan = random_plan(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0, 1]);
-    let window = (base, MATMUL_N * MATMUL_N);
+    let plan = catalog::campaign_plan(MATMUL, seed, trials as u32);
     let make_sim = || matmul_cosim(MATMUL_N, Some(MATMUL_NB));
-    run_design(make_sim, &plan, window, &CampaignConfig::default(), Exec::default())
+    run_design(make_sim, MATMUL, &plan, &CampaignConfig::default(), Exec::default())
 }
 
 /// Seed used by the `--faults` report and the CI smoke job.
@@ -224,20 +194,19 @@ mod tests {
 
     /// The stepped reference: the campaign design on the interpreted
     /// ISS, with stall fast-forwarding off.
-    fn stepped(plan: &[Injection], window: (u32, usize)) -> CampaignReport {
+    fn stepped(plan: &[Injection]) -> CampaignReport {
         let interpreted = || {
             let mut sim = cordic_sim();
             sim.set_translation(false);
             sim
         };
         let config = CampaignConfig { fast_forward: false, ..CampaignConfig::default() };
-        run_design(interpreted, plan, window, &config, Exec::default())
+        run_design(interpreted, CORDIC, plan, &config, Exec::default())
     }
 
     #[test]
     fn fast_forward_off_matches_on() {
-        let (plan, base, n) = cordic_plan(9, 12);
-        assert_eq!(serial(9, 12), stepped(&plan, (base, n)));
+        assert_eq!(serial(9, 12), stepped(&catalog::campaign_plan(CORDIC, 9, 12)));
     }
 
     /// Every stuck-flag trial stalls for good, so the default build must
@@ -249,8 +218,7 @@ mod tests {
         let telemetry = Telemetry::default();
         let exec = Exec { telemetry: Some(&telemetry), ..Exec::default() };
         let fast = cordic_stuck_campaign(trials, CampaignConfig::default(), exec);
-        let window = cordic_window(&cordic_hw_image(CORDIC_ITERS, CORDIC_P));
-        assert_eq!(stepped(&cordic_stuck_plan(trials), window), fast);
+        assert_eq!(stepped(&cordic_stuck_plan(trials)), fast);
         assert_eq!(telemetry.trial_count(), trials as u64);
         assert_eq!(telemetry.ff_engagements(), trials as u64, "one jump per trial");
         let (skipped, cycles) = (telemetry.ff_skipped_cycles(), telemetry.trial_cycles());

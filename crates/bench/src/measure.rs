@@ -103,6 +103,10 @@ mod tests {
         let t = time_cosim(|| workloads::cordic_cosim(8, Some(4)), 2);
         assert!(t.sim_cycles > 100);
         assert!(t.cycles_per_sec() > 0.0);
+        // The co-simulation's hardware half alone (Table II row 2).
+        let blocks = time_blocks_alone(softsim_apps::cordic::hardware::cordic_graph(4), 500);
+        assert_eq!(blocks.sim_cycles, 500);
+        assert!(blocks.cycles_per_sec() > 0.0);
     }
 
     #[test]
@@ -115,7 +119,7 @@ mod tests {
     fn iss_alone_is_fastest_component() {
         // Table II's ordering: instruction simulator ≫ block simulator
         // (per simulated cycle), both ≫ RTL. Checked loosely here with
-        // tiny runs; the bench harness measures it properly.
+        // tiny runs.
         let img = workloads::cordic_sw_image(24);
         let iss = time_iss_alone(&img, 5);
         let rtl = time_rtl(|| workloads::cordic_rtl(24, None), 1);

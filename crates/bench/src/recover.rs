@@ -9,7 +9,8 @@
 //! 1. **unsupervised** ([`CampaignConfig`]): classifies what every fault
 //!    *does* — masked, silent data corruption, deadlock, or an
 //!    architectural fault;
-//! 2. **supervised** ([`RecoveryPolicy`]): measures what the
+//! 2. **supervised** (the catalog's
+//!    [`recovery_policy`](catalog::recovery_policy)): measures what the
 //!    rollback supervisor *undoes* — clean, recovered (with detection
 //!    latency and replayed work), or unrecoverable.
 //!
@@ -21,15 +22,15 @@
 //! reports agree bit for bit — the same check CI gates on.
 
 use crate::faults::{
-    default_workers, golden_cycles, run_design, CORDIC_ITERS, CORDIC_P, MATMUL_N, MATMUL_NB,
+    default_workers, run_design, CORDIC, CORDIC_ITERS, CORDIC_P, MATMUL, MATMUL_N, MATMUL_NB,
     REPORT_SEED,
 };
 use crate::tables::json_f64;
 use softsim_cosim::CoSim;
 use softsim_resilience::{
-    random_plan_hardware, CampaignConfig, CampaignReport, Exec, Injection, Outcome,
-    RecoveryOutcome, RecoveryPolicy, RecoveryReport,
+    CampaignConfig, CampaignReport, Exec, Injection, Outcome, RecoveryOutcome, RecoveryReport,
 };
+use softsim_serve::catalog::{self, Workload};
 
 /// One hardening configuration of the recovery matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,15 +54,6 @@ pub const HARDENINGS: [Hardening; 4] = [
 /// Trials per workload × hardening row in the committed report — the
 /// acceptance campaign size.
 pub const RECOVERY_TRIALS: usize = 200;
-
-/// Supervisor policy of the recovery benches. The Table I workloads
-/// halt within a few thousand cycles, so the default 1024-cycle
-/// checkpoint cadence would give them only a couple of signature
-/// windows and the default 10k-cycle watchdog would dominate every
-/// hang's wall-clock; both are tightened to the workload scale.
-pub fn report_policy() -> RecoveryPolicy {
-    RecoveryPolicy { checkpoint_every: 256, watchdog_threshold: 2_000, ..RecoveryPolicy::default() }
-}
 
 /// One row of the recovery matrix: a workload × hardening pair with the
 /// unsupervised classification and the supervised recovery report of
@@ -119,7 +111,7 @@ impl RecoveryRow {
 }
 
 /// The hardened CORDIC co-simulator of one matrix row.
-pub(crate) fn cordic_sim(h: Hardening) -> CoSim {
+fn cordic_sim(h: Hardening) -> CoSim {
     crate::workloads::cordic_cosim_hardened(CORDIC_ITERS, CORDIC_P, h.ecc, h.tmr)
 }
 
@@ -128,71 +120,45 @@ fn matmul_sim(h: Hardening) -> CoSim {
     crate::workloads::matmul_cosim_hardened(MATMUL_N, MATMUL_NB, h.ecc, h.tmr)
 }
 
-/// The CORDIC recovery plan plus its observable window. The window is
-/// derived from the *unhardened* golden run so all four hardenings
-/// sweep the identical fault schedule and the conversion rates compare
-/// like for like.
-pub(crate) fn cordic_plan(seed: u64, trials: usize) -> (Vec<Injection>, u32, usize) {
-    let img = crate::workloads::cordic_hw_image(CORDIC_ITERS, CORDIC_P);
-    let base = img.symbol("z_data").expect("cordic result label");
-    let n = crate::workloads::cordic_batch().len();
-    let golden = golden_cycles(cordic_sim(HARDENINGS[0]));
-    let plan =
-        random_plan_hardware(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0]);
-    (plan, base, n)
-}
-
-/// The matmul recovery plan plus its observable window.
-fn matmul_plan(seed: u64, trials: usize) -> (Vec<Injection>, u32, usize) {
-    let img = crate::workloads::matmul_image(MATMUL_N, Some(MATMUL_NB));
-    let base = img.symbol("c_data").expect("matmul result label");
-    let golden = golden_cycles(matmul_sim(HARDENINGS[0]));
-    let plan =
-        random_plan_hardware(seed, trials, (golden / 10, golden), img.bytes().len() as u32, &[0]);
-    (plan, base, MATMUL_N * MATMUL_N)
-}
-
 /// Runs one matrix row: baseline classification then supervised
-/// recovery, each on a fresh co-simulator over the same plan.
+/// recovery, each on a fresh co-simulator over the same plan. Every
+/// row of a workload sweeps the catalog's recovery plan, whose window
+/// comes from the *unhardened* golden run, so all four hardenings see
+/// the identical fault schedule and the conversion rates compare like
+/// for like.
 fn run_row(
-    workload: &'static str,
+    label: &'static str,
+    workload: Workload,
     h: Hardening,
     make_sim: impl Fn() -> CoSim + Sync,
     plan: &[Injection],
-    base: u32,
-    n: usize,
 ) -> RecoveryRow {
-    let (window, serial) = ((base, n), Exec::default());
-    let baseline = run_design(&make_sim, plan, window, &CampaignConfig::default(), serial);
-    let supervised = run_design(&make_sim, plan, window, &report_policy(), serial);
-    RecoveryRow { workload, hardening: h, baseline, supervised }
+    let serial = Exec::default();
+    let baseline = run_design(&make_sim, workload, plan, &CampaignConfig::default(), serial);
+    let supervised = run_design(&make_sim, workload, plan, &catalog::recovery_policy(), serial);
+    RecoveryRow { workload: label, hardening: h, baseline, supervised }
 }
 
 /// All four hardenings of the CORDIC workload over one seeded plan.
 pub fn cordic_recovery_rows(seed: u64, trials: usize) -> Vec<RecoveryRow> {
-    let (plan, base, n) = cordic_plan(seed, trials);
-    HARDENINGS.iter().map(|&h| run_row("cordic", h, || cordic_sim(h), &plan, base, n)).collect()
+    let plan = catalog::recovery_plan(CORDIC, seed, trials as u32);
+    HARDENINGS.iter().map(|&h| run_row("cordic", CORDIC, h, || cordic_sim(h), &plan)).collect()
 }
 
 /// All four hardenings of the matmul workload over one seeded plan.
 pub fn matmul_recovery_rows(seed: u64, trials: usize) -> Vec<RecoveryRow> {
-    let (plan, base, n) = matmul_plan(seed, trials);
-    HARDENINGS.iter().map(|&h| run_row("matmul", h, || matmul_sim(h), &plan, base, n)).collect()
+    let plan = catalog::recovery_plan(MATMUL, seed, trials as u32);
+    HARDENINGS.iter().map(|&h| run_row("matmul", MATMUL, h, || matmul_sim(h), &plan)).collect()
 }
 
 /// The supervised fully-hardened (ecc+tmr) CORDIC campaign under
-/// `policy` and `exec`. Byte-identical to the corresponding serial row
-/// with the same seed and trial count, at any worker count and with or
-/// without a journal — the determinism check the report and CI gate on.
-pub fn cordic_recovery(
-    seed: u64,
-    trials: usize,
-    policy: RecoveryPolicy,
-    exec: Exec<'_>,
-) -> RecoveryReport {
-    let (plan, base, n) = cordic_plan(seed, trials);
+/// `exec`. Byte-identical to the corresponding serial row with the same
+/// seed and trial count, at any worker count and with or without a
+/// journal — the determinism check the report and CI gate on.
+pub fn cordic_recovery(seed: u64, trials: usize, exec: Exec<'_>) -> RecoveryReport {
+    let plan = catalog::recovery_plan(CORDIC, seed, trials as u32);
     let h = HARDENINGS[3];
-    run_design(|| cordic_sim(h), &plan, (base, n), &policy, exec)
+    run_design(|| cordic_sim(h), CORDIC, &plan, &catalog::recovery_policy(), exec)
 }
 
 /// The full matrix of both workloads, `(cordic, matmul)`, with the
@@ -204,7 +170,7 @@ fn checked_matrix() -> (Vec<RecoveryRow>, Vec<RecoveryRow>) {
     let cordic = cordic_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
     let matmul = matmul_recovery_rows(REPORT_SEED, RECOVERY_TRIALS);
     let exec = Exec { workers: default_workers(), ..Exec::default() };
-    let par = cordic_recovery(REPORT_SEED, RECOVERY_TRIALS, report_policy(), exec);
+    let par = cordic_recovery(REPORT_SEED, RECOVERY_TRIALS, exec);
     assert_eq!(
         cordic[3].supervised, par,
         "serial and parallel recovery campaigns must agree bit for bit"
@@ -376,7 +342,7 @@ mod tests {
     fn parallel_supervised_campaign_matches_serial() {
         let rows = cordic_recovery_rows(13, 9);
         for workers in [1, 3, 8] {
-            let par = cordic_recovery(13, 9, report_policy(), Exec { workers, ..Exec::default() });
+            let par = cordic_recovery(13, 9, Exec { workers, ..Exec::default() });
             assert_eq!(rows[3].supervised, par, "workers={workers}");
         }
     }

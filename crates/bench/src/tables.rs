@@ -296,7 +296,7 @@ pub fn table2_text() -> String {
 /// the shared, polled OPB (the two bus protocols of §III-A).
 pub fn ablation_fsl_vs_opb_text() -> String {
     use softsim_apps::cordic::opb::opb_cosim;
-    let batch = workloads::cordic_batch();
+    let batch = softsim_serve::catalog::cordic_batch();
     let mut out = String::from(
         "Ablation: FSL vs OPB attachment of the CORDIC pipeline (24 iterations)\n\
          P   FSL cycles   OPB cycles   OPB/FSL\n",
@@ -323,7 +323,7 @@ pub fn ablation_configurations_text() -> String {
     use softsim_isa::asm::assemble;
     use softsim_isa::CpuConfig;
 
-    let batch = workloads::cordic_batch();
+    let batch = softsim_serve::catalog::cordic_batch();
     let mut out = String::from(
         "Ablation: processor configurations for Q8.24 division (batch of 8)\n\
          design                        cycles   time(us)   slices  mult18\n",

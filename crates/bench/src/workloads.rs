@@ -1,35 +1,14 @@
 //! Canonical workloads for the paper's experiments — the exact
 //! configurations behind Figure 5, Figure 7, Table I and Table II.
 
-use softsim_apps::cordic::reference as cordic_ref;
-use softsim_apps::cordic::software::{hw_program, sw_program, CordicBatch, SwStyle};
+use softsim_apps::cordic::software::{sw_program, SwStyle};
 use softsim_apps::matmul::reference::Matrix;
 use softsim_apps::matmul::software as mm_sw;
 use softsim_cosim::{CoSim, Peripheral};
 use softsim_isa::asm::assemble;
 use softsim_isa::Image;
 use softsim_rtl::SocRtl;
-
-/// The CORDIC data batch used throughout: eight `(a, b)` pairs spanning
-/// the convergence domain (2·8 = 16 result words exactly fill the output
-/// FSL FIFO — the paper's "size of each set of data is selected
-/// carefully").
-pub fn cordic_batch() -> CordicBatch {
-    let pairs: Vec<(i32, i32)> = [
-        (1.0, 0.5),
-        (1.5, 1.2),
-        (2.0, -1.0),
-        (1.25, 0.8),
-        (3.0, 2.5),
-        (1.1, -0.3),
-        (2.75, 1.9),
-        (1.9, 0.05),
-    ]
-    .iter()
-    .map(|&(a, b)| (cordic_ref::to_fix(a), cordic_ref::to_fix(b)))
-    .collect();
-    CordicBatch::new(&pairs)
-}
+use softsim_serve::catalog::{self, cordic_batch, Workload};
 
 /// The P values of Figure 5 / Table I.
 pub const CORDIC_PS: [usize; 4] = [2, 4, 6, 8];
@@ -43,9 +22,9 @@ pub fn cordic_sw_image(iterations: u32) -> Image {
         .expect("cordic sw assembles")
 }
 
-/// Assembled HW-accelerated CORDIC image for `p` PEs.
+/// Assembled HW-accelerated CORDIC image for `p` PEs (the catalog's).
 pub fn cordic_hw_image(iterations: u32, p: usize) -> Image {
-    assemble(&hw_program(&cordic_batch(), iterations, p)).expect("cordic hw assembles")
+    catalog::image(Workload::Cordic { iterations, p })
 }
 
 /// Batch repetitions used by the timing rows so each run simulates tens
@@ -122,19 +101,14 @@ pub const MATMUL_NS: [usize; 4] = [4, 8, 16, 32];
 /// with 2×2 / 4×4 blocks, Table I).
 pub const MATMUL_TABLE_N: usize = 16;
 
-/// The deterministic matrices of size `n` used by every matmul run.
-pub fn matmul_inputs(n: usize) -> (Matrix, Matrix) {
-    (Matrix::test_pattern(n, 7), Matrix::test_pattern(n, 8))
-}
-
-/// Assembled matmul image (`nb = None` → pure software).
+/// Assembled matmul image (`nb = None` → pure software over the
+/// catalog's matrices).
 pub fn matmul_image(n: usize, nb: Option<usize>) -> Image {
-    let (a, b) = matmul_inputs(n);
-    let src = match nb {
-        None => mm_sw::sw_program(&a, &b),
-        Some(nb) => mm_sw::hw_program(&a, &b, nb),
+    let Some(nb) = nb else {
+        let (a, b) = (Matrix::test_pattern(n, 7), Matrix::test_pattern(n, 8));
+        return assemble(&mm_sw::sw_program(&a, &b)).expect("matmul assembles");
     };
-    assemble(&src).expect("matmul assembles")
+    catalog::image(Workload::Matmul { n, nb })
 }
 
 /// Co-simulator for a matmul configuration.
@@ -152,7 +126,7 @@ pub fn matmul_cosim(n: usize, nb: Option<usize>) -> CoSim {
 /// SEC-DED codec on every FSL channel, `tmr` swaps the peripheral for
 /// the triple-modular-redundant build. Both off reproduces
 /// [`cordic_cosim`] with `Some(p)` exactly — the hardening knobs never
-/// change the program image or the data path.
+/// change the catalog's program image or the data path.
 pub fn cordic_cosim_hardened(iterations: u32, p: usize, ecc: bool, tmr: bool) -> CoSim {
     let peripheral = if tmr {
         softsim_apps::cordic::hardware::cordic_peripheral_tmr(p)

@@ -184,17 +184,6 @@ pub struct InFlight {
     pub write_stalls: u32,
 }
 
-/// One architectural trace record, used for ISS ↔ RTL cross-validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Cycle at which the instruction retired.
-    pub cycle: u64,
-    /// Instruction address.
-    pub pc: u32,
-    /// Raw instruction word.
-    pub word: u32,
-}
-
 /// Serializable pipeline occupancy inside a [`CpuSnapshot`]. In-flight
 /// instructions are stored re-encoded as raw words so the snapshot is
 /// plain data.
@@ -280,7 +269,6 @@ pub struct Cpu {
     pub(crate) breakpoints: HashSet<u32>,
     /// Breakpoint address being resumed from (suppresses re-reporting).
     pub(crate) bp_skip: Option<u32>,
-    pub(crate) trace: Option<Vec<TraceEntry>>,
     /// Cycle-domain observability sink (None on the untraced fast path).
     pub(crate) sink: Option<SharedSink>,
     /// Issue cycle of the in-flight instruction (trace bookkeeping).
@@ -326,7 +314,6 @@ impl Cpu {
             stats: CpuStats::default(),
             breakpoints: HashSet::new(),
             bp_skip: None,
-            trace: None,
             sink: None,
             inst_start: 0,
             inst_read_stalls: 0,
@@ -343,16 +330,14 @@ impl Cpu {
     }
 
     /// Resets architectural state and reloads the image, keeping
-    /// breakpoints and the tracing setting.
+    /// breakpoints, the attached trace sink and the translation setting.
     pub fn reset(&mut self, image: &Image) {
         let size = self.mem.size();
         let breakpoints = std::mem::take(&mut self.breakpoints);
-        let trace = self.trace.as_ref().map(|_| Vec::new());
         let sink = self.sink.take();
         let translation = self.translator.enabled;
         *self = Cpu::new(image, size);
         self.breakpoints = breakpoints;
-        self.trace = trace;
         self.sink = sink;
         self.translator.enabled = translation;
     }
@@ -449,11 +434,6 @@ impl Cpu {
         self.breakpoints.remove(&addr)
     }
 
-    /// Enables architectural tracing (one entry per retired instruction).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
     /// Attaches a cycle-domain trace sink: retires (with per-instruction
     /// stall attribution) and FSL stall intervals are emitted as
     /// [`TraceEvent`]s. With no sink attached the hot path pays only a
@@ -497,11 +477,6 @@ impl Cpu {
             addr,
             wait,
         });
-    }
-
-    /// The collected trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&[TraceEntry]> {
-        self.trace.as_deref()
     }
 
     /// True when the processor is between instructions (nothing in flight).
@@ -825,17 +800,10 @@ impl Cpu {
         }
     }
 
-    /// Completes an instruction: records the trace entry and determines
+    /// Completes an instruction: emits its `Retire` event and determines
     /// the next PC (fall-through, redirect, or delay-slot sequencing).
     fn retire(&mut self, pc: u32, inst: Inst) -> Event {
         self.stats.instructions += 1;
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry {
-                cycle: self.stats.cycles,
-                pc,
-                word: softsim_isa::encode(&inst),
-            });
-        }
         if self.sink.is_some() {
             self.emit(TraceEvent::Retire {
                 cycle: self.inst_start,

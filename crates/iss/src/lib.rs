@@ -21,7 +21,7 @@ mod translate;
 
 pub use cpu::{
     classify, Cpu, CpuSnapshot, Event, FslBlock, InFlight, NotFslStalled, PipeSnapshot, StopReason,
-    TraceEntry, DEFAULT_MEM_BYTES, OPB_BASE,
+    DEFAULT_MEM_BYTES, OPB_BASE,
 };
 pub use fault::Fault;
 pub use softsim_isa::CpuConfig;
@@ -383,17 +383,24 @@ mod tests {
 
     #[test]
     fn trace_records_retired_instructions_in_order() {
+        use softsim_trace::{shared, Recorder, TraceEvent};
         let img = image("addik r3, r0, 1\naddik r3, r3, 1\nhalt\n");
         let mut cpu = Cpu::with_default_memory(&img);
-        cpu.enable_trace();
+        let recorder = std::rc::Rc::new(std::cell::RefCell::new(Recorder::new(64)));
+        cpu.attach_trace(shared(recorder.clone()));
         let mut fsl = FslBank::default();
         cpu.run(&mut fsl, 100);
-        let trace = cpu.trace().unwrap();
+        let trace: Vec<(u64, u32)> = (recorder.borrow().events().into_iter())
+            .filter_map(|e| match e {
+                TraceEvent::Retire { cycle, pc, .. } => Some((cycle, pc)),
+                _ => None,
+            })
+            .collect();
         assert_eq!(trace.len(), 3);
-        assert_eq!(trace[0].pc, 0);
-        assert_eq!(trace[1].pc, 4);
-        assert_eq!(trace[2].pc, 8);
-        assert!(trace.windows(2).all(|w| w[0].cycle < w[1].cycle));
+        assert_eq!(trace[0].1, 0);
+        assert_eq!(trace[1].1, 4);
+        assert_eq!(trace[2].1, 8);
+        assert!(trace.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

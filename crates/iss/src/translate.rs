@@ -268,7 +268,6 @@ impl Cpu {
             && !self.halted
             && matches!(self.pipe, Pipe::Ready)
             && self.sink.is_none()
-            && self.trace.is_none()
             && self.breakpoints.is_empty()
             && self.opb.is_none()
             && self.imm_latch.is_none()
@@ -508,13 +507,17 @@ mod tests {
 
     #[test]
     fn dispatch_declines_when_observability_attached() {
+        use softsim_trace::{shared, Recorder, TraceEvent};
         let (mut c, mut f) = cpu("addik r3, r0, 1\n halt");
         c.set_translation(true);
-        c.enable_trace();
+        let recorder = std::rc::Rc::new(std::cell::RefCell::new(Recorder::new(64)));
+        c.attach_trace(shared(recorder.clone()));
         assert_eq!(c.run_translated_block(&mut f, 1_000), TranslatedRun::NotRun);
         assert_eq!(c.run(&mut f, 1_000), crate::StopReason::Halted);
         assert_eq!(c.translation_stats().block_dispatches, 0);
-        assert_eq!(c.trace().unwrap().len(), 2);
+        let events = recorder.borrow().events();
+        let retires = events.iter().filter(|e| matches!(e, TraceEvent::Retire { .. })).count();
+        assert_eq!(retires, 2);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! serve --request ADDR JSON
 //! ```
 //!
-//! Environment is validated eagerly: an invalid
-//! `SOFTSIM_ABORT_AFTER_TRIALS` is a configuration error (exit 2) at
+//! Environment and arguments are validated eagerly: an invalid
+//! `SOFTSIM_ABORT_AFTER_TRIALS`, or a `--workers`/`--campaign-workers`
+//! count above `MAX_WORKERS` (64), is a configuration error (exit 2) at
 //! startup, not a surprise mid-campaign.
 
-use softsim_serve::{net, ServeConfig, Server};
+use softsim_serve::{net, ServeConfig, Server, MAX_WORKERS};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -37,6 +38,13 @@ fn parse_count(value: &str, flag: &str) -> Result<usize, String> {
     }
 }
 
+fn parse_workers(value: &str, flag: &str) -> Result<usize, String> {
+    match parse_count(value, flag)? {
+        n if n > MAX_WORKERS => Err(format!("invalid {flag}={value:?}: at most {MAX_WORKERS}")),
+        n => Ok(n),
+    }
+}
+
 fn parse_args(args: &[String]) -> Result<Mode, String> {
     let mut listen = String::from("127.0.0.1:7878");
     let mut config = ServeConfig::default();
@@ -45,11 +53,11 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
         match flag.as_str() {
             "--listen" => listen = operand(&mut it, "--listen")?,
             "--workers" => {
-                config.workers = parse_count(&operand(&mut it, "--workers")?, "--workers")?;
+                config.workers = parse_workers(&operand(&mut it, "--workers")?, "--workers")?;
             }
             "--campaign-workers" => {
                 config.campaign_workers =
-                    parse_count(&operand(&mut it, "--campaign-workers")?, "--campaign-workers")?;
+                    parse_workers(&operand(&mut it, "--campaign-workers")?, "--campaign-workers")?;
             }
             "--queue" => {
                 config.queue.capacity = parse_count(&operand(&mut it, "--queue")?, "--queue")?;
@@ -134,6 +142,31 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: accept loop failed: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Mode, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn worker_counts_above_the_cap_are_configuration_errors() {
+        for flag in ["--workers", "--campaign-workers"] {
+            let Ok(Mode::Serve(_, config)) = parse(&[flag, "64"]) else {
+                panic!("{flag} 64 must parse");
+            };
+            let set = if flag == "--workers" { config.workers } else { config.campaign_workers };
+            assert_eq!(set, MAX_WORKERS, "{flag}");
+            for value in ["65", "100000", "18446744073709551615"] {
+                let err = parse(&[flag, value]).err().expect("rejected");
+                assert!(err.contains("at most 64"), "{flag} {value}: {err}");
+            }
+            assert!(parse(&[flag, "0"]).is_err(), "{flag} 0");
         }
     }
 }

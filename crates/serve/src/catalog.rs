@@ -1,12 +1,11 @@
 //! The job catalog: which workloads the service can run, how a job is
 //! specified, and the deterministic recipes (simulator, observables,
-//! injection plans) behind each workload.
+//! injection plans, recovery policy) behind each workload.
 //!
-//! The recipes reproduce the canonical configurations of
-//! `softsim-bench` (the dependency points the other way — bench's
-//! `trace_overhead` guard and `cosimbench`'s `serve_campaign` workload
-//! drive this crate), so a campaign served here is byte-identical to
-//! the same campaign run by `tables`.
+//! This is the only home of the campaign recipes. `softsim-bench`
+//! builds every campaign of `tables` (and of its `trace_overhead`
+//! guard) from them, and `cosimbench`'s `serve_campaign` workload does
+//! too, so a campaign served here is the same campaign `tables` runs.
 
 use softsim_apps::cordic::reference as cordic_ref;
 use softsim_apps::cordic::software::{hw_program, CordicBatch};
@@ -238,8 +237,11 @@ impl JobSpec {
     }
 }
 
-/// The canonical CORDIC batch (the 8 pairs every bench row uses).
-fn cordic_batch() -> CordicBatch {
+/// The canonical CORDIC batch: eight `(a, b)` pairs spanning the
+/// convergence domain, used by every CORDIC job and paper row (2·8 = 16
+/// result words exactly fill the output FSL FIFO — the paper's "size of
+/// each set of data is selected carefully").
+pub fn cordic_batch() -> CordicBatch {
     let pairs: Vec<(i32, i32)> = [
         (1.0, 0.5),
         (1.5, 1.2),
@@ -314,25 +316,28 @@ pub fn golden_cycles(workload: Workload) -> u64 {
     sim.cpu().stats().cycles
 }
 
-/// The seeded injection plan of a campaign job (identical to the bench
-/// harness's recipe: window in the live part of the golden run, SEU +
-/// protocol faults on channels 0 and 1).
+/// The seeded injection plan of a campaign job: injection cycles in the
+/// live part of the golden run, SEU + protocol faults on channels 0
+/// and 1.
 pub fn campaign_plan(workload: Workload, seed: u64, trials: u32) -> Vec<Injection> {
     let golden = golden_cycles(workload);
     let bytes = image(workload).bytes().len() as u32;
     random_plan(seed, trials as usize, (golden / 10, golden), bytes, &[0, 1])
 }
 
-/// The seeded plan of a recovery job (hardware-survivable faults only,
-/// channel 0 — the recovery harness's recipe).
+/// The seeded plan of a recovery job: [`campaign_plan`]'s window, but
+/// hardware-survivable faults only, on channel 0.
 pub fn recovery_plan(workload: Workload, seed: u64, trials: u32) -> Vec<Injection> {
     let golden = golden_cycles(workload);
     let bytes = image(workload).bytes().len() as u32;
     random_plan_hardware(seed, trials as usize, (golden / 10, golden), bytes, &[0])
 }
 
-/// The recovery policy served jobs run under (the bench harness's
-/// reporting policy: tight checkpoints, quick watchdog).
+/// The recovery policy of every recovery campaign. The catalog
+/// workloads halt within a few thousand cycles, so the default
+/// 1024-cycle checkpoint cadence would give them only a couple of
+/// signature windows and the default 10k-cycle watchdog would dominate
+/// every hang's wall-clock; both are tightened to the workload scale.
 pub fn recovery_policy() -> RecoveryPolicy {
     RecoveryPolicy { checkpoint_every: 256, watchdog_threshold: 2_000, ..RecoveryPolicy::default() }
 }

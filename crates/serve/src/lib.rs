@@ -44,4 +44,5 @@ pub use catalog::{JobKind, JobSpec, Priority, Workload};
 pub use queue::{Admission, BoundedQueue, QueueConfig};
 pub use server::{
     CacheStatus, Health, JobResult, JobState, JobStatus, ServeConfig, Server, Shed, ShedReason,
+    MAX_WORKERS,
 };

@@ -36,12 +36,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Most pool workers a server runs, and most worker threads one
+/// campaign/recovery job may use: the bound the TCP front-end puts on
+/// its connection threads ([`crate::net::MAX_CONNECTIONS`]).
+pub const MAX_WORKERS: usize = 64;
+
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Pool worker threads (each runs one job at a time).
+    /// Pool worker threads (each runs one job at a time), at most
+    /// [`MAX_WORKERS`].
     pub workers: usize,
-    /// Worker threads *inside* one campaign/recovery job.
+    /// Worker threads *inside* one campaign/recovery job, at most
+    /// [`MAX_WORKERS`].
     pub campaign_workers: usize,
     /// Admission queue sizing.
     pub queue: QueueConfig,
@@ -299,10 +306,27 @@ impl Server {
     }
 
     /// [`Server::start`] sharing an existing telemetry hub.
+    ///
+    /// # Errors
+    /// [`std::io::ErrorKind::InvalidInput`] when `workers` or
+    /// `campaign_workers` is above [`MAX_WORKERS`], before anything is
+    /// created or spawned; otherwise the error of creating the spool or
+    /// of spawning a pool thread (the threads already spawned are shut
+    /// down and joined).
     pub fn start_with_telemetry(
         config: ServeConfig,
         telemetry: Arc<Telemetry>,
     ) -> std::io::Result<Server> {
+        for (name, count) in
+            [("workers", config.workers), ("campaign_workers", config.campaign_workers)]
+        {
+            if count > MAX_WORKERS {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("{name} {count} above {MAX_WORKERS}"),
+                ));
+            }
+        }
         std::fs::create_dir_all(&config.spool)?;
         let state = State {
             queue: BoundedQueue::new(config.queue.capacity),
@@ -322,17 +346,16 @@ impl Server {
             shutdown: AtomicBool::new(false),
         });
         inner.publish_gauges();
-        let mut handles = Vec::new();
-        for w in 0..inner.config.workers.max(1) {
-            let inner = Arc::clone(&inner);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{w}"))
-                    .spawn(move || worker_loop(&inner, w as u32))
-                    .expect("spawn worker"),
-            );
+        // Dropping the server on a spawn error joins what was spawned.
+        let server = Server { inner, workers: Mutex::new(Vec::new()) };
+        for w in 0..server.inner.config.workers.max(1) {
+            let inner = Arc::clone(&server.inner);
+            let handle = std::thread::Builder::new()
+                .name(format!("serve-worker-{w}"))
+                .spawn(move || worker_loop(&inner, w as u32))?;
+            lock(&server.workers).push(handle);
         }
-        Ok(Server { inner, workers: Mutex::new(handles) })
+        Ok(server)
     }
 
     /// The telemetry hub (Prometheus exposition via

@@ -7,7 +7,7 @@ use softsim_serve::catalog::MAX_TRIALS;
 use softsim_serve::protocol::handle_line;
 use softsim_serve::{
     CacheStatus, JobKind, JobSpec, JobState, JobStatus, Priority, QueueConfig, ServeConfig, Server,
-    ShedReason, Workload,
+    ShedReason, Workload, MAX_WORKERS,
 };
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -42,6 +42,20 @@ fn campaign_spec(seed: u64, trials: u32) -> JobSpec {
         seed,
         trials,
         ..JobSpec::default()
+    }
+}
+
+#[test]
+fn oversized_worker_counts_are_rejected_before_anything_starts() {
+    let spool = scratch("oversized");
+    for config in [
+        ServeConfig { workers: MAX_WORKERS + 1, ..ServeConfig::default() },
+        ServeConfig { campaign_workers: usize::MAX, ..ServeConfig::default() },
+    ] {
+        let started = Server::start(ServeConfig { spool: spool.clone(), ..config });
+        let err = started.err().expect("an oversized count is rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(!spool.exists(), "rejected before the spool is created");
     }
 }
 

@@ -13,7 +13,10 @@ use softsim::isa::CpuConfig;
 use softsim::isa::{Image, Reg};
 use softsim::iss::{Cpu, StopReason};
 use softsim::rtl::{RtlStop, SocRtl};
+use softsim::trace::{shared, Recorder, TraceEvent};
 use softsim_testkit::Rng;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Architectural fingerprint after a run: registers, carry, cycle count
 /// and a checksum of the touched memory window.
@@ -60,13 +63,20 @@ fn traces_match_instruction_for_instruction() {
     let mut rng = Rng::new(99);
     let image = random_program(&mut rng, 60);
     let mut cpu = Cpu::with_config(&image, CpuConfig::full());
-    cpu.enable_trace();
+    let recorder = Rc::new(RefCell::new(Recorder::new(1 << 20)));
+    cpu.attach_trace(shared(recorder.clone()));
     let mut fsl = FslBank::default();
     assert_eq!(cpu.run(&mut fsl, 1_000_000), StopReason::Halted);
     let mut soc = SocRtl::with_config(&image, CpuConfig::full());
     soc.enable_trace();
     assert_eq!(soc.run(1_000_000), RtlStop::Halted);
-    let iss_trace: Vec<(u32, u32)> = cpu.trace().unwrap().iter().map(|t| (t.pc, t.word)).collect();
+    assert_eq!(recorder.borrow().dropped(), 0, "the recorder must hold the whole run");
+    let iss_trace: Vec<(u32, u32)> = (recorder.borrow().events().into_iter())
+        .filter_map(|e| match e {
+            TraceEvent::Retire { pc, word, .. } => Some((pc, word)),
+            _ => None,
+        })
+        .collect();
     assert_eq!(iss_trace, soc.trace(), "retirement streams must be identical");
 }
 
