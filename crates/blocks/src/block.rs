@@ -6,7 +6,8 @@
 //! model of synchronous hardware:
 //!
 //! 1. **evaluate** — combinational propagation in topological order;
-//!    sequential blocks present their *current* state on their outputs;
+//!    sequential blocks present their *current* state on their outputs,
+//!    from their state alone;
 //! 2. **clock** — every sequential block latches its next state from the
 //!    input values that the evaluate phase settled.
 
@@ -27,16 +28,20 @@ pub trait Block {
     /// The fixed-point format produced on each output port.
     fn output_fmt(&self, port: usize) -> FixFmt;
 
-    /// Combinational evaluation: compute `outputs` from `inputs` and the
-    /// block's current state. Must be side-effect free with respect to
-    /// sequential state.
+    /// Evaluation: compute `outputs` from the block's current state and,
+    /// for a combinational block, its `inputs`. Must be side-effect free
+    /// with respect to sequential state.
     ///
     /// The outputs must be a function of the block's state and its input
     /// values only: the same state and the same input bits give the same
-    /// output bits. The graph relies on this to skip a block whose inputs
-    /// and state are unchanged since its last evaluation (see
-    /// [`crate::Graph::step`]); a block that read anything else — a clock,
-    /// a counter of its own calls, shared mutable data — would go stale.
+    /// output bits. A sequential block (see [`Block::is_combinational`])
+    /// presents its state alone: the graph evaluates it with an empty
+    /// `inputs` slice, so one that indexes its inputs panics on its first
+    /// step. The graph relies on this to skip a block whose inputs and
+    /// state are unchanged since its last evaluation, and a sequential
+    /// block whose state is (see [`crate::Graph::step`]); a block that
+    /// read anything else — a clock, a counter of its own calls, shared
+    /// mutable data — would go stale.
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]);
 
     /// Rising clock edge: latch next state from the settled `inputs`.
@@ -47,7 +52,8 @@ pub trait Block {
 
     /// True when some output depends combinationally on some input.
     /// Registers/delays return `false`, which is what legalizes feedback
-    /// loops through them.
+    /// loops through them. A block that returns `false` gets no inputs in
+    /// [`Block::eval`]: its outputs are a function of its state alone.
     fn is_combinational(&self) -> bool {
         true
     }

@@ -24,7 +24,9 @@
 //! design with nothing left to change costs a counter bump per step.
 //! Each node carries three marks:
 //!
-//! * **eval** — a source value changed since the node last evaluated;
+//! * **eval** — the node's outputs may differ from the ones it holds: a
+//!   source of a combinational node changed since it last evaluated, or
+//!   the whole design was marked;
 //! * **clock** — a source value changed since the node last clocked
 //!   (sequential blocks only);
 //! * **unsettled** — the node's last clock edge was not proven an
@@ -35,32 +37,39 @@
 //! * **Wake.** [`Graph::set_input_fast`] stores a gateway value only when
 //!   its bits differ from the held one, and marks that gateway.
 //!   [`Graph::compile`], [`Graph::reset`] and [`Graph::load_state`] mark
-//!   every node.
+//!   every node eval, and every sequential block clock as well.
 //! * **Evaluate.** [`Graph::step`] walks the schedule and evaluates a
-//!   node only if it has an eval mark or is unsettled. When the fresh
-//!   outputs differ from the values they overwrite, every consumer of
-//!   the node gets an eval and a clock mark. A consumer later in the
-//!   schedule sees the new value in this step; one earlier in the
-//!   schedule (a sequential block on a feedback edge) sees it in the next
-//!   step, just as a full step would show it.
+//!   node only if it has an eval mark or is unsettled. A sequential block
+//!   presents its state alone and is evaluated with no inputs. When the
+//!   fresh outputs differ from the values they overwrite, every consumer
+//!   gets the mark a changed source sets: eval for a combinational block,
+//!   which the schedule runs later in this step, and clock for a
+//!   sequential block, which latches the new value in this step's clock
+//!   phase. A sequential block's outputs change only after its own clock
+//!   edge, which leaves it unsettled, or after a wake.
 //! * **Clock.** A sequential block is clocked only if it has a clock
-//!   mark or is unsettled. It is asked [`Block::is_quiescent`] first,
-//!   then clocked, and stays unsettled exactly when the answer was no.
+//!   mark or is unsettled. It reads its sources as a borrowed slice of
+//!   the value array when [`Graph::compile`] found them contiguous, and
+//!   from a gathered copy otherwise. It is asked [`Block::is_quiescent`]
+//!   first, then clocked, and stays unsettled exactly when the answer was
+//!   no.
 //! * **Skip.** With no node marked, `step` only advances the cycle
 //!   counter, counts one toggle-free activity cycle and records every
 //!   probe's (unchanged) value.
 //!
-//! Soundness: a block's outputs are a function of its state and input
-//! values, and `is_quiescent` is exact (see [`Block`]). A node that is
+//! Soundness: a combinational block's outputs are a function of its
+//! state and input values, a sequential block's of its state alone, and
+//! `is_quiescent` is exact (see [`Block`]). A combinational node that is
 //! skipped reads input values bit-identical to those of its last
-//! evaluation — any change since then would have marked it — and its
-//! state was left alone by its last clock edge, or it would be
-//! unsettled. So it would recompute the outputs it already holds. A
-//! sequential block that is not clocked holds the state and inputs of a
-//! clock edge that was proven an identity, so its next edge would be
-//! that identity again. Every skipped evaluation and clock edge is
-//! therefore one a full step would have spent reproducing what it
-//! already had; probes, activity and trace sinks observe exactly what
+//! evaluation — any change since then would have marked it. A
+//! sequential node that is skipped holds the state of its last
+//! evaluation: every clock edge since then was proven an identity, or it
+//! would be unsettled. Either way it would recompute the outputs it
+//! already holds. A sequential block that is not clocked holds the state
+//! and inputs of a clock edge that was proven an identity, so its next
+//! edge would be that identity again. Every skipped evaluation and clock
+//! edge is therefore one a full step would have spent reproducing what
+//! it already had; probes, activity and trace sinks observe exactly what
 //! full stepping shows them.
 
 use crate::block::Block;
@@ -206,6 +215,9 @@ pub struct Graph {
     plan_src: Vec<u32>,
     /// Range of `plan_src` per node.
     plan_range: Vec<(u32, u32)>,
+    /// Per node, the offset in `values` where its sources sit in port
+    /// order when they are contiguous there, or [`GATHER`].
+    plan_run: Vec<u32>,
     compiled: bool,
     cycle: u64,
     /// Scratch buffer reused each step to avoid per-cycle allocation.
@@ -221,8 +233,8 @@ pub struct Graph {
     /// Per-node [`EVAL`], [`CLOCK`] and [`UNSETTLED`] marks (see the
     /// module docs).
     marks: Vec<u8>,
-    /// The marks a changed source sets on each node: eval, plus clock
-    /// for sequential blocks.
+    /// The mark a changed source sets on each node: eval for
+    /// combinational blocks, clock for sequential ones.
     touch: Vec<u8>,
     /// Some node is marked, so the next step has work to do.
     awake: bool,
@@ -231,12 +243,28 @@ pub struct Graph {
     held: Vec<Fix>,
 }
 
-/// Node mark: a source value changed since the node last evaluated.
+/// Node mark: the node's outputs may differ from the ones it holds.
 const EVAL: u8 = 1;
 /// Node mark: a source value changed since the node last clocked.
 const CLOCK: u8 = 2;
 /// Node mark: the node's last clock edge was not proven an identity.
 const UNSETTLED: u8 = 4;
+
+/// `plan_run` entry of a node whose sources are not contiguous in
+/// `values`: they are gathered into a buffer.
+const GATHER: u32 = u32::MAX;
+
+/// The source values of a node, in port order: a borrowed run of
+/// `values` when `run` is one, else gathered into `buf`.
+#[inline]
+fn sources<'a>(values: &'a [Fix], src: &[u32], run: u32, buf: &'a mut Vec<Fix>) -> &'a [Fix] {
+    if run != GATHER {
+        return &values[run as usize..run as usize + src.len()];
+    }
+    buf.clear();
+    buf.extend(src.iter().map(|&i| values[i as usize]));
+    buf
+}
 
 /// Measured switching activity of a design (see
 /// [`Graph::enable_activity`]): how many output-port values changed,
@@ -389,13 +417,21 @@ impl Graph {
         // Flatten the source plan.
         self.plan_src.clear();
         self.plan_range.clear();
+        self.plan_run.clear();
         for node in &self.nodes {
             let start = self.plan_src.len() as u32;
             for src in node.sources.iter().flatten() {
                 let flat = self.nodes[src.0 .0].val_off + src.1 as u32;
                 self.plan_src.push(flat);
             }
+            let flat = &self.plan_src[start as usize..];
+            let run = match flat.first() {
+                None => 0,
+                Some(&first) if flat.windows(2).all(|w| w[1] == w[0] + 1) => first,
+                Some(_) => GATHER,
+            };
             self.plan_range.push((start, self.plan_src.len() as u32));
+            self.plan_run.push(run);
         }
         // Consumer lists, one entry per (source node, consumer) pair.
         let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -422,7 +458,7 @@ impl Graph {
             .collect();
         self.touch = vec![EVAL; n];
         for &i in &self.seq_nodes {
-            self.touch[i as usize] |= CLOCK;
+            self.touch[i as usize] = CLOCK;
         }
         self.schedule = order;
         self.compiled = true;
@@ -495,7 +531,8 @@ impl Graph {
     /// Marks every node, so the next step evaluates and clocks the whole
     /// design.
     fn wake(&mut self) {
-        self.marks.clone_from(&self.touch);
+        self.marks.clear();
+        self.marks.extend(self.touch.iter().map(|&t| t | EVAL));
         self.awake = true;
     }
 
@@ -568,6 +605,7 @@ impl Graph {
             seq_nodes,
             plan_src,
             plan_range,
+            plan_run,
             scratch,
             consumer_off,
             consumers,
@@ -584,10 +622,14 @@ impl Graph {
             }
             marks[i] &= !EVAL;
             let node = &nodes[i];
-            let (s, e) = plan_range[i];
+            // Only a node that a changed source marks eval reads its
+            // sources here: a sequential block presents its state alone.
             scratch.clear();
-            for &src in &plan_src[s as usize..e as usize] {
-                scratch.push(values[src as usize]);
+            if touch[i] & EVAL != 0 {
+                let (s, e) = plan_range[i];
+                for &src in &plan_src[s as usize..e as usize] {
+                    scratch.push(values[src as usize]);
+                }
             }
             let out = &mut values[node.val_off as usize..(node.val_off + node.val_len) as usize];
             let changed = match &node.kind {
@@ -617,13 +659,10 @@ impl Graph {
                 continue;
             }
             let (s, e) = plan_range[i];
-            scratch.clear();
-            for &src in &plan_src[s as usize..e as usize] {
-                scratch.push(values[src as usize]);
-            }
+            let ins = sources(values, &plan_src[s as usize..e as usize], plan_run[i], scratch);
             if let Kind::Block(b) = &mut nodes[i].kind {
-                let quiescent = b.is_quiescent(scratch);
-                b.clock(scratch);
+                let quiescent = b.is_quiescent(ins);
+                b.clock(ins);
                 marks[i] &= !(CLOCK | UNSETTLED);
                 if !quiescent {
                     marks[i] |= UNSETTLED;
@@ -662,21 +701,20 @@ impl Graph {
         if !self.awake {
             return true;
         }
-        let mut ins: Vec<Fix> = Vec::new();
+        let mut buf: Vec<Fix> = Vec::new();
         let mut outs: Vec<Fix> = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             let (s, e) = self.plan_range[i];
-            ins.clear();
-            for &src in &self.plan_src[s as usize..e as usize] {
-                ins.push(self.values[src as usize]);
-            }
+            let src = &self.plan_src[s as usize..e as usize];
+            let ins = sources(&self.values, src, self.plan_run[i], &mut buf);
             let off = node.val_off as usize;
             let len = node.val_len as usize;
             match &node.kind {
                 Kind::Block(b) => {
+                    let sequential = !b.is_combinational();
                     outs.clear();
                     outs.resize(len, Fix::zero(FixFmt::BOOL));
-                    b.eval(&ins, &mut outs);
+                    b.eval(if sequential { &[] } else { ins }, &mut outs);
                     let same = outs
                         .iter()
                         .zip(&self.values[off..off + len])
@@ -684,7 +722,7 @@ impl Graph {
                     if !same {
                         return false;
                     }
-                    if !b.is_combinational() && !b.is_quiescent(&ins) {
+                    if sequential && !b.is_quiescent(ins) {
                         return false;
                     }
                 }

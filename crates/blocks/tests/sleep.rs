@@ -8,8 +8,15 @@
 //! the two must agree on the saved state, the gateway outputs, the probe
 //! samples, the activity counts, the detected faults and the answer to
 //! `is_quiescent`.
+//!
+//! A sequential block presents its state alone, so a changed source only
+//! gets it clocked. Two smaller tests pin that rule: a register that reads
+//! its input in `eval` panics on its first step, and a counting wrapper
+//! over the CORDIC pipeline checks when its sequential blocks evaluate.
 
-use softsim_apps::cordic::hardware::{cordic_graph, cordic_graph_tmr};
+use softsim_apps::cordic::hardware::{
+    cordic_graph, cordic_graph_tmr, CordicPe, Deserializer, Serializer,
+};
 use softsim_apps::matmul::hardware::{matmul_graph, matmul_graph_tmr};
 use softsim_blocks::block::Block;
 use softsim_blocks::library::{
@@ -18,7 +25,7 @@ use softsim_blocks::library::{
 };
 use softsim_blocks::{gen, Fix, FixFmt, Graph, GraphState, NodeId};
 use softsim_testkit::{cases, Rng};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -53,52 +60,6 @@ impl Block for Spy {
     }
 }
 
-/// A register whose output is its state plus its data input — a Mealy
-/// output of a sequential block, which the `Block` contract allows. Its
-/// evaluation may read a source the schedule settles after it, so only
-/// the graph's output comparison (not block quiescence alone) proves a
-/// design holding one to be at a fixed point.
-#[derive(Clone)]
-struct Mealy(Fix);
-
-impl Block for Mealy {
-    fn kind(&self) -> &'static str {
-        "Mealy"
-    }
-    fn inputs(&self) -> usize {
-        2 // data, enable
-    }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        I16
-    }
-    fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
-        outputs[0] = Fix::from_int(self.0.raw().wrapping_add(inputs[0].raw()), I16);
-    }
-    fn clock(&mut self, inputs: &[Fix]) {
-        if !inputs[1].is_zero() {
-            self.0 = inputs[0];
-        }
-    }
-    fn is_combinational(&self) -> bool {
-        false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        inputs[1].is_zero() || inputs[0] == self.0
-    }
-    fn reset(&mut self) {
-        self.0 = Fix::zero(I16);
-    }
-    fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.0.to_bits());
-    }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        self.0 = Fix::from_bits(src.next().unwrap(), I16);
-    }
-}
-
 /// Adds a source-free [`Spy`] to a design and recompiles it; returns its
 /// counter. Nothing can change its inputs, so it is evaluated only when
 /// the whole design is marked: after `compile`, `reset` and `load_state`.
@@ -119,8 +80,7 @@ fn spy_after(g: &mut Graph, name: &str, from: NodeId) -> (NodeId, Rc<Cell<u64>>)
 }
 
 /// A random library design: gateways `x0`, `x1` (16-bit) and `en`, `clr`
-/// (1-bit), structures from [`gen`], feedback through registers (some
-/// with [`Mealy`] outputs), gateway
+/// (1-bit), structures from [`gen`], feedback through registers, gateway
 /// outputs and probes. The same `rng` state builds the same design.
 fn random_design(mut rng: Rng) -> (Graph, Vec<String>) {
     let mut g = Graph::new();
@@ -130,10 +90,7 @@ fn random_design(mut rng: Rng) -> (Graph, Vec<String>) {
         vec![(g.gateway_in("en", BOOL), 0), (g.gateway_in("clr", BOOL), 0)];
     // Feedback registers, wired at the end from anything in the design.
     let feedback: Vec<NodeId> = (0..rng.range_usize(1, 4))
-        .map(|i| match rng.flip() {
-            true => g.add(format!("fb{i}"), Register::zeroed(I16)),
-            false => g.add(format!("fb{i}"), Mealy(Fix::zero(I16))),
-        })
+        .map(|i| g.add(format!("fb{i}"), Register::zeroed(I16)))
         .collect();
     data.extend(feedback.iter().map(|&r| (r, 0)));
     for k in 0..rng.range_usize(3, 10) {
@@ -289,27 +246,6 @@ fn random_design(mut rng: Rng) -> (Graph, Vec<String>) {
         g.add_probe(format!("p{i}"), s, p);
     }
     g.compile().expect("random design compiles: feedback passes through registers");
-    (g, probes)
-}
-
-/// A [`random_design`] with a Mealy island beside it: gateway `m` reaches
-/// only the [`Mealy`] register `island`, which is read by the `Mealy`
-/// register `tap`. `tap` is added after `island`, so the schedule runs it
-/// first: a change on `m` reaches `tap`'s evaluation a step after its
-/// clock edge, through the feedback-edge path of the scheduler.
-fn island_design(rng: Rng) -> (Graph, Vec<String>) {
-    let (mut g, probes) = random_design(rng);
-    let m = g.gateway_in("m", I16);
-    let on = g.add("on", Constant::int(1, BOOL));
-    let island = g.add("island", Mealy(Fix::zero(I16)));
-    let tap = g.add("tap", Mealy(Fix::zero(I16)));
-    g.wire(m, island, 0).unwrap();
-    g.wire(on, island, 1).unwrap();
-    g.wire(island, tap, 0).unwrap();
-    g.wire(on, tap, 1).unwrap();
-    g.gateway_out("yisland", island, 0);
-    g.gateway_out("ytap", tap, 0);
-    g.compile().expect("the island passes through registers");
     (g, probes)
 }
 
@@ -527,9 +463,8 @@ fn random_library_designs_sleep_like_they_step() {
     cases(300, |seed, rng| {
         let design = rng.clone();
         rng.next_u64();
-        let mut twin = Twin::new(|| island_design(design.clone()), rng.flip());
-        let mut stimulus =
-            Stimulus::new(&[("x0", I16), ("x1", I16), ("en", BOOL), ("clr", BOOL), ("m", I16)]);
+        let mut twin = Twin::new(|| random_design(design.clone()), rng.flip());
+        let mut stimulus = Stimulus::new(&[("x0", I16), ("x1", I16), ("en", BOOL), ("clr", BOOL)]);
         run_twin(&mut twin, &mut stimulus, rng, 300, &format!("seed {seed}"));
         slept += twin.slept;
         sleepers += (twin.slept > 0) as u32;
@@ -539,11 +474,10 @@ fn random_library_designs_sleep_like_they_step() {
     });
     // Not vacuous: many designs (those without free-running counters or
     // unbounded accumulation) reach fixed points in the held stretches,
-    // and many steps wake such a design through one gateway only — the
-    // island's `m` among them.
+    // and many steps wake such a design through one gateway only.
     assert!(sleepers >= 60, "only {sleepers} of 300 designs ever slept");
     assert!(slept >= 15_000, "only {slept} of 90000 cycles slept");
-    for gateway in ["x0", "x1", "en", "clr", "m"] {
+    for gateway in ["x0", "x1", "en", "clr"] {
         let n = partial.get(gateway).copied().unwrap_or(0);
         assert!(n >= 100, "only {n} partial wakes through `{gateway}`");
     }
@@ -705,4 +639,233 @@ fn a_gateway_change_evaluates_only_its_downstream_nodes() {
     g.run(5);
     assert_eq!((counts(&a), counts(&b)), ([2, 2], [2, 2]), "and the other way round");
     assert_eq!(g.output("b_y").unwrap().raw(), -4);
+}
+
+/// A register whose evaluation peeks at its data input: a Mealy output,
+/// which the `Block` contract rules out for a sequential block.
+struct PeekingRegister(Fix);
+
+impl Block for PeekingRegister {
+    fn kind(&self) -> &'static str {
+        "PeekingRegister"
+    }
+    fn inputs(&self) -> usize {
+        1
+    }
+    fn outputs(&self) -> usize {
+        1
+    }
+    fn output_fmt(&self, _: usize) -> FixFmt {
+        I16
+    }
+    fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
+        outputs[0] = Fix::from_int(self.0.raw().wrapping_add(inputs[0].raw()), I16);
+    }
+    fn clock(&mut self, inputs: &[Fix]) {
+        self.0 = inputs[0];
+    }
+    fn is_combinational(&self) -> bool {
+        false
+    }
+}
+
+/// A sequential block that reads its inputs in `eval` fails loudly on the
+/// first step instead of presenting stale outputs later.
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn a_sequential_block_reading_its_inputs_panics_on_its_first_step() {
+    let mut g = Graph::new();
+    let x = g.gateway_in("x", I16);
+    let r = g.add("peek", PeekingRegister(Fix::zero(I16)));
+    g.wire(x, r, 0).unwrap();
+    g.compile().expect("feedback-free design compiles");
+    g.step();
+}
+
+/// What the [`Counted`] nodes of one design saw, shared with the test.
+#[derive(Default)]
+struct Ledger {
+    /// The step the design is about to take.
+    step: u64,
+    /// Per node: it may evaluate, because its last clock edge was not
+    /// proven an identity or the whole design was marked since.
+    due: Vec<bool>,
+    /// Per node: the step of its last evaluation.
+    last_eval: Vec<Option<u64>>,
+    /// Per node: the inputs of its last clock edge.
+    last_inputs: Vec<Vec<Fix>>,
+    /// Evaluations of sequential nodes.
+    evals: u64,
+    /// Clock edges on changed inputs in a step that did not evaluate the
+    /// node: evaluations a scheduler waking sequential blocks for every
+    /// changed source would have spent.
+    saved: u64,
+}
+
+impl Ledger {
+    /// Marks every node due, as `compile`, `reset` and `load_state` do.
+    fn wake(&mut self) {
+        self.due.iter_mut().for_each(|d| *d = true);
+    }
+}
+
+/// A sequential block that checks each of its evaluations against the
+/// [`Ledger`] and records its clock edges there.
+struct Counted<B> {
+    inner: B,
+    id: usize,
+    ledger: Rc<RefCell<Ledger>>,
+}
+
+impl<B> Counted<B> {
+    /// Wraps `inner` as the next node of `ledger`, due to evaluate once
+    /// the design compiles.
+    fn new(inner: B, ledger: &Rc<RefCell<Ledger>>) -> Counted<B> {
+        let mut l = ledger.borrow_mut();
+        l.due.push(true);
+        l.last_eval.push(None);
+        l.last_inputs.push(Vec::new());
+        Counted { inner, id: l.due.len() - 1, ledger: ledger.clone() }
+    }
+}
+
+impl<B: Block> Block for Counted<B> {
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+    fn inputs(&self) -> usize {
+        self.inner.inputs()
+    }
+    fn outputs(&self) -> usize {
+        self.inner.outputs()
+    }
+    fn output_fmt(&self, port: usize) -> FixFmt {
+        self.inner.output_fmt(port)
+    }
+    fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
+        let mut l = self.ledger.borrow_mut();
+        let step = l.step;
+        assert!(
+            std::mem::take(&mut l.due[self.id]),
+            "node {} evaluated at step {step} without a wake or a changing clock edge",
+            self.id
+        );
+        l.evals += 1;
+        l.last_eval[self.id] = Some(step);
+        self.inner.eval(inputs, outputs);
+    }
+    fn clock(&mut self, inputs: &[Fix]) {
+        let quiescent = self.inner.is_quiescent(inputs);
+        let mut l = self.ledger.borrow_mut();
+        if l.last_inputs[self.id] != inputs && l.last_eval[self.id] != Some(l.step) {
+            l.saved += 1;
+        }
+        l.last_inputs[self.id] = inputs.to_vec();
+        l.due[self.id] |= !quiescent;
+        self.inner.clock(inputs);
+    }
+    fn is_combinational(&self) -> bool {
+        self.inner.is_combinational()
+    }
+    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
+        self.inner.is_quiescent(inputs)
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+    fn save_state(&self, out: &mut Vec<u64>) {
+        self.inner.save_state(out);
+    }
+    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+        self.inner.load_state(src);
+    }
+}
+
+/// `cordic_graph(4)` with every block wrapped in [`Counted`].
+fn counted_cordic_p4(ledger: &Rc<RefCell<Ledger>>) -> Graph {
+    let mut g = Graph::new();
+    let gateways = FSL_GATEWAYS.map(|(name, fmt)| g.gateway_in(name, fmt));
+    let deser = g.add("deser", Counted::new(Deserializer::new(), ledger));
+    for (port, gateway) in gateways.into_iter().enumerate() {
+        g.wire(gateway, deser, port).unwrap();
+    }
+    let mut prev = deser;
+    for i in 0..4 {
+        let pe = g.add(format!("pe{i}"), Counted::new(CordicPe::new(), ledger));
+        for port in 0..6 {
+            g.connect(prev, port, pe, port).unwrap();
+        }
+        prev = pe;
+    }
+    let ser = g.add("ser", Counted::new(Serializer::new(), ledger));
+    for (port, from) in [1, 2, 3].into_iter().enumerate() {
+        g.connect(prev, from, ser, port).unwrap();
+    }
+    g.gateway_out("fsl0_out_data", ser, 0);
+    g.gateway_out("fsl0_out_valid", ser, 1);
+    g.compile().expect("cordic pipeline compiles");
+    g
+}
+
+/// A fixed FSL stream for the CORDIC pipeline, as `(data, valid, ctrl)`
+/// per cycle: six passes, each a control word and five `(XS, Y, Z)`
+/// tuples whose words arrive 0–2 cycles apart, with stray data on the
+/// bus while `valid` is low, then 20 idle cycles.
+fn cordic_stream() -> Vec<[u64; 3]> {
+    let mut cycles = Vec::new();
+    for pass in 0..6u64 {
+        cycles.push([(1 << 20) >> pass, 1, 1]);
+        for t in 0..5u64 {
+            for (k, word) in [(3 + t) << 16, t * 977, pass << 12].into_iter().enumerate() {
+                cycles.push([word, 1, 0]);
+                for gap in 0..(t + k as u64) % 3 {
+                    cycles.push([gap * (0x55 + t), 0, 0]);
+                }
+            }
+        }
+        cycles.extend([[0, 0, 0]; 20]);
+    }
+    cycles
+}
+
+/// Every evaluation of a sequential CORDIC block follows that block's
+/// own clock edge that was not proven an identity, or a whole-design
+/// mark (compile, restore, reset); a changed source alone gets it
+/// clocked, not evaluated. The counted design computes what the plain
+/// `cordic_graph(4)` does, cycle by cycle, and the clock edges on
+/// changed inputs that evaluated nothing count the work this saves.
+#[test]
+fn sequential_blocks_evaluate_only_after_a_changing_edge_or_a_wake() {
+    let ledger = Rc::new(RefCell::new(Ledger::default()));
+    let mut counted = counted_cordic_p4(&ledger);
+    let mut reference = cordic_graph(4);
+    let stream = cordic_stream();
+    let wakes = [stream.len() / 3, 2 * stream.len() / 3];
+    for (i, &[data, valid, ctrl]) in stream.iter().enumerate() {
+        for g in [&mut counted, &mut reference] {
+            if i == wakes[0] {
+                g.load_state(&g.save_state());
+            } else if i == wakes[1] {
+                g.reset();
+            }
+        }
+        if wakes.contains(&i) {
+            ledger.borrow_mut().wake();
+        }
+        ledger.borrow_mut().step = i as u64;
+        for g in [&mut counted, &mut reference] {
+            g.set_input("fsl0_data", Fix::from_bits(data, FixFmt::INT32)).unwrap();
+            g.set_input("fsl0_valid", Fix::from_bits(valid, BOOL)).unwrap();
+            g.set_input("fsl0_ctrl", Fix::from_bits(ctrl, BOOL)).unwrap();
+            g.step();
+        }
+        assert_eq!(counted.save_state(), reference.save_state(), "cycle {i}: state");
+        for name in ["fsl0_out_data", "fsl0_out_valid"] {
+            assert_eq!(counted.output(name), reference.output(name), "cycle {i}: {name}");
+        }
+    }
+    let l = ledger.borrow();
+    assert!(l.evals > 0, "the pipeline evaluated");
+    // 285 against 516 when written.
+    assert!(l.saved * 3 > l.evals, "{} saved against {} evaluations", l.saved, l.evals);
 }
