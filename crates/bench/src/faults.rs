@@ -192,16 +192,15 @@ mod tests {
         }
     }
 
-    /// The stepped reference: the campaign design on the interpreted
-    /// ISS, with stall fast-forwarding off.
+    /// The stepped reference: the campaign design with translation off,
+    /// which turns the stall jump off too.
     fn stepped(plan: &[Injection]) -> CampaignReport {
         let interpreted = || {
             let mut sim = cordic_sim();
             sim.set_translation(false);
             sim
         };
-        let config = CampaignConfig { fast_forward: false, ..CampaignConfig::default() };
-        run_design(interpreted, CORDIC, plan, &config, Exec::default())
+        run_design(interpreted, CORDIC, plan, &CampaignConfig::default(), Exec::default())
     }
 
     #[test]

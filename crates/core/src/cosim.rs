@@ -30,16 +30,6 @@ use std::rc::Rc;
 /// ML300 Virtex-II Pro board.
 pub const PAPER_CLOCK_HZ: f64 = 50e6;
 
-/// Consecutive no-progress stalled cycles before [`CoSim::run`] attempts
-/// a fast-forward jump. Short stalls (pipeline latency bubbles) resolve
-/// themselves cheaper than the quiescence scan.
-const FF_MIN_STREAK: u64 = 4;
-
-/// Cycles to keep stepping after a failed fast-forward eligibility check
-/// before probing again, so a busy-but-stalled system does not pay the
-/// quiescence scan every cycle.
-const FF_COOLDOWN: u64 = 64;
-
 /// Why a co-simulation run stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoSimStop {
@@ -412,8 +402,6 @@ pub struct CoSim {
     profiler: Option<Rc<RefCell<GuestProfile>>>,
     /// Liveness watchdog, when armed (see [`CoSim::set_watchdog`]).
     watchdog: Option<Watchdog>,
-    /// Stall fast-forwarding, on by default (see [`CoSim::set_fast_forward`]).
-    fast_forward: bool,
     /// Absolute-cycle ceiling no `run` call may pass (see
     /// [`CoSim::set_run_horizon`]).
     run_horizon: Option<u64>,
@@ -433,8 +421,8 @@ impl CoSim {
         CoSim::with_cpu(Cpu::with_default_memory(image))
     }
 
-    /// The one constructor body: `cpu` with no peripheral, and both
-    /// exact fast paths — translated blocks and stall fast-forward — on.
+    /// The one constructor body: `cpu` with no peripheral, and the exact
+    /// fast paths on (see [`CoSim::set_translation`]).
     fn with_cpu(mut cpu: Cpu) -> CoSim {
         cpu.set_translation(true);
         CoSim {
@@ -447,7 +435,6 @@ impl CoSim {
             user_sink: None,
             profiler: None,
             watchdog: None,
-            fast_forward: true,
             run_horizon: None,
             ff_engagements: 0,
             ff_skipped_cycles: 0,
@@ -502,47 +489,35 @@ impl CoSim {
         self.clock_hz = hz;
     }
 
-    /// Enables or disables stall fast-forwarding (on from construction;
-    /// turn it off only to get the stepped reference an equivalence
-    /// check compares against).
+    /// Enables or disables the exact fast paths of [`CoSim::run`] (on
+    /// from construction; turn them off only to get the stepped reference
+    /// an equivalence check compares against). The one switch governs
+    /// all three:
     ///
-    /// When enabled, [`CoSim::run`] detects stretches where the
-    /// processor is blocked on an FSL transfer and every attached
-    /// peripheral graph is provably quiescent, and advances the cycle
-    /// counters in one jump instead of stepping the whole system through
-    /// cycles in which nothing can change. The jump replays the exact
-    /// per-cycle side effects of the stepped path — CPU cycle and stall
-    /// counters, FIFO rejection statistics, per-graph cycle and activity
-    /// counts, and watchdog progress — so statistics, halt cycles and
-    /// deadlock reports are bit-identical either way. Fast-forwarding
-    /// silently disengages whenever it could be observed at finer grain:
-    /// with a trace sink attached (per-cycle event streams), with probes
-    /// on any peripheral graph (per-cycle samples), or with an OPB bus
-    /// attached (its timing is outside the quiescence contract).
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.fast_forward = enabled;
-    }
-
-    /// Whether stall fast-forwarding is enabled.
-    pub fn fast_forward(&self) -> bool {
-        self.fast_forward
-    }
-
-    /// Enables or disables translated basic-block execution on the
-    /// processor (on from construction; turn it off only to get the
-    /// stepped reference an equivalence check compares against; see
-    /// `softsim-iss`'s `translate` module). When on, [`CoSim::run`]
-    /// executes straight-line guest code through the ISS's pre-decoded
-    /// block cache and replays the hardware side's cycles afterwards,
-    /// stepping each peripheral only until it goes idle and jumping the
-    /// rest of the block in one step — bit-identical to stepping,
-    /// because a translated block never touches an FSL channel. The
-    /// fast path silently disengages whenever finer observation is
-    /// attached (trace sink, profiler, breakpoints, an OPB bus) and
-    /// composes with [`CoSim::set_fast_forward`] (blocks accelerate the
-    /// *computing* stretches, fast-forward the *stalled* ones) and
-    /// [`CoSim::set_run_horizon`] (a block is only dispatched when its
-    /// worst-case cycles fit the remaining budget).
+    /// - **Translated blocks**: straight-line guest code runs through the
+    ///   ISS's pre-decoded block cache (see `softsim-iss`'s `translate`
+    ///   module), and the hardware side replays the block's cycles
+    ///   afterwards — bit-identical to stepping, because a translated
+    ///   block never touches an FSL channel.
+    /// - **The idle jump after a block**: each peripheral in that replay
+    ///   is stepped only until it goes idle, and the rest of the block is
+    ///   one jump.
+    /// - **The stall jump**: while the processor is blocked on an FSL
+    ///   transfer that cannot complete and every peripheral is idle, the
+    ///   stalled stretch is one jump of the cycle counters, replaying
+    ///   the exact per-cycle side effects of stepping — CPU cycle and
+    ///   stall counters, FIFO rejection statistics, per-graph cycle and
+    ///   activity counts, and watchdog progress.
+    ///
+    /// Statistics, halt cycles and deadlock reports are bit-identical
+    /// either way. All three silently disengage whenever the run could be
+    /// observed at finer grain: with a trace sink or the profiler
+    /// attached, or an OPB bus (its timing is outside the idle contract).
+    /// Breakpoints also keep blocks out, and probes on a peripheral graph
+    /// (per-cycle samples) keep that peripheral out of both jumps. They
+    /// compose with [`CoSim::set_run_horizon`]: a block is dispatched
+    /// only when its worst-case cycles fit the remaining budget, and a
+    /// jump never passes it.
     pub fn set_translation(&mut self, enabled: bool) {
         self.cpu.set_translation(enabled);
     }
@@ -791,12 +766,19 @@ impl CoSim {
     /// Panics if `threshold == 0`.
     pub fn set_watchdog(&mut self, threshold: u64) {
         assert!(threshold > 0, "watchdog threshold must be positive");
-        self.watchdog = Some(Watchdog {
-            threshold,
-            last_instructions: self.cpu.stats().instructions,
-            last_fsl_ops: self.fsl.total_ops(),
-            stalled_cycles: 0,
-        });
+        self.watchdog =
+            Some(Watchdog { threshold, last_instructions: 0, last_fsl_ops: 0, stalled_cycles: 0 });
+        self.reanchor_watchdog();
+    }
+
+    /// Re-anchors an armed watchdog's progress baseline to the current
+    /// counters, with no stalled cycle counted.
+    fn reanchor_watchdog(&mut self) {
+        if let Some(wd) = &mut self.watchdog {
+            wd.last_instructions = self.cpu.stats().instructions;
+            wd.last_fsl_ops = self.fsl.total_ops();
+            wd.stalled_cycles = 0;
+        }
     }
 
     /// Disarms the liveness watchdog.
@@ -822,12 +804,17 @@ impl CoSim {
         if wd.stalled_cycles < wd.threshold {
             return None;
         }
-        let cycle = self.cpu.stats().cycles;
+        Some(self.deadlock())
+    }
+
+    /// The watchdog's stop at the current cycle, naming what the system
+    /// is stuck on.
+    fn deadlock(&self) -> CoSimStop {
         let cause = match self.cpu.fsl_block() {
             Some(block) => DeadlockCause::FslDeadlock { block },
             None => DeadlockCause::Livelock,
         };
-        Some(CoSimStop::Deadlock { cycle, cause })
+        CoSimStop::Deadlock { cycle: self.cpu.stats().cycles, cause }
     }
 
     /// Captures the whole system's simulation state: processor, FSL bank
@@ -910,19 +897,16 @@ impl CoSim {
             p.last_toggles = p.graph.total_toggles();
         }
         self.hw_stats = state.hw_stats;
-        if let Some(wd) = &mut self.watchdog {
-            wd.last_instructions = self.cpu.stats().instructions;
-            wd.last_fsl_ops = self.fsl.total_ops();
-            wd.stalled_cycles = 0;
-        }
+        self.reanchor_watchdog();
     }
 
-    /// Attempts one stall fast-forward jump of at most `budget` cycles.
+    /// Attempts one stall jump of at most `budget` cycles; called by
+    /// [`CoSim::run`] only on its fast path (no trace sink, no OPB bus).
     ///
     /// Eligibility (all conservative — any doubt falls back to
-    /// stepping): no trace sink, no OPB bus, the processor blocked on an
-    /// FSL transfer whose FIFO flag is frozen (`get` from a channel with
-    /// no word to take, `put` into a full channel), and every peripheral
+    /// stepping): the processor blocked on an FSL transfer whose FIFO
+    /// flag is frozen (`get` from a channel with no word to take, `put`
+    /// into a full channel), and every peripheral
     /// [`idle`](Peripheral::idle). Under those conditions a step
     /// changes nothing but counters, so `n` steps are replayed as bulk
     /// counter updates: CPU stall attribution, rejection statistics on
@@ -930,9 +914,6 @@ impl CoSim {
     /// watchdog progress. The jump is capped so an armed watchdog fires
     /// at exactly the cycle the stepped path would have fired at.
     fn try_fast_forward(&mut self, budget: u64) -> Option<u64> {
-        if self.sink.is_some() || self.cpu.opb().is_some() {
-            return None;
-        }
         let block = self.cpu.fsl_block()?;
         let ch = block.channel as usize;
         // The blocked transfer itself must be unable to complete: the
@@ -978,25 +959,23 @@ impl CoSim {
             Some(h) => max_cycles.min(h.saturating_sub(self.cpu.stats().cycles)),
             None => max_cycles,
         };
+        // The fast paths run only with translation on and nothing
+        // attached that needs per-cycle visibility; no step, block or
+        // jump changes any of the three, so this holds for the whole run.
+        let fast = self.cpu.translation() && self.sink.is_none() && self.cpu.opb().is_none();
         let mut executed: u64 = 0;
-        // Fast-forward engagement: consecutive stalled cycles in which no
-        // FIFO word moved, and the FIFO progress count at the last
-        // stalled cycle (`None` after any cycle that did not stall).
-        let mut streak: u64 = 0;
-        let mut cooldown: u64 = 0;
-        let mut last_ops: Option<u64> = None;
         while executed < max_cycles {
-            // Translated-block fast path: run straight-line guest code
-            // through the ISS block cache, then replay the hardware
-            // side's cycles, jumping each peripheral once it goes idle
-            // (see `replay_peripherals`). The block
-            // is capped below the watchdog's remaining headroom so a
-            // deadlock the stepped path would detect mid-block keeps the
-            // fast path out entirely — and since every block ends with a
-            // retired instruction, re-baselining the watchdog afterwards
-            // reproduces exactly what per-cycle `check_liveness` calls
-            // would have left behind.
-            if self.cpu.translation() && self.sink.is_none() && self.cpu.opb().is_none() {
+            if fast {
+                // Translated-block fast path: run straight-line guest
+                // code through the ISS block cache, then replay the
+                // hardware side's cycles, jumping each peripheral once
+                // it goes idle (see `replay_peripherals`). The block is
+                // capped below the watchdog's remaining headroom so a
+                // deadlock the stepped path would detect mid-block keeps
+                // the fast path out entirely — and since every block ends
+                // with a retired instruction, re-anchoring the watchdog
+                // afterwards reproduces exactly what per-cycle
+                // `check_liveness` calls would have left behind.
                 let mut cap = max_cycles - executed;
                 if let Some(wd) = &self.watchdog {
                     cap = cap.min((wd.threshold - wd.stalled_cycles).saturating_sub(1));
@@ -1009,17 +988,7 @@ impl CoSim {
                             self.replay_peripherals(start_cycle, cycles);
                         }
                         executed += cycles;
-                        // The block ended on a retired instruction, so
-                        // the processor is not stalled: what the per-step
-                        // bookkeeping below leaves after such a cycle.
-                        streak = 0;
-                        cooldown = 0;
-                        last_ops = None;
-                        if let Some(wd) = &mut self.watchdog {
-                            wd.last_instructions = self.cpu.stats().instructions;
-                            wd.last_fsl_ops = self.fsl.total_ops();
-                            wd.stalled_cycles = 0;
-                        }
+                        self.reanchor_watchdog();
                         if self.cpu.halted() {
                             return CoSimStop::Halted;
                         }
@@ -1031,55 +1000,28 @@ impl CoSim {
                     }
                     TranslatedRun::NotRun => {}
                 }
-            }
-            if self.fast_forward && streak >= FF_MIN_STREAK {
-                if cooldown == 0 {
-                    if let Some(n) = self.try_fast_forward(max_cycles - executed) {
-                        executed += n;
-                        self.ff_engagements += 1;
-                        self.ff_skipped_cycles += n;
-                        // The jump already advanced the watchdog's stall
-                        // count; if it reached the threshold, report the
-                        // deadlock at the post-jump cycle without a
-                        // second `check_liveness` increment.
-                        if let Some(wd) = &self.watchdog {
-                            if wd.stalled_cycles >= wd.threshold {
-                                let cycle = self.cpu.stats().cycles;
-                                let cause = match self.cpu.fsl_block() {
-                                    Some(block) => DeadlockCause::FslDeadlock { block },
-                                    None => DeadlockCause::Livelock,
-                                };
-                                return CoSimStop::Deadlock { cycle, cause };
-                            }
-                        }
-                        continue;
+                // The stall jump: `None` after one match on the pipeline
+                // unless the processor is FSL-stalled.
+                if let Some(n) = self.try_fast_forward(max_cycles - executed) {
+                    executed += n;
+                    self.ff_engagements += 1;
+                    self.ff_skipped_cycles += n;
+                    // The jump already advanced the watchdog's stall
+                    // count; if it reached the threshold, report the
+                    // deadlock at the post-jump cycle without a second
+                    // `check_liveness` increment.
+                    if self.watchdog.is_some_and(|wd| wd.stalled_cycles >= wd.threshold) {
+                        return self.deadlock();
                     }
-                    cooldown = FF_COOLDOWN;
-                } else {
-                    cooldown -= 1;
+                    continue;
                 }
             }
-            let event = self.step();
-            match event {
+            match self.step() {
                 e if e.is_halt() => return CoSimStop::Halted,
                 Event::Fault(f) => return CoSimStop::Fault(f),
                 _ => {}
             }
             executed += 1;
-            if self.fast_forward {
-                // Only a stalled cycle (one that retired nothing) can
-                // start or extend a streak, so only a stalled cycle pays
-                // for the FIFO progress sum.
-                let stalled = matches!(event, Event::Busy) && self.cpu.fsl_block().is_some();
-                let ops = stalled.then(|| self.fsl.total_ops());
-                if ops.is_some() && ops == last_ops {
-                    streak += 1;
-                } else {
-                    streak = 0;
-                    cooldown = 0;
-                }
-                last_ops = ops;
-            }
             if let Some(stop) = self.check_liveness() {
                 return stop;
             }

@@ -242,9 +242,11 @@ impl Translator {
 impl Cpu {
     /// Enables or disables translated basic-block execution (off on a
     /// bare [`Cpu`]; every co-simulator built by `softsim-cosim` turns
-    /// it on). Turning it off keeps the cache (blocks stay valid —
-    /// every store still invalidates); turning it on costs nothing
-    /// until [`Cpu::run`] dispatches a block.
+    /// it on, and there this flag is the one switch for all of the
+    /// co-simulator's fast paths: translated blocks and its two jumps).
+    /// Turning it off keeps the cache (blocks stay valid — every store
+    /// still invalidates); turning it on costs nothing until
+    /// [`Cpu::run`] dispatches a block.
     pub fn set_translation(&mut self, enabled: bool) {
         self.translator.enabled = enabled;
     }

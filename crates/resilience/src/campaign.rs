@@ -125,11 +125,13 @@ pub struct CampaignConfig {
     pub budget_factor: u64,
     /// Additive part of the trial cycle budget.
     pub budget_floor: u64,
-    /// Arm stall fast-forwarding on the simulator for the golden run and
-    /// every trial (see [`CoSim::set_fast_forward`]). Statistics and
-    /// classifications are bit-identical either way; deadlock-bound
-    /// trials just stop burning one step per watchdog cycle. On by
-    /// default.
+    /// Ignored. A campaign runs its golden pass and trials on whatever
+    /// path its simulators were built with (see
+    /// [`CoSim::set_translation`], which governs the stall jump with the
+    /// other fast paths). The field remains only because the benchmark
+    /// package (`cosimbench`) still sets it, and goes when that package
+    /// moves off it (ROADMAP item 1). The plan hash records a constant in
+    /// its place, so hashes and journals do not depend on it.
     pub fast_forward: bool,
     /// Explicit per-trial cycle budget, counted from the injection
     /// point. A trial still running this many cycles after its fault
@@ -504,10 +506,6 @@ impl Kind for CampaignConfig {
     type Report = CampaignReport;
     const JOURNAL_KIND: u8 = KIND_CAMPAIGN;
 
-    fn prepare(&self, sim: &mut CoSim) {
-        sim.set_fast_forward(self.fast_forward);
-    }
-
     fn golden(
         &self,
         sim: &mut CoSim,
@@ -570,7 +568,9 @@ impl Kind for CampaignConfig {
         put_u64(out, self.watchdog_threshold);
         put_u64(out, self.budget_factor);
         put_u64(out, self.budget_floor);
-        put_bool(out, self.fast_forward);
+        // Where the ignored fast-forward flag went: its default, so
+        // plan hashes and journals of default campaigns stay valid.
+        put_bool(out, true);
         match self.trial_cycle_budget {
             None => put_u8(out, 0),
             Some(v) => {

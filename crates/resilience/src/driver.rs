@@ -89,8 +89,6 @@ pub trait Kind: Sync {
     /// The journal header's kind byte.
     const JOURNAL_KIND: u8;
 
-    /// Configures a simulator before it runs anything.
-    fn prepare(&self, sim: &mut CoSim);
     /// The golden pass from `sim`'s current (initial) state.
     fn golden(
         &self,
@@ -195,8 +193,6 @@ pub(crate) fn drive<K: Kind>(
 ) -> Result<(K::Report, DurabilityStatus), JournalError> {
     let telemetry = exec.telemetry;
     let start = telemetry.map(|_| Instant::now());
-    let fast_forward = sim.fast_forward();
-    kind.prepare(sim);
     let golden = kind.golden(sim, plan, observe);
     if let Some((t, start)) = telemetry.zip(start) {
         let mut rec = SpanRecord::new(SpanKind::Golden, 0, start.elapsed());
@@ -234,7 +230,6 @@ pub(crate) fn drive<K: Kind>(
             for (worker, (indices, slots)) in (1..).zip(chunks) {
                 scope.spawn(move || {
                     let mut sim = make();
-                    kind.prepare(&mut sim);
                     let work = Work { kind, golden, plan, observe, telemetry, journal };
                     work.drain(&mut sim, Some(make), indices, slots, worker);
                 });
@@ -248,7 +243,6 @@ pub(crate) fn drive<K: Kind>(
     if pool.is_none() {
         sim.load_state(K::initial(&golden));
         sim.clear_watchdog();
-        sim.set_fast_forward(fast_forward);
     }
 
     let status = match &journal {
@@ -323,7 +317,6 @@ impl<K: Kind> Work<'_, K> {
                     let panic_msg = panic_message(payload);
                     if let Some(make) = rebuild {
                         *sim = make();
-                        self.kind.prepare(sim);
                     }
                     if attempt >= HARNESS_RETRIES {
                         break K::abandoned(injection, panic_msg, attempt);

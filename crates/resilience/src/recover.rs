@@ -586,8 +586,6 @@ impl Kind for RecoveryPolicy {
     type Report = RecoveryReport;
     const JOURNAL_KIND: u8 = KIND_RECOVERY;
 
-    fn prepare(&self, _sim: &mut CoSim) {}
-
     fn golden(
         &self,
         sim: &mut CoSim,

@@ -170,11 +170,7 @@ fn wall_budget_hit_while_fast_forwarding_classifies_budget_not_deadlock() {
 
     // With an already-expired wall budget the same trial is cancelled
     // mid-fast-forward and must classify Budget, not Deadlock.
-    let config = CampaignConfig {
-        trial_wall_budget: Some(Duration::ZERO),
-        fast_forward: true,
-        ..quick_config()
-    };
+    let config = CampaignConfig { trial_wall_budget: Some(Duration::ZERO), ..quick_config() };
     let mut sim = fsl_sim();
     let capped = run_campaign(&mut sim, &stuck, observe, config);
     assert_eq!(capped.trials[0].outcome, Outcome::Budget, "{:?}", capped.trials[0].stop);

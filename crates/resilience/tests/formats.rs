@@ -59,12 +59,48 @@ fn checkpoint_bytes_are_pinned() {
     assert_eq!((bytes.len(), body), (67_382, 0x29EE_E294));
 }
 
+/// `CampaignConfig::fast_forward` is ignored, so either value pins the
+/// same bytes.
 #[test]
 fn fault_journal_and_plan_hash_are_pinned() {
     let plan = catalog::campaign_plan(CORDIC, SEED, TRIALS);
-    let (bytes, hash) = journal("fault", &CampaignConfig::default(), &plan);
-    assert_eq!(bytes, (1_387, 0x323A_B0F0_17F9_3BCB));
-    assert_eq!(hash, 0x9048_4586_FC41_6C03);
+    let default = CampaignConfig::default();
+    for config in [default, CampaignConfig { fast_forward: false, ..default }] {
+        let (bytes, hash) = journal("fault", &config, &plan);
+        assert_eq!(bytes, (1_387, 0x323A_B0F0_17F9_3BCB));
+        assert_eq!(hash, 0x9048_4586_FC41_6C03);
+    }
+}
+
+/// A fault journal written under one value of the ignored
+/// `CampaignConfig::fast_forward` and cut mid-record, as by a crash,
+/// resumes under the other to the uninterrupted report.
+#[test]
+fn a_fault_journal_resumes_under_either_fast_forward_value() {
+    let plan = catalog::campaign_plan(CORDIC, SEED, TRIALS);
+    let on = CampaignConfig::default();
+    let off = CampaignConfig { fast_forward: false, ..on };
+    let make_sim = || catalog::build_sim(CORDIC, false);
+    let (base, n) = catalog::observe_window(CORDIC);
+    let observe = move |sim: &softsim_cosim::CoSim| catalog::observe_words(sim, base, n);
+    let campaign = |config: &CampaignConfig, path: &std::path::Path, resume: bool| {
+        let spec = JournalSpec { path, resume, fault: None };
+        let exec = Exec { workers: 1, journal: Some(spec), ..Exec::default() };
+        run(Sims::Build(&make_sim), &plan, &observe, config, exec).expect("journaled campaign")
+    };
+    for (write, resume, name) in [(on, off, "ff_on_off"), (off, on, "ff_off_on")] {
+        let path = journal_path(name);
+        let (want, _) = campaign(&write, &path, false);
+        let len = std::fs::metadata(&path).expect("journal written").len();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).expect("journal opens");
+        file.set_len(len / 2 + 3).expect("journal cut");
+        let done = resume_from_journal::<CampaignConfig>(&path).expect("cut journal scans").done();
+        assert!(done > 0 && done < TRIALS as usize, "{name}: the cut kept {done} trials");
+        let (got, status) = campaign(&resume, &path, true);
+        assert_eq!(status.appended as usize + done, TRIALS as usize, "{name}: {status:?}");
+        assert_eq!(got, want, "{name}: the resumed report differs");
+        std::fs::remove_file(&path).expect("journal removed");
+    }
 }
 
 #[test]

@@ -52,12 +52,10 @@ struct Design {
 
 impl Design {
     /// A fresh simulator, warmed up. Without `translation` it is the
-    /// stepped reference: stall fast-forwarding goes off too (a
-    /// campaign's `CampaignConfig::fast_forward` then sets its own).
+    /// stepped reference (the stall jump goes off with translation).
     fn sim(&self, translation: bool) -> CoSim {
         let mut sim = (self.build)(&self.image);
         sim.set_translation(translation);
-        sim.set_fast_forward(translation);
         if self.warmup > 0 {
             let stop = sim.run(self.warmup);
             assert!(matches!(stop, CoSimStop::CycleLimit { .. }), "{}: {stop}", self.name);
@@ -152,13 +150,8 @@ fn fsl_deadlock() -> Design {
 }
 
 /// Short watchdog and padded budget, so hung trials end quickly.
-fn config(fast_forward: bool) -> CampaignConfig {
-    CampaignConfig {
-        watchdog_threshold: 1_500,
-        budget_floor: 4_000,
-        fast_forward,
-        ..CampaignConfig::default()
-    }
+fn config() -> CampaignConfig {
+    CampaignConfig { watchdog_threshold: 1_500, budget_floor: 4_000, ..CampaignConfig::default() }
 }
 
 /// Cycles `design` runs from its initial state to halt.
@@ -238,7 +231,6 @@ fn reference(
     config: CampaignConfig,
 ) -> CampaignReport {
     let mut sim = design.sim(translation);
-    sim.set_fast_forward(config.fast_forward);
     let initial = sim.save_state();
     let stop = sim.run(config.budget_floor * config.budget_factor);
     assert_eq!(stop, CoSimStop::Halted);
@@ -413,13 +405,13 @@ fn check_shapes<K: TrialKind>(
 /// Every shape of the campaign driver equals the reference on `plan`.
 fn check_runners(design: &Design, translation: bool, plan: &[Injection], config: CampaignConfig) {
     let want = reference(design, translation, plan, config);
-    let ctx = format!("{} translation={translation} ff={}", design.name, config.fast_forward);
+    let ctx = format!("{} translation={translation}", design.name);
     let observe = |sim: &CoSim| design.observe(sim);
     let mut sim = design.sim(translation);
     let before = sim.save_state();
     assert_eq!(run_campaign(&mut sim, plan, observe, config), want, "run_campaign, {ctx}");
     assert_eq!(sim.save_state(), before, "run_campaign leaves the initial state, {ctx}");
-    check_shapes(design, translation, plan, &config, &want, &format!("ff={}", config.fast_forward));
+    check_shapes(design, translation, plan, &config, &want, "campaign");
 }
 
 #[test]
@@ -429,18 +421,18 @@ fn every_runner_matches_restore_from_initial() {
         let seed = d as u64 * 31;
         let plans = [hostile_plan(seed + 1, 48, end), hostile_plan(seed + 2, 48, end)];
         for plan in plans.iter().chain([&rung_plan(seed + 3, end)]) {
-            for (translation, ff) in [(false, true), (false, false), (true, true)] {
-                check_runners(design, translation, plan, config(ff));
+            for translation in [false, true] {
+                check_runners(design, translation, plan, config());
             }
             // The plans reach past plain masked trials.
-            let report = reference(design, false, plan, config(true));
+            let report = reference(design, false, plan, config());
             assert!(
                 report.trials.iter().any(|t| t.outcome == Outcome::Deadlock),
                 "{}",
                 design.name
             );
         }
-        let report = reference(design, false, &plans[0], config(true));
+        let report = reference(design, false, &plans[0], config());
         assert_eq!(report.coverage().abandoned, 1, "{}", design.name);
     }
 }

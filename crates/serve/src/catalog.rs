@@ -383,7 +383,6 @@ mod tests {
             let built = build_sim(w, false);
             let mut stepped = build_sim(w, false);
             stepped.set_translation(false);
-            stepped.set_fast_forward(false);
             let ran = [built, stepped].map(|mut sim| {
                 assert_eq!(sim.run(10_000_000), softsim_cosim::CoSimStop::Halted, "{w:?}");
                 (observe_words(&sim, base, n), sim.save_state(), sim.hw_stats())

@@ -1,14 +1,16 @@
-//! Execution-mode oracle. A co-simulator runs in one of four modes:
-//! translated blocks on or off, stall fast-forward on or off. The
-//! stepped reference (both off) advances every component one cycle at a
-//! time; the other three must leave the identical stops, whole-system
-//! snapshots (`save_state`: CPU, every FIFO with its statistics, every
-//! graph) and hardware counters. Each case — every application
-//! peripheral, software-only programs (one of them self-modifying) and
-//! random FSL programs — runs every row of the matrix in every mode:
-//! to halt, in chunked `run(k)` calls, paused by run horizons, across a
-//! checkpoint carried through the `SSCK` bytes with the mode switched
-//! on the way, and into watchdog deadlocks from stuck FIFO flags.
+//! Execution-mode oracle. A co-simulator runs in one of two modes, set
+//! by its one fast-path switch, `set_translation`. The stepped
+//! reference advances every component one cycle at a time and must take
+//! no fast path. The fast mode (the build default) runs translated
+//! blocks, jumps idle peripherals after a block and jumps stalled
+//! stretches; it must leave the identical stops, whole-system snapshots
+//! (`save_state`: CPU, every FIFO with its statistics, every graph) and
+//! hardware counters. Each case — every application peripheral,
+//! software-only programs (one of them self-modifying) and random FSL
+//! programs — runs every row of the matrix in both modes: to halt, in
+//! chunked `run(k)` calls, paused by run horizons, across a checkpoint
+//! carried through the `SSCK` bytes with the mode switched on the way,
+//! and into watchdog deadlocks from stuck FIFO flags.
 
 mod common;
 
@@ -45,27 +47,20 @@ const BUDGET: u64 = 5_000_000;
 
 /// An execution mode.
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct Mode {
-    translation: bool,
-    fast_forward: bool,
+enum Mode {
+    /// The stepped reference: every fast path off.
+    Stepped,
+    /// Every fast path on, as built.
+    Fast,
 }
 
-/// The stepped reference.
-const STEPPED: Mode = Mode { translation: false, fast_forward: false };
-
-/// Every mode, the stepped reference first and the build default last.
-const MODES: [Mode; 4] = [
-    STEPPED,
-    Mode { translation: true, fast_forward: false },
-    Mode { translation: false, fast_forward: true },
-    Mode { translation: true, fast_forward: true },
-];
+/// Both modes, the stepped reference first.
+const MODES: [Mode; 2] = [Mode::Stepped, Mode::Fast];
 
 impl Mode {
-    /// Puts `sim` in this mode: the one place the oracle sets either path.
+    /// Puts `sim` in this mode: the one place the oracle sets the switch.
     fn apply(self, sim: &mut CoSim) {
-        sim.set_translation(self.translation);
-        sim.set_fast_forward(self.fast_forward);
+        sim.set_translation(self == Mode::Fast);
     }
 
     /// `sim`, put in this mode.
@@ -110,22 +105,34 @@ fn ssck(state: &CoSimState) -> CoSimState {
     snapshot::from_bytes(&snapshot::to_bytes(state)).expect("SSCK round trip")
 }
 
-/// Runs `row` in every mode and checks each result against the stepped
-/// reference's, which it returns.
+/// Runs `row` in both modes and checks the fast mode's result against
+/// the stepped reference's, which it returns.
 fn every_mode<T: PartialEq>(what: &str, row: impl Fn(Mode) -> T) -> T {
-    let want = row(STEPPED);
-    for mode in &MODES[1..] {
-        assert!(row(*mode) == want, "{what}: {mode:?} differs from the stepped reference");
-    }
+    let want = row(Mode::Stepped);
+    assert!(row(Mode::Fast) == want, "{what}: the fast mode differs from the stepped reference");
     want
 }
 
-/// Row: one `run` to halt. A translated mode must have run blocks.
+/// Block dispatches and stall jumps `sim` has taken since it was built.
+fn fast_work(sim: &CoSim) -> (u64, u64) {
+    (sim.cpu().translation_stats().block_dispatches, sim.ff_engagements())
+}
+
+/// In the stepped mode, `sim` took no fast path since `fast_work` read
+/// `since` (`(0, 0)`: since it was built).
+fn assert_stepped(mode: Mode, sim: &CoSim, since: (u64, u64), what: &str) {
+    if mode == Mode::Stepped {
+        assert_eq!(fast_work(sim), since, "{what}: the stepped mode took a fast path");
+    }
+}
+
+/// Row: one `run` to halt. The fast mode must have run blocks.
 fn halt(case: &Case, mode: Mode) -> Log {
     let mut sim = case.sim(mode);
     let stop = sim.run(BUDGET);
     let stats = sim.cpu().translation_stats();
-    assert!(!mode.translation || stats.block_dispatches > 0, "{}: no block ran", case.name);
+    assert!(mode == Mode::Stepped || stats.block_dispatches > 0, "{}: no block ran", case.name);
+    assert_stepped(mode, &sim, (0, 0), &case.name);
     vec![Seen::Stop(stop), state(&sim)]
 }
 
@@ -145,6 +152,7 @@ fn chunks(case: &Case, mode: Mode, k: u64) -> Log {
             break;
         }
     }
+    assert_stepped(mode, &sim, (0, 0), &format!("{}: run({k}) chunks", case.name));
     log
 }
 
@@ -164,6 +172,7 @@ fn horizons(case: &Case, mode: Mode, end: u64) -> Log {
     sim.set_run_horizon(None);
     log.push(Seen::Stop(sim.run(BUDGET)));
     log.push(state(&sim));
+    assert_stepped(mode, &sim, (0, 0), &format!("{}: horizons", case.name));
     log
 }
 
@@ -171,14 +180,15 @@ fn horizons(case: &Case, mode: Mode, end: u64) -> Log {
 /// `SSCK` bytes and finished in every mode `b`, restored into a fresh
 /// simulator and back into the one that took it after that one ran on
 /// uninterrupted to its stop. Every finish must equal the uninterrupted
-/// run. The `b`s run build default first, so a translated `a` hands its
-/// block cache straight to a translated `b` (a restore whose code bytes
-/// differ must flush it).
+/// run, and a stepped finish must take no fast path. The `b`s run the
+/// build default first, so a fast `a` hands its block cache straight to
+/// a fast `b` (a restore whose code bytes differ must flush it).
 fn checkpoint(case: &Case, a: Mode, pause: u64) -> Log {
     let mut sim = case.sim(a);
     let paused = Seen::Stop(sim.run(pause));
     let saved = ssck(&sim.save_state());
     let uninterrupted = [Seen::Stop(sim.run(BUDGET)), state(&sim)];
+    assert_stepped(a, &sim, (0, 0), &format!("{}: checkpoint at {pause}", case.name));
     for b in MODES.into_iter().rev() {
         let mut fresh = case.sim(b);
         fresh.load_state(&saved);
@@ -186,8 +196,10 @@ fn checkpoint(case: &Case, a: Mode, pause: u64) -> Log {
         sim.load_state(&saved);
         for (into, sim) in [("a fresh simulator", &mut fresh), ("itself", &mut sim)] {
             let what = format!("{}: checkpoint in {a:?} restored into {into}", case.name);
+            let before = fast_work(sim);
             let finish = [Seen::Stop(sim.run(BUDGET)), state(sim)];
             assert!(finish == uninterrupted, "{what}: {b:?} differs from the uninterrupted run");
+            assert_stepped(b, sim, before, &what);
         }
     }
     [paused].into_iter().chain(uninterrupted).collect()
@@ -220,9 +232,10 @@ fn stuck_rows(end: u64) -> [Stuck; 4] {
 /// restored into the same simulator (its watchdog, armed before, stays
 /// armed) or into a fresh one (armed after); a run horizon pausing the
 /// stall; then the run to its stop. Where the driver blocks on channel
-/// 0 (`blocks`: every application), that stop is a deadlock, and a
-/// fast-forward mode reaches it with at least one jump.
+/// 0 (`blocks`: every application), that stop is a deadlock, and the
+/// fast mode reaches it with at least one jump.
 fn deadlock(case: &Case, mode: Mode, s: &Stuck, blocks: bool) -> Log {
+    let what = format!("{}: {:?} at {} in {mode:?}", case.name, s.kind, s.at);
     let mut sim = case.sim(mode);
     let mut log = vec![Seen::Stop(sim.run(s.at))];
     if !matches!(log[0], Seen::Stop(CoSimStop::CycleLimit { .. })) {
@@ -238,6 +251,7 @@ fn deadlock(case: &Case, mode: Mode, s: &Stuck, blocks: bool) -> Log {
         log.push(Seen::Stop(sim.run(s.threshold / 4)));
         sim.load_state(&saved);
     } else {
+        assert_stepped(mode, &sim, (0, 0), &what);
         sim = case.sim(mode);
         sim.load_state(&saved);
         sim.set_watchdog(s.threshold);
@@ -246,9 +260,9 @@ fn deadlock(case: &Case, mode: Mode, s: &Stuck, blocks: bool) -> Log {
     log.push(Seen::Stop(sim.run(BUDGET)));
     sim.set_run_horizon(None);
     let stop = sim.run(BUDGET);
-    let what = format!("{}: {:?} at {} in {mode:?}", case.name, s.kind, s.at);
     assert!(!blocks || matches!(stop, CoSimStop::Deadlock { .. }), "{what}: {stop}");
-    assert!(!blocks || !mode.fast_forward || sim.ff_engagements() > 0, "{what}: no jump");
+    assert!(!blocks || mode == Mode::Stepped || sim.ff_engagements() > 0, "{what}: no jump");
+    assert_stepped(mode, &sim, (0, 0), &what);
     log.extend([Seen::Stop(stop), state(&sim)]);
     log
 }
@@ -385,7 +399,7 @@ fn every_constructor_turns_both_fast_paths_on() {
         CoSim::with_config(&img, CpuConfig::full(), None),
         CoSim::with_config(&img, CpuConfig::full(), Some(cordic_peripheral(2))),
     ] {
-        assert!(sim.translation() && sim.fast_forward(), "both fast paths on as built");
+        assert!(sim.translation(), "the fast paths are on as built");
     }
 }
 
@@ -399,7 +413,7 @@ fn every_application_matches_the_stepped_reference() {
 #[test]
 fn every_application_deadlocks_like_the_stepped_reference() {
     for case in app_cases() {
-        let mut sim = case.sim(MODES[3]);
+        let mut sim = case.sim(Mode::Fast);
         sim.run(BUDGET);
         check_deadlocks(&case, sim.cpu().stats().cycles, true);
     }
@@ -421,16 +435,16 @@ fn software_only_programs_match_the_stepped_reference() {
     for seed in 0..8 {
         let case = self_modifying(seed);
         check(&case);
-        let mut sim = case.sim(MODES[1]);
+        let mut sim = case.sim(Mode::Fast);
         sim.run(BUDGET);
         let stats = sim.cpu().translation_stats();
         assert!(stats.invalidations > 0, "{}: the store into code must invalidate", case.name);
     }
 }
 
-/// With a metrics collector and an event recorder attached, every mode
-/// steps (neither fast path may run under observation), so a faulted
-/// CORDIC run records the same events and windowed series in all four.
+/// With a metrics collector and an event recorder attached, both modes
+/// step (no fast path may run under observation), so a faulted CORDIC
+/// run records the same events and windowed series in both.
 #[test]
 fn a_traced_run_records_the_same_in_every_mode() {
     every_mode("traced cordic p=2", |mode| {
@@ -502,6 +516,7 @@ fn probed_peripherals_keep_every_sample() {
     let (log, samples) = every_mode("probed cordic", |mode| {
         let mut sim = mode.on(CoSim::with_peripheral(&cordic_image(2), probed_cordic()));
         let log = vec![Seen::Stop(sim.run(BUDGET)), state(&sim)];
+        assert_stepped(mode, &sim, (0, 0), "probed cordic");
         let graph = sim.peripherals()[0].graph();
         let samples: Vec<Vec<u64>> = ["pe0_y", "pe1_y"]
             .map(|p| graph.probe_samples(p).unwrap().iter().map(|v| v.to_bits()).collect())
@@ -530,20 +545,60 @@ fn zero_cycle_run_reports_no_blockage() {
 /// A fully stuck system under a 200-million-cycle budget is only
 /// affordable if the stalled stretch is jumped, not stepped (stepping
 /// it takes minutes; the jump is microseconds). The generous wall-clock
-/// bound makes this a regression tripwire, not a benchmark.
+/// bound makes this a regression tripwire, not a benchmark. Two inputs:
+/// CORDIC with channel 0's empty flag stuck, and the software-only `get`
+/// of `zero_cycle_run_reports_no_blockage`, whose stall nothing can
+/// clear. With no peripheral to wait for, the latter is jumped straight
+/// after its first stalled cycle, so its one jump covers the budget
+/// minus the stepped cycles up to and including that one. Under a
+/// budget stepping can afford, both end in the stepped reference's
+/// state.
 #[test]
 fn fast_forward_engages_on_stuck_systems() {
-    let mut sim = cordic(2);
-    Injector::apply(&mut sim, FaultKind::StuckEmpty { channel: 0 });
-    let start = std::time::Instant::now();
-    let stop = sim.run(200_000_000);
-    assert_eq!(stop, CoSimStop::CycleLimit { blocked: sim.cpu().fsl_block() });
-    assert!(sim.cpu().fsl_block().is_some(), "system must be stuck on the FSL");
-    assert_eq!(sim.cpu().stats().cycles, 200_000_000, "the whole budget must elapse");
-    assert_eq!(sim.ff_engagements(), 1, "one stall, one jump");
-    assert!(sim.ff_skipped_cycles() >= 199_999_000, "jumped {} cycles", sim.ff_skipped_cycles());
-    let elapsed = start.elapsed();
-    assert!(elapsed.as_secs() < 5, "200M stalled cycles took {elapsed:?}: no jump");
+    let software = assemble("get r3, rfsl4\nhalt\n").expect("assembles");
+    let stuck_cordic = || {
+        let mut sim = cordic(2);
+        Injector::apply(&mut sim, FaultKind::StuckEmpty { channel: 0 });
+        sim
+    };
+    let inputs = [
+        Case::new("stuck cordic p=2", stuck_cordic),
+        Case::new("software-only get", move || CoSim::software_only(&software)),
+    ];
+    for case in &inputs {
+        let name = &case.name;
+        // The stepped reference, one cycle at a time up to its first
+        // stalled cycle, then to a budget stepping can afford.
+        let mut stepped = case.sim(Mode::Stepped);
+        while stepped.cpu().fsl_block().is_none() {
+            stepped.run(1);
+        }
+        let first_stall = stepped.cpu().stats().cycles;
+        let affordable = 100_000;
+        let want = [Seen::Stop(stepped.run(affordable - first_stall)), state(&stepped)];
+        assert_stepped(Mode::Stepped, &stepped, (0, 0), name);
+        let software_only = stepped.peripherals().is_empty();
+        for budget in [affordable, 200_000_000] {
+            let mut sim = case.sim(Mode::Fast);
+            let start = std::time::Instant::now();
+            let stop = sim.run(budget);
+            let elapsed = start.elapsed();
+            assert_eq!(stop, CoSimStop::CycleLimit { blocked: sim.cpu().fsl_block() }, "{name}");
+            assert!(sim.cpu().fsl_block().is_some(), "{name}: system must be stuck on the FSL");
+            assert_eq!(sim.cpu().stats().cycles, budget, "{name}: the whole budget must elapse");
+            assert_eq!(sim.ff_engagements(), 1, "{name}: one stall, one jump");
+            let skipped = sim.ff_skipped_cycles();
+            assert!(skipped >= budget - 1_000, "{name}: jumped {skipped} cycles");
+            if software_only {
+                assert_eq!(skipped, budget - first_stall, "{name}: jumped late");
+            }
+            if budget == affordable {
+                let got = [Seen::Stop(stop), state(&sim)];
+                assert!(got == want, "{name}: differs from the stepped reference");
+            }
+            assert!(elapsed.as_secs() < 5, "{name}: {budget} stalled cycles took {elapsed:?}");
+        }
+    }
 }
 
 /// A run horizon already behind the clock runs nothing, in every mode.
@@ -556,5 +611,6 @@ fn a_horizon_behind_the_clock_runs_nothing() {
         sim.set_run_horizon(Some(100));
         assert_eq!(sim.run(BUDGET), CoSimStop::CycleLimit { blocked: None }, "{mode:?}");
         assert_eq!(sim.cpu().stats().cycles, 300, "{mode:?}");
+        assert_stepped(mode, &sim, (0, 0), "horizon behind the clock");
     }
 }
