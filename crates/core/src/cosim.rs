@@ -53,6 +53,13 @@ pub enum CoSimStop {
     },
     /// The processor faulted.
     Fault(Fault),
+    /// Execution reached a breakpoint: the instruction at `pc` has not
+    /// executed, and neither the processor nor the hardware side spent
+    /// a cycle on it. The next run executes it.
+    Breakpoint {
+        /// The breakpoint address.
+        pc: u32,
+    },
 }
 
 impl std::fmt::Display for CoSimStop {
@@ -67,6 +74,7 @@ impl std::fmt::Display for CoSimStop {
                 write!(f, "deadlock detected at cycle {cycle}: {cause}")
             }
             CoSimStop::Fault(fault) => write!(f, "fault: {fault}"),
+            CoSimStop::Breakpoint { pc } => write!(f, "breakpoint at {pc:#010x}"),
         }
     }
 }
@@ -495,7 +503,7 @@ impl CoSim {
     /// all three:
     ///
     /// - **Translated blocks**: straight-line guest code runs through the
-    ///   ISS's pre-decoded block cache (see `softsim-iss`'s `translate`
+    ///   ISS's block cache of resolved ops (see `softsim-iss`'s `translate`
     ///   module), and the hardware side replays the block's cycles
     ///   afterwards — bit-identical to stepping, because a translated
     ///   block never touches an FSL channel.
@@ -710,14 +718,18 @@ impl CoSim {
         self.cpu.stats().time_us(self.clock_hz)
     }
 
-    /// Advances the whole system by one clock cycle.
+    /// Advances the whole system by one clock cycle. A breakpoint
+    /// report consumes no cycle, so on [`Event::Breakpoint`] the hardware
+    /// side does not tick either: the two clocks stay together.
     pub fn step(&mut self) -> Event {
         // The cycle about to execute — matches the stamp `Cpu::tick`
         // writes into the FSL trace state, so gateway events sort with
         // the FIFO and retire events of the same clock.
         let cycle = self.cpu.stats().cycles;
         let event = self.cpu.tick(&mut self.fsl);
-        self.tick_peripherals(cycle);
+        if !matches!(event, Event::Breakpoint { .. }) {
+            self.tick_peripherals(cycle);
+        }
         event
     }
 
@@ -945,12 +957,12 @@ impl CoSim {
         Some(n)
     }
 
-    /// Runs until the software halts, faults, deadlocks (when a watchdog
-    /// is armed) or `max_cycles` elapse. On cycle-budget expiry the stop
-    /// reports the FSL transfer the processor was blocked on — but only
-    /// when the final executed cycle actually stalled on that transfer
-    /// (a zero-cycle run, or one whose last step completed the transfer,
-    /// reports no blockage).
+    /// Runs until the software halts, faults, reaches a breakpoint,
+    /// deadlocks (when a watchdog is armed) or `max_cycles` elapse. On
+    /// cycle-budget expiry the stop reports the FSL transfer the
+    /// processor was blocked on — but only when the final executed cycle
+    /// actually stalled on that transfer (a zero-cycle run, or one whose
+    /// last step completed the transfer, reports no blockage).
     pub fn run(&mut self, max_cycles: u64) -> CoSimStop {
         // An armed run horizon shrinks the budget once, here — both the
         // stepped and the fast-forwarded path then respect it for free,
@@ -1019,6 +1031,7 @@ impl CoSim {
             match self.step() {
                 e if e.is_halt() => return CoSimStop::Halted,
                 Event::Fault(f) => return CoSimStop::Fault(f),
+                Event::Breakpoint { pc } => return CoSimStop::Breakpoint { pc },
                 _ => {}
             }
             executed += 1;

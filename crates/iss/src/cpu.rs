@@ -26,6 +26,7 @@
 //! this simulator runs never place control flow in a delay slot, which the
 //! model rejects as a fault exactly when it would matter).
 
+use crate::exec::Op;
 use crate::fault::Fault;
 use crate::stats::CpuStats;
 use softsim_bus::{FslBank, LmbMemory, MemPatch};
@@ -681,6 +682,18 @@ impl Cpu {
         if self.halted {
             return Event::Halted;
         }
+        let pc = self.pc;
+        if matches!(self.pipe, Pipe::Ready)
+            && self.breakpoints.contains(&pc)
+            && self.bp_skip != Some(pc)
+            && !self.in_delay_slot
+        {
+            // Report without consuming a cycle (nor ticking the OPB's
+            // peripherals); the next tick at this PC proceeds past the
+            // breakpoint.
+            self.bp_skip = Some(pc);
+            return Event::Breakpoint { pc };
+        }
         if let Some(opb) = &mut self.opb {
             opb.tick();
         }
@@ -741,12 +754,6 @@ impl Cpu {
     /// Fetches, decodes and begins the instruction at the current PC.
     fn issue(&mut self, fsl: &mut FslBank) -> Event {
         let pc = self.pc;
-        if self.breakpoints.contains(&pc) && self.bp_skip != Some(pc) && !self.in_delay_slot {
-            // Report without consuming a cycle; the next tick at this PC
-            // proceeds past the breakpoint.
-            self.bp_skip = Some(pc);
-            return Event::Breakpoint { pc };
-        }
         self.bp_skip = None;
         self.inst_start = self.stats.cycles;
         self.inst_read_stalls = 0;
@@ -763,9 +770,12 @@ impl Cpu {
         if self.in_delay_slot && (inst.is_branch() || inst.is_imm_prefix() || inst == Inst::Halt) {
             return self.fault(Fault::IllegalDelaySlot { pc });
         }
-        // Execute architecturally now; occupy the pipeline for the rest.
+        // Resolve, consuming the `imm` prefix (it applies exactly to this
+        // instruction); execute architecturally now; occupy the pipeline
+        // for the rest.
+        let op = Op::resolve(&inst, pc, self.imm_latch.take(), &self.config);
         self.extra_cycles = 0;
-        let cycles = match self.execute(pc, &inst, fsl) {
+        let cycles = match self.exec_op(pc, &op, fsl) {
             Ok(ExecOutcome::Normal) => inst.base_cycles() + self.extra_cycles,
             Ok(ExecOutcome::Taken) => {
                 self.stats.taken_branches += 1;

@@ -4,11 +4,15 @@
 //! interpreter's per-cycle fetch/decode/dispatch loop is replaced, on
 //! hot straight-line code, by a *basic-block cache*: the first time
 //! execution reaches a PC, the instructions from that PC up to the next
-//! control-flow or interaction boundary are decoded **once** and stored
-//! with their cycle costs annotated at translation time. Re-entering
-//! the block then replays the pre-decoded instructions back to back —
-//! no refetch, no redecode, no per-cycle pipeline state machine — while
-//! charging exactly the cycles the interpreter would have.
+//! control-flow or interaction boundary are decoded and resolved
+//! **once** into ops (register indices, extended immediates, computed
+//! branch targets, the optional-unit gate decided; see [`Op`]) and
+//! stored with their cycle costs annotated at translation time.
+//! Re-entering the block runs the ops back to back through the
+//! interpreter's own executor — no refetch, no redecode, no per-cycle
+//! pipeline state machine — and charges the block's cycles and
+//! instructions once, when it exits: exactly what the interpreter would
+//! have charged instruction by instruction.
 //!
 //! # Block boundaries
 //!
@@ -24,6 +28,9 @@
 //! * **`halt`**, an undecodable word, or the end of the loaded program
 //!   image — excluded (the interpreter raises the identical fault/halt,
 //!   and code outside the image always runs interpreted);
+//! * an instruction whose optional unit the configuration omits —
+//!   included as the final step, an op that raises the interpreter's
+//!   fault;
 //! * [`MAX_BLOCK_LEN`] instructions (a translation-size bound).
 //!
 //! # Determinism boundary
@@ -35,26 +42,24 @@
 //! instruction boundary, or a block whose worst-case cycles exceed the
 //! remaining budget (the interpreter then single-steps to the exact
 //! mid-instruction stop state). Stores into cached code invalidate the
-//! covering blocks and stop the current block at the next step, so
-//! self-modifying programs re-translate and stay bit-exact. A snapshot
-//! restore keeps every cached block when the restored bytes of the
-//! cached code range equal the current ones, and flushes the cache
-//! otherwise.
+//! covering blocks; a block checks for that after each of its stores
+//! and stops there, charging exactly the prefix that ran, so
+//! self-modifying programs re-translate and stay bit-exact. A fault
+//! mid-block charges the prefix and the faulting issue cycle, as the
+//! interpreter does. A snapshot restore keeps every cached block when
+//! the restored bytes of the cached code range equal the current ones,
+//! and flushes the cache otherwise.
 
 use crate::cpu::{Cpu, ExecOutcome, Pipe};
+use crate::exec::Op;
 use crate::fault::Fault;
 use softsim_bus::FslBank;
 use softsim_isa::{decode, Inst};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
 /// Upper bound on instructions per translated block.
 const MAX_BLOCK_LEN: usize = 64;
-
-/// Cached-code pages are `1 << PAGE_SHIFT` bytes: the invalidation
-/// index maps a store's page to the blocks that overlap it.
-const PAGE_SHIFT: u32 = 8;
 
 /// Counters describing the translation cache (observer state: never
 /// part of snapshots, never affects architectural results).
@@ -94,16 +99,20 @@ pub enum TranslatedRun {
     },
 }
 
-/// One pre-decoded instruction with its translation-time cycle costs.
+/// One resolved instruction with its translation-time cycle costs.
 #[derive(Debug, Clone)]
 struct Step {
-    inst: Inst,
+    op: Op,
     /// Cycles when the instruction completes normally (`base_cycles`;
     /// OPB latency cannot occur — dispatch requires no OPB bus).
-    base: u32,
+    base: u16,
     /// Cycles when a branch is taken (`base_cycles + taken_penalty`).
-    taken: u32,
+    taken: u16,
 }
+
+// A step (a resolved op and its two cycle costs) fits in the 16 bytes a
+// decoded instruction with its costs takes, so resolving grows no block.
+const _: () = assert!(std::mem::size_of::<Step>() <= 16);
 
 /// A translated basic block.
 #[derive(Debug)]
@@ -135,21 +144,24 @@ pub(crate) struct Translator {
     /// Number of `Some` slots (so flushing an already-empty cache stays
     /// free for the translation-off path).
     cached: usize,
-    /// Page index for store invalidation: page number → entry PCs of
-    /// blocks overlapping that page (entries may go stale after an
-    /// invalidation; lookups skip PCs no longer cached).
-    by_page: HashMap<u32, Vec<u32>>,
     /// Bumped on every invalidation/flush; an executing block re-checks
-    /// it each step so a self-modifying store stops translated
-    /// execution before any stale decode is used.
+    /// it after each of its stores, so a self-modifying store stops
+    /// translated execution before any stale op is used.
     generation: u64,
     /// Conservative watermarks over every cached block's `[start, end)`
     /// — `note_store` rejects stores outside `[code_lo, code_hi)` with
     /// two compares, so data-section stores (the overwhelming majority)
-    /// never touch the page index. Only grown on insert; reset on
+    /// never touch the cache. Only grown on insert; reset on
     /// [`Translator::flush`].
     code_lo: u32,
     code_hi: u32,
+    /// One bit per word of the image, set once a cached block covers
+    /// that word. Programs keep data between their code (a spill frame
+    /// after a loop), inside the watermarks; this turns each such store
+    /// away with one bit test. Only set on insert (an evicted block's
+    /// bits stay, which is conservative); cleared on
+    /// [`Translator::flush`].
+    code_words: Vec<u64>,
     stats: TranslationStats,
 }
 
@@ -161,10 +173,10 @@ impl Translator {
             image,
             slots: Vec::new(),
             cached: 0,
-            by_page: HashMap::new(),
             generation: 0,
             code_lo: u32::MAX,
             code_hi: 0,
+            code_words: Vec::new(),
             stats: TranslationStats::default(),
         }
     }
@@ -179,10 +191,27 @@ impl Translator {
         }
         self.slots.clear();
         self.cached = 0;
-        self.by_page.clear();
         self.code_lo = u32::MAX;
         self.code_hi = 0;
+        self.code_words.clear();
         self.generation += 1;
+    }
+
+    /// Index of the bit of [`Translator::code_words`] for the byte at
+    /// `addr` (inside the image): one bit per four bytes from the
+    /// image's start.
+    fn word_bit(&self, addr: u32) -> usize {
+        ((addr - self.image.start) >> 2) as usize
+    }
+
+    /// Whether a cached block covers (or once covered) a byte of the
+    /// four that share `addr`'s bit.
+    fn is_code(&self, addr: u32) -> bool {
+        if !self.image.contains(&addr) {
+            return false;
+        }
+        let bit = self.word_bit(addr);
+        self.code_words.get(bit / 64).is_some_and(|w| w & (1 << (bit % 64)) != 0)
     }
 
     /// The byte range `[code_lo, code_hi)` every cached block was
@@ -211,7 +240,8 @@ impl Translator {
     /// Invalidates any cached block overlapping the 4 bytes at `addr`
     /// (the widest store), called on every successful LMB store. The
     /// watermark early-out keeps the cost of data-section stores — and
-    /// of every store while translation is off — to two compares.
+    /// of every store while translation is off — to two compares, and
+    /// the code bitmap turns away the data stores between code.
     pub(crate) fn note_store(&mut self, addr: u32) {
         // Saturating: a store at the very top of the address space can
         // only be over-covered, which at worst invalidates one extra
@@ -220,21 +250,21 @@ impl Translator {
         if last < self.code_lo || addr >= self.code_hi {
             return;
         }
-        let (lo, hi) = (addr >> PAGE_SHIFT, last >> PAGE_SHIFT);
-        let mut doomed: Vec<u32> = Vec::new();
-        for page in lo..=hi {
-            if let Some(bucket) = self.by_page.get(&page) {
-                for &start in bucket {
-                    if let Some(b) = self.lookup(start) {
-                        if last >= b.start && addr < b.end {
-                            doomed.push(start);
-                        }
-                    }
-                }
-            }
+        if !self.is_code(addr) && !self.is_code(last) {
+            return;
         }
-        for start in doomed {
-            self.evict(start);
+        // A block holds at most `MAX_BLOCK_LEN` words, so one that
+        // overlaps the stored bytes is entered at most that many words
+        // before them. Empty blocks cover no bytes.
+        let first = (addr >> 2).saturating_sub(MAX_BLOCK_LEN as u32 - 1);
+        for word in first..=(last >> 2) {
+            let start = word << 2;
+            let hit = self
+                .lookup(start)
+                .is_some_and(|b| !b.steps.is_empty() && last >= b.start && addr < b.end);
+            if hit {
+                self.evict(start);
+            }
         }
     }
 }
@@ -305,26 +335,29 @@ impl Cpu {
             let base = inst.base_cycles();
             let taken = base + inst.taken_penalty();
             worst += base.max(taken) as u64;
-            let is_branch = inst.is_branch();
-            steps.push(Step { inst, base, taken });
+            // Blocks start with no `imm` latch and hold no `imm`.
+            let op = Op::resolve(&inst, at, None, &self.config);
+            steps.push(Step { op, base: base as u16, taken: taken as u16 });
             at = at.wrapping_add(4);
-            if is_branch {
+            // Nothing after a branch or a disabled-unit fault is reached.
+            if inst.is_branch() || matches!(op, Op::Disabled { .. }) {
                 break;
             }
         }
         let block = Rc::new(Block { steps, start: pc, end: at, worst_cycles: worst });
         self.translator.stats.blocks_translated += 1;
-        // Empty blocks cover no code bytes, so they never join the page
-        // index or widen the store-filter watermarks (and `end - 1`
-        // would wrap at pc 0).
+        // Empty blocks cover no code bytes, so they never widen the
+        // store filters (and `end - 1` would wrap at pc 0).
         if !block.steps.is_empty() {
-            self.translator.code_lo = self.translator.code_lo.min(block.start);
-            self.translator.code_hi = self.translator.code_hi.max(block.end);
-            for page in (block.start >> PAGE_SHIFT)..=((block.end - 1) >> PAGE_SHIFT) {
-                let bucket = self.translator.by_page.entry(page).or_default();
-                if !bucket.contains(&pc) {
-                    bucket.push(pc);
-                }
+            let t = &mut self.translator;
+            t.code_lo = t.code_lo.min(block.start);
+            t.code_hi = t.code_hi.max(block.end);
+            let (first, last) = (t.word_bit(block.start), t.word_bit(block.end - 1));
+            if last / 64 >= t.code_words.len() {
+                t.code_words.resize(last / 64 + 1, 0);
+            }
+            for bit in first..=last {
+                t.code_words[bit / 64] |= 1 << (bit % 64);
             }
         }
         if let Some(slot) = self.translator.slots.get_mut((pc >> 2) as usize) {
@@ -341,10 +374,13 @@ impl Cpu {
     /// fast path is ineligible here (the caller then falls back to
     /// [`Cpu::tick`], which produces bit-identical results).
     ///
-    /// The bulk loop replays exactly what `issue` + `retire` do for
-    /// each instruction — same statistics, same PC sequencing, same
-    /// fault behavior — minus the per-cycle pipeline bookkeeping that
-    /// is unobservable between instruction boundaries.
+    /// The ops run through the interpreter's executor; the block keeps
+    /// its own cycle count and writes the cycle, instruction and
+    /// translated-instruction counters once, when it exits. It leaves
+    /// the per-instruction state (issue cycle, stall attribution, bus
+    /// latency, breakpoint latch) as the last instruction that ran would.
+    /// Only the final step can branch, so every earlier step just moves
+    /// the PC on by one word.
     pub fn run_translated_block(&mut self, fsl: &mut FslBank, max_cycles: u64) -> TranslatedRun {
         if !self.translation_eligible() {
             return TranslatedRun::NotRun;
@@ -359,65 +395,64 @@ impl Cpu {
         }
         self.translator.stats.block_dispatches += 1;
         let generation = self.translator.generation;
-        // `issue` clears the breakpoint-resume latch on every issued
-        // instruction; breakpoints are empty here, but the latch itself
-        // must end up in the same state.
-        self.bp_skip = None;
-        let mut executed: u64 = 0;
         let mut pc = entry;
+        // Cycles charged so far, and the issue cycle of the last step
+        // that ran, both relative to the block's entry.
+        let (mut cycles, mut issued) = (0u64, 0u64);
+        let mut retired = 0u64;
+        let mut fault = None;
         for step in &block.steps {
-            // issue(): charge the issue cycle, reset the per-instruction
-            // attribution, execute architecturally.
-            self.inst_start = self.stats.cycles;
-            self.inst_read_stalls = 0;
-            self.inst_write_stalls = 0;
-            self.stats.cycles += 1;
-            executed += 1;
-            self.extra_cycles = 0;
-            let cycles = match self.execute(pc, &step.inst, fsl) {
-                Ok(ExecOutcome::Normal) => step.base,
+            issued = cycles;
+            match self.exec_op(pc, &step.op, fsl) {
+                Ok(ExecOutcome::Normal) => cycles += u64::from(step.base),
                 Ok(ExecOutcome::Taken) => {
                     self.stats.taken_branches += 1;
-                    step.taken
+                    cycles += u64::from(step.taken);
                 }
                 // FSL instructions terminate blocks before themselves.
                 Ok(ExecOutcome::FslBlocked) => unreachable!("FSL instruction inside a block"),
-                Err(fault) => {
-                    // fault(): the issue cycle is charged, nothing
-                    // retires, the processor halts.
-                    self.halted = true;
-                    return TranslatedRun::Faulted { cycles: executed, fault };
+                Err(f) => {
+                    // The issue cycle is charged, nothing retires.
+                    cycles += 1;
+                    fault = Some(f);
+                    break;
                 }
-            };
-            // Pipeline occupancy for the remaining cycles, all at once.
-            let occupancy = (cycles.max(1) - 1) as u64;
-            self.stats.cycles += occupancy;
-            executed += occupancy;
-            // retire(): count it and sequence the PC. `in_delay_slot`
-            // can only become true on the block's final step (a taken
-            // delayed branch), so the first arm never fires in-block —
-            // kept for exact structural parity with `retire`.
-            self.stats.instructions += 1;
-            self.translator.stats.translated_instructions += 1;
-            if self.in_delay_slot {
-                self.in_delay_slot = false;
-                self.pc = self.delay_target.take().expect("delay slot without target");
-            } else if self.delay_target.is_some() && step.inst.has_delay_slot() {
-                self.in_delay_slot = true;
-                self.pc = pc.wrapping_add(4);
-            } else if let Some(target) = self.redirect.take() {
-                self.pc = target;
-            } else {
-                self.pc = pc.wrapping_add(4);
             }
-            pc = self.pc;
+            retired += 1;
+            pc = pc.wrapping_add(4);
             // A store just invalidated cached code (possibly the rest of
-            // this very block): stop before using any stale decode.
-            if self.translator.generation != generation {
+            // this very block): stop before using any stale op.
+            if matches!(step.op, Op::Store { .. } | Op::StoreI { .. })
+                && self.translator.generation != generation
+            {
                 break;
             }
         }
-        TranslatedRun::Ran { cycles: executed }
+        let start = self.stats.cycles;
+        self.stats.cycles = start + cycles;
+        self.stats.instructions += retired;
+        self.translator.stats.translated_instructions += retired;
+        self.inst_start = start + issued;
+        self.inst_read_stalls = 0;
+        self.inst_write_stalls = 0;
+        self.extra_cycles = 0;
+        self.bp_skip = None;
+        if let Some(fault) = fault {
+            // The faulting instruction's PC; the processor halts.
+            self.pc = pc;
+            self.halted = true;
+            return TranslatedRun::Faulted { cycles, fault };
+        }
+        // `retire`'s PC sequencing for the final step, the only one that
+        // can branch: a taken delayed branch falls into its delay slot,
+        // any other taken branch redirects.
+        if self.delay_target.is_some() {
+            self.in_delay_slot = true;
+        } else if let Some(target) = self.redirect.take() {
+            pc = target;
+        }
+        self.pc = pc;
+        TranslatedRun::Ran { cycles }
     }
 }
 
@@ -425,17 +460,32 @@ impl Cpu {
 mod tests {
     use super::*;
     use softsim_isa::asm::assemble;
+    use softsim_isa::CpuConfig;
+
+    fn cpu_with(src: &str, config: CpuConfig) -> (Cpu, FslBank) {
+        let img = assemble(src).expect("assemble");
+        (Cpu::with_config(&img, config), FslBank::default())
+    }
 
     fn cpu(src: &str) -> (Cpu, FslBank) {
-        let img = assemble(src).expect("assemble");
-        (Cpu::with_default_memory(&img), FslBank::default())
+        cpu_with(src, CpuConfig::default())
     }
 
     /// The same program, interpreted vs translated, must agree on
     /// every architectural observable and every statistic.
     fn assert_equivalent(src: &str, budget: u64) {
-        let (mut a, mut fa) = cpu(src);
-        let (mut b, mut fb) = cpu(src);
+        assert_equivalent_with(src, budget, CpuConfig::default());
+    }
+
+    /// [`assert_equivalent`] on a processor configured as `config`.
+    /// Returns the translated side's stop reason and cache counters.
+    fn assert_equivalent_with(
+        src: &str,
+        budget: u64,
+        config: CpuConfig,
+    ) -> (crate::StopReason, TranslationStats) {
+        let (mut a, mut fa) = cpu_with(src, config);
+        let (mut b, mut fb) = cpu_with(src, config);
         b.set_translation(true);
         let ra = a.run(&mut fa, budget);
         let rb = b.run(&mut fb, budget);
@@ -448,6 +498,187 @@ mod tests {
             assert_eq!(a.reg(r), b.reg(r), "register {r:?} diverged");
         }
         assert_eq!(a.mem().bytes(), b.mem().bytes(), "memory diverged");
+        // The per-instruction state a block leaves must be what the
+        // last instruction it ran leaves in the interpreter.
+        assert_eq!(a.in_flight(), b.in_flight(), "in-flight state diverged");
+        assert_eq!(
+            (a.inst_start, a.extra_cycles, a.bp_skip, a.halted, a.in_delay_slot, a.delay_target),
+            (b.inst_start, b.extra_cycles, b.bp_skip, b.halted, b.in_delay_slot, b.delay_target),
+            "per-instruction state diverged"
+        );
+        (rb, b.translation_stats())
+    }
+
+    /// What every block case starts from. Each `li` is an `imm` pair,
+    /// which runs interpreted, so the block under test starts right
+    /// after them, at the carry line the case puts first.
+    const PROLOGUE: &str = "
+            li    r3, 0x80000001
+            li    r4, 0x7ffffff3
+            li    r5, -5
+            li    r6, data
+            li    r7, 3
+            li    r8, target
+            li    r9, 12
+            li    r12, 0xffffffff
+            li    r13, 0x10000
+        ";
+
+    /// What follows every block case. A case whose last line is a
+    /// branch to `pc + r9` lands on `target`, and a delayed branch's
+    /// slot is the `addik r21` line.
+    const EPILOGUE: &str = "
+            addik r21, r0, 2
+            halt
+        target:
+            addik r22, r0, 3
+            halt
+            .align 4
+        data:
+            .word 0x8899aabb, 0xccddeeff, 0
+        ";
+
+    /// Sets the carry (`add` writes its carry-out to r0's sum) or clears
+    /// it, as the first step of the block.
+    const CARRY: [&str; 2] = ["add r0, r12, r12", "add r0, r0, r0"];
+
+    /// Runs `body` (one instruction per line) inside a block after
+    /// [`PROLOGUE`] and `setup`, with the carry set and clear,
+    /// interpreted against translated, to halt and under a sweep of
+    /// cycle budgets that cut the run before, inside and after the
+    /// block. Returns the stop reason at halt and the cache counters of
+    /// the carry-set run.
+    fn check_block(
+        setup: &str,
+        body: &str,
+        config: CpuConfig,
+    ) -> (crate::StopReason, TranslationStats) {
+        let mut result = None;
+        for carry in CARRY {
+            let src = format!("{PROLOGUE}\n{setup}\n{carry}\naddik r20, r0, 1\n{body}\n{EPILOGUE}");
+            for budget in (16..64).step_by(5) {
+                assert_equivalent_with(&src, budget, config);
+            }
+            let got = assert_equivalent_with(&src, 10_000, config);
+            result.get_or_insert(got);
+        }
+        result.expect("two carry states")
+    }
+
+    /// Every instruction a block can hold runs inside one, bit-exact with
+    /// the interpreter: each `ArithFlags` combination, `r0` as the
+    /// destination, each access width, and every branch form as the
+    /// block's final step.
+    #[test]
+    fn every_resolved_op_matches_the_interpreter_inside_a_block() {
+        let mut bodies: Vec<String> = Vec::new();
+        for sfx in ["", "c", "k", "kc"] {
+            bodies.push(format!("add{sfx} r10, r3, r4\nadd{sfx} r11, r12, r7"));
+            bodies.push(format!("rsub{sfx} r10, r3, r4\nrsub{sfx} r11, r7, r5"));
+            bodies.push(format!("addi{sfx} r10, r12, 7\naddi{sfx} r11, r3, -9"));
+            bodies.push(format!("rsubi{sfx} r10, r4, 100\nrsubi{sfx} r11, r5, -3"));
+            bodies.push(format!("add{sfx} r0, r12, r12\naddi{sfx} r0, r3, -1"));
+        }
+        for op in ["or", "and", "xor", "andn"] {
+            bodies.push(format!("{op} r10, r3, r4\n{op}i r11, r5, 0x0f0f\n{op}i r0, r3, -1"));
+        }
+        for op in ["sra", "src", "srl"] {
+            bodies.push(format!("{op} r10, r3\n{op} r11, r5\n{op} r0, r12"));
+        }
+        for op in ["bsll", "bsrl", "bsra"] {
+            bodies.push(format!("{op} r10, r3, r7\n{op}i r11, r5, 31\n{op}i r0, r3, 4"));
+        }
+        bodies.extend(
+            [
+                "cmp r10, r3, r4\ncmpu r11, r3, r4\ncmp r13, r5, r5",
+                "mul r10, r3, r5\nmuli r11, r4, -3\nmul r0, r3, r3",
+                "idiv r10, r7, r5\nidivu r11, r7, r3\nidiv r13, r0, r4\nidiv r14, r12, r3",
+                "sext8 r10, r3\nsext16 r11, r5\nsext8 r0, r4",
+                "lbu r10, r6, r7\nlhu r11, r6, r0\nlw r13, r6, r0\nlw r0, r6, r0",
+                "lbui r10, r6, 5\nlhui r11, r6, 6\nlwi r13, r6, 4",
+                "sb r3, r6, r7\nsh r4, r6, r0\nsw r5, r6, r0\nlw r10, r6, r0",
+                "sbi r5, r6, 9\nshi r3, r6, 10\nswi r4, r6, 8\nlwi r10, r6, 8",
+                // Unconditional branches: relative, absolute, linking and
+                // delayed, immediate and register forms.
+                "bri target",
+                "brid target",
+                "brlid r15, target",
+                "brai target",
+                "braid target",
+                "bralid r15, target",
+                "br r9",
+                "brd r9",
+                "brld r15, r9",
+                "bra r8",
+                "brad r8",
+                "brald r15, r8",
+                "rtsd r8, 0",
+                "rtsd r8, -4",
+                // Conditional branches, taken and not taken.
+                "beqi r0, target",
+                "bnei r0, target",
+                "blti r3, target",
+                "bleid r4, target",
+                "bgtid r4, target",
+                "bgei r5, target",
+                "beq r0, r9",
+                "bned r3, r9",
+                "blt r4, r9",
+                "bled r5, r9",
+                "bgt r3, r9",
+                "bged r0, r9",
+            ]
+            .map(String::from),
+        );
+        for body in &bodies {
+            let (stop, stats) = check_block("", body, CpuConfig::full());
+            assert_eq!(stop, crate::StopReason::Halted, "{body}");
+            // The carry line, `addik r20` and the whole body ran in blocks.
+            let lines = body.lines().count() as u64;
+            assert!(stats.translated_instructions >= 2 + lines, "{body}: {stats:?}");
+        }
+    }
+
+    /// A fault in mid-block charges exactly the prefix that ran and the
+    /// faulting issue cycle, and leaves the state the interpreter leaves.
+    #[test]
+    fn a_fault_in_mid_block_matches_the_interpreter() {
+        let minimal = CpuConfig::minimal();
+        let cases = [
+            ("mul r10, r3, r5", minimal),
+            ("muli r10, r3, 5", minimal),
+            ("idiv r10, r7, r5", CpuConfig::default()),
+            ("idivu r10, r7, r5", minimal),
+            ("bsll r10, r3, r7", minimal),
+            ("bsrai r10, r3, 4", minimal),
+            // Past the end of local memory, misaligned, and on an OPB
+            // address with no bus attached.
+            ("lw r10, r13, r0", CpuConfig::default()),
+            ("lhu r10, r6, r7", CpuConfig::default()),
+            ("lwi r10, r13, 8", CpuConfig::default()),
+            ("sw r3, r12, r0", CpuConfig::default()),
+        ];
+        for (inst, config) in cases {
+            let body = format!("addik r10, r0, 1\n{inst}\naddik r11, r0, 1");
+            let (stop, stats) = check_block("", &body, config);
+            assert!(matches!(stop, crate::StopReason::Fault(_)), "{inst}: {stop:?}");
+            assert!(stats.translated_instructions >= 3, "{inst}: {stats:?}");
+        }
+    }
+
+    /// A store that overwrites the next instruction of its own block
+    /// stops the block there: the patched instruction runs, not the
+    /// stale op.
+    #[test]
+    fn a_store_into_the_rest_of_its_block_stops_it() {
+        use softsim_isa::{encode, ArithFlags, Reg};
+        let patch =
+            encode(&Inst::AddI { rd: Reg::new(10), ra: Reg::R0, imm: 99, flags: ArithFlags::KEEP });
+        let setup = format!("li r16, {patch:#010x}\nli r17, later");
+        let body = "sw r16, r17, r0\nlater:\naddik r10, r0, 1\naddik r11, r10, 1";
+        let (stop, stats) = check_block(&setup, body, CpuConfig::default());
+        assert_eq!(stop, crate::StopReason::Halted);
+        assert!(stats.invalidations > 0, "{stats:?}");
     }
 
     #[test]
@@ -491,20 +722,6 @@ mod tests {
         for budget in 1..40 {
             assert_equivalent(src, budget);
         }
-    }
-
-    #[test]
-    fn fault_in_block_matches_interpreter() {
-        // The load at +8 goes out of range mid-block.
-        assert_equivalent(
-            "
-            addik r3, r0, 4096
-            bslli r3, r3, 8
-            lw    r4, r3, r3
-            halt
-            ",
-            1_000,
-        );
     }
 
     #[test]

@@ -442,7 +442,10 @@ fn run_trial(
         CoSimStop::Halted if observe(sim) == golden.observed => Outcome::Masked,
         CoSimStop::Halted => Outcome::Sdc,
         CoSimStop::CycleLimit { .. } if budget_cancelled => Outcome::Budget,
-        CoSimStop::Deadlock { .. } | CoSimStop::CycleLimit { .. } => Outcome::Deadlock,
+        // A campaign arms no breakpoint; a stop at one did not finish.
+        CoSimStop::Deadlock { .. }
+        | CoSimStop::CycleLimit { .. }
+        | CoSimStop::Breakpoint { .. } => Outcome::Deadlock,
         CoSimStop::Fault(_) => Outcome::Fault,
     };
     Trial {

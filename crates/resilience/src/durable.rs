@@ -560,6 +560,10 @@ fn put_stop(out: &mut Vec<u8>, stop: &CoSimStop) {
             put_u8(out, 3);
             put_fault(out, fault);
         }
+        CoSimStop::Breakpoint { pc } => {
+            put_u8(out, 4);
+            put_u32(out, *pc);
+        }
     }
 }
 
@@ -584,6 +588,7 @@ fn get_stop(r: &mut Reader) -> Result<CoSimStop, JournalError> {
             Ok(CoSimStop::Deadlock { cycle, cause })
         }
         3 => Ok(CoSimStop::Fault(get_fault(r)?)),
+        4 => Ok(CoSimStop::Breakpoint { pc: r.u32()? }),
         _ => Err(JournalError::Corrupt("stop tag out of range")),
     }
 }
@@ -1169,7 +1174,9 @@ mod tests {
 
     #[test]
     fn trial_codec_roundtrips() {
-        for trial in sample_trials() {
+        let trials = sample_trials();
+        let at_breakpoint = Trial { stop: CoSimStop::Breakpoint { pc: 0x1c }, ..trials[1].clone() };
+        for trial in trials.into_iter().chain([at_breakpoint]) {
             let mut buf = Vec::new();
             put_trial(&mut buf, &trial);
             let back = decode_all(&buf, get_trial).expect("roundtrip decodes every byte");

@@ -139,7 +139,10 @@ pub fn localize_trial(
     let outcome = match &stop {
         CoSimStop::Halted if observe(sim) == golden.observed => Outcome::Masked,
         CoSimStop::Halted => Outcome::Sdc,
-        CoSimStop::Deadlock { .. } | CoSimStop::CycleLimit { .. } => Outcome::Deadlock,
+        // As in a campaign trial, a breakpoint stop did not finish.
+        CoSimStop::Deadlock { .. }
+        | CoSimStop::CycleLimit { .. }
+        | CoSimStop::Breakpoint { .. } => Outcome::Deadlock,
         CoSimStop::Fault(_) => Outcome::Fault,
     };
     let divergence = MetricsDiff::diff(&golden.record, &record);

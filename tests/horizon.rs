@@ -8,9 +8,10 @@
 //! hardware counters. Each case — every application peripheral,
 //! software-only programs (one of them self-modifying) and random FSL
 //! programs — runs every row of the matrix in both modes: to halt, in
-//! chunked `run(k)` calls, paused by run horizons, across a checkpoint
-//! carried through the `SSCK` bytes with the mode switched on the way,
-//! and into watchdog deadlocks from stuck FIFO flags.
+//! chunked `run(k)` calls, paused by run horizons, stopped at
+//! breakpoints and resumed, across a checkpoint carried through the
+//! `SSCK` bytes with the mode switched on the way, and into watchdog
+//! deadlocks from stuck FIFO flags.
 
 mod common;
 
@@ -205,6 +206,39 @@ fn checkpoint(case: &Case, a: Mode, pause: u64) -> Log {
     [paused].into_iter().chain(uninterrupted).collect()
 }
 
+/// Every graph's clock.
+fn graph_cycles(sim: &CoSim) -> Vec<u64> {
+    sim.peripherals().iter().map(|p| p.graph().cycles()).collect()
+}
+
+/// Row: breakpoints on the first 16 code words; each `run` stops at the
+/// next one reached, and the last resumes to halt. The end must equal
+/// the plain run's, the graphs' clocks included: a breakpoint report
+/// spends no cycle on either side. Breakpoints keep blocks out, so this
+/// row asks the fast mode for no block dispatch.
+fn breakpoints(case: &Case, mode: Mode) -> Log {
+    let mut plain = case.sim(mode);
+    let want = (Seen::Stop(plain.run(BUDGET)), state(&plain), graph_cycles(&plain));
+    let mut sim = case.sim(mode);
+    let entry = sim.cpu().pc();
+    for word in 0..16 {
+        sim.cpu_mut().add_breakpoint(entry + 4 * word);
+    }
+    let mut log = Vec::new();
+    let stop = loop {
+        match sim.run(BUDGET) {
+            CoSimStop::Breakpoint { pc } => log.push(Seen::Stop(CoSimStop::Breakpoint { pc })),
+            stop => break stop,
+        }
+    };
+    assert!(!log.is_empty(), "{}: no breakpoint was reached", case.name);
+    let got = (Seen::Stop(stop), state(&sim), graph_cycles(&sim));
+    assert!(got == want, "{}: breakpoints in {mode:?} differ from the plain run", case.name);
+    assert_stepped(mode, &sim, (0, 0), &format!("{}: breakpoints", case.name));
+    log.extend([got.0, got.1]);
+    log
+}
+
 /// One deadlock row: a stuck flag on channel 0, the injection cycle,
 /// the watchdog threshold, and whether the watchdog is armed before the
 /// checkpoint or after it.
@@ -278,6 +312,7 @@ fn check(case: &Case) -> u64 {
         every_mode(&format!("{name}: run({k}) chunks"), |m| chunks(case, m, k));
     }
     every_mode(&format!("{name}: horizons"), |m| horizons(case, m, end));
+    every_mode(&format!("{name}: breakpoints"), |m| breakpoints(case, m));
     for pause in [end / 3, 2 * end / 3] {
         every_mode(&format!("{name}: checkpoint at {pause}"), |a| checkpoint(case, a, pause));
     }
