@@ -398,7 +398,6 @@ pub struct CoSim {
     fsl: FslBank,
     peripherals: Vec<Peripheral>,
     hw_stats: HwStats,
-    clock_hz: f64,
     /// The *effective* cycle-domain sink for gateway word transfers (the
     /// CPU and FSL bank hold their own clones): the user sink, the guest
     /// profiler, or a fanout of both.
@@ -438,7 +437,6 @@ impl CoSim {
             fsl: FslBank::default(),
             peripherals: Vec::new(),
             hw_stats: HwStats::default(),
-            clock_hz: PAPER_CLOCK_HZ,
             sink: None,
             user_sink: None,
             profiler: None,
@@ -490,11 +488,6 @@ impl CoSim {
             }
         }
         self.peripherals.push(peripheral);
-    }
-
-    /// Overrides the modeled clock frequency (default 50 MHz).
-    pub fn set_clock_hz(&mut self, hz: f64) {
-        self.clock_hz = hz;
     }
 
     /// Enables or disables the exact fast paths of [`CoSim::run`] (on
@@ -715,7 +708,7 @@ impl CoSim {
 
     /// Simulated time so far, in microseconds at the modeled clock.
     pub fn time_us(&self) -> f64 {
-        self.cpu.stats().time_us(self.clock_hz)
+        self.cpu.stats().time_us(PAPER_CLOCK_HZ)
     }
 
     /// Advances the whole system by one clock cycle. A breakpoint

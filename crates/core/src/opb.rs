@@ -82,11 +82,6 @@ impl OpbBlockAdapter {
         }
     }
 
-    /// Results currently buffered (testing/diagnostics).
-    pub fn pending_results(&self) -> usize {
-        self.output.len()
-    }
-
     /// Attaches an observability sink. Word transfers across the bus are
     /// reported as [`TraceEvent::GatewayWord`] with `peripheral = 0xff`
     /// (distinguishing the OPB attachment from FSL-attached peripherals)

@@ -330,14 +330,15 @@ impl Cpu {
         Cpu::new(image, DEFAULT_MEM_BYTES)
     }
 
-    /// Resets architectural state and reloads the image, keeping
-    /// breakpoints, the attached trace sink and the translation setting.
+    /// Resets architectural state and reloads the image, keeping the
+    /// configuration, breakpoints, the attached trace sink and the
+    /// translation setting.
     pub fn reset(&mut self, image: &Image) {
-        let size = self.mem.size();
+        let config = self.config;
         let breakpoints = std::mem::take(&mut self.breakpoints);
         let sink = self.sink.take();
         let translation = self.translator.enabled;
-        *self = Cpu::new(image, size);
+        *self = Cpu::with_config(image, config);
         self.breakpoints = breakpoints;
         self.sink = sink;
         self.translator.enabled = translation;
@@ -420,11 +421,6 @@ impl Cpu {
         self.opb.as_ref()
     }
 
-    /// Mutable access to the attached OPB.
-    pub fn opb_mut(&mut self) -> Option<&mut softsim_bus::OpbBus> {
-        self.opb.as_mut()
-    }
-
     /// Adds a breakpoint at an instruction address.
     pub fn add_breakpoint(&mut self, addr: u32) {
         self.breakpoints.insert(addr);
@@ -442,11 +438,6 @@ impl Cpu {
     /// `crates/bench` holds it to within 2%.
     pub fn attach_trace(&mut self, sink: SharedSink) {
         self.sink = Some(sink);
-    }
-
-    /// The attached cycle-domain sink, if any.
-    pub fn trace_sink(&self) -> Option<&SharedSink> {
-        self.sink.as_ref()
     }
 
     /// Detaches the trace sink, restoring the untraced fast path (and
@@ -478,11 +469,6 @@ impl Cpu {
             addr,
             wait,
         });
-    }
-
-    /// True when the processor is between instructions (nothing in flight).
-    pub fn at_instruction_boundary(&self) -> bool {
-        matches!(self.pipe, Pipe::Ready)
     }
 
     /// The instruction currently occupying the pipeline, with the cycles

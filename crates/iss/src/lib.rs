@@ -498,6 +498,24 @@ mod tests {
     }
 
     #[test]
+    fn reset_keeps_the_processor_configuration() {
+        use softsim_isa::CpuConfig;
+        let img = image("addik r3, r0, 6\nmul r4, r3, r3\nhalt\n");
+        let mut cpu = Cpu::with_config(&img, CpuConfig::minimal());
+        let mut fsl = FslBank::default();
+        for pass in ["before reset", "after reset"] {
+            match cpu.run(&mut fsl, 1000) {
+                StopReason::Fault(Fault::DisabledInstruction { unit, .. }) => {
+                    assert_eq!(unit, "multiplier", "{pass}");
+                }
+                other => panic!("{pass}: expected DisabledInstruction, got {other:?}"),
+            }
+            assert_eq!(cpu.config(), CpuConfig::minimal(), "{pass}");
+            cpu.reset(&img);
+        }
+    }
+
+    #[test]
     fn opb_mapped_registers_read_write() {
         use softsim_bus::{OpbBus, RegisterFile};
         let img = image(

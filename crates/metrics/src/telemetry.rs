@@ -8,17 +8,21 @@
 //! how many bytes the durable journal wrote. Spans are recorded as
 //! closed intervals ([`SpanRecord`]) into a [`Telemetry`] hub that is
 //! `Sync` (one mutex-guarded aggregation; workers time locally and pay
-//! a single lock per span) and rolls them up into:
+//! a single lock per span) and keeps every rollup in one [`Registry`],
+//! updated in place:
 //!
-//! * per-worker busy time, span counts, sim-cycles and utilization;
-//! * whole-run totals (trials, retries, retry wall-time, budget
-//!   cancellations, abandons, fast-forward engagements, journal bytes);
-//! * a sampled whole-run throughput series (sim-cycles/sec over time);
-//! * Prometheus text exposition ([`Telemetry::to_prometheus`]) and a
-//!   compact JSON summary ([`Telemetry::to_json`]);
-//! * an optional periodic snapshot file (Prometheus text, written
-//!   atomically via rename) and an optional stderr progress/ETA
-//!   heartbeat for long campaigns.
+//! * per-kind span counts and wall time, per-worker busy time, span
+//!   counts, sim-cycles and utilization, and a per-trial wall-time
+//!   histogram;
+//! * whole-run totals (sim-cycles, retries, retry wall-time, budget
+//!   cancellations, abandons, fast-forward engagements, journal bytes)
+//!   and, once a server reports to it, the serve lifecycle counters.
+//!
+//! Two outputs read that one store: Prometheus text exposition
+//! ([`Telemetry::to_prometheus`], also an optional periodic snapshot
+//! file written atomically via rename), and the human-readable
+//! [`Telemetry::summary`] with an optional stderr progress/ETA heartbeat
+//! for long campaigns. The typed accessors read it too.
 //!
 //! **Determinism boundary.** Everything in this module carries
 //! wall-clock data and therefore must never leak into the byte-diffed
@@ -27,7 +31,7 @@
 //! `Option<&Telemetry>` and produces byte-identical outputs whether it
 //! is `None`, or `Some` at any worker count — asserted by tests and CI.
 
-use crate::registry::{Label, Registry};
+use crate::registry::{CounterId, GaugeId, HistogramId, Registry};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -62,7 +66,7 @@ impl SpanKind {
     }
 }
 
-/// All span kinds, in exposition order.
+/// All span kinds, in declaration order.
 pub const SPAN_KINDS: [SpanKind; 5] =
     [SpanKind::Campaign, SpanKind::Golden, SpanKind::Trial, SpanKind::JournalAppend, SpanKind::Job];
 
@@ -74,7 +78,8 @@ pub enum ServeEvent {
     Admitted,
     /// A job was rejected or evicted by admission control / load-shedding.
     Shed,
-    /// A job was admitted in reduced-fidelity (degraded) mode.
+    /// A job was admitted above the degrade watermark; it runs the same
+    /// simulation, and its result is flagged degraded.
     Degraded,
     /// A job attempt failed and was retried.
     Retried,
@@ -89,6 +94,34 @@ pub enum ServeEvent {
     /// A cache entry was evicted (capacity or CRC corruption).
     CacheEvict,
 }
+
+/// A metric family's name and help text.
+type Family = (&'static str, &'static str);
+
+const JOBS: Family = ("softsim_serve_jobs_total", "Serve jobs by lifecycle state.");
+const CACHE: Family = ("softsim_serve_cache_total", "Memoization cache events.");
+
+/// The family and label that count each [`ServeEvent`], in declaration
+/// order.
+const SERVE_EVENTS: [(Family, (&str, &str)); 9] = [
+    (JOBS, ("state", "admitted")),
+    (JOBS, ("state", "shed")),
+    (JOBS, ("state", "degraded")),
+    (JOBS, ("state", "retried")),
+    (JOBS, ("state", "quarantined")),
+    (JOBS, ("state", "completed")),
+    (CACHE, ("event", "hit")),
+    (CACHE, ("event", "miss")),
+    (CACHE, ("event", "evict")),
+];
+
+/// The serve gauges, in [`Telemetry::set_serve_queue`]'s argument order.
+const SERVE_QUEUE: [Family; 4] = [
+    ("softsim_serve_queue_depth", "Jobs waiting in the queue."),
+    ("softsim_serve_queue_capacity", "Admission-control queue capacity."),
+    ("softsim_serve_jobs_running", "Jobs currently executing."),
+    ("softsim_serve_ready", "1 while the server accepts work, 0 once shutdown begins."),
+];
 
 /// Rollup of [`ServeEvent`] counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -111,16 +144,6 @@ pub struct ServeCounters {
     pub cache_misses: u64,
     /// Cache evictions.
     pub cache_evictions: u64,
-}
-
-/// Point-in-time service gauges, set by the server on every queue
-/// transition.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct ServeGauges {
-    queue_depth: u64,
-    queue_capacity: u64,
-    jobs_running: u64,
-    ready: bool,
 }
 
 /// One closed harness span. Workers fill one of these locally (no lock
@@ -181,7 +204,8 @@ pub struct TelemetryConfig {
     pub snapshot: Option<(PathBuf, Duration)>,
 }
 
-/// Rollup for one worker id.
+/// Rollup for one worker id, as [`Telemetry::worker_stats`] reads it
+/// back from the registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkerStats {
     /// Spans recorded by this worker.
@@ -192,82 +216,254 @@ pub struct WorkerStats {
     pub cycles: u64,
 }
 
-/// One point of the whole-run throughput series.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ThroughputSample {
-    /// Seconds since the hub was created.
-    pub at_secs: f64,
-    /// Cumulative sim-cycles recorded by then (trial + golden spans).
-    pub cycles: u64,
+/// Histogram bucket bounds for per-trial wall time, in seconds.
+pub const TRIAL_WALL_BOUNDS: [f64; 6] = [0.0001, 0.001, 0.01, 0.1, 1.0, 10.0];
+
+/// Registry ids of the run-wide families, registered by
+/// [`Telemetry::new`].
+#[derive(Debug)]
+struct RunIds {
+    /// Span counts and wall time, indexed like [`SPAN_KINDS`].
+    spans: [CounterId; SPAN_KINDS.len()],
+    span_wall: [GaugeId; SPAN_KINDS.len()],
+    trial_cycles: CounterId,
+    golden_cycles: CounterId,
+    retries: CounterId,
+    retry_wall: GaugeId,
+    budget_cancelled: CounterId,
+    abandoned: CounterId,
+    ff_engagements: CounterId,
+    ff_skipped_cycles: CounterId,
+    journal_bytes: CounterId,
+    trial_wall: HistogramId,
+    run_wall: GaugeId,
+    throughput: GaugeId,
+    trials_expected: GaugeId,
 }
 
-/// How often the throughput series samples, independent of the
-/// heartbeat (which is display-only).
-const SAMPLE_PERIOD: Duration = Duration::from_millis(250);
+impl RunIds {
+    fn register(reg: &mut Registry) -> RunIds {
+        let kind = |k: SpanKind| vec![("kind", k.label().to_string())];
+        let cycles = |reg: &mut Registry, k: SpanKind| {
+            reg.counter(
+                "softsim_harness_sim_cycles_total",
+                "Sim-cycles executed inside harness spans.",
+                kind(k),
+            )
+        };
+        RunIds {
+            spans: SPAN_KINDS.map(|k| {
+                reg.counter("softsim_harness_spans_total", "Closed harness spans by kind.", kind(k))
+            }),
+            span_wall: SPAN_KINDS.map(|k| {
+                reg.gauge(
+                    "softsim_harness_span_wall_seconds_total",
+                    "Wall-clock seconds inside harness spans by kind.",
+                    kind(k),
+                )
+            }),
+            trial_cycles: cycles(reg, SpanKind::Trial),
+            golden_cycles: cycles(reg, SpanKind::Golden),
+            retries: reg.counter(
+                "softsim_harness_retries_total",
+                "Trial retry attempts consumed.",
+                Vec::new(),
+            ),
+            retry_wall: reg.gauge(
+                "softsim_harness_retry_wall_seconds",
+                "Wall-clock seconds spent on retry attempts.",
+                Vec::new(),
+            ),
+            budget_cancelled: reg.counter(
+                "softsim_harness_budget_cancelled_total",
+                "Trials cancelled by cycle/wall budgets.",
+                Vec::new(),
+            ),
+            abandoned: reg.counter(
+                "softsim_harness_abandoned_total",
+                "Trials abandoned after repeated harness errors.",
+                Vec::new(),
+            ),
+            ff_engagements: reg.counter(
+                "softsim_harness_ff_engagements_total",
+                "Fast-forward jumps taken inside spans.",
+                Vec::new(),
+            ),
+            ff_skipped_cycles: reg.counter(
+                "softsim_harness_ff_skipped_cycles_total",
+                "Cycles covered by fast-forward jumps inside spans.",
+                Vec::new(),
+            ),
+            journal_bytes: reg.counter(
+                "softsim_harness_journal_bytes_total",
+                "Durable-journal bytes written inside spans.",
+                Vec::new(),
+            ),
+            trial_wall: reg.histogram(
+                "softsim_harness_trial_wall_seconds",
+                "Per-trial wall-clock duration.",
+                Vec::new(),
+                &TRIAL_WALL_BOUNDS,
+            ),
+            run_wall: reg.gauge(
+                "softsim_harness_run_wall_seconds",
+                "Wall-clock seconds since the telemetry hub was created.",
+                Vec::new(),
+            ),
+            throughput: reg.gauge(
+                "softsim_harness_throughput_cycles_per_sec",
+                "Whole-run sim-cycles per wall-clock second.",
+                Vec::new(),
+            ),
+            trials_expected: reg.gauge(
+                "softsim_harness_trials_expected",
+                "Trials announced via expect_trials.",
+                Vec::new(),
+            ),
+        }
+    }
+}
 
+/// Registry ids of one worker's families.
+#[derive(Clone, Copy, Debug)]
+struct WorkerIds {
+    spans: CounterId,
+    busy: GaugeId,
+    cycles: CounterId,
+    utilization: GaugeId,
+}
+
+/// Registry ids of the `softsim_serve_*` families.
+#[derive(Debug)]
+struct ServeIds {
+    /// Indexed like [`SERVE_EVENTS`].
+    events: [CounterId; SERVE_EVENTS.len()],
+    /// Indexed like [`SERVE_QUEUE`].
+    queue: [GaugeId; SERVE_QUEUE.len()],
+}
+
+impl ServeIds {
+    fn register(reg: &mut Registry) -> ServeIds {
+        ServeIds {
+            events: SERVE_EVENTS.map(|((name, help), (key, value))| {
+                reg.counter(name, help, vec![(key, value.to_string())])
+            }),
+            queue: SERVE_QUEUE.map(|(name, help)| reg.gauge(name, help, Vec::new())),
+        }
+    }
+}
+
+/// The hub's state: the registry, the ids of its families and the
+/// clocks. Every rollup lives in `reg` and nowhere else.
 #[derive(Debug)]
 struct Inner {
+    reg: Registry,
+    run: RunIds,
+    /// Indexed by worker id; an id registers every lower id with it.
+    workers: Vec<WorkerIds>,
+    /// Registered by the first serve call, so a campaign-only hub
+    /// exposes no `softsim_serve_*` family.
+    serve: Option<ServeIds>,
     started: Instant,
-    expected_trials: u64,
-    kind_count: [u64; SPAN_KINDS.len()],
-    kind_wall: [Duration; SPAN_KINDS.len()],
-    workers: Vec<WorkerStats>,
-    trial_cycles: u64,
-    golden_cycles: u64,
-    retries: u64,
-    retry_wall: Duration,
-    budget_cancelled: u64,
-    abandoned: u64,
-    ff_engagements: u64,
-    ff_skipped_cycles: u64,
-    journal_bytes: u64,
-    trial_wall_hist: Vec<u64>,
-    trial_wall_sum: f64,
-    serve: ServeCounters,
-    serve_gauges: ServeGauges,
-    serve_active: bool,
-    series: Vec<ThroughputSample>,
-    last_sample: Instant,
     last_heartbeat: Instant,
     last_snapshot: Instant,
 }
 
-/// Histogram bucket bounds for per-trial wall time, in seconds.
-pub const TRIAL_WALL_BOUNDS: [f64; 6] = [0.0001, 0.001, 0.01, 0.1, 1.0, 10.0];
-
 impl Inner {
     fn new() -> Inner {
+        let mut reg = Registry::new();
+        let run = RunIds::register(&mut reg);
         let now = Instant::now();
         Inner {
-            started: now,
-            expected_trials: 0,
-            kind_count: [0; SPAN_KINDS.len()],
-            kind_wall: [Duration::ZERO; SPAN_KINDS.len()],
+            reg,
+            run,
             workers: Vec::new(),
-            trial_cycles: 0,
-            golden_cycles: 0,
-            retries: 0,
-            retry_wall: Duration::ZERO,
-            budget_cancelled: 0,
-            abandoned: 0,
-            ff_engagements: 0,
-            ff_skipped_cycles: 0,
-            journal_bytes: 0,
-            trial_wall_hist: vec![0; TRIAL_WALL_BOUNDS.len()],
-            trial_wall_sum: 0.0,
-            serve: ServeCounters::default(),
-            serve_gauges: ServeGauges::default(),
-            serve_active: false,
-            series: Vec::new(),
-            last_sample: now,
+            serve: None,
+            started: now,
             last_heartbeat: now,
             last_snapshot: now,
         }
     }
 
-    fn total_cycles(&self) -> u64 {
-        self.trial_cycles + self.golden_cycles
+    /// The ids of worker `w`'s families, registering them (and those of
+    /// every lower id not seen yet) on first sight.
+    fn worker(&mut self, w: u32) -> WorkerIds {
+        while self.workers.len() <= w as usize {
+            let label = vec![("worker", self.workers.len().to_string())];
+            let reg = &mut self.reg;
+            self.workers.push(WorkerIds {
+                spans: reg.counter(
+                    "softsim_harness_worker_spans_total",
+                    "Closed spans per worker.",
+                    label.clone(),
+                ),
+                busy: reg.gauge(
+                    "softsim_harness_worker_busy_seconds",
+                    "Wall-clock seconds each worker spent inside spans.",
+                    label.clone(),
+                ),
+                cycles: reg.counter(
+                    "softsim_harness_worker_sim_cycles_total",
+                    "Sim-cycles executed per worker.",
+                    label.clone(),
+                ),
+                utilization: reg.gauge(
+                    "softsim_harness_worker_utilization",
+                    "Fraction of run wall time each worker spent busy.",
+                    label,
+                ),
+            });
+        }
+        self.workers[w as usize]
     }
+
+    /// The serve families' ids, registering them on the first call.
+    fn serve(&mut self) -> &ServeIds {
+        let reg = &mut self.reg;
+        self.serve.get_or_insert_with(|| ServeIds::register(reg))
+    }
+
+    fn trials(&self) -> u64 {
+        self.reg.counter_value(self.run.spans[SpanKind::Trial as usize])
+    }
+
+    fn total_cycles(&self) -> u64 {
+        self.reg.counter_value(self.run.trial_cycles)
+            + self.reg.counter_value(self.run.golden_cycles)
+    }
+
+    /// Refreshes the gauges derived from elapsed time (run wall,
+    /// throughput, per-worker utilization) and renders the registry.
+    fn render(&mut self) -> String {
+        let elapsed = self.started.elapsed().as_secs_f64();
+        self.reg.set(self.run.run_wall, elapsed);
+        self.reg.set(self.run.throughput, per_sec(self.total_cycles() as f64, elapsed));
+        for w in &self.workers {
+            self.reg.set(w.utilization, per_sec(self.reg.gauge_value(w.busy), elapsed));
+        }
+        self.reg.to_prometheus()
+    }
+}
+
+/// Adds `v` to the gauge `id`.
+fn add(reg: &mut Registry, id: GaugeId, v: f64) {
+    reg.set(id, reg.gauge_value(id) + v);
+}
+
+/// `x / elapsed`, or 0 before any time has passed.
+fn per_sec(x: f64, elapsed: f64) -> f64 {
+    if elapsed > 0.0 {
+        x / elapsed
+    } else {
+        0.0
+    }
+}
+
+/// A wall-clock sum read back from its seconds gauge. Rounding to the
+/// nanosecond undoes the float summation error, so a sum of
+/// whole-nanosecond spans reads back exactly.
+fn duration(secs: f64) -> Duration {
+    Duration::from_nanos((secs * 1e9).round() as u64)
 }
 
 /// The harness-telemetry hub: `Sync`, shared by reference across the
@@ -295,76 +491,67 @@ impl Telemetry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Reads the run-wide counter `pick` selects.
+    fn counter(&self, pick: impl FnOnce(&RunIds) -> CounterId) -> u64 {
+        let inner = self.lock();
+        inner.reg.counter_value(pick(&inner.run))
+    }
+
     /// Announces `n` upcoming trials (additive — durable resumes
     /// announce only the missing remainder). Drives the heartbeat's
     /// progress percentage and ETA.
     pub fn expect_trials(&self, n: u64) {
-        self.lock().expected_trials += n;
+        let inner = &mut *self.lock();
+        add(&mut inner.reg, inner.run.trials_expected, n as f64);
     }
 
-    /// Records one closed span: one lock, aggregate, and — when due —
-    /// a throughput sample, a heartbeat line and/or a snapshot file.
+    /// Records one closed span: one lock, update the registry in place,
+    /// and — when due — a heartbeat line and/or a snapshot file.
     pub fn record(&self, rec: SpanRecord) {
-        let mut inner = self.lock();
-        let k = SPAN_KINDS.iter().position(|&s| s == rec.kind).unwrap();
-        inner.kind_count[k] += 1;
-        inner.kind_wall[k] += rec.wall;
-        let w = rec.worker as usize;
-        if inner.workers.len() <= w {
-            inner.workers.resize(w + 1, WorkerStats::default());
-        }
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let w = inner.worker(rec.worker);
+        let (reg, run) = (&mut inner.reg, &inner.run);
+        let k = rec.kind as usize;
+        reg.inc(run.spans[k], 1);
+        add(reg, run.span_wall[k], rec.wall.as_secs_f64());
         // Aggregate spans (campaign, serve job) cover the whole
         // run and would double-count the leaf spans nested inside them;
         // only leaf spans are worker occupancy.
         if !matches!(rec.kind, SpanKind::Campaign | SpanKind::Job) {
-            inner.workers[w].spans += 1;
-            inner.workers[w].busy += rec.wall;
+            reg.inc(w.spans, 1);
+            add(reg, w.busy, rec.wall.as_secs_f64());
         }
-        inner.retries += rec.retries;
-        inner.retry_wall += rec.retry_wall;
-        inner.budget_cancelled += rec.budget_cancelled;
-        inner.abandoned += rec.abandoned;
-        inner.ff_engagements += rec.ff_engagements;
-        inner.ff_skipped_cycles += rec.ff_skipped_cycles;
-        inner.journal_bytes += rec.journal_bytes;
-        match rec.kind {
+        add(reg, run.retry_wall, rec.retry_wall.as_secs_f64());
+        reg.inc(run.retries, rec.retries);
+        reg.inc(run.budget_cancelled, rec.budget_cancelled);
+        reg.inc(run.abandoned, rec.abandoned);
+        reg.inc(run.ff_engagements, rec.ff_engagements);
+        reg.inc(run.ff_skipped_cycles, rec.ff_skipped_cycles);
+        reg.inc(run.journal_bytes, rec.journal_bytes);
+        let cycles = match rec.kind {
             SpanKind::Trial => {
-                inner.trial_cycles += rec.sim_cycles;
-                inner.workers[w].cycles += rec.sim_cycles;
-                let secs = rec.wall.as_secs_f64();
-                inner.trial_wall_sum += secs;
-                for (i, b) in TRIAL_WALL_BOUNDS.iter().enumerate() {
-                    if secs <= *b {
-                        inner.trial_wall_hist[i] += 1;
-                        break;
-                    }
-                }
+                reg.observe(run.trial_wall, rec.wall.as_secs_f64());
+                Some(run.trial_cycles)
             }
-            SpanKind::Golden => {
-                inner.golden_cycles += rec.sim_cycles;
-                inner.workers[w].cycles += rec.sim_cycles;
-            }
-            _ => {}
-        }
-        if inner.last_sample.elapsed() >= SAMPLE_PERIOD {
-            inner.last_sample = Instant::now();
-            let sample = ThroughputSample {
-                at_secs: inner.started.elapsed().as_secs_f64(),
-                cycles: inner.total_cycles(),
-            };
-            inner.series.push(sample);
+            SpanKind::Golden => Some(run.golden_cycles),
+            _ => None,
+        };
+        if let Some(id) = cycles {
+            reg.inc(id, rec.sim_cycles);
+            reg.inc(w.cycles, rec.sim_cycles);
         }
         if let Some(period) = self.config.heartbeat {
             if inner.last_heartbeat.elapsed() >= period {
                 inner.last_heartbeat = Instant::now();
-                eprintln!("{}", heartbeat_line(&inner));
+                eprintln!("{}", heartbeat_line(inner));
             }
         }
         if let Some((path, period)) = &self.config.snapshot {
             if inner.last_snapshot.elapsed() >= *period {
                 inner.last_snapshot = Instant::now();
-                let text = build_prometheus(&inner);
-                drop(inner);
+                let text = inner.render();
+                drop(guard);
                 let _ = write_atomic(path, &text);
             }
         }
@@ -382,105 +569,104 @@ impl Telemetry {
 
     /// Trial spans recorded so far.
     pub fn trial_count(&self) -> u64 {
-        let inner = self.lock();
-        inner.kind_count[SPAN_KINDS.iter().position(|&s| s == SpanKind::Trial).unwrap()]
+        self.lock().trials()
     }
 
     /// Sim-cycles recorded by trial spans.
     pub fn trial_cycles(&self) -> u64 {
-        self.lock().trial_cycles
+        self.counter(|run| run.trial_cycles)
     }
 
     /// Sim-cycles recorded by golden spans.
     pub fn golden_cycles(&self) -> u64 {
-        self.lock().golden_cycles
+        self.counter(|run| run.golden_cycles)
     }
 
     /// Journal bytes recorded by journal-append spans.
     pub fn journal_bytes(&self) -> u64 {
-        self.lock().journal_bytes
+        self.counter(|run| run.journal_bytes)
     }
 
     /// Retry attempts recorded so far.
     pub fn retries(&self) -> u64 {
-        self.lock().retries
+        self.counter(|run| run.retries)
     }
 
     /// Wall-clock time recorded as spent on retry attempts.
     pub fn retry_wall(&self) -> Duration {
-        self.lock().retry_wall
+        let inner = self.lock();
+        duration(inner.reg.gauge_value(inner.run.retry_wall))
     }
 
     /// Fast-forward engagements recorded so far.
     pub fn ff_engagements(&self) -> u64 {
-        self.lock().ff_engagements
+        self.counter(|run| run.ff_engagements)
     }
 
     /// Sim-cycles covered by fast-forward jumps so far.
     pub fn ff_skipped_cycles(&self) -> u64 {
-        self.lock().ff_skipped_cycles
+        self.counter(|run| run.ff_skipped_cycles)
     }
 
     /// Per-worker rollups, indexed by worker id.
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.lock().workers.clone()
+        let inner = self.lock();
+        let reg = &inner.reg;
+        inner
+            .workers
+            .iter()
+            .map(|w| WorkerStats {
+                spans: reg.counter_value(w.spans),
+                busy: duration(reg.gauge_value(w.busy)),
+                cycles: reg.counter_value(w.cycles),
+            })
+            .collect()
     }
 
     /// Counts one `softsim-serve` lifecycle event. The first call (or
-    /// the first [`Telemetry::set_serve_queue`]) switches the
-    /// `softsim_serve_*` families into the exposition — campaign-only
-    /// users keep the exact exposition they had before serve existed.
+    /// the first [`Telemetry::set_serve_queue`]) registers the
+    /// `softsim_serve_*` families — campaign-only users keep the exact
+    /// exposition they had before serve existed.
     pub fn serve_event(&self, event: ServeEvent) {
         let mut inner = self.lock();
-        inner.serve_active = true;
-        let s = &mut inner.serve;
-        match event {
-            ServeEvent::Admitted => s.admitted += 1,
-            ServeEvent::Shed => s.shed += 1,
-            ServeEvent::Degraded => s.degraded += 1,
-            ServeEvent::Retried => s.retried += 1,
-            ServeEvent::Quarantined => s.quarantined += 1,
-            ServeEvent::Completed => s.completed += 1,
-            ServeEvent::CacheHit => s.cache_hits += 1,
-            ServeEvent::CacheMiss => s.cache_misses += 1,
-            ServeEvent::CacheEvict => s.cache_evictions += 1,
-        }
+        let id = inner.serve().events[event as usize];
+        inner.reg.inc(id, 1);
     }
 
     /// Sets the serve queue/readiness gauges (call on every admission,
     /// pop and completion).
     pub fn set_serve_queue(&self, depth: u64, capacity: u64, running: u64, ready: bool) {
         let mut inner = self.lock();
-        inner.serve_active = true;
-        inner.serve_gauges = ServeGauges {
-            queue_depth: depth,
-            queue_capacity: capacity,
-            jobs_running: running,
-            ready,
-        };
+        let ids = inner.serve().queue;
+        let values = [depth as f64, capacity as f64, running as f64, if ready { 1.0 } else { 0.0 }];
+        for (id, v) in ids.into_iter().zip(values) {
+            inner.reg.set(id, v);
+        }
     }
 
     /// The serve lifecycle counters recorded so far.
     pub fn serve_counters(&self) -> ServeCounters {
-        self.lock().serve
+        let inner = self.lock();
+        let Some(s) = &inner.serve else { return ServeCounters::default() };
+        let n = |e: ServeEvent| inner.reg.counter_value(s.events[e as usize]);
+        ServeCounters {
+            admitted: n(ServeEvent::Admitted),
+            shed: n(ServeEvent::Shed),
+            degraded: n(ServeEvent::Degraded),
+            retried: n(ServeEvent::Retried),
+            quarantined: n(ServeEvent::Quarantined),
+            completed: n(ServeEvent::Completed),
+            cache_hits: n(ServeEvent::CacheHit),
+            cache_misses: n(ServeEvent::CacheMiss),
+            cache_evictions: n(ServeEvent::CacheEvict),
+        }
     }
 
-    /// The sampled whole-run throughput series.
-    pub fn throughput_series(&self) -> Vec<ThroughputSample> {
-        self.lock().series.clone()
-    }
-
-    /// Prometheus text exposition of the current rollups, rendered
-    /// through the crate's [`Registry`] (same escaping, bucket and
-    /// ordering rules as the guest metrics).
+    /// Prometheus text exposition of the hub's registry (same escaping,
+    /// bucket and ordering rules as the guest metrics), with the gauges
+    /// derived from elapsed time brought up to date first.
     pub fn to_prometheus(&self) -> String {
-        build_prometheus(&self.lock())
-    }
-
-    /// Compact JSON summary of the current rollups (aggregates,
-    /// per-worker stats and the throughput series).
-    pub fn to_json(&self) -> String {
-        build_json(&self.lock())
+        self.lock().render()
     }
 
     /// Human-readable end-of-run summary: run wall time, throughput,
@@ -491,6 +677,7 @@ impl Telemetry {
     /// byte-diffed artifacts.
     pub fn summary(&self) -> String {
         let inner = self.lock();
+        let (reg, run) = (&inner.reg, &inner.run);
         let elapsed = inner.started.elapsed().as_secs_f64();
         let cycles = inner.total_cycles();
         let mut out = String::new();
@@ -499,36 +686,38 @@ impl Telemetry {
             "  run: {:.3}s wall, {} sim-cycles, {:.3e} cycles/sec\n",
             elapsed,
             cycles,
-            if elapsed > 0.0 { cycles as f64 / elapsed } else { 0.0 },
+            per_sec(cycles as f64, elapsed),
         ));
-        let trial_idx = SPAN_KINDS.iter().position(|&s| s == SpanKind::Trial).unwrap();
         out.push_str(&format!(
             "  trials: {} completed, {} retry attempts ({:.3}s retry wall), {} budget-cancelled, {} abandoned\n",
-            inner.kind_count[trial_idx],
-            inner.retries,
-            inner.retry_wall.as_secs_f64(),
-            inner.budget_cancelled,
-            inner.abandoned,
+            inner.trials(),
+            reg.counter_value(run.retries),
+            reg.gauge_value(run.retry_wall),
+            reg.counter_value(run.budget_cancelled),
+            reg.counter_value(run.abandoned),
         ));
         out.push_str(&format!(
             "  fast-forward: {} engagements, {} cycles skipped\n",
-            inner.ff_engagements, inner.ff_skipped_cycles,
+            reg.counter_value(run.ff_engagements),
+            reg.counter_value(run.ff_skipped_cycles),
         ));
-        if inner.journal_bytes > 0 {
-            let idx = SPAN_KINDS.iter().position(|&s| s == SpanKind::JournalAppend).unwrap();
+        let journal_bytes = reg.counter_value(run.journal_bytes);
+        if journal_bytes > 0 {
             out.push_str(&format!(
                 "  journal: {} appends, {} bytes\n",
-                inner.kind_count[idx], inner.journal_bytes,
+                reg.counter_value(run.spans[SpanKind::JournalAppend as usize]),
+                journal_bytes,
             ));
         }
         out.push_str(&format!("  workers: {}\n", inner.workers.len()));
         for (i, w) in inner.workers.iter().enumerate() {
-            let util = if elapsed > 0.0 { w.busy.as_secs_f64() / elapsed * 100.0 } else { 0.0 };
+            let busy = reg.gauge_value(w.busy);
+            let util = per_sec(busy, elapsed) * 100.0;
             out.push_str(&format!(
                 "    worker {i}: {} spans, {:.3}s busy ({util:.1}% utilization), {} sim-cycles\n",
-                w.spans,
-                w.busy.as_secs_f64(),
-                w.cycles,
+                reg.counter_value(w.spans),
+                busy,
+                reg.counter_value(w.cycles),
             ));
         }
         out
@@ -537,252 +726,23 @@ impl Telemetry {
 
 /// One stderr progress/ETA heartbeat line.
 fn heartbeat_line(inner: &Inner) -> String {
-    let trial_idx = SPAN_KINDS.iter().position(|&s| s == SpanKind::Trial).unwrap();
-    let done = inner.kind_count[trial_idx];
+    let done = inner.trials();
+    let expected = inner.reg.gauge_value(inner.run.trials_expected) as u64;
     let elapsed = inner.started.elapsed().as_secs_f64();
     let cycles = inner.total_cycles();
-    let rate = if elapsed > 0.0 { cycles as f64 / elapsed } else { 0.0 };
-    let progress = if inner.expected_trials > 0 {
-        let pct = done as f64 / inner.expected_trials as f64 * 100.0;
+    let rate = per_sec(cycles as f64, elapsed);
+    let progress = if expected > 0 {
+        let pct = done as f64 / expected as f64 * 100.0;
         let eta = if done > 0 {
-            elapsed / done as f64 * inner.expected_trials.saturating_sub(done) as f64
+            elapsed / done as f64 * expected.saturating_sub(done) as f64
         } else {
             f64::NAN
         };
-        format!("{done}/{} trials ({pct:.1}%) · ETA {eta:.1}s", inner.expected_trials)
+        format!("{done}/{expected} trials ({pct:.1}%) · ETA {eta:.1}s")
     } else {
         format!("{done} trials")
     };
     format!("[telemetry] {progress} · {cycles} sim-cycles · {rate:.3e} cycles/sec · {elapsed:.1}s elapsed")
-}
-
-fn build_prometheus(inner: &Inner) -> String {
-    let mut reg = Registry::new();
-    let elapsed = inner.started.elapsed().as_secs_f64();
-    for (k, kind) in SPAN_KINDS.iter().enumerate() {
-        let labels: Vec<Label> = vec![("kind", kind.label().to_string())];
-        let c = reg.counter(
-            "softsim_harness_spans_total",
-            "Closed harness spans by kind.",
-            labels.clone(),
-        );
-        reg.inc(c, inner.kind_count[k]);
-        let g = reg.gauge(
-            "softsim_harness_span_wall_seconds_total",
-            "Wall-clock seconds inside harness spans by kind.",
-            labels,
-        );
-        reg.set(g, inner.kind_wall[k].as_secs_f64());
-    }
-    let c = reg.counter(
-        "softsim_harness_sim_cycles_total",
-        "Sim-cycles executed inside harness spans.",
-        vec![("kind", "trial".to_string())],
-    );
-    reg.inc(c, inner.trial_cycles);
-    let c = reg.counter(
-        "softsim_harness_sim_cycles_total",
-        "Sim-cycles executed inside harness spans.",
-        vec![("kind", "golden".to_string())],
-    );
-    reg.inc(c, inner.golden_cycles);
-    for (i, w) in inner.workers.iter().enumerate() {
-        let labels: Vec<Label> = vec![("worker", i.to_string())];
-        let c = reg.counter(
-            "softsim_harness_worker_spans_total",
-            "Closed spans per worker.",
-            labels.clone(),
-        );
-        reg.inc(c, w.spans);
-        let g = reg.gauge(
-            "softsim_harness_worker_busy_seconds",
-            "Wall-clock seconds each worker spent inside spans.",
-            labels.clone(),
-        );
-        reg.set(g, w.busy.as_secs_f64());
-        let c = reg.counter(
-            "softsim_harness_worker_sim_cycles_total",
-            "Sim-cycles executed per worker.",
-            labels.clone(),
-        );
-        reg.inc(c, w.cycles);
-        let g = reg.gauge(
-            "softsim_harness_worker_utilization",
-            "Fraction of run wall time each worker spent busy.",
-            labels,
-        );
-        reg.set(g, if elapsed > 0.0 { w.busy.as_secs_f64() / elapsed } else { 0.0 });
-    }
-    let c =
-        reg.counter("softsim_harness_retries_total", "Trial retry attempts consumed.", Vec::new());
-    reg.inc(c, inner.retries);
-    let g = reg.gauge(
-        "softsim_harness_retry_wall_seconds",
-        "Wall-clock seconds spent on retry attempts.",
-        Vec::new(),
-    );
-    reg.set(g, inner.retry_wall.as_secs_f64());
-    let c = reg.counter(
-        "softsim_harness_budget_cancelled_total",
-        "Trials cancelled by cycle/wall budgets.",
-        Vec::new(),
-    );
-    reg.inc(c, inner.budget_cancelled);
-    let c = reg.counter(
-        "softsim_harness_abandoned_total",
-        "Trials abandoned after repeated harness errors.",
-        Vec::new(),
-    );
-    reg.inc(c, inner.abandoned);
-    let c = reg.counter(
-        "softsim_harness_ff_engagements_total",
-        "Fast-forward jumps taken inside spans.",
-        Vec::new(),
-    );
-    reg.inc(c, inner.ff_engagements);
-    let c = reg.counter(
-        "softsim_harness_ff_skipped_cycles_total",
-        "Cycles covered by fast-forward jumps inside spans.",
-        Vec::new(),
-    );
-    reg.inc(c, inner.ff_skipped_cycles);
-    let c = reg.counter(
-        "softsim_harness_journal_bytes_total",
-        "Durable-journal bytes written inside spans.",
-        Vec::new(),
-    );
-    reg.inc(c, inner.journal_bytes);
-    let h = reg.histogram(
-        "softsim_harness_trial_wall_seconds",
-        "Per-trial wall-clock duration.",
-        Vec::new(),
-        &TRIAL_WALL_BOUNDS,
-    );
-    // Replay the pre-bucketed counts through the registry histogram so
-    // the exposition (cumulative buckets, +Inf, sum/count) is rendered
-    // by the one shared implementation.
-    for (i, n) in inner.trial_wall_hist.iter().enumerate() {
-        for _ in 0..*n {
-            reg.observe(h, TRIAL_WALL_BOUNDS[i]);
-        }
-    }
-    let trial_idx = SPAN_KINDS.iter().position(|&s| s == SpanKind::Trial).unwrap();
-    let bucketed: u64 = inner.trial_wall_hist.iter().sum();
-    for _ in bucketed..inner.kind_count[trial_idx] {
-        reg.observe(h, TRIAL_WALL_BOUNDS[TRIAL_WALL_BOUNDS.len() - 1] + 1.0);
-    }
-    let g = reg.gauge(
-        "softsim_harness_run_wall_seconds",
-        "Wall-clock seconds since the telemetry hub was created.",
-        Vec::new(),
-    );
-    reg.set(g, elapsed);
-    let g = reg.gauge(
-        "softsim_harness_throughput_cycles_per_sec",
-        "Whole-run sim-cycles per wall-clock second.",
-        Vec::new(),
-    );
-    reg.set(g, if elapsed > 0.0 { inner.total_cycles() as f64 / elapsed } else { 0.0 });
-    let g = reg.gauge(
-        "softsim_harness_trials_expected",
-        "Trials announced via expect_trials.",
-        Vec::new(),
-    );
-    reg.set(g, inner.expected_trials as f64);
-    if inner.serve_active {
-        let s = &inner.serve;
-        for (state, n) in [
-            ("admitted", s.admitted),
-            ("shed", s.shed),
-            ("degraded", s.degraded),
-            ("retried", s.retried),
-            ("quarantined", s.quarantined),
-            ("completed", s.completed),
-        ] {
-            let c = reg.counter(
-                "softsim_serve_jobs_total",
-                "Serve jobs by lifecycle state.",
-                vec![("state", state.to_string())],
-            );
-            reg.inc(c, n);
-        }
-        for (event, n) in
-            [("hit", s.cache_hits), ("miss", s.cache_misses), ("evict", s.cache_evictions)]
-        {
-            let c = reg.counter(
-                "softsim_serve_cache_total",
-                "Memoization cache events.",
-                vec![("event", event.to_string())],
-            );
-            reg.inc(c, n);
-        }
-        let q = inner.serve_gauges;
-        let g = reg.gauge("softsim_serve_queue_depth", "Jobs waiting in the queue.", Vec::new());
-        reg.set(g, q.queue_depth as f64);
-        let g = reg.gauge(
-            "softsim_serve_queue_capacity",
-            "Admission-control queue capacity.",
-            Vec::new(),
-        );
-        reg.set(g, q.queue_capacity as f64);
-        let g = reg.gauge("softsim_serve_jobs_running", "Jobs currently executing.", Vec::new());
-        reg.set(g, q.jobs_running as f64);
-        let g = reg.gauge(
-            "softsim_serve_ready",
-            "1 while the server accepts work, 0 once shutdown begins.",
-            Vec::new(),
-        );
-        reg.set(g, if q.ready { 1.0 } else { 0.0 });
-    }
-    reg.to_prometheus()
-}
-
-fn build_json(inner: &Inner) -> String {
-    let elapsed = inner.started.elapsed().as_secs_f64();
-    let trial_idx = SPAN_KINDS.iter().position(|&s| s == SpanKind::Trial).unwrap();
-    let append_idx = SPAN_KINDS.iter().position(|&s| s == SpanKind::JournalAppend).unwrap();
-    let mut workers = String::new();
-    for (i, w) in inner.workers.iter().enumerate() {
-        if i > 0 {
-            workers.push(',');
-        }
-        workers.push_str(&format!(
-            "{{\"worker\":{i},\"spans\":{},\"busy_seconds\":{},\"sim_cycles\":{},\"utilization\":{}}}",
-            w.spans,
-            w.busy.as_secs_f64(),
-            w.cycles,
-            if elapsed > 0.0 { w.busy.as_secs_f64() / elapsed } else { 0.0 },
-        ));
-    }
-    let mut series = String::new();
-    for (i, s) in inner.series.iter().enumerate() {
-        if i > 0 {
-            series.push(',');
-        }
-        series.push_str(&format!("{{\"at_secs\":{},\"sim_cycles\":{}}}", s.at_secs, s.cycles));
-    }
-    format!(
-        "{{\"run_wall_seconds\":{},\"trials\":{},\"expected_trials\":{},\"sim_cycles\":{},\
-         \"cycles_per_sec\":{},\"retries\":{},\"retry_wall_seconds\":{},\
-         \"budget_cancelled\":{},\"abandoned\":{},\"ff_engagements\":{},\
-         \"ff_skipped_cycles\":{},\"journal_appends\":{},\"journal_bytes\":{},\
-         \"workers\":[{}],\"throughput_series\":[{}]}}",
-        elapsed,
-        inner.kind_count[trial_idx],
-        inner.expected_trials,
-        inner.total_cycles(),
-        if elapsed > 0.0 { inner.total_cycles() as f64 / elapsed } else { 0.0 },
-        inner.retries,
-        inner.retry_wall.as_secs_f64(),
-        inner.budget_cancelled,
-        inner.abandoned,
-        inner.ff_engagements,
-        inner.ff_skipped_cycles,
-        inner.kind_count[append_idx],
-        inner.journal_bytes,
-        workers,
-        series,
-    )
 }
 
 /// Writes `text` to `<path>.tmp` then renames it over `path`, so a
@@ -861,16 +821,126 @@ mod tests {
         assert!(text.contains("softsim_harness_trial_wall_seconds_bucket{le=\"0.01\"} 1"));
     }
 
+    /// The value of the sample `key` (`name{labels}`) in `text`.
+    fn sample(text: &str, key: &str) -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(key)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no sample {key} in:\n{text}"))
+            .parse()
+            .unwrap()
+    }
+
     #[test]
-    fn json_summary_is_parseable() {
+    fn trial_wall_sum_is_the_sum_of_the_observed_trials() {
+        let t = Telemetry::default();
+        t.record(trial(0, 5, 1_000));
+        t.record(trial(1, 20_000, 1_000));
+        let text = t.to_prometheus();
+        let sum = sample(&text, "softsim_harness_trial_wall_seconds_sum");
+        assert!((sum - 20.005).abs() < 1e-9, "{text}");
+        assert_eq!(sample(&text, "softsim_harness_trial_wall_seconds_bucket{le=\"0.01\"}"), 1.0);
+        assert_eq!(sample(&text, "softsim_harness_trial_wall_seconds_bucket{le=\"10\"}"), 1.0);
+        assert_eq!(sample(&text, "softsim_harness_trial_wall_seconds_bucket{le=\"+Inf\"}"), 2.0);
+        assert_eq!(sample(&text, "softsim_harness_trial_wall_seconds_count"), 2.0);
+    }
+
+    /// Every sample key of the exposition after spans from workers 0
+    /// and 2, in exposition order; the serve families follow once a
+    /// serve call arrives.
+    const HARNESS_KEYS: [&str; 43] = [
+        "softsim_harness_abandoned_total",
+        "softsim_harness_budget_cancelled_total",
+        "softsim_harness_ff_engagements_total",
+        "softsim_harness_ff_skipped_cycles_total",
+        "softsim_harness_journal_bytes_total",
+        "softsim_harness_retries_total",
+        "softsim_harness_retry_wall_seconds",
+        "softsim_harness_run_wall_seconds",
+        "softsim_harness_sim_cycles_total{kind=\"golden\"}",
+        "softsim_harness_sim_cycles_total{kind=\"trial\"}",
+        "softsim_harness_span_wall_seconds_total{kind=\"campaign\"}",
+        "softsim_harness_span_wall_seconds_total{kind=\"golden\"}",
+        "softsim_harness_span_wall_seconds_total{kind=\"job\"}",
+        "softsim_harness_span_wall_seconds_total{kind=\"journal_append\"}",
+        "softsim_harness_span_wall_seconds_total{kind=\"trial\"}",
+        "softsim_harness_spans_total{kind=\"campaign\"}",
+        "softsim_harness_spans_total{kind=\"golden\"}",
+        "softsim_harness_spans_total{kind=\"job\"}",
+        "softsim_harness_spans_total{kind=\"journal_append\"}",
+        "softsim_harness_spans_total{kind=\"trial\"}",
+        "softsim_harness_throughput_cycles_per_sec",
+        "softsim_harness_trial_wall_seconds_bucket{le=\"0.0001\"}",
+        "softsim_harness_trial_wall_seconds_bucket{le=\"0.001\"}",
+        "softsim_harness_trial_wall_seconds_bucket{le=\"0.01\"}",
+        "softsim_harness_trial_wall_seconds_bucket{le=\"0.1\"}",
+        "softsim_harness_trial_wall_seconds_bucket{le=\"1\"}",
+        "softsim_harness_trial_wall_seconds_bucket{le=\"10\"}",
+        "softsim_harness_trial_wall_seconds_bucket{le=\"+Inf\"}",
+        "softsim_harness_trial_wall_seconds_sum",
+        "softsim_harness_trial_wall_seconds_count",
+        "softsim_harness_trials_expected",
+        "softsim_harness_worker_busy_seconds{worker=\"0\"}",
+        "softsim_harness_worker_busy_seconds{worker=\"1\"}",
+        "softsim_harness_worker_busy_seconds{worker=\"2\"}",
+        "softsim_harness_worker_sim_cycles_total{worker=\"0\"}",
+        "softsim_harness_worker_sim_cycles_total{worker=\"1\"}",
+        "softsim_harness_worker_sim_cycles_total{worker=\"2\"}",
+        "softsim_harness_worker_spans_total{worker=\"0\"}",
+        "softsim_harness_worker_spans_total{worker=\"1\"}",
+        "softsim_harness_worker_spans_total{worker=\"2\"}",
+        "softsim_harness_worker_utilization{worker=\"0\"}",
+        "softsim_harness_worker_utilization{worker=\"1\"}",
+        "softsim_harness_worker_utilization{worker=\"2\"}",
+    ];
+
+    const SERVE_KEYS: [&str; 13] = [
+        "softsim_serve_cache_total{event=\"evict\"}",
+        "softsim_serve_cache_total{event=\"hit\"}",
+        "softsim_serve_cache_total{event=\"miss\"}",
+        "softsim_serve_jobs_running",
+        "softsim_serve_jobs_total{state=\"admitted\"}",
+        "softsim_serve_jobs_total{state=\"completed\"}",
+        "softsim_serve_jobs_total{state=\"degraded\"}",
+        "softsim_serve_jobs_total{state=\"quarantined\"}",
+        "softsim_serve_jobs_total{state=\"retried\"}",
+        "softsim_serve_jobs_total{state=\"shed\"}",
+        "softsim_serve_queue_capacity",
+        "softsim_serve_queue_depth",
+        "softsim_serve_ready",
+    ];
+
+    /// The `name{labels}` key of every sample line, in order.
+    fn sample_keys(text: &str) -> Vec<&str> {
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| l.rsplit_once(' ').expect("sample line has a value").0)
+            .collect()
+    }
+
+    #[test]
+    fn exposition_families_are_pinned() {
         let t = Telemetry::default();
         t.expect_trials(2);
-        t.record(trial(0, 5, 1_000));
-        t.record(trial(1, 5, 2_000));
-        let v = softsim_trace::json::parse(&t.to_json()).expect("valid JSON");
-        assert_eq!(v.get("trials").and_then(|x| x.as_f64()), Some(2.0));
-        assert_eq!(v.get("sim_cycles").and_then(|x| x.as_f64()), Some(3_000.0));
-        assert_eq!(v.get("workers").and_then(|x| x.as_array()).map(|a| a.len()), Some(2));
+        let mut g = SpanRecord::new(SpanKind::Golden, 0, Duration::from_millis(2));
+        g.sim_cycles = 100;
+        t.record(g);
+        t.record(trial(2, 5, 1_000));
+        let mut j = SpanRecord::new(SpanKind::JournalAppend, 2, Duration::from_micros(30));
+        j.journal_bytes = 64;
+        t.record(j);
+        t.record(trial(0, 7, 2_000));
+        t.record(SpanRecord::new(SpanKind::Campaign, 0, Duration::from_millis(20)));
+        assert_eq!(sample_keys(&t.to_prometheus()), HARNESS_KEYS);
+
+        t.serve_event(ServeEvent::Admitted);
+        t.serve_event(ServeEvent::CacheMiss);
+        t.serve_event(ServeEvent::Completed);
+        t.set_serve_queue(1, 4, 1, true);
+        let text = t.to_prometheus();
+        let serve_at = HARNESS_KEYS.len();
+        assert_eq!(sample_keys(&text)[..serve_at], HARNESS_KEYS);
+        assert_eq!(sample_keys(&text)[serve_at..], SERVE_KEYS);
+        assert_eq!(text.matches("# TYPE ").count(), 24, "{text}");
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl Outcome {
             Outcome::HarnessError { .. } => "harness-error",
         }
     }
-
-    /// True for the four SEU design classifications (everything except
-    /// the harness-side [`Outcome::Budget`] / [`Outcome::HarnessError`]).
-    pub fn is_design_outcome(&self) -> bool {
-        !matches!(self, Outcome::Budget | Outcome::HarnessError { .. })
-    }
 }
 
 impl std::fmt::Display for Outcome {
@@ -438,16 +432,7 @@ fn run_trial(
             (applied, stop, cancelled)
         }
     };
-    let outcome = match &stop {
-        CoSimStop::Halted if observe(sim) == golden.observed => Outcome::Masked,
-        CoSimStop::Halted => Outcome::Sdc,
-        CoSimStop::CycleLimit { .. } if budget_cancelled => Outcome::Budget,
-        // A campaign arms no breakpoint; a stop at one did not finish.
-        CoSimStop::Deadlock { .. }
-        | CoSimStop::CycleLimit { .. }
-        | CoSimStop::Breakpoint { .. } => Outcome::Deadlock,
-        CoSimStop::Fault(_) => Outcome::Fault,
-    };
+    let outcome = classify(sim, &stop, observe, &golden.observed, budget_cancelled);
     Trial {
         injection,
         applied,
@@ -456,6 +441,29 @@ fn run_trial(
         retries: 0,
         cpu_stats: sim.cpu().stats(),
         hw_stats: sim.hw_stats(),
+    }
+}
+
+/// Classifies a trial that stopped with `stop`: a halt is masked or
+/// silent corruption by the observables, a budget cancellation is a
+/// budget hit, and every other stop that is not a fault — a diagnosed
+/// deadlock, the padded budget, or a breakpoint (trials arm none) — did
+/// not finish.
+pub(crate) fn classify(
+    sim: &CoSim,
+    stop: &CoSimStop,
+    observe: &dyn Fn(&CoSim) -> Vec<u32>,
+    golden_observed: &[u32],
+    budget_cancelled: bool,
+) -> Outcome {
+    match stop {
+        CoSimStop::Halted if observe(sim) == golden_observed => Outcome::Masked,
+        CoSimStop::Halted => Outcome::Sdc,
+        CoSimStop::CycleLimit { .. } if budget_cancelled => Outcome::Budget,
+        CoSimStop::Deadlock { .. }
+        | CoSimStop::CycleLimit { .. }
+        | CoSimStop::Breakpoint { .. } => Outcome::Deadlock,
+        CoSimStop::Fault(_) => Outcome::Fault,
     }
 }
 

@@ -11,7 +11,7 @@
 //! the corrupted writeback the injector performed, so the report pins
 //! the fault to its injection cycle.
 
-use crate::campaign::{CampaignConfig, Outcome};
+use crate::campaign::{classify, CampaignConfig, Outcome};
 use crate::inject::{Injection, Injector};
 use softsim_cosim::{CoSim, CoSimState, CoSimStop};
 use softsim_metrics::{Divergence, MetricsCollector, MetricsDiff, RunRecord};
@@ -106,7 +106,7 @@ pub fn capture_golden(
     golden
 }
 
-/// Restores `sim` to the golden initial state, steps to the injection
+/// Restores `sim` to the golden initial state, runs to the injection
 /// cycle, applies the fault, runs the trial instrumented and localizes
 /// its divergence against the golden record.
 pub fn localize_trial(
@@ -123,28 +123,18 @@ pub fn localize_trial(
     let (record, stop) = instrumented_run(sim, config, |sim| {
         // The pre-injection prefix runs instrumented too: both streams
         // must cover the whole run for the diff to align from cycle 0.
-        while sim.cpu().stats().cycles < injection.cycle {
-            let e = sim.step();
-            if e.is_halt() {
-                return CoSimStop::Halted;
-            }
-            if let softsim_iss::Event::Fault(f) = e {
-                return CoSimStop::Fault(f);
-            }
+        // As in a campaign trial, an earlier trial's watchdog must not
+        // fire in it.
+        sim.clear_watchdog();
+        match sim.run(injection.cycle.saturating_sub(sim.cpu().stats().cycles)) {
+            CoSimStop::CycleLimit { .. } => {}
+            stop => return stop,
         }
         applied = Injector::apply(sim, injection.kind);
         sim.set_watchdog(watchdog);
         sim.run(budget - sim.cpu().stats().cycles.min(budget))
     });
-    let outcome = match &stop {
-        CoSimStop::Halted if observe(sim) == golden.observed => Outcome::Masked,
-        CoSimStop::Halted => Outcome::Sdc,
-        // As in a campaign trial, a breakpoint stop did not finish.
-        CoSimStop::Deadlock { .. }
-        | CoSimStop::CycleLimit { .. }
-        | CoSimStop::Breakpoint { .. } => Outcome::Deadlock,
-        CoSimStop::Fault(_) => Outcome::Fault,
-    };
+    let outcome = classify(sim, &stop, &observe, &golden.observed, false);
     let divergence = MetricsDiff::diff(&golden.record, &record);
     DivergenceReport { injection, applied, stop, outcome, divergence }
 }

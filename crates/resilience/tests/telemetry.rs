@@ -281,9 +281,4 @@ fn exposition_reflects_the_run_and_escapes_correctly() {
     assert!(prom.contains("softsim_harness_trial_wall_seconds_bucket"));
     assert!(prom.contains("le=\"+Inf\""));
     assert!(prom.contains(&format!("softsim_harness_trials_expected {}", plan.len())));
-
-    let json = t.to_json();
-    let v = softsim_trace::json::parse(&json).expect("telemetry JSON parses");
-    assert_eq!(v.get("trials").and_then(|c| c.as_f64()), Some(plan.len() as f64));
-    assert_eq!(v.get("retries").and_then(|c| c.as_f64()), Some(t.retries() as f64));
 }

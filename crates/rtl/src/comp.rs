@@ -87,23 +87,6 @@ pub fn addsub(
     });
 }
 
-/// A combinational 2:1 multiplexer.
-pub fn mux2(
-    k: &mut Kernel,
-    name: &str,
-    sel: SignalId,
-    a0: SignalId,
-    a1: SignalId,
-    y: SignalId,
-    width: u8,
-) {
-    k.add_primitives(Primitives { lut_bits: width as u64, ..Default::default() });
-    k.process(name, &[sel, a0, a1], move |ctx| {
-        let v = if ctx.get(sel) == 0 { ctx.get(a0) } else { ctx.get(a1) };
-        ctx.set(y, v);
-    });
-}
-
 /// Sign bit extractor: `y = a[width-1]` — the CORDIC direction bit.
 pub fn sign_bit(k: &mut Kernel, name: &str, a: SignalId, y: SignalId, width: u8) {
     k.process(name, &[a], move |ctx| {

@@ -87,7 +87,6 @@ struct Sig {
 }
 
 struct Proc {
-    name: String,
     body: Box<dyn FnMut(&mut ProcCtx)>,
 }
 
@@ -219,15 +218,17 @@ impl Kernel {
         id
     }
 
-    /// Registers a process with its sensitivity list.
+    /// Registers a process with its sensitivity list. The name labels
+    /// the process where the netlist is built; the kernel keeps only
+    /// the body.
     pub fn process(
         &mut self,
-        name: impl Into<String>,
+        _name: impl Into<String>,
         sensitivity: &[SignalId],
         body: impl FnMut(&mut ProcCtx) + 'static,
     ) -> ProcId {
         let id = ProcId(self.procs.len() as u32);
-        self.procs.push(Proc { name: name.into(), body: Box::new(body) });
+        self.procs.push(Proc { body: Box::new(body) });
         for s in sensitivity {
             self.watchers[s.0 as usize].push(id.0);
         }
@@ -400,24 +401,9 @@ impl Kernel {
         }
     }
 
-    /// Name of a signal (diagnostics).
-    pub fn signal_name(&self, sig: SignalId) -> &str {
-        &self.signals[sig.0 as usize].name
-    }
-
-    /// Name of a process (diagnostics).
-    pub fn process_name(&self, p: ProcId) -> &str {
-        &self.procs[p.0 as usize].name
-    }
-
     /// Number of signals (design-size reporting).
     pub fn signal_count(&self) -> usize {
         self.signals.len()
-    }
-
-    /// Number of processes (design-size reporting).
-    pub fn process_count(&self) -> usize {
-        self.procs.len()
     }
 }
 

@@ -301,11 +301,6 @@ pub struct Server {
 
 impl Server {
     /// Starts the pool and returns the running server.
-    pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        Server::start_with_telemetry(config, Arc::new(Telemetry::default()))
-    }
-
-    /// [`Server::start`] sharing an existing telemetry hub.
     ///
     /// # Errors
     /// [`std::io::ErrorKind::InvalidInput`] when `workers` or
@@ -313,10 +308,7 @@ impl Server {
     /// created or spawned; otherwise the error of creating the spool or
     /// of spawning a pool thread (the threads already spawned are shut
     /// down and joined).
-    pub fn start_with_telemetry(
-        config: ServeConfig,
-        telemetry: Arc<Telemetry>,
-    ) -> std::io::Result<Server> {
+    pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         for (name, count) in
             [("workers", config.workers), ("campaign_workers", config.campaign_workers)]
         {
@@ -342,7 +334,7 @@ impl Server {
             state: Mutex::new(state),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            telemetry,
+            telemetry: Arc::new(Telemetry::default()),
             shutdown: AtomicBool::new(false),
         });
         inner.publish_gauges();
