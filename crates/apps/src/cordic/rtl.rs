@@ -63,7 +63,7 @@ pub fn attach_cordic_rtl(soc: &mut SocRtl, p: usize) {
         let (o_xs, o_y, o_z, o_tv, o_c, o_cl) = (xs[0], y[0], z[0], tv[0], c[0], cl[0]);
         let mut phase = 0u8;
         let (mut rxs, mut ry) = (0u32, 0u32);
-        k.process("cordic_deser", &[clk], move |ctx| {
+        k.process(&[clk], move |ctx| {
             if !ctx.rising(clk) {
                 return;
             }
@@ -99,7 +99,7 @@ pub fn attach_cordic_rtl(soc: &mut SocRtl, p: usize) {
         let (o_xs, o_y, o_z, o_tv, o_c, o_cl) =
             (xs[i + 1], y[i + 1], z[i + 1], tv[i + 1], c[i + 1], cl[i + 1]);
         let mut c_reg: i32 = 0;
-        k.process(format!("cordic_pe{i}"), &[clk], move |ctx| {
+        k.process(&[clk], move |ctx| {
             if !ctx.rising(clk) {
                 return;
             }
@@ -129,9 +129,9 @@ pub fn attach_cordic_rtl(soc: &mut SocRtl, p: usize) {
         let y_sum = k.signal(format!("pe{i}_y_addsub"), 32);
         let z_sum = k.signal(format!("pe{i}_z_addsub"), 32);
         let d = k.signal(format!("pe{i}_d"), 1);
-        comp::sign_bit(k, &format!("pe{i}_sign"), i_y, d, 32);
-        comp::addsub(k, &format!("pe{i}_yas"), i_y, i_xs, Some(d), y_sum, 32);
-        comp::addsub(k, &format!("pe{i}_zas"), i_z, i_c, Some(d), z_sum, 32);
+        comp::sign_bit(k, i_y, d, 32);
+        comp::addsub(k, i_y, i_xs, Some(d), y_sum, 32);
+        comp::addsub(k, i_z, i_c, Some(d), z_sum, 32);
     }
 
     // Serializer FSM (rising edge): queue (Y, Z) pairs, one word/cycle.
@@ -139,7 +139,7 @@ pub fn attach_cordic_rtl(soc: &mut SocRtl, p: usize) {
         k.add_primitives(SER_PRIMITIVES);
         let (i_y, i_z, i_tv) = (y[p], z[p], tv[p]);
         let mut queue: VecDeque<u64> = VecDeque::new();
-        k.process("cordic_ser", &[clk], move |ctx| {
+        k.process(&[clk], move |ctx| {
             if !ctx.rising(clk) {
                 return;
             }

@@ -39,7 +39,7 @@ pub fn attach_fir_rtl(soc: &mut SocRtl, t: usize, ch: usize) {
     for i in 0..t {
         let h = k.signal(format!("fir{ch}_h{i}"), 32);
         let p = k.signal(format!("fir{ch}_p{i}"), 32);
-        comp::multiplier(k, &format!("fir{ch}_mult{i}"), clk, x_bcast, h, p, 32, 1);
+        comp::multiplier(k, clk, x_bcast, h, p, 32, 1);
         tap_sigs.push(h);
         prods.push(p);
     }
@@ -51,7 +51,7 @@ pub fn attach_fir_rtl(soc: &mut SocRtl, t: usize, ch: usize) {
         for (i, pair) in level.chunks(2).enumerate() {
             if let [a, b] = pair {
                 let y = k.signal(format!("fir{ch}_t{depth}_{i}"), 32);
-                comp::addsub(k, &format!("fir{ch}_add{depth}_{i}"), *a, *b, None, y, 32);
+                comp::addsub(k, *a, *b, None, y, 32);
                 next.push(y);
             } else {
                 next.push(pair[0]);
@@ -68,7 +68,7 @@ pub fn attach_fir_rtl(soc: &mut SocRtl, t: usize, ch: usize) {
     let mut ptr = 0usize;
     let mut line = vec![0i32; t]; // line[0] unused; line[k] = x[n-k]
     let mut pending: Option<i32> = None;
-    k.process(format!("fir{ch}_ctrl"), &[clk], move |ctx| {
+    k.process(&[clk], move |ctx| {
         if !ctx.rising(clk) {
             return;
         }

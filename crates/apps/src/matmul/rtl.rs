@@ -49,10 +49,10 @@ pub fn attach_matmul_rtl(soc: &mut SocRtl, nb: usize) {
     for j in 0..nb {
         // One embedded 18×18 multiplier per column (matrix elements are
         // 16-bit values, as in the paper) and one accumulator adder.
-        comp::multiplier(k, &format!("mm_mult{j}"), clk, a_bcast, b_row[j], prod[j], 18, 1);
+        comp::multiplier(k, clk, a_bcast, b_row[j], prod[j], 18, 1);
         let acc_in = acc_sig[j];
         let sum = k.signal(format!("mm_sum{j}"), 32);
-        comp::addsub(k, &format!("mm_accadd{j}"), acc_in, prod[j], None, sum, 32);
+        comp::addsub(k, acc_in, prod[j], None, sum, 32);
     }
 
     // The control FSM, cycle-exact with the block-level `MatmulUnit`.
@@ -61,7 +61,7 @@ pub fn attach_matmul_rtl(soc: &mut SocRtl, nb: usize) {
     let mut acc: Vec<i32> = vec![0; nb * nb];
     let mut a_idx = 0usize;
     let mut out: VecDeque<i32> = VecDeque::new();
-    k.process("mm_ctrl", &[clk], move |ctx| {
+    k.process(&[clk], move |ctx| {
         if !ctx.rising(clk) {
             return;
         }

@@ -20,11 +20,12 @@
 //! and must not be measurably slower than it — hardening you did not
 //! ask for is free.
 //!
-//! The guest profiler follows the same contract: with profiling off
-//! (the default — `CoSim::set_profiling` never called or called with
-//! `false`), no sink is wired and stall fast-forwarding stays engaged,
-//! so a profiler-off co-simulation does strictly less work than the
-//! identical profiler-on run and must stay within 2% of it.
+//! The guest profiler follows the same contract: it is an ordinary
+//! trace sink (a `GuestProfile` passed to `CoSim::attach_trace`), so
+//! with none attached (the default) no sink is wired and the fast paths
+//! stay engaged. A profiler-off co-simulation does strictly less work
+//! than the identical run with a profile attached and must stay within
+//! 2% of it.
 //!
 //! Harness telemetry gets the same contract: a plain campaign
 //! (telemetry off — every `Option<&Telemetry>` is `None`, one
@@ -72,7 +73,7 @@ use softsim_iss::{Cpu, StopReason};
 use softsim_metrics::telemetry::{Telemetry, TelemetryConfig};
 use softsim_metrics::MetricsCollector;
 use softsim_resilience::{CampaignConfig, Exec};
-use softsim_trace::{shared, NullSink};
+use softsim_trace::{shared, GuestProfile, NullSink};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::rc::Rc;
@@ -133,18 +134,19 @@ fn run_cosim_ecc(ecc: bool) -> Duration {
 }
 
 fn run_cosim_profiling(on: bool) -> Duration {
-    // Profiler off is the default; on attaches the per-PC collector and
-    // (like any sink) disengages stall fast-forwarding, so the off
-    // configuration does strictly less work than the on one.
+    // Profiler off is the default; on attaches a per-PC collector as the
+    // trace sink, which (like any sink) disengages the fast paths, so the
+    // off configuration does strictly less work than the on one.
     let mut sim = softsim_bench::workloads::cordic_cosim_long(24, Some(4));
-    sim.set_profiling(on);
+    let profile = Rc::new(RefCell::new(GuestProfile::new()));
+    if on {
+        sim.attach_trace(shared(profile.clone()));
+    }
     let start = Instant::now();
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
     let wall = start.elapsed();
     black_box(sim.cpu_stats().cycles);
-    if on {
-        black_box(sim.guest_profile().expect("profiling on").total_cycles());
-    }
+    black_box(profile.borrow().total_cycles());
     wall
 }
 

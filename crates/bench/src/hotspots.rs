@@ -15,7 +15,10 @@ use crate::tables::json_f64;
 use crate::workloads;
 use softsim_cosim::{CoSim, CoSimStop, PAPER_CLOCK_HZ};
 use softsim_profile::{advise, GuestReport, OffloadCandidate};
+use softsim_trace::{shared, GuestProfile};
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Hot blocks reported per workload.
 pub const HOT_BLOCKS_PER_WORKLOAD: usize = 5;
@@ -100,9 +103,10 @@ fn run_spec(spec: Spec) -> HotspotRow {
             ("matmul_16x16_nb4", image, sim)
         }
     };
-    sim.set_profiling(true);
+    let profile = Rc::new(RefCell::new(GuestProfile::new()));
+    sim.attach_trace(shared(profile.clone()));
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted, "{name} must halt");
-    let profile = sim.guest_profile().expect("profiling on");
+    let profile = profile.borrow();
     let stats = sim.cpu_stats();
     assert_eq!(profile.total_cycles(), stats.cycles, "{name}: profile must reconcile");
     assert_eq!(profile.total_retires(), stats.instructions);

@@ -502,18 +502,19 @@ pub fn claims_text() -> String {
 /// high-water marks and the gateway traffic — everything `softsim-trace`
 /// collects, reconciled against the ISS's own counters.
 pub fn profile_text() -> String {
-    use softsim_trace::{shared, FifoDir, Timeline};
+    use softsim_trace::{shared, Fanout, FifoDir, GuestProfile, Timeline};
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    let profile = Rc::new(RefCell::new(GuestProfile::new()));
     let timeline = Rc::new(RefCell::new(Timeline::new()));
+    let fanout = Fanout::new().with(shared(profile.clone())).with(shared(timeline.clone()));
     let mut sim = workloads::cordic_cosim(24, Some(4));
-    sim.set_profiling(true);
-    sim.attach_trace(shared(timeline.clone()));
+    sim.attach_trace(shared(Rc::new(RefCell::new(fanout))));
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
 
     let stats = sim.cpu_stats();
-    let profile = sim.guest_profile().expect("profiling on");
+    let profile = profile.borrow();
     let timeline = timeline.borrow();
     let breakdown = profile.breakdown();
     assert_eq!(

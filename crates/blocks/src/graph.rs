@@ -972,11 +972,6 @@ impl Graph {
         out
     }
 
-    /// Names of all gateway inputs.
-    pub fn input_names(&self) -> impl Iterator<Item = &str> {
-        self.inputs.keys().map(String::as_str)
-    }
-
     /// Names of all gateway outputs.
     pub fn output_names(&self) -> impl Iterator<Item = &str> {
         self.outputs.keys().map(String::as_str)

@@ -285,11 +285,6 @@ impl FslFifo {
         }
     }
 
-    /// True while the SEC-DED codec is enabled.
-    pub fn ecc(&self) -> bool {
-        self.ecc
-    }
-
     /// Attaches a trace sink to this FIFO. Pushes, pops and flag
     /// rejections are emitted as cycle-stamped events; the cycle domain
     /// is supplied via [`FslFifo::set_trace_cycle`].
@@ -600,12 +595,6 @@ impl FslBank {
         }
     }
 
-    /// True when channel 0 (and, under [`FslBank::set_ecc_all`], every
-    /// channel) runs the SEC-DED codec.
-    pub fn ecc(&self) -> bool {
-        self.to_hw[0].ecc()
-    }
-
     /// Total single-bit corrections across every channel.
     pub fn ecc_corrected_total(&self) -> u64 {
         self.to_hw.iter().chain(self.from_hw.iter()).map(|f| f.stats().ecc_corrected).sum()
@@ -625,18 +614,6 @@ impl FslBank {
         for f in self.to_hw.iter_mut().chain(self.from_hw.iter_mut()) {
             f.set_trace_cycle(cycle);
         }
-    }
-
-    /// Highest occupancy ever observed on any processor → hardware
-    /// channel.
-    pub fn max_to_hw_occupancy(&self) -> usize {
-        self.to_hw.iter().map(|f| f.stats().max_occupancy).max().unwrap_or(0)
-    }
-
-    /// Highest occupancy ever observed on any hardware → processor
-    /// channel.
-    pub fn max_from_hw_occupancy(&self) -> usize {
-        self.from_hw.iter().map(|f| f.stats().max_occupancy).max().unwrap_or(0)
     }
 
     /// Processor-to-hardware channel `ch` (the CPU writes here).

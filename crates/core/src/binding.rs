@@ -5,7 +5,7 @@
 //! processor simulation and the System Generator design (§III-A/B). A
 //! [`FslToHw`]/[`FslFromHw`] pair describes exactly that wiring for one
 //! channel: which gateway ports of the peripheral graph carry the FSL
-//! data, valid, control and handshake signals.
+//! data, valid and control signals.
 
 /// Wiring of one processor → hardware FSL channel into gateway inputs.
 #[derive(Debug, Clone)]
@@ -19,9 +19,6 @@ pub struct FslToHw {
     /// Gateway-in name receiving the control bit (`Out#_control`), if the
     /// peripheral distinguishes control words.
     pub control: Option<String>,
-    /// Gateway-out name the peripheral drives low to defer consumption
-    /// (defaults to always-ready when absent).
-    pub ready: Option<String>,
 }
 
 impl FslToHw {
@@ -32,19 +29,12 @@ impl FslToHw {
             data: format!("fsl{channel}_data"),
             valid: format!("fsl{channel}_valid"),
             control: Some(format!("fsl{channel}_ctrl")),
-            ready: None,
         }
     }
 
     /// Drops the control-bit wire (peripherals that only take data words).
     pub fn without_control(mut self) -> FslToHw {
         self.control = None;
-        self
-    }
-
-    /// Adds a ready/backpressure wire.
-    pub fn with_ready(mut self, name: impl Into<String>) -> FslToHw {
-        self.ready = Some(name.into());
         self
     }
 }

@@ -22,9 +22,7 @@ use softsim_blocks::{Fix, FixFmt, Graph};
 use softsim_bus::{FslBank, FslBankState, FslWord, MemPatch};
 use softsim_isa::{CpuConfig, Image};
 use softsim_iss::{Cpu, CpuSnapshot, CpuStats, Event, Fault, FslBlock, TranslatedRun};
-use softsim_trace::{shared, Fanout, FifoDir, GuestProfile, SharedSink, TraceEvent};
-use std::cell::RefCell;
-use std::rc::Rc;
+use softsim_trace::{FifoDir, SharedSink, TraceEvent};
 
 /// The clock frequency of the paper's experiments (§IV): 50 MHz on the
 /// ML300 Virtex-II Pro board.
@@ -134,7 +132,6 @@ struct ResolvedIn {
     data: InputHandle,
     valid: InputHandle,
     control: Option<InputHandle>,
-    ready: Option<OutputHandle>,
 }
 
 /// Resolved hardware → processor wiring.
@@ -175,7 +172,6 @@ impl Peripheral {
                 data: resolve_in(&b.data),
                 valid: resolve_in(&b.valid),
                 control: b.control.as_deref().map(resolve_in),
-                ready: b.ready.as_deref().map(resolve_out),
             })
             .collect();
         let outputs = outputs
@@ -201,24 +197,15 @@ impl Peripheral {
         &mut self.graph
     }
 
-    /// Whether the gateway input `b` consumes a word this cycle if one
-    /// is waiting: the peripheral's `ready` output, settled last cycle.
-    fn ready(&self, b: &ResolvedIn) -> bool {
-        match b.ready {
-            Some(h) => !self.graph.output_fast(h).is_zero(),
-            None => true,
-        }
-    }
-
     /// The hardware-idle predicate: a clock cycle of this peripheral
     /// changes nothing but counters, and so does every later one for as
     /// long as its processor → hardware FIFOs are left alone. It holds
     /// when the graph has no node marked and no probes, no gateway
     /// output is valid, every gateway input already holds the idle word
-    /// (data, valid and control all zero) and no ready gateway input has
-    /// a word waiting. A stepped cycle then stores the idle word again
-    /// (marking nothing), steps a sleeping graph, pushes nothing and
-    /// charges one empty rejection per ready input — exactly what
+    /// (data, valid and control all zero) and no input FIFO has a word
+    /// waiting. A stepped cycle then stores the idle word again (marking
+    /// nothing), steps a sleeping graph, pushes nothing and charges one
+    /// empty rejection per input — exactly what
     /// [`Peripheral::jump`] replays in bulk. Both the stall jump and the
     /// jump after a translated block rest on this one test.
     fn idle(&self, fsl: &FslBank) -> bool {
@@ -230,23 +217,20 @@ impl Peripheral {
                 g.input_value(b.data).is_zero()
                     && g.input_value(b.valid).is_zero()
                     && b.control.is_none_or(|c| g.input_value(c).is_zero())
-                    && !(self.ready(b) && fsl.to_hw_ref(b.channel).exists())
+                    && !fsl.to_hw_ref(b.channel).exists()
             })
     }
 
     /// Advances an [`idle`](Peripheral::idle) peripheral by `n` cycles in
     /// one jump, leaving exactly what `n` stepped cycles would: the
     /// graph's cycle and activity counts, one empty rejection per cycle
-    /// on every ready (hence starved) input FIFO, and the to-hardware
-    /// occupancy high-water mark of FIFOs that cannot change meanwhile.
+    /// on every (starved) input FIFO, and the to-hardware occupancy
+    /// high-water mark of FIFOs that cannot change meanwhile.
     fn jump(&mut self, fsl: &mut FslBank, hw: &mut HwStats, n: u64) {
         for b in &self.inputs {
-            let ready = self.ready(b);
             let fifo = fsl.to_hw(b.channel);
             hw.max_to_hw_occupancy = hw.max_to_hw_occupancy.max(fifo.len());
-            if ready {
-                fifo.add_empty_rejections(n);
-            }
+            fifo.add_empty_rejections(n);
         }
         self.graph.fast_forward(n);
     }
@@ -264,18 +248,15 @@ impl Peripheral {
         sink: &Option<SharedSink>,
         cycle: u64,
     ) {
-        // Feed gateway inputs from the processor-side FIFOs. The
-        // peripheral's `ready` output (settled last cycle) gates
-        // consumption.
+        // Feed gateway inputs from the processor-side FIFOs: each input
+        // takes a word whenever one is waiting.
         for b in &self.inputs {
-            let ready = self.ready(b);
             let fifo = fsl.to_hw(b.channel);
             let occupancy = fifo.len();
             if occupancy > hw.max_to_hw_occupancy {
                 hw.max_to_hw_occupancy = occupancy;
             }
-            let word = if ready { fifo.try_pop() } else { None };
-            let (data, valid, ctrl) = match word {
+            let (data, valid, ctrl) = match fifo.try_pop() {
                 Some(w) => {
                     hw.words_to_hw += 1;
                     if let Some(sink) = sink {
@@ -398,15 +379,9 @@ pub struct CoSim {
     fsl: FslBank,
     peripherals: Vec<Peripheral>,
     hw_stats: HwStats,
-    /// The *effective* cycle-domain sink for gateway word transfers (the
-    /// CPU and FSL bank hold their own clones): the user sink, the guest
-    /// profiler, or a fanout of both.
+    /// The sink attached by [`CoSim::attach_trace`], observing gateway
+    /// word transfers (the CPU and FSL bank hold their own clones).
     sink: Option<SharedSink>,
-    /// The sink attached via [`CoSim::attach_trace`], kept separate so
-    /// profiling and user tracing compose.
-    user_sink: Option<SharedSink>,
-    /// The guest profiler, when [`CoSim::set_profiling`] is on.
-    profiler: Option<Rc<RefCell<GuestProfile>>>,
     /// Liveness watchdog, when armed (see [`CoSim::set_watchdog`]).
     watchdog: Option<Watchdog>,
     /// Absolute-cycle ceiling no `run` call may pass (see
@@ -438,8 +413,6 @@ impl CoSim {
             peripherals: Vec::new(),
             hw_stats: HwStats::default(),
             sink: None,
-            user_sink: None,
-            profiler: None,
             watchdog: None,
             run_horizon: None,
             ff_engagements: 0,
@@ -512,8 +485,8 @@ impl CoSim {
     ///
     /// Statistics, halt cycles and deadlock reports are bit-identical
     /// either way. All three silently disengage whenever the run could be
-    /// observed at finer grain: with a trace sink or the profiler
-    /// attached, or an OPB bus (its timing is outside the idle contract).
+    /// observed at finer grain: with a trace sink attached, or an OPB
+    /// bus (its timing is outside the idle contract).
     /// Breakpoints also keep blocks out, and probes on a peripheral graph
     /// (per-cycle samples) keep that peripheral out of both jumps. They
     /// compose with [`CoSim::set_run_horizon`]: a block is dispatched
@@ -553,22 +526,12 @@ impl CoSim {
         self.run_horizon = horizon;
     }
 
-    /// The armed run horizon, if any.
-    pub fn run_horizon(&self) -> Option<u64> {
-        self.run_horizon
-    }
-
     /// Enables or disables SEC-DED protection on every FSL channel in
     /// both directions (see `FslFifo::set_ecc` in `softsim-bus`). Words
     /// already in flight are re-/de-coded in place, so hardening can be
     /// toggled at a checkpoint boundary.
     pub fn set_fsl_ecc(&mut self, on: bool) {
         self.fsl.set_ecc_all(on);
-    }
-
-    /// Whether FSL SEC-DED protection is enabled.
-    pub fn fsl_ecc(&self) -> bool {
-        self.fsl.ecc()
     }
 
     /// Faults detected *by the hardware itself* so far: the sum of every
@@ -582,85 +545,24 @@ impl CoSim {
     /// (instruction retires and stall attribution), the FSL bank (FIFO
     /// push/pop/full/empty with occupancies) and the co-simulator itself
     /// (gateway word transfers). All events share the processor's cycle
-    /// domain. The untraced path is unaffected — no sink, no events.
+    /// domain. The untraced path is unaffected — no sink, no events. A
+    /// guest profile is a sink like any other (a `GuestProfile`); to
+    /// observe with several sinks at once, attach a `Fanout` of them.
     pub fn attach_trace(&mut self, sink: SharedSink) {
-        self.user_sink = Some(sink);
-        self.rewire();
+        self.cpu.attach_trace(sink.clone());
+        self.fsl.attach_trace(sink.clone());
+        self.sink = Some(sink);
     }
 
     /// Detaches the observability sink from the processor, the FSL bank
     /// and the co-simulator, restoring the untraced fast path (and
-    /// fast-forward eligibility) unless profiling keeps its own sink
-    /// attached. Supervisors that only trace the diagnosis replay of a
-    /// failed segment use this to keep the healthy-path overhead at zero.
+    /// fast-forward eligibility). Supervisors that only trace the
+    /// diagnosis replay of a failed segment use this to keep the
+    /// healthy-path overhead at zero.
     pub fn detach_trace(&mut self) {
-        self.user_sink = None;
-        self.rewire();
-    }
-
-    /// Toggles guest-program profiling.
-    ///
-    /// When on, a [`GuestProfile`] collects exact per-PC cycle/stall
-    /// attribution and windowed FSL utilization from the event stream;
-    /// read it back with [`CoSim::guest_profile`]. Profiling composes
-    /// with [`CoSim::attach_trace`] (both sinks observe every event) and
-    /// costs *zero* when off: with no profiler and no user sink the hot
-    /// path keeps its single untraced branch. While on, it suppresses
-    /// stall fast-forwarding like any attached sink, preserving
-    /// bit-exact cycle streams.
-    pub fn set_profiling(&mut self, on: bool) {
-        if on && self.profiler.is_none() {
-            self.profiler = Some(Rc::new(RefCell::new(GuestProfile::new())));
-        } else if !on {
-            self.profiler = None;
-        }
-        self.rewire();
-    }
-
-    /// True while guest-program profiling is enabled.
-    pub fn profiling(&self) -> bool {
-        self.profiler.is_some()
-    }
-
-    /// A snapshot of the collected guest profile (`None` when profiling
-    /// is off). The attribution of an instruction still in flight — a
-    /// run stopped by a cycle limit mid-stall — is folded in, so totals
-    /// always reconcile exactly with [`CoSim::cpu_stats`] `.cycles`.
-    pub fn guest_profile(&self) -> Option<GuestProfile> {
-        let profiler = self.profiler.as_ref()?;
-        let mut profile = profiler.borrow().clone();
-        if let Some(f) = self.cpu.in_flight() {
-            profile.add_in_flight(f.pc, f.cycles, f.read_stalls, f.write_stalls);
-        }
-        Some(profile)
-    }
-
-    /// Recomputes the effective sink from the user sink and the
-    /// profiler, and attaches it to the processor, the FSL bank and the
-    /// co-simulator (or restores the untraced fast path when neither is
-    /// present).
-    fn rewire(&mut self) {
-        let effective: Option<SharedSink> = match (&self.user_sink, &self.profiler) {
-            (None, None) => None,
-            (Some(u), None) => Some(u.clone()),
-            (None, Some(p)) => Some(shared(p.clone())),
-            (Some(u), Some(p)) => {
-                let fanout = Fanout::new().with(u.clone()).with(shared(p.clone()));
-                Some(shared(Rc::new(RefCell::new(fanout))))
-            }
-        };
-        match effective {
-            Some(sink) => {
-                self.cpu.attach_trace(sink.clone());
-                self.fsl.attach_trace(sink.clone());
-                self.sink = Some(sink);
-            }
-            None => {
-                self.cpu.detach_trace();
-                self.fsl.detach_trace();
-                self.sink = None;
-            }
-        }
+        self.cpu.detach_trace();
+        self.fsl.detach_trace();
+        self.sink = None;
     }
 
     /// The processor model.

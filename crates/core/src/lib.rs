@@ -34,6 +34,7 @@
 
 mod binding;
 mod cosim;
+pub mod debug;
 pub mod opb;
 
 pub use binding::{FslFromHw, FslToHw};

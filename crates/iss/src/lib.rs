@@ -2,8 +2,9 @@
 //!
 //! The software-execution-platform component of the paper's co-simulation
 //! environment: a cycle-accurate simulator for programs running on the
-//! MB32 (MicroBlaze-style) soft processor, together with a debugger
-//! interface mirroring the `mb-gdb` pipe of Fig. 2.
+//! MB32 (MicroBlaze-style) soft processor. The debugger interface
+//! mirroring the `mb-gdb` pipe of Fig. 2 drives the whole co-simulation
+//! and lives in `softsim-cosim`.
 //!
 //! The simulator advances in single clock cycles ([`Cpu::tick`]) so the
 //! co-simulation engine can interleave it exactly with the hardware-block
@@ -13,7 +14,6 @@
 #![warn(missing_docs)]
 
 mod cpu;
-pub mod debug;
 mod exec;
 mod fault;
 mod stats;

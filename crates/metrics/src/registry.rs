@@ -223,14 +223,6 @@ impl Registry {
         }
     }
 
-    /// Read access to a histogram.
-    pub fn histogram_value(&self, id: HistogramId) -> &Histogram {
-        match &self.metrics[id.0].value {
-            MetricValue::Histogram(h) => h,
-            _ => unreachable!("id type guarantees a histogram"),
-        }
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.metrics.len()

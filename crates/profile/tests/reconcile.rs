@@ -1,5 +1,6 @@
-//! The profiler's accounting discipline, end to end through `CoSim`:
-//! per-PC attribution must sum *exactly* to the processor's own cycle
+//! The profiler's accounting discipline, end to end through `CoSim` with
+//! a `GuestProfile` attached as its trace sink: per-PC attribution must
+//! sum *exactly* to the processor's own cycle
 //! counter (the same reconciliation discipline the stall-attribution
 //! trace established), profiles must be byte-identical across runs, and
 //! the CORDIC hot block must be the known inner loop.
@@ -11,7 +12,7 @@ use softsim_cosim::{CoSim, CoSimStop};
 use softsim_isa::asm::assemble;
 use softsim_isa::Image;
 use softsim_profile::{advise, advise_text, GuestReport};
-use softsim_trace::{shared, GuestProfile};
+use softsim_trace::{shared, Fanout, GuestProfile};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -31,15 +32,23 @@ fn cordic_hw_image(p: usize) -> Image {
     assemble(&hw_program(&cordic_batch(), 24, p)).expect("assembles")
 }
 
+/// Attaches a fresh guest profile to `sim` as its trace sink and returns
+/// a handle to read it back.
+fn attach_profile(sim: &mut CoSim) -> Rc<RefCell<GuestProfile>> {
+    let profile = Rc::new(RefCell::new(GuestProfile::new()));
+    sim.attach_trace(shared(profile.clone()));
+    profile
+}
+
 #[test]
 fn software_profile_reconciles_and_finds_the_inner_loop() {
     let image = cordic_sw_image();
     let mut sim = CoSim::software_only(&image);
-    sim.set_profiling(true);
-    assert!(sim.profiling());
+    let profile = attach_profile(&mut sim);
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
+    assert!(sim.cpu().in_flight().is_none(), "a halted run leaves nothing in flight");
 
-    let profile = sim.guest_profile().expect("profiling on");
+    let profile = profile.borrow();
     let stats = sim.cpu_stats();
     assert_eq!(profile.total_cycles(), stats.cycles, "per-PC cycles must sum to CpuStats");
     assert_eq!(profile.total_retires(), stats.instructions);
@@ -71,10 +80,10 @@ fn software_profile_reconciles_and_finds_the_inner_loop() {
 fn hardware_profile_reconciles_with_fsl_stalls() {
     let image = cordic_hw_image(4);
     let mut sim = CoSim::with_peripheral(&image, cordic_peripheral(4));
-    sim.set_profiling(true);
+    let profile = attach_profile(&mut sim);
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
 
-    let profile = sim.guest_profile().unwrap();
+    let profile = profile.borrow();
     let stats = sim.cpu_stats();
     assert_eq!(profile.total_cycles(), stats.cycles);
     let (reads, writes) =
@@ -91,12 +100,14 @@ fn cycle_limited_run_still_reconciles_via_in_flight_attribution() {
     // on `get` with no peripheral attached.
     let image = cordic_hw_image(4);
     let mut sim = CoSim::software_only(&image);
-    sim.set_profiling(true);
+    let profile = attach_profile(&mut sim);
     let stop = sim.run(500);
     assert!(matches!(stop, CoSimStop::CycleLimit { .. }));
-    let in_flight = sim.cpu().in_flight().expect("the run stops mid-instruction");
-    assert!(in_flight.read_stalls > 0, "the run stops mid-stall");
-    let profile = sim.guest_profile().unwrap();
+    let f = sim.cpu().in_flight().expect("the run stops mid-instruction");
+    assert!(f.read_stalls > 0, "the run stops mid-stall");
+    let mut profile = profile.borrow().clone();
+    assert!(profile.total_cycles() < sim.cpu_stats().cycles, "the stall is not yet charged");
+    profile.add_in_flight(f.pc, f.cycles, f.read_stalls, f.write_stalls);
     let stats = sim.cpu_stats();
     assert_eq!(
         profile.total_cycles(),
@@ -111,23 +122,28 @@ fn cycle_limited_run_still_reconciles_via_in_flight_attribution() {
 }
 
 #[test]
-fn profiling_composes_with_a_user_trace_sink() {
+fn two_profiles_in_a_fanout_both_reconcile() {
     let image = cordic_sw_image();
     let mut sim = CoSim::software_only(&image);
-    let user = Rc::new(RefCell::new(GuestProfile::new()));
-    sim.attach_trace(shared(user.clone()));
-    sim.set_profiling(true);
+    let a = Rc::new(RefCell::new(GuestProfile::new()));
+    let b = Rc::new(RefCell::new(GuestProfile::new()));
+    let fanout = Fanout::new().with(shared(a.clone())).with(shared(b.clone()));
+    sim.attach_trace(shared(Rc::new(RefCell::new(fanout))));
+    let start = sim.save_state();
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
     let stats = sim.cpu_stats();
-    assert_eq!(user.borrow().breakdown().total, stats.cycles, "user sink saw every event");
-    assert_eq!(sim.guest_profile().unwrap().total_cycles(), stats.cycles);
+    for p in [&a, &b] {
+        assert_eq!(p.borrow().breakdown().total, stats.cycles, "each sink saw every event");
+        assert_eq!(p.borrow().total_cycles(), stats.cycles);
+    }
+    assert_eq!(a.borrow().report(10), b.borrow().report(10));
 
-    // Turning profiling off keeps the user sink wired.
-    sim.set_profiling(false);
-    assert!(sim.guest_profile().is_none());
-
-    // And detaching everything restores the untraced fast path.
+    // Detached, a second run from the start reaches no sink.
     sim.detach_trace();
+    sim.load_state(&start);
+    assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
+    assert_eq!(sim.cpu_stats(), stats);
+    assert_eq!(a.borrow().total_cycles(), stats.cycles);
 }
 
 #[test]
@@ -135,9 +151,9 @@ fn profiles_are_byte_identical_across_runs() {
     let render = |p: usize| {
         let image = cordic_hw_image(p);
         let mut sim = CoSim::with_peripheral(&image, cordic_peripheral(p));
-        sim.set_profiling(true);
+        let profile = attach_profile(&mut sim);
         assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
-        let profile = sim.guest_profile().unwrap();
+        let profile = profile.borrow();
         let report = GuestReport::build(&image, &profile);
         format!(
             "{}\n{}\n{}\n{}",

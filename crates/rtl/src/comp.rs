@@ -25,7 +25,7 @@ pub fn clock(k: &mut Kernel, period: Time) -> Clock {
     assert!(period >= 2 && period.is_multiple_of(2), "period must be an even number of ns");
     let clk = k.signal("clk", 1);
     let half = period / 2;
-    k.process("clkgen", &[clk], move |ctx| {
+    k.process(&[clk], move |ctx| {
         let v = ctx.get(clk) ^ 1;
         ctx.set_after(clk, v, half);
     });
@@ -42,7 +42,6 @@ fn sext(v: u64, width: u8) -> i64 {
 /// A D register with optional clock-enable, width ≤ 64.
 pub fn register(
     k: &mut Kernel,
-    name: &str,
     clk: SignalId,
     d: SignalId,
     q: SignalId,
@@ -50,7 +49,7 @@ pub fn register(
     width: u8,
 ) {
     k.add_primitives(Primitives { ff_bits: width as u64, ..Default::default() });
-    k.process(name, &[clk], move |ctx| {
+    k.process(&[clk], move |ctx| {
         if ctx.rising(clk) {
             let enabled = en.map(|e| ctx.get(e) != 0).unwrap_or(true);
             if enabled {
@@ -66,7 +65,6 @@ pub fn register(
 /// for a fixed adder.
 pub fn addsub(
     k: &mut Kernel,
-    name: &str,
     a: SignalId,
     b: SignalId,
     sub: Option<SignalId>,
@@ -78,7 +76,7 @@ pub fn addsub(
     if let Some(s) = sub {
         sens.push(s);
     }
-    k.process(name, &sens, move |ctx| {
+    k.process(&sens, move |ctx| {
         let av = ctx.get(a);
         let bv = ctx.get(b);
         let neg = sub.map(|s| ctx.get(s) != 0).unwrap_or(false);
@@ -88,8 +86,8 @@ pub fn addsub(
 }
 
 /// Sign bit extractor: `y = a[width-1]` — the CORDIC direction bit.
-pub fn sign_bit(k: &mut Kernel, name: &str, a: SignalId, y: SignalId, width: u8) {
-    k.process(name, &[a], move |ctx| {
+pub fn sign_bit(k: &mut Kernel, a: SignalId, y: SignalId, width: u8) {
+    k.process(&[a], move |ctx| {
         let v = (ctx.get(a) >> (width - 1)) & 1;
         ctx.set(y, v);
     });
@@ -97,23 +95,16 @@ pub fn sign_bit(k: &mut Kernel, name: &str, a: SignalId, y: SignalId, width: u8)
 
 /// A constant arithmetic right shifter (wiring in hardware, a process in
 /// behavioral simulation).
-pub fn shift_right_arith(
-    k: &mut Kernel,
-    name: &str,
-    a: SignalId,
-    y: SignalId,
-    amount: u32,
-    width: u8,
-) {
-    k.process(name, &[a], move |ctx| {
+pub fn shift_right_arith(k: &mut Kernel, a: SignalId, y: SignalId, amount: u32, width: u8) {
+    k.process(&[a], move |ctx| {
         let v = sext(ctx.get(a), width) >> amount;
         ctx.set(y, v as u64);
     });
 }
 
 /// A constant logical right shifter.
-pub fn shift_right_logic(k: &mut Kernel, name: &str, a: SignalId, y: SignalId, amount: u32) {
-    k.process(name, &[a], move |ctx| {
+pub fn shift_right_logic(k: &mut Kernel, a: SignalId, y: SignalId, amount: u32) {
+    k.process(&[a], move |ctx| {
         let v = ctx.get(a) >> amount;
         ctx.set(y, v);
     });
@@ -124,7 +115,6 @@ pub fn shift_right_logic(k: &mut Kernel, name: &str, a: SignalId, y: SignalId, a
 #[allow(clippy::too_many_arguments)] // component port lists are what they are
 pub fn multiplier(
     k: &mut Kernel,
-    name: &str,
     clk: SignalId,
     a: SignalId,
     b: SignalId,
@@ -140,7 +130,7 @@ pub fn multiplier(
         ..Default::default()
     });
     let mut pipe: VecDeque<u64> = VecDeque::from(vec![0; latency]);
-    k.process(name, &[clk], move |ctx| {
+    k.process(&[clk], move |ctx| {
         if ctx.rising(clk) {
             let av = sext(ctx.get(a), width);
             let bv = sext(ctx.get(b), width);
@@ -197,7 +187,7 @@ pub fn fifo(
     let state: SharedFifo = Rc::new(RefCell::new(VecDeque::with_capacity(depth)));
     let q = Rc::clone(&state);
     let ports = FifoPorts { din, push, pop, dout, exists, full };
-    k.process(name, &[clk], move |ctx| {
+    k.process(&[clk], move |ctx| {
         let edge = if edge_falling { ctx.falling(clk) } else { ctx.rising(clk) };
         if !edge {
             return;
@@ -237,7 +227,7 @@ mod tests {
         let (mut k, c) = setup();
         let d = k.signal("d", 16);
         let q = k.signal("q", 16);
-        register(&mut k, "r", c.clk, d, q, None, 16);
+        register(&mut k, c.clk, d, q, None, 16);
         k.poke(d, 0xBEEF);
         cycles(&mut k, c, 2);
         assert_eq!(k.peek(q), 0xBEEF);
@@ -250,7 +240,7 @@ mod tests {
         let d = k.signal("d", 8);
         let q = k.signal("q", 8);
         let en = k.signal("en", 1);
-        register(&mut k, "r", c.clk, d, q, Some(en), 8);
+        register(&mut k, c.clk, d, q, Some(en), 8);
         k.poke(d, 5);
         k.poke(en, 0);
         cycles(&mut k, c, 2);
@@ -267,7 +257,7 @@ mod tests {
         let b = k.signal("b", 16);
         let s = k.signal("s", 1);
         let y = k.signal("y", 16);
-        addsub(&mut k, "as", a, b, Some(s), y, 16);
+        addsub(&mut k, a, b, Some(s), y, 16);
         k.poke(a, 100);
         k.poke(b, 30);
         k.run_until(1);
@@ -287,8 +277,8 @@ mod tests {
         let a = k.signal("a", 16);
         let ya = k.signal("ya", 16);
         let yl = k.signal("yl", 16);
-        shift_right_arith(&mut k, "sra", a, ya, 2, 16);
-        shift_right_logic(&mut k, "srl", a, yl, 2);
+        shift_right_arith(&mut k, a, ya, 2, 16);
+        shift_right_logic(&mut k, a, yl, 2);
         k.poke(a, 0xFFF0); // -16 in 16 bits
         k.run_until(1);
         assert_eq!(sext(k.peek(ya), 16), -4);
@@ -300,7 +290,7 @@ mod tests {
         let (mut k, _c) = setup();
         let a = k.signal("a", 16);
         let y = k.signal("y", 1);
-        sign_bit(&mut k, "sb", a, y, 16);
+        sign_bit(&mut k, a, y, 16);
         k.poke(a, 0x8000);
         k.run_until(1);
         assert_eq!(k.peek(y), 1);
@@ -315,7 +305,7 @@ mod tests {
         let a = k.signal("a", 18);
         let b = k.signal("b", 18);
         let y = k.signal("y", 18);
-        multiplier(&mut k, "m", c.clk, a, b, y, 18, 1);
+        multiplier(&mut k, c.clk, a, b, y, 18, 1);
         k.poke(a, 7);
         k.poke(b, (-3i64 as u64) & 0x3FFFF);
         cycles(&mut k, c, 1);

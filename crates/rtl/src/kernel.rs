@@ -218,12 +218,9 @@ impl Kernel {
         id
     }
 
-    /// Registers a process with its sensitivity list. The name labels
-    /// the process where the netlist is built; the kernel keeps only
-    /// the body.
+    /// Registers a process with its sensitivity list.
     pub fn process(
         &mut self,
-        _name: impl Into<String>,
         sensitivity: &[SignalId],
         body: impl FnMut(&mut ProcCtx) + 'static,
     ) -> ProcId {
@@ -434,11 +431,11 @@ mod tests {
         let b = k.signal("b", 8);
         let c = k.signal("c", 8);
         // b = a + 1; c = b * 2 — two comb processes chained by deltas.
-        k.process("inc", &[a], move |ctx| {
+        k.process(&[a], move |ctx| {
             let v = ctx.get(a) + 1;
             ctx.set(b, v);
         });
-        k.process("dbl", &[b], move |ctx| {
+        k.process(&[b], move |ctx| {
             let v = ctx.get(b) * 2;
             ctx.set(c, v);
         });
@@ -454,7 +451,7 @@ mod tests {
         let mut k = Kernel::new();
         let clk = k.signal("clk", 1);
         // 20 ns period (50 MHz): toggle every 10 ns.
-        k.process("clkgen", &[clk], move |ctx| {
+        k.process(&[clk], move |ctx| {
             let v = ctx.get(clk) ^ 1;
             ctx.set_after(clk, v, 10);
         });
@@ -472,11 +469,11 @@ mod tests {
         let clk = k.signal("clk", 1);
         let d = k.signal("d", 16);
         let q = k.signal("q", 16);
-        k.process("clkgen", &[clk], move |ctx| {
+        k.process(&[clk], move |ctx| {
             let v = ctx.get(clk) ^ 1;
             ctx.set_after(clk, v, 10);
         });
-        k.process("reg", &[clk], move |ctx| {
+        k.process(&[clk], move |ctx| {
             if ctx.rising(clk) {
                 let v = ctx.get(d);
                 ctx.set(q, v);
@@ -504,7 +501,7 @@ mod tests {
         let mut k = Kernel::new();
         let a = k.signal("a", 8);
         let b = k.signal("b", 8);
-        k.process("copy", &[a], move |ctx| {
+        k.process(&[a], move |ctx| {
             let v = ctx.get(a);
             ctx.set(b, v);
         });
@@ -520,7 +517,7 @@ mod tests {
     fn combinational_loop_detected() {
         let mut k = Kernel::new();
         let a = k.signal("a", 1);
-        k.process("osc", &[a], move |ctx| {
+        k.process(&[a], move |ctx| {
             let v = ctx.get(a) ^ 1;
             ctx.set(a, v);
         });

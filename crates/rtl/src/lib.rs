@@ -111,11 +111,11 @@ mod tests {
         // A combinational echo peripheral: out = in + 1, valid follows.
         let one = soc.kernel.signal_init("one", 32, 1);
         let sum = soc.kernel.signal("echo_sum", 32);
-        crate::comp::addsub(&mut soc.kernel, "echo_add", hw_in.data, one, None, sum, 32);
+        crate::comp::addsub(&mut soc.kernel, hw_in.data, one, None, sum, 32);
         // Wire the echo into the output stage.
         {
             let k = &mut soc.kernel;
-            k.process("echo_wire", &[sum, hw_in.valid, hw_in.ctrl], move |ctx| {
+            k.process(&[sum, hw_in.valid, hw_in.ctrl], move |ctx| {
                 let v = ctx.get(sum);
                 let val = ctx.get(hw_in.valid);
                 let c = ctx.get(hw_in.ctrl);

@@ -279,7 +279,7 @@ impl SocRtl {
         {
             let arch = Rc::clone(&arch);
             let pc = sigs.pc;
-            kernel.process("lmb_ictrl", &[pc], move |ctx| {
+            kernel.process(&[pc], move |ctx| {
                 let a = ctx.get(pc) as usize;
                 let arch = arch.borrow();
                 let w = if a + 4 <= arch.mem.len() {
@@ -298,7 +298,7 @@ impl SocRtl {
         let decode_fields = kernel.signal("dec_fields", 32);
         {
             let ir = sigs.ir;
-            kernel.process("decoder", &[ir], move |ctx| {
+            kernel.process(&[ir], move |ctx| {
                 let w = ctx.get(ir) as u32;
                 // opcode | rd | ra | rb packed — pure observation traffic.
                 let packed = (w >> 26)
@@ -311,7 +311,7 @@ impl SocRtl {
         let alu_y = kernel.signal("alu_y", 32);
         {
             let (a, b, op) = (sigs.alu_a, sigs.alu_b, sigs.alu_op);
-            kernel.process("alu", &[a, b, op], move |ctx| {
+            kernel.process(&[a, b, op], move |ctx| {
                 let av = ctx.get(a) as u32;
                 let bv = ctx.get(b) as u32;
                 let y = match ctx.get(op) {
@@ -332,7 +332,7 @@ impl SocRtl {
         {
             let arch = Rc::clone(&arch);
             let (addr, we) = (sigs.mem_addr, sigs.mem_we);
-            kernel.process("lmb_dctrl", &[addr, we], move |ctx| {
+            kernel.process(&[addr, we], move |ctx| {
                 let a = (ctx.get(addr) as usize) & !3;
                 let arch = arch.borrow();
                 let w = if a + 4 <= arch.mem.len() {
@@ -353,7 +353,7 @@ impl SocRtl {
             let (we, ad, dv) = (sigs.rd_we, sigs.rd_addr, sigs.rd_data);
             let clk = clk.clk;
             let mut shadow = [0u32; 32];
-            kernel.process("regfile", &[clk], move |ctx| {
+            kernel.process(&[clk], move |ctx| {
                 if ctx.rising(clk) && ctx.get(we) != 0 {
                     shadow[(ctx.get(ad) & 31) as usize] = ctx.get(dv) as u32;
                 }
@@ -367,7 +367,7 @@ impl SocRtl {
             let to_hw = to_hw.clone();
             let from_hw = from_hw.clone();
             let clk_sig = clk.clk;
-            kernel.process("cpu_exec", &[clk_sig], move |ctx| {
+            kernel.process(&[clk_sig], move |ctx| {
                 if !ctx.rising(clk_sig) {
                     return;
                 }
@@ -404,7 +404,7 @@ impl SocRtl {
         k.add_primitives(Primitives { ff_bits: 70, lut_bits: 40, ..Default::default() });
         let q = Rc::clone(&self.to_hw[ch]);
         let clk = self.clock.clk;
-        k.process(format!("fsl{ch}_in_stage"), &[clk], move |ctx| {
+        k.process(&[clk], move |ctx| {
             if !ctx.falling(clk) {
                 return;
             }
@@ -431,7 +431,7 @@ impl SocRtl {
         k.add_primitives(Primitives { ff_bits: 70, lut_bits: 40, ..Default::default() });
         let q = Rc::clone(&self.from_hw[ch]);
         let clk = self.clock.clk;
-        k.process(format!("fsl{ch}_out_stage"), &[clk], move |ctx| {
+        k.process(&[clk], move |ctx| {
             if !ctx.falling(clk) {
                 return;
             }

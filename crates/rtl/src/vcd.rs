@@ -133,7 +133,7 @@ mod tests {
         let d = k.signal("d", 8);
         let q = k.signal("q", 8);
         // A clocked register: q <= d on rising clk.
-        k.process("dff", &[clk], move |ctx| {
+        k.process(&[clk], move |ctx| {
             if ctx.rising(clk) {
                 let v = ctx.get(d);
                 ctx.set(q, v);

@@ -1,14 +1,18 @@
-//! Driving the soft processor through the `mb-gdb`-style debug protocol —
+//! Driving the co-simulation through the `mb-gdb`-style debug protocol —
 //! the control path of the paper's Fig. 2, where the MicroBlaze Simulink
 //! block steers software execution through a bidirectional command pipe.
+//! The session drives the whole co-simulation, so a program that talks to
+//! a hardware peripheral over FSL runs to `halt` through `cont` too.
 //!
 //! Run with: `cargo run --example debugger`
 
-use softsim::bus::FslBank;
+use softsim::apps::cordic::hardware::cordic_peripheral;
+use softsim::apps::cordic::reference::to_fix;
+use softsim::apps::cordic::software::{hw_program, CordicBatch};
+use softsim::cosim::debug::DebugSession;
+use softsim::cosim::{CoSim, CoSimStop};
 use softsim::isa::asm::assemble;
 use softsim::isa::disasm;
-use softsim::iss::debug::DebugSession;
-use softsim::iss::Cpu;
 
 fn main() {
     let image = assemble(
@@ -28,9 +32,8 @@ fn main() {
 
     println!("disassembly (mb-objdump analog):\n{}", disasm::listing(&image));
 
-    let mut cpu = Cpu::with_default_memory(&image);
-    let mut fsl = FslBank::default();
-    let mut dbg = DebugSession::new(&mut cpu, &mut fsl);
+    let mut sim = CoSim::software_only(&image);
+    let mut dbg = DebugSession::new(&mut sim);
 
     // The textual protocol — exactly what would flow over the pipe.
     for line in [
@@ -49,7 +52,36 @@ fn main() {
         println!("> {line:<14} => {reply}");
     }
 
-    let fib12 = cpu.mem().read_u32(0x200).unwrap();
+    let fib12 = sim.cpu().mem().read_u32(0x200).unwrap();
     println!("fib(12) computed on MB32: {fib12}");
     assert_eq!(fib12, 144);
+
+    // The same protocol over a hardware co-simulation: CORDIC division
+    // on a P = 4 pipeline, stopped at its first receive loop.
+    let p = 4;
+    let pairs: Vec<(i32, i32)> =
+        [(1.0, 0.5), (1.5, 1.2)].iter().map(|&(a, b)| (to_fix(a), to_fix(b))).collect();
+    let image = assemble(&hw_program(&CordicBatch::new(&pairs), 24, p)).unwrap();
+    let recv = image.symbol("recv0").unwrap();
+    let mut plain = CoSim::with_peripheral(&image, cordic_peripheral(p));
+    assert_eq!(plain.run(u64::MAX / 2), CoSimStop::Halted);
+
+    let mut sim = CoSim::with_peripheral(&image, cordic_peripheral(p));
+    let mut dbg = DebugSession::new(&mut sim);
+    println!("\nCORDIC P = {p} over FSL:");
+    for line in [
+        format!("break {recv:#x}"), // the first receive loop
+        "cont".into(),
+        "step".into(), // the blocking `get` waits on the hardware
+        "rr r6".into(),
+        format!("delete {recv:#x}"),
+        "cont".into(),
+        "stats".into(),
+    ] {
+        let reply = dbg.handle_line(&line);
+        println!("> {line:<14} => {reply}");
+    }
+    assert_eq!(sim.cpu_stats(), plain.cpu_stats());
+    assert_eq!(sim.hw_stats(), plain.hw_stats());
+    println!("session and plain run agree: {} cycles", sim.cpu_stats().cycles);
 }

@@ -17,7 +17,7 @@ use softsim::cosim::{CoSim, CoSimStop};
 use softsim::isa::asm::assemble;
 use softsim::isa::Image;
 use softsim::profile::{advise, advise_text, GuestReport};
-use softsim::trace::{chrome, shared, Fanout, FifoDir, Recorder, Timeline};
+use softsim::trace::{chrome, shared, Fanout, FifoDir, GuestProfile, Recorder, Timeline};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -25,9 +25,10 @@ use std::rc::Rc;
 /// top-10 hot blocks, the flamegraph path and the advisor's ranking.
 fn profile_guest(title: &str, slug: &str, image: &Image) {
     let mut sim = CoSim::software_only(image);
-    sim.set_profiling(true);
+    let guest = Rc::new(RefCell::new(GuestProfile::new()));
+    sim.attach_trace(shared(guest.clone()));
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
-    let guest = sim.guest_profile().expect("profiling on");
+    let guest = guest.borrow();
     let stats = sim.cpu_stats();
     assert_eq!(guest.total_cycles(), stats.cycles, "profile must reconcile");
     let report = GuestReport::build(image, &guest);
@@ -67,20 +68,23 @@ fn main() {
     let batch = CordicBatch::new(&pairs);
     let image = assemble(&hw_program(&batch, iterations, p)).expect("assembles");
 
-    // Attach the full observability stack: the profiler (aggregates), a
-    // timeline (FIFO occupancy series) and a recorder (raw events for
-    // the Chrome export).
+    // Attach the full observability stack as one fanout: the profiler
+    // (aggregates), a timeline (FIFO occupancy series) and a recorder
+    // (raw events for the Chrome export).
+    let profile = Rc::new(RefCell::new(GuestProfile::new()));
     let timeline = Rc::new(RefCell::new(Timeline::new()));
     let recorder = Rc::new(RefCell::new(Recorder::new(1 << 16)));
-    let fanout = Fanout::new().with(shared(timeline.clone())).with(shared(recorder.clone()));
+    let fanout = Fanout::new()
+        .with(shared(profile.clone()))
+        .with(shared(timeline.clone()))
+        .with(shared(recorder.clone()));
 
     let mut sim = CoSim::with_peripheral(&image, cordic_peripheral(p));
-    sim.set_profiling(true);
     sim.attach_trace(shared(Rc::new(RefCell::new(fanout))));
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
 
     let stats = sim.cpu_stats();
-    let profile = sim.guest_profile().expect("profiling on");
+    let profile = profile.borrow();
     let timeline = timeline.borrow();
 
     println!("CORDIC division, {iterations} iterations, P = {p} pipeline\n");
