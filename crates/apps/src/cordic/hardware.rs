@@ -110,9 +110,6 @@ impl Block for Deserializer {
         // Three 32-bit holding registers, a phase counter and decode.
         Resources::slices(3 * 16 + 4)
     }
-    fn reset(&mut self) {
-        *self = Deserializer::default();
-    }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.phase as u64);
         out.push(self.xs as u32 as u64);
@@ -212,9 +209,6 @@ impl Block for CordicPe {
         // behind them, the C register and the sign/select logic.
         Resources::slices(2 * Resources::adder_slices(32) + 4)
     }
-    fn reset(&mut self) {
-        *self = CordicPe::default();
-    }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.xs as u32 as u64);
         out.push(self.y as u32 as u64);
@@ -302,9 +296,6 @@ impl Block for Serializer {
     fn resources(&self) -> Resources {
         // SRL16-based buffering plus the output register and control.
         Resources::slices(2 * 16 + 6)
-    }
-    fn reset(&mut self) {
-        *self = Serializer::default();
     }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.queue.len() as u64);

@@ -151,9 +151,6 @@ impl Block for MatmulUnit {
         // control and output buffering.
         Resources { slices: nb * nb * 9 + nb * 10 + 63, brams: 0, mult18s: nb }
     }
-    fn reset(&mut self) {
-        *self = MatmulUnit::new(self.nb);
-    }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.extend(self.b.iter().map(|&w| w as u32 as u64));
         out.push(self.b_idx as u64);

@@ -496,26 +496,27 @@ pub fn claims_text() -> String {
     out
 }
 
-/// Runs the CORDIC `P = 4`, 24-iteration co-simulation with the full
-/// observability stack attached and renders the profile: hot PCs,
-/// instruction mix, the stall-attribution cycle breakdown, FIFO
-/// high-water marks and the gateway traffic — everything `softsim-trace`
-/// collects, reconciled against the ISS's own counters.
+/// Runs the CORDIC `P = 4`, 24-iteration co-simulation with a guest
+/// profile attached and renders it: hot PCs, instruction mix, the
+/// stall-attribution cycle breakdown and the FSL and gateway traffic,
+/// reconciled against the ISS's own counters, plus the FSL bank's FIFO
+/// high-water marks.
 pub fn profile_text() -> String {
-    use softsim_trace::{shared, Fanout, FifoDir, GuestProfile, Timeline};
+    use softsim_bus::{FslBank, FslFifo, CHANNELS};
+    use softsim_trace::{shared, GuestProfile};
     use std::cell::RefCell;
     use std::rc::Rc;
 
     let profile = Rc::new(RefCell::new(GuestProfile::new()));
-    let timeline = Rc::new(RefCell::new(Timeline::new()));
-    let fanout = Fanout::new().with(shared(profile.clone())).with(shared(timeline.clone()));
     let mut sim = workloads::cordic_cosim(24, Some(4));
-    sim.attach_trace(shared(Rc::new(RefCell::new(fanout))));
+    sim.attach_trace(shared(profile.clone()));
     assert_eq!(sim.run(u64::MAX / 2), CoSimStop::Halted);
 
     let stats = sim.cpu_stats();
     let profile = profile.borrow();
-    let timeline = timeline.borrow();
+    let high_water = |fifo: fn(&FslBank, usize) -> &FslFifo| {
+        (0..CHANNELS).map(|ch| fifo(sim.fsl(), ch).stats().max_occupancy).max().unwrap_or(0)
+    };
     let breakdown = profile.breakdown();
     assert_eq!(
         breakdown.total, stats.cycles,
@@ -527,8 +528,8 @@ pub fn profile_text() -> String {
     let _ = writeln!(
         out,
         "\nFIFO high-water (depth 16): to-hw {} words, from-hw {} words",
-        timeline.high_water(FifoDir::ToHw),
-        timeline.high_water(FifoDir::FromHw),
+        high_water(FslBank::to_hw_ref),
+        high_water(FslBank::from_hw_ref),
     );
     let _ = writeln!(
         out,

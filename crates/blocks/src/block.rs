@@ -86,9 +86,6 @@ pub trait Block {
         false
     }
 
-    /// Resets sequential state to power-on values.
-    fn reset(&mut self) {}
-
     /// Appends the block's sequential state to `out` as raw `u64` words
     /// (fixed-point values via [`Fix::to_bits`], counters verbatim,
     /// variable-length containers preceded by their length). The default

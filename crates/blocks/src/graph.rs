@@ -36,7 +36,7 @@
 //!
 //! * **Wake.** [`Graph::set_input_fast`] stores a gateway value only when
 //!   its bits differ from the held one, and marks that gateway.
-//!   [`Graph::compile`], [`Graph::reset`] and [`Graph::load_state`] mark
+//!   [`Graph::compile`] and [`Graph::load_state`] mark
 //!   every node eval, and every sequential block clock as well.
 //! * **Evaluate.** [`Graph::step`] walks the schedule and evaluates a
 //!   node only if it has an eval mark or is unsettled. A sequential block
@@ -800,24 +800,6 @@ impl Graph {
             .sum()
     }
 
-    /// Resets all sequential state, port values and the cycle counter.
-    pub fn reset(&mut self) {
-        for node in &mut self.nodes {
-            match &mut node.kind {
-                Kind::Block(b) => b.reset(),
-                Kind::Input { fmt, value } => *value = Fix::zero(*fmt),
-            }
-        }
-        for v in &mut self.values {
-            *v = Fix::zero(v.fmt());
-        }
-        self.cycle = 0;
-        self.wake();
-        if self.activity.is_some() {
-            self.enable_activity();
-        }
-    }
-
     /// Captures the design's complete simulation state: the cycle
     /// counter, every settled port value and the sequential state of
     /// every block (via [`Block::save_state`]). Probes and activity
@@ -1017,25 +999,6 @@ mod tests {
         let g = Graph::new();
         assert!(matches!(g.output("nope"), Err(GraphError::NoSuchGateway { .. })));
         assert!(g.input_handle("nope").is_err());
-    }
-
-    #[test]
-    fn reset_clears_state_and_cycle_count() {
-        let mut g = Graph::new();
-        let x = g.gateway_in("x", I16);
-        let d = g.add("d", Delay::new(I16, 1));
-        g.wire(x, d, 0).unwrap();
-        g.gateway_out("y", d, 0);
-        g.compile().unwrap();
-        g.set_input("x", Fix::from_int(9, I16)).unwrap();
-        g.run(3);
-        assert_eq!(g.cycles(), 3);
-        assert_eq!(g.output("y").unwrap().raw(), 9);
-        g.reset();
-        assert_eq!(g.cycles(), 0);
-        assert_eq!(g.output("y").unwrap().raw(), 0);
-        g.step();
-        assert_eq!(g.output("y").unwrap().raw(), 0, "input was reset too");
     }
 
     #[test]

@@ -179,11 +179,6 @@ impl Block for Mult {
             Resources::slices((w * w) / 4 + 2 * self.latency as u32)
         }
     }
-    fn reset(&mut self) {
-        for v in &mut self.pipe {
-            *v = Fix::zero(self.out);
-        }
-    }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.extend(self.pipe.iter().map(Fix::to_bits));
     }

@@ -64,10 +64,6 @@ impl Block for DownSample {
     fn resources(&self) -> Resources {
         Resources::slices(Resources::ff_slices(self.fmt.word as u32) + 2)
     }
-    fn reset(&mut self) {
-        self.phase = 0;
-        self.held = Fix::zero(self.fmt);
-    }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.phase);
         out.push(self.held.to_bits());
@@ -133,10 +129,6 @@ impl Block for UpSample {
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::ff_slices(self.fmt.word as u32) + 2)
-    }
-    fn reset(&mut self) {
-        self.phase = 0;
-        self.held = Fix::zero(self.fmt);
     }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.phase);
@@ -292,13 +284,6 @@ impl Block for DualPortRam {
     fn resources(&self) -> Resources {
         let bits = self.data.len() as u32 * self.fmt.word as u32;
         Resources { slices: 4, brams: bits.div_ceil(18 * 1024).max(1), mult18s: 0 }
-    }
-    fn reset(&mut self) {
-        for v in &mut self.data {
-            *v = Fix::zero(self.fmt);
-        }
-        self.reg_a = Fix::zero(self.fmt);
-        self.reg_b = Fix::zero(self.fmt);
     }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.extend(self.data.iter().map(Fix::to_bits));

@@ -55,11 +55,6 @@ impl Block for Delay {
     fn resources(&self) -> Resources {
         Resources::slices(Resources::ff_slices(self.fmt.word as u32) * self.line.len() as u32)
     }
-    fn reset(&mut self) {
-        for v in &mut self.line {
-            *v = Fix::zero(self.fmt);
-        }
-    }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.extend(self.line.iter().map(Fix::to_bits));
     }
@@ -75,13 +70,12 @@ impl Block for Delay {
 pub struct Register {
     fmt: FixFmt,
     state: Fix,
-    init: Fix,
 }
 
 impl Register {
     /// A register initialized to `init`.
     pub fn new(init: Fix) -> Register {
-        Register { fmt: init.fmt(), state: init, init }
+        Register { fmt: init.fmt(), state: init }
     }
 
     /// A zero-initialized register of the given format.
@@ -122,9 +116,6 @@ impl Block for Register {
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::ff_slices(self.fmt.word as u32))
-    }
-    fn reset(&mut self) {
-        self.state = self.init;
     }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.state.to_bits());
@@ -182,9 +173,6 @@ impl Block for Counter {
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::adder_slices(self.fmt.word as u32))
-    }
-    fn reset(&mut self) {
-        self.state = 0;
     }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.state);
@@ -254,9 +242,6 @@ impl Block for Accumulator {
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::adder_slices(self.fmt.word as u32))
-    }
-    fn reset(&mut self) {
-        self.state = Fix::zero(self.fmt);
     }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.state.to_bits());
@@ -339,9 +324,6 @@ impl Block for SyncFifo {
             Resources { slices: 8, brams: bits.div_ceil(18 * 1024), mult18s: 0 }
         }
     }
-    fn reset(&mut self) {
-        self.queue.clear();
-    }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.queue.len() as u64);
         out.extend(self.queue.iter().map(Fix::to_bits));
@@ -419,12 +401,6 @@ impl Block for SinglePortRam {
     fn resources(&self) -> Resources {
         let bits = self.data.len() as u32 * self.fmt.word as u32;
         Resources { slices: 2, brams: bits.div_ceil(18 * 1024).max(1), mult18s: 0 }
-    }
-    fn reset(&mut self) {
-        for v in &mut self.data {
-            *v = Fix::zero(self.fmt);
-        }
-        self.read_reg = Fix::zero(self.fmt);
     }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.extend(self.data.iter().map(Fix::to_bits));

@@ -108,12 +108,6 @@ impl<B: Block + Clone> Block for Tmr<B> {
         let bits: u32 = (0..self.outputs()).map(|p| self.output_fmt(p).word as u32).sum();
         self.replicas[0].resources() * 3 + Resources::slices(bits)
     }
-    fn reset(&mut self) {
-        for r in &mut self.replicas {
-            r.reset();
-        }
-        self.miscompares = 0;
-    }
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.miscompares);
         for r in &self.replicas {

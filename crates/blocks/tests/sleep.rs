@@ -62,7 +62,7 @@ impl Block for Spy {
 
 /// Adds a source-free [`Spy`] to a design and recompiles it; returns its
 /// counter. Nothing can change its inputs, so it is evaluated only when
-/// the whole design is marked: after `compile`, `reset` and `load_state`.
+/// the whole design is marked: after `compile` and `load_state`.
 fn spy_on(g: &mut Graph) -> Rc<Cell<u64>> {
     let evals = Rc::new(Cell::new(0));
     g.add("spy", Spy { evals: evals.clone(), fmt: BOOL, inputs: 0 });
@@ -360,8 +360,8 @@ impl Twin {
     }
 
     /// Applies a state change to both designs and checks them again.
-    /// `marks_whole` says whether the change marks every node (`reset`
-    /// and `load_state` do).
+    /// `marks_whole` says whether the change marks every node
+    /// (`load_state` does).
     fn both(&mut self, f: impl Fn(&mut Graph), marks_whole: bool, ctx: &str) {
         f(&mut self.fast);
         f(&mut self.reference);
@@ -388,12 +388,14 @@ impl Stimulus {
         Stimulus { gateways: gateways.to_vec(), values, hold: 0, solo: None }
     }
 
-    /// Zeroes every gateway and holds it there for `cycles` cycles.
+    /// Zeroes every gateway and holds it there for `cycles` cycles,
+    /// ending any solo stretch that would change one meanwhile.
     fn idle(&mut self, cycles: u32) {
         for v in &mut self.values {
             *v = Fix::zero(v.fmt());
         }
         self.hold = cycles;
+        self.solo = None;
     }
 
     fn next(&mut self, rng: &mut Rng) -> Vec<(&'static str, Fix)> {
@@ -423,17 +425,18 @@ fn small(rng: &mut Rng, fmt: FixFmt) -> Fix {
 }
 
 /// Runs a twin for `cycles` cycles under `stimulus`, with occasional
-/// mid-run resets, snapshot restores and activity restarts.
+/// returns to the run's start, snapshot restores and activity restarts.
 fn run_twin(twin: &mut Twin, stimulus: &mut Stimulus, rng: &mut Rng, cycles: u64, ctx: &str) {
-    // Resets and restores cover the feed too, so the gateway values set
-    // right after them match the design's and only the restore itself
-    // can wake a sleeping design.
+    // Snapshots cover the feed too, so the gateway values set right
+    // after a restore match the design's and only the restore itself can
+    // wake a sleeping design.
+    let start = (twin.fast.save_state(), stimulus.values.clone());
     let mut saved: Option<(GraphState, Vec<Fix>)> = None;
     for _ in 0..cycles {
         match rng.below(200) {
             0 => {
-                twin.both(|g| g.reset(), true, &format!("{ctx} reset"));
-                stimulus.idle(0);
+                twin.both(|g| g.load_state(&start.0), true, &format!("{ctx} back to start"));
+                stimulus.values.clone_from(&start.1);
             }
             1 => saved = Some((twin.fast.save_state(), stimulus.values.clone())),
             2 => {
@@ -555,12 +558,12 @@ fn upset_tmr_replicas_sleep_like_they_step() {
 /// A drained CORDIC pipeline with held inputs stops evaluating; setting
 /// the same value again evaluates nothing. A source-free node has no
 /// input that can change, so it is evaluated only when the whole design
-/// is marked: not for a changed data word, but once for each restore and
-/// each reset.
+/// is marked: not for a changed data word, but once for each restore.
 #[test]
 fn drained_cordic_sleeps_until_an_input_changes() {
     let mut g = cordic_graph(4);
     let evals = spy_on(&mut g);
+    let power_on = g.save_state();
     let h = |name| g.input_handle(name).unwrap();
     let (data, valid, ctrl) = (h("fsl0_data"), h("fsl0_valid"), h("fsl0_ctrl"));
     let word = |v: u64| Fix::from_bits(v, FixFmt::INT32);
@@ -596,13 +599,14 @@ fn drained_cordic_sleeps_until_an_input_changes() {
     assert_eq!(evals.get(), 1, "a data word does not reach a source-free node");
     assert!(g.is_quiescent(), "the changed word settles");
 
-    // Restoring a snapshot and resetting mark every node.
+    // Restoring a snapshot, the current one or the power-on one, marks
+    // every node.
     g.load_state(&g.save_state());
     g.run(10);
     assert_eq!(evals.get(), 2, "a restore marks every node once");
-    g.reset();
+    g.load_state(&power_on);
     g.run(10);
-    assert_eq!(evals.get(), 3, "a reset marks every node once");
+    assert_eq!(evals.get(), 3, "restoring power-on marks every node once");
 }
 
 /// Two disjoint chains, each gateway → spy → delay → spy: a change on one
@@ -703,7 +707,7 @@ struct Ledger {
 }
 
 impl Ledger {
-    /// Marks every node due, as `compile`, `reset` and `load_state` do.
+    /// Marks every node due, as `compile` and `load_state` do.
     fn wake(&mut self) {
         self.due.iter_mut().for_each(|d| *d = true);
     }
@@ -770,9 +774,6 @@ impl<B: Block> Block for Counted<B> {
     fn is_quiescent(&self, inputs: &[Fix]) -> bool {
         self.inner.is_quiescent(inputs)
     }
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
     fn save_state(&self, out: &mut Vec<u64>) {
         self.inner.save_state(out);
     }
@@ -830,7 +831,7 @@ fn cordic_stream() -> Vec<[u64; 3]> {
 
 /// Every evaluation of a sequential CORDIC block follows that block's
 /// own clock edge that was not proven an identity, or a whole-design
-/// mark (compile, restore, reset); a changed source alone gets it
+/// mark (compile, restore); a changed source alone gets it
 /// clocked, not evaluated. The counted design computes what the plain
 /// `cordic_graph(4)` does, cycle by cycle, and the clock edges on
 /// changed inputs that evaluated nothing count the work this saves.
@@ -839,14 +840,15 @@ fn sequential_blocks_evaluate_only_after_a_changing_edge_or_a_wake() {
     let ledger = Rc::new(RefCell::new(Ledger::default()));
     let mut counted = counted_cordic_p4(&ledger);
     let mut reference = cordic_graph(4);
+    let power_on = [counted.save_state(), reference.save_state()];
     let stream = cordic_stream();
     let wakes = [stream.len() / 3, 2 * stream.len() / 3];
     for (i, &[data, valid, ctrl]) in stream.iter().enumerate() {
-        for g in [&mut counted, &mut reference] {
+        for (g, power_on) in [&mut counted, &mut reference].into_iter().zip(&power_on) {
             if i == wakes[0] {
                 g.load_state(&g.save_state());
             } else if i == wakes[1] {
-                g.reset();
+                g.load_state(power_on);
             }
         }
         if wakes.contains(&i) {

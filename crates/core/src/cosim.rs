@@ -384,9 +384,6 @@ pub struct CoSim {
     sink: Option<SharedSink>,
     /// Liveness watchdog, when armed (see [`CoSim::set_watchdog`]).
     watchdog: Option<Watchdog>,
-    /// Absolute-cycle ceiling no `run` call may pass (see
-    /// [`CoSim::set_run_horizon`]).
-    run_horizon: Option<u64>,
     /// Observer counter: successful fast-forward jumps taken by `run`.
     /// Harness telemetry only — not part of the architectural state, so
     /// `save_state`/`load_state` neither persist nor reset it.
@@ -414,7 +411,6 @@ impl CoSim {
             hw_stats: HwStats::default(),
             sink: None,
             watchdog: None,
-            run_horizon: None,
             ff_engagements: 0,
             ff_skipped_cycles: 0,
         }
@@ -489,9 +485,9 @@ impl CoSim {
     /// bus (its timing is outside the idle contract).
     /// Breakpoints also keep blocks out, and probes on a peripheral graph
     /// (per-cycle samples) keep that peripheral out of both jumps. They
-    /// compose with [`CoSim::set_run_horizon`]: a block is dispatched
-    /// only when its worst-case cycles fit the remaining budget, and a
-    /// jump never passes it.
+    /// respect `run`'s cycle budget: a block is dispatched only when its
+    /// worst-case cycles fit the remaining budget, and a jump never
+    /// passes it.
     pub fn set_translation(&mut self, enabled: bool) {
         self.cpu.set_translation(enabled);
     }
@@ -512,18 +508,6 @@ impl CoSim {
     /// since construction (same contract as [`CoSim::ff_engagements`]).
     pub fn ff_skipped_cycles(&self) -> u64 {
         self.ff_skipped_cycles
-    }
-
-    /// Sets (or clears, with `None`) an absolute-cycle run horizon: no
-    /// [`CoSim::run`] call advances past cycle `horizon`, whether by
-    /// stepping or by a fast-forward jump. Supervisors use it to pin
-    /// runs to checkpoint boundaries and pending injection cycles — a
-    /// fast-forward jump clamped at the horizon instead of overshooting
-    /// it is what keeps "jump then inject" and "step then inject"
-    /// bit-identical. The horizon costs nothing per cycle: it only
-    /// shrinks the budget once at `run` entry.
-    pub fn set_run_horizon(&mut self, horizon: Option<u64>) {
-        self.run_horizon = horizon;
     }
 
     /// Enables or disables SEC-DED protection on every FSL channel in
@@ -694,10 +678,10 @@ impl CoSim {
     }
 
     /// One watchdog observation; called after each [`CoSim::step`] by
-    /// [`CoSim::run`], and available to manual steppers. Returns the
-    /// deadlock stop once the armed threshold is exceeded, `None`
-    /// otherwise (including when no watchdog is armed).
-    pub fn check_liveness(&mut self) -> Option<CoSimStop> {
+    /// [`CoSim::run`] and by the debugger's `step`. Returns the deadlock
+    /// stop once the armed threshold is exceeded, `None` otherwise
+    /// (including when no watchdog is armed).
+    pub(crate) fn check_liveness(&mut self) -> Option<CoSimStop> {
         let wd = self.watchdog.as_mut()?;
         let instructions = self.cpu.stats().instructions;
         let fsl_ops = self.fsl.total_ops();
@@ -807,20 +791,14 @@ impl CoSim {
         self.reanchor_watchdog();
     }
 
-    /// Attempts one stall jump of at most `budget` cycles; called by
-    /// [`CoSim::run`] only on its fast path (no trace sink, no OPB bus).
-    ///
-    /// Eligibility (all conservative — any doubt falls back to
-    /// stepping): the processor blocked on an FSL transfer whose FIFO
-    /// flag is frozen (`get` from a channel with no word to take, `put`
-    /// into a full channel), and every peripheral
-    /// [`idle`](Peripheral::idle). Under those conditions a step
-    /// changes nothing but counters, so `n` steps are replayed as bulk
-    /// counter updates: CPU stall attribution, rejection statistics on
-    /// the blocked FIFO, each peripheral's [`Peripheral::jump`], and
-    /// watchdog progress. The jump is capped so an armed watchdog fires
-    /// at exactly the cycle the stepped path would have fired at.
-    fn try_fast_forward(&mut self, budget: u64) -> Option<u64> {
+    /// The FSL transfer the processor is stuck on for good, if any: it
+    /// is blocked on a FIFO flag that cannot change (`get` from a
+    /// channel with no word to take, `put` into a full channel) and
+    /// every peripheral is [`idle`](Peripheral::idle), so no later cycle
+    /// changes anything but counters. Conservative — any doubt answers
+    /// `None`. The stall jump rests on it, and the debugger's `step`
+    /// stops on it instead of stepping forever.
+    pub(crate) fn frozen_stall(&self) -> Option<FslBlock> {
         let block = self.cpu.fsl_block()?;
         let ch = block.channel as usize;
         // The blocked transfer itself must be unable to complete: the
@@ -829,16 +807,33 @@ impl CoSim {
             FifoDir::FromHw => !self.fsl.from_hw_ref(ch).exists(),
             FifoDir::ToHw => self.fsl.to_hw_ref(ch).full(),
         };
-        if !frozen || !self.peripherals.iter().all(|p| p.idle(&self.fsl)) {
-            return None;
-        }
+        (frozen && self.peripherals.iter().all(|p| p.idle(&self.fsl))).then_some(block)
+    }
+
+    /// Whether a liveness watchdog is armed (see [`CoSim::set_watchdog`]).
+    pub(crate) fn watchdog_armed(&self) -> bool {
+        self.watchdog.is_some()
+    }
+
+    /// Attempts one stall jump of at most `budget` cycles; called by
+    /// [`CoSim::run`] only on its fast path (no trace sink, no OPB bus).
+    ///
+    /// Eligible only on a [`frozen_stall`](CoSim::frozen_stall). Then a
+    /// step changes nothing but counters, so `n` steps are replayed as
+    /// bulk counter updates: CPU stall attribution, rejection statistics
+    /// on the blocked FIFO, each peripheral's [`Peripheral::jump`], and
+    /// watchdog progress. The jump is capped so an armed watchdog fires
+    /// at exactly the cycle the stepped path would have fired at.
+    fn try_fast_forward(&mut self, budget: u64) -> Option<u64> {
+        let block = self.frozen_stall()?;
+        let ch = block.channel as usize;
         let n = match &self.watchdog {
             Some(wd) => budget.min(wd.threshold - wd.stalled_cycles).max(1),
             None => budget,
         };
         self.cpu
             .fast_forward_stall(n)
-            .expect("fsl_block() above verified the pipeline is FSL-stalled");
+            .expect("frozen_stall() above verified the pipeline is FSL-stalled");
         match block.dir {
             FifoDir::FromHw => self.fsl.from_hw(ch).add_empty_rejections(n),
             FifoDir::ToHw => self.fsl.to_hw(ch).add_full_rejections(n),
@@ -858,14 +853,13 @@ impl CoSim {
     /// processor was blocked on — but only when the final executed cycle
     /// actually stalled on that transfer (a zero-cycle run, or one whose
     /// last step completed the transfer, reports no blockage).
+    ///
+    /// `max_cycles` is the only run bound: neither a translated block
+    /// nor a jump passes it. A caller that must stop at an absolute
+    /// cycle (a checkpoint boundary, a pending fault injection) passes
+    /// `max_cycles.min(target - now)`, and a run stopped there by its
+    /// budget is bit-identical to a stepped one, jumps included.
     pub fn run(&mut self, max_cycles: u64) -> CoSimStop {
-        // An armed run horizon shrinks the budget once, here — both the
-        // stepped and the fast-forwarded path then respect it for free,
-        // because neither can exceed `max_cycles`.
-        let max_cycles = match self.run_horizon {
-            Some(h) => max_cycles.min(h.saturating_sub(self.cpu.stats().cycles)),
-            None => max_cycles,
-        };
         // The fast paths run only with translation on and nothing
         // attached that needs per-cycle visibility; no step, block or
         // jump changes any of the three, so this holds for the whole run.

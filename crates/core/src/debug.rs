@@ -153,7 +153,9 @@ pub struct DebugSession<'a> {
 impl<'a> DebugSession<'a> {
     /// Attaches to a co-simulation. A watchdog armed on it (see
     /// [`CoSim::set_watchdog`]) stops a stuck `step` or `cont` with a
-    /// deadlock reply.
+    /// deadlock reply; without one, a stuck `step` stops at once and a
+    /// stuck `cont` at the end of its budget, both with a cycle-limit
+    /// reply.
     pub fn new(sim: &'a mut CoSim) -> DebugSession<'a> {
         DebugSession { sim }
     }
@@ -206,7 +208,11 @@ impl<'a> DebugSession<'a> {
     }
 
     /// Steps the co-simulation until the next instruction retires (or
-    /// execution stops).
+    /// execution stops). A blocking FSL transfer that nothing can ever
+    /// complete stops it too: an armed watchdog reports the deadlock as
+    /// it would for `cont`; without one, `step` answers the
+    /// [`CoSimStop::CycleLimit`] naming the transfer that `cont` gives
+    /// when its budget runs out.
     fn step(&mut self) -> CoSimStop {
         loop {
             match self.sim.step() {
@@ -221,6 +227,11 @@ impl<'a> DebugSession<'a> {
             if let Some(stop) = self.sim.check_liveness() {
                 return stop;
             }
+            if !self.sim.watchdog_armed() {
+                if let Some(block) = self.sim.frozen_stall() {
+                    return CoSimStop::CycleLimit { blocked: Some(block) };
+                }
+            }
         }
     }
 }
@@ -230,6 +241,8 @@ mod tests {
     use super::*;
     use softsim_isa::asm::assemble;
     use softsim_isa::reg::r;
+    use softsim_iss::FslBlock;
+    use softsim_trace::FifoDir;
 
     fn session_program() -> softsim_isa::Image {
         assemble(
@@ -374,6 +387,22 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn a_stuck_read_without_a_watchdog_answers_step() {
+        // Nothing can ever complete the blocking `get`: `step` stops on
+        // the frozen stall with the reply `cont` gives at its budget.
+        let img = assemble("get r3, rfsl0\nhalt\n").unwrap();
+        let mut sim = CoSim::software_only(&img);
+        let mut dbg = DebugSession::new(&mut sim);
+        let blocked = Some(FslBlock { channel: 0, dir: FifoDir::FromHw, pc: 0 });
+        let stuck = Reply::Stopped(CoSimStop::CycleLimit { blocked });
+        assert_eq!(dbg.handle(Command::Step), stuck);
+        assert_eq!(dbg.handle(Command::Step), stuck);
+        assert_eq!(dbg.handle(Command::Continue { max_cycles: 1000 }), stuck);
+        assert_eq!(dbg.handle_line("step"), "stopped cycle-limit");
+        assert_eq!(dbg.handle(Command::ReadPc), Reply::Value(0));
     }
 
     #[test]

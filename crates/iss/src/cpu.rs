@@ -330,20 +330,6 @@ impl Cpu {
         Cpu::new(image, DEFAULT_MEM_BYTES)
     }
 
-    /// Resets architectural state and reloads the image, keeping the
-    /// configuration, breakpoints, the attached trace sink and the
-    /// translation setting.
-    pub fn reset(&mut self, image: &Image) {
-        let config = self.config;
-        let breakpoints = std::mem::take(&mut self.breakpoints);
-        let sink = self.sink.take();
-        let translation = self.translator.enabled;
-        *self = Cpu::with_config(image, config);
-        self.breakpoints = breakpoints;
-        self.sink = sink;
-        self.translator.enabled = translation;
-    }
-
     /// Reads a register (r0 always reads zero).
     pub fn reg(&self, r: Reg) -> u32 {
         if r.is_zero() {

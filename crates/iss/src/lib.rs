@@ -414,22 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_initial_state() {
-        let img = image("addik r3, r0, 9\nhalt\n");
-        let mut cpu = Cpu::with_default_memory(&img);
-        let mut fsl = FslBank::default();
-        cpu.run(&mut fsl, 100);
-        assert!(cpu.halted());
-        cpu.reset(&img);
-        assert!(!cpu.halted());
-        assert_eq!(cpu.pc(), 0);
-        assert_eq!(cpu.reg(r(3)), 0);
-        assert_eq!(cpu.stats().cycles, 0);
-        cpu.run(&mut fsl, 100);
-        assert_eq!(cpu.reg(r(3)), 9);
-    }
-
-    #[test]
     fn idiv_semantics_and_timing() {
         use softsim_isa::CpuConfig;
         let img = image(
@@ -495,24 +479,6 @@ mod tests {
             cpu.run(&mut fsl, 1000),
             StopReason::Fault(Fault::DisabledInstruction { .. })
         ));
-    }
-
-    #[test]
-    fn reset_keeps_the_processor_configuration() {
-        use softsim_isa::CpuConfig;
-        let img = image("addik r3, r0, 6\nmul r4, r3, r3\nhalt\n");
-        let mut cpu = Cpu::with_config(&img, CpuConfig::minimal());
-        let mut fsl = FslBank::default();
-        for pass in ["before reset", "after reset"] {
-            match cpu.run(&mut fsl, 1000) {
-                StopReason::Fault(Fault::DisabledInstruction { unit, .. }) => {
-                    assert_eq!(unit, "multiplier", "{pass}");
-                }
-                other => panic!("{pass}: expected DisabledInstruction, got {other:?}"),
-            }
-            assert_eq!(cpu.config(), CpuConfig::minimal(), "{pass}");
-            cpu.reset(&img);
-        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use softsim_apps::cordic::hardware::cordic_peripheral;
 use softsim_apps::cordic::reference::to_fix;
 use softsim_apps::cordic::software::{hw_program, sw_program, CordicBatch, SwStyle};
+use softsim_bus::CHANNELS;
 use softsim_cosim::{CoSim, CoSimStop};
 use softsim_isa::asm::assemble;
 use softsim_isa::Image;
@@ -90,8 +91,12 @@ fn hardware_profile_reconciles_with_fsl_stalls() {
         profile.pc_stats().fold((0, 0), |(r, w), (_, s)| (r + s.read_stalls, w + s.write_stalls));
     assert_eq!(reads, stats.fsl_read_stalls, "stall attribution splits exactly");
     assert_eq!(writes, stats.fsl_write_stalls);
-    assert!(!profile.fsl_channels().is_empty(), "FSL heatmap saw traffic");
-    assert!(profile.heatmap_text().contains("ch0"));
+    let fsl = sim.fsl();
+    let bank_pushes: u64 = (0..CHANNELS)
+        .map(|ch| fsl.to_hw_ref(ch).stats().pushes + fsl.from_hw_ref(ch).stats().pushes)
+        .sum();
+    assert!(bank_pushes > 0, "the run moved FSL words");
+    assert_eq!(profile.fsl_pushes(), bank_pushes, "every push reached the profile");
 }
 
 #[test]
@@ -160,7 +165,7 @@ fn profiles_are_byte_identical_across_runs() {
             report.to_collapsed(),
             advise_text(&advise(&report)),
             report.annotated_disassembly(&image, &profile),
-            profile.heatmap_text()
+            profile.report(10)
         )
     };
     assert_eq!(render(4), render(4), "identical runs render identical profiles");

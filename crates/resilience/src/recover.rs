@@ -66,11 +66,13 @@ pub struct RecoveryPolicy {
     /// series (the SDC detector). Costs a trace sink per segment; with
     /// it off only watchdog / ECC / TMR / observable detection remain.
     pub signature_windows: bool,
-    /// Checkpoints kept in memory beyond the initial one; older
-    /// intermediate checkpoints are dropped first. The initial
-    /// checkpoint is always retained as the rollback of last resort.
-    pub max_kept_checkpoints: usize,
 }
+
+/// Checkpoints a supervised trial keeps in memory beyond the initial
+/// one; older intermediate checkpoints are dropped first. The initial
+/// checkpoint is always retained as the rollback of last resort. A
+/// constant, not a knob, as the campaign ladder's rung count is.
+const MAX_KEPT_CHECKPOINTS: usize = 16;
 
 impl Default for RecoveryPolicy {
     fn default() -> RecoveryPolicy {
@@ -81,7 +83,6 @@ impl Default for RecoveryPolicy {
             budget_factor: 4,
             budget_floor: 50_000,
             signature_windows: true,
-            max_kept_checkpoints: 16,
         }
     }
 }
@@ -470,7 +471,7 @@ impl Supervisor {
                     if insns > ckpt_insns {
                         ckpt_insns = insns;
                         checkpoints.push((now2, sim.save_state()));
-                        if checkpoints.len() > self.policy.max_kept_checkpoints + 1 {
+                        if checkpoints.len() > MAX_KEPT_CHECKPOINTS + 1 {
                             checkpoints.remove(1);
                         }
                     }
@@ -510,7 +511,6 @@ impl Supervisor {
             self.emit(TraceEvent::Recovered { cycle: now2, checkpoint_cycle: ckpt_cycle, retries });
         };
 
-        sim.set_run_horizon(None);
         RecoveryTrial {
             injection,
             applied,
@@ -555,8 +555,7 @@ impl Supervisor {
                 // `poll` above applied everything due, so `c > now`.
                 horizon = horizon.min(c);
             }
-            sim.set_run_horizon(Some(horizon));
-            let stop = sim.run(budget);
+            let stop = sim.run(budget.min(horizon - now));
             let ran = sim.cpu().stats().cycles - now;
             budget = budget.saturating_sub(ran);
             match stop {
@@ -564,7 +563,6 @@ impl Supervisor {
                 stop => break stop,
             }
         };
-        sim.set_run_horizon(None);
         let sig = collector.map(|c| {
             sim.detach_trace();
             let mut c = c.borrow_mut();
@@ -653,7 +651,9 @@ impl Kind for RecoveryPolicy {
         put_u64(out, self.budget_factor);
         put_u64(out, self.budget_floor);
         put_bool(out, self.signature_windows);
-        put_u64(out, self.max_kept_checkpoints as u64);
+        // Hashed where the policy once carried it as a field, so recovery
+        // plan hashes and existing journals still match.
+        put_u64(out, MAX_KEPT_CHECKPOINTS as u64);
     }
 
     fn encode(trial: &RecoveryTrial, out: &mut Vec<u8>) {

@@ -1,6 +1,6 @@
 //! Guest-program profiling: exact per-PC and per-class cycle
-//! attribution, the stall breakdown and FSL channel utilization,
-//! collected from the cycle-domain event stream.
+//! attribution, the stall breakdown and FSL, gateway and bus traffic
+//! totals, collected from the cycle-domain event stream.
 //!
 //! [`GuestProfile`] is the one collector that folds `Retire` events: it
 //! keeps the per-address resolution the paper's partitioning question
@@ -13,7 +13,7 @@
 //! `softsim-profile`, which consumes this collector; this crate stays
 //! dependency-free and knows nothing about images or ISAs.
 
-use crate::event::{BusKind, FifoDir, InstClass, TraceEvent};
+use crate::event::{BusKind, InstClass, TraceEvent};
 use crate::sink::TraceSink;
 use std::collections::BTreeMap;
 
@@ -76,8 +76,8 @@ pub struct CycleBreakdown {
     pub memory: u64,
 }
 
-/// Per-PC and per-class cycle attribution plus windowed FSL
-/// utilization, collected live from the trace stream.
+/// Per-PC and per-class cycle attribution plus traffic totals,
+/// collected live from the trace stream.
 ///
 /// Every retire event carries its instruction's full cycle occupancy,
 /// so for a run that executed to `halt` the profile's
@@ -85,7 +85,7 @@ pub struct CycleBreakdown {
 /// own cycle counter *exactly*. All internal maps are ordered, so
 /// iteration — and everything derived from it — is deterministic
 /// across runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GuestProfile {
     /// Per-PC attribution, keyed by instruction address.
     pcs: BTreeMap<u32, PcAttribution>,
@@ -95,13 +95,8 @@ pub struct GuestProfile {
     class_retires: [u64; InstClass::ALL.len()],
     /// Cycles per instruction class, indexed by [`InstClass::index`].
     class_cycles: [u64; InstClass::ALL.len()],
-    /// (direction index, channel) → cycle-window index → words pushed.
-    fsl_windows: BTreeMap<(u8, u8), BTreeMap<u64, u64>>,
-    /// Cycle-window size for the FSL utilization heatmap.
-    window: u64,
-    /// Highest window index observed on any channel.
-    last_window: u64,
     total_cycles: u64,
+    fifo_pushes: u64,
     fifo_pops: u64,
     fifo_full_rejections: u64,
     fifo_empty_rejections: u64,
@@ -112,44 +107,10 @@ pub struct GuestProfile {
     opb_wait_cycles: u64,
 }
 
-/// Default FSL heatmap window: 1024 cycles ≈ 20 µs at the paper's 50 MHz.
-pub const DEFAULT_FSL_WINDOW: u64 = 1024;
-
-impl Default for GuestProfile {
-    fn default() -> Self {
-        GuestProfile::new()
-    }
-}
-
 impl GuestProfile {
-    /// A collector with the default FSL heatmap window.
+    /// An empty collector.
     pub fn new() -> GuestProfile {
-        GuestProfile::with_window(DEFAULT_FSL_WINDOW)
-    }
-
-    /// A collector bucketing FSL traffic into `window`-cycle windows.
-    ///
-    /// # Panics
-    /// Panics if `window` is zero.
-    pub fn with_window(window: u64) -> GuestProfile {
-        assert!(window > 0, "FSL heatmap window must be non-zero");
-        GuestProfile {
-            pcs: BTreeMap::new(),
-            class_retires: [0; InstClass::ALL.len()],
-            class_cycles: [0; InstClass::ALL.len()],
-            fsl_windows: BTreeMap::new(),
-            window,
-            last_window: 0,
-            total_cycles: 0,
-            fifo_pops: 0,
-            fifo_full_rejections: 0,
-            fifo_empty_rejections: 0,
-            gateway_to_hw: 0,
-            gateway_from_hw: 0,
-            lmb_transfers: 0,
-            opb_transfers: 0,
-            opb_wait_cycles: 0,
-        }
+        GuestProfile::default()
     }
 
     /// Per-PC attribution in address order.
@@ -165,6 +126,11 @@ impl GuestProfile {
     /// Total cycles attributed across all PCs.
     pub fn total_cycles(&self) -> u64 {
         self.total_cycles
+    }
+
+    /// Words pushed into any FSL FIFO, in either direction.
+    pub fn fsl_pushes(&self) -> u64 {
+        self.fifo_pushes
     }
 
     /// Total instructions retired.
@@ -242,12 +208,14 @@ impl GuestProfile {
             b.fsl_write_stall,
             pct(b.fsl_write_stall)
         );
-        let pushes: u64 = self.fsl_windows.values().flat_map(|m| m.values()).sum();
-        if pushes + self.fifo_pops > 0 {
+        if self.fifo_pushes + self.fifo_pops > 0 {
             let _ = writeln!(
                 out,
                 "fsl traffic: {} pushes, {} pops, {} full-rejects, {} empty-rejects",
-                pushes, self.fifo_pops, self.fifo_full_rejections, self.fifo_empty_rejections
+                self.fifo_pushes,
+                self.fifo_pops,
+                self.fifo_full_rejections,
+                self.fifo_empty_rejections
             );
         }
         if self.gateway_to_hw + self.gateway_from_hw > 0 {
@@ -289,68 +257,6 @@ impl GuestProfile {
         out
     }
 
-    /// The heatmap window size in cycles.
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// Words pushed into the `(dir, channel)` FIFO per cycle window, in
-    /// window order. Windows without traffic are absent.
-    pub fn fsl_window_counts(&self, dir: FifoDir, channel: u8) -> Vec<(u64, u64)> {
-        self.fsl_windows
-            .get(&(dir_index(dir), channel))
-            .map(|m| m.iter().map(|(w, c)| (*w, *c)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Channels that saw traffic, as (direction, channel) pairs in
-    /// deterministic order.
-    pub fn fsl_channels(&self) -> Vec<(FifoDir, u8)> {
-        self.fsl_windows
-            .keys()
-            .map(|&(d, c)| (if d == 0 { FifoDir::ToHw } else { FifoDir::FromHw }, c))
-            .collect()
-    }
-
-    /// An ASCII heatmap of FSL channel utilization over cycle windows:
-    /// one row per (direction, channel), one cell per window, shaded by
-    /// words-per-window relative to the busiest cell.
-    pub fn heatmap_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        if self.fsl_windows.is_empty() {
-            out.push_str("no FSL traffic\n");
-            return out;
-        }
-        let peak =
-            self.fsl_windows.values().flat_map(|m| m.values()).copied().max().unwrap_or(1).max(1);
-        let _ = writeln!(
-            out,
-            "FSL utilization ({}-cycle windows, {} windows, peak {} words/window)",
-            self.window,
-            self.last_window + 1,
-            peak
-        );
-        const SHADES: [char; 5] = ['.', '-', '+', '*', '#'];
-        for (&(d, c), windows) in &self.fsl_windows {
-            let dir = if d == 0 { FifoDir::ToHw } else { FifoDir::FromHw };
-            let mut row = String::new();
-            for w in 0..=self.last_window {
-                let count = windows.get(&w).copied().unwrap_or(0);
-                let shade = if count == 0 {
-                    ' '
-                } else {
-                    // 1..=peak maps onto the five shades.
-                    let idx = ((count - 1) * SHADES.len() as u64 / peak) as usize;
-                    SHADES[idx.min(SHADES.len() - 1)]
-                };
-                row.push(shade);
-            }
-            let _ = writeln!(out, "  {:>7} ch{c} |{row}|", dir.label());
-        }
-        out
-    }
-
     /// Folds the attribution of an instruction still in flight when the
     /// run stopped (the ISS exposes it as `Cpu::in_flight`), so totals
     /// reconcile exactly even for cycle-limited runs.
@@ -360,13 +266,6 @@ impl GuestProfile {
         s.read_stalls += read_stalls as u64;
         s.write_stalls += write_stalls as u64;
         self.total_cycles += cycles as u64;
-    }
-}
-
-fn dir_index(dir: FifoDir) -> u8 {
-    match dir {
-        FifoDir::ToHw => 0,
-        FifoDir::FromHw => 1,
     }
 }
 
@@ -383,16 +282,7 @@ impl TraceSink for GuestProfile {
                 self.class_cycles[class.index()] += cycles as u64;
                 self.total_cycles += cycles as u64;
             }
-            TraceEvent::FifoPush { cycle, dir, channel, .. } => {
-                let w = cycle / self.window;
-                self.last_window = self.last_window.max(w);
-                *self
-                    .fsl_windows
-                    .entry((dir_index(dir), channel))
-                    .or_default()
-                    .entry(w)
-                    .or_default() += 1;
-            }
+            TraceEvent::FifoPush { .. } => self.fifo_pushes += 1,
             TraceEvent::FifoPop { .. } => self.fifo_pops += 1,
             TraceEvent::FifoFull { .. } => self.fifo_full_rejections += 1,
             TraceEvent::FifoEmpty { .. } => self.fifo_empty_rejections += 1,
@@ -491,22 +381,22 @@ mod tests {
     }
 
     #[test]
-    fn fsl_windows_bucket_by_cycle() {
-        let mut g = GuestProfile::with_window(100);
-        for cycle in [5, 50, 150, 250, 255] {
+    fn fsl_pushes_count_both_directions() {
+        use crate::event::FifoDir;
+        let mut g = GuestProfile::new();
+        for (cycle, dir) in [(5, FifoDir::ToHw), (50, FifoDir::FromHw), (150, FifoDir::ToHw)] {
             g.event(&TraceEvent::FifoPush {
                 cycle,
-                dir: FifoDir::ToHw,
+                dir,
                 channel: 0,
                 data: 0,
                 control: false,
                 occupancy: 1,
             });
         }
-        assert_eq!(g.fsl_window_counts(FifoDir::ToHw, 0), vec![(0, 2), (1, 1), (2, 2)]);
-        assert_eq!(g.fsl_channels(), vec![(FifoDir::ToHw, 0)]);
-        let map = g.heatmap_text();
-        assert!(map.contains("to_hw ch0"), "{map}");
+        assert_eq!(g.fsl_pushes(), 3);
+        let r = g.report(5);
+        assert!(r.contains("fsl traffic: 3 pushes, 0 pops"), "{r}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`GuestProfile`] — the one per-PC collector: per-PC cycle and
 //!   stall attribution, instruction mix, hot-PC histogram, the
 //!   compute / FSL-read-stall / FSL-write-stall / memory
-//!   [`CycleBreakdown`] and windowed FSL channel utilization, with
+//!   [`CycleBreakdown`] and FSL, gateway and bus traffic totals, with
 //!   totals that reconcile *exactly* against the processor's own
 //!   [`cycles`](GuestProfile::total_cycles) counter; the raw material
 //!   for basic-block hotspot analysis and flamegraphs (the analysis
@@ -69,7 +69,7 @@ mod sink;
 mod timeline;
 
 pub use event::{BusKind, DetectorKind, FifoDir, InjectionSite, InstClass, StallCause, TraceEvent};
-pub use guest::{CycleBreakdown, GuestProfile, PcAttribution, DEFAULT_FSL_WINDOW};
+pub use guest::{CycleBreakdown, GuestProfile, PcAttribution};
 pub use recorder::Recorder;
 pub use sink::{shared, Fanout, NullSink, SharedSink, TraceSink};
 pub use timeline::Timeline;

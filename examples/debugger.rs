@@ -2,17 +2,20 @@
 //! the control path of the paper's Fig. 2, where the MicroBlaze Simulink
 //! block steers software execution through a bidirectional command pipe.
 //! The session drives the whole co-simulation, so a program that talks to
-//! a hardware peripheral over FSL runs to `halt` through `cont` too.
+//! a hardware peripheral over FSL runs to `halt` through `cont` too, and
+//! a `step` into a transfer nothing can complete stops instead of
+//! spinning forever.
 //!
 //! Run with: `cargo run --example debugger`
 
 use softsim::apps::cordic::hardware::cordic_peripheral;
 use softsim::apps::cordic::reference::to_fix;
 use softsim::apps::cordic::software::{hw_program, CordicBatch};
-use softsim::cosim::debug::DebugSession;
+use softsim::cosim::debug::{Command, DebugSession, Reply};
 use softsim::cosim::{CoSim, CoSimStop};
 use softsim::isa::asm::assemble;
 use softsim::isa::disasm;
+use softsim::trace::FifoDir;
 
 fn main() {
     let image = assemble(
@@ -84,4 +87,24 @@ fn main() {
     assert_eq!(sim.cpu_stats(), plain.cpu_stats());
     assert_eq!(sim.hw_stats(), plain.hw_stats());
     println!("session and plain run agree: {} cycles", sim.cpu_stats().cycles);
+
+    // A stuck session: the same driver with no peripheral attached. At
+    // its receive loop the blocking `get` waits on a FIFO nothing will
+    // ever fill, so `step` stops on the frozen stall and names the
+    // transfer — the same stop `cont` reaches when its budget runs out.
+    let mut sim = CoSim::software_only(&image);
+    let mut dbg = DebugSession::new(&mut sim);
+    println!("\nthe same driver, no peripheral attached:");
+    for line in [format!("break {recv:#x}"), "cont".into(), format!("delete {recv:#x}")] {
+        let reply = dbg.handle_line(&line);
+        println!("> {line:<14} => {reply}");
+    }
+    let stuck = dbg.handle(Command::Step);
+    let Reply::Stopped(stop @ CoSimStop::CycleLimit { blocked: Some(block) }) = &stuck else {
+        panic!("a step into a frozen stall must stop blocked, got {stuck:?}");
+    };
+    println!("> {:<14} => {} ({stop})", "step", stuck.to_line());
+    assert_eq!((block.pc, block.channel, block.dir), (recv, 0, FifoDir::FromHw));
+    assert_eq!(dbg.handle(Command::Continue { max_cycles: 1_000 }), stuck);
+    assert_eq!(dbg.handle(Command::ReadPc), Reply::Value(recv));
 }

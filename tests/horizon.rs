@@ -8,10 +8,11 @@
 //! hardware counters. Each case — every application peripheral,
 //! software-only programs (one of them self-modifying) and random FSL
 //! programs — runs every row of the matrix in both modes: to halt, in
-//! chunked `run(k)` calls, paused by run horizons, stopped at
-//! breakpoints and resumed, across a checkpoint carried through the
-//! `SSCK` bytes with the mode switched on the way, and into watchdog
-//! deadlocks from stuck FIFO flags.
+//! chunked `run(k)` calls, paused at given cycles by `run`'s budget,
+//! stopped at breakpoints and resumed, across a checkpoint carried
+//! through the `SSCK` bytes with the mode switched on the way, and into
+//! watchdog deadlocks from stuck FIFO flags. `run`'s budget is its only
+//! bound: a pause at an absolute cycle is `run(cycle - now)`.
 
 mod common;
 
@@ -157,23 +158,21 @@ fn chunks(case: &Case, mode: Mode, k: u64) -> Log {
     log
 }
 
-/// Row: run horizons at a third and two thirds of the run. Each pauses
-/// a `run(BUDGET)` exactly on it, a second run against it runs nothing,
-/// and the last is released to the stop.
-fn horizons(case: &Case, mode: Mode, end: u64) -> Log {
+/// Row: pauses at a third and two thirds of the run, each a `run` whose
+/// budget ends exactly there (`run(pause - now)`, as a supervisor stops
+/// at a checkpoint boundary), then the run to the stop.
+fn pauses(case: &Case, mode: Mode, end: u64) -> Log {
     let mut sim = case.sim(mode);
     let mut log = Vec::new();
-    for horizon in [end / 3, 2 * end / 3] {
-        sim.set_run_horizon(Some(horizon));
-        log.push(Seen::Stop(sim.run(BUDGET)));
-        assert_eq!(sim.cpu().stats().cycles, horizon, "{}: paused off the horizon", case.name);
-        log.push(Seen::Stop(sim.run(BUDGET)));
+    for pause in [end / 3, 2 * end / 3] {
+        let now = sim.cpu().stats().cycles;
+        log.push(Seen::Stop(sim.run(pause - now)));
+        assert_eq!(sim.cpu().stats().cycles, pause, "{}: paused off the target", case.name);
         log.push(state(&sim));
     }
-    sim.set_run_horizon(None);
     log.push(Seen::Stop(sim.run(BUDGET)));
     log.push(state(&sim));
-    assert_stepped(mode, &sim, (0, 0), &format!("{}: horizons", case.name));
+    assert_stepped(mode, &sim, (0, 0), &format!("{}: pauses", case.name));
     log
 }
 
@@ -264,8 +263,8 @@ fn stuck_rows(end: u64) -> [Stuck; 4] {
 
 /// Row: `s.kind` injected at `s.at`; a stalled stretch; a checkpoint,
 /// restored into the same simulator (its watchdog, armed before, stays
-/// armed) or into a fresh one (armed after); a run horizon pausing the
-/// stall; then the run to its stop. Where the driver blocks on channel
+/// armed) or into a fresh one (armed after); a run whose budget pauses
+/// the stall; then the run to its stop. Where the driver blocks on channel
 /// 0 (`blocks`: every application), that stop is a deadlock, and the
 /// fast mode reaches it with at least one jump.
 fn deadlock(case: &Case, mode: Mode, s: &Stuck, blocks: bool) -> Log {
@@ -290,9 +289,7 @@ fn deadlock(case: &Case, mode: Mode, s: &Stuck, blocks: bool) -> Log {
         sim.load_state(&saved);
         sim.set_watchdog(s.threshold);
     }
-    sim.set_run_horizon(Some(sim.cpu().stats().cycles + s.threshold / 3));
-    log.push(Seen::Stop(sim.run(BUDGET)));
-    sim.set_run_horizon(None);
+    log.push(Seen::Stop(sim.run(s.threshold / 3)));
     let stop = sim.run(BUDGET);
     assert!(!blocks || matches!(stop, CoSimStop::Deadlock { .. }), "{what}: {stop}");
     assert!(!blocks || mode == Mode::Stepped || sim.ff_engagements() > 0, "{what}: no jump");
@@ -311,7 +308,7 @@ fn check(case: &Case) -> u64 {
     for k in [1, 7, 64, 1000] {
         every_mode(&format!("{name}: run({k}) chunks"), |m| chunks(case, m, k));
     }
-    every_mode(&format!("{name}: horizons"), |m| horizons(case, m, end));
+    every_mode(&format!("{name}: pauses"), |m| pauses(case, m, end));
     every_mode(&format!("{name}: breakpoints"), |m| breakpoints(case, m));
     for pause in [end / 3, 2 * end / 3] {
         every_mode(&format!("{name}: checkpoint at {pause}"), |a| checkpoint(case, a, pause));
@@ -633,19 +630,5 @@ fn fast_forward_engages_on_stuck_systems() {
             }
             assert!(elapsed.as_secs() < 5, "{name}: {budget} stalled cycles took {elapsed:?}");
         }
-    }
-}
-
-/// A run horizon already behind the clock runs nothing, in every mode.
-#[test]
-fn a_horizon_behind_the_clock_runs_nothing() {
-    for mode in MODES {
-        let mut sim = mode.on(cordic(2));
-        sim.set_run_horizon(Some(300));
-        assert_eq!(sim.run(BUDGET), CoSimStop::CycleLimit { blocked: None }, "{mode:?}");
-        sim.set_run_horizon(Some(100));
-        assert_eq!(sim.run(BUDGET), CoSimStop::CycleLimit { blocked: None }, "{mode:?}");
-        assert_eq!(sim.cpu().stats().cycles, 300, "{mode:?}");
-        assert_stepped(mode, &sim, (0, 0), "horizon behind the clock");
     }
 }
