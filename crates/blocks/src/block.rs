@@ -34,10 +34,15 @@ pub trait Block {
     ///
     /// The outputs must be a function of the block's state and its input
     /// values only: the same state and the same input bits give the same
-    /// output bits. A sequential block (see [`Block::is_combinational`])
+    /// output bits. Each output is written in its port's
+    /// [`Block::output_fmt`]: the graph compares a combinational block's
+    /// fresh outputs with the old ones by raw word (a debug build checks
+    /// the format). A sequential block (see [`Block::is_combinational`])
     /// presents its state alone: the graph evaluates it with an empty
     /// `inputs` slice, so one that indexes its inputs panics on its first
-    /// step. The graph relies on this to skip a block whose inputs and
+    /// step, and only after its own clock edge that was not proven an
+    /// identity (or a whole-design mark), taking its outputs as changed.
+    /// The graph relies on this to skip a block whose inputs and
     /// state are unchanged since its last evaluation, and a sequential
     /// block whose state is (see [`crate::Graph::step`]); a block that
     /// read anything else — a clock, a counter of its own calls, shared

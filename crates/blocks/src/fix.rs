@@ -10,6 +10,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Overflow handling when a value is quantized into a narrower format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -35,7 +36,10 @@ pub enum Rounding {
 /// A fixed-point number format: `word` total bits, `frac` bits to the
 /// right of the binary point (may be negative or exceed `word`, as in
 /// System Generator), signed or unsigned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Equality and hashing go through one packed key (see `FixFmt::key`),
+/// so comparing two formats is one integer compare.
+#[derive(Debug, Clone, Copy)]
 pub struct FixFmt {
     /// Total word length in bits (1..=63).
     pub word: u8,
@@ -98,6 +102,32 @@ impl FixFmt {
     pub const fn contains_raw(&self, raw: i64) -> bool {
         raw >= self.min_raw() && raw <= self.max_raw()
     }
+
+    /// The mask of the `word` low bits that hold a value's bits.
+    pub(crate) const fn mask(&self) -> u64 {
+        u64::MAX >> (64 - self.word)
+    }
+
+    /// The three fields packed into one word: equal formats, and only
+    /// they, have equal keys.
+    const fn key(&self) -> u32 {
+        self.word as u32 | (self.frac as u8 as u32) << 8 | (self.signed as u32) << 16
+    }
+}
+
+impl PartialEq for FixFmt {
+    #[inline]
+    fn eq(&self, other: &FixFmt) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for FixFmt {}
+
+impl Hash for FixFmt {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
 }
 
 impl fmt::Display for FixFmt {
@@ -107,11 +137,28 @@ impl fmt::Display for FixFmt {
 }
 
 /// A fixed-point value: a raw two's-complement integer interpreted as
-/// `raw · 2^-frac` in the given format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// `raw · 2^-frac` in the given format. Two values are equal when their
+/// raw integers and their formats are: a raw compare and a key compare.
+#[derive(Debug, Clone, Copy)]
 pub struct Fix {
     raw: i64,
     fmt: FixFmt,
+}
+
+impl PartialEq for Fix {
+    #[inline]
+    fn eq(&self, other: &Fix) -> bool {
+        self.raw == other.raw && self.fmt == other.fmt
+    }
+}
+
+impl Eq for Fix {}
+
+impl Hash for Fix {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.raw.hash(state);
+        self.fmt.hash(state);
+    }
 }
 
 impl Fix {
@@ -197,12 +244,12 @@ impl Fix {
 
     /// The raw bits as an unsigned word (for bus transport).
     pub fn to_bits(&self) -> u64 {
-        (self.raw as u64) & (u64::MAX >> (64 - self.fmt.word))
+        (self.raw as u64) & self.fmt.mask()
     }
 
     /// Reconstructs a value from bus bits.
     pub fn from_bits(bits: u64, fmt: FixFmt) -> Fix {
-        let masked = bits & (u64::MAX >> (64 - fmt.word));
+        let masked = bits & fmt.mask();
         let raw = if fmt.signed && (masked >> (fmt.word - 1)) & 1 == 1 {
             (masked as i64) - (1i64 << fmt.word)
         } else {
@@ -460,6 +507,36 @@ mod tests {
         assert_eq!(a.cmp_value(&b), Ordering::Equal);
         let c = Fix::from_f64(-2.0, FixFmt::signed(8, 0));
         assert_eq!(c.cmp_value(&a), Ordering::Less);
+    }
+
+    /// Equality is the raw integer and every format field, through the
+    /// packed key: a difference in any one field alone makes two values
+    /// unequal, and equal values (and formats) hash equal.
+    #[test]
+    fn equality_sees_every_field_and_hash_agrees() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash<T: Hash>(t: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        }
+        let base = Fix::from_raw(5, FixFmt::signed(16, 4));
+        let others = [
+            Fix::from_raw(5, FixFmt::signed(17, 4)),
+            Fix::from_raw(5, FixFmt::signed(16, 5)),
+            Fix::from_raw(5, FixFmt::signed(16, -4)),
+            Fix::from_raw(5, FixFmt::unsigned(16, 4)),
+            Fix::from_raw(6, FixFmt::signed(16, 4)),
+        ];
+        for other in others {
+            assert_ne!(base, other, "{other:?}");
+        }
+        assert_ne!(FixFmt::signed(16, -1), FixFmt::signed(16, 1), "frac's sign counts");
+        assert_ne!(FixFmt::signed(8, -1), FixFmt::signed(8, 127), "frac's bits count");
+        let same = Fix::from_bits(base.to_bits(), FixFmt::signed(16, 4));
+        assert_eq!(base, same);
+        assert_eq!(hash(&base), hash(&same));
+        assert_eq!(hash(&base.fmt()), hash(&FixFmt::signed(16, 4)));
     }
 
     #[test]

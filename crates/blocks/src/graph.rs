@@ -34,19 +34,21 @@
 //!
 //! Marks are set as follows:
 //!
-//! * **Wake.** [`Graph::set_input_fast`] stores a gateway value only when
-//!   its bits differ from the held one, and marks that gateway.
-//!   [`Graph::compile`] and [`Graph::load_state`] mark
-//!   every node eval, and every sequential block clock as well.
+//! * **Wake.** [`Graph::set_input_bits`], the one store path of a
+//!   gateway ([`Graph::set_input_fast`] converts onto it), compares the
+//!   new bits with the held word, and only when they differ stores them
+//!   and marks that gateway. [`Graph::compile`] and [`Graph::load_state`]
+//!   mark every node eval, and every sequential block clock as well.
 //! * **Evaluate.** [`Graph::step`] walks the schedule and evaluates a
-//!   node only if it has an eval mark or is unsettled. A sequential block
-//!   presents its state alone and is evaluated with no inputs. When the
-//!   fresh outputs differ from the values they overwrite, every consumer
-//!   gets the mark a changed source sets: eval for a combinational block,
-//!   which the schedule runs later in this step, and clock for a
-//!   sequential block, which latches the new value in this step's clock
-//!   phase. A sequential block's outputs change only after its own clock
-//!   edge, which leaves it unsettled, or after a wake.
+//!   node only if it has an eval mark or is unsettled. A combinational
+//!   node's fresh raw output words are compared with the ones they
+//!   overwrite, and only a change marks its consumers. A sequential block
+//!   presents its state alone and is evaluated with no inputs, and only
+//!   after a wake or its own clock edge that was not proven an identity,
+//!   so it marks its consumers with no compare. A consumer gets the mark
+//!   a changed source sets: eval for a combinational block, which the
+//!   schedule runs later in this step, and clock for a sequential block,
+//!   which latches the new value in this step's clock phase.
 //! * **Clock.** A sequential block is clocked only if it has a clock
 //!   mark or is unsettled. It reads its sources as a borrowed slice of
 //!   the value array when [`Graph::compile`] found them contiguous, and
@@ -58,9 +60,10 @@
 //!   probe's (unchanged) value.
 //!
 //! Soundness: a combinational block's outputs are a function of its
-//! state and input values, a sequential block's of its state alone, and
-//! `is_quiescent` is exact (see [`Block`]). A combinational node that is
-//! skipped reads input values bit-identical to those of its last
+//! state and input values, a sequential block's of its state alone, each
+//! output stays in its port's format (so its raw word decides a change),
+//! and `is_quiescent` is exact (see [`Block`]). A combinational node that
+//! is skipped reads input values bit-identical to those of its last
 //! evaluation — any change since then would have marked it. A
 //! sequential node that is skipped holds the state of its last
 //! evaluation: every clock edge since then was proven an identity, or it
@@ -69,13 +72,16 @@
 //! and inputs of a clock edge that was proven an identity, so its next
 //! edge would be that identity again. Every skipped evaluation and clock
 //! edge is therefore one a full step would have spent reproducing what
-//! it already had; probes, activity and trace sinks observe exactly what
-//! full stepping shows them.
+//! it already had. A mark with no change behind it (a sequential
+//! evaluation that reproduced its outputs) costs work and no accuracy:
+//! the evaluation or edge it buys is one a full step makes anyway.
+//! Probes, activity and trace sinks observe exactly what full stepping
+//! shows them.
 
 use crate::block::Block;
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
 use crate::resource::Resources;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 
 /// Handle to a node in the graph.
@@ -122,6 +128,11 @@ pub enum GraphError {
         /// The requested name.
         name: String,
     },
+    /// Two `Gateway In`s, or two `Gateway Out`s, share a name.
+    DuplicateGateway {
+        /// The name declared twice.
+        name: String,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -138,6 +149,7 @@ impl fmt::Display for GraphError {
                 write!(f, "input port {port} of `{node}` has two drivers")
             }
             GraphError::NoSuchGateway { name } => write!(f, "no gateway named `{name}`"),
+            GraphError::DuplicateGateway { name } => write!(f, "two gateways named `{name}`"),
         }
     }
 }
@@ -146,10 +158,11 @@ impl std::error::Error for GraphError {}
 
 enum Kind {
     Block(Box<dyn Block>),
-    /// Gateway In: a value set from outside before each step.
+    /// Gateway In: a value set from outside before each step, held as
+    /// its bits in `fmt`.
     Input {
         fmt: FixFmt,
-        value: Fix,
+        bits: u64,
     },
 }
 
@@ -207,6 +220,9 @@ pub struct Graph {
     outputs: BTreeMap<String, usize>,
     /// Gateway-in registry: name → node.
     inputs: BTreeMap<String, NodeId>,
+    /// The first gateway name declared twice in one direction, which
+    /// [`Graph::compile`] rejects.
+    duplicate: Option<String>,
     /// Topological order of evaluation (all nodes).
     schedule: Vec<u32>,
     /// Sequential nodes to clock each cycle.
@@ -238,9 +254,9 @@ pub struct Graph {
     touch: Vec<u8>,
     /// Some node is marked, so the next step has work to do.
     awake: bool,
-    /// Output values of the node being evaluated, held for the change
-    /// comparison.
-    held: Vec<Fix>,
+    /// Raw output words of the combinational node being evaluated, held
+    /// for the change comparison.
+    held: Vec<i64>,
 }
 
 /// Node mark: the node's outputs may differ from the ones it holds.
@@ -264,6 +280,20 @@ fn sources<'a>(values: &'a [Fix], src: &[u32], run: u32, buf: &'a mut Vec<Fix>) 
     buf.clear();
     buf.extend(src.iter().map(|&i| values[i as usize]));
     buf
+}
+
+/// Registers a gateway name in `map`. A name already there keeps its
+/// first gateway and is recorded in `duplicate` for
+/// [`Graph::compile`] to reject.
+fn register<V>(map: &mut BTreeMap<String, V>, duplicate: &mut Option<String>, name: String, v: V) {
+    match map.entry(name) {
+        Entry::Vacant(e) => {
+            e.insert(v);
+        }
+        Entry::Occupied(e) => {
+            duplicate.get_or_insert_with(|| e.key().clone());
+        }
+    }
 }
 
 /// Measured switching activity of a design (see
@@ -320,13 +350,13 @@ impl Graph {
         let val_off = self.values.len() as u32;
         self.values.push(Fix::zero(fmt));
         self.nodes.push(Node {
-            kind: Kind::Input { fmt, value: Fix::zero(fmt) },
+            kind: Kind::Input { fmt, bits: 0 },
             name: name.clone(),
             sources: Vec::new(),
             val_off,
             val_len: 1,
         });
-        self.inputs.insert(name, id);
+        register(&mut self.inputs, &mut self.duplicate, name, id);
         self.compiled = false;
         id
     }
@@ -338,7 +368,8 @@ impl Graph {
     pub fn gateway_out(&mut self, name: impl Into<String>, from: NodeId, port: usize) {
         let node = &self.nodes[from.0];
         assert!(port < node.outputs(), "`{}` has no output {port}", node.name);
-        self.outputs.insert(name.into(), node.val_off as usize + port);
+        let flat = node.val_off as usize + port;
+        register(&mut self.outputs, &mut self.duplicate, name.into(), flat);
     }
 
     /// Connects output `from_port` of `from` to input `to_port` of `to`.
@@ -376,6 +407,9 @@ impl Graph {
     /// Checks structure and lowers the design into the flat execution
     /// plan.
     pub fn compile(&mut self) -> Result<(), GraphError> {
+        if let Some(name) = &self.duplicate {
+            return Err(GraphError::DuplicateGateway { name: name.clone() });
+        }
         // Every input port must be driven.
         for node in &self.nodes {
             for (port, src) in node.sources.iter().enumerate() {
@@ -485,21 +519,19 @@ impl Graph {
         Ok(OutputHandle(flat))
     }
 
-    /// Sets a `Gateway In` through a resolved handle (no name lookup).
-    /// A value already in the gateway's format is stored as is; storing
-    /// the value the gateway already holds marks nothing.
+    /// Sets a `Gateway In` through a resolved handle from raw bits in
+    /// the gateway's own format (see [`Fix::to_bits`]); bits above its
+    /// word length are dropped. The one store path of a gateway: it
+    /// compares one word and stores one word, and storing the bits the
+    /// gateway already holds marks nothing.
     #[inline]
-    pub fn set_input_fast(&mut self, handle: InputHandle, value: Fix) {
-        let Kind::Input { fmt, value: slot } = &mut self.nodes[handle.0].kind else {
+    pub fn set_input_bits(&mut self, handle: InputHandle, bits: u64) {
+        let Kind::Input { fmt, bits: held } = &mut self.nodes[handle.0].kind else {
             unreachable!("gateway registry points at a block");
         };
-        let value = if value.fmt() == *fmt {
-            value
-        } else {
-            value.convert(*fmt, Overflow::Wrap, Rounding::Truncate)
-        };
-        if value != *slot {
-            *slot = value;
+        let bits = bits & fmt.mask();
+        if bits != *held {
+            *held = bits;
             // An uncompiled design is marked whole when it compiles.
             if self.compiled {
                 self.marks[handle.0] |= EVAL;
@@ -508,14 +540,29 @@ impl Graph {
         }
     }
 
+    /// Sets a `Gateway In` through a resolved handle (no name lookup):
+    /// the value is converted into the gateway's format (wrap, truncate)
+    /// unless it is already in it, and stored by
+    /// [`Graph::set_input_bits`].
+    #[inline]
+    pub fn set_input_fast(&mut self, handle: InputHandle, value: Fix) {
+        let fmt = self.input_value(handle).fmt();
+        let value = if value.fmt() == fmt {
+            value
+        } else {
+            value.convert(fmt, Overflow::Wrap, Rounding::Truncate)
+        };
+        self.set_input_bits(handle, value.to_bits());
+    }
+
     /// The value a `Gateway In` holds for the upcoming cycle, as last
-    /// stored by [`Graph::set_input_fast`] (in the gateway's format).
+    /// stored by [`Graph::set_input_bits`] (in the gateway's format).
     #[inline]
     pub fn input_value(&self, handle: InputHandle) -> Fix {
-        let Kind::Input { value, .. } = &self.nodes[handle.0].kind else {
+        let Kind::Input { fmt, bits } = &self.nodes[handle.0].kind else {
             unreachable!("gateway registry points at a block");
         };
-        *value
+        Fix::from_bits(*bits, *fmt)
     }
 
     /// True when the design is compiled and no node is marked: a step
@@ -622,27 +669,41 @@ impl Graph {
             }
             marks[i] &= !EVAL;
             let node = &nodes[i];
-            // Only a node that a changed source marks eval reads its
-            // sources here: a sequential block presents its state alone.
-            scratch.clear();
-            if touch[i] & EVAL != 0 {
-                let (s, e) = plan_range[i];
-                for &src in &plan_src[s as usize..e as usize] {
-                    scratch.push(values[src as usize]);
-                }
-            }
-            let out = &mut values[node.val_off as usize..(node.val_off + node.val_len) as usize];
+            let out = node.val_off as usize..(node.val_off + node.val_len) as usize;
             let changed = match &node.kind {
-                Kind::Block(b) => {
-                    held.clear();
-                    held.extend_from_slice(out);
-                    b.eval(scratch, out);
-                    out[..] != held[..]
-                }
-                Kind::Input { value, .. } => {
-                    let changed = out[0] != *value;
-                    out[0] = *value;
+                Kind::Input { fmt, bits } => {
+                    let value = Fix::from_bits(*bits, *fmt);
+                    let changed = values[out.start].raw() != value.raw();
+                    values[out.start] = value;
                     changed
+                }
+                // A sequential block presents its state alone, and is
+                // evaluated only after a wake or its own clock edge that
+                // was not proven an identity: it marks its consumers
+                // without a change test. A consumer marked for nothing
+                // costs one evaluation that changes nothing, or one clock
+                // edge that `is_quiescent` proves an identity.
+                Kind::Block(b) if touch[i] == CLOCK => {
+                    b.eval(&[], &mut values[out]);
+                    true
+                }
+                Kind::Block(b) => {
+                    let (s, e) = plan_range[i];
+                    scratch.clear();
+                    scratch.extend(
+                        plan_src[s as usize..e as usize].iter().map(|&s| values[s as usize]),
+                    );
+                    let out = &mut values[out];
+                    held.clear();
+                    held.extend(out.iter().map(Fix::raw));
+                    b.eval(scratch, out);
+                    // Each port keeps its format, so raw words decide.
+                    debug_assert!(
+                        out.iter().enumerate().all(|(p, v)| v.fmt() == b.output_fmt(p)),
+                        "`{}` wrote an output outside its port's format",
+                        node.name
+                    );
+                    out.iter().zip(held.iter()).any(|(v, &h)| v.raw() != h)
                 }
             };
             if changed {
@@ -726,8 +787,8 @@ impl Graph {
                         return false;
                     }
                 }
-                Kind::Input { value, .. } => {
-                    if value.to_bits() != self.values[off].to_bits() {
+                Kind::Input { bits, .. } => {
+                    if *bits != self.values[off].to_bits() {
                         return false;
                     }
                 }
@@ -811,7 +872,7 @@ impl Graph {
             let before = block_words.len();
             match &node.kind {
                 Kind::Block(b) => b.save_state(&mut block_words),
-                Kind::Input { value, .. } => block_words.push(value.to_bits()),
+                Kind::Input { bits, .. } => block_words.push(*bits),
             }
             spans.push((block_words.len() - before) as u32);
         }
@@ -857,9 +918,8 @@ impl Graph {
             let mut src = words.iter().copied().chain(std::iter::repeat(0));
             match &mut node.kind {
                 Kind::Block(b) => b.load_state(&mut src),
-                Kind::Input { fmt, value } => {
-                    let bits = src.next().expect("snapshot underflow at gateway input");
-                    *value = Fix::from_bits(bits, *fmt);
+                Kind::Input { fmt, bits } => {
+                    *bits = src.next().expect("snapshot underflow at gateway input") & fmt.mask();
                 }
             }
         }
@@ -1162,6 +1222,70 @@ mod tests {
         g.run(3);
         assert!(g.asleep());
         assert_eq!(g.output("y").unwrap().raw(), 5);
+    }
+
+    /// A store in another format converts into the gateway's (wrap,
+    /// truncate) as it always has; a store of the bits the gateway holds,
+    /// in whatever format or with bits above its word, marks nothing.
+    #[test]
+    fn stores_convert_into_the_gateway_format_and_held_values_mark_nothing() {
+        let mut g = Graph::new();
+        let q = FixFmt::signed(16, 4);
+        let x = g.gateway_in("x", q);
+        let d = g.add("d", Delay::new(q, 1));
+        g.wire(x, d, 0).unwrap();
+        g.compile().unwrap();
+        let hx = g.input_handle("x").unwrap();
+        let cases = [
+            (Fix::from_int(70_000, FixFmt::INT32), 5_888),
+            (Fix::from_f64(1.75, FixFmt::signed(16, 8)), 28),
+            (Fix::from_raw(-1, FixFmt::signed(16, 8)), -1),
+            (Fix::from_raw(-3, FixFmt::signed(8, 5)), -2),
+            (Fix::from_raw(3, FixFmt::unsigned(4, -2)), 192),
+        ];
+        for (value, raw) in cases {
+            g.set_input_fast(hx, value);
+            let held = g.input_value(hx);
+            assert_eq!(held, value.convert(q, Overflow::Wrap, Rounding::Truncate), "{value:?}");
+            assert_eq!((held.raw(), held.fmt()), (raw, q), "{value:?}");
+            g.run(3);
+            assert!(g.asleep());
+            g.set_input_fast(hx, held);
+            g.set_input_fast(hx, value);
+            g.set_input_bits(hx, held.to_bits() | 0xFFFF_0000);
+            assert!(g.asleep(), "storing the held value marks nothing: {value:?}");
+        }
+    }
+
+    #[test]
+    fn duplicate_gateway_in_rejected() {
+        let mut g = Graph::new();
+        let x = g.gateway_in("x", I16);
+        let d = g.add("d", Delay::new(I16, 1));
+        g.wire(x, d, 0).unwrap();
+        g.gateway_out("y", d, 0);
+        let _ = g.gateway_in("x", I16);
+        let err = g.compile().unwrap_err();
+        assert_eq!(err, GraphError::DuplicateGateway { name: "x".into() });
+        assert_eq!(err.to_string(), "two gateways named `x`");
+    }
+
+    #[test]
+    fn duplicate_gateway_out_rejected() {
+        let mut g = Graph::new();
+        let x = g.gateway_in("x", I16);
+        let d = g.add("d", Delay::new(I16, 1));
+        g.wire(x, d, 0).unwrap();
+        g.gateway_out("y", d, 0);
+        g.compile().unwrap();
+        g.gateway_out("y", x, 0);
+        assert_eq!(g.compile(), Err(GraphError::DuplicateGateway { name: "y".into() }));
+        // An input and an output may share a name: they are looked up
+        // apart.
+        let mut g = Graph::new();
+        let x = g.gateway_in("x", I16);
+        g.gateway_out("x", x, 0);
+        g.compile().unwrap();
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! channel: which gateway ports of the peripheral graph carry the FSL
 //! data, valid and control signals.
 
+use softsim_blocks::graph::InputHandle;
+use softsim_blocks::{Fix, FixFmt, Graph, GraphError};
+
 /// Wiring of one processor → hardware FSL channel into gateway inputs.
 #[derive(Debug, Clone)]
 pub struct FslToHw {
@@ -61,5 +64,100 @@ impl FslFromHw {
             valid: format!("fsl{channel}_out_valid"),
             control: None,
         }
+    }
+}
+
+/// The gateway inputs that one processor → hardware FSL channel drives,
+/// resolved to handles (no name lookups in the per-cycle path), with the
+/// store that puts one FSL cycle into them.
+pub(crate) struct GatewayInputs {
+    pub(crate) data: InputHandle,
+    pub(crate) valid: InputHandle,
+    pub(crate) control: Option<InputHandle>,
+    /// Every gateway's binary point is at 0, so each holds the bits of
+    /// the integer it is given, cut to its word length.
+    integral: bool,
+}
+
+impl GatewayInputs {
+    /// Resolves the named gateways.
+    pub(crate) fn resolve(
+        graph: &Graph,
+        data: &str,
+        valid: &str,
+        control: Option<&str>,
+    ) -> Result<GatewayInputs, GraphError> {
+        let (data, valid) = (graph.input_handle(data)?, graph.input_handle(valid)?);
+        let control = control.map(|name| graph.input_handle(name)).transpose()?;
+        let integral = [Some(data), Some(valid), control]
+            .into_iter()
+            .flatten()
+            .all(|h| graph.input_value(h).fmt().frac == 0);
+        Ok(GatewayInputs { data, valid, control, integral })
+    }
+
+    /// Stores one FSL cycle — the data word, the valid strobe and the
+    /// control bit — for the graph's next step. An integral gateway
+    /// takes the two's-complement bits of the (sign-extended) word or
+    /// the flag as they are; a gateway with a binary point takes the
+    /// value converted into its format.
+    #[inline(always)]
+    pub(crate) fn store(&self, g: &mut Graph, data: u32, valid: bool, ctrl: bool) {
+        if self.integral {
+            g.set_input_bits(self.data, data as i32 as u64);
+            g.set_input_bits(self.valid, valid as u64);
+            if let Some(c) = self.control {
+                g.set_input_bits(c, ctrl as u64);
+            }
+        } else {
+            g.set_input_fast(self.data, Fix::from_bits(data as u64, FixFmt::INT32));
+            g.set_input_fast(self.valid, Fix::from_bits(valid as u64, FixFmt::BOOL));
+            if let Some(c) = self.control {
+                g.set_input_fast(c, Fix::from_bits(ctrl as u64, FixFmt::BOOL));
+            }
+        }
+    }
+
+    /// True when every gateway holds the idle word: data, valid and
+    /// control all zero.
+    pub(crate) fn hold_idle(&self, g: &Graph) -> bool {
+        [Some(self.data), Some(self.valid), self.control]
+            .into_iter()
+            .flatten()
+            .all(|h| g.input_value(h).is_zero())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use softsim_blocks::{Overflow, Rounding};
+
+    /// An integral gateway holds the word's two's-complement bits cut to
+    /// its length; a gateway with a binary point holds the word's value,
+    /// as `set_input_fast` converts it.
+    #[test]
+    fn a_store_puts_the_word_value_into_each_gateway_format() {
+        let mut g = Graph::new();
+        let q = FixFmt::signed(32, 4);
+        for (name, fmt) in [("a", FixFmt::INT16), ("b", q), ("v", FixFmt::BOOL)] {
+            let _ = g.gateway_in(name, fmt);
+        }
+        g.compile().unwrap();
+        let narrow = GatewayInputs::resolve(&g, "a", "v", None).unwrap();
+        let scaled = GatewayInputs::resolve(&g, "b", "v", Some("v")).unwrap();
+        assert!(narrow.integral && !scaled.integral);
+        let missing = GatewayInputs::resolve(&g, "a", "x", None).err();
+        assert_eq!(missing, Some(GraphError::NoSuchGateway { name: "x".into() }));
+        narrow.store(&mut g, -3i32 as u32, true, false);
+        scaled.store(&mut g, -3i32 as u32, true, false);
+        assert_eq!(g.input_value(narrow.data), Fix::from_int(-3, FixFmt::INT16));
+        let converted =
+            Fix::from_int(-3, FixFmt::INT32).convert(q, Overflow::Wrap, Rounding::Truncate);
+        assert_eq!(g.input_value(scaled.data), converted);
+        assert_eq!(g.input_value(scaled.data).raw(), -48);
+        assert!(!narrow.hold_idle(&g));
+        narrow.store(&mut g, 0x1_0000, false, false);
+        assert!(narrow.hold_idle(&g), "bits above the gateway's word are dropped");
     }
 }

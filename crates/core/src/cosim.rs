@@ -16,9 +16,9 @@
 //! simulation itself runs one to two orders of magnitude faster — the
 //! paper's headline result.
 
-use crate::binding::{FslFromHw, FslToHw};
-use softsim_blocks::graph::{GraphState, InputHandle, OutputHandle};
-use softsim_blocks::{Fix, FixFmt, Graph};
+use crate::binding::{FslFromHw, FslToHw, GatewayInputs};
+use softsim_blocks::graph::{GraphState, OutputHandle};
+use softsim_blocks::Graph;
 use softsim_bus::{FslBank, FslBankState, FslWord, MemPatch};
 use softsim_isa::{CpuConfig, Image};
 use softsim_iss::{Cpu, CpuSnapshot, CpuStats, Event, Fault, FslBlock, TranslatedRun};
@@ -125,13 +125,10 @@ pub struct HwStats {
     pub max_from_hw_occupancy: usize,
 }
 
-/// Resolved processor → hardware wiring (handles, no name lookups in the
-/// per-cycle path).
+/// Resolved processor → hardware wiring.
 struct ResolvedIn {
     channel: usize,
-    data: InputHandle,
-    valid: InputHandle,
-    control: Option<InputHandle>,
+    gateways: GatewayInputs,
 }
 
 /// Resolved hardware → processor wiring.
@@ -159,9 +156,6 @@ impl Peripheral {
     /// Panics if a binding names a gateway the graph does not declare
     /// (checked eagerly so misconfigurations fail at attach time).
     pub fn new(graph: Graph, inputs: Vec<FslToHw>, outputs: Vec<FslFromHw>) -> Peripheral {
-        let resolve_in = |name: &str| {
-            graph.input_handle(name).unwrap_or_else(|_| panic!("missing gateway-in `{name}`"))
-        };
         let resolve_out = |name: &str| {
             graph.output_handle(name).unwrap_or_else(|_| panic!("missing gateway-out `{name}`"))
         };
@@ -169,9 +163,8 @@ impl Peripheral {
             .iter()
             .map(|b| ResolvedIn {
                 channel: b.channel,
-                data: resolve_in(&b.data),
-                valid: resolve_in(&b.valid),
-                control: b.control.as_deref().map(resolve_in),
+                gateways: GatewayInputs::resolve(&graph, &b.data, &b.valid, b.control.as_deref())
+                    .unwrap_or_else(|e| panic!("missing gateway-in: {e}")),
             })
             .collect();
         let outputs = outputs
@@ -198,33 +191,38 @@ impl Peripheral {
     }
 
     /// The hardware-idle predicate: a clock cycle of this peripheral
-    /// changes nothing but counters, and so does every later one for as
-    /// long as its processor → hardware FIFOs are left alone. It holds
-    /// when the graph has no node marked and no probes, no gateway
+    /// changes nothing but counters and probe samples, and so does every
+    /// later one for as long as its processor → hardware FIFOs are left
+    /// alone. It holds when the graph has no node marked, no gateway
     /// output is valid, every gateway input already holds the idle word
     /// (data, valid and control all zero) and no input FIFO has a word
     /// waiting. A stepped cycle then stores the idle word again (marking
     /// nothing), steps a sleeping graph, pushes nothing and charges one
-    /// empty rejection per input — exactly what
-    /// [`Peripheral::jump`] replays in bulk. Both the stall jump and the
-    /// jump after a translated block rest on this one test.
+    /// empty rejection per input — exactly what [`Peripheral::jump`]
+    /// replays in bulk for a graph without probes (see
+    /// [`Peripheral::can_jump`]). The debugger's stop on a frozen stall
+    /// rests on this test alone.
     fn idle(&self, fsl: &FslBank) -> bool {
         let g = &self.graph;
         g.asleep()
-            && !g.has_probes()
             && self.outputs.iter().all(|b| g.output_fast(b.valid).is_zero())
-            && self.inputs.iter().all(|b| {
-                g.input_value(b.data).is_zero()
-                    && g.input_value(b.valid).is_zero()
-                    && b.control.is_none_or(|c| g.input_value(c).is_zero())
-                    && !fsl.to_hw_ref(b.channel).exists()
-            })
+            && self
+                .inputs
+                .iter()
+                .all(|b| b.gateways.hold_idle(g) && !fsl.to_hw_ref(b.channel).exists())
     }
 
-    /// Advances an [`idle`](Peripheral::idle) peripheral by `n` cycles in
-    /// one jump, leaving exactly what `n` stepped cycles would: the
-    /// graph's cycle and activity counts, one empty rejection per cycle
-    /// on every (starved) input FIFO, and the to-hardware occupancy
+    /// An [`idle`](Peripheral::idle) peripheral with no scope probes,
+    /// which record one sample per stepped cycle: both the stall jump
+    /// and the jump after a translated block rest on this test.
+    fn can_jump(&self, fsl: &FslBank) -> bool {
+        !self.graph.has_probes() && self.idle(fsl)
+    }
+
+    /// Advances a [`can_jump`](Peripheral::can_jump) peripheral by `n`
+    /// cycles in one jump, leaving exactly what `n` stepped cycles would:
+    /// the graph's cycle and activity counts, one empty rejection per
+    /// cycle on every (starved) input FIFO, and the to-hardware occupancy
     /// high-water mark of FIFOs that cannot change meanwhile.
     fn jump(&mut self, fsl: &mut FslBank, hw: &mut HwStats, n: u64) {
         for b in &self.inputs {
@@ -271,12 +269,7 @@ impl Peripheral {
                 }
                 None => (0, false, false),
             };
-            let g = &mut self.graph;
-            g.set_input_fast(b.data, Fix::from_bits(data as u64, FixFmt::INT32));
-            g.set_input_fast(b.valid, Fix::from_bits(valid as u64, FixFmt::BOOL));
-            if let Some(c) = b.control {
-                g.set_input_fast(c, Fix::from_bits(ctrl as u64, FixFmt::BOOL));
-            }
+            b.gateways.store(&mut self.graph, data, valid, ctrl);
         }
         self.graph.step();
         // Publish switching activity while it is being measured — one
@@ -627,7 +620,7 @@ impl CoSim {
     /// the CPU `n` cycles and then the peripherals `n` cycles is
     /// bit-identical to interleaving them; and because each peripheral
     /// owns its channels, the peripherals replay one after another. Each
-    /// is stepped only until it goes [`idle`](Peripheral::idle): with
+    /// is stepped only until it [`can_jump`](Peripheral::can_jump): with
     /// its input FIFOs frozen for the rest of the block it stays idle,
     /// so the remaining cycles are one [`Peripheral::jump`]. Runs only
     /// untraced (the translated path requires it).
@@ -635,7 +628,7 @@ impl CoSim {
         let CoSim { peripherals, fsl, hw_stats, sink, .. } = self;
         for (pid, p) in peripherals.iter_mut().enumerate() {
             for i in 0..cycles {
-                if p.idle(fsl) {
+                if p.can_jump(fsl) {
                     p.jump(fsl, hw_stats, cycles - i);
                     break;
                 }
@@ -795,9 +788,10 @@ impl CoSim {
     /// is blocked on a FIFO flag that cannot change (`get` from a
     /// channel with no word to take, `put` into a full channel) and
     /// every peripheral is [`idle`](Peripheral::idle), so no later cycle
-    /// changes anything but counters. Conservative — any doubt answers
-    /// `None`. The stall jump rests on it, and the debugger's `step`
-    /// stops on it instead of stepping forever.
+    /// changes anything but counters and probe samples. Conservative —
+    /// any doubt answers `None`. The debugger's `step` stops on it
+    /// instead of stepping forever, and the stall jump takes it when no
+    /// peripheral has probes.
     pub(crate) fn frozen_stall(&self) -> Option<FslBlock> {
         let block = self.cpu.fsl_block()?;
         let ch = block.channel as usize;
@@ -818,14 +812,18 @@ impl CoSim {
     /// Attempts one stall jump of at most `budget` cycles; called by
     /// [`CoSim::run`] only on its fast path (no trace sink, no OPB bus).
     ///
-    /// Eligible only on a [`frozen_stall`](CoSim::frozen_stall). Then a
-    /// step changes nothing but counters, so `n` steps are replayed as
-    /// bulk counter updates: CPU stall attribution, rejection statistics
-    /// on the blocked FIFO, each peripheral's [`Peripheral::jump`], and
-    /// watchdog progress. The jump is capped so an armed watchdog fires
-    /// at exactly the cycle the stepped path would have fired at.
+    /// Eligible only on a [`frozen_stall`](CoSim::frozen_stall) with no
+    /// probed peripheral. Then a step changes nothing but counters, so
+    /// `n` steps are replayed as bulk counter updates: CPU stall
+    /// attribution, rejection statistics on the blocked FIFO, each
+    /// peripheral's [`Peripheral::jump`], and watchdog progress. The jump
+    /// is capped so an armed watchdog fires at exactly the cycle the
+    /// stepped path would have fired at.
     fn try_fast_forward(&mut self, budget: u64) -> Option<u64> {
         let block = self.frozen_stall()?;
+        if self.peripherals.iter().any(|p| p.graph.has_probes()) {
+            return None;
+        }
         let ch = block.channel as usize;
         let n = match &self.watchdog {
             Some(wd) => budget.min(wd.threshold - wd.stalled_cycles).max(1),

@@ -15,8 +15,9 @@
 //! | `0x8` | write | WDATA: enqueues a data word |
 //! | `0xC` | write | WCTRL: enqueues a control word |
 
-use softsim_blocks::graph::{InputHandle, OutputHandle};
-use softsim_blocks::{Fix, FixFmt, Graph};
+use crate::binding::GatewayInputs;
+use softsim_blocks::graph::OutputHandle;
+use softsim_blocks::Graph;
 use softsim_bus::OpbPeripheral;
 use softsim_trace::{SharedSink, TraceEvent};
 use std::collections::VecDeque;
@@ -41,9 +42,7 @@ pub const INPUT_DEPTH: usize = 16;
 /// way.
 pub struct OpbBlockAdapter {
     graph: Graph,
-    h_data: InputHandle,
-    h_valid: InputHandle,
-    h_ctrl: Option<InputHandle>,
+    gateways: GatewayInputs,
     h_out_data: OutputHandle,
     h_out_valid: OutputHandle,
     /// Words awaiting delivery into the graph: `(data, control)`.
@@ -63,16 +62,14 @@ impl OpbBlockAdapter {
     /// # Panics
     /// Panics if the graph lacks the standard gateways.
     pub fn new(graph: Graph) -> OpbBlockAdapter {
-        let h_data = graph.input_handle("fsl0_data").expect("fsl0_data gateway");
-        let h_valid = graph.input_handle("fsl0_valid").expect("fsl0_valid gateway");
-        let h_ctrl = graph.input_handle("fsl0_ctrl").ok();
+        let control = graph.input_handle("fsl0_ctrl").is_ok().then_some("fsl0_ctrl");
+        let gateways = GatewayInputs::resolve(&graph, "fsl0_data", "fsl0_valid", control)
+            .expect("fsl0_data and fsl0_valid gateways");
         let h_out_data = graph.output_handle("fsl0_out_data").expect("fsl0_out_data gateway");
         let h_out_valid = graph.output_handle("fsl0_out_valid").expect("fsl0_out_valid gateway");
         OpbBlockAdapter {
             graph,
-            h_data,
-            h_valid,
-            h_ctrl,
+            gateways,
             h_out_data,
             h_out_valid,
             input: VecDeque::new(),
@@ -138,11 +135,7 @@ impl OpbPeripheral for OpbBlockAdapter {
         if valid {
             self.emit(true, data);
         }
-        self.graph.set_input_fast(self.h_data, Fix::from_bits(data as u64, FixFmt::INT32));
-        self.graph.set_input_fast(self.h_valid, Fix::from_bits(valid as u64, FixFmt::BOOL));
-        if let Some(h) = self.h_ctrl {
-            self.graph.set_input_fast(h, Fix::from_bits(ctrl as u64, FixFmt::BOOL));
-        }
+        self.gateways.store(&mut self.graph, data, valid, ctrl);
         self.graph.step();
         if !self.graph.output_fast(self.h_out_valid).is_zero() {
             let out = self.graph.output_fast(self.h_out_data).to_bits() as u32;
@@ -157,6 +150,7 @@ impl OpbPeripheral for OpbBlockAdapter {
 mod tests {
     use super::*;
     use softsim_blocks::library::{AddSub, AddSubOp, Constant, Delay, Register};
+    use softsim_blocks::FixFmt;
 
     fn adder_graph() -> Graph {
         let mut g = Graph::new();

@@ -8,11 +8,12 @@
 //!
 //! Run with: `cargo run --example debugger`
 
-use softsim::apps::cordic::hardware::cordic_peripheral;
+use softsim::apps::cordic::hardware::{cordic_peripheral, CordicPe, Deserializer, Serializer};
 use softsim::apps::cordic::reference::to_fix;
 use softsim::apps::cordic::software::{hw_program, CordicBatch};
+use softsim::blocks::{FixFmt, Graph};
 use softsim::cosim::debug::{Command, DebugSession, Reply};
-use softsim::cosim::{CoSim, CoSimStop};
+use softsim::cosim::{CoSim, CoSimStop, FslFromHw, FslToHw, Peripheral};
 use softsim::isa::asm::assemble;
 use softsim::isa::disasm;
 use softsim::trace::FifoDir;
@@ -107,4 +108,51 @@ fn main() {
     assert_eq!((block.pc, block.channel, block.dir), (recv, 0, FifoDir::FromHw));
     assert_eq!(dbg.handle(Command::Continue { max_cycles: 1_000 }), stuck);
     assert_eq!(dbg.handle(Command::ReadPc), Reply::Value(recv));
+
+    // A probed peripheral does not keep `step` from that stop: a scope
+    // probe records a sample every stepped cycle, which bars the stall
+    // jump, but the design itself cannot change. Here the program waits
+    // on channel 1, which the CORDIC pipeline never writes.
+    let image = assemble("get r3, rfsl1\nhalt\n").unwrap();
+    let mut sim = CoSim::with_peripheral(&image, probed_cordic());
+    let mut dbg = DebugSession::new(&mut sim);
+    println!("\na probed CORDIC pipeline, a `get` from the channel it never writes:");
+    let stuck = dbg.handle(Command::Step);
+    let Reply::Stopped(stop @ CoSimStop::CycleLimit { blocked: Some(block) }) = &stuck else {
+        panic!("a step into a frozen stall must stop blocked, got {stuck:?}");
+    };
+    println!("> {:<14} => {} ({stop})", "step", stuck.to_line());
+    assert_eq!((block.pc, block.channel, block.dir), (0, 1, FifoDir::FromHw));
+    let samples = sim.peripherals()[0].graph().probe_samples("pe0_y").unwrap().len();
+    println!("the probe holds one sample per cycle stepped: {samples}");
+    assert_eq!(samples as u64, sim.cpu_stats().cycles);
+}
+
+/// A CORDIC pipeline (P = 2) with a scope probe on each PE's Y output.
+fn probed_cordic() -> Peripheral {
+    let mut g = Graph::new();
+    let gateways =
+        [("fsl0_data", FixFmt::INT32), ("fsl0_valid", FixFmt::BOOL), ("fsl0_ctrl", FixFmt::BOOL)];
+    let deser = g.add("deser", Deserializer::new());
+    for (port, (name, fmt)) in gateways.into_iter().enumerate() {
+        let x = g.gateway_in(name, fmt);
+        g.wire(x, deser, port).unwrap();
+    }
+    let mut prev = deser;
+    for i in 0..2 {
+        let pe = g.add(format!("pe{i}"), CordicPe::new());
+        for port in 0..6 {
+            g.connect(prev, port, pe, port).unwrap();
+        }
+        g.add_probe(format!("pe{i}_y"), pe, 1);
+        prev = pe;
+    }
+    let ser = g.add("ser", Serializer::new());
+    for (port, from) in [1, 2, 3].into_iter().enumerate() {
+        g.connect(prev, from, ser, port).unwrap();
+    }
+    g.gateway_out("fsl0_out_data", ser, 0);
+    g.gateway_out("fsl0_out_valid", ser, 1);
+    g.compile().unwrap();
+    Peripheral::new(g, vec![FslToHw::standard(0)], vec![FslFromHw::standard(0)])
 }

@@ -34,12 +34,13 @@ use softsim::apps::matmul::hardware::{
 use softsim::apps::matmul::reference::Matrix;
 use softsim::apps::matmul::software as mm_sw;
 use softsim::blocks::{FixFmt, Graph};
+use softsim::cosim::debug::{Command, DebugSession, Reply};
 use softsim::cosim::{CoSim, CoSimState, CoSimStop, FslFromHw, FslToHw, HwStats, Peripheral};
 use softsim::isa::asm::assemble;
 use softsim::isa::{encode, ArithFlags, CpuConfig, Image, Inst, Reg};
 use softsim::metrics::MetricsCollector;
 use softsim::resilience::{snapshot, FaultKind, Injector};
-use softsim::trace::{shared, Fanout, Recorder};
+use softsim::trace::{shared, Fanout, FifoDir, Recorder};
 use softsim_testkit::Rng;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -558,6 +559,23 @@ fn probed_peripherals_keep_every_sample() {
     let Seen::State(end, _) = &log[1] else { unreachable!() };
     assert_eq!(log[0], Seen::Stop(CoSimStop::Halted));
     assert_eq!(samples[0].len() as u64, end.cpu.stats.cycles, "one sample per cycle");
+}
+
+/// A debugger `step` into a `get` that nothing completes stops on the
+/// frozen stall with a probed peripheral attached too: probes keep the
+/// stall jump away, not the stop, and sample every cycle stepped on the
+/// way.
+#[test]
+fn a_probed_peripheral_does_not_keep_step_from_a_frozen_stall() {
+    let img = assemble("get r3, rfsl1\nhalt\n").expect("assembles");
+    let mut sim = CoSim::with_peripheral(&img, probed_cordic());
+    let reply = DebugSession::new(&mut sim).handle(Command::Step);
+    let Reply::Stopped(CoSimStop::CycleLimit { blocked: Some(block) }) = reply else {
+        panic!("a step into a frozen stall must stop blocked, got {reply:?}");
+    };
+    assert_eq!((block.pc, block.channel, block.dir), (0, 1, FifoDir::FromHw));
+    let samples = sim.peripherals()[0].graph().probe_samples("pe0_y").unwrap().len() as u64;
+    assert_eq!(samples, sim.cpu_stats().cycles, "one sample per stepped cycle");
 }
 
 /// Regression (stale stall context): a zero-cycle run executes nothing,
