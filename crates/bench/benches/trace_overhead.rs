@@ -64,8 +64,11 @@
 //! time of `repeats` runs of each side, the same count on both sides and
 //! the runs alternating off, on, off, on, chosen so that a sample lasts
 //! at least about 50 ms on the off side: a single campaign run takes
-//! about 4 ms, short enough for one scheduler hiccup on a loaded
-//! machine to exceed the 2% bound by itself.
+//! about 2 ms, short enough for one scheduler hiccup on a loaded
+//! machine to exceed the 2% bound by itself. The rows whose two sides
+//! do almost the same work (hardening, telemetry, journaling, serve)
+//! sample at least 100 ms per side, because there the machine's
+//! run-to-run swing is closest to the difference the guard looks for.
 
 use softsim_bus::FslBank;
 use softsim_cosim::CoSimStop;
@@ -335,7 +338,7 @@ fn main() {
     let guards: Vec<Guard> = vec![
         ("tracing", 512, Box::new(|| run_untraced(&img)), Box::new(|| run_null_traced(&img))),
         ("metrics", 512, Box::new(|| run_metrics_off(&img)), Box::new(|| run_null_traced(&img))),
-        ("hardening", 12, Box::new(|| run_cosim_ecc(false)), Box::new(|| run_cosim_ecc(true))),
+        ("hardening", 38, Box::new(|| run_cosim_ecc(false)), Box::new(|| run_cosim_ecc(true))),
         (
             "profiler",
             14,
@@ -344,19 +347,19 @@ fn main() {
         ),
         (
             "telemetry",
-            16,
+            58,
             Box::new(|| time_campaign(Exec::default())),
             Box::new(run_campaign_telemetry),
         ),
         (
             "journaling",
-            16,
+            58,
             Box::new(|| time_campaign(Exec::default())),
             Box::new(|| time_campaign(journaled())),
         ),
         (
             "serve",
-            18,
+            36,
             Box::new(|| run_serve_off(&direct_worker)),
             Box::new(|| run_serve_on(&serve_server)),
         ),

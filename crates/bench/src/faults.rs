@@ -9,9 +9,7 @@
 use crate::workloads::{cordic_cosim, matmul_cosim};
 use softsim_cosim::CoSim;
 use softsim_metrics::telemetry::Telemetry;
-use softsim_resilience::{
-    run, CampaignConfig, CampaignReport, Exec, FaultKind, Injection, Sims, TrialKind,
-};
+use softsim_resilience::{run, CampaignConfig, CampaignReport, Exec, Injection, Sims, TrialKind};
 use softsim_serve::catalog::{self, Workload};
 
 /// CORDIC iterations used by the fault campaigns (Figure 5's short
@@ -72,37 +70,14 @@ pub(crate) fn cordic_sim() -> CoSim {
 
 pub use crate::sweep::default_workers;
 
-/// An FSL-stall-heavy CORDIC campaign: every injection sticks a channel
-/// 0 handshake flag early in the run, so (almost) every trial ends
-/// blocked on an FSL transfer and burns the full watchdog threshold
-/// before it is declared dead. This is the workload stall
-/// fast-forwarding targets — nearly all of the serial runner's
-/// wall-clock goes into stepping stalled cycles in which nothing can
-/// change. The plan is a fixed deterministic stride, no RNG needed.
-pub fn cordic_stuck_plan(trials: usize) -> Vec<Injection> {
-    let golden = catalog::golden_cycles(CORDIC);
-    let lo = golden / 10;
-    let span = (golden / 2).saturating_sub(lo).max(1);
-    (0..trials)
-        .map(|i| {
-            let cycle = lo + (i as u64 * 7919) % span;
-            let kind = if i % 2 == 0 {
-                FaultKind::StuckEmpty { channel: 0 }
-            } else {
-                FaultKind::StuckFull { channel: 0 }
-            };
-            Injection { cycle, kind }
-        })
-        .collect()
-}
-
-/// Runs [`cordic_stuck_plan`] under `config` and `exec`.
+/// Runs the catalog's FSL-stall-heavy CORDIC campaign
+/// ([`catalog::stuck_plan`]) under `config` and `exec`.
 pub fn cordic_stuck_campaign(
     trials: usize,
     config: CampaignConfig,
     exec: Exec<'_>,
 ) -> CampaignReport {
-    run_design(cordic_sim, CORDIC, &cordic_stuck_plan(trials), &config, exec)
+    run_design(cordic_sim, CORDIC, &catalog::stuck_plan(CORDIC, trials as u32), &config, exec)
 }
 
 /// Runs a seeded fault campaign over the block matmul (N =
@@ -217,7 +192,7 @@ mod tests {
         let telemetry = Telemetry::default();
         let exec = Exec { telemetry: Some(&telemetry), ..Exec::default() };
         let fast = cordic_stuck_campaign(trials, CampaignConfig::default(), exec);
-        assert_eq!(stepped(&cordic_stuck_plan(trials)), fast);
+        assert_eq!(stepped(&catalog::stuck_plan(CORDIC, trials as u32)), fast);
         assert_eq!(telemetry.trial_count(), trials as u64);
         assert_eq!(telemetry.ff_engagements(), trials as u64, "one jump per trial");
         let (skipped, cycles) = (telemetry.ff_skipped_cycles(), telemetry.trial_cycles());

@@ -8,7 +8,16 @@
 //! `run(a)` then `run(b)` leaves the state `run(a + b)` does, so a trial
 //! started from a rung is byte-identical to one restored from the initial
 //! state and re-simulated from there. Rungs store only the memory chunks
-//! that differ from rung 0 (see [`softsim_cosim::StateDelta`]). Outcomes
+//! that differ from rung 0 (see [`softsim_cosim::StateDelta`]).
+//!
+//! A *vacuous* injection — one [`Injector::apply`] reports changed
+//! nothing, such as a bit flip aimed at an empty FIFO — leaves the golden
+//! state at its injection cycle, so its continuation is the golden run.
+//! Such a trial is answered from the golden record (halted, masked, the
+//! golden final statistics) instead of re-simulated, whenever nothing in
+//! the trial could stop that continuation first: the golden halt comes
+//! before the trial's cycle cap, the watchdog never fired in the golden
+//! run, and no wall-clock budget is armed. Outcomes
 //! follow the standard SEU classification: *masked* (program halts with the
 //! golden observables), *SDC* (silent data corruption — halts with
 //! different observables), *deadlock* (the liveness watchdog fired, or the
@@ -29,7 +38,7 @@ use crate::codec::{put_bool, put_u64, put_u8};
 use crate::driver::{drive, Exec, Kind};
 use crate::durable::{decode_all, get_trial, put_trial, JournalError, KIND_CAMPAIGN};
 use crate::inject::{Injection, Injector};
-use softsim_cosim::{CoSim, CoSimState, CoSimStop, StateDelta};
+use softsim_cosim::{CoSim, CoSimState, CoSimStop, HwStats, StateDelta};
 use softsim_iss::CpuStats;
 use softsim_metrics::telemetry::SpanRecord;
 use std::time::{Duration, Instant};
@@ -88,9 +97,12 @@ impl std::fmt::Display for Outcome {
 pub struct Trial {
     /// The scheduled fault.
     pub injection: Injection,
-    /// Whether the fault actually changed state (vacuous hits — r0,
-    /// empty FIFO slots — still run to completion and classify, almost
-    /// always as masked).
+    /// Whether the fault actually changed state. A vacuous hit (r0, an
+    /// empty FIFO slot, an address past memory) leaves the golden state,
+    /// so the trial is the golden run: it is answered from the golden
+    /// record as masked, with the golden final statistics, unless its
+    /// cycle cap, the watchdog or a wall-clock budget could end it first,
+    /// in which case it runs and classifies like any other trial.
     pub applied: bool,
     /// How the run ended.
     pub stop: CoSimStop,
@@ -103,7 +115,7 @@ pub struct Trial {
     /// Processor statistics at the end of the trial.
     pub cpu_stats: CpuStats,
     /// Hardware statistics at the end of the trial.
-    pub hw_stats: softsim_cosim::HwStats,
+    pub hw_stats: HwStats,
 }
 
 /// Campaign tuning knobs.
@@ -308,9 +320,9 @@ fn rung_cycles(plan: &[Injection], start: u64, end: u64) -> Vec<u64> {
     (0..LADDER_RUNGS).map(|j| cycles[j * n / LADDER_RUNGS]).collect()
 }
 
-/// Everything trials share: the golden run's cycle count and
-/// observables, the padded per-trial budget derived from them, and the
-/// checkpoint ladder trials start from. Rung 0 of the ladder is the
+/// Everything trials share: the golden run's cycle count, observables
+/// and final statistics, the padded per-trial budget derived from them,
+/// and the checkpoint ladder trials start from. Rung 0 of the ladder is the
 /// initial state; the others are golden states at up to eight of the
 /// plan's injection cycles. Every rung is a
 /// [`StateDelta`] against the initial state, so the ladder holds one
@@ -328,6 +340,14 @@ pub struct Golden {
     /// `(cycle counter, state)` per rung, ascending; `rungs[0]` is the
     /// initial state with an empty patch.
     rungs: Vec<(u64, StateDelta)>,
+    /// Processor statistics at the golden halt.
+    cpu_stats: CpuStats,
+    /// Hardware statistics at the golden halt.
+    hw_stats: HwStats,
+    /// The golden run reached its halt without the watchdog, armed at
+    /// the campaign's threshold, firing: no stretch of it goes that long
+    /// without progress.
+    quiet: bool,
 }
 
 impl Golden {
@@ -348,7 +368,10 @@ impl Golden {
 /// The run is split into segments ending at [`rung_cycles`] of `plan`,
 /// keeping a ladder rung after each; `run(a)` followed by `run(b)` leaves the state
 /// `run(a + b)` does, so segmenting changes nothing the run computes.
-/// Leaves `sim` halted at the end of the golden run.
+/// The watchdog runs along at the campaign's threshold only to learn
+/// whether the run is quiet (see [`Golden`]): if it fires, the run
+/// clears it and carries on with the same segment. Leaves `sim` halted
+/// at the end of the golden run, with no watchdog armed.
 ///
 /// # Panics
 /// Panics if the run does not halt within the budget floor times the
@@ -363,16 +386,30 @@ fn golden_run(
     let start = initial.cpu.stats.cycles;
     let end = start.saturating_add(config.budget_floor * config.budget_factor.max(1));
     let mut rungs = vec![(start, sim.save_state_delta(&initial))];
+    sim.set_watchdog(config.watchdog_threshold);
+    let mut quiet = true;
+    // Runs to the absolute cycle `to`, taking a watchdog stop as the
+    // end of quietness rather than of the segment.
+    let mut run_to = |sim: &mut CoSim, to: u64| loop {
+        match sim.run(to - sim.cpu().stats().cycles) {
+            CoSimStop::Deadlock { .. } if quiet => {
+                quiet = false;
+                sim.clear_watchdog();
+            }
+            stop => return stop,
+        }
+    };
     let mut early_stop = None;
     for c in rung_cycles(plan, start, end) {
-        let stop = sim.run(c - sim.cpu().stats().cycles);
+        let stop = run_to(sim, c);
         if !matches!(stop, CoSimStop::CycleLimit { .. }) || sim.cpu().stats().cycles != c {
             early_stop = Some(stop);
             break;
         }
         rungs.push((c, sim.save_state_delta(&initial)));
     }
-    let stop = early_stop.unwrap_or_else(|| sim.run(end - sim.cpu().stats().cycles));
+    let stop = early_stop.unwrap_or_else(|| run_to(sim, end));
+    sim.clear_watchdog();
     assert_eq!(stop, CoSimStop::Halted, "golden run must halt, got: {stop}");
     let cycles = sim.cpu().stats().cycles;
     Golden {
@@ -381,6 +418,9 @@ fn golden_run(
         budget: cycles * config.budget_factor + config.budget_floor,
         initial,
         rungs,
+        cpu_stats: sim.cpu().stats(),
+        hw_stats: sim.hw_stats(),
+        quiet,
     }
 }
 
@@ -398,6 +438,12 @@ const WALL_SLICE: u64 = 16_384;
 /// initial cycle gets none), apply the fault, arm the watchdog, run
 /// under the padded budget — tightened by the explicit per-trial
 /// budgets when configured — and classify.
+///
+/// A fault that did not apply leaves the golden state, so the rest of
+/// the trial would re-run the golden continuation. When nothing can cut
+/// that continuation short — the golden halt is strictly before the
+/// cycle cap, the golden run is quiet, and there is no wall budget —
+/// the golden record answers the trial instead (see the module docs).
 fn run_trial(
     sim: &mut CoSim,
     golden: &Golden,
@@ -419,8 +465,6 @@ fn run_trial(
         Some(stop) => (false, stop, false),
         None => {
             let applied = Injector::apply(sim, injection.kind);
-            sim.set_watchdog(config.watchdog_threshold);
-            let deadline = config.trial_wall_budget.map(|d| Instant::now() + d);
             // Absolute-cycle cap: the padded campaign budget, tightened
             // by the explicit per-trial budget counted from injection.
             let budget = golden.budget;
@@ -428,6 +472,20 @@ fn run_trial(
                 Some(tcb) => budget.min(sim.cpu().stats().cycles.saturating_add(tcb)),
                 None => budget,
             };
+            if !applied && golden.cycles < cap && golden.quiet && config.trial_wall_budget.is_none()
+            {
+                return Trial {
+                    injection,
+                    applied,
+                    stop: CoSimStop::Halted,
+                    outcome: Outcome::Masked,
+                    retries: 0,
+                    cpu_stats: golden.cpu_stats,
+                    hw_stats: golden.hw_stats,
+                };
+            }
+            sim.set_watchdog(config.watchdog_threshold);
+            let deadline = config.trial_wall_budget.map(|d| Instant::now() + d);
             let (stop, cancelled) = run_capped(sim, cap, cap < budget, deadline);
             (applied, stop, cancelled)
         }
@@ -557,7 +615,7 @@ impl Kind for CampaignConfig {
             outcome: Outcome::HarnessError { panic_msg },
             retries,
             cpu_stats: CpuStats::default(),
-            hw_stats: softsim_cosim::HwStats::default(),
+            hw_stats: HwStats::default(),
         }
     }
 

@@ -452,3 +452,74 @@ pub fn random_plan_hardware(
     plan.sort_by_key(|i| i.cycle);
     plan
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use softsim_apps::cordic::hardware::cordic_peripheral;
+    use softsim_apps::cordic::reference::to_fix;
+    use softsim_apps::cordic::software::{hw_program, CordicBatch};
+    use softsim_bus::FslWord;
+    use softsim_isa::asm::assemble;
+
+    /// Every fault [`Injector::apply`] reports as vacuous on `sim`, whose
+    /// channel 0 FIFOs are empty and whose to-hardware channel 1 is full.
+    fn vacuous_faults(sim: &CoSim) -> Vec<FaultKind> {
+        let mut faults = vec![
+            FaultKind::RegBitFlip { reg: 0, bit: 7 },
+            FaultKind::RegBitFlip { reg: 32, bit: 31 },
+            FaultKind::MemBitFlip { addr: sim.cpu().mem().size(), bit: 0 },
+            FaultKind::MemBitFlip { addr: u32::MAX, bit: 5 },
+            FaultKind::FifoDuplicate { dir: FifoDir::ToHw, channel: 1 },
+        ];
+        for dir in [FifoDir::ToHw, FifoDir::FromHw] {
+            faults.extend([
+                FaultKind::FifoBitFlip { dir, channel: 0, index: 0, bit: 3 },
+                FaultKind::FifoBitFlip { dir, channel: 0, index: 0, bit: 32 },
+                FaultKind::FifoDrop { dir, channel: 0 },
+                FaultKind::FifoDuplicate { dir, channel: 0 },
+            ]);
+        }
+        // Past the occupancy of a non-empty FIFO.
+        let depth = sim.fsl().to_hw_ref(1).depth() as u8;
+        faults.push(FaultKind::FifoBitFlip {
+            dir: FifoDir::ToHw,
+            channel: 1,
+            index: depth,
+            bit: 0,
+        });
+        faults
+    }
+
+    /// Applies `fault`, which must be vacuous on `sim`, and checks that
+    /// it changed neither the state nor the hardware counters.
+    fn assert_vacuous(sim: &mut CoSim, fault: FaultKind, ecc: bool) {
+        let (state, hw) = (sim.save_state(), sim.hw_stats());
+        assert!(!Injector::apply(sim, fault), "{fault} applied (ecc {ecc})");
+        assert_eq!(sim.save_state(), state, "{fault} changed the state (ecc {ecc})");
+        assert_eq!(sim.hw_stats(), hw, "{fault} changed the hardware counters (ecc {ecc})");
+    }
+
+    /// A vacuous fault leaves the whole simulator state — processor,
+    /// memory, FIFOs with their statistics and flags, peripheral graphs —
+    /// and the hardware counters as they were. Trials whose fault did not
+    /// apply are answered from the golden record on this contract.
+    #[test]
+    fn a_vacuous_fault_changes_nothing() {
+        let batch = CordicBatch::new(&[(to_fix(1.5), to_fix(1.2)), (to_fix(2.0), to_fix(-1.0))]);
+        let image = assemble(&hw_program(&batch, 8, 2)).unwrap();
+        for ecc in [false, true] {
+            let mut sim = CoSim::with_peripheral(&image, cordic_peripheral(2));
+            sim.set_fsl_ecc(ecc);
+            let ch1 = sim.fsl_mut().to_hw(1);
+            while ch1.try_push(FslWord::data(0xA5)) {}
+            for fault in vacuous_faults(&sim) {
+                assert_vacuous(&mut sim, fault, ecc);
+            }
+            let mut software = CoSim::software_only(&image);
+            software.set_fsl_ecc(ecc);
+            let fault = FaultKind::BlockStateFlip { peripheral: 0, word: 3, bit: 1 };
+            assert_vacuous(&mut software, fault, ecc);
+        }
+    }
+}

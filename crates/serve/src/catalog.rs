@@ -14,7 +14,9 @@ use softsim_apps::matmul::software as mm_sw;
 use softsim_cosim::CoSim;
 use softsim_isa::asm::assemble;
 use softsim_isa::Image;
-use softsim_resilience::{fnv1a64, random_plan, random_plan_hardware, Injection, RecoveryPolicy};
+use softsim_resilience::{
+    fnv1a64, random_plan, random_plan_hardware, FaultKind, Injection, RecoveryPolicy,
+};
 
 /// What a job asks the service to do with its workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -278,13 +280,18 @@ pub fn image(workload: Workload) -> Image {
 /// degraded admission is only a flag in the job's status. The service
 /// passes `false`.
 pub fn build_sim(workload: Workload, _degraded: bool) -> CoSim {
-    let img = image(workload);
+    sim_of(workload, &image(workload))
+}
+
+/// A fresh co-simulator running `img`, the assembled image of
+/// `workload`.
+fn sim_of(workload: Workload, img: &Image) -> CoSim {
     match workload {
         Workload::Cordic { p, .. } => {
-            CoSim::with_peripheral(&img, softsim_apps::cordic::hardware::cordic_peripheral(p))
+            CoSim::with_peripheral(img, softsim_apps::cordic::hardware::cordic_peripheral(p))
         }
         Workload::Matmul { nb, .. } => {
-            CoSim::with_peripheral(&img, softsim_apps::matmul::hardware::matmul_peripheral(nb))
+            CoSim::with_peripheral(img, softsim_apps::matmul::hardware::matmul_peripheral(nb))
         }
         Workload::CrashTest => unreachable!("image() panicked first"),
     }
@@ -310,27 +317,61 @@ pub fn observe_words(sim: &CoSim, base: u32, n: usize) -> Vec<u32> {
 
 /// Cycles the fault-free workload takes to halt.
 pub fn golden_cycles(workload: Workload) -> u64 {
-    let mut sim = build_sim(workload, false);
+    halt_cycles(build_sim(workload, false))
+}
+
+/// Cycles `sim` takes to halt from its initial state.
+fn halt_cycles(mut sim: CoSim) -> u64 {
     let stop = sim.run(10_000_000);
     assert_eq!(stop, softsim_cosim::CoSimStop::Halted, "workload must halt: {stop}");
     sim.cpu().stats().cycles
+}
+
+/// The injection window and memory size every seeded plan of
+/// `workload` draws from: the live part of the golden run
+/// (`[golden / 10, golden)`) and the image's byte count, from one
+/// assembly of the image.
+fn plan_space(workload: Workload) -> ((u64, u64), u32) {
+    let img = image(workload);
+    let golden = halt_cycles(sim_of(workload, &img));
+    ((golden / 10, golden), img.bytes().len() as u32)
 }
 
 /// The seeded injection plan of a campaign job: injection cycles in the
 /// live part of the golden run, SEU + protocol faults on channels 0
 /// and 1.
 pub fn campaign_plan(workload: Workload, seed: u64, trials: u32) -> Vec<Injection> {
-    let golden = golden_cycles(workload);
-    let bytes = image(workload).bytes().len() as u32;
-    random_plan(seed, trials as usize, (golden / 10, golden), bytes, &[0, 1])
+    let (window, bytes) = plan_space(workload);
+    random_plan(seed, trials as usize, window, bytes, &[0, 1])
 }
 
 /// The seeded plan of a recovery job: [`campaign_plan`]'s window, but
 /// hardware-survivable faults only, on channel 0.
 pub fn recovery_plan(workload: Workload, seed: u64, trials: u32) -> Vec<Injection> {
+    let (window, bytes) = plan_space(workload);
+    random_plan_hardware(seed, trials as usize, window, bytes, &[0])
+}
+
+/// An FSL-stall-heavy plan: every injection sticks a channel 0
+/// handshake flag in the first half of the golden run, so (almost)
+/// every trial ends blocked on an FSL transfer and burns the full
+/// watchdog threshold before it is declared dead — the workload the
+/// stall jump targets. A fixed deterministic stride, no RNG.
+pub fn stuck_plan(workload: Workload, trials: u32) -> Vec<Injection> {
     let golden = golden_cycles(workload);
-    let bytes = image(workload).bytes().len() as u32;
-    random_plan_hardware(seed, trials as usize, (golden / 10, golden), bytes, &[0])
+    let lo = golden / 10;
+    let span = (golden / 2).saturating_sub(lo).max(1);
+    (0..trials)
+        .map(|i| {
+            let cycle = lo + (i as u64 * 7919) % span;
+            let kind = if i % 2 == 0 {
+                FaultKind::StuckEmpty { channel: 0 }
+            } else {
+                FaultKind::StuckFull { channel: 0 }
+            };
+            Injection { cycle, kind }
+        })
+        .collect()
 }
 
 /// The recovery policy of every recovery campaign. The catalog
