@@ -459,11 +459,13 @@ impl CoSim {
     ///
     /// - **Translated blocks**: straight-line guest code runs through the
     ///   ISS's block cache of resolved ops (see `softsim-iss`'s `translate`
-    ///   module), and the hardware side replays the block's cycles
-    ///   afterwards — bit-identical to stepping, because a translated
-    ///   block never touches an FSL channel.
-    /// - **The idle jump after a block**: each peripheral in that replay
-    ///   is stepped only until it goes idle, and the rest of the block is
+    ///   module), and the hardware side replays the block's cycles — up
+    ///   to each FSL transfer's issue cycle before the block makes it,
+    ///   and the rest after the block. Bit-identical to stepping: between
+    ///   two transfers the processor touches no FSL channel, and at a
+    ///   transfer the hardware stands where the stepped loop has it.
+    /// - **The idle jump in that replay**: each peripheral is stepped
+    ///   only until it goes idle, and the rest of the replayed stretch is
     ///   one jump.
     /// - **The stall jump**: while the processor is blocked on an FSL
     ///   transfer that cannot complete and every peripheral is idle, the
@@ -614,25 +616,32 @@ impl CoSim {
         }
     }
 
-    /// Replays the hardware side's `cycles` cycles from clock `start`
-    /// after the processor ran them alone in a translated block. A block
-    /// touches no FSL channel (FSL instructions end blocks), so stepping
-    /// the CPU `n` cycles and then the peripherals `n` cycles is
-    /// bit-identical to interleaving them; and because each peripheral
-    /// owns its channels, the peripherals replay one after another. Each
-    /// is stepped only until it [`can_jump`](Peripheral::can_jump): with
-    /// its input FIFOs frozen for the rest of the block it stays idle,
-    /// so the remaining cycles are one [`Peripheral::jump`]. Runs only
-    /// untraced (the translated path requires it).
-    fn replay_peripherals(&mut self, start: u64, cycles: u64) {
-        let CoSim { peripherals, fsl, hw_stats, sink, .. } = self;
+    /// Replays the hardware side's clocks `from..to`, which the
+    /// processor ran alone inside a translated block: the cycles before
+    /// one of its FSL transfers, or its tail after the last one. The
+    /// processor touches no FSL channel in such a stretch, so stepping
+    /// it first and the peripherals after is bit-identical to
+    /// interleaving them; and because each peripheral owns its channels,
+    /// the peripherals replay one after another. Each is stepped only
+    /// until it [`can_jump`](Peripheral::can_jump): with its input FIFOs
+    /// frozen for the rest of the stretch it stays idle, so the remaining
+    /// cycles are one [`Peripheral::jump`]. Runs only untraced (the
+    /// translated path requires it).
+    fn replay_peripherals(
+        peripherals: &mut [Peripheral],
+        fsl: &mut FslBank,
+        hw_stats: &mut HwStats,
+        sink: &Option<SharedSink>,
+        from: u64,
+        to: u64,
+    ) {
         for (pid, p) in peripherals.iter_mut().enumerate() {
-            for i in 0..cycles {
+            for cycle in from..to {
                 if p.can_jump(fsl) {
-                    p.jump(fsl, hw_stats, cycles - i);
+                    p.jump(fsl, hw_stats, to - cycle);
                     break;
                 }
-                p.tick(pid, fsl, hw_stats, sink, start + i);
+                p.tick(pid, fsl, hw_stats, sink, cycle);
             }
         }
     }
@@ -866,10 +875,14 @@ impl CoSim {
         while executed < max_cycles {
             if fast {
                 // Translated-block fast path: run straight-line guest
-                // code through the ISS block cache, then replay the
-                // hardware side's cycles, jumping each peripheral once
-                // it goes idle (see `replay_peripherals`). The block is
-                // capped below the watchdog's remaining headroom so a
+                // code through the ISS block cache. The hardware side
+                // replays the block's cycles, jumping each peripheral
+                // once it goes idle (see `replay_peripherals`): up to
+                // each FSL transfer's issue cycle when the block reaches
+                // it, so the transfer sees the FIFOs the stepped loop
+                // would show it, and from the last such cycle
+                // (`replayed`) to the block's end afterwards. The block
+                // is capped below the watchdog's remaining headroom so a
                 // deadlock the stepped path would detect mid-block keeps
                 // the fast path out entirely — and since every block ends
                 // with a retired instruction, re-anchoring the watchdog
@@ -880,11 +893,25 @@ impl CoSim {
                     cap = cap.min((wd.threshold - wd.stalled_cycles).saturating_sub(1));
                 }
                 let start_cycle = self.cpu.stats().cycles;
-                match self.cpu.run_translated_block(&mut self.fsl, cap) {
+                let mut replayed = start_cycle;
+                let CoSim { cpu, fsl, peripherals, hw_stats, sink, .. } = self;
+                let run = cpu.run_translated_block(fsl, cap, &mut |fsl, at| {
+                    Self::replay_peripherals(peripherals, fsl, hw_stats, sink, replayed, at);
+                    replayed = at;
+                });
+                match run {
                     TranslatedRun::Ran { cycles } => {
                         // Software-only runs skip even the call.
-                        if !self.peripherals.is_empty() {
-                            self.replay_peripherals(start_cycle, cycles);
+                        if !peripherals.is_empty() {
+                            let end = start_cycle + cycles;
+                            Self::replay_peripherals(
+                                peripherals,
+                                fsl,
+                                hw_stats,
+                                sink,
+                                replayed,
+                                end,
+                            );
                         }
                         executed += cycles;
                         self.reanchor_watchdog();
@@ -894,7 +921,8 @@ impl CoSim {
                         continue;
                     }
                     TranslatedRun::Faulted { cycles, fault } => {
-                        self.replay_peripherals(start_cycle, cycles);
+                        let end = start_cycle + cycles;
+                        Self::replay_peripherals(peripherals, fsl, hw_stats, sink, replayed, end);
                         return CoSimStop::Fault(fault);
                     }
                     TranslatedRun::NotRun => {}

@@ -832,7 +832,8 @@ impl Cpu {
         let limit = self.stats.cycles + max_cycles;
         while self.stats.cycles < limit {
             if self.translator.enabled {
-                match self.run_translated_block(fsl, limit - self.stats.cycles) {
+                // Nothing else uses the FSL bank, so a transfer needs no sync.
+                match self.run_translated_block(fsl, limit - self.stats.cycles, &mut |_, _| {}) {
                     crate::translate::TranslatedRun::Ran { .. } => {
                         if self.halted {
                             return StopReason::Halted;

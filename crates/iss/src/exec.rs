@@ -388,6 +388,23 @@ impl Cpu {
         }
     }
 
+    /// Whether [`Cpu::exec_fsl`] would complete `inst` on `fsl` now:
+    /// always for a non-blocking variant, and for a blocking one when
+    /// the flag it waits on lets it (`exists` for a `get`, not `full`
+    /// for a `put`, the very flags `try_pop`/`try_push` test, stuck
+    /// faults included). Reads the flags only, so it changes nothing.
+    pub(crate) fn fsl_ready(inst: &Inst, fsl: &FslBank) -> bool {
+        match *inst {
+            Inst::Get { chan, mode, .. } => {
+                mode.non_blocking || fsl.from_hw_ref(chan.index()).exists()
+            }
+            Inst::Put { chan, mode, .. } => {
+                mode.non_blocking || !fsl.to_hw_ref(chan.index()).full()
+            }
+            _ => unreachable!("fsl_ready called on non-FSL instruction"),
+        }
+    }
+
     /// Attempts the FSL transfer of a `get`/`put` instruction.
     ///
     /// * Blocking variants return `Err(())` when the channel is not ready,

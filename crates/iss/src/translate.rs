@@ -21,8 +21,6 @@
 //! * a **branch** (`br`/`bcc`/`rtsd`) — included as the final step, so
 //!   the taken/not-taken cycle split annotated at translation time is
 //!   applied from the run-time [`ExecOutcome`];
-//! * an **FSL instruction** (`get`/`put`) — excluded: blocking
-//!   semantics need the per-cycle retry loop of [`Cpu::tick`];
 //! * an **`imm` prefix** — excluded: the prefixed pair executes
 //!   interpreted so the latch never spans a dispatch boundary;
 //! * **`halt`**, an undecodable word, or the end of the loaded program
@@ -33,16 +31,42 @@
 //!   fault;
 //! * [`MAX_BLOCK_LEN`] instructions (a translation-size bound).
 //!
+//! FSL instructions (`get`/`put`) stay inside blocks. Each one starts a
+//! *segment*: the block's steps between two FSL steps run in a loop that
+//! tests nothing per step, so a block without FSL steps pays nothing for
+//! them.
+//!
+//! # FSL transfers inside a block
+//!
+//! Before an FSL step the block calls its caller's `sync` callback with
+//! the step's absolute issue cycle: whoever else reads or writes the FSL
+//! bank (the co-simulator's peripherals) catches up to that cycle, as
+//! the stepped loop would have it when the processor issues there. The
+//! block then reads the flag the transfer waits on (`exists` for a
+//! `get`, `full` for a `put`; [`Cpu::fsl_ready`]), which changes
+//! nothing. A transfer that can complete, and every non-blocking
+//! `nget`/`nput` (which always completes, missing or not), runs inside
+//! the block at its two cycles. A blocking transfer that would stall
+//! ends the block before itself, charging nothing for it (a failed try
+//! would charge a rejection the interpreter charges again on its own
+//! issue); when it is the block's first step, the dispatch is
+//! [`TranslatedRun::NotRun`]. The interpreter then issues it and stalls
+//! cycle by cycle, exactly as without translation.
+//!
 //! # Determinism boundary
 //!
 //! Dispatch refuses (falls back to the interpreter, bit-exactly) when
 //! anything needs per-instruction or per-cycle visibility: an attached
 //! trace sink or architectural trace, breakpoints, an OPB bus, a
 //! pending `imm` latch or delay slot, a pipeline that is not at an
-//! instruction boundary, or a block whose worst-case cycles exceed the
-//! remaining budget (the interpreter then single-steps to the exact
-//! mid-instruction stop state). Stores into cached code invalidate the
-//! covering blocks; a block checks for that after each of its stores
+//! instruction boundary (an FSL stall included), or a block whose
+//! worst-case cycles exceed the remaining budget (the interpreter then
+//! single-steps to the exact mid-instruction stop state). Between two
+//! FSL steps the processor touches no FSL channel, so the rest of the
+//! system may replay those cycles after the block in any order that
+//! keeps each channel's own; at an FSL step the `sync` callback gives
+//! the rest of the system its turn. Stores into cached code invalidate
+//! the covering blocks; a block checks for that after each of its stores
 //! and stops there, charging exactly the prefix that ran, so
 //! self-modifying programs re-translate and stay bit-exact. A fault
 //! mid-block charges the prefix and the faulting issue cycle, as the
@@ -118,6 +142,9 @@ const _: () = assert!(std::mem::size_of::<Step>() <= 16);
 #[derive(Debug)]
 struct Block {
     steps: Vec<Step>,
+    /// Indices into `steps` of the FSL steps, ascending: each starts a
+    /// segment (see the module docs).
+    transfers: Vec<u8>,
     /// Code range covered, `[start, end)` in bytes.
     start: u32,
     end: u32,
@@ -324,13 +351,16 @@ impl Cpu {
             self.translator.slots.resize(index + 1, None);
         }
         let mut steps = Vec::new();
+        let mut transfers = Vec::new();
         let mut at = pc;
         let mut worst: u64 = 0;
         while steps.len() < MAX_BLOCK_LEN && self.translator.image.contains(&at) {
             let Ok(word) = self.mem.read_u32(at) else { break };
             let Ok(inst) = decode(word) else { break };
-            if matches!(inst, Inst::Get { .. } | Inst::Put { .. } | Inst::Imm { .. } | Inst::Halt) {
-                break;
+            match inst {
+                Inst::Imm { .. } | Inst::Halt => break,
+                Inst::Get { .. } | Inst::Put { .. } => transfers.push(steps.len() as u8),
+                _ => {}
             }
             let base = inst.base_cycles();
             let taken = base + inst.taken_penalty();
@@ -344,7 +374,7 @@ impl Cpu {
                 break;
             }
         }
-        let block = Rc::new(Block { steps, start: pc, end: at, worst_cycles: worst });
+        let block = Rc::new(Block { steps, transfers, start: pc, end: at, worst_cycles: worst });
         self.translator.stats.blocks_translated += 1;
         // Empty blocks cover no code bytes, so they never widen the
         // store filters (and `end - 1` would wrap at pc 0).
@@ -374,6 +404,12 @@ impl Cpu {
     /// fast path is ineligible here (the caller then falls back to
     /// [`Cpu::tick`], which produces bit-identical results).
     ///
+    /// `sync(fsl, at)` runs before each FSL step, `at` being the step's
+    /// absolute issue cycle: it must bring every other user of `fsl` up
+    /// to, not including, cycle `at` (see the module docs). [`Cpu::run`],
+    /// with nothing else on the bank, passes a callback that does
+    /// nothing.
+    ///
     /// The ops run through the interpreter's executor; the block keeps
     /// its own cycle count and writes the cycle, instruction and
     /// translated-instruction counters once, when it exits. It leaves
@@ -381,7 +417,12 @@ impl Cpu {
     /// latency, breakpoint latch) as the last instruction that ran would.
     /// Only the final step can branch, so every earlier step just moves
     /// the PC on by one word.
-    pub fn run_translated_block(&mut self, fsl: &mut FslBank, max_cycles: u64) -> TranslatedRun {
+    pub fn run_translated_block(
+        &mut self,
+        fsl: &mut FslBank,
+        max_cycles: u64,
+        sync: &mut dyn FnMut(&mut FslBank, u64),
+    ) -> TranslatedRun {
         if !self.translation_eligible() {
             return TranslatedRun::NotRun;
         }
@@ -393,7 +434,6 @@ impl Cpu {
         if block.steps.is_empty() || block.worst_cycles > max_cycles {
             return TranslatedRun::NotRun;
         }
-        self.translator.stats.block_dispatches += 1;
         let generation = self.translator.generation;
         let mut pc = entry;
         // Cycles charged so far, and the issue cycle of the last step
@@ -401,33 +441,60 @@ impl Cpu {
         let (mut cycles, mut issued) = (0u64, 0u64);
         let mut retired = 0u64;
         let mut fault = None;
-        for step in &block.steps {
-            issued = cycles;
-            match self.exec_op(pc, &step.op, fsl) {
-                Ok(ExecOutcome::Normal) => cycles += u64::from(step.base),
-                Ok(ExecOutcome::Taken) => {
-                    self.stats.taken_branches += 1;
-                    cycles += u64::from(step.taken);
+        // The segment running now is `block.steps[from..to]`; `to` is
+        // the next FSL step, or the block's end.
+        let mut transfers = block.transfers.iter().map(|&i| usize::from(i));
+        let mut from = 0;
+        'run: loop {
+            let to = transfers.next().unwrap_or(block.steps.len());
+            for step in &block.steps[from..to] {
+                issued = cycles;
+                match self.exec_op(pc, &step.op, fsl) {
+                    Ok(ExecOutcome::Normal) => cycles += u64::from(step.base),
+                    Ok(ExecOutcome::Taken) => {
+                        self.stats.taken_branches += 1;
+                        cycles += u64::from(step.taken);
+                    }
+                    // FSL steps start segments; they never run here.
+                    Ok(ExecOutcome::FslBlocked) => unreachable!("FSL step inside a segment"),
+                    Err(f) => {
+                        // The issue cycle is charged, nothing retires.
+                        cycles += 1;
+                        fault = Some(f);
+                        break 'run;
+                    }
                 }
-                // FSL instructions terminate blocks before themselves.
-                Ok(ExecOutcome::FslBlocked) => unreachable!("FSL instruction inside a block"),
-                Err(f) => {
-                    // The issue cycle is charged, nothing retires.
-                    cycles += 1;
-                    fault = Some(f);
-                    break;
+                retired += 1;
+                pc = pc.wrapping_add(4);
+                // A store just invalidated cached code (possibly the
+                // rest of this very block): stop before using any stale
+                // op.
+                if matches!(step.op, Op::Store { .. } | Op::StoreI { .. })
+                    && self.translator.generation != generation
+                {
+                    break 'run;
                 }
             }
-            retired += 1;
-            pc = pc.wrapping_add(4);
-            // A store just invalidated cached code (possibly the rest of
-            // this very block): stop before using any stale op.
-            if matches!(step.op, Op::Store { .. } | Op::StoreI { .. })
-                && self.translator.generation != generation
-            {
+            let Some(step) = block.steps.get(to) else { break };
+            let Op::Fsl(inst) = step.op else { unreachable!("a transfer index names an FSL step") };
+            // The block has not charged its cycles yet.
+            sync(fsl, self.stats.cycles + cycles);
+            if !Cpu::fsl_ready(&inst, fsl) {
+                if retired == 0 {
+                    // The block's first step would stall: nothing ran.
+                    return TranslatedRun::NotRun;
+                }
                 break;
             }
+            issued = cycles;
+            let done = self.exec_fsl(&inst, fsl);
+            debug_assert!(done.is_ok(), "a ready transfer completes");
+            cycles += u64::from(step.base);
+            retired += 1;
+            pc = pc.wrapping_add(4);
+            from = to + 1;
         }
+        self.translator.stats.block_dispatches += 1;
         let start = self.stats.cycles;
         self.stats.cycles = start + cycles;
         self.stats.instructions += retired;
@@ -627,6 +694,10 @@ mod tests {
                 "bled r5, r9",
                 "bgt r3, r9",
                 "bged r0, r9",
+                // Transfers into empty FIFOs complete; nothing fills the
+                // hardware-to-processor side, so each `nget` misses.
+                "put r3, rfsl0\naddik r10, r0, 1\ncput r4, rfsl1\nput r5, rfsl0",
+                "nput r3, rfsl2\nncput r4, rfsl2\nnget r10, rfsl3\naddc r11, r0, r0\nncget r0, rfsl3",
             ]
             .map(String::from),
         );
@@ -731,7 +802,7 @@ mod tests {
         c.set_translation(true);
         let recorder = std::rc::Rc::new(std::cell::RefCell::new(Recorder::new(64)));
         c.attach_trace(shared(recorder.clone()));
-        assert_eq!(c.run_translated_block(&mut f, 1_000), TranslatedRun::NotRun);
+        assert_eq!(c.run_translated_block(&mut f, 1_000, &mut |_, _| {}), TranslatedRun::NotRun);
         assert_eq!(c.run(&mut f, 1_000), crate::StopReason::Halted);
         assert_eq!(c.translation_stats().block_dispatches, 0);
         let events = recorder.borrow().events();
@@ -978,5 +1049,78 @@ mod tests {
         let stats = c.translation_stats();
         assert!(stats.block_dispatches > 0, "fast path never engaged: {stats:?}");
         assert!(stats.translated_instructions > 0);
+    }
+
+    /// The program every transfer-sync test dispatches: one block of an
+    /// `addik`, a blocking `put` and another `addik`.
+    const MID_BLOCK_PUT: &str = "
+            addik r3, r0, 5
+            put   r3, rfsl0
+            addik r4, r0, 1
+            halt
+        ";
+
+    /// Dispatches the block at the current PC, recording every `sync`
+    /// call's cycle.
+    fn dispatch(c: &mut Cpu, f: &mut FslBank) -> (TranslatedRun, Vec<u64>) {
+        let mut syncs = Vec::new();
+        let run = c.run_translated_block(f, 1_000, &mut |_, at| syncs.push(at));
+        (run, syncs)
+    }
+
+    /// With room in the FIFO, one dispatch runs across a mid-block
+    /// `put`: `sync` runs once, at the `put`'s issue cycle, and the
+    /// block's cycles include the two of the transfer.
+    #[test]
+    fn a_block_runs_through_a_transfer_that_completes() {
+        let (mut c, mut f) = cpu(MID_BLOCK_PUT);
+        c.set_translation(true);
+        c.stats.cycles = 10;
+        let (run, syncs) = dispatch(&mut c, &mut f);
+        assert_eq!(run, TranslatedRun::Ran { cycles: 4 });
+        assert_eq!(syncs, [11], "sync once, at the put's issue cycle");
+        assert_eq!((c.pc(), c.stats().cycles, c.stats().instructions), (12, 14, 3));
+        assert_eq!(c.stats().fsl_words_sent, 1);
+        assert_eq!(f.to_hw_ref(0).len(), 1);
+        let stats = c.translation_stats();
+        assert_eq!((stats.block_dispatches, stats.translated_instructions), (1, 3));
+        assert_equivalent(MID_BLOCK_PUT, 1_000);
+    }
+
+    /// With the FIFO full, the block ends before the `put` and charges
+    /// nothing for it: no rejection, no stall; the interpreter issues it.
+    #[test]
+    fn a_block_ends_before_a_transfer_that_would_stall() {
+        let (mut c, mut f) = cpu(MID_BLOCK_PUT);
+        c.set_translation(true);
+        while f.to_hw(0).try_push(softsim_bus::FslWord { data: 0, control: false }) {}
+        let fifo = f.to_hw_ref(0).stats();
+        let (run, syncs) = dispatch(&mut c, &mut f);
+        assert_eq!(run, TranslatedRun::Ran { cycles: 1 });
+        assert_eq!(syncs, [1]);
+        assert_eq!((c.pc(), c.stats().cycles, c.stats().instructions), (4, 1, 1));
+        assert_eq!(f.to_hw_ref(0).stats(), fifo, "no rejection charged");
+        assert_eq!((c.stats().fsl_write_stalls, c.inst_write_stalls), (0, 0));
+        assert_eq!(c.translation_stats().translated_instructions, 1);
+    }
+
+    /// A block whose first step is a blocking `get` from an empty FIFO
+    /// does not run and changes no state; the interpreter then stalls on
+    /// the `get` as it would without translation.
+    #[test]
+    fn a_block_entered_at_a_blocked_transfer_does_not_run() {
+        let src = "get r3, rfsl0\naddik r4, r0, 1\nhalt";
+        let (mut c, mut f) = cpu(src);
+        c.set_translation(true);
+        let (cpu_before, fsl_before) = (c.save_state(), f.save_state());
+        let (run, syncs) = dispatch(&mut c, &mut f);
+        assert_eq!(run, TranslatedRun::NotRun);
+        assert_eq!(syncs, [0]);
+        assert_eq!(c.save_state(), cpu_before);
+        assert_eq!(f.save_state(), fsl_before);
+        assert_eq!(c.translation_stats().block_dispatches, 0);
+        for budget in [1, 5, 40] {
+            assert_equivalent(src, budget);
+        }
     }
 }

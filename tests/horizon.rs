@@ -23,7 +23,9 @@ use softsim::apps::cordic::hardware::{
     Serializer,
 };
 use softsim::apps::cordic::reference::to_fix;
-use softsim::apps::cordic::software::{hw_program, hw_program_dual, CordicBatch};
+use softsim::apps::cordic::software::{
+    hw_program, hw_program_dual, hw_program_repeated, CordicBatch,
+};
 use softsim::apps::fir::reference::test_signal;
 use softsim::apps::fir::software::fir_cosim;
 use softsim::apps::lpc::reference::test_autocorrelation;
@@ -33,6 +35,7 @@ use softsim::apps::matmul::hardware::{
 };
 use softsim::apps::matmul::reference::Matrix;
 use softsim::apps::matmul::software as mm_sw;
+use softsim::blocks::library::Delay;
 use softsim::blocks::{FixFmt, Graph};
 use softsim::cosim::debug::{Command, DebugSession, Reply};
 use softsim::cosim::{CoSim, CoSimState, CoSimStop, FslFromHw, FslToHw, HwStats, Peripheral};
@@ -475,6 +478,123 @@ fn software_only_programs_match_the_stepped_reference() {
     }
 }
 
+/// A loopback on channel 0: every word comes back after
+/// [`LOOPBACK_CYCLES`], its control bit with it.
+fn loopback() -> Peripheral {
+    let mut g = Graph::new();
+    for (wire, fmt) in [("data", FixFmt::INT32), ("valid", FixFmt::BOOL), ("ctrl", FixFmt::BOOL)] {
+        let input = g.gateway_in(format!("fsl0_{wire}"), fmt);
+        let line = g.add(format!("{wire}_line"), Delay::new(fmt, LOOPBACK_CYCLES));
+        g.wire(input, line, 0).unwrap();
+        g.gateway_out(format!("fsl0_out_{wire}"), line, 0);
+    }
+    g.compile().unwrap();
+    let out = FslFromHw { control: Some("fsl0_out_ctrl".into()), ..FslFromHw::standard(0) };
+    Peripheral::new(g, vec![FslToHw::standard(0)], vec![out])
+}
+
+/// The loopback's latency: longer than the driver's first burst of
+/// puts, so the first `get` after it stalls.
+const LOOPBACK_CYCLES: usize = 24;
+
+/// A driver of every FSL variant against [`loopback`], with the
+/// transfers in the middle of blocks and at their start. Blocking `get`s
+/// stall (the first of each burst: in mid-block, which ends the block,
+/// and then as the first step of the next one) and complete, in mid-block
+/// and as a block's first step; `put`/`cput` complete (a blocking put into a FIFO that
+/// the peripheral drains only stalls on the stuck `full` flag of the
+/// deadlock rows); `nput` misses on channel 5, which nothing drains and
+/// the prologue fills; `nget` misses on channel 3, which nothing fills,
+/// and on the drained channel 0; `get` reads a control word and `cget` a
+/// data word (control-bit mismatches both ways), besides the matching
+/// reads.
+const FSL_DRIVER: &str = "
+        addik r21, r0, 16
+    fill:
+        put   r21, rfsl5
+        addik r21, r21, -1
+        bnei  r21, fill
+        addik r20, r0, 6
+    loop:
+        addik r3, r20, 100
+        put   r3, rfsl0
+        cput  r20, rfsl0
+        addik r4, r3, 7
+        xori  r5, r4, 3
+        addik r5, r5, 1
+        put   r4, rfsl0
+        addik r6, r5, 2
+        xor   r6, r6, r3
+        cput  r4, rfsl0
+        nput  r3, rfsl5
+        addc  r10, r10, r0
+        nget  r5, rfsl3
+        addc  r11, r11, r0
+        get   r6, rfsl0
+        get   r7, rfsl0
+        add   r12, r12, r6
+        cget  r8, rfsl0
+        add   r12, r12, r7
+        cget  r9, rfsl0
+        add   r12, r12, r8
+        add   r12, r12, r9
+        put   r12, rfsl0
+        cput  r3, rfsl0
+        addik r13, r0, 8
+    wait:
+        addik r13, r13, -1
+        bnei  r13, wait
+        get   r14, rfsl0
+        cget  r15, rfsl0
+        nget  r16, rfsl0
+        addc  r17, r17, r0
+        ncget r18, rfsl0
+        addc  r17, r17, r0
+        swi   r14, r0, results
+        swi   r15, r0, results + 4
+        addik r20, r20, -1
+        bnei  r20, loop
+        halt
+        .align 4
+    results:
+        .word 0, 0
+    ";
+
+/// Every FSL variant inside translated blocks, with FSL ECC off and on,
+/// matches the stepped reference in every row, deadlocks included. The
+/// fast mode must run transfers inside blocks: every retired FSL
+/// instruction moved a word or missed, so translated instructions
+/// beyond the retired non-FSL ones were transfers.
+#[test]
+fn fsl_transfers_inside_blocks_match_the_stepped_reference() {
+    let image = assemble(FSL_DRIVER).expect("assembles");
+    for ecc in [false, true] {
+        let image = image.clone();
+        let case = Case::new(format!("fsl driver, ecc {ecc}"), move || {
+            let mut sim = CoSim::with_peripheral(&image, loopback());
+            sim.set_fsl_ecc(ecc);
+            sim
+        });
+        let end = check(&case);
+        check_deadlocks(&case, end, true);
+        let name = &case.name;
+        let mut sim = case.sim(Mode::Fast);
+        assert_eq!(sim.run(BUDGET), CoSimStop::Halted);
+        let stats = sim.cpu_stats();
+        assert!(stats.fsl_read_stalls >= 6 * 6, "{name}: {stats:?}");
+        assert!(stats.fsl_control_mismatches >= 12, "{name}: {stats:?}");
+        assert!(stats.fsl_nonblocking_misses >= 18, "{name}: {stats:?}");
+        let transfers =
+            stats.fsl_words_sent + stats.fsl_words_received + stats.fsl_nonblocking_misses;
+        let xlated = sim.cpu().translation_stats().translated_instructions;
+        let xlated_transfers = (xlated + transfers).saturating_sub(stats.instructions);
+        assert!(
+            xlated_transfers * 2 > transfers,
+            "{name}: {xlated_transfers} of {transfers} translated"
+        );
+    }
+}
+
 /// With a metrics collector and an event recorder attached, both modes
 /// step (no fast path may run under observation), so a faulted CORDIC
 /// run records the same events and windowed series in both.
@@ -511,6 +631,26 @@ fn the_default_build_runs_translated_blocks() {
         let retired = sim.cpu_stats().instructions;
         assert!(xlated * 2 > retired, "{name}: translated {xlated} of {retired} instructions");
     }
+}
+
+/// The CORDIC driver's transfers run inside blocks: on the `cordic_hw`
+/// benchmark's shape (P = 4, eight samples, 24 iterations), as built,
+/// at least 90% of the instructions run translated, at 4 or more per
+/// block dispatch. (The four-sample, eight-iteration `cordic(4)` of the
+/// other rows reads 89%: its ten `li` pairs, whose `imm` prefixes run
+/// interpreted, and its `halt` are 11% of so short a run.)
+#[test]
+fn cordic_transfers_run_inside_translated_blocks() {
+    let pairs: Vec<(i32, i32)> =
+        (0..8).map(|i| (to_fix(1.0 + 0.25 * i as f64), to_fix(0.6 - 0.15 * i as f64))).collect();
+    let src = hw_program_repeated(&CordicBatch::new(&pairs), 24, 4, 2);
+    let mut sim = CoSim::with_peripheral(&assemble(&src).expect("assembles"), cordic_peripheral(4));
+    assert_eq!(sim.run(BUDGET), CoSimStop::Halted);
+    let stats = sim.cpu().translation_stats();
+    let (xlated, retired) = (stats.translated_instructions, sim.cpu_stats().instructions);
+    assert!(xlated * 10 >= retired * 9, "translated {xlated} of {retired} instructions");
+    let dispatches = stats.block_dispatches;
+    assert!(xlated >= 4 * dispatches, "{xlated} instructions in {dispatches} dispatches");
 }
 
 /// A CORDIC pipeline (P = 2) built with a scope probe on each PE's Y
