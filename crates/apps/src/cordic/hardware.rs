@@ -75,19 +75,21 @@ impl Block for Deserializer {
         outputs[4] = fix32(self.c0);
         outputs[5] = bit(self.c_load);
     }
-    fn clock(&mut self, inputs: &[Fix]) {
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
         let data = raw32(&inputs[0]);
         let valid = !inputs[1].is_zero();
         let ctrl = !inputs[2].is_zero();
+        let strobed = self.tuple_valid || self.c_load;
         self.tuple_valid = false;
         self.c_load = false;
         if !valid {
-            return;
+            // No word arriving: only the single-cycle strobes clear.
+            return strobed;
         }
         if ctrl {
             self.c0 = data;
             self.c_load = true;
-            return;
+            return true;
         }
         match self.phase {
             0 => self.xs = data,
@@ -98,13 +100,10 @@ impl Block for Deserializer {
             }
         }
         self.phase = (self.phase + 1) % 3;
+        true
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        // No word arriving and the single-cycle strobes already clear.
-        inputs[1].is_zero() && !self.tuple_valid && !self.c_load
     }
     fn resources(&self) -> Resources {
         // Three 32-bit holding registers, a phase counter and decode.
@@ -177,11 +176,14 @@ impl Block for CordicPe {
         outputs[4] = fix32(self.c_fwd);
         outputs[5] = bit(self.c_load_fwd);
     }
-    fn clock(&mut self, inputs: &[Fix]) {
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
         let (xs, y, z) = (raw32(&inputs[0]), raw32(&inputs[1]), raw32(&inputs[2]));
         let tv = !inputs[3].is_zero();
         let c_in = raw32(&inputs[4]);
         let c_load = !inputs[5].is_zero();
+        // With no tuple and no control word incoming and the forwarded
+        // strobes already clear, the edge changes nothing.
+        let changed = tv || c_load || self.tuple_valid || self.c_load_fwd;
         if c_load {
             // Latch my own copy and forward the halved value (Eq. 2).
             self.c = c_in;
@@ -195,14 +197,10 @@ impl Block for CordicPe {
             self.y = ny;
             self.z = nz;
         }
+        changed
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        // No tuple and no control word incoming, and the forwarded
-        // strobes already clear.
-        inputs[3].is_zero() && inputs[5].is_zero() && !self.tuple_valid && !self.c_load_fwd
     }
     fn resources(&self) -> Resources {
         // Two 32-bit add/sub datapaths (Y and Z), stage registers packing
@@ -270,7 +268,10 @@ impl Block for Serializer {
         outputs[0] = fix32(self.out_data);
         outputs[1] = bit(self.out_valid);
     }
-    fn clock(&mut self, inputs: &[Fix]) {
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
+        // Nothing arriving, nothing buffered and nothing being presented:
+        // the edge changes nothing.
+        let changed = !inputs[2].is_zero() || !self.queue.is_empty() || self.out_valid;
         if !inputs[2].is_zero() {
             self.queue.push_back(raw32(&inputs[0]));
             self.queue.push_back(raw32(&inputs[1]));
@@ -285,13 +286,10 @@ impl Block for Serializer {
                 self.out_valid = false;
             }
         }
+        changed
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        // Nothing arriving, nothing buffered, nothing being presented.
-        inputs[2].is_zero() && self.queue.is_empty() && !self.out_valid
     }
     fn resources(&self) -> Resources {
         // SRL16-based buffering plus the output register and control.

@@ -89,11 +89,14 @@ impl Block for MatmulUnit {
         outputs[0] = fix32(self.out_data);
         outputs[1] = bit(self.out_valid);
     }
-    fn clock(&mut self, inputs: &[Fix]) {
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
         let nb = self.nb;
         let data = raw32(&inputs[0]);
         let valid = !inputs[1].is_zero();
         let ctrl = !inputs[2].is_zero();
+        // Nothing arriving, nothing buffered and nothing being presented:
+        // the edge changes nothing.
+        let changed = valid || !self.out.is_empty() || self.out_valid;
         if valid {
             if ctrl {
                 // Load B row-major; wrap so a new block overwrites.
@@ -134,13 +137,10 @@ impl Block for MatmulUnit {
             }
             None => self.out_valid = false,
         }
+        changed
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        // No word arriving, nothing buffered, nothing being presented.
-        inputs[1].is_zero() && self.out.is_empty() && !self.out_valid
     }
     fn resources(&self) -> Resources {
         let nb = self.nb as u32;

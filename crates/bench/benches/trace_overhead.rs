@@ -338,28 +338,28 @@ fn main() {
     let guards: Vec<Guard> = vec![
         ("tracing", 512, Box::new(|| run_untraced(&img)), Box::new(|| run_null_traced(&img))),
         ("metrics", 512, Box::new(|| run_metrics_off(&img)), Box::new(|| run_null_traced(&img))),
-        ("hardening", 44, Box::new(|| run_cosim_ecc(false)), Box::new(|| run_cosim_ecc(true))),
+        ("hardening", 62, Box::new(|| run_cosim_ecc(false)), Box::new(|| run_cosim_ecc(true))),
         (
             "profiler",
-            25,
+            32,
             Box::new(|| run_cosim_profiling(false)),
             Box::new(|| run_cosim_profiling(true)),
         ),
         (
             "telemetry",
-            64,
+            86,
             Box::new(|| time_campaign(Exec::default())),
             Box::new(run_campaign_telemetry),
         ),
         (
             "journaling",
-            62,
+            84,
             Box::new(|| time_campaign(Exec::default())),
             Box::new(|| time_campaign(journaled())),
         ),
         (
             "serve",
-            48,
+            64,
             Box::new(|| run_serve_off(&direct_worker)),
             Box::new(|| run_serve_on(&serve_server)),
         ),

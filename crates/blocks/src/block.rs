@@ -9,7 +9,8 @@
 //!    sequential blocks present their *current* state on their outputs,
 //!    from their state alone;
 //! 2. **clock** — every sequential block latches its next state from the
-//!    input values that the evaluate phase settled.
+//!    input values that the evaluate phase settled, and reports whether
+//!    that edge changed its state.
 
 use crate::fix::{Fix, FixFmt};
 use crate::resource::Resources;
@@ -40,19 +41,29 @@ pub trait Block {
     /// the format). A sequential block (see [`Block::is_combinational`])
     /// presents its state alone: the graph evaluates it with an empty
     /// `inputs` slice, so one that indexes its inputs panics on its first
-    /// step, and only after its own clock edge that was not proven an
-    /// identity (or a whole-design mark), taking its outputs as changed.
-    /// The graph relies on this to skip a block whose inputs and
-    /// state are unchanged since its last evaluation, and a sequential
-    /// block whose state is (see [`crate::Graph::step`]); a block that
-    /// read anything else — a clock, a counter of its own calls, shared
-    /// mutable data — would go stale.
+    /// step, and only after its own clock edge reported a change (or a
+    /// whole-design mark), taking its outputs as changed. The graph
+    /// relies on this to skip a block whose inputs and state are
+    /// unchanged since its last evaluation, and a sequential block whose
+    /// state is (see [`crate::Graph::step`]); a block that read anything
+    /// else — a clock, a counter of its own calls, shared mutable data —
+    /// would go stale.
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]);
 
-    /// Rising clock edge: latch next state from the settled `inputs`.
-    /// Combinational blocks keep the default no-op.
-    fn clock(&mut self, inputs: &[Fix]) {
+    /// Rising clock edge: latch next state from the settled `inputs`,
+    /// and report whether the edge changed it.
+    ///
+    /// Returns `false` only when the edge left the block's state
+    /// bit-identical, as [`Block::save_state`] would write it; `true` is
+    /// always safe, so a block may answer it where an exact compare would
+    /// cost more than the edge. The graph does not clock a block whose
+    /// last edge answered `false` until one of its inputs changes: with
+    /// the same state and inputs, its next edge would change nothing
+    /// again. Combinational blocks keep the default no-op, which changes
+    /// nothing.
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
         let _ = inputs;
+        false
     }
 
     /// True when some output depends combinationally on some input.
@@ -66,29 +77,6 @@ pub trait Block {
     /// Estimated FPGA resources of the block's low-level implementation.
     fn resources(&self) -> Resources {
         Resources::ZERO
-    }
-
-    /// Quiescence hint for stall fast-forwarding: returns `true` only
-    /// when, given the settled `inputs` of the current cycle, a clock
-    /// edge would leave the block's sequential state (and therefore its
-    /// outputs on every later evaluate) bit-identical. With every block
-    /// of a design quiescent and every gateway input held constant, the
-    /// design is a fixed point and whole stalled stretches can be
-    /// skipped in one jump.
-    ///
-    /// The contract is *conservative*: `false` is always safe (the
-    /// default, and correct for combinational blocks whose outputs the
-    /// graph checks separately), while `true` must be exact — a block
-    /// that claims quiescence and then changes state breaks
-    /// cycle-accuracy.
-    ///
-    /// Like [`Block::eval`], the answer must be a function of the block's
-    /// state and `inputs` only. The graph does not clock a block whose
-    /// last edge was answered `true` until one of its inputs changes, so
-    /// the answer stands for every later cycle with the same inputs.
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        let _ = inputs;
-        false
     }
 
     /// Appends the block's sequential state to `out` as raw `u64` words
@@ -105,8 +93,10 @@ pub trait Block {
     /// same number of words from the front of `src`.
     ///
     /// # Panics
-    /// Implementations panic if `src` runs dry — a snapshot/graph
-    /// mismatch is a caller bug, not a recoverable condition.
+    /// Implementations panic (through [`state_word`]) if `src` runs dry.
+    /// [`crate::Graph::load_state`] pads each node's frame with zero
+    /// words, so a restore through the graph never does; a block driven
+    /// by hand with a short frame is a caller bug.
     fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
         let _ = src;
     }

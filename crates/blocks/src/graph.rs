@@ -29,8 +29,8 @@
 //!   the whole design was marked;
 //! * **clock** — a source value changed since the node last clocked
 //!   (sequential blocks only);
-//! * **unsettled** — the node's last clock edge was not proven an
-//!   identity by [`Block::is_quiescent`] on the inputs it clocked from.
+//! * **unsettled** — the node's last clock edge reported a change (see
+//!   [`Block::clock`]).
 //!
 //! Marks are set as follows:
 //!
@@ -44,17 +44,16 @@
 //!   node's fresh raw output words are compared with the ones they
 //!   overwrite, and only a change marks its consumers. A sequential block
 //!   presents its state alone and is evaluated with no inputs, and only
-//!   after a wake or its own clock edge that was not proven an identity,
-//!   so it marks its consumers with no compare. A consumer gets the mark
+//!   after a wake or its own clock edge that reported a change, so it
+//!   marks its consumers with no compare. A consumer gets the mark
 //!   a changed source sets: eval for a combinational block, which the
 //!   schedule runs later in this step, and clock for a sequential block,
 //!   which latches the new value in this step's clock phase.
 //! * **Clock.** A sequential block is clocked only if it has a clock
 //!   mark or is unsettled. It reads its sources as a borrowed slice of
 //!   the value array when [`Graph::compile`] found them contiguous, and
-//!   from a gathered copy otherwise. It is asked [`Block::is_quiescent`]
-//!   first, then clocked, and stays unsettled exactly when the answer was
-//!   no.
+//!   from a gathered copy otherwise. It stays unsettled exactly when its
+//!   edge reported a change.
 //! * **Skip.** With no node marked, `step` only advances the cycle
 //!   counter, counts one toggle-free activity cycle and records every
 //!   probe's (unchanged) value.
@@ -62,15 +61,16 @@
 //! Soundness: a combinational block's outputs are a function of its
 //! state and input values, a sequential block's of its state alone, each
 //! output stays in its port's format (so its raw word decides a change),
-//! and `is_quiescent` is exact (see [`Block`]). A combinational node that
-//! is skipped reads input values bit-identical to those of its last
-//! evaluation — any change since then would have marked it. A
-//! sequential node that is skipped holds the state of its last
-//! evaluation: every clock edge since then was proven an identity, or it
-//! would be unsettled. Either way it would recompute the outputs it
-//! already holds. A sequential block that is not clocked holds the state
-//! and inputs of a clock edge that was proven an identity, so its next
-//! edge would be that identity again. Every skipped evaluation and clock
+//! and a clock edge reports `false` only when it left the block's state
+//! bit-identical (see [`Block`]). A combinational node that is skipped
+//! reads input values bit-identical to those of its last evaluation —
+//! any change since then would have marked it. A sequential node that is
+//! skipped holds the state of its last evaluation: every clock edge
+//! since then reported no change, or it would be unsettled. Either way it
+//! would recompute the outputs it already holds. A sequential block that
+//! is not clocked holds the state and inputs of a clock edge that changed
+//! nothing, and the same state and inputs give the same edge, so its next
+//! edge would change nothing again. Every skipped evaluation and clock
 //! edge is therefore one a full step would have spent reproducing what
 //! it already had. A mark with no change behind it (a sequential
 //! evaluation that reproduced its outputs) costs work and no accuracy:
@@ -263,7 +263,7 @@ pub struct Graph {
 const EVAL: u8 = 1;
 /// Node mark: a source value changed since the node last clocked.
 const CLOCK: u8 = 2;
-/// Node mark: the node's last clock edge was not proven an identity.
+/// Node mark: the node's last clock edge reported a change.
 const UNSETTLED: u8 = 4;
 
 /// `plan_run` entry of a node whose sources are not contiguous in
@@ -568,8 +568,8 @@ impl Graph {
     /// True when the design is compiled and no node is marked: a step
     /// that stores no new gateway value evaluates and clocks nothing and
     /// changes no port value, and so does every step after it (see the
-    /// module docs). One flag read — the cheap half of
-    /// [`Graph::is_quiescent`], which this implies.
+    /// module docs). One flag read; the precondition of
+    /// [`Graph::fast_forward`].
     #[inline]
     pub fn asleep(&self) -> bool {
         self.compiled && !self.awake
@@ -679,10 +679,10 @@ impl Graph {
                 }
                 // A sequential block presents its state alone, and is
                 // evaluated only after a wake or its own clock edge that
-                // was not proven an identity: it marks its consumers
-                // without a change test. A consumer marked for nothing
-                // costs one evaluation that changes nothing, or one clock
-                // edge that `is_quiescent` proves an identity.
+                // reported a change: it marks its consumers without a
+                // change test. A consumer marked for nothing costs one
+                // evaluation that changes nothing, or one clock edge that
+                // reports none.
                 Kind::Block(b) if touch[i] == CLOCK => {
                     b.eval(&[], &mut values[out]);
                     true
@@ -722,10 +722,8 @@ impl Graph {
             let (s, e) = plan_range[i];
             let ins = sources(values, &plan_src[s as usize..e as usize], plan_run[i], scratch);
             if let Kind::Block(b) = &mut nodes[i].kind {
-                let quiescent = b.is_quiescent(ins);
-                b.clock(ins);
                 marks[i] &= !(CLOCK | UNSETTLED);
-                if !quiescent {
+                if b.clock(ins) {
                     marks[i] |= UNSETTLED;
                 }
             }
@@ -740,75 +738,20 @@ impl Graph {
         }
     }
 
-    /// True when the compiled design is at a fixed point: every node's
-    /// evaluate reproduces its settled output values from the settled
-    /// source values, and every sequential block reports (via
-    /// [`Block::is_quiescent`]) that a clock edge would leave its state
-    /// bit-identical. By induction along the topological schedule, a
-    /// [`Graph::step`] of a quiescent design changes nothing, and with
-    /// the gateway inputs held constant the design stays quiescent for
-    /// any number of further steps — the soundness condition for
-    /// [`Graph::fast_forward`].
-    ///
-    /// Conservative: `false` only means quiescence could not be proven.
-    /// A design with no node marked answers `true` at once: every node
-    /// would reproduce its last evaluation and clock edge (see the module
-    /// docs).
-    ///
-    /// # Panics
-    /// Panics if the graph is not compiled.
-    pub fn is_quiescent(&self) -> bool {
-        assert!(self.compiled, "Graph::compile must succeed before is_quiescent");
-        if !self.awake {
-            return true;
-        }
-        let mut buf: Vec<Fix> = Vec::new();
-        let mut outs: Vec<Fix> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let (s, e) = self.plan_range[i];
-            let src = &self.plan_src[s as usize..e as usize];
-            let ins = sources(&self.values, src, self.plan_run[i], &mut buf);
-            let off = node.val_off as usize;
-            let len = node.val_len as usize;
-            match &node.kind {
-                Kind::Block(b) => {
-                    let sequential = !b.is_combinational();
-                    outs.clear();
-                    outs.resize(len, Fix::zero(FixFmt::BOOL));
-                    b.eval(if sequential { &[] } else { ins }, &mut outs);
-                    let same = outs
-                        .iter()
-                        .zip(&self.values[off..off + len])
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    if !same {
-                        return false;
-                    }
-                    if sequential && !b.is_quiescent(ins) {
-                        return false;
-                    }
-                }
-                Kind::Input { bits, .. } => {
-                    if *bits != self.values[off].to_bits() {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Advances the cycle counter by `n` cycles in one jump, exactly as
-    /// if [`Graph::step`] had run `n` times on a quiescent design: port
-    /// values and block state are untouched and the activity
-    /// measurement accrues `n` toggle-free cycles. The caller must have
-    /// established [`Graph::is_quiescent`] and must keep the gateway
-    /// inputs unchanged; scope probes must not be attached (they record
-    /// one sample per stepped cycle — see [`Graph::has_probes`]).
+    /// if [`Graph::step`] had run `n` times on a design with no node
+    /// marked: port values and block state are untouched and the
+    /// activity measurement accrues `n` toggle-free cycles. The design
+    /// must be [`Graph::asleep`] (a debug build checks), and the caller
+    /// must keep the gateway inputs unchanged; scope probes must not be
+    /// attached (they record one sample per stepped cycle — see
+    /// [`Graph::has_probes`]).
     ///
     /// # Panics
     /// Panics if the graph is not compiled.
     pub fn fast_forward(&mut self, n: u64) {
         assert!(self.compiled, "Graph::compile must succeed before fast_forward");
+        debug_assert!(self.asleep(), "fast_forward of an awake design would skip its edges");
         debug_assert!(self.probes.is_empty(), "fast_forward would skip probe samples");
         if let Some(act) = &mut self.activity {
             act.cycles += n;
@@ -1023,7 +966,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library::{AddSub, AddSubOp, Constant, Delay};
+    use crate::library::{AddSub, AddSubOp, Constant, Delay, Mult};
 
     const I16: FixFmt = FixFmt::INT16;
 
@@ -1150,12 +1093,12 @@ mod tests {
         assert!(f < 0.05, "held-constant design barely toggles: {f}");
     }
 
-    /// Quiescence: a delay line driven by a held-constant input becomes
-    /// quiescent once the line is saturated, and a fast-forward jump is
-    /// then indistinguishable from stepping (state, outputs, cycle
-    /// count, activity).
+    /// A delay line driven by a held-constant input falls asleep once
+    /// the line is saturated, and a fast-forward jump is then
+    /// indistinguishable from stepping (state, outputs, cycle count,
+    /// activity).
     #[test]
-    fn quiescence_and_fast_forward_match_stepping() {
+    fn sleep_and_fast_forward_match_stepping() {
         let mut g = Graph::new();
         let x = g.gateway_in("x", I16);
         let d = g.add("d", Delay::new(I16, 3));
@@ -1165,9 +1108,9 @@ mod tests {
         g.enable_activity();
         g.set_input("x", Fix::from_int(7, I16)).unwrap();
         g.step();
-        assert!(!g.is_quiescent(), "delay line still filling");
+        assert!(!g.asleep(), "delay line still filling");
         g.run(3);
-        assert!(g.is_quiescent(), "saturated delay line is a fixed point");
+        assert!(g.asleep(), "saturated delay line is a fixed point");
         assert!(!g.has_probes());
 
         // Fast-forward 100 cycles, then verify a real step changes
@@ -1192,9 +1135,9 @@ mod tests {
             h.total_toggles()
         });
 
-        // Changing the held input breaks quiescence.
+        // Changing the held input wakes the design.
         g.set_input("x", Fix::from_int(8, I16)).unwrap();
-        assert!(!g.is_quiescent(), "changed gateway input is visible");
+        assert!(!g.asleep(), "changed gateway input is visible");
     }
 
     /// `asleep` is "no node marked": false until the design settles,
@@ -1213,7 +1156,7 @@ mod tests {
         assert!(!g.asleep(), "compile marks every node");
         let hx = g.input_handle("x").unwrap();
         g.run(3);
-        assert!(g.asleep() && g.is_quiescent());
+        assert!(g.asleep());
         g.set_input_fast(hx, Fix::from_int(0, I16));
         assert!(g.asleep(), "storing the held value marks nothing");
         g.set_input_fast(hx, Fix::from_int(5, I16));
@@ -1255,6 +1198,32 @@ mod tests {
             g.set_input_bits(hx, held.to_bits() | 0xFFFF_0000);
             assert!(g.asleep(), "storing the held value marks nothing: {value:?}");
         }
+    }
+
+    /// A pipelined multiplier is sequential: fed a held product, it
+    /// reports no change once its pipeline is full of that product, and
+    /// the design falls asleep.
+    #[test]
+    fn a_pipelined_mult_falls_asleep_on_a_held_input() {
+        let latency = 2;
+        let mut g = Graph::new();
+        let a = g.gateway_in("a", I16);
+        let b = g.gateway_in("b", I16);
+        let m = g.add("m", Mult::new(I16, latency));
+        g.wire(a, m, 0).unwrap();
+        g.wire(b, m, 1).unwrap();
+        g.gateway_out("p", m, 0);
+        g.compile().unwrap();
+        g.set_input("a", Fix::from_int(-3, I16)).unwrap();
+        g.set_input("b", Fix::from_int(7, I16)).unwrap();
+        for _ in 0..latency + 2 {
+            g.step();
+            if g.asleep() {
+                break;
+            }
+        }
+        assert!(g.asleep(), "still awake after {} steps", latency + 2);
+        assert_eq!(g.output("p").unwrap().raw(), -21);
     }
 
     #[test]

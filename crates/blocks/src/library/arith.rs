@@ -1,6 +1,7 @@
 //! Arithmetic blocks: constant, add/sub, multiplier, negate, absolute
 //! value, shift and format conversion.
 
+use super::shift;
 use crate::block::{state_word, Block};
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
 use crate::resource::Resources;
@@ -159,11 +160,12 @@ impl Block for Mult {
             *self.pipe.front().expect("pipeline holds `latency` entries")
         };
     }
-    fn clock(&mut self, inputs: &[Fix]) {
-        if self.latency > 0 {
-            self.pipe.pop_front();
-            self.pipe.push_back(self.compute(inputs));
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
+        if self.latency == 0 {
+            return false;
         }
+        let v = self.compute(inputs);
+        shift(&mut self.pipe, v)
     }
     fn is_combinational(&self) -> bool {
         self.latency == 0

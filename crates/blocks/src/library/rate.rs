@@ -2,6 +2,7 @@
 //! multiplication, thresholding, dual-port RAM — the rest of the standard
 //! System Generator blockset used by signal-processing designs.
 
+use super::latch;
 use crate::block::{bit, bool_of, state_word, Block};
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
 use crate::resource::Resources;
@@ -45,21 +46,18 @@ impl Block for DownSample {
         outputs[0] = self.held;
         outputs[1] = bit(self.phase == 0);
     }
-    fn clock(&mut self, inputs: &[Fix]) {
-        if self.phase == 0 {
-            self.held = inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate);
-        }
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
+        let latched = self.phase == 0
+            && latch(
+                &mut self.held,
+                inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate),
+            );
         self.phase = (self.phase + 1) % self.factor;
+        // The phase counter only holds still at factor 1.
+        latched || self.factor != 1
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        // The phase counter only holds still at factor 1, where every
-        // cycle re-latches the input.
-        self.factor == 1
-            && self.held.to_bits()
-                == inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate).to_bits()
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::ff_slices(self.fmt.word as u32) + 2)
@@ -113,19 +111,18 @@ impl Block for UpSample {
         outputs[0] = self.held;
         outputs[1] = bit(self.phase == 1 % self.factor.max(1));
     }
-    fn clock(&mut self, inputs: &[Fix]) {
-        if self.phase == 0 {
-            self.held = inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate);
-        }
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
+        let latched = self.phase == 0
+            && latch(
+                &mut self.held,
+                inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate),
+            );
         self.phase = (self.phase + 1) % self.factor;
+        // The phase counter only holds still at factor 1.
+        latched || self.factor != 1
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        self.factor == 1
-            && self.held.to_bits()
-                == inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate).to_bits()
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::ff_slices(self.fmt.word as u32) + 2)
@@ -252,34 +249,21 @@ impl Block for DualPortRam {
         outputs[0] = self.reg_a;
         outputs[1] = self.reg_b;
     }
-    fn clock(&mut self, inputs: &[Fix]) {
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
         let n = self.data.len().max(1);
         let addr_a = (inputs[0].raw().max(0) as usize) % n;
         let addr_b = (inputs[3].raw().max(0) as usize) % n;
-        if bool_of(&inputs[2]) {
-            self.data[addr_a] = inputs[1].convert(self.fmt, Overflow::Wrap, Rounding::Truncate);
-        }
-        self.reg_a = self.data[addr_a];
-        self.reg_b = self.data[addr_b];
+        let wrote = bool_of(&inputs[2])
+            && latch(
+                &mut self.data[addr_a],
+                inputs[1].convert(self.fmt, Overflow::Wrap, Rounding::Truncate),
+            );
+        let read_a = latch(&mut self.reg_a, self.data[addr_a]);
+        let read_b = latch(&mut self.reg_b, self.data[addr_b]);
+        wrote || read_a || read_b
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        if self.data.is_empty() {
-            return true;
-        }
-        let n = self.data.len();
-        let addr_a = (inputs[0].raw().max(0) as usize) % n;
-        let addr_b = (inputs[3].raw().max(0) as usize) % n;
-        if bool_of(&inputs[2])
-            && self.data[addr_a].to_bits()
-                != inputs[1].convert(self.fmt, Overflow::Wrap, Rounding::Truncate).to_bits()
-        {
-            return false;
-        }
-        self.reg_a.to_bits() == self.data[addr_a].to_bits()
-            && self.reg_b.to_bits() == self.data[addr_b].to_bits()
     }
     fn resources(&self) -> Resources {
         let bits = self.data.len() as u32 * self.fmt.word as u32;

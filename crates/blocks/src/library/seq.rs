@@ -1,6 +1,7 @@
 //! Sequential blocks: delays, registers, counters, accumulators, FIFOs
 //! and memories.
 
+use super::{latch, shift};
 use crate::block::{bool_of, state_word, Block};
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
 use crate::resource::Resources;
@@ -40,17 +41,11 @@ impl Block for Delay {
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = *self.line.front().expect("line is non-empty");
     }
-    fn clock(&mut self, inputs: &[Fix]) {
-        self.line.pop_front();
-        self.line.push_back(inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate));
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
+        shift(&mut self.line, inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate))
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        // The line is saturated with the (converted) input value.
-        let v = inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate);
-        self.line.iter().all(|s| s.to_bits() == v.to_bits())
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::ff_slices(self.fmt.word as u32) * self.line.len() as u32)
@@ -100,19 +95,15 @@ impl Block for Register {
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.state;
     }
-    fn clock(&mut self, inputs: &[Fix]) {
-        if bool_of(&inputs[1]) {
-            self.state = inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate);
-        }
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
+        bool_of(&inputs[1])
+            && latch(
+                &mut self.state,
+                inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate),
+            )
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        // Disabled, or latching a value it already holds.
-        !bool_of(&inputs[1])
-            || inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate).to_bits()
-                == self.state.to_bits()
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::ff_slices(self.fmt.word as u32))
@@ -161,15 +152,13 @@ impl Block for Counter {
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = Fix::from_int(self.state as i64, self.fmt);
     }
-    fn clock(&mut self, _inputs: &[Fix]) {
+    fn clock(&mut self, _inputs: &[Fix]) -> bool {
         self.state = (self.state + 1) % self.modulo;
+        // A free-running counter only holds still at modulo 1.
+        self.modulo != 1
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, _inputs: &[Fix]) -> bool {
-        // A free-running counter only holds still at modulo 1.
-        self.modulo == 1
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::adder_slices(self.fmt.word as u32))
@@ -212,33 +201,18 @@ impl Block for Accumulator {
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.state;
     }
-    fn clock(&mut self, inputs: &[Fix]) {
-        if bool_of(&inputs[2]) {
-            self.state = Fix::zero(self.fmt);
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
+        let next = if bool_of(&inputs[2]) {
+            Fix::zero(self.fmt)
         } else if bool_of(&inputs[1]) {
-            self.state = self.state.add_full(&inputs[0]).convert(
-                self.fmt,
-                Overflow::Wrap,
-                Rounding::Truncate,
-            );
-        }
+            self.state.add_full(&inputs[0]).convert(self.fmt, Overflow::Wrap, Rounding::Truncate)
+        } else {
+            return false;
+        };
+        latch(&mut self.state, next)
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        if bool_of(&inputs[2]) {
-            return self.state.is_zero();
-        }
-        if bool_of(&inputs[1]) {
-            let next = self.state.add_full(&inputs[0]).convert(
-                self.fmt,
-                Overflow::Wrap,
-                Rounding::Truncate,
-            );
-            return next.to_bits() == self.state.to_bits();
-        }
-        true
     }
     fn resources(&self) -> Resources {
         Resources::slices(Resources::adder_slices(self.fmt.word as u32))
@@ -295,25 +269,17 @@ impl Block for SyncFifo {
         outputs[1] = crate::block::bit(!self.queue.is_empty());
         outputs[2] = crate::block::bit(self.queue.len() >= self.depth);
     }
-    fn clock(&mut self, inputs: &[Fix]) {
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
         // Pop before push so a simultaneous push+pop on a full FIFO works.
-        if bool_of(&inputs[2]) {
-            self.queue.pop_front();
-        }
-        if bool_of(&inputs[1]) && self.queue.len() < self.depth {
+        let popped = bool_of(&inputs[2]) && self.queue.pop_front().is_some();
+        let pushed = bool_of(&inputs[1]) && self.queue.len() < self.depth;
+        if pushed {
             self.queue.push_back(inputs[0].convert(self.fmt, Overflow::Wrap, Rounding::Truncate));
         }
+        popped || pushed
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        // An effective pop drains; an effective push (into spare
-        // capacity, after any pop) fills. Either changes the queue.
-        if bool_of(&inputs[2]) && !self.queue.is_empty() {
-            return false;
-        }
-        !(bool_of(&inputs[1]) && self.queue.len() < self.depth)
     }
     fn resources(&self) -> Resources {
         // Small FIFOs use SRL16 shift registers; deep/wide ones a BRAM.
@@ -375,28 +341,17 @@ impl Block for SinglePortRam {
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.read_reg;
     }
-    fn clock(&mut self, inputs: &[Fix]) {
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
         let addr = (inputs[0].raw().max(0) as usize) % self.data.len().max(1);
-        if bool_of(&inputs[2]) {
-            self.data[addr] = inputs[1].convert(self.fmt, Overflow::Wrap, Rounding::Truncate);
-        }
-        self.read_reg = self.data[addr];
+        let wrote = bool_of(&inputs[2])
+            && latch(
+                &mut self.data[addr],
+                inputs[1].convert(self.fmt, Overflow::Wrap, Rounding::Truncate),
+            );
+        latch(&mut self.read_reg, self.data[addr]) || wrote
     }
     fn is_combinational(&self) -> bool {
         false
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        if self.data.is_empty() {
-            return true;
-        }
-        let addr = (inputs[0].raw().max(0) as usize) % self.data.len();
-        if bool_of(&inputs[2])
-            && self.data[addr].to_bits()
-                != inputs[1].convert(self.fmt, Overflow::Wrap, Rounding::Truncate).to_bits()
-        {
-            return false;
-        }
-        self.read_reg.to_bits() == self.data[addr].to_bits()
     }
     fn resources(&self) -> Resources {
         let bits = self.data.len() as u32 * self.fmt.word as u32;

@@ -80,26 +80,25 @@ impl<B: Block + Clone> Block for Tmr<B> {
             *out = Fix::from_bits((a & b) | (a & c) | (b & c), self.output_fmt(i));
         }
     }
-    fn clock(&mut self, inputs: &[Fix]) {
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
+        // Every replica takes its edge, whatever the others report.
+        let mut changed = false;
         for r in &mut self.replicas {
-            r.clock(inputs);
+            changed |= r.clock(inputs);
         }
-        // Miscompares count in the clock phase only: the quiescence
-        // probe re-evaluates blocks at will, so an eval-side counter
-        // would diverge between stepped and fast-forwarded runs.
+        // Miscompares count in the clock phase only: the graph skips
+        // evaluations that would reproduce what it holds, so an
+        // eval-side counter would depend on the schedule. The counter is
+        // state, so a miscompare is a change, and a design keeps
+        // stepping (and counting) for as long as its replicas disagree.
         if !self.replicas_agree(inputs) {
             self.miscompares += 1;
+            changed = true;
         }
+        changed
     }
     fn is_combinational(&self) -> bool {
         self.replicas[0].is_combinational()
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        // Divergent replicas never report quiescent: the per-cycle
-        // miscompare counter must keep advancing under stepping, so a
-        // fast-forward jump over the divergence would break step/jump
-        // bit-identity (and hide the fault from detection).
-        self.replicas_agree(inputs) && self.replicas.iter().all(|r| r.is_quiescent(inputs))
     }
     fn resources(&self) -> Resources {
         // Three full replicas plus the voter: one 3-input majority LUT
@@ -164,25 +163,23 @@ mod tests {
         t.eval(&hold, &mut out);
         assert_eq!(out[0].to_bits(), 0x55, "majority masks the upset replica");
         // ...and the divergence is counted on the next clock, not during
-        // eval (which must stay side-effect free).
+        // eval (which must stay side-effect free), and reported as a
+        // change even though every replica held its value.
         assert_eq!(t.miscompares(), 0);
-        t.clock(&hold);
+        assert!(t.clock(&hold), "a miscompare changes the counter");
         assert_eq!(t.miscompares(), 1);
-        assert!(!t.is_quiescent(&hold), "divergent replicas must refuse quiescence");
     }
 
     #[test]
-    fn quiescence_matches_inner_once_replicas_agree() {
+    fn agreeing_replicas_report_what_the_inner_block_reports() {
         let fmt = FixFmt::unsigned(16, 0);
-        let t = Tmr::new(Register::zeroed(fmt));
-        for enable in [0, 1] {
-            let ins = [Fix::zero(fmt), Fix::from_int(enable, FixFmt::BOOL)];
-            assert_eq!(
-                t.is_quiescent(&ins),
-                Register::zeroed(fmt).is_quiescent(&ins),
-                "agreeing TMR defers to the inner block's quiescence (enable {enable})"
-            );
+        let mut t = Tmr::new(Register::zeroed(fmt));
+        let mut inner = Register::zeroed(fmt);
+        for (value, enable) in [(0, 1), (7, 0), (7, 1), (7, 1), (3, 0)] {
+            let ins = [fix(value), Fix::from_int(enable, FixFmt::BOOL)];
+            assert_eq!(t.clock(&ins), inner.clock(&ins), "value {value}, enable {enable}");
         }
+        assert_eq!(t.miscompares(), 0);
     }
 
     #[test]

@@ -6,13 +6,17 @@
 //! restoring its own snapshot before every step (`load_state` marks every
 //! node), so the oracle needs no switch in the graph itself. Every cycle
 //! the two must agree on the saved state, the gateway outputs, the probe
-//! samples, the activity counts, the detected faults and the answer to
-//! `is_quiescent`.
+//! samples, the activity counts and the detected faults. Whenever the
+//! fast design is asleep, a full step of the reference's state must
+//! change nothing but the cycle count.
 //!
 //! A sequential block presents its state alone, so a changed source only
-//! gets it clocked. Two smaller tests pin that rule: a register that reads
-//! its input in `eval` panics on its first step, and a counting wrapper
-//! over the CORDIC pipeline checks when its sequential blocks evaluate.
+//! gets it clocked, and it is evaluated again only after its own clock
+//! edge reported a change. Two smaller tests pin that rule: a register
+//! that reads its input in `eval` panics on its first step, and a
+//! counting wrapper over the CORDIC pipeline checks when its sequential
+//! blocks evaluate and that each edge reporting no change left the
+//! block's state as it was.
 
 use softsim_apps::cordic::hardware::{
     cordic_graph, cordic_graph_tmr, CordicPe, Deserializer, Serializer,
@@ -254,6 +258,11 @@ fn random_design(mut rng: Rng) -> (Graph, Vec<String>) {
 struct Twin {
     fast: Graph,
     reference: Graph,
+    /// A third copy of the design, loaded with the reference's snapshot
+    /// and stepped once whenever the fast design is asleep. Stepping the
+    /// reference itself would add to its probe samples and activity
+    /// counts.
+    still: Graph,
     probes: Vec<String>,
     /// Evaluations the fast design performed (its source-free [`Spy`]
     /// count): one per step that follows a whole-design mark.
@@ -267,8 +276,7 @@ struct Twin {
     reference_evals: Rc<Cell<u64>>,
     /// Cycles stepped so far.
     steps: u64,
-    /// Steps begun with no node of the fast design marked: its
-    /// `is_quiescent` answered `true` without evaluating a node.
+    /// Steps begun with the fast design asleep (no node marked).
     slept: u64,
     /// Steps begun with no node marked that changed exactly one
     /// gateway, by gateway: each evaluates that gateway's downstream
@@ -283,8 +291,10 @@ impl Twin {
     fn new(build: impl Fn() -> (Graph, Vec<String>), activity: bool) -> Twin {
         let (mut fast, probes) = build();
         let (mut reference, _) = build();
+        let (mut still, _) = build();
         let evals = spy_on(&mut fast);
         let reference_evals = spy_on(&mut reference);
+        spy_on(&mut still);
         if activity {
             fast.enable_activity();
             reference.enable_activity();
@@ -292,6 +302,7 @@ impl Twin {
         Twin {
             fast,
             reference,
+            still,
             probes,
             evals,
             wakes: 0,
@@ -309,22 +320,23 @@ impl Twin {
     fn step(&mut self, stimulus: &[(&'static str, Fix)], ctx: &str) {
         let snapshot = self.reference.save_state();
         self.reference.load_state(&snapshot);
-        // The reference, marked whole, answers `is_quiescent` by the full
-        // scan; the fast design answers at once when nothing is marked.
-        // The scan evaluates every node, the spies included, so the spy
-        // counts are put back after it: they count stepped evaluations.
-        let (evals, reference_evals) = (self.evals.get(), self.reference_evals.get());
-        let quiet = self.fast.is_quiescent();
-        assert_eq!(quiet, self.reference.is_quiescent(), "{ctx}: is_quiescent");
-        if quiet && self.evals.get() == evals {
+        if self.fast.asleep() {
             self.slept += 1;
             let mut changed = stimulus.iter().zip(&self.last).filter(|(a, b)| a != b);
             if let (Some((a, _)), None) = (changed.next(), changed.next()) {
                 *self.partial.entry(a.0).or_default() += 1;
             }
+            // Asleep, the design is at a fixed point of its held gateway
+            // values: a full step changes nothing but the cycle count.
+            self.still.load_state(&snapshot);
+            self.still.step();
+            let after = self.still.save_state();
+            assert_eq!(after.values, snapshot.values, "{ctx}: asleep, but a step moved a value");
+            assert_eq!(
+                after.block_words, snapshot.block_words,
+                "{ctx}: asleep, but a step moved block state"
+            );
         }
-        self.evals.set(evals);
-        self.reference_evals.set(reference_evals);
         for g in [&mut self.fast, &mut self.reference] {
             for &(name, value) in stimulus {
                 g.set_input(name, value).unwrap();
@@ -506,8 +518,9 @@ fn peripherals_sleep_like_they_step() {
 }
 
 /// A TMR design with one replica's state words flipped keeps counting
-/// miscompares each cycle exactly as stepping does: divergent replicas
-/// refuse quiescence, so the design never sleeps through the fault.
+/// miscompares each cycle exactly as stepping does: a miscompare changes
+/// the voter's counter, so its edge reports a change and the design never
+/// sleeps through the fault.
 #[test]
 fn upset_tmr_replicas_sleep_like_they_step() {
     let builds: [Peripheral; 2] = [
@@ -580,7 +593,7 @@ fn drained_cordic_sleeps_until_an_input_changes() {
     g.set_input_fast(valid, bit(0));
     g.set_input_fast(ctrl, bit(0));
     g.run(20);
-    assert!(g.is_quiescent(), "drained pipeline is a fixed point");
+    assert!(g.asleep(), "drained pipeline is a fixed point");
     assert_eq!(evals.get(), 1, "evaluated once, on the first step after compile");
 
     for _ in 0..100 {
@@ -597,7 +610,7 @@ fn drained_cordic_sleeps_until_an_input_changes() {
     g.set_input_fast(data, word(5));
     g.run(10);
     assert_eq!(evals.get(), 1, "a data word does not reach a source-free node");
-    assert!(g.is_quiescent(), "the changed word settles");
+    assert!(g.asleep(), "the changed word settles");
 
     // Restoring a snapshot, the current one or the power-on one, marks
     // every node.
@@ -665,8 +678,9 @@ impl Block for PeekingRegister {
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = Fix::from_int(self.0.raw().wrapping_add(inputs[0].raw()), I16);
     }
-    fn clock(&mut self, inputs: &[Fix]) {
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
         self.0 = inputs[0];
+        true
     }
     fn is_combinational(&self) -> bool {
         false
@@ -691,8 +705,8 @@ fn a_sequential_block_reading_its_inputs_panics_on_its_first_step() {
 struct Ledger {
     /// The step the design is about to take.
     step: u64,
-    /// Per node: it may evaluate, because its last clock edge was not
-    /// proven an identity or the whole design was marked since.
+    /// Per node: it may evaluate, because its last clock edge reported a
+    /// change or the whole design was marked since.
     due: Vec<bool>,
     /// Per node: the step of its last evaluation.
     last_eval: Vec<Option<u64>>,
@@ -758,21 +772,30 @@ impl<B: Block> Block for Counted<B> {
         l.last_eval[self.id] = Some(step);
         self.inner.eval(inputs, outputs);
     }
-    fn clock(&mut self, inputs: &[Fix]) {
-        let quiescent = self.inner.is_quiescent(inputs);
+    fn clock(&mut self, inputs: &[Fix]) -> bool {
+        let state = |b: &B| {
+            let mut words = Vec::new();
+            b.save_state(&mut words);
+            words
+        };
+        let before = state(&self.inner);
+        let changed = self.inner.clock(inputs);
         let mut l = self.ledger.borrow_mut();
+        assert!(
+            changed || state(&self.inner) == before,
+            "node {} reported no change at step {}, but its state moved",
+            self.id,
+            l.step
+        );
         if l.last_inputs[self.id] != inputs && l.last_eval[self.id] != Some(l.step) {
             l.saved += 1;
         }
         l.last_inputs[self.id] = inputs.to_vec();
-        l.due[self.id] |= !quiescent;
-        self.inner.clock(inputs);
+        l.due[self.id] |= changed;
+        changed
     }
     fn is_combinational(&self) -> bool {
         self.inner.is_combinational()
-    }
-    fn is_quiescent(&self, inputs: &[Fix]) -> bool {
-        self.inner.is_quiescent(inputs)
     }
     fn save_state(&self, out: &mut Vec<u64>) {
         self.inner.save_state(out);
@@ -830,8 +853,8 @@ fn cordic_stream() -> Vec<[u64; 3]> {
 }
 
 /// Every evaluation of a sequential CORDIC block follows that block's
-/// own clock edge that was not proven an identity, or a whole-design
-/// mark (compile, restore); a changed source alone gets it
+/// own clock edge that reported a change, or a whole-design mark
+/// (compile, restore); a changed source alone gets it
 /// clocked, not evaluated. The counted design computes what the plain
 /// `cordic_graph(4)` does, cycle by cycle, and the clock edges on
 /// changed inputs that evaluated nothing count the work this saves.
