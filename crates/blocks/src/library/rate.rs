@@ -221,8 +221,9 @@ pub struct DualPortRam {
 }
 
 impl DualPortRam {
-    /// A RAM of `words` entries.
+    /// A RAM of `words` entries (at least one).
     pub fn new(fmt: FixFmt, words: usize) -> DualPortRam {
+        assert!(words >= 1, "a RAM must have at least one word");
         DualPortRam {
             fmt,
             data: vec![Fix::zero(fmt); words],
@@ -250,7 +251,7 @@ impl Block for DualPortRam {
         outputs[1] = self.reg_b;
     }
     fn clock(&mut self, inputs: &[Fix]) -> bool {
-        let n = self.data.len().max(1);
+        let n = self.data.len();
         let addr_a = (inputs[0].raw().max(0) as usize) % n;
         let addr_b = (inputs[3].raw().max(0) as usize) % n;
         let wrote = bool_of(&inputs[2])
@@ -364,5 +365,11 @@ mod tests {
         ram.eval(&[], &mut out);
         assert_eq!(out[0].raw(), 0);
         assert_eq!(out[1].raw(), 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one word")]
+    fn a_dual_port_ram_of_no_words_is_rejected() {
+        DualPortRam::new(I16, 0);
     }
 }

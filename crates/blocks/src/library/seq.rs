@@ -319,8 +319,9 @@ pub struct SinglePortRam {
 }
 
 impl SinglePortRam {
-    /// A RAM of `words` entries.
+    /// A RAM of `words` entries (at least one).
     pub fn new(fmt: FixFmt, words: usize) -> SinglePortRam {
+        assert!(words >= 1, "a RAM must have at least one word");
         SinglePortRam { fmt, data: vec![Fix::zero(fmt); words], read_reg: Fix::zero(fmt) }
     }
 }
@@ -342,7 +343,7 @@ impl Block for SinglePortRam {
         outputs[0] = self.read_reg;
     }
     fn clock(&mut self, inputs: &[Fix]) -> bool {
-        let addr = (inputs[0].raw().max(0) as usize) % self.data.len().max(1);
+        let addr = (inputs[0].raw().max(0) as usize) % self.data.len();
         let wrote = bool_of(&inputs[2])
             && latch(
                 &mut self.data[addr],
@@ -567,6 +568,12 @@ mod tests {
         ram.clock(&[addr(3), Fix::zero(I16), bit(false)]);
         ram.eval(&[], &mut out);
         assert_eq!(out[0].raw(), 77);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one word")]
+    fn a_ram_of_no_words_is_rejected() {
+        SinglePortRam::new(I16, 0);
     }
 
     #[test]

@@ -874,20 +874,24 @@ impl CoSim {
         let mut executed: u64 = 0;
         while executed < max_cycles {
             if fast {
-                // Translated-block fast path: run straight-line guest
-                // code through the ISS block cache. The hardware side
-                // replays the block's cycles, jumping each peripheral
-                // once it goes idle (see `replay_peripherals`): up to
-                // each FSL transfer's issue cycle when the block reaches
-                // it, so the transfer sees the FIFOs the stepped loop
-                // would show it, and from the last such cycle
-                // (`replayed`) to the block's end afterwards. The block
-                // is capped below the watchdog's remaining headroom so a
-                // deadlock the stepped path would detect mid-block keeps
-                // the fast path out entirely — and since every block ends
-                // with a retired instruction, re-anchoring the watchdog
-                // afterwards reproduces exactly what per-cycle
-                // `check_liveness` calls would have left behind.
+                // Translated-block fast path: run guest code through the
+                // ISS block cache, one dispatch chaining block after block
+                // across branches until a boundary needs this loop (a
+                // taken delayed branch, `halt`, a transfer that would
+                // stall, the cap). The hardware side replays the
+                // dispatch's cycles, jumping each peripheral once it goes
+                // idle (see `replay_peripherals`): up to each FSL
+                // transfer's issue cycle when the dispatch reaches it, in
+                // whichever block, so the transfer sees the FIFOs the
+                // stepped loop would show it, and from the last such
+                // cycle (`replayed`) to the dispatch's end afterwards. The
+                // dispatch is capped below the watchdog's remaining
+                // headroom so a deadlock the stepped path would detect
+                // mid-dispatch keeps the fast path out entirely — and
+                // since every block ends with a retired instruction,
+                // re-anchoring the watchdog afterwards reproduces exactly
+                // what per-cycle `check_liveness` calls would have left
+                // behind.
                 let mut cap = max_cycles - executed;
                 if let Some(wd) = &self.watchdog {
                     cap = cap.min((wd.threshold - wd.stalled_cycles).saturating_sub(1));

@@ -10,9 +10,10 @@
 //! stored with their cycle costs annotated at translation time.
 //! Re-entering the block runs the ops back to back through the
 //! interpreter's own executor — no refetch, no redecode, no per-cycle
-//! pipeline state machine — and charges the block's cycles and
-//! instructions once, when it exits: exactly what the interpreter would
-//! have charged instruction by instruction.
+//! pipeline state machine — and goes on into the blocks after it (see
+//! *Chaining*), charging the cycles and instructions once, when the
+//! dispatch exits: exactly what the interpreter would have charged
+//! instruction by instruction.
 //!
 //! # Block boundaries
 //!
@@ -21,20 +22,49 @@
 //! * a **branch** (`br`/`bcc`/`rtsd`) — included as the final step, so
 //!   the taken/not-taken cycle split annotated at translation time is
 //!   applied from the run-time [`ExecOutcome`];
-//! * an **`imm` prefix** — excluded: the prefixed pair executes
-//!   interpreted so the latch never spans a dispatch boundary;
+//! * an **`imm` prefix that cannot fuse** (see below) — excluded: the
+//!   prefix and the instruction that takes its latch run interpreted;
 //! * **`halt`**, an undecodable word, or the end of the loaded program
 //!   image — excluded (the interpreter raises the identical fault/halt,
 //!   and code outside the image always runs interpreted);
 //! * an instruction whose optional unit the configuration omits —
 //!   included as the final step, an op that raises the interpreter's
 //!   fault;
-//! * [`MAX_BLOCK_LEN`] instructions (a translation-size bound).
+//! * [`MAX_BLOCK_LEN`] words (a translation-size bound that
+//!   [`Translator::note_store`]'s lookback relies on).
+//!
+//! An `imm` prefix **fuses** with the instruction after it when that one
+//! lies inside the image and is not an `imm`, `halt` or FSL instruction:
+//! the prefix becomes a one-cycle step that changes nothing (`or r0, r0,
+//! r0`), and the next step is resolved with the latched upper half
+//! already folded in, as the interpreter resolves it. Nothing can end a
+//! block between the two (the prefix can neither fault nor store, and a
+//! pair that would straddle [`MAX_BLOCK_LEN`] starts the next block), so
+//! the latch never outlives a dispatch.
 //!
 //! FSL instructions (`get`/`put`) stay inside blocks. Each one starts a
 //! *segment*: the block's steps between two FSL steps run in a loop that
 //! tests nothing per step, so a block without FSL steps pays nothing for
 //! them.
+//!
+//! # Chaining
+//!
+//! A dispatch does not return at a block's end. It applies the final
+//! step's PC sequencing as the interpreter's `retire` does, looks up the
+//! block at the new PC (translating it on a miss), and runs it in the same
+//! dispatch. The chain stops at:
+//!
+//! * a taken delayed branch — its delay slot runs interpreted;
+//! * a PC that is unaligned or outside the image;
+//! * an empty block (the PC sits on `halt`, an unfusable `imm`, an
+//!   undecodable word);
+//! * a block whose worst-case cycles do not fit what is left of the
+//!   budget;
+//! * a fault, a store into cached code, or a transfer that would stall —
+//!   the exits of a single block.
+//!
+//! The dispatch charges its cycles, instructions and counters once, when
+//! it exits, for every block it ran.
 //!
 //! # FSL transfers inside a block
 //!
@@ -59,15 +89,18 @@
 //! anything needs per-instruction or per-cycle visibility: an attached
 //! trace sink or architectural trace, breakpoints, an OPB bus, a
 //! pending `imm` latch or delay slot, a pipeline that is not at an
-//! instruction boundary (an FSL stall included), or a block whose
+//! instruction boundary (an FSL stall included), or a first block whose
 //! worst-case cycles exceed the remaining budget (the interpreter then
-//! single-steps to the exact mid-instruction stop state). Between two
-//! FSL steps the processor touches no FSL channel, so the rest of the
-//! system may replay those cycles after the block in any order that
-//! keeps each channel's own; at an FSL step the `sync` callback gives
+//! single-steps to the exact mid-instruction stop state). None of these
+//! can change inside a dispatch, and a chained block leaves no latch or
+//! slot pending, so every block of a chain starts where a dispatch could
+//! have started. Between two FSL steps the processor touches no FSL
+//! channel, so the rest of the system may replay those cycles after the
+//! dispatch in any order that keeps each channel's own, across any
+//! number of chained blocks; at an FSL step the `sync` callback gives
 //! the rest of the system its turn. Stores into cached code invalidate
 //! the covering blocks; a block checks for that after each of its stores
-//! and stops there, charging exactly the prefix that ran, so
+//! and ends the dispatch there, charging exactly the prefix that ran, so
 //! self-modifying programs re-translate and stay bit-exact. A fault
 //! mid-block charges the prefix and the faulting issue cycle, as the
 //! interpreter does. A snapshot restore keeps every cached block when
@@ -92,7 +125,8 @@ pub struct TranslationStats {
     /// Basic blocks decoded into the cache (including empty ones that
     /// only record a boundary).
     pub blocks_translated: u64,
-    /// Successful block dispatches by the run loop.
+    /// Successful dispatches by the run loop, each running one block or
+    /// a chain of them.
     pub block_dispatches: u64,
     /// Instructions executed through the translated path.
     pub translated_instructions: u64,
@@ -106,14 +140,15 @@ pub enum TranslatedRun {
     /// Translation was ineligible here; nothing happened — the caller
     /// must fall back to [`Cpu::tick`].
     NotRun,
-    /// A block (or a prefix of one, when invalidated mid-flight)
-    /// executed; `cycles` were consumed and the pipeline is back at an
+    /// A block, or a chain of them, executed (the last one perhaps only
+    /// in part, when a store invalidated cached code or a transfer would
+    /// stall); `cycles` were consumed and the pipeline is back at an
     /// instruction boundary.
     Ran {
         /// Cycles charged (identical to what the interpreter charges).
         cycles: u64,
     },
-    /// An instruction in the block faulted; the processor is halted,
+    /// An instruction in the dispatch faulted; the processor is halted,
     /// exactly as [`Cpu::tick`] would leave it.
     Faulted {
         /// Cycles charged up to and including the faulting issue cycle.
@@ -248,6 +283,13 @@ impl Translator {
         self.code_lo.min(self.code_hi) as usize..self.code_hi as usize
     }
 
+    /// Whether a block may be entered at `pc`: inside the image, and
+    /// word-aligned (the slot cache is direct-mapped by word index; an
+    /// unaligned PC would alias the aligned word's slot).
+    fn enterable(&self, pc: u32) -> bool {
+        pc & 3 == 0 && self.image.contains(&pc)
+    }
+
     /// The cached block entered at `pc`, if any.
     fn lookup(&self, pc: u32) -> Option<&Rc<Block>> {
         self.slots.get((pc >> 2) as usize).and_then(|s| s.as_ref())
@@ -332,16 +374,14 @@ impl Cpu {
             && self.imm_latch.is_none()
             && !self.in_delay_slot
             && self.delay_target.is_none()
-            // The slot cache is direct-mapped by word index; an
-            // unaligned PC would alias the aligned word's slot.
-            && self.pc & 3 == 0
-            && self.translator.image.contains(&self.pc)
+            && self.translator.enterable(self.pc)
     }
 
     /// Decodes the basic block starting at `pc` into the cache. Returns
     /// the cached block (possibly empty when `pc` sits directly on a
     /// boundary instruction — cached anyway so repeat dispatches don't
     /// re-decode).
+    #[inline(never)]
     fn translate_block(&mut self, pc: u32) -> Rc<Block> {
         // Grow the direct-mapped slot table up to the highest entry PC
         // translated (inside the program, so inside guest memory);
@@ -356,17 +396,32 @@ impl Cpu {
         let mut worst: u64 = 0;
         while steps.len() < MAX_BLOCK_LEN && self.translator.image.contains(&at) {
             let Ok(word) = self.mem.read_u32(at) else { break };
-            let Ok(inst) = decode(word) else { break };
+            let Ok(mut inst) = decode(word) else { break };
+            // Blocks start with no `imm` latch; a fused pair folds its
+            // prefix's latch into the next step.
+            let mut latch = None;
             match inst {
-                Inst::Imm { .. } | Inst::Halt => break,
+                Inst::Halt => break,
+                Inst::Imm { imm } => {
+                    // A pair is never split, so no block exceeds
+                    // `MAX_BLOCK_LEN` words (`note_store` relies on it).
+                    let next = at.wrapping_add(4);
+                    let Some(suffix) = self.fusable_suffix(next) else { break };
+                    if steps.len() + 2 > MAX_BLOCK_LEN {
+                        break;
+                    }
+                    let op = Op::resolve(&Inst::NOP, at, None, &self.config);
+                    steps.push(Step { op, base: 1, taken: 1 });
+                    worst += 1;
+                    (at, inst, latch) = (next, suffix, Some(imm));
+                }
                 Inst::Get { .. } | Inst::Put { .. } => transfers.push(steps.len() as u8),
                 _ => {}
             }
             let base = inst.base_cycles();
             let taken = base + inst.taken_penalty();
             worst += base.max(taken) as u64;
-            // Blocks start with no `imm` latch and hold no `imm`.
-            let op = Op::resolve(&inst, at, None, &self.config);
+            let op = Op::resolve(&inst, at, latch, &self.config);
             steps.push(Step { op, base: base as u16, taken: taken as u16 });
             at = at.wrapping_add(4);
             // Nothing after a branch or a disabled-unit fault is reached.
@@ -398,11 +453,37 @@ impl Cpu {
         block
     }
 
-    /// Executes one translated basic block at the current PC, charging
-    /// at most `max_cycles` cycles, or returns
-    /// [`TranslatedRun::NotRun`] without touching any state when the
-    /// fast path is ineligible here (the caller then falls back to
-    /// [`Cpu::tick`], which produces bit-identical results).
+    /// The cached block entered at `pc`, translated now if there is none.
+    /// A chaining dispatch asks this once per block it runs, so the hit
+    /// path is inlined and translation, the rare miss, is not.
+    #[inline(always)]
+    fn block_at(&mut self, pc: u32) -> Rc<Block> {
+        match self.translator.lookup(pc) {
+            Some(b) => b.clone(),
+            None => self.translate_block(pc),
+        }
+    }
+
+    /// The instruction at `pc` when an `imm` prefix just before it fuses
+    /// with it: inside the image, decodable, and not an `imm`, `halt` or
+    /// FSL instruction (a blocking transfer may end its block before
+    /// itself, which would split the pair).
+    fn fusable_suffix(&self, pc: u32) -> Option<Inst> {
+        if !self.translator.image.contains(&pc) {
+            return None;
+        }
+        let inst = decode(self.mem.read_u32(pc).ok()?).ok()?;
+        let unfusable =
+            matches!(inst, Inst::Imm { .. } | Inst::Halt | Inst::Get { .. } | Inst::Put { .. });
+        (!unfusable).then_some(inst)
+    }
+
+    /// Executes the translated block at the current PC, and the blocks
+    /// it chains into (see the module docs), charging at most
+    /// `max_cycles` cycles, or returns [`TranslatedRun::NotRun`] without
+    /// touching any state when the fast path is ineligible here (the
+    /// caller then falls back to [`Cpu::tick`], which produces
+    /// bit-identical results).
     ///
     /// `sync(fsl, at)` runs before each FSL step, `at` being the step's
     /// absolute issue cycle: it must bring every other user of `fsl` up
@@ -410,13 +491,13 @@ impl Cpu {
     /// with nothing else on the bank, passes a callback that does
     /// nothing.
     ///
-    /// The ops run through the interpreter's executor; the block keeps
+    /// The ops run through the interpreter's executor; the dispatch keeps
     /// its own cycle count and writes the cycle, instruction and
     /// translated-instruction counters once, when it exits. It leaves
     /// the per-instruction state (issue cycle, stall attribution, bus
     /// latency, breakpoint latch) as the last instruction that ran would.
-    /// Only the final step can branch, so every earlier step just moves
-    /// the PC on by one word.
+    /// Only a block's final step can branch, so every earlier step just
+    /// moves the PC on by one word.
     pub fn run_translated_block(
         &mut self,
         fsl: &mut FslBank,
@@ -426,73 +507,94 @@ impl Cpu {
         if !self.translation_eligible() {
             return TranslatedRun::NotRun;
         }
-        let entry = self.pc;
-        let block = match self.translator.lookup(entry) {
-            Some(b) => b.clone(),
-            None => self.translate_block(entry),
-        };
+        let mut pc = self.pc;
+        let mut block = self.block_at(pc);
         if block.steps.is_empty() || block.worst_cycles > max_cycles {
             return TranslatedRun::NotRun;
         }
         let generation = self.translator.generation;
-        let mut pc = entry;
         // Cycles charged so far, and the issue cycle of the last step
-        // that ran, both relative to the block's entry.
+        // that ran, both relative to the dispatch's entry.
         let (mut cycles, mut issued) = (0u64, 0u64);
         let mut retired = 0u64;
         let mut fault = None;
-        // The segment running now is `block.steps[from..to]`; `to` is
-        // the next FSL step, or the block's end.
-        let mut transfers = block.transfers.iter().map(|&i| usize::from(i));
-        let mut from = 0;
         'run: loop {
-            let to = transfers.next().unwrap_or(block.steps.len());
-            for step in &block.steps[from..to] {
-                issued = cycles;
-                match self.exec_op(pc, &step.op, fsl) {
-                    Ok(ExecOutcome::Normal) => cycles += u64::from(step.base),
-                    Ok(ExecOutcome::Taken) => {
-                        self.stats.taken_branches += 1;
-                        cycles += u64::from(step.taken);
+            // The segment running now is `block.steps[from..to]`; `to`
+            // is the next FSL step, or the block's end.
+            let mut transfers = block.transfers.iter().map(|&i| usize::from(i));
+            let mut from = 0;
+            loop {
+                let to = transfers.next().unwrap_or(block.steps.len());
+                for step in &block.steps[from..to] {
+                    issued = cycles;
+                    match self.exec_op(pc, &step.op, fsl) {
+                        Ok(ExecOutcome::Normal) => cycles += u64::from(step.base),
+                        Ok(ExecOutcome::Taken) => {
+                            self.stats.taken_branches += 1;
+                            cycles += u64::from(step.taken);
+                        }
+                        // FSL steps start segments; they never run here.
+                        Ok(ExecOutcome::FslBlocked) => unreachable!("FSL step inside a segment"),
+                        Err(f) => {
+                            // The issue cycle is charged, nothing retires.
+                            cycles += 1;
+                            fault = Some(f);
+                            break 'run;
+                        }
                     }
-                    // FSL steps start segments; they never run here.
-                    Ok(ExecOutcome::FslBlocked) => unreachable!("FSL step inside a segment"),
-                    Err(f) => {
-                        // The issue cycle is charged, nothing retires.
-                        cycles += 1;
-                        fault = Some(f);
+                    retired += 1;
+                    pc = pc.wrapping_add(4);
+                    // A store just invalidated cached code (possibly the
+                    // rest of this very block, or the next one): stop
+                    // before using any stale op.
+                    if matches!(step.op, Op::Store { .. } | Op::StoreI { .. })
+                        && self.translator.generation != generation
+                    {
                         break 'run;
                     }
                 }
-                retired += 1;
-                pc = pc.wrapping_add(4);
-                // A store just invalidated cached code (possibly the
-                // rest of this very block): stop before using any stale
-                // op.
-                if matches!(step.op, Op::Store { .. } | Op::StoreI { .. })
-                    && self.translator.generation != generation
-                {
+                let Some(step) = block.steps.get(to) else { break };
+                let Op::Fsl(inst) = step.op else {
+                    unreachable!("a transfer index names an FSL step")
+                };
+                // The dispatch has not charged its cycles yet.
+                sync(fsl, self.stats.cycles + cycles);
+                if !Cpu::fsl_ready(&inst, fsl) {
+                    if retired == 0 {
+                        // The first step would stall: nothing ran.
+                        return TranslatedRun::NotRun;
+                    }
                     break 'run;
                 }
+                issued = cycles;
+                let done = self.exec_fsl(&inst, fsl);
+                debug_assert!(done.is_ok(), "a ready transfer completes");
+                cycles += u64::from(step.base);
+                retired += 1;
+                pc = pc.wrapping_add(4);
+                from = to + 1;
             }
-            let Some(step) = block.steps.get(to) else { break };
-            let Op::Fsl(inst) = step.op else { unreachable!("a transfer index names an FSL step") };
-            // The block has not charged its cycles yet.
-            sync(fsl, self.stats.cycles + cycles);
-            if !Cpu::fsl_ready(&inst, fsl) {
-                if retired == 0 {
-                    // The block's first step would stall: nothing ran.
-                    return TranslatedRun::NotRun;
-                }
+            // The block ran to its end. `retire`'s PC sequencing for its
+            // final step, the only one that can branch: a taken delayed
+            // branch falls into its delay slot, which runs stepped; any
+            // other taken branch redirects.
+            if self.delay_target.is_some() {
+                self.in_delay_slot = true;
                 break;
             }
-            issued = cycles;
-            let done = self.exec_fsl(&inst, fsl);
-            debug_assert!(done.is_ok(), "a ready transfer completes");
-            cycles += u64::from(step.base);
-            retired += 1;
-            pc = pc.wrapping_add(4);
-            from = to + 1;
+            if let Some(target) = self.redirect.take() {
+                pc = target;
+            }
+            // Chain into the block at the new PC when the dispatch could
+            // have started there and the block fits what is left.
+            if !self.translator.enterable(pc) {
+                break;
+            }
+            let next = self.block_at(pc);
+            if next.steps.is_empty() || cycles + next.worst_cycles > max_cycles {
+                break;
+            }
+            block = next;
         }
         self.translator.stats.block_dispatches += 1;
         let start = self.stats.cycles;
@@ -509,14 +611,6 @@ impl Cpu {
             self.pc = pc;
             self.halted = true;
             return TranslatedRun::Faulted { cycles, fault };
-        }
-        // `retire`'s PC sequencing for the final step, the only one that
-        // can branch: a taken delayed branch falls into its delay slot,
-        // any other taken branch redirects.
-        if self.delay_target.is_some() {
-            self.in_delay_slot = true;
-        } else if let Some(target) = self.redirect.take() {
-            pc = target;
         }
         self.pc = pc;
         TranslatedRun::Ran { cycles }
@@ -544,13 +638,13 @@ mod tests {
         assert_equivalent_with(src, budget, CpuConfig::default());
     }
 
+    /// What a translated run leaves to compare: its stop reason, its
+    /// cache counters, and how many retired instructions ran interpreted.
+    type Outcome = (crate::StopReason, TranslationStats, u64);
+
     /// [`assert_equivalent`] on a processor configured as `config`.
-    /// Returns the translated side's stop reason and cache counters.
-    fn assert_equivalent_with(
-        src: &str,
-        budget: u64,
-        config: CpuConfig,
-    ) -> (crate::StopReason, TranslationStats) {
+    /// Returns the translated side's [`Outcome`].
+    fn assert_equivalent_with(src: &str, budget: u64, config: CpuConfig) -> Outcome {
         let (mut a, mut fa) = cpu_with(src, config);
         let (mut b, mut fb) = cpu_with(src, config);
         b.set_translation(true);
@@ -573,12 +667,13 @@ mod tests {
             (b.inst_start, b.extra_cycles, b.bp_skip, b.halted, b.in_delay_slot, b.delay_target),
             "per-instruction state diverged"
         );
-        (rb, b.translation_stats())
+        let stats = b.translation_stats();
+        (rb, stats, b.stats().instructions - stats.translated_instructions)
     }
 
     /// What every block case starts from. Each `li` is an `imm` pair,
-    /// which runs interpreted, so the block under test starts right
-    /// after them, at the carry line the case puts first.
+    /// fused into the block that runs on into the case, which starts at
+    /// the carry line it puts first.
     const PROLOGUE: &str = "
             li    r3, 0x80000001
             li    r4, 0x7ffffff3
@@ -613,13 +708,8 @@ mod tests {
     /// [`PROLOGUE`] and `setup`, with the carry set and clear,
     /// interpreted against translated, to halt and under a sweep of
     /// cycle budgets that cut the run before, inside and after the
-    /// block. Returns the stop reason at halt and the cache counters of
-    /// the carry-set run.
-    fn check_block(
-        setup: &str,
-        body: &str,
-        config: CpuConfig,
-    ) -> (crate::StopReason, TranslationStats) {
+    /// block. Returns the [`Outcome`] of the carry-set run to halt.
+    fn check_block(setup: &str, body: &str, config: CpuConfig) -> Outcome {
         let mut result = None;
         for carry in CARRY {
             let src = format!("{PROLOGUE}\n{setup}\n{carry}\naddik r20, r0, 1\n{body}\n{EPILOGUE}");
@@ -702,7 +792,7 @@ mod tests {
             .map(String::from),
         );
         for body in &bodies {
-            let (stop, stats) = check_block("", body, CpuConfig::full());
+            let (stop, stats, _) = check_block("", body, CpuConfig::full());
             assert_eq!(stop, crate::StopReason::Halted, "{body}");
             // The carry line, `addik r20` and the whole body ran in blocks.
             let lines = body.lines().count() as u64;
@@ -731,7 +821,7 @@ mod tests {
         ];
         for (inst, config) in cases {
             let body = format!("addik r10, r0, 1\n{inst}\naddik r11, r0, 1");
-            let (stop, stats) = check_block("", &body, config);
+            let (stop, stats, _) = check_block("", &body, config);
             assert!(matches!(stop, crate::StopReason::Fault(_)), "{inst}: {stop:?}");
             assert!(stats.translated_instructions >= 3, "{inst}: {stats:?}");
         }
@@ -747,7 +837,7 @@ mod tests {
             encode(&Inst::AddI { rd: Reg::new(10), ra: Reg::R0, imm: 99, flags: ArithFlags::KEEP });
         let setup = format!("li r16, {patch:#010x}\nli r17, later");
         let body = "sw r16, r17, r0\nlater:\naddik r10, r0, 1\naddik r11, r10, 1";
-        let (stop, stats) = check_block(&setup, body, CpuConfig::default());
+        let (stop, stats, _) = check_block(&setup, body, CpuConfig::default());
         assert_eq!(stop, crate::StopReason::Halted);
         assert!(stats.invalidations > 0, "{stats:?}");
     }
@@ -792,6 +882,236 @@ mod tests {
         ";
         for budget in 1..40 {
             assert_equivalent(src, budget);
+        }
+    }
+
+    /// A non-delayed loop chains across its back branch: the run to halt
+    /// is one dispatch, and a budget that cuts it anywhere stops it where
+    /// the interpreter stops.
+    #[test]
+    fn a_non_delayed_loop_chains_under_every_budget() {
+        let src = "
+                addik r4, r0, 6
+            loop:
+                addik r3, r3, 1
+                addik r4, r4, -1
+                bnei  r4, loop
+                addik r5, r0, 1
+                halt
+            ";
+        for budget in 1..80 {
+            assert_equivalent(src, budget);
+        }
+        let (stop, stats, interpreted) = assert_equivalent_with(src, 1_000, CpuConfig::default());
+        assert_eq!(stop, crate::StopReason::Halted);
+        assert_eq!((stats.block_dispatches, interpreted), (1, 1), "{stats:?}");
+        // The entry block (worst case 6 cycles) fits a budget of 6, the
+        // loop block after it (5 more) does not: the chain stops at the
+        // loop's head.
+        let (mut c, mut f) = cpu(src);
+        c.set_translation(true);
+        let run = c.run_translated_block(&mut f, 6, &mut |_, _| {});
+        assert_eq!(run, TranslatedRun::Ran { cycles: 6 });
+        assert_eq!((c.pc(), c.stats().instructions), (4, 4));
+    }
+
+    /// A taken delayed branch ends the chain before its slot, which runs
+    /// interpreted; each pass of the loop is one dispatch.
+    #[test]
+    fn a_taken_delayed_branch_ends_the_chain() {
+        let src = "
+                addik r4, r0, 3
+            loop:
+                addik r4, r4, -1
+                bneid r4, loop
+                addik r3, r3, 1
+                halt
+            ";
+        let (mut c, mut f) = cpu(src);
+        c.set_translation(true);
+        let (run, _) = dispatch(&mut c, &mut f);
+        assert_eq!(run, TranslatedRun::Ran { cycles: 4 });
+        assert_eq!((c.pc(), c.in_delay_slot, c.delay_target), (12, true, Some(4)));
+        for budget in 1..40 {
+            assert_equivalent(src, budget);
+        }
+        let (_, stats, interpreted) = assert_equivalent_with(src, 1_000, CpuConfig::default());
+        // Two taken passes each leave a slot to the interpreter; the
+        // last pass falls through into the slot's block and chains on.
+        assert_eq!((stats.block_dispatches, interpreted), (3, 3), "{stats:?}");
+    }
+
+    /// A branch to an unaligned target, or to one outside the loaded
+    /// image, ends the chain there; the interpreter takes it from there
+    /// (a misaligned fetch faults, zeroed memory slides to its end). The
+    /// word the unaligned target falls in starts a cached block, which
+    /// must not run from the middle of its first word.
+    #[test]
+    fn a_branch_off_alignment_or_off_the_image_ends_the_chain() {
+        for (target, pc) in [("target + 2", 22), ("0x8000", 0x8000)] {
+            let src = format!(
+                "   li    r8, {target}
+                    bri   target
+                back:
+                    addik r5, r0, 1
+                    bra   r8
+                target:
+                    addik r4, r4, 2
+                    beqi  r5, back
+                    halt
+                "
+            );
+            let (mut c, mut f) = cpu(&src);
+            c.set_translation(true);
+            let (run, _) = dispatch(&mut c, &mut f);
+            assert_eq!(run, TranslatedRun::Ran { cycles: 13 }, "{target}");
+            assert_eq!(c.pc(), pc, "{target}");
+            // The entry block, `target` and `back`; nothing off the image.
+            assert_eq!(c.translation_stats().blocks_translated, 3, "{target}");
+            for budget in [1, 5, 12, 13, 14, 40, 1_000_000] {
+                assert_equivalent(&src, budget);
+            }
+        }
+    }
+
+    /// A store that patches the block its own chain goes on into stops
+    /// the dispatch: the patched block is translated again before it
+    /// runs.
+    #[test]
+    fn a_store_into_the_next_block_of_the_chain_stops_it() {
+        use softsim_isa::{encode, ArithFlags, Reg};
+        let patch =
+            encode(&Inst::AddI { rd: Reg::new(10), ra: Reg::R0, imm: 99, flags: ArithFlags::KEEP });
+        // The first pass caches `next`; the second patches it on its way
+        // there.
+        let src = format!(
+            "   li    r16, {patch:#010x}
+                li    r17, next
+                addik r4, r0, 2
+            loop:
+                addik r4, r4, -1
+                beqi  r4, store
+                bri   next
+            store:
+                sw    r16, r17, r0
+                bri   next
+            next:
+                addik r10, r0, 1
+                bnei  r4, loop
+                halt
+            "
+        );
+        for budget in (1..60).chain([1_000]) {
+            assert_equivalent(&src, budget);
+        }
+        let (mut c, mut f) = cpu(&src);
+        c.set_translation(true);
+        assert_eq!(c.run(&mut f, 1_000), crate::StopReason::Halted);
+        assert_eq!(c.reg(Reg::new(10)), 99, "the patched instruction ran");
+        let stats = c.translation_stats();
+        assert_eq!((stats.invalidations, stats.block_dispatches), (1, 2), "{stats:?}");
+    }
+
+    /// An `imm` prefix fuses with the instruction after it: the pair runs
+    /// inside the block, with the latched upper half, before an ALU op
+    /// (one that reads the immediate, one that ignores it), a far load
+    /// and store, and branches. Only `halt`, and the slot of a taken
+    /// delayed branch, run interpreted.
+    #[test]
+    fn an_imm_pair_runs_inside_its_block() {
+        let cases = [
+            ("imm 0x1234\naddik r10, r3, 0x5678\nimm 0xffff\nori r11, r0, -1", 1),
+            ("imm 0x8000\naddi r10, r12, 1\naddc r11, r0, r0", 1),
+            ("imm 5\nadd r10, r3, r4\nimm 7\nbsrli r11, r3, 4", 1),
+            // 0xfff8 is near the top of local memory; without the prefix
+            // the offset sign-extends onto the OPB and faults.
+            ("imm 0\nswi r3, r0, -8\nimm 0\nlwi r10, r0, -8", 1),
+            ("imm 0\nbrai target", 1),
+            ("imm 0\nbneid r3, target", 2),
+        ];
+        for (body, interpreted) in cases {
+            let (stop, stats, ran) = check_block("", body, CpuConfig::full());
+            assert_eq!(stop, crate::StopReason::Halted, "{body}");
+            assert_eq!(ran, interpreted, "{body}: {stats:?}");
+        }
+    }
+
+    /// An `imm` whose next instruction is `halt`, a transfer or another
+    /// `imm` does not fuse: it ends its block, and the interpreter runs it
+    /// and the instruction that takes its latch.
+    #[test]
+    fn an_imm_that_cannot_fuse_runs_interpreted() {
+        let cases = [
+            // The prefix and the `halt`.
+            ("imm 0x1234\nhalt", 2),
+            // The prefix, the transfer and the final `halt`.
+            ("imm 0x1234\nput r3, rfsl0", 3),
+            ("imm 0x1234\nnget r10, rfsl0", 3),
+            // Both prefixes, the `addik` and the final `halt`.
+            ("imm 1\nimm 2\naddik r10, r0, 3", 4),
+        ];
+        for (body, interpreted) in cases {
+            let (stop, stats, ran) = check_block("", body, CpuConfig::full());
+            assert_eq!(stop, crate::StopReason::Halted, "{body}");
+            assert_eq!(ran, interpreted, "{body}: {stats:?}");
+        }
+    }
+
+    /// An `imm` as the image's last word has no next instruction inside
+    /// the image to fuse with: the block ends before it.
+    #[test]
+    fn an_imm_as_the_last_word_of_the_image_does_not_fuse() {
+        let src = "addik r3, r0, 1\naddik r4, r0, 2\nimm 5";
+        let (mut c, mut f) = cpu(src);
+        c.set_translation(true);
+        let (run, _) = dispatch(&mut c, &mut f);
+        assert_eq!(run, TranslatedRun::Ran { cycles: 2 });
+        assert_eq!(c.pc(), 8);
+        for budget in [1, 2, 3, 4, 10, 1_000_000] {
+            assert_equivalent(src, budget);
+        }
+    }
+
+    /// A fused instruction whose unit the configuration omits faults
+    /// inside the block at its own PC, after the prefix retired.
+    #[test]
+    fn a_fused_instruction_of_an_omitted_unit_faults_in_its_block() {
+        let body = "addik r10, r0, 1\nimm 2\nmuli r10, r3, 5\naddik r11, r0, 1";
+        let (stop, stats, interpreted) = check_block("", body, CpuConfig::minimal());
+        assert!(
+            matches!(stop, crate::StopReason::Fault(Fault::DisabledInstruction { .. })),
+            "{stop:?}"
+        );
+        // The faulting `muli` retires nothing; everything before it ran
+        // translated.
+        assert_eq!(interpreted, 0, "{stats:?}");
+    }
+
+    /// A pair that would straddle [`MAX_BLOCK_LEN`] starts the next block
+    /// instead: no block grows past the bound `note_store` relies on, and
+    /// the pair still fuses.
+    #[test]
+    fn a_pair_at_the_block_length_bound_is_not_split() {
+        for lead in MAX_BLOCK_LEN - 3..=MAX_BLOCK_LEN {
+            let src = format!(
+                "{}imm 0x1234\naddik r10, r0, 0x5678\naddik r11, r10, 1\nhalt",
+                "addik r3, r3, 1\n".repeat(lead)
+            );
+            for budget in [1, 50, 62, 63, 64, 65, 66, 70] {
+                assert_equivalent(&src, budget);
+            }
+            let (_, stats, interpreted) = assert_equivalent_with(&src, 1_000, CpuConfig::default());
+            assert_eq!(interpreted, 1, "lead {lead}: {stats:?}");
+            let (mut c, mut f) = cpu(&src);
+            c.set_translation(true);
+            c.run(&mut f, 1_000);
+            let first = c.translator.lookup(0).expect("the entry block is cached");
+            let fits = lead + 2 <= MAX_BLOCK_LEN;
+            let want = if fits { lead + 3 } else { lead };
+            assert_eq!(first.steps.len(), want.min(MAX_BLOCK_LEN), "lead {lead}");
+            for block in c.translator.slots.iter().flatten() {
+                assert!(block.end - block.start <= 4 * MAX_BLOCK_LEN as u32, "lead {lead}");
+            }
         }
     }
 
