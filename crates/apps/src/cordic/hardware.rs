@@ -15,13 +15,17 @@
 //!   keeps it locally).
 
 use crate::cordic::reference;
-use softsim_blocks::block::{bit, state_word, Block};
+use softsim_blocks::block::{bit, Block, StateFrame};
 use softsim_blocks::library::Tmr;
 use softsim_blocks::{Fix, FixFmt, Graph, Resources};
 use softsim_cosim::{FslFromHw, FslToHw, Peripheral};
 use std::collections::VecDeque;
 
 const W32: FixFmt = FixFmt::INT32;
+
+/// Output formats of a pipeline stage: `xs, y, z, tuple_valid, c,
+/// c_load`.
+const STAGE: [FixFmt; 6] = [W32, W32, W32, FixFmt::BOOL, W32, FixFmt::BOOL];
 
 fn raw32(x: &Fix) -> i32 {
     x.to_bits() as u32 as i32
@@ -52,20 +56,11 @@ impl Deserializer {
 }
 
 impl Block for Deserializer {
-    fn kind(&self) -> &'static str {
-        "CordicDeserializer"
-    }
     fn inputs(&self) -> usize {
         3 // data, valid, ctrl
     }
-    fn outputs(&self) -> usize {
-        6 // xs, y, z, tuple_valid, c0, c_load
-    }
-    fn output_fmt(&self, port: usize) -> FixFmt {
-        match port {
-            0..=2 | 4 => W32,
-            _ => FixFmt::BOOL,
-        }
+    fn outputs(&self) -> &[FixFmt] {
+        &STAGE
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = fix32(self.xs);
@@ -118,15 +113,14 @@ impl Block for Deserializer {
         out.push(self.c0 as u32 as u64);
         out.push(self.c_load as u64);
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        let mut w = || state_word("CordicDeserializer", src);
-        self.phase = w() as u8;
-        self.xs = w() as u32 as i32;
-        self.y = w() as u32 as i32;
-        self.z = w() as u32 as i32;
-        self.tuple_valid = w() != 0;
-        self.c0 = w() as u32 as i32;
-        self.c_load = w() != 0;
+    fn load_state(&mut self, src: &mut StateFrame) {
+        self.phase = src.word() as u8;
+        self.xs = src.word() as u32 as i32;
+        self.y = src.word() as u32 as i32;
+        self.z = src.word() as u32 as i32;
+        self.tuple_valid = src.word() != 0;
+        self.c0 = src.word() as u32 as i32;
+        self.c_load = src.word() != 0;
     }
 }
 
@@ -153,20 +147,11 @@ impl CordicPe {
 }
 
 impl Block for CordicPe {
-    fn kind(&self) -> &'static str {
-        "CordicPe"
-    }
     fn inputs(&self) -> usize {
         6 // xs, y, z, tuple_valid, c_in, c_load
     }
-    fn outputs(&self) -> usize {
-        6 // same shape, next stage
-    }
-    fn output_fmt(&self, port: usize) -> FixFmt {
-        match port {
-            0..=2 | 4 => W32,
-            _ => FixFmt::BOOL,
-        }
+    fn outputs(&self) -> &[FixFmt] {
+        &STAGE
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = fix32(self.xs);
@@ -216,15 +201,14 @@ impl Block for CordicPe {
         out.push(self.c_fwd as u32 as u64);
         out.push(self.c_load_fwd as u64);
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        let mut w = || state_word("CordicPe", src);
-        self.xs = w() as u32 as i32;
-        self.y = w() as u32 as i32;
-        self.z = w() as u32 as i32;
-        self.tuple_valid = w() != 0;
-        self.c = w() as u32 as i32;
-        self.c_fwd = w() as u32 as i32;
-        self.c_load_fwd = w() != 0;
+    fn load_state(&mut self, src: &mut StateFrame) {
+        self.xs = src.word() as u32 as i32;
+        self.y = src.word() as u32 as i32;
+        self.z = src.word() as u32 as i32;
+        self.tuple_valid = src.word() != 0;
+        self.c = src.word() as u32 as i32;
+        self.c_fwd = src.word() as u32 as i32;
+        self.c_load_fwd = src.word() != 0;
     }
 }
 
@@ -248,21 +232,11 @@ impl Serializer {
 }
 
 impl Block for Serializer {
-    fn kind(&self) -> &'static str {
-        "CordicSerializer"
-    }
     fn inputs(&self) -> usize {
         3 // y, z, valid
     }
-    fn outputs(&self) -> usize {
-        2 // out_data, out_valid
-    }
-    fn output_fmt(&self, port: usize) -> FixFmt {
-        if port == 0 {
-            W32
-        } else {
-            FixFmt::BOOL
-        }
+    fn outputs(&self) -> &[FixFmt] {
+        &[W32, FixFmt::BOOL] // out_data, out_valid
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = fix32(self.out_data);
@@ -302,19 +276,18 @@ impl Block for Serializer {
         out.push(self.out_valid as u64);
         out.push(self.max_occupancy as u64);
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        let mut w = || state_word("CordicSerializer", src);
+    fn load_state(&mut self, src: &mut StateFrame) {
         // Clamp the self-describing length: the graph-level span framing
         // bounds the words available, but a fault-flipped length word
         // must not demand an absurd queue from the zero-padded tail.
-        let len = (w() as usize).min(4096);
+        let len = (src.word() as usize).min(4096);
         self.queue.clear();
         for _ in 0..len {
-            self.queue.push_back(w() as u32 as i32);
+            self.queue.push_back(src.word() as u32 as i32);
         }
-        self.out_data = w() as u32 as i32;
-        self.out_valid = w() != 0;
-        self.max_occupancy = w() as usize;
+        self.out_data = src.word() as u32 as i32;
+        self.out_valid = src.word() != 0;
+        self.max_occupancy = src.word() as usize;
     }
 }
 

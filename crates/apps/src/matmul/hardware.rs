@@ -14,7 +14,7 @@
 //!   handed to an output buffer and streamed back row-major, one word per
 //!   cycle, while the next A block may already stream in.
 
-use softsim_blocks::block::{bit, state_word, Block};
+use softsim_blocks::block::{bit, Block, StateFrame};
 use softsim_blocks::library::Tmr;
 use softsim_blocks::{Fix, FixFmt, Graph, Resources};
 use softsim_cosim::{FslFromHw, FslToHw, Peripheral};
@@ -69,21 +69,11 @@ impl MatmulUnit {
 }
 
 impl Block for MatmulUnit {
-    fn kind(&self) -> &'static str {
-        "MatmulUnit"
-    }
     fn inputs(&self) -> usize {
         3 // data, valid, ctrl
     }
-    fn outputs(&self) -> usize {
-        2 // out_data, out_valid
-    }
-    fn output_fmt(&self, port: usize) -> FixFmt {
-        if port == 0 {
-            W32
-        } else {
-            FixFmt::BOOL
-        }
+    fn outputs(&self) -> &[FixFmt] {
+        &[W32, FixFmt::BOOL] // out_data, out_valid
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = fix32(self.out_data);
@@ -162,28 +152,27 @@ impl Block for MatmulUnit {
         out.push(self.out_valid as u64);
         out.push(self.max_occupancy as u64);
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+    fn load_state(&mut self, src: &mut StateFrame) {
         let nb = self.nb;
-        let mut w = || state_word("MatmulUnit", src);
         for v in &mut self.b {
-            *v = w() as u32 as i32;
+            *v = src.word() as u32 as i32;
         }
         // Clamp the self-describing indices and length: fault injection
         // may hand this block a bit-flipped frame, and a wild index must
         // corrupt data (detectably), not panic or exhaust memory.
-        self.b_idx = w() as usize % (nb * nb);
+        self.b_idx = src.word() as usize % (nb * nb);
         for v in &mut self.acc {
-            *v = w() as u32 as i32;
+            *v = src.word() as u32 as i32;
         }
-        self.a_idx = w() as usize % (nb * nb);
-        let len = (w() as usize).min(4096);
+        self.a_idx = src.word() as usize % (nb * nb);
+        let len = (src.word() as usize).min(4096);
         self.out.clear();
         for _ in 0..len {
-            self.out.push_back(w() as u32 as i32);
+            self.out.push_back(src.word() as u32 as i32);
         }
-        self.out_data = w() as u32 as i32;
-        self.out_valid = w() != 0;
-        self.max_occupancy = w() as usize;
+        self.out_data = src.word() as u32 as i32;
+        self.out_valid = src.word() != 0;
+        self.max_occupancy = src.word() as usize;
     }
 }
 

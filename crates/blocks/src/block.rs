@@ -11,23 +11,25 @@
 //! 2. **clock** — every sequential block latches its next state from the
 //!    input values that the evaluate phase settled, and reports whether
 //!    that edge changed its state.
+//!
+//! A block states its port shape once: [`Block::inputs`] counts the
+//! input ports, and [`Block::outputs`] gives each output port's format,
+//! its length being the output count. Its sequential state travels as
+//! raw words, written by [`Block::save_state`] and read back through a
+//! [`StateFrame`], which yields zero words past its end.
 
 use crate::fix::{Fix, FixFmt};
 use crate::resource::Resources;
 
 /// One synchronous hardware block.
 pub trait Block {
-    /// Short type name for diagnostics ("AddSub", "Delay", ...).
-    fn kind(&self) -> &'static str;
-
     /// Number of input ports.
     fn inputs(&self) -> usize;
 
-    /// Number of output ports.
-    fn outputs(&self) -> usize;
-
-    /// The fixed-point format produced on each output port.
-    fn output_fmt(&self, port: usize) -> FixFmt;
+    /// The fixed-point format produced on each output port, in port
+    /// order; its length is the number of output ports. Both are fixed
+    /// for the block's life.
+    fn outputs(&self) -> &[FixFmt];
 
     /// Evaluation: compute `outputs` from the block's current state and,
     /// for a combinational block, its `inputs`. Must be side-effect free
@@ -35,8 +37,8 @@ pub trait Block {
     ///
     /// The outputs must be a function of the block's state and its input
     /// values only: the same state and the same input bits give the same
-    /// output bits. Each output is written in its port's
-    /// [`Block::output_fmt`]: the graph compares a combinational block's
+    /// output bits. Each output is written in its port's format from
+    /// [`Block::outputs`]: the graph compares a combinational block's
     /// fresh outputs with the old ones by raw word (a debug build checks
     /// the format). A sequential block (see [`Block::is_combinational`])
     /// presents its state alone: the graph evaluates it with an empty
@@ -89,15 +91,16 @@ pub trait Block {
         let _ = out;
     }
 
-    /// Restores the state written by [`Block::save_state`], consuming the
+    /// Restores the state written by [`Block::save_state`], reading the
     /// same number of words from the front of `src`.
     ///
-    /// # Panics
-    /// Implementations panic (through [`state_word`]) if `src` runs dry.
-    /// [`crate::Graph::load_state`] pads each node's frame with zero
-    /// words, so a restore through the graph never does; a block driven
-    /// by hand with a short frame is a caller bug.
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+    /// A frame reads zero words past its end, so a short or empty frame
+    /// restores the missing words as zeros and never fails: a fault
+    /// campaign may flip a length or counter word of a checkpoint, and
+    /// that must read as corrupt data, not a panic. For the same reason a
+    /// block clamps (or reduces modulo its legal range) every length or
+    /// index word it reads, so a wild one cannot demand a huge container.
+    fn load_state(&mut self, src: &mut StateFrame) {
         let _ = src;
     }
 
@@ -110,10 +113,24 @@ pub trait Block {
     }
 }
 
-/// Pulls one state word in a [`Block::load_state`] implementation,
-/// panicking with the block kind on underflow.
-pub fn state_word(kind: &str, src: &mut dyn Iterator<Item = u64>) -> u64 {
-    src.next().unwrap_or_else(|| panic!("{kind}: snapshot underflow"))
+/// The state words of one block, read front to back by
+/// [`Block::load_state`]: the words [`Block::save_state`] wrote, then
+/// zero words past the end.
+#[derive(Debug)]
+pub struct StateFrame<'a> {
+    words: std::slice::Iter<'a, u64>,
+}
+
+impl<'a> StateFrame<'a> {
+    /// A frame over `words`.
+    pub fn new(words: &'a [u64]) -> StateFrame<'a> {
+        StateFrame { words: words.iter() }
+    }
+
+    /// The next word of the frame, or `0` past its end.
+    pub fn word(&mut self) -> u64 {
+        self.words.next().copied().unwrap_or(0)
+    }
 }
 
 /// Interprets a signal as a boolean (nonzero = true).

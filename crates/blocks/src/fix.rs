@@ -237,6 +237,11 @@ impl Fix {
         self.fmt
     }
 
+    /// The format, borrowed, for a one-port format slice.
+    pub(crate) fn fmt_ref(&self) -> &FixFmt {
+        &self.fmt
+    }
+
     /// Numeric value as a float.
     pub fn to_f64(&self) -> f64 {
         self.raw as f64 * (2f64).powi(-(self.fmt.frac as i32))

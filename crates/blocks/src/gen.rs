@@ -26,12 +26,10 @@ pub fn linear_pipeline<B: Block + 'static>(
     assert!(n >= 1);
     let mut stages = Vec::with_capacity(n);
     for i in 0..n {
-        let stage = g.add(format!("{name}{i}"), make(i));
+        let block = make(i);
+        let ports = block.inputs();
+        let stage = g.add(format!("{name}{i}"), block);
         if let Some(&prev) = stages.last() {
-            let ports = {
-                let b = make(i); // prototype for port count
-                b.inputs()
-            };
             for p in 0..ports {
                 g.connect(prev, p, stage, p)?;
             }
@@ -188,5 +186,18 @@ mod tests {
         }
         g.step();
         assert_eq!(g.output("y").unwrap().raw(), 5, "arrives after 4 stages... ");
+    }
+
+    #[test]
+    fn linear_pipeline_makes_each_stage_once() {
+        let mut g = Graph::new();
+        let mut made = Vec::new();
+        linear_pipeline(&mut g, "st", 5, |i| {
+            made.push(i);
+            Delay::new(I16, 1)
+        })
+        .unwrap();
+        assert_eq!(made, [0, 1, 2, 3, 4]);
+        assert_eq!(g.len(), 5);
     }
 }

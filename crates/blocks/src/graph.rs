@@ -60,7 +60,8 @@
 //!
 //! Soundness: a combinational block's outputs are a function of its
 //! state and input values, a sequential block's of its state alone, each
-//! output stays in its port's format (so its raw word decides a change),
+//! output stays in its port's format from [`Block::outputs`] (so its raw
+//! word decides a change),
 //! and a clock edge reports `false` only when it left the block's state
 //! bit-identical (see [`Block`]). A combinational node that is skipped
 //! reads input values bit-identical to those of its last evaluation —
@@ -78,7 +79,7 @@
 //! Probes, activity and trace sinks observe exactly what full stepping
 //! shows them.
 
-use crate::block::Block;
+use crate::block::{Block, StateFrame};
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
 use crate::resource::Resources;
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -327,17 +328,14 @@ impl Graph {
     /// Adds an already-boxed block.
     pub fn add_boxed(&mut self, name: String, block: Box<dyn Block>) -> NodeId {
         let id = NodeId(self.nodes.len());
-        let (n_in, n_out) = (block.inputs(), block.outputs());
         let val_off = self.values.len() as u32;
-        for p in 0..n_out {
-            self.values.push(Fix::zero(block.output_fmt(p)));
-        }
+        self.values.extend(block.outputs().iter().map(|&fmt| Fix::zero(fmt)));
         self.nodes.push(Node {
+            sources: vec![None; block.inputs()],
+            val_len: block.outputs().len() as u32,
             kind: Kind::Block(block),
             name,
-            sources: vec![None; n_in],
             val_off,
-            val_len: n_out as u32,
         });
         self.compiled = false;
         id
@@ -366,10 +364,18 @@ impl Graph {
     /// # Panics
     /// Panics if the port does not exist.
     pub fn gateway_out(&mut self, name: impl Into<String>, from: NodeId, port: usize) {
-        let node = &self.nodes[from.0];
-        assert!(port < node.outputs(), "`{}` has no output {port}", node.name);
-        let flat = node.val_off as usize + port;
+        let flat = self.port_index(from, port);
         register(&mut self.outputs, &mut self.duplicate, name.into(), flat);
+    }
+
+    /// The flat value index of output `port` of `node`.
+    ///
+    /// # Panics
+    /// Panics if the port does not exist.
+    fn port_index(&self, node: NodeId, port: usize) -> usize {
+        let node = &self.nodes[node.0];
+        assert!(port < node.outputs(), "`{}` has no output {port}", node.name);
+        node.val_off as usize + port
     }
 
     /// Connects output `from_port` of `from` to input `to_port` of `to`.
@@ -602,8 +608,11 @@ impl Graph {
     }
 
     /// Reads any port's settled value (probing, for tests and tools).
+    ///
+    /// # Panics
+    /// Panics if the port does not exist.
     pub fn value(&self, node: NodeId, port: usize) -> Fix {
-        self.values[self.nodes[node.0].val_off as usize + port]
+        self.values[self.port_index(node, port)]
     }
 
     /// Advances the design by one clock cycle, evaluating and clocking
@@ -699,7 +708,7 @@ impl Graph {
                     b.eval(scratch, out);
                     // Each port keeps its format, so raw words decide.
                     debug_assert!(
-                        out.iter().enumerate().all(|(p, v)| v.fmt() == b.output_fmt(p)),
+                        out.iter().zip(b.outputs()).all(|(v, &fmt)| v.fmt() == fmt),
                         "`{}` wrote an output outside its port's format",
                         node.name
                     );
@@ -830,13 +839,13 @@ impl Graph {
     /// Restores a snapshot taken by [`Graph::save_state`] on a graph of
     /// the *same compiled design*.
     ///
-    /// Each node restores only from its own recorded span. A block whose
-    /// state words were perturbed (fault injection flips `block_words`
-    /// bits directly) may consume fewer or more words than the span
-    /// holds; the frame boundary still holds, so the damage cannot cascade
-    /// into neighboring nodes — reads past the span yield zero words and
-    /// leftover words are dropped, both modeling the fixed-size physical
-    /// state the span frames.
+    /// Each node restores only from its own recorded span, read through
+    /// a [`StateFrame`]. A block whose state words were perturbed (fault
+    /// injection flips `block_words` bits directly) may consume fewer or
+    /// more words than the span holds; the frame boundary still holds, so
+    /// the damage cannot cascade into neighboring nodes — reads past the
+    /// span yield zero words and leftover words are dropped, both
+    /// modeling the fixed-size physical state the span frames.
     ///
     /// # Panics
     /// Panics if the snapshot's shape does not match this design (wrong
@@ -858,12 +867,10 @@ impl Graph {
         for (node, &span) in self.nodes.iter_mut().zip(&state.spans) {
             let words = &state.block_words[off..off + span as usize];
             off += span as usize;
-            let mut src = words.iter().copied().chain(std::iter::repeat(0));
+            let mut src = StateFrame::new(words);
             match &mut node.kind {
                 Kind::Block(b) => b.load_state(&mut src),
-                Kind::Input { fmt, bits } => {
-                    *bits = src.next().expect("snapshot underflow at gateway input") & fmt.mask();
-                }
+                Kind::Input { fmt, bits } => *bits = src.word() & fmt.mask(),
             }
         }
     }
@@ -922,8 +929,11 @@ impl Graph {
 
     /// Attaches a scope probe (the Simulink scope analog): the settled
     /// value of the port is recorded every cycle from now on.
+    ///
+    /// # Panics
+    /// Panics if the port does not exist.
     pub fn add_probe(&mut self, name: impl Into<String>, node: NodeId, port: usize) {
-        let idx = self.nodes[node.0].val_off as usize + port;
+        let idx = self.port_index(node, port);
         self.probes.push((name.into(), idx, Vec::new()));
     }
 
@@ -1283,5 +1293,32 @@ mod tests {
         g.step();
         assert_eq!(g.output_fast(hy), g.output("y").unwrap());
         assert_eq!(g.output_fast(hy).raw(), 5);
+    }
+
+    /// A design whose node `d` has one output and is followed by another
+    /// node, so a port past `d`'s outputs would land on the next value.
+    fn delay_then_constant() -> (Graph, NodeId) {
+        let mut g = Graph::new();
+        let x = g.gateway_in("x", I16);
+        let d = g.add("d", Delay::new(I16, 1));
+        g.wire(x, d, 0).unwrap();
+        g.add("c", Constant::int(7, I16));
+        g.compile().unwrap();
+        (g, d)
+    }
+
+    #[test]
+    #[should_panic(expected = "`d` has no output 1")]
+    fn probing_a_missing_port_panics() {
+        let (mut g, d) = delay_then_constant();
+        g.add_probe("p", d, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "`d` has no output 1")]
+    fn reading_a_missing_port_panics() {
+        let (mut g, d) = delay_then_constant();
+        g.step();
+        g.value(d, 1);
     }
 }

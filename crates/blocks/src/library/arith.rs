@@ -2,7 +2,7 @@
 //! value, shift and format conversion.
 
 use super::shift;
-use crate::block::{state_word, Block};
+use crate::block::{Block, StateFrame};
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
 use crate::resource::Resources;
 use std::collections::VecDeque;
@@ -26,17 +26,11 @@ impl Constant {
 }
 
 impl Block for Constant {
-    fn kind(&self) -> &'static str {
-        "Constant"
-    }
     fn inputs(&self) -> usize {
         0
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.value.fmt()
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(self.value.fmt_ref())
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.value;
@@ -76,17 +70,11 @@ impl AddSub {
 }
 
 impl Block for AddSub {
-    fn kind(&self) -> &'static str {
-        "AddSub"
-    }
     fn inputs(&self) -> usize {
         2
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         let full = match self.op {
@@ -141,17 +129,11 @@ impl Mult {
 }
 
 impl Block for Mult {
-    fn kind(&self) -> &'static str {
-        "Mult"
-    }
     fn inputs(&self) -> usize {
         2
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = if self.latency == 0 {
@@ -184,9 +166,9 @@ impl Block for Mult {
     fn save_state(&self, out: &mut Vec<u64>) {
         out.extend(self.pipe.iter().map(Fix::to_bits));
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+    fn load_state(&mut self, src: &mut StateFrame) {
         for v in &mut self.pipe {
-            *v = Fix::from_bits(state_word("Mult", src), self.out);
+            *v = Fix::from_bits(src.word(), self.out);
         }
     }
 }
@@ -205,17 +187,11 @@ impl Negate {
 }
 
 impl Block for Negate {
-    fn kind(&self) -> &'static str {
-        "Negate"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = inputs[0].neg().convert(self.out, Overflow::Wrap, Rounding::Truncate);
@@ -239,17 +215,11 @@ impl AbsVal {
 }
 
 impl Block for AbsVal {
-    fn kind(&self) -> &'static str {
-        "AbsVal"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = inputs[0].abs().convert(self.out, Overflow::Wrap, Rounding::Truncate);
@@ -285,17 +255,11 @@ impl Shift {
 }
 
 impl Block for Shift {
-    fn kind(&self) -> &'static str {
-        "Shift"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         let n = match self.dir {
@@ -323,17 +287,11 @@ impl Convert {
 }
 
 impl Block for Convert {
-    fn kind(&self) -> &'static str {
-        "Convert"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = inputs[0].convert(self.out, self.overflow, self.rounding);

@@ -23,17 +23,11 @@ impl Mux {
 }
 
 impl Block for Mux {
-    fn kind(&self) -> &'static str {
-        "Mux"
-    }
     fn inputs(&self) -> usize {
         self.ways + 1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         let sel = (inputs[0].raw().max(0) as usize).min(self.ways - 1);
@@ -78,17 +72,11 @@ impl Relational {
 }
 
 impl Block for Relational {
-    fn kind(&self) -> &'static str {
-        "Relational"
-    }
     fn inputs(&self) -> usize {
         2
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        FixFmt::BOOL
+    fn outputs(&self) -> &[FixFmt] {
+        &[FixFmt::BOOL]
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         use std::cmp::Ordering::*;
@@ -138,17 +126,11 @@ impl Logical {
 }
 
 impl Block for Logical {
-    fn kind(&self) -> &'static str {
-        "Logical"
-    }
     fn inputs(&self) -> usize {
         self.arity
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         let mask = u64::MAX >> (64 - self.out.word);
@@ -192,17 +174,11 @@ impl Slice {
 }
 
 impl Block for Slice {
-    fn kind(&self) -> &'static str {
-        "Slice"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = Fix::from_bits(inputs[0].to_bits() >> self.low, self.out);
@@ -225,17 +201,11 @@ impl Concat {
 }
 
 impl Block for Concat {
-    fn kind(&self) -> &'static str {
-        "Concat"
-    }
     fn inputs(&self) -> usize {
         2
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         let v = (inputs[0].to_bits() << self.low_width) | inputs[1].to_bits();
@@ -251,7 +221,7 @@ mod tests {
     const I16: FixFmt = FixFmt::INT16;
 
     fn eval1(b: &dyn Block, inputs: &[Fix]) -> Fix {
-        let mut out = [Fix::zero(b.output_fmt(0))];
+        let mut out = [Fix::zero(b.outputs()[0])];
         b.eval(inputs, &mut out);
         out[0]
     }

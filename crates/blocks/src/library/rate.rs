@@ -3,7 +3,7 @@
 //! System Generator blockset used by signal-processing designs.
 
 use super::latch;
-use crate::block::{bit, bool_of, state_word, Block};
+use crate::block::{bit, bool_of, Block, StateFrame};
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
 use crate::resource::Resources;
 
@@ -12,6 +12,8 @@ use crate::resource::Resources;
 #[derive(Debug, Clone)]
 pub struct DownSample {
     fmt: FixFmt,
+    /// Output formats: the held sample, then the strobe.
+    outs: [FixFmt; 2],
     factor: u64,
     phase: u64,
     held: Fix,
@@ -21,26 +23,16 @@ impl DownSample {
     /// Keeps one sample out of every `factor ≥ 1`.
     pub fn new(fmt: FixFmt, factor: u64) -> DownSample {
         assert!(factor >= 1);
-        DownSample { fmt, factor, phase: 0, held: Fix::zero(fmt) }
+        DownSample { fmt, outs: [fmt, FixFmt::BOOL], factor, phase: 0, held: Fix::zero(fmt) }
     }
 }
 
 impl Block for DownSample {
-    fn kind(&self) -> &'static str {
-        "DownSample"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        2 // held sample, sample strobe
-    }
-    fn output_fmt(&self, port: usize) -> FixFmt {
-        if port == 0 {
-            self.fmt
-        } else {
-            FixFmt::BOOL
-        }
+    fn outputs(&self) -> &[FixFmt] {
+        &self.outs
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.held;
@@ -66,9 +58,9 @@ impl Block for DownSample {
         out.push(self.phase);
         out.push(self.held.to_bits());
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        self.phase = state_word("DownSample", src) % self.factor;
-        self.held = Fix::from_bits(state_word("DownSample", src), self.fmt);
+    fn load_state(&mut self, src: &mut StateFrame) {
+        self.phase = src.word() % self.factor;
+        self.held = Fix::from_bits(src.word(), self.fmt);
     }
 }
 
@@ -77,6 +69,8 @@ impl Block for DownSample {
 #[derive(Debug, Clone)]
 pub struct UpSample {
     fmt: FixFmt,
+    /// Output formats: the sample, then the strobe.
+    outs: [FixFmt; 2],
     factor: u64,
     phase: u64,
     held: Fix,
@@ -86,26 +80,16 @@ impl UpSample {
     /// Each input sample is presented for `factor ≥ 1` cycles.
     pub fn new(fmt: FixFmt, factor: u64) -> UpSample {
         assert!(factor >= 1);
-        UpSample { fmt, factor, phase: 0, held: Fix::zero(fmt) }
+        UpSample { fmt, outs: [fmt, FixFmt::BOOL], factor, phase: 0, held: Fix::zero(fmt) }
     }
 }
 
 impl Block for UpSample {
-    fn kind(&self) -> &'static str {
-        "UpSample"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        2 // sample, new-sample strobe
-    }
-    fn output_fmt(&self, port: usize) -> FixFmt {
-        if port == 0 {
-            self.fmt
-        } else {
-            FixFmt::BOOL
-        }
+    fn outputs(&self) -> &[FixFmt] {
+        &self.outs
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.held;
@@ -131,9 +115,9 @@ impl Block for UpSample {
         out.push(self.phase);
         out.push(self.held.to_bits());
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        self.phase = state_word("UpSample", src) % self.factor;
-        self.held = Fix::from_bits(state_word("UpSample", src), self.fmt);
+    fn load_state(&mut self, src: &mut StateFrame) {
+        self.phase = src.word() % self.factor;
+        self.held = Fix::from_bits(src.word(), self.fmt);
     }
 }
 
@@ -154,17 +138,11 @@ impl CMult {
 }
 
 impl Block for CMult {
-    fn kind(&self) -> &'static str {
-        "CMult"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.out
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.out)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = inputs[0].mul_full(&self.constant).convert(
@@ -191,17 +169,11 @@ impl Block for CMult {
 pub struct Threshold;
 
 impl Block for Threshold {
-    fn kind(&self) -> &'static str {
-        "Threshold"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        FixFmt::BOOL
+    fn outputs(&self) -> &[FixFmt] {
+        &[FixFmt::BOOL]
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = bit(inputs[0].is_negative());
@@ -215,6 +187,8 @@ impl Block for Threshold {
 #[derive(Debug, Clone)]
 pub struct DualPortRam {
     fmt: FixFmt,
+    /// Output formats: both ports read `fmt`.
+    outs: [FixFmt; 2],
     data: Vec<Fix>,
     reg_a: Fix,
     reg_b: Fix,
@@ -226,6 +200,7 @@ impl DualPortRam {
         assert!(words >= 1, "a RAM must have at least one word");
         DualPortRam {
             fmt,
+            outs: [fmt; 2],
             data: vec![Fix::zero(fmt); words],
             reg_a: Fix::zero(fmt),
             reg_b: Fix::zero(fmt),
@@ -234,17 +209,11 @@ impl DualPortRam {
 }
 
 impl Block for DualPortRam {
-    fn kind(&self) -> &'static str {
-        "DualPortRam"
-    }
     fn inputs(&self) -> usize {
         4
     }
-    fn outputs(&self) -> usize {
-        2
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.fmt
+    fn outputs(&self) -> &[FixFmt] {
+        &self.outs
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.reg_a;
@@ -275,12 +244,12 @@ impl Block for DualPortRam {
         out.push(self.reg_a.to_bits());
         out.push(self.reg_b.to_bits());
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+    fn load_state(&mut self, src: &mut StateFrame) {
         for v in &mut self.data {
-            *v = Fix::from_bits(state_word("DualPortRam", src), self.fmt);
+            *v = Fix::from_bits(src.word(), self.fmt);
         }
-        self.reg_a = Fix::from_bits(state_word("DualPortRam", src), self.fmt);
-        self.reg_b = Fix::from_bits(state_word("DualPortRam", src), self.fmt);
+        self.reg_a = Fix::from_bits(src.word(), self.fmt);
+        self.reg_b = Fix::from_bits(src.word(), self.fmt);
     }
 }
 

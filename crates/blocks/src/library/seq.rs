@@ -2,7 +2,7 @@
 //! and memories.
 
 use super::{latch, shift};
-use crate::block::{bool_of, state_word, Block};
+use crate::block::{bool_of, Block, StateFrame};
 use crate::fix::{Fix, FixFmt, Overflow, Rounding};
 use crate::resource::Resources;
 use std::collections::VecDeque;
@@ -26,17 +26,11 @@ impl Delay {
 }
 
 impl Block for Delay {
-    fn kind(&self) -> &'static str {
-        "Delay"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.fmt
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.fmt)
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = *self.line.front().expect("line is non-empty");
@@ -53,9 +47,9 @@ impl Block for Delay {
     fn save_state(&self, out: &mut Vec<u64>) {
         out.extend(self.line.iter().map(Fix::to_bits));
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+    fn load_state(&mut self, src: &mut StateFrame) {
         for v in &mut self.line {
-            *v = Fix::from_bits(state_word("Delay", src), self.fmt);
+            *v = Fix::from_bits(src.word(), self.fmt);
         }
     }
 }
@@ -80,17 +74,11 @@ impl Register {
 }
 
 impl Block for Register {
-    fn kind(&self) -> &'static str {
-        "Register"
-    }
     fn inputs(&self) -> usize {
         2
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.fmt
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.fmt)
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.state;
@@ -111,8 +99,8 @@ impl Block for Register {
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.state.to_bits());
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        self.state = Fix::from_bits(state_word("Register", src), self.fmt);
+    fn load_state(&mut self, src: &mut StateFrame) {
+        self.state = Fix::from_bits(src.word(), self.fmt);
     }
 }
 
@@ -137,17 +125,11 @@ impl Counter {
 }
 
 impl Block for Counter {
-    fn kind(&self) -> &'static str {
-        "Counter"
-    }
     fn inputs(&self) -> usize {
         0
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.fmt
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.fmt)
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = Fix::from_int(self.state as i64, self.fmt);
@@ -166,8 +148,8 @@ impl Block for Counter {
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.state);
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        self.state = state_word("Counter", src) % self.modulo;
+    fn load_state(&mut self, src: &mut StateFrame) {
+        self.state = src.word() % self.modulo;
     }
 }
 
@@ -186,17 +168,11 @@ impl Accumulator {
 }
 
 impl Block for Accumulator {
-    fn kind(&self) -> &'static str {
-        "Accumulator"
-    }
     fn inputs(&self) -> usize {
         3
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.fmt
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.fmt)
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.state;
@@ -220,8 +196,8 @@ impl Block for Accumulator {
     fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.state.to_bits());
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        self.state = Fix::from_bits(state_word("Accumulator", src), self.fmt);
+    fn load_state(&mut self, src: &mut StateFrame) {
+        self.state = Fix::from_bits(src.word(), self.fmt);
     }
 }
 
@@ -235,6 +211,8 @@ impl Block for Accumulator {
 #[derive(Debug, Clone)]
 pub struct SyncFifo {
     fmt: FixFmt,
+    /// Output formats: the head data, then the two flags.
+    outs: [FixFmt; 3],
     depth: usize,
     queue: VecDeque<Fix>,
 }
@@ -243,26 +221,17 @@ impl SyncFifo {
     /// A FIFO of `depth` entries.
     pub fn new(fmt: FixFmt, depth: usize) -> SyncFifo {
         assert!(depth >= 1);
-        SyncFifo { fmt, depth, queue: VecDeque::with_capacity(depth) }
+        let outs = [fmt, FixFmt::BOOL, FixFmt::BOOL];
+        SyncFifo { fmt, outs, depth, queue: VecDeque::with_capacity(depth) }
     }
 }
 
 impl Block for SyncFifo {
-    fn kind(&self) -> &'static str {
-        "SyncFifo"
-    }
     fn inputs(&self) -> usize {
         3
     }
-    fn outputs(&self) -> usize {
-        3
-    }
-    fn output_fmt(&self, port: usize) -> FixFmt {
-        if port == 0 {
-            self.fmt
-        } else {
-            FixFmt::BOOL
-        }
+    fn outputs(&self) -> &[FixFmt] {
+        &self.outs
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.queue.front().copied().unwrap_or(Fix::zero(self.fmt));
@@ -294,14 +263,14 @@ impl Block for SyncFifo {
         out.push(self.queue.len() as u64);
         out.extend(self.queue.iter().map(Fix::to_bits));
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+    fn load_state(&mut self, src: &mut StateFrame) {
         // Clamp rather than assert: fault injection may flip the length
         // word of a snapshot frame, and that must read as corrupt data
         // the detectors catch, not a panic mid-trial.
-        let len = (state_word("SyncFifo", src) as usize).min(self.depth);
+        let len = (src.word() as usize).min(self.depth);
         self.queue.clear();
         for _ in 0..len {
-            self.queue.push_back(Fix::from_bits(state_word("SyncFifo", src), self.fmt));
+            self.queue.push_back(Fix::from_bits(src.word(), self.fmt));
         }
     }
 }
@@ -327,17 +296,11 @@ impl SinglePortRam {
 }
 
 impl Block for SinglePortRam {
-    fn kind(&self) -> &'static str {
-        "SinglePortRam"
-    }
     fn inputs(&self) -> usize {
         3
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.fmt
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.fmt)
     }
     fn eval(&self, _inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = self.read_reg;
@@ -362,11 +325,11 @@ impl Block for SinglePortRam {
         out.extend(self.data.iter().map(Fix::to_bits));
         out.push(self.read_reg.to_bits());
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+    fn load_state(&mut self, src: &mut StateFrame) {
         for v in &mut self.data {
-            *v = Fix::from_bits(state_word("SinglePortRam", src), self.fmt);
+            *v = Fix::from_bits(src.word(), self.fmt);
         }
-        self.read_reg = Fix::from_bits(state_word("SinglePortRam", src), self.fmt);
+        self.read_reg = Fix::from_bits(src.word(), self.fmt);
     }
 }
 
@@ -388,17 +351,11 @@ impl Rom {
 }
 
 impl Block for Rom {
-    fn kind(&self) -> &'static str {
-        "Rom"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.fmt
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.fmt)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         let addr = (inputs[0].raw().max(0) as usize) % self.data.len();

@@ -8,7 +8,7 @@
 //! disagree), which is what lets a recovery supervisor scrub the upset
 //! by rolling back to a clean checkpoint instead of accumulating it.
 
-use crate::block::Block;
+use crate::block::{Block, StateFrame};
 use crate::fix::{Fix, FixFmt};
 use crate::resource::Resources;
 
@@ -30,7 +30,10 @@ impl<B: Block + Clone> Tmr<B> {
     /// # Panics
     /// Panics if `inner` has more than 16 output ports.
     pub fn new(inner: B) -> Tmr<B> {
-        assert!(inner.outputs() <= MAX_PORTS, "TMR voter supports at most {MAX_PORTS} outputs");
+        assert!(
+            inner.outputs().len() <= MAX_PORTS,
+            "TMR voter supports at most {MAX_PORTS} outputs"
+        );
         Tmr { replicas: [inner.clone(), inner.clone(), inner], miscompares: 0 }
     }
 
@@ -42,7 +45,7 @@ impl<B: Block + Clone> Tmr<B> {
     /// True when every replica currently evaluates to identical outputs
     /// under `inputs`.
     fn replicas_agree(&self, inputs: &[Fix]) -> bool {
-        let n = self.replicas[0].outputs();
+        let n = self.replicas[0].outputs().len();
         let mut a = [Fix::zero(FixFmt::BOOL); MAX_PORTS];
         let mut b = [Fix::zero(FixFmt::BOOL); MAX_PORTS];
         self.replicas[0].eval(inputs, &mut a[..n]);
@@ -57,17 +60,11 @@ impl<B: Block + Clone> Tmr<B> {
 }
 
 impl<B: Block + Clone> Block for Tmr<B> {
-    fn kind(&self) -> &'static str {
-        "Tmr"
-    }
     fn inputs(&self) -> usize {
         self.replicas[0].inputs()
     }
-    fn outputs(&self) -> usize {
+    fn outputs(&self) -> &[FixFmt] {
         self.replicas[0].outputs()
-    }
-    fn output_fmt(&self, port: usize) -> FixFmt {
-        self.replicas[0].output_fmt(port)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         let n = outputs.len();
@@ -75,9 +72,9 @@ impl<B: Block + Clone> Block for Tmr<B> {
         for (r, buf) in self.replicas.iter().zip(bufs.iter_mut()) {
             r.eval(inputs, &mut buf[..n]);
         }
-        for (i, out) in outputs.iter_mut().enumerate() {
+        for (i, (out, &fmt)) in outputs.iter_mut().zip(self.outputs()).enumerate() {
             let (a, b, c) = (bufs[0][i].to_bits(), bufs[1][i].to_bits(), bufs[2][i].to_bits());
-            *out = Fix::from_bits((a & b) | (a & c) | (b & c), self.output_fmt(i));
+            *out = Fix::from_bits((a & b) | (a & c) | (b & c), fmt);
         }
     }
     fn clock(&mut self, inputs: &[Fix]) -> bool {
@@ -104,7 +101,7 @@ impl<B: Block + Clone> Block for Tmr<B> {
         // Three full replicas plus the voter: one 3-input majority LUT
         // and one miscompare-compare LUT per output bit, two LUTs per
         // slice → about one slice per voted output bit.
-        let bits: u32 = (0..self.outputs()).map(|p| self.output_fmt(p).word as u32).sum();
+        let bits: u32 = self.outputs().iter().map(|fmt| fmt.word as u32).sum();
         self.replicas[0].resources() * 3 + Resources::slices(bits)
     }
     fn save_state(&self, out: &mut Vec<u64>) {
@@ -113,8 +110,8 @@ impl<B: Block + Clone> Block for Tmr<B> {
             r.save_state(out);
         }
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
-        self.miscompares = crate::block::state_word("Tmr", src);
+    fn load_state(&mut self, src: &mut StateFrame) {
+        self.miscompares = src.word();
         for r in &mut self.replicas {
             r.load_state(src);
         }
@@ -156,7 +153,7 @@ mod tests {
         t.save_state(&mut words);
         assert_eq!(words.len(), 4);
         words[2] ^= 1 << 3; // flip a bit of replica 1's state
-        t.load_state(&mut words.into_iter());
+        t.load_state(&mut StateFrame::new(&words));
         // The vote still produces the clean value...
         let hold = [fix(0x55), Fix::from_int(0, FixFmt::BOOL)];
         let mut out = [Fix::zero(FixFmt::BOOL); 1];

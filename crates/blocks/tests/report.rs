@@ -11,10 +11,16 @@
 //! the same state and inputs give the same edge. On odd seeds the TMR
 //! cases flip a bit of one replica's state now and then, so the voter's
 //! miscompare counter moves on edges where no replica's state does.
+//!
+//! The same blocks pin the state-frame contract of `load_state`: an
+//! empty frame loads as all-zero state, a saved frame loads back into a
+//! fresh block that then runs on identically, and each block (a `Tmr`'s
+//! three replicas included) reads exactly its own words from a longer
+//! frame.
 
 use softsim_apps::cordic::hardware::{CordicPe, Deserializer, Serializer};
 use softsim_apps::matmul::hardware::MatmulUnit;
-use softsim_blocks::block::{bit, Block};
+use softsim_blocks::block::{bit, Block, StateFrame};
 use softsim_blocks::library::{
     Accumulator, Counter, Delay, DownSample, DualPortRam, Mult, Register, SinglePortRam, SyncFifo,
     Tmr, UpSample,
@@ -120,7 +126,26 @@ fn upset(block: &mut dyn Block, rng: &mut Rng) {
     let mut state = words(block);
     let per_replica = (state.len() - 1) / 3;
     state[1 + per_replica + rng.range_usize(0, per_replica)] ^= 1 << rng.range_u32(0, 16);
-    block.load_state(&mut state.into_iter());
+    block.load_state(&mut StateFrame::new(&state));
+}
+
+/// Seeded inputs for ports of `fmts`.
+fn inputs(rng: &mut Rng, fmts: &[FixFmt]) -> Vec<Fix> {
+    fmts.iter().map(|&f| draw(rng, f)).collect()
+}
+
+/// Clocks `block` on `n` edges of seeded inputs.
+fn drive(block: &mut dyn Block, fmts: &[FixFmt], rng: &mut Rng, n: usize) {
+    for _ in 0..n {
+        block.clock(&inputs(rng, fmts));
+    }
+}
+
+/// What a sequential block presents on its outputs.
+fn presented(block: &dyn Block) -> Vec<Fix> {
+    let mut out: Vec<Fix> = block.outputs().iter().map(|&f| Fix::zero(f)).collect();
+    block.eval(&[], &mut out);
+    out
 }
 
 #[test]
@@ -169,4 +194,54 @@ fn every_report_of_no_change_leaves_the_state_as_it_was() {
     for (c, n) in blocks().iter().zip(quiet) {
         assert_eq!(n > 0, c.settles, "{}: {n} edges reported no change", c.name);
     }
+}
+
+#[test]
+fn an_empty_frame_loads_as_all_zero_state() {
+    cases(8, |seed, rng| {
+        for mut c in blocks() {
+            drive(c.block.as_mut(), &c.inputs, rng, 40);
+            c.block.load_state(&mut StateFrame::new(&[]));
+            let state = words(c.block.as_ref());
+            assert!(state.iter().all(|&w| w == 0), "{} seed {seed}: {state:?}", c.name);
+        }
+    });
+}
+
+#[test]
+fn a_saved_frame_loads_back_into_a_fresh_block() {
+    cases(20, |seed, rng| {
+        for (mut c, mut fresh) in blocks().into_iter().zip(blocks()) {
+            let ctx = format!("{} seed {seed}", c.name);
+            let n = rng.range_usize(0, 60);
+            drive(c.block.as_mut(), &c.inputs, rng, n);
+            let saved = words(c.block.as_ref());
+            fresh.block.load_state(&mut StateFrame::new(&saved));
+            assert_eq!(words(fresh.block.as_ref()), saved, "{ctx}: restored");
+            for i in 0..30 {
+                let ctx = format!("{ctx} edge {i}");
+                assert_eq!(presented(fresh.block.as_ref()), presented(c.block.as_ref()), "{ctx}");
+                let ins = inputs(rng, &c.inputs);
+                assert_eq!(fresh.block.clock(&ins), c.block.clock(&ins), "{ctx}: report");
+                assert_eq!(words(fresh.block.as_ref()), words(c.block.as_ref()), "{ctx}");
+            }
+        }
+    });
+}
+
+#[test]
+fn each_block_reads_exactly_its_own_words_from_a_longer_frame() {
+    const NEXT: [u64; 2] = [0x5eed, u64::MAX];
+    cases(8, |seed, rng| {
+        for (mut c, mut fresh) in blocks().into_iter().zip(blocks()) {
+            let ctx = format!("{} seed {seed}", c.name);
+            drive(c.block.as_mut(), &c.inputs, rng, 40);
+            let saved = words(c.block.as_ref());
+            let longer = [saved.as_slice(), &NEXT].concat();
+            let mut frame = StateFrame::new(&longer);
+            fresh.block.load_state(&mut frame);
+            assert_eq!(words(fresh.block.as_ref()), saved, "{ctx}: restored");
+            assert_eq!([frame.word(), frame.word(), frame.word()], [NEXT[0], NEXT[1], 0], "{ctx}");
+        }
+    });
 }

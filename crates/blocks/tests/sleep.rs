@@ -22,7 +22,7 @@ use softsim_apps::cordic::hardware::{
     cordic_graph, cordic_graph_tmr, CordicPe, Deserializer, Serializer,
 };
 use softsim_apps::matmul::hardware::{matmul_graph, matmul_graph_tmr};
-use softsim_blocks::block::Block;
+use softsim_blocks::block::{Block, StateFrame};
 use softsim_blocks::library::{
     Accumulator, AddSub, AddSubOp, Constant, Counter, Delay, DownSample, DualPortRam, Mult, Mux,
     Register, RelOp, Relational, SyncFifo, Tmr, UpSample,
@@ -46,17 +46,11 @@ struct Spy {
 }
 
 impl Block for Spy {
-    fn kind(&self) -> &'static str {
-        "Spy"
-    }
     fn inputs(&self) -> usize {
         self.inputs
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        self.fmt
+    fn outputs(&self) -> &[FixFmt] {
+        std::slice::from_ref(&self.fmt)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         self.evals.set(self.evals.get() + 1);
@@ -663,17 +657,11 @@ fn a_gateway_change_evaluates_only_its_downstream_nodes() {
 struct PeekingRegister(Fix);
 
 impl Block for PeekingRegister {
-    fn kind(&self) -> &'static str {
-        "PeekingRegister"
-    }
     fn inputs(&self) -> usize {
         1
     }
-    fn outputs(&self) -> usize {
-        1
-    }
-    fn output_fmt(&self, _: usize) -> FixFmt {
-        I16
+    fn outputs(&self) -> &[FixFmt] {
+        &[I16]
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         outputs[0] = Fix::from_int(self.0.raw().wrapping_add(inputs[0].raw()), I16);
@@ -748,17 +736,11 @@ impl<B> Counted<B> {
 }
 
 impl<B: Block> Block for Counted<B> {
-    fn kind(&self) -> &'static str {
-        self.inner.kind()
-    }
     fn inputs(&self) -> usize {
         self.inner.inputs()
     }
-    fn outputs(&self) -> usize {
+    fn outputs(&self) -> &[FixFmt] {
         self.inner.outputs()
-    }
-    fn output_fmt(&self, port: usize) -> FixFmt {
-        self.inner.output_fmt(port)
     }
     fn eval(&self, inputs: &[Fix], outputs: &mut [Fix]) {
         let mut l = self.ledger.borrow_mut();
@@ -800,7 +782,7 @@ impl<B: Block> Block for Counted<B> {
     fn save_state(&self, out: &mut Vec<u64>) {
         self.inner.save_state(out);
     }
-    fn load_state(&mut self, src: &mut dyn Iterator<Item = u64>) {
+    fn load_state(&mut self, src: &mut StateFrame) {
         self.inner.load_state(src);
     }
 }
