@@ -42,6 +42,8 @@ pub use cosim::{
     CoSim, CoSimState, CoSimStop, DeadlockCause, HwStats, Peripheral, StateDelta, PAPER_CLOCK_HZ,
 };
 pub use opb::OpbBlockAdapter;
+/// Depth of every FSL FIFO of a [`CoSim`] as built.
+pub use softsim_bus::DEFAULT_DEPTH as FSL_DEPTH;
 
 #[cfg(test)]
 mod tests {

@@ -78,9 +78,6 @@ pub enum ServeEvent {
     Admitted,
     /// A job was rejected or evicted by admission control / load-shedding.
     Shed,
-    /// A job was admitted above the degrade watermark; it runs the same
-    /// simulation, and its result is flagged degraded.
-    Degraded,
     /// A job attempt failed and was retried.
     Retried,
     /// A job exhausted its retries and was quarantined.
@@ -103,10 +100,9 @@ const CACHE: Family = ("softsim_serve_cache_total", "Memoization cache events.")
 
 /// The family and label that count each [`ServeEvent`], in declaration
 /// order.
-const SERVE_EVENTS: [(Family, (&str, &str)); 9] = [
+const SERVE_EVENTS: [(Family, (&str, &str)); 8] = [
     (JOBS, ("state", "admitted")),
     (JOBS, ("state", "shed")),
-    (JOBS, ("state", "degraded")),
     (JOBS, ("state", "retried")),
     (JOBS, ("state", "quarantined")),
     (JOBS, ("state", "completed")),
@@ -130,8 +126,6 @@ pub struct ServeCounters {
     pub admitted: u64,
     /// Jobs shed (rejected or evicted).
     pub shed: u64,
-    /// Jobs admitted degraded.
-    pub degraded: u64,
     /// Retry attempts.
     pub retried: u64,
     /// Jobs quarantined.
@@ -652,7 +646,6 @@ impl Telemetry {
         ServeCounters {
             admitted: n(ServeEvent::Admitted),
             shed: n(ServeEvent::Shed),
-            degraded: n(ServeEvent::Degraded),
             retried: n(ServeEvent::Retried),
             quarantined: n(ServeEvent::Quarantined),
             completed: n(ServeEvent::Completed),
@@ -893,14 +886,13 @@ mod tests {
         "softsim_harness_worker_utilization{worker=\"2\"}",
     ];
 
-    const SERVE_KEYS: [&str; 13] = [
+    const SERVE_KEYS: [&str; 12] = [
         "softsim_serve_cache_total{event=\"evict\"}",
         "softsim_serve_cache_total{event=\"hit\"}",
         "softsim_serve_cache_total{event=\"miss\"}",
         "softsim_serve_jobs_running",
         "softsim_serve_jobs_total{state=\"admitted\"}",
         "softsim_serve_jobs_total{state=\"completed\"}",
-        "softsim_serve_jobs_total{state=\"degraded\"}",
         "softsim_serve_jobs_total{state=\"quarantined\"}",
         "softsim_serve_jobs_total{state=\"retried\"}",
         "softsim_serve_jobs_total{state=\"shed\"}",

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! serve [--listen ADDR] [--workers N] [--campaign-workers N]
-//!       [--queue N] [--watermark N] [--spool DIR] [--hold]
+//!       [--queue N] [--spool DIR] [--hold]
 //! serve --request ADDR JSON
 //! ```
 //!
@@ -62,10 +62,6 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
             "--queue" => {
                 config.queue.capacity = parse_count(&operand(&mut it, "--queue")?, "--queue")?;
             }
-            "--watermark" => {
-                config.queue.degrade_watermark =
-                    parse_count(&operand(&mut it, "--watermark")?, "--watermark")?;
-            }
             "--spool" => config.spool = PathBuf::from(operand(&mut it, "--spool")?),
             "--hold" => config.hold = true,
             "--request" => {
@@ -83,7 +79,7 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: serve [--listen ADDR] [--workers N] [--campaign-workers N] \
-         [--queue N] [--watermark N] [--spool DIR] [--hold]\n\
+         [--queue N] [--spool DIR] [--hold]\n\
          \x20      serve --request ADDR JSON"
     );
     ExitCode::from(2)

@@ -6,17 +6,21 @@
 //! builds every campaign of `tables` (and of its `trace_overhead`
 //! guard) from them, and `cosimbench`'s `serve_campaign` workload does
 //! too, so a campaign served here is the same campaign `tables` runs.
+//! Every recipe reads its workload's [`Design`], which [`design`]
+//! assembles and runs to halt once per process.
 
 use softsim_apps::cordic::reference as cordic_ref;
 use softsim_apps::cordic::software::{hw_program, CordicBatch};
 use softsim_apps::matmul::reference::Matrix;
 use softsim_apps::matmul::software as mm_sw;
-use softsim_cosim::CoSim;
+use softsim_cosim::{CoSim, CoSimStop, Peripheral, FSL_DEPTH};
 use softsim_isa::asm::assemble;
 use softsim_isa::Image;
 use softsim_resilience::{
     fnv1a64, random_plan, random_plan_hardware, FaultKind, Injection, RecoveryPolicy,
 };
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
 /// What a job asks the service to do with its workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,7 +101,7 @@ impl Priority {
 }
 
 /// A workload the catalog can build.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// The hardware-accelerated CORDIC divider over the canonical
     /// 8-pair batch.
@@ -150,6 +154,13 @@ impl Workload {
                 }
                 if nb == 0 || nb > n || n % nb != 0 {
                     return Err(format!("matmul nb {nb} must divide n {n}"));
+                }
+                // A block's results must fit the return FIFO, or it deadlocks.
+                let (words, depth) = (nb * nb, FSL_DEPTH);
+                if words > depth {
+                    return Err(format!(
+                        "matmul nb {nb}: {words} result words exceed the {depth}-deep return FIFO"
+                    ));
                 }
                 Ok(())
             }
@@ -260,7 +271,8 @@ pub fn cordic_batch() -> CordicBatch {
     CordicBatch::new(&pairs)
 }
 
-/// The assembled image behind `workload`.
+/// The assembled image behind `workload`: the catalog's one assembly
+/// (the paper's figure workloads call it directly; they need no design).
 pub fn image(workload: Workload) -> Image {
     match workload {
         Workload::Cordic { iterations, p } => {
@@ -274,40 +286,95 @@ pub fn image(workload: Workload) -> Image {
     }
 }
 
-/// A fresh co-simulator for `workload`, with the co-simulator's exact
-/// fast paths (translated blocks, stall fast-forward) on as built.
-/// The second argument is ignored: every job runs both fast paths, and
-/// degraded admission is only a flag in the job's status. The service
-/// passes `false`.
+/// A catalog workload built once: its image, its observable window and
+/// its fault-free (golden) run. None of it depends on a job's seed.
+pub struct Design {
+    workload: Workload,
+    /// The assembled program.
+    image: Image,
+    /// Result base address and word count, read back after every run.
+    pub(crate) observe: (u32, usize),
+    /// Cycles the fault-free run takes to halt.
+    pub(crate) golden_cycles: u64,
+    /// The observable window of the fault-free run at halt.
+    pub(crate) golden_observed: Vec<u32>,
+}
+
+impl Design {
+    /// Assembles `workload` and runs it to halt: the catalog's one
+    /// golden run. Panics for a run that does not halt in 10M cycles.
+    fn build(workload: Workload) -> Design {
+        let image = image(workload);
+        let (label, n) = match workload {
+            Workload::Cordic { .. } => ("z_data", cordic_batch().len()),
+            Workload::Matmul { n, .. } => ("c_data", n * n),
+            Workload::CrashTest => unreachable!("image() panicked first"),
+        };
+        let observe = (image.symbol(label).expect("catalog programs label their results"), n);
+        let mut sim = CoSim::with_peripheral(&image, peripheral(workload));
+        let stop = sim.run(10_000_000);
+        assert_eq!(stop, CoSimStop::Halted, "workload must halt: {stop}");
+        let golden_observed = observe_words(&sim, observe.0, n);
+        Design {
+            workload,
+            image,
+            observe,
+            golden_cycles: sim.cpu().stats().cycles,
+            golden_observed,
+        }
+    }
+
+    /// A fresh co-simulator of this design, with the co-simulator's
+    /// exact fast paths (translated blocks, stall fast-forward) on.
+    pub fn sim(&self) -> CoSim {
+        CoSim::with_peripheral(&self.image, peripheral(self.workload))
+    }
+
+    /// What every seeded plan draws from: the live part of the golden
+    /// run, `[golden / 10, golden)`, and the image's byte count.
+    fn injection_space(&self) -> ((u64, u64), u32) {
+        ((self.golden_cycles / 10, self.golden_cycles), self.image.bytes().len() as u32)
+    }
+}
+
+/// The peripheral `workload`'s program drives over FSL.
+fn peripheral(workload: Workload) -> Peripheral {
+    match workload {
+        Workload::Cordic { p, .. } => softsim_apps::cordic::hardware::cordic_peripheral(p),
+        Workload::Matmul { nb, .. } => softsim_apps::matmul::hardware::matmul_peripheral(nb),
+        Workload::CrashTest => unreachable!("a crash-test design is never built"),
+    }
+}
+
+/// The design of `workload`, built on its first request and shared by
+/// every later one in the process. It is built outside the memo's lock:
+/// a build that panics (the crash-test workload's, every time) leaves
+/// the memo as it was, and threads racing on a new workload all get the
+/// design stored first. Only valid workloads are built (panics
+/// otherwise), so the memo holds at most 578 designs.
+pub fn design(workload: Workload) -> Arc<Design> {
+    static DESIGNS: LazyLock<Mutex<HashMap<Workload, Arc<Design>>>> =
+        LazyLock::new(Default::default);
+    let memo = || DESIGNS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(design) = memo().get(&workload) {
+        return Arc::clone(design);
+    }
+    if let Err(msg) = workload.validate() {
+        panic!("catalog designs are built for valid workloads only: {msg}");
+    }
+    let built = Arc::new(Design::build(workload));
+    Arc::clone(memo().entry(workload).or_insert(built))
+}
+
+/// A fresh co-simulator for `workload` ([`Design::sim`]). The second
+/// argument is ignored: every job runs both fast paths.
 pub fn build_sim(workload: Workload, _degraded: bool) -> CoSim {
-    sim_of(workload, &image(workload))
+    design(workload).sim()
 }
 
-/// A fresh co-simulator running `img`, the assembled image of
-/// `workload`.
-fn sim_of(workload: Workload, img: &Image) -> CoSim {
-    match workload {
-        Workload::Cordic { p, .. } => {
-            CoSim::with_peripheral(img, softsim_apps::cordic::hardware::cordic_peripheral(p))
-        }
-        Workload::Matmul { nb, .. } => {
-            CoSim::with_peripheral(img, softsim_apps::matmul::hardware::matmul_peripheral(nb))
-        }
-        Workload::CrashTest => unreachable!("image() panicked first"),
-    }
-}
-
-/// The observable window of `workload`: result base address and word
-/// count, read back after every run for classification.
+/// The observable window of `workload`: result base address and count.
 pub fn observe_window(workload: Workload) -> (u32, usize) {
-    let img = image(workload);
-    match workload {
-        Workload::Cordic { .. } => {
-            (img.symbol("z_data").expect("cordic result label"), cordic_batch().len())
-        }
-        Workload::Matmul { n, .. } => (img.symbol("c_data").expect("matmul result label"), n * n),
-        Workload::CrashTest => unreachable!("image() panicked first"),
-    }
+    design(workload).observe
 }
 
 /// Reads the observable window out of a halted simulator.
@@ -317,38 +384,21 @@ pub fn observe_words(sim: &CoSim, base: u32, n: usize) -> Vec<u32> {
 
 /// Cycles the fault-free workload takes to halt.
 pub fn golden_cycles(workload: Workload) -> u64 {
-    halt_cycles(build_sim(workload, false))
-}
-
-/// Cycles `sim` takes to halt from its initial state.
-fn halt_cycles(mut sim: CoSim) -> u64 {
-    let stop = sim.run(10_000_000);
-    assert_eq!(stop, softsim_cosim::CoSimStop::Halted, "workload must halt: {stop}");
-    sim.cpu().stats().cycles
-}
-
-/// The injection window and memory size every seeded plan of
-/// `workload` draws from: the live part of the golden run
-/// (`[golden / 10, golden)`) and the image's byte count, from one
-/// assembly of the image.
-fn plan_space(workload: Workload) -> ((u64, u64), u32) {
-    let img = image(workload);
-    let golden = halt_cycles(sim_of(workload, &img));
-    ((golden / 10, golden), img.bytes().len() as u32)
+    design(workload).golden_cycles
 }
 
 /// The seeded injection plan of a campaign job: injection cycles in the
 /// live part of the golden run, SEU + protocol faults on channels 0
 /// and 1.
 pub fn campaign_plan(workload: Workload, seed: u64, trials: u32) -> Vec<Injection> {
-    let (window, bytes) = plan_space(workload);
+    let (window, bytes) = design(workload).injection_space();
     random_plan(seed, trials as usize, window, bytes, &[0, 1])
 }
 
 /// The seeded plan of a recovery job: [`campaign_plan`]'s window, but
 /// hardware-survivable faults only, on channel 0.
 pub fn recovery_plan(workload: Workload, seed: u64, trials: u32) -> Vec<Injection> {
-    let (window, bytes) = plan_space(workload);
+    let (window, bytes) = design(workload).injection_space();
     random_plan_hardware(seed, trials as usize, window, bytes, &[0])
 }
 
@@ -358,8 +408,7 @@ pub fn recovery_plan(workload: Workload, seed: u64, trials: u32) -> Vec<Injectio
 /// watchdog threshold before it is declared dead — the workload the
 /// stall jump targets. A fixed deterministic stride, no RNG.
 pub fn stuck_plan(workload: Workload, trials: u32) -> Vec<Injection> {
-    let golden = golden_cycles(workload);
-    let lo = golden / 10;
+    let ((lo, golden), _) = design(workload).injection_space();
     let span = (golden / 2).saturating_sub(lo).max(1);
     (0..trials)
         .map(|i| {
@@ -415,6 +464,27 @@ mod tests {
         assert!(Workload::Matmul { n: 4, nb: 2 }.validate().is_ok());
         assert!(Workload::Matmul { n: 4, nb: 3 }.validate().is_err());
         assert!(Workload::Matmul { n: 0, nb: 1 }.validate().is_err());
+    }
+
+    #[test]
+    fn every_valid_workload_halts_and_large_matmul_blocks_are_rejected() {
+        let cordic = (1..=64)
+            .flat_map(|iterations| (1..=8).map(move |p| Workload::Cordic { iterations, p }));
+        let matmul = (1..=32).flat_map(|n| {
+            (1..=n).filter(move |nb| n % nb == 0).map(move |nb| Workload::Matmul { n, nb })
+        });
+        let (mut built, mut rejected) = (0, 0);
+        for w in cordic.chain(matmul) {
+            match w.validate() {
+                // The build panics unless the golden run halts.
+                Ok(()) => built += usize::from(design(w).golden_cycles > 0),
+                Err(msg) => {
+                    assert!(matches!(w, Workload::Matmul { nb: 5.., .. }), "{w:?}: {msg}");
+                    rejected += 1;
+                }
+            }
+        }
+        assert_eq!((built, rejected), (512 + 66, 53));
     }
 
     #[test]

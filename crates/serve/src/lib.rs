@@ -18,10 +18,10 @@
 //!   a per-job `SSJL` spool file; a `kill -9` of the server followed by
 //!   a restart re-runs only the missing trials, and the merged report
 //!   is byte-identical to an uninterrupted run at any worker count.
-//! * **Graceful degradation** — above a queue watermark, new jobs are
-//!   admitted flagged as degraded and the flag is recorded in the job
-//!   result. It no longer changes the simulation: every job runs with
-//!   stall fast-forward and block translation on, both bit-exact.
+//! * **Designs built once** — each workload is assembled and run to
+//!   halt once per process ([`catalog::design`]); every job of it reads
+//!   that image, observable window and golden record, and a shape that
+//!   cannot halt is rejected at admission.
 //! * **Memoization** — a content-addressed cache keyed by the FNV-1a
 //!   hash of (program, config, seed), CRC-verified on every read with
 //!   corrupt-entry eviction; a repeated identical request is a cache

@@ -138,12 +138,11 @@ pub fn parse_spec(v: &Value) -> Result<JobSpec, String> {
 /// Renders a terminal job result.
 pub fn render_result(r: &JobResult) -> String {
     let mut out = format!(
-        "{{\"id\":{},\"state\":\"{}\",\"cache\":\"{}\",\"degraded\":{},\"durable\":{},\
+        "{{\"id\":{},\"state\":\"{}\",\"cache\":\"{}\",\"durable\":{},\
          \"retries\":{},\"executed_trials\":{},\"resumed_trials\":{}",
         r.id,
         r.state.label(),
         r.cache.label(),
-        r.degraded,
         r.durable,
         r.retries,
         r.executed_trials,

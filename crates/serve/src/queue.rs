@@ -15,14 +15,11 @@ use std::collections::VecDeque;
 pub struct QueueConfig {
     /// Maximum jobs waiting across all classes.
     pub capacity: usize,
-    /// Queue depth at or above which new jobs are admitted flagged as
-    /// degraded.
-    pub degrade_watermark: usize,
 }
 
 impl Default for QueueConfig {
     fn default() -> QueueConfig {
-        QueueConfig { capacity: 64, degrade_watermark: 48 }
+        QueueConfig { capacity: 64 }
     }
 }
 

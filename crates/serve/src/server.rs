@@ -1,17 +1,20 @@
 //! The in-process server: a supervised worker pool behind the bounded
 //! admission queue, with deadlines, retry/backoff, quarantine,
-//! crash-resumable durable campaigns, degraded-mode admission and the
-//! memoization cache.
+//! crash-resumable durable campaigns and the memoization cache.
 //!
 //! Job lifecycle (the robustness state machine of DESIGN.md §16):
 //!
 //! ```text
 //! submitted ─▸ admitted ─▸ running ─▸ done
-//!      │          │           ├────▸ retried ─▸ (running again)
-//!      │          │           └────▸ quarantined
-//!      │          └─ (watermark) ──▸ degraded (still runs, flagged)
+//!      │                      ├────▸ retried ─▸ (running again)
+//!      │                      └────▸ quarantined
 //!      └────────────▸ shed (queue full / evicted / deadline / shutdown)
 //! ```
+//!
+//! A job runs on its workload's [`catalog::Design`], built once per
+//! process: a `Simulate` job is answered from its golden record, a
+//! `Sweep` from each point's golden cycles, and campaign and recovery
+//! trials start from its image and observe its window.
 //!
 //! Every terminal state is a typed value — overload and crashes never
 //! surface as panics or unbounded queues. A finished job stays in the
@@ -145,7 +148,7 @@ impl std::error::Error for Shed {}
 /// Terminal classification of a finished job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobState {
-    /// Ran to completion (possibly after retries, possibly degraded).
+    /// Ran to completion (possibly after retries).
     Done,
     /// Never ran; the reason is in the `shed` field of [`JobResult`].
     Shed,
@@ -198,9 +201,6 @@ pub struct JobResult {
     pub shed: Option<ShedReason>,
     /// Cache participation.
     pub cache: CacheStatus,
-    /// The job was admitted above the queue's degrade watermark
-    /// (flagged only: its simulation is the same as any other job's).
-    pub degraded: bool,
     /// Every completed trial reached the journal (durable jobs only;
     /// `false` after a write-side degrade or for non-durable jobs).
     pub durable: bool,
@@ -220,13 +220,13 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    fn shed(id: u64, reason: ShedReason) -> JobResult {
+    /// A result in `state` that reports nothing else.
+    fn new(id: u64, state: JobState, cache: CacheStatus) -> JobResult {
         JobResult {
             id,
-            state: JobState::Shed,
-            shed: Some(reason),
-            cache: CacheStatus::Bypass,
-            degraded: false,
+            state,
+            shed: None,
+            cache,
             durable: false,
             retries: 0,
             executed_trials: 0,
@@ -235,6 +235,10 @@ impl JobResult {
             error: None,
             report: String::new(),
         }
+    }
+
+    fn shed(id: u64, reason: ShedReason) -> JobResult {
+        JobResult { shed: Some(reason), ..JobResult::new(id, JobState::Shed, CacheStatus::Bypass) }
     }
 }
 
@@ -268,7 +272,6 @@ struct QueuedJob {
     id: u64,
     spec: JobSpec,
     submitted: Instant,
-    degraded: bool,
 }
 
 struct State {
@@ -379,18 +382,17 @@ impl Server {
             state.runs.insert(id);
         }
         if let Err(msg) = spec.validate() {
-            let mut result = JobResult::shed(id, ShedReason::ShuttingDown);
-            result.state = JobState::Quarantined;
-            result.shed = None;
-            result.error = Some(msg);
+            let result = JobResult {
+                error: Some(msg),
+                ..JobResult::new(id, JobState::Quarantined, CacheStatus::Bypass)
+            };
             state.jobs.insert(id, JobStatus::Finished(result));
             inner.telemetry.serve_event(ServeEvent::Quarantined);
             drop(state);
             inner.done_cv.notify_all();
             return Ok(id);
         }
-        let degraded = state.queue.len() >= inner.config.queue.degrade_watermark;
-        let job = QueuedJob { id, spec, submitted: Instant::now(), degraded };
+        let job = QueuedJob { id, spec, submitted: Instant::now() };
         match state.queue.push(job, spec.priority) {
             Admission::Admitted => {}
             Admission::AdmittedEvicting(victim) => {
@@ -407,9 +409,6 @@ impl Server {
         }
         state.jobs.insert(id, JobStatus::Queued);
         inner.telemetry.serve_event(ServeEvent::Admitted);
-        if degraded {
-            inner.telemetry.serve_event(ServeEvent::Degraded);
-        }
         inner.publish_gauges_locked(&state);
         drop(state);
         self.inner.work_cv.notify_all();
@@ -638,7 +637,7 @@ fn worker_loop(inner: &Inner, worker: u32) {
 /// One admitted job, end to end: deadline check, cache probe, guarded
 /// execution with retry/backoff, quarantine, cache fill.
 fn run_entry(inner: &Inner, job: QueuedJob, _worker: u32) -> JobResult {
-    let QueuedJob { id, spec, submitted, degraded } = job;
+    let QueuedJob { id, spec, submitted } = job;
     if let Some(deadline_ms) = spec.deadline_ms {
         let waited = submitted.elapsed();
         if waited > Duration::from_millis(deadline_ms) {
@@ -660,18 +659,9 @@ fn run_entry(inner: &Inner, job: QueuedJob, _worker: u32) -> JobResult {
                 let durable = payload.first() == Some(&1);
                 let report = String::from_utf8_lossy(&payload[1..]).into_owned();
                 return JobResult {
-                    id,
-                    state: JobState::Done,
-                    shed: None,
-                    cache: CacheStatus::Hit,
-                    degraded,
                     durable,
-                    retries: 0,
-                    executed_trials: 0,
-                    resumed_trials: 0,
-                    warning: None,
-                    error: None,
                     report,
+                    ..JobResult::new(id, JobState::Done, CacheStatus::Hit)
                 };
             }
             CacheLookup::Corrupt => {
@@ -700,18 +690,13 @@ fn run_entry(inner: &Inner, job: QueuedJob, _worker: u32) -> JobResult {
                     lock(&inner.state).cache.insert(key, payload);
                 }
                 return JobResult {
-                    id,
-                    state: JobState::Done,
-                    shed: None,
-                    cache,
-                    degraded,
                     durable: exec.durable,
                     retries,
                     executed_trials: exec.executed_trials,
                     resumed_trials: exec.resumed_trials,
                     warning: exec.warning,
-                    error: None,
                     report: exec.report,
+                    ..JobResult::new(id, JobState::Done, cache)
                 };
             }
             Err(panic) => {
@@ -728,18 +713,9 @@ fn run_entry(inner: &Inner, job: QueuedJob, _worker: u32) -> JobResult {
     }
     inner.telemetry.serve_event(ServeEvent::Quarantined);
     JobResult {
-        id,
-        state: JobState::Quarantined,
-        shed: None,
-        cache,
-        degraded,
-        durable: false,
         retries: retries - 1,
-        executed_trials: 0,
-        resumed_trials: 0,
-        warning: None,
         error: Some(format!("quarantined after {} attempts: {last_panic}", retries)),
-        report: String::new(),
+        ..JobResult::new(id, JobState::Quarantined, cache)
     }
 }
 
@@ -755,49 +731,25 @@ struct ExecOutput {
 /// builds and journal errors) unwind to the retry loop above.
 fn execute(inner: &Inner, spec: &JobSpec) -> ExecOutput {
     let workload = spec.workload;
-    match spec.kind {
+    let (report, executed_trials) = match spec.kind {
         JobKind::Simulate => {
-            let (base, n) = catalog::observe_window(workload);
-            let mut sim = catalog::build_sim(workload, false);
-            let stop = sim.run(10_000_000);
-            assert_eq!(stop, softsim_cosim::CoSimStop::Halted, "simulate must halt: {stop}");
-            let cycles = sim.cpu().stats().cycles;
-            let observed = catalog::observe_words(&sim, base, n);
-            ExecOutput {
-                report: render_simulate(workload, cycles, &observed),
-                durable: false,
-                executed_trials: 1,
-                resumed_trials: 0,
-                warning: None,
-            }
+            let design = catalog::design(workload);
+            (render_simulate(workload, design.golden_cycles, &design.golden_observed), 1)
         }
         JobKind::Sweep => {
             let mut out = format!("sweep {}\n", workload.label());
-            let mut executed = 0;
-            for i in 0..spec.trials.max(1) {
+            let points = spec.trials.max(1);
+            for i in 0..points {
                 let point = match workload {
                     Workload::Cordic { iterations, .. } => {
                         Workload::Cordic { iterations, p: [2, 4, 6, 8][i as usize % 4] }
                     }
                     other => other,
                 };
-                let mut sim = catalog::build_sim(point, false);
-                let stop = sim.run(10_000_000);
-                assert_eq!(stop, softsim_cosim::CoSimStop::Halted, "sweep point halts: {stop}");
-                out.push_str(&format!(
-                    "  point {i}: {} cycles={}\n",
-                    render_workload(point),
-                    sim.cpu().stats().cycles
-                ));
-                executed += 1;
+                let cycles = catalog::golden_cycles(point);
+                out.push_str(&format!("  point {i}: {} cycles={cycles}\n", render_workload(point)));
             }
-            ExecOutput {
-                report: out,
-                durable: false,
-                executed_trials: executed,
-                resumed_trials: 0,
-                warning: None,
-            }
+            (out, points)
         }
         JobKind::Campaign => {
             let plan = catalog::campaign_plan(workload, spec.seed, spec.trials);
@@ -806,14 +758,15 @@ fn execute(inner: &Inner, spec: &JobSpec) -> ExecOutput {
                 trial_wall_budget: spec.trial_wall_budget_ms.map(Duration::from_millis),
                 ..CampaignConfig::default()
             };
-            execute_trials(inner, spec, &plan, &config, render_campaign)
+            return execute_trials(inner, spec, &plan, &config, render_campaign);
         }
         JobKind::Recovery => {
             let plan = catalog::recovery_plan(workload, spec.seed, spec.trials);
             let policy = catalog::recovery_policy();
-            execute_trials(inner, spec, &plan, &policy, render_recovery)
+            return execute_trials(inner, spec, &plan, &policy, render_recovery);
         }
-    }
+    };
+    ExecOutput { report, durable: false, executed_trials, resumed_trials: 0, warning: None }
 }
 
 /// Runs a campaign or recovery job's trials, journaled when the spec is
@@ -828,10 +781,10 @@ fn execute_trials<K: TrialKind>(
     kind: &K,
     render: fn(&JobSpec, &K::Report) -> String,
 ) -> ExecOutput {
-    let workload = spec.workload;
-    let (base, n) = catalog::observe_window(workload);
+    let design = catalog::design(spec.workload);
+    let (base, n) = design.observe;
     let observe = move |s: &softsim_cosim::CoSim| catalog::observe_words(s, base, n);
-    let make_sim = || catalog::build_sim(workload, false);
+    let make_sim = || design.sim();
     let journal = spec.durable.then(|| journal_path(&inner.config.spool, spec));
     let mut resumed = match &journal {
         None => 0,

@@ -1,9 +1,10 @@
 //! End-to-end robustness tests for the simulation service: overload
-//! shedding, watermark degradation, quarantine after retries, memo
+//! shedding, quarantine after retries, the shared catalog designs, memo
 //! cache hits and corrupt-entry eviction, and crash-resume
 //! byte-identity across worker counts.
 
-use softsim_serve::catalog::MAX_TRIALS;
+use softsim_cosim::CoSimStop;
+use softsim_serve::catalog::{self, MAX_TRIALS};
 use softsim_serve::protocol::handle_line;
 use softsim_serve::{
     CacheStatus, JobKind, JobSpec, JobState, JobStatus, Priority, QueueConfig, ServeConfig, Server,
@@ -45,6 +46,57 @@ fn campaign_spec(seed: u64, trials: u32) -> JobSpec {
     }
 }
 
+/// Runs `w` to halt with every fast path off and returns its cycles and
+/// observed words: the stepped reference of the served reports.
+fn stepped_golden(w: Workload) -> (u64, Vec<u32>) {
+    let (base, n) = catalog::observe_window(w);
+    let mut sim = catalog::build_sim(w, false);
+    sim.set_translation(false);
+    assert_eq!(sim.run(10_000_000), CoSimStop::Halted, "{w:?}");
+    (sim.cpu().stats().cycles, catalog::observe_words(&sim, base, n))
+}
+
+#[test]
+fn simulate_and_sweep_reports_match_stepped_runs() {
+    let server = quick_server("pinned", ServeConfig { workers: 1, ..ServeConfig::default() });
+    let serve = |kind, workload, trials| {
+        let spec = JobSpec { kind, workload, trials, use_cache: false, ..JobSpec::default() };
+        let r = server.run(spec).expect("admitted");
+        assert_eq!(r.state, JobState::Done, "{r:?}");
+        r.report
+    };
+    for (w, label) in [
+        (Workload::Cordic { iterations: 8, p: 2 }, "cordic iters=8 p=2"),
+        (Workload::Matmul { n: 4, nb: 2 }, "matmul n=4 nb=2"),
+    ] {
+        let (cycles, observed) = stepped_golden(w);
+        let words: Vec<String> = observed.iter().map(|w| format!("{w:08x}")).collect();
+        let expected = format!("simulate {label} cycles={cycles} observed=[{}]\n", words.join(" "));
+        assert_eq!(serve(JobKind::Simulate, w, 1), expected);
+    }
+    let mut expected = String::from("sweep cordic\n");
+    for (i, p) in [2, 4, 6, 8].into_iter().enumerate() {
+        let (cycles, _) = stepped_golden(Workload::Cordic { iterations: 8, p });
+        expected.push_str(&format!("  point {i}: cordic iters=8 p={p} cycles={cycles}\n"));
+    }
+    assert_eq!(serve(JobKind::Sweep, Workload::Cordic { iterations: 8, p: 2 }, 4), expected);
+}
+
+#[test]
+fn racing_requests_share_one_design() {
+    let w = Workload::Cordic { iterations: 13, p: 3 };
+    let start = std::sync::Barrier::new(2);
+    let [a, b] = std::thread::scope(|scope| {
+        let ask = || {
+            start.wait();
+            catalog::design(w)
+        };
+        [scope.spawn(ask), scope.spawn(ask)].map(|t| t.join().expect("design thread"))
+    });
+    assert!(std::sync::Arc::ptr_eq(&a, &b), "both threads get the design stored first");
+    assert!(std::sync::Arc::ptr_eq(&a, &catalog::design(w)), "later requests hit the memo");
+}
+
 #[test]
 fn oversized_worker_counts_are_rejected_before_anything_starts() {
     let spool = scratch("oversized");
@@ -66,7 +118,7 @@ fn overload_floods_shed_typed_and_high_priority_evicts() {
         ServeConfig {
             workers: 1,
             hold: true,
-            queue: QueueConfig { capacity: 4, degrade_watermark: 3 },
+            queue: QueueConfig { capacity: 4 },
             ..ServeConfig::default()
         },
     );
@@ -91,23 +143,13 @@ fn overload_floods_shed_typed_and_high_priority_evicts() {
         let r = server.wait(id, WAIT).expect("job finishes");
         assert_eq!(r.state, JobState::Done, "{r:?}");
     }
-    // The VIP was admitted at depth 4 >= watermark 3: it runs in
-    // reduced-fidelity mode, bit-exact but flagged.
     let r = server.wait(vip, WAIT).expect("vip finishes");
     assert_eq!(r.state, JobState::Done);
-    assert!(r.degraded, "watermark admission must flag degradation: {r:?}");
 
     let counters = server.telemetry().serve_counters();
     assert_eq!(counters.shed, 2, "one rejection + one eviction");
-    // Both the fourth fill job (admitted at depth 3) and the VIP
-    // (admitted at depth 4) crossed the watermark.
-    assert_eq!(counters.degraded, 2);
     let prom = server.metrics();
-    for needle in [
-        "softsim_serve_jobs_total{state=\"shed\"} 2",
-        "softsim_serve_jobs_total{state=\"degraded\"} 2",
-        "softsim_serve_ready 1",
-    ] {
+    for needle in ["softsim_serve_jobs_total{state=\"shed\"} 2", "softsim_serve_ready 1"] {
         assert!(prom.contains(needle), "missing {needle:?} in:\n{prom}");
     }
 }
@@ -143,14 +185,18 @@ fn crash_test_workload_is_quarantined_after_retries() {
         use_cache: false,
         ..JobSpec::default()
     };
-    let r = server.run(spec).expect("admitted");
-    assert_eq!(r.state, JobState::Quarantined);
-    assert_eq!(r.retries, 2, "default max_job_retries consumed: {r:?}");
-    let err = r.error.expect("quarantine reason");
-    assert!(err.contains("crash-test workload build"), "{err}");
+    // A design build that panics leaves nothing in the design memo, so
+    // the second job fails the same way as the first.
+    for _ in 0..2 {
+        let r = server.run(spec).expect("admitted");
+        assert_eq!(r.state, JobState::Quarantined);
+        assert_eq!(r.retries, 2, "default max_job_retries consumed: {r:?}");
+        let err = r.error.expect("quarantine reason");
+        assert!(err.contains("crash-test workload build"), "{err}");
+    }
     let counters = server.telemetry().serve_counters();
-    assert_eq!(counters.retried, 2);
-    assert_eq!(counters.quarantined, 1);
+    assert_eq!(counters.retried, 4);
+    assert_eq!(counters.quarantined, 2);
     // The worker survived the panics: the pool still serves jobs.
     let ok = server.run(simulate_spec(1)).expect("pool alive");
     assert_eq!(ok.state, JobState::Done);
@@ -160,12 +206,17 @@ fn crash_test_workload_is_quarantined_after_retries() {
 fn invalid_specs_quarantine_with_a_structured_result() {
     let server = quick_server("invalid", ServeConfig { workers: 1, ..ServeConfig::default() });
     let bad_workload = Workload::Cordic { iterations: 0, p: 2 };
+    let deadlocking = Workload::Matmul { n: 10, nb: 5 };
     for (spec, why) in [
         (JobSpec { workload: bad_workload, ..JobSpec::default() }, "invalid workload"),
+        (
+            JobSpec { kind: JobKind::Simulate, workload: deadlocking, ..JobSpec::default() },
+            "25 result words exceed the 16-deep return FIFO",
+        ),
         (JobSpec { trials: MAX_TRIALS + 1, ..JobSpec::default() }, "trials 100001 above"),
     ] {
         let r = server.run(spec).expect("admission still succeeds");
-        assert_eq!(r.state, JobState::Quarantined);
+        assert_eq!((&r.state, r.retries), (&JobState::Quarantined, 0), "{r:?}");
         assert!(r.error.as_deref().unwrap_or("").contains(why), "{r:?}");
     }
 }
